@@ -31,9 +31,16 @@ identities that hold exactly on the grid as long as both sides use the same
 gradient convention.  The auxiliary dynamics truncates each kernel to the
 blocks carrying at most two complement projections in total,
 w~ = sum_{b+c<=2} P^(b) w P^(c), where P^(b) distributes b factors of
-q = 1 - p over the kernel's slots; the discarded blocks are returned
-alongside so that kept + discarded = w can be checked as an operator
-identity.
+q = 1 - p over the kernel's slots.  In the orbital-adapted mode basis U of
+``build_projections`` (first N columns span Ran p) every P^(b) is diagonal,
+so the production route (``kept_interaction``) rotates the kernel slot by
+slot, multiplies it by the fixed 0/1 mask exc(row) + exc(col) <= 2, and
+rotates back: O(L^(2r+1)) per kernel instead of O(L^(3r)).  The mask depends
+only on (L, N, r) and is built once from ``slot_sector_projectors``, the
+literal kron construction of P^(b).  ``truncate_interaction`` keeps the
+literal sum of projector products as the oracle and returns the discarded
+blocks alongside, so that kept + discarded = w can be checked as an
+operator identity.
 
 ``run_auxiliary`` co-evolves the truncated state, the mean-field orbitals,
 and the exact state, recording occupancy diagnostics, the direct energy
@@ -47,11 +54,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
 
 from .counting import (
+    Projections,
     build_projections,
     sector_masses,
     weight_number,
@@ -90,7 +99,7 @@ DEFAULT_GAMMAS = (1.0 / 6.0, 0.5, 1.0)
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BaseInteractions:
     """Pair and triple kernels of the gauged generator (flat C-order slots)."""
 
@@ -98,12 +107,6 @@ class BaseInteractions:
     pair_momentum: np.ndarray = field(repr=False)  # (L^2, L^2), hermitian
     pair_diag: np.ndarray = field(repr=False)  # (L^2,)
     triple_diag: np.ndarray | None = field(repr=False)  # (L^3,) or None
-
-    def __eq__(self, other: object) -> bool:
-        return self is other
-
-    def __hash__(self) -> int:
-        return id(self)
 
 
 def base_interactions(
@@ -208,7 +211,12 @@ def rw_crosscheck(state: OrbitalSet, potential: InteractionPotential) -> dict:
 
 
 def slot_sector_projectors(p: np.ndarray, q: np.ndarray, r: int) -> list[np.ndarray]:
-    """P^(b) for b = 0..r on the r-slot product space (flat C order)."""
+    """P^(b) for b = 0..r on the r-slot product space (flat C order).
+
+    Built literally from kron products.  Production code calls it only to
+    derive the sector mask in the orbital-adapted basis (``_kept_mask``);
+    ``truncate_interaction`` uses it as the literal oracle.
+    """
     out = []
     for b in range(r + 1):
         P = np.zeros((p.shape[0] ** r, p.shape[0] ** r), dtype=np.complex128)
@@ -232,7 +240,12 @@ class TruncatedInteraction:
 def truncate_interaction(
     w: np.ndarray, p: np.ndarray, q: np.ndarray, r: int, max_complement: int = 2
 ) -> TruncatedInteraction:
-    """Split w into sum_{b+c<=max} P^(b) w P^(c) plus the discarded rest."""
+    """Split w into sum_{b+c<=max} P^(b) w P^(c) plus the discarded rest.
+
+    The literal oracle for the truncation: dense products with the sector
+    projectors, O(L^(3r)) per block.  ``build_aux_generator`` computes the
+    same kept part by rotate-mask-rotate (``kept_interaction``).
+    """
     if w.ndim == 1:
         w = np.diag(w.astype(np.complex128))
     P = slot_sector_projectors(p, q, r)
@@ -255,21 +268,65 @@ def truncate_interaction(
     )
 
 
-def _kept_block(w: np.ndarray, P: list[np.ndarray], max_complement: int = 2) -> np.ndarray:
+@lru_cache(maxsize=None)
+def _kept_mask(L: int, N: int, r: int) -> np.ndarray:
+    """0/1 mask exc(row) + exc(col) <= 2 of an r-slot kernel in the adapted basis.
+
+    In a mode basis whose first N modes span Ran p, every P^(b) is the
+    diagonal 0/1 matrix selecting the multi-indices with b complement modes,
+    so the mask depends only on (L, N, r).
+    """
+    D = np.diag((np.arange(L) < N).astype(float))
+    P = slot_sector_projectors(D, np.eye(L) - D, r)
+    exc = sum(b * np.diag(Pb).real for b, Pb in enumerate(P))
+    mask = exc[:, None] + exc[None, :] <= 2
+    mask.flags.writeable = False
+    return mask
+
+
+def _rotate_slots(w: np.ndarray, left: np.ndarray, right: np.ndarray, r: int) -> np.ndarray:
+    """left^(x r) @ w @ right^(x r) for an (L^r, L^r) kernel, one slot at a time.
+
+    Each pass contracts the leading index of the 2r-index tensor with one
+    L x L matrix and cycles it to the back (one matmul, no transpose copy),
+    so after 2r passes the index order is restored: O(L^(2r+1)) instead of
+    O(L^(3r)).
+    """
+    L = left.shape[0]
+    out = w
+    for A in (left.T,) * r + (right,) * r:
+        out = out.reshape(L, -1).T @ A
+    return out.reshape(L**r, L**r)
+
+
+def _rotate_diagonal(d: np.ndarray, U: np.ndarray, r: int) -> np.ndarray:
+    """(U^dag)^(x r) @ diag(d) @ U^(x r), contracting one slot's pair density at a time.
+
+    rho[x, k, l] = conj(U[x, k]) U[x, l]; the last slot costs O(L^(2r+1)),
+    the earlier ones a factor L^2 less each.
+    """
+    L = U.shape[0]
+    rho = np.einsum("xk,xl->xkl", U.conj(), U)
+    out = d.reshape((L,) * r)
+    for _ in range(r):
+        out = np.tensordot(out, rho, axes=([0], [0]))
+    out = out.transpose(list(range(0, 2 * r, 2)) + list(range(1, 2 * r, 2)))
+    return out.reshape(L**r, L**r)
+
+
+def kept_interaction(w: np.ndarray, projections: Projections, r: int) -> np.ndarray:
+    """sum_{b+c<=2} P^(b) w P^(c) by rotate-mask-rotate in the adapted basis.
+
+    ``w`` is an (L^r, L^r) kernel or the diagonal (L^r,) of one.
+    """
+    U = projections.basis_matrix
+    L = U.shape[0]
     if w.ndim == 1:
-        out = np.zeros((w.shape[0], w.shape[0]), dtype=np.complex128)
-        for b in range(len(P)):
-            for c in range(len(P) - b):
-                if b + c <= max_complement:
-                    out += (P[b] * w[None, :]) @ P[c]
-        return out
-    out = np.zeros_like(w, dtype=np.complex128)
-    for b in range(len(P)):
-        Pw = P[b] @ w
-        for c in range(len(P)):
-            if b + c <= max_complement:
-                out += Pw @ P[c]
-    return out
+        rotated = _rotate_diagonal(w, U, r)
+    else:
+        rotated = _rotate_slots(w, U.conj().T, U, r)
+    rotated *= _kept_mask(L, projections.n_occupied, r)
+    return _rotate_slots(rotated, U, U.conj().T, r)
 
 
 # ---------------------------------------------------------------------------
@@ -308,18 +365,16 @@ def build_aux_generator(
         raise GridMismatchError("basis mode count does not match the grid")
     epsilon = gauged_orbitals.scaling.epsilon
     te = t * epsilon
-    p = orbital_projector(gauged_orbitals)
-    q = np.eye(grid.total_sites) - p
+    proj = build_projections(gauged_orbitals)
 
     H = lift_one_body(basis, dense_kinetic(grid)).astype(np.complex128)
-    P2 = slot_sector_projectors(p, q, 2)
-    w2 = te * _kept_block(base.pair_momentum, P2) + te**2 * _kept_block(base.pair_diag, P2)
-    H = H + lift_two_body(basis, w2)
+    w2 = te * base.pair_momentum
+    w2[np.diag_indices_from(w2)] += te**2 * base.pair_diag
+    H = H + lift_two_body(basis, kept_interaction(w2, proj, 2))
     if basis.n_particles >= 3:
         if base.triple_diag is None:
             raise ConfigError("triple kernel required for three or more particles")
-        P3 = slot_sector_projectors(p, q, 3)
-        H = H + lift_three_body(basis, te**2 * _kept_block(base.triple_diag, P3))
+        H = H + lift_three_body(basis, kept_interaction(te**2 * base.triple_diag, proj, 3))
     H = H.tocsr()
     asym = abs(H - H.conjugate().transpose())
     if asym.nnz and asym.max() > 1e-9:

@@ -288,6 +288,10 @@ def load_config(args: argparse.Namespace) -> RunConfig:
             raise _fail("lemmas", "sizes", raw["lemmas"]["sizes"],
                         "pairs with 1 <= N <= L <= 12")
 
+    lemma_trials = _get_int(raw, "lemmas", "trials")
+    if lemma_trials < 1:
+        raise _fail("lemmas", "trials", raw["lemmas"]["trials"], "a positive integer")
+
     seed = _get_int(raw, "run", "seed")
     if not 0 <= seed < 2**64:
         raise _fail("run", "seed", raw["run"]["seed"], "an unsigned 64-bit integer")
@@ -306,7 +310,7 @@ def load_config(args: argparse.Namespace) -> RunConfig:
         boxes=boxes,
         include_bump=_get_bool(raw, "observables", "bump"),
         gammas=gammas,
-        lemma_trials=_get_int(raw, "lemmas", "trials"),
+        lemma_trials=lemma_trials,
         lemma_sizes=lemma_sizes,
         seed=seed,
         out_dir=Path(raw["run"]["out"]),

@@ -107,7 +107,7 @@ def weight_power(base: WeightFunction, power: int) -> WeightFunction:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Projections:
     """Orbital projector p, complement q, and an adapted unitary mode basis.
 
@@ -119,13 +119,7 @@ class Projections:
     q: np.ndarray = field(repr=False)
     basis_matrix: np.ndarray = field(repr=False)
     n_occupied: int
-    _rotations: dict = field(default_factory=dict, repr=False, compare=False)
-
-    def __eq__(self, other: object) -> bool:
-        return self is other
-
-    def __hash__(self) -> int:
-        return id(self)
+    _rotations: dict = field(default_factory=dict, repr=False)
 
     @property
     def n_modes(self) -> int:
@@ -177,11 +171,6 @@ def build_projections(orbital_set) -> Projections:
             f"adapted mode basis failed to be unitary (defect {unitarity:.2e})"
         )
     return Projections(p=p, q=q, basis_matrix=U, n_occupied=N)
-
-
-def rotated_amplitudes(state: ManyBodyState, projections: Projections) -> np.ndarray:
-    Rot, _ = projections.rotation(state.basis)
-    return Rot @ state.amplitudes
 
 
 def sector_masses(state: ManyBodyState, projections: Projections) -> np.ndarray:

@@ -22,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import GridMismatchError
+from .errors import ConfigError, GridMismatchError
 
 KINETIC_MODES = ("spectral", "lattice")
 
@@ -43,15 +43,15 @@ class Grid:
 
     def __post_init__(self) -> None:
         if self.dim not in (1, 2, 3):
-            raise ValueError(f"dim must be 1, 2 or 3, got {self.dim}")
+            raise ConfigError(f"dim must be 1, 2 or 3, got {self.dim}")
         if self.sites_per_dim < 2 or self.sites_per_dim % 2 != 0:
-            raise ValueError(
+            raise ConfigError(
                 f"sites_per_dim must be even and >= 2, got {self.sites_per_dim}"
             )
         if not self.box_length > 0:
-            raise ValueError(f"box_length must be positive, got {self.box_length}")
+            raise ConfigError(f"box_length must be positive, got {self.box_length}")
         if self.kinetic_mode not in KINETIC_MODES:
-            raise ValueError(
+            raise ConfigError(
                 f"kinetic_mode must be one of {KINETIC_MODES}, got {self.kinetic_mode!r}"
             )
 
@@ -160,7 +160,7 @@ def kinetic_multiplier(grid: Grid, mode: str | None = None) -> np.ndarray:
         return sum(k**2 for k in ks)
     if mode == "lattice":
         return sum(4.0 * np.sin(0.5 * k * h) ** 2 / h**2 for k in ks)
-    raise ValueError(f"unknown kinetic mode {mode!r}")
+    raise ConfigError(f"unknown kinetic mode {mode!r}")
 
 
 @lru_cache(maxsize=None)
@@ -176,7 +176,7 @@ def gradient_multipliers(grid: Grid, mode: str = "spectral") -> tuple[np.ndarray
         return tuple(1j * k for k in ks)
     if mode == "lattice":
         return tuple(1j * np.sin(k * h) / h for k in ks)
-    raise ValueError(f"unknown gradient mode {mode!r}")
+    raise ConfigError(f"unknown gradient mode {mode!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +285,7 @@ def dense_kinetic(grid: Grid, mode: str | None = None) -> np.ndarray:
         k = grid.axis_wavenumbers()
         one = np.fft.ifft(k[:, None] ** 2 * np.fft.fft(np.eye(n), axis=0), axis=0)
     else:
-        raise ValueError(f"unknown kinetic mode {mode!r}")
+        raise ConfigError(f"unknown kinetic mode {mode!r}")
     total = np.zeros((grid.total_sites, grid.total_sites), dtype=one.dtype)
     for axis in range(grid.dim):
         mats = [np.eye(n)] * grid.dim
@@ -322,7 +322,7 @@ def dense_gradient(grid: Grid, mode: str = "spectral") -> tuple[np.ndarray, ...]
         k = grid.axis_wavenumbers()
         one = np.fft.ifft(1j * k[:, None] * np.fft.fft(np.eye(n), axis=0), axis=0)
     else:
-        raise ValueError(f"unknown gradient mode {mode!r}")
+        raise ConfigError(f"unknown gradient mode {mode!r}")
     out = []
     for axis in range(grid.dim):
         mats = [np.eye(n, dtype=one.dtype)] * grid.dim

@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
+import mflab.auxiliary as auxiliary
 from mflab.auxiliary import (
+    _kept_mask,
     base_interactions,
     build_aux_generator,
     complement_kinetic,
@@ -14,6 +16,7 @@ from mflab.auxiliary import (
     full_gauged_hamiltonian,
     gauge_frame_residual,
     gamma_suffix,
+    kept_interaction,
     mean_field_rw,
     observable_localization_bound,
     orbital_projector,
@@ -26,6 +29,7 @@ from mflab.auxiliary import (
 )
 from mflab.counting import _random_projections, build_projections
 from mflab.errors import ConfigError
+from mflab.gauge import gauge_orbitals
 from mflab.grid import Grid, dense_kinetic, make_field
 from mflab.hartree import OrbitalSet
 from mflab.manybody import ConfigBasis, ManyBodyState, slater_state
@@ -133,6 +137,59 @@ def test_truncation_triple_reconstructs():
     proj = _random_projections(6, 2, rng)
     tr = truncate_interaction(base.triple_diag, proj.p, proj.q, 3)
     assert tr.reconstruction_defect < 1e-10
+
+
+def test_kept_interaction_matches_truncation_oracle():
+    rng = np.random.default_rng(23)
+    grid, pot, orbitals = make_system(N=3)
+    base = base_interactions(pot)
+    moved = OrbitalSet(orbitals=orbitals.orbitals, time=0.6, scaling=orbitals.scaling)
+    projections = (
+        _random_projections(grid.total_sites, 3, rng),
+        build_projections(gauge_orbitals(moved, pot)),
+    )
+    kernels = (
+        (base.pair_momentum, 2),
+        (base.pair_diag, 2),
+        (np.diag(base.pair_diag), 2),
+        (base.triple_diag, 3),
+    )
+    for proj in projections:
+        for w, r in kernels:
+            oracle = truncate_interaction(w, proj.p, proj.q, r).kept
+            got = kept_interaction(w, proj, r)
+            assert np.max(np.abs(got - oracle)) <= 1e-12 * np.max(np.abs(w)), (r, w.ndim)
+
+
+def test_kept_mask_is_cached_per_shape():
+    _kept_mask.cache_clear()
+    first = _kept_mask(6, 2, 3)
+    assert _kept_mask(6, 2, 3) is first
+    assert _kept_mask.cache_info().hits == 1
+    assert _kept_mask(6, 3, 3) is not first
+    assert not first.flags.writeable
+    # b + c <= 2 sector blocks: row/column multi-indices count complement modes
+    exc = (np.indices((6,) * 3) >= 2).sum(axis=0).ravel()
+    np.testing.assert_array_equal(first, exc[:, None] + exc[None, :] <= 2)
+
+
+def test_sector_projector_calls_do_not_grow_with_steps(monkeypatch):
+    grid, pot, orbitals = make_system(N=3)
+    calls = []
+    original = auxiliary.slot_sector_projectors
+
+    def counted(p, q, r):
+        calls.append(r)
+        return original(p, q, r)
+
+    monkeypatch.setattr(auxiliary, "slot_sector_projectors", counted)
+    counts = []
+    for t_final in (0.1, 0.3):
+        _kept_mask.cache_clear()
+        calls.clear()
+        run_auxiliary(orbitals, pot, t_final=t_final, dt=0.05)
+        counts.append(sorted(calls))
+    assert counts == [[2, 3], [2, 3]]
 
 
 def test_direct_energy_at_time_zero_is_kinetic():

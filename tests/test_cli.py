@@ -8,10 +8,15 @@ determinism, and the exit-code contract.
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mflab
 from mflab.cli import main, observable_dictionary
 from mflab.errors import ConfigError
 from mflab.grid import Grid
@@ -173,6 +178,31 @@ def test_config_error_exit_codes(tmp_path):
     assert run_cli("hartree", tmp_path, seed=-1) == 2
     assert run_cli("aux", tmp_path, "scaling.n=3") == 2  # 16 sites over aux budget
     assert run_cli("hartree", tmp_path, "time.t_final=0.15", "time.dt=0.004") == 2
+
+
+@pytest.mark.parametrize(
+    "command, override",
+    [
+        ("hartree", "grid.sites=15"),
+        ("hartree", "grid.kinetic_mode=foo"),
+        ("hartree", "grid.dim=4"),
+        ("lemmas", "lemmas.trials=-1"),
+        ("lemmas", "lemmas.trials=0"),
+    ],
+)
+def test_bad_values_exit_2_without_traceback(tmp_path, command, override):
+    src = str(Path(mflab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "mflab.cli", command, "--out", str(tmp_path),
+         "--override", override],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("config error:")
+    assert not (tmp_path / "lemma_report.json").exists()
 
 
 def test_observable_dictionary_properties():

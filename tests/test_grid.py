@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mflab.errors import GridMismatchError
+from mflab.errors import ConfigError, GridMismatchError
 from mflab.grid import (
     Field,
     Grid,
@@ -30,13 +30,13 @@ def random_field(grid: Grid, rng: np.random.Generator) -> Field:
 
 
 def test_grid_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         Grid(dim=4, sites_per_dim=8, box_length=1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         Grid(dim=1, sites_per_dim=7, box_length=1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         Grid(dim=1, sites_per_dim=8, box_length=-1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         Grid(dim=1, sites_per_dim=8, box_length=1.0, kinetic_mode="exact")
 
 
