@@ -88,7 +88,7 @@ from .manybody import (
     propagate,
     slater_state,
 )
-from .model import InteractionPotential
+from .model import InteractionPotential, step_schedule
 from ._lanczos import expm_multiply_hermitian
 
 DEFAULT_GAMMAS = (1.0 / 6.0, 0.5, 1.0)
@@ -530,18 +530,11 @@ def run_auxiliary(
     exact state rides the static Hamiltonian.  Records are taken on the
     snapshot cadence (always including the endpoints).
     """
-    if dt <= 0:
-        raise ConfigError("dt must be positive")
     if initial.time != 0.0:
         raise ConfigError("auxiliary runs start at time zero (gauge phase is trivial there)")
     grid = initial.grid
     scaling = initial.scaling
-    n_steps = int(round(t_final / dt))
-    if n_steps == 0:
-        raise ConfigError("t_final must cover at least one step")
-    if abs(n_steps * dt - t_final) > 1e-9 * max(1.0, t_final):
-        raise ConfigError(f"t_final {t_final} is not an integer multiple of dt {dt}")
-    every = snapshot_every or max(1, int(math.floor(t_final / (100.0 * dt))))
+    n_steps, recorded = step_schedule(t_final, dt, snapshot_every)
 
     basis = ConfigBasis(n_modes=grid.total_sites, n_particles=scaling.N)
     base = base_interactions(potential, include_triple=scaling.N >= 3)
@@ -593,7 +586,7 @@ def run_auxiliary(
         )
         if not np.all(np.isfinite(amps)):
             raise NumericalFailure(f"non-finite truncated amplitudes at step {step}")
-        if step % every == 0 or step == n_steps:
+        if step in recorded:
             aux = ManyBodyState(basis, amps, t_next)
             exact = propagate(exact, H_exact, t_next, krylov_tol=krylov_tol)
             rec, _ = take_record(t_next, aux, exact, phi)

@@ -62,6 +62,7 @@ from .model import (
     build_potential,
     make_orbitals,
     resolve_scaling,
+    step_schedule,
 )
 
 # ---------------------------------------------------------------------------
@@ -390,18 +391,6 @@ def write_sidecar(cfg: RunConfig, command: str) -> None:
     _write_json(cfg.out_dir / "run_config.json", payload)
 
 
-def _snapshot_times(cfg: RunConfig) -> list[float]:
-    """Recorded times matching the trajectory cadence (always 0 and t_final)."""
-    n_steps = int(round(cfg.t_final / cfg.dt))
-    if n_steps < 1 or abs(n_steps * cfg.dt - cfg.t_final) > 1e-9 * max(1.0, cfg.t_final):
-        raise ConfigError(
-            f"t_final = {cfg.t_final} is not an integer multiple of dt = {cfg.dt}"
-        )
-    every = cfg.snapshot_every or max(1, int(np.floor(cfg.t_final / (100.0 * cfg.dt))))
-    steps = sorted({0, n_steps} | set(range(every, n_steps, every)))
-    return [s * cfg.dt for s in steps]
-
-
 def _exact_basis(cfg: RunConfig, N: int) -> ConfigBasis:
     dim = math.comb(cfg.grid.total_sites, N)
     if dim > MAX_BASIS_DIM:
@@ -450,7 +439,8 @@ def cmd_hartree(cfg: RunConfig) -> None:
 def cmd_exact(cfg: RunConfig) -> None:
     potential = cfg.build_potential()
     dictionary = observable_dictionary(cfg.grid, cfg.boxes, cfg.include_bump)
-    times = _snapshot_times(cfg)
+    _, recorded = step_schedule(cfg.t_final, cfg.dt, cfg.snapshot_every)
+    times = [step * cfg.dt for step in sorted(recorded)]
     for N in cfg.n_values:
         basis = _exact_basis(cfg, N)
         scaling = cfg.scaling_for(N)

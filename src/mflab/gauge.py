@@ -48,7 +48,7 @@ from .grid import (
     norm_sup,
 )
 from .hartree import OrbitalSet, density
-from .model import InteractionPotential
+from .model import InteractionPotential, step_schedule
 
 
 def gauge_orbitals(state: OrbitalSet, potential: InteractionPotential) -> OrbitalSet:
@@ -251,17 +251,9 @@ def run_gauged(
     multiplier, or the nearest-neighbour lattice kinetic paired with
     centred-difference couplings (matching the many-body lift).
     """
-    if dt <= 0:
-        raise ConfigError("dt must be positive")
     grid = initial.grid
     eps = initial.scaling.epsilon
-    span = t_final - initial.time
-    if span <= 0:
-        raise ConfigError("t_final must exceed the initial time")
-    n_steps = int(round(span / dt))
-    if abs(n_steps * dt - span) > 1e-9 * max(1.0, span):
-        raise ConfigError(f"time span {span} is not an integer multiple of dt = {dt}")
-    every = snapshot_every or max(1, int(np.floor(span / (100.0 * dt))))
+    n_steps, recorded = step_schedule(t_final - initial.time, dt, snapshot_every)
 
     kin = kinetic_multiplier(grid)  # grid's own mode
 
@@ -296,7 +288,7 @@ def run_gauged(
         )
         if not np.all(np.isfinite(vals)):
             raise NumericalFailure(f"non-finite gauged orbitals at step {step}")
-        if step % every == 0 or step == n_steps:
+        if step in recorded:
             snaps.append(unstack(vals, initial.time + step * dt))
     return GaugedTrajectory(snapshots=tuple(snaps), dt=dt, potential=potential)
 

@@ -100,7 +100,7 @@ class Grid:
         return tuple(np.meshgrid(*([k] * self.dim), indexing="ij"))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Field:
     """Complex scalar field sampled on a grid."""
 
@@ -114,12 +114,6 @@ class Field:
                 f"field values shape {vals.shape} does not match grid shape {self.grid.shape}"
             )
         object.__setattr__(self, "values", vals)
-
-    def __eq__(self, other: object) -> bool:  # arrays make dataclass eq unusable
-        return self is other
-
-    def __hash__(self) -> int:
-        return id(self)
 
 
 def make_field(grid: Grid, values: np.ndarray) -> Field:

@@ -29,9 +29,8 @@ from .grid import (
     kinetic_multiplier,
     laplacian,
     norm_l1,
-    norm_l2,
 )
-from .model import InteractionPotential, ScalingParams
+from .model import InteractionPotential, ScalingParams, step_schedule
 
 
 @dataclass(frozen=True)
@@ -196,12 +195,7 @@ def run_hartree(
     ``snapshot_every`` overrides the default cadence
     max(1, floor(t_final / (100*dt))) steps between recorded snapshots.
     """
-    if dt <= 0 or t_final <= 0:
-        raise ConfigError("t_final and dt must be positive")
-    n_steps = int(round(t_final / dt))
-    if abs(n_steps * dt - t_final) > 1e-9 * max(1.0, t_final):
-        raise ConfigError(f"t_final = {t_final} is not an integer multiple of dt = {dt}")
-    every = snapshot_every or max(1, int(np.floor(t_final / (100.0 * dt))))
+    n_steps, recorded = step_schedule(t_final, dt, snapshot_every)
 
     state = initial
     snaps = [state]
@@ -210,7 +204,7 @@ def run_hartree(
         state = hartree_step(state, potential, dt)
         if not all(np.all(np.isfinite(phi.values)) for phi in state.orbitals):
             raise NumericalFailure(f"non-finite orbital values at step {step}")
-        if step % every == 0 or step == n_steps:
+        if step in recorded:
             snaps.append(state)
             diags.append(diagnostics(state, potential))
     return HartreeTrajectory(

@@ -6,10 +6,15 @@ The rescaled generator is
 
     i d/dt Psi = epsilon * H Psi,    H = lift1(K) + sum_{i<j} v(x_i - x_j),
 
-with K the grid's kinetic matrix in its kinetic mode.  ``lift1``/``lift2``/
-``lift3`` raise one-, two- and three-body mode-space operators to the
-configuration basis through precomputed index/sign tables, so lifting a new
-operator is a vectorised gather.
+with K the grid's kinetic matrix in its kinetic mode.  ``lift_one_body``/
+``lift_two_body``/``lift_three_body`` raise r-body mode-space operators
+(r = 1, 2, 3) to the configuration basis through precomputed index/sign
+tables, so lifting a new operator is a vectorised gather divided by r!.
+One r-body builder (``ConfigBasis._table``) makes every table, with numpy
+bit operations on the configuration bitmasks.  Each entry is a nonzero
+matrix element of a^dag_{d1}...a^dag_{dr} a_{cr}...a_{c1} (a_{c1} acts
+first, a^dag_{d1} last); entries run over columns, then ordered tuples of
+distinct occupied modes (c1 slowest), then created modes (dr slowest).
 
 Conventions:
 * |I> = a^dag_{i1} ... a^dag_{iN} |0> with i1 < ... < iN (flattened C-order
@@ -26,10 +31,11 @@ Conventions:
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, permutations
 
 import numpy as np
 import scipy.sparse as sp
@@ -37,24 +43,13 @@ from scipy.linalg import expm
 
 from ._lanczos import expm_multiply_hermitian
 from .errors import ConfigError, ContractViolation, GridMismatchError, NumericalFailure
-from .grid import Grid, dense_kinetic, difference_matrix
-from .model import InteractionPotential, ScalingParams, resolve_scaling
+from .grid import dense_kinetic, difference_matrix
+from .model import InteractionPotential, ScalingParams, resolve_scaling, step_schedule
 
 
-def _parity_below(mask: int, m: int) -> int:
-    return -1 if (mask & ((1 << m) - 1)).bit_count() & 1 else 1
-
-
-def _annihilate(mask: int, m: int) -> tuple[int, int] | None:
-    if not (mask >> m) & 1:
-        return None
-    return mask & ~(1 << m), _parity_below(mask, m)
-
-
-def _create(mask: int, m: int) -> tuple[int, int] | None:
-    if (mask >> m) & 1:
-        return None
-    return mask | (1 << m), _parity_below(mask, m)
+def _parity(masks: np.ndarray) -> np.ndarray:
+    """+1/-1 for an even/odd number of set bits in each mask."""
+    return 1 - 2 * (np.bitwise_count(masks) & 1).astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -72,16 +67,6 @@ class ConfigBasis:
         if self.n_modes > 62:
             raise ConfigError("mode count beyond the desk-scale bitmask range")
 
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, ConfigBasis)
-            and other.n_modes == self.n_modes
-            and other.n_particles == self.n_particles
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.n_modes, self.n_particles))
-
     @cached_property
     def configs(self) -> tuple[tuple[int, ...], ...]:
         return tuple(combinations(range(self.n_modes), self.n_particles))
@@ -91,12 +76,9 @@ class ConfigBasis:
         return len(self.configs)
 
     @cached_property
-    def masks(self) -> tuple[int, ...]:
-        return tuple(sum(1 << m for m in c) for c in self.configs)
-
-    @cached_property
-    def index(self) -> dict[int, int]:
-        return {mask: i for i, mask in enumerate(self.masks)}
+    def masks(self) -> np.ndarray:
+        """int64 occupation bitmask of each configuration (bit m set = mode m occupied)."""
+        return (np.int64(1) << np.array(self.configs, dtype=np.int64)).sum(axis=1)
 
     @cached_property
     def occupancy(self) -> np.ndarray:
@@ -110,136 +92,77 @@ class ConfigBasis:
 
     @cached_property
     def one_body_table(self) -> tuple[np.ndarray, ...]:
-        rows, cols, bs, as_, signs = [], [], [], [], []
-        for i, (config, mask) in enumerate(zip(self.configs, self.masks)):
-            for a in config:
-                m1, s1 = _annihilate(mask, a)
-                for b in range(self.n_modes):
-                    created = _create(m1, b)
-                    if created is None:
-                        continue
-                    m2, s2 = created
-                    rows.append(self.index[m2])
-                    cols.append(i)
-                    bs.append(b)
-                    as_.append(a)
-                    signs.append(s1 * s2)
-        return (
-            np.array(rows, dtype=np.int64),
-            np.array(cols, dtype=np.int64),
-            np.array(bs, dtype=np.int64),
-            np.array(as_, dtype=np.int64),
-            np.array(signs, dtype=np.int8),
-        )
+        return self._table(1)
 
     @cached_property
     def two_body_table(self) -> tuple[np.ndarray, ...]:
-        L = self.n_modes
-        rows, cols, prow, pcol, signs = [], [], [], [], []
-        for i, (config, mask) in enumerate(zip(self.configs, self.masks)):
-            for r in config:
-                m1, s1 = _annihilate(mask, r)
-                for s in config:
-                    if s == r:
-                        continue
-                    m2, s2 = _annihilate(m1, s)
-                    for q in range(L):
-                        cq = _create(m2, q)
-                        if cq is None:
-                            continue
-                        m3, s3 = cq
-                        for p in range(L):
-                            cp = _create(m3, p)
-                            if cp is None:
-                                continue
-                            m4, s4 = cp
-                            rows.append(self.index[m4])
-                            cols.append(i)
-                            prow.append(p * L + q)
-                            pcol.append(r * L + s)
-                            signs.append(s1 * s2 * s3 * s4)
-        return (
-            np.array(rows, dtype=np.int64),
-            np.array(cols, dtype=np.int64),
-            np.array(prow, dtype=np.int64),
-            np.array(pcol, dtype=np.int64),
-            np.array(signs, dtype=np.int8),
-        )
+        return self._table(2)
 
     @cached_property
     def three_body_table(self) -> tuple[np.ndarray, ...]:
-        L = self.n_modes
-        if L > 12:
+        if self.n_modes > 12:
             raise ConfigError("three-body lifts are desk-scale only (L <= 12)")
-        rows, cols, trow, tcol, signs = [], [], [], [], []
-        for i, (config, mask) in enumerate(zip(self.configs, self.masks)):
-            for s in config:
-                m1, ps = _annihilate(mask, s)
-                for t in config:
-                    if t == s:
-                        continue
-                    m2, pt = _annihilate(m1, t)
-                    for u in config:
-                        if u == s or u == t:
-                            continue
-                        m3, pu = _annihilate(m2, u)
-                        for r in range(L):
-                            cr = _create(m3, r)
-                            if cr is None:
-                                continue
-                            m4, pr = cr
-                            for q in range(L):
-                                cq = _create(m4, q)
-                                if cq is None:
-                                    continue
-                                m5, pq = cq
-                                for p in range(L):
-                                    cp = _create(m5, p)
-                                    if cp is None:
-                                        continue
-                                    m6, pp = cp
-                                    rows.append(self.index[m6])
-                                    cols.append(i)
-                                    trow.append((p * L + q) * L + r)
-                                    tcol.append((s * L + t) * L + u)
-                                    signs.append(ps * pt * pu * pr * pq * pp)
-        return (
-            np.array(rows, dtype=np.int64),
-            np.array(cols, dtype=np.int64),
-            np.array(trow, dtype=np.int64),
-            np.array(tcol, dtype=np.int64),
-            np.array(signs, dtype=np.int8),
-        )
+        return self._table(3)
+
+    def _table(self, r: int) -> tuple[np.ndarray, ...]:
+        """Nonzero entries of a^dag_{d1}...a^dag_{dr} a_{cr}...a_{c1} on the basis.
+
+        Returns int64 ``(rows, cols, row_slot, col_slot)`` and int8 ``signs``
+        with <rows[e]| ... |cols[e]> = signs[e], row_slot = (d1, ..., dr) and
+        col_slot = (c1, ..., cr) flattened C-order, in the entry order of the
+        module docstring.  The int64 bitmasks rely on the n_modes <= 62 guard
+        of ``__post_init__``.
+        """
+        L = self.n_modes
+        configs = np.array(self.configs, dtype=np.int64)
+        slots = permutations(range(self.n_particles), r)
+        slots = np.array(list(slots), dtype=np.int64).reshape(-1, r)  # none when r > N
+        c = configs[:, slots].reshape(-1, r)
+        cols = np.repeat(np.arange(self.dim, dtype=np.int64), len(slots))
+        masks = self.masks[cols]
+        signs = np.ones(len(cols), dtype=np.int64)
+        for k in range(r):  # a_{c1} acts first
+            bit = np.int64(1) << c[:, k]
+            signs *= _parity(masks & (bit - 1))
+            masks ^= bit
+        weights = L ** np.arange(r - 1, -1, -1, dtype=np.int64)
+        col_slot = c @ weights
+        row_slot = np.zeros(len(cols), dtype=np.int64)
+        bits = np.int64(1) << np.arange(L, dtype=np.int64)
+        for k in reversed(range(r)):  # a^dag_{dr} acts first
+            entry, d = np.nonzero((masks[:, None] & bits) == 0)
+            signs = signs[entry] * _parity(masks[entry] & (bits[d] - 1))
+            masks = masks[entry] | bits[d]
+            cols, col_slot = cols[entry], col_slot[entry]
+            row_slot = row_slot[entry] + d * weights[k]
+        order = np.argsort(self.masks)
+        rows = order[np.searchsorted(self.masks, masks, sorter=order)]
+        return rows, cols, row_slot, col_slot, signs.astype(np.int8)
+
+
+def _lift(basis: ConfigBasis, W: np.ndarray, r: int, table: str) -> sp.csr_matrix:
+    """sum over r-subsets of particles of W, gathered through ``basis.<table>``."""
+    n = basis.n_modes**r
+    if W.shape != (n, n):
+        raise GridMismatchError(f"{r}-body operator shape {W.shape} != ({n}, {n})")
+    rows, cols, row_slot, col_slot, signs = getattr(basis, table)
+    data = signs * W[row_slot, col_slot] / math.factorial(r)
+    return sp.coo_matrix((data, (rows, cols)), shape=(basis.dim, basis.dim)).tocsr()
 
 
 def lift_one_body(basis: ConfigBasis, A: np.ndarray) -> sp.csr_matrix:
     """sum_i A_i on the configuration basis (A acts on mode space)."""
-    L = basis.n_modes
-    if A.shape != (L, L):
-        raise GridMismatchError(f"one-body matrix shape {A.shape} != ({L}, {L})")
-    rows, cols, bs, as_, signs = basis.one_body_table
-    data = signs * A[bs, as_]
-    return sp.coo_matrix((data, (rows, cols)), shape=(basis.dim, basis.dim)).tocsr()
+    return _lift(basis, A, 1, "one_body_table")
 
 
 def lift_two_body(basis: ConfigBasis, W: np.ndarray) -> sp.csr_matrix:
     """sum_{i<j} W_ij for a pair-space operator W (exchange-symmetric)."""
-    L = basis.n_modes
-    if W.shape != (L * L, L * L):
-        raise GridMismatchError(f"pair operator shape {W.shape} != ({L*L}, {L*L})")
-    rows, cols, prow, pcol, signs = basis.two_body_table
-    data = 0.5 * signs * W[prow, pcol]
-    return sp.coo_matrix((data, (rows, cols)), shape=(basis.dim, basis.dim)).tocsr()
+    return _lift(basis, W, 2, "two_body_table")
 
 
 def lift_three_body(basis: ConfigBasis, W: np.ndarray) -> sp.csr_matrix:
     """sum_{i<j<k} W_ijk for a triple-space operator W (exchange-symmetric)."""
-    L = basis.n_modes
-    if W.shape != (L**3, L**3):
-        raise GridMismatchError(f"triple operator shape {W.shape} != ({L**3}, {L**3})")
-    rows, cols, trow, tcol, signs = basis.three_body_table
-    data = signs * W[trow, tcol] / 6.0
-    return sp.coo_matrix((data, (rows, cols)), shape=(basis.dim, basis.dim)).tocsr()
+    return _lift(basis, W, 3, "three_body_table")
 
 
 def lift_diagonal(basis: ConfigBasis, values: np.ndarray) -> np.ndarray:
@@ -252,7 +175,7 @@ def lift_diagonal(basis: ConfigBasis, values: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ManyBodyState:
     basis: ConfigBasis
     amplitudes: np.ndarray
@@ -265,12 +188,6 @@ class ManyBodyState:
                 f"amplitude vector length {amps.shape} != basis dimension {self.basis.dim}"
             )
         object.__setattr__(self, "amplitudes", amps)
-
-    def __eq__(self, other: object) -> bool:
-        return self is other
-
-    def __hash__(self) -> int:
-        return id(self)
 
     @property
     def norm(self) -> float:
@@ -311,19 +228,13 @@ def slater_state(orbital_set, basis: ConfigBasis) -> ManyBodyState:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ManyBodyOperator:
     """A hermitian configuration-space operator plus the rescaling epsilon."""
 
     basis: ConfigBasis
     matrix: sp.csr_matrix
     epsilon: float
-
-    def __eq__(self, other: object) -> bool:
-        return self is other
-
-    def __hash__(self) -> int:
-        return id(self)
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         return self.matrix @ x
@@ -384,13 +295,12 @@ def propagate(
             raise ConfigError("time-dependent generators need a positive dt")
         if dt < dt_min:
             raise NumericalFailure(f"step size {dt} below dt_min {dt_min}")
-        n_steps = int(round(span / dt))
-        if abs(n_steps * dt - span) > 1e-9 * max(1.0, span):
-            raise ConfigError(f"span {span} is not an integer multiple of dt {dt}")
+        n_steps, _ = step_schedule(span, dt)
         amps = state.amplitudes
         for step in range(n_steps):
-            t_mid = state.time + (step + 0.5) * dt
-            op = hamiltonian(t_mid)
+            op = hamiltonian(state.time + (step + 0.5) * dt)
+            if op.basis != state.basis:
+                raise GridMismatchError("operator and state use different bases")
             amps = expm_multiply_hermitian(
                 op.matvec, amps, -1j * dt * op.epsilon, tol=krylov_tol
             )

@@ -9,6 +9,7 @@ this sign (see the gauge module tests).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import product
 
@@ -77,12 +78,28 @@ def resolve_scaling(scaling: ScalingParams, grid: Grid) -> ScalingParams:
     )
 
 
+def step_schedule(span: float, dt: float, every: int | None = None) -> tuple[int, frozenset[int]]:
+    """Step count over ``span`` and the recorded step indices.
+
+    ``span`` must be a positive integer multiple of ``dt``.  Records are taken
+    every ``every`` steps (default max(1, floor(span / (100*dt))), about 100
+    snapshots) and always at steps 0 and n_steps.
+    """
+    if dt <= 0 or span <= 0:
+        raise ConfigError("time span and dt must be positive")
+    n_steps = int(round(span / dt))
+    if n_steps < 1 or abs(n_steps * dt - span) > 1e-9 * max(1.0, span):
+        raise ConfigError(f"time span {span} is not an integer multiple of dt = {dt}")
+    every = every or max(1, math.floor(span / (100.0 * dt)))
+    return n_steps, frozenset({0, n_steps, *range(every, n_steps, every)})
+
+
 # ---------------------------------------------------------------------------
 # interaction potentials
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InteractionPotential:
     """Even periodic pair potential v and its force field ``force = grad v``."""
 
@@ -90,12 +107,6 @@ class InteractionPotential:
     force: tuple[Field, ...]
     kind: str
     params: dict = field(repr=False, default_factory=dict)
-
-    def __eq__(self, other: object) -> bool:
-        return self is other
-
-    def __hash__(self) -> int:
-        return id(self)
 
     @property
     def grid(self) -> Grid:

@@ -6,7 +6,7 @@ permutation signs, apply slot-wise operators there, and read the matrix
 elements back.
 """
 
-from itertools import permutations
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
@@ -69,7 +69,7 @@ def slotwise_matrix(basis: ConfigBasis, apply_full) -> np.ndarray:
     return out
 
 
-@pytest.mark.parametrize("L,N", [(4, 2), (4, 3), (5, 2)])
+@pytest.mark.parametrize("L,N", [(4, 2), (4, 3), (5, 2), (4, 4)])
 def test_lift_one_body_against_tensor_oracle(L, N):
     rng = np.random.default_rng(L * 10 + N)
     basis = ConfigBasis(n_modes=L, n_particles=N)
@@ -86,7 +86,7 @@ def test_lift_one_body_against_tensor_oracle(L, N):
     np.testing.assert_allclose(got, want, atol=1e-12)
 
 
-@pytest.mark.parametrize("L,N", [(4, 2), (4, 3)])
+@pytest.mark.parametrize("L,N", [(4, 2), (4, 3), (5, 3)])
 def test_lift_two_body_against_tensor_oracle(L, N):
     rng = np.random.default_rng(L * 100 + N)
     basis = ConfigBasis(n_modes=L, n_particles=N)
@@ -111,8 +111,8 @@ def test_lift_two_body_against_tensor_oracle(L, N):
     np.testing.assert_allclose(got, want, atol=1e-12)
 
 
-def test_lift_three_body_against_tensor_oracle():
-    L, N = 4, 3
+@pytest.mark.parametrize("L,N", [(4, 3), (5, 3), (5, 4)])
+def test_lift_three_body_against_tensor_oracle(L, N):
     rng = np.random.default_rng(7)
     basis = ConfigBasis(n_modes=L, n_particles=N)
     W = rng.standard_normal((L**3, L**3)) + 1j * rng.standard_normal((L**3, L**3))
@@ -125,8 +125,11 @@ def test_lift_three_body_against_tensor_oracle():
     W = W6.reshape(L**3, L**3)
 
     def apply_full(T):
-        # only one triple (0,1,2) at N=3: the operator is W itself
-        return (W @ T.ravel()).reshape(T.shape)
+        out = np.zeros_like(T)
+        for slots in combinations(range(N), 3):
+            acted = np.tensordot(W6, T, axes=([3, 4, 5], list(slots)))
+            out += np.moveaxis(acted, (0, 1, 2), slots)
+        return out
 
     want = slotwise_matrix(basis, apply_full)
     got = lift_three_body(basis, W).toarray()
@@ -297,6 +300,11 @@ def test_basis_mismatch_rejected():
     rng = np.random.default_rng(1)
     with pytest.raises(GridMismatchError):
         propagate(random_state(other, rng), H, t_final=0.1)
+    # same dimension, different particle number: only the basis check catches it
+    twin = ConfigBasis(n_modes=basis.n_modes, n_particles=basis.n_modes - 2)
+    assert twin.dim == basis.dim
+    with pytest.raises(GridMismatchError):
+        propagate(random_state(twin, rng), lambda t: H, t_final=0.1, dt=0.05)
 
 
 def test_serialization_round_trips(tmp_path):
