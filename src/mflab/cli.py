@@ -90,6 +90,10 @@ DEFAULTS: dict[str, dict[str, str]] = {
 MAX_TOTAL_SITES = 4096
 MAX_BASIS_DIM = 6000
 MAX_AUX_SITES = {2: 24, 3: 12, 4: 12}
+# entries L**N of one lemma-suite slot tensor: a 4x12 trial takes about 0.3 s,
+# while the literal sector sums cost about N * 2**N * L**(N+1) per trial and an
+# 8x12 tensor alone would need 6.9 GB
+MAX_LEMMA_SLOT_ENTRIES = 12**4
 
 
 def _fail(section: str, key: str, value: str, want: str) -> ConfigError:
@@ -284,10 +288,12 @@ def load_config(args: argparse.Namespace) -> RunConfig:
         return (int(n_str), int(l_str))
 
     lemma_sizes = _get_list(raw, "lemmas", "sizes", _pair, "NxL pairs like 3x8")
-    for n_part, l_modes in lemma_sizes:
-        if not 1 <= n_part <= l_modes or l_modes > 12:
-            raise _fail("lemmas", "sizes", raw["lemmas"]["sizes"],
-                        "pairs with 1 <= N <= L <= 12")
+    if not lemma_sizes or any(
+        not 1 <= n_part <= l_modes <= 12 or l_modes**n_part > MAX_LEMMA_SLOT_ENTRIES
+        for n_part, l_modes in lemma_sizes
+    ):
+        raise _fail("lemmas", "sizes", raw["lemmas"]["sizes"],
+                    f"NxL pairs with 1 <= N <= L <= 12 and L**N <= {MAX_LEMMA_SLOT_ENTRIES}")
 
     lemma_trials = _get_int(raw, "lemmas", "trials")
     if lemma_trials < 1:

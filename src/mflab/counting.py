@@ -7,14 +7,18 @@ many particles sit outside Ran p.  The sector projector P^(k) is, literally,
     P^(k) = sum over k-subsets S of {1..N} of  prod_{i in S} q_i prod_{i not in S} p_i,
 
 and a weight function f: {0..N} -> R lifts to the operator
-f_hat = sum_k f(k) P^(k).  Two implementations are kept deliberately:
+f_hat = sum_k f(k) P^(k).  Three implementations are kept deliberately:
 
 * a production route on the configuration basis: rotate to an orbital-adapted
   mode basis (first n columns span Ran p), where the sector index is just the
   count of occupied complement modes and every weight operator is diagonal;
-* a literal route (:class:`SlotSpace`) on the full N-fold tensor space, used
-  to validate the algebra (products of slot projectors, shifted weights,
-  conversion lemmas) exactly as written above.
+* the same adapted basis on the N-fold tensor space (:class:`AdaptedSlots`):
+  a slot tensor is rotated once, slot by slot, after which every sector,
+  weight and q-product is an elementwise mask on complement counts; the
+  lemma suite runs here;
+* a literal route (:class:`SlotSpace`) on the full N-fold tensor space, the
+  oracle for both: products of slot projectors and subset sums exactly as
+  written above.
 
 Shifted weights are f_d(k) = f(k+d) when 0 <= k+d <= N and 0 otherwise.
 ``lemma_suite`` exercises the comparison lemmas on random antisymmetric
@@ -216,17 +220,26 @@ def alpha_number_onebody(state: ManyBodyState, projections: Projections) -> floa
 
 
 # ---------------------------------------------------------------------------
-# literal tensor-space laboratory
+# tensor-space laboratory: literal oracle and adapted-basis masks
 # ---------------------------------------------------------------------------
+
+
+def _apply_on_slots(T: np.ndarray, mat: np.ndarray, slots: tuple[int, ...]) -> np.ndarray:
+    """Apply a |slots|-particle operator (flat C-order matrix) to the slots of T."""
+    L = T.shape[0]
+    r = len(slots)
+    tens = mat.reshape((L,) * (2 * r))
+    out = np.tensordot(tens, T, axes=(list(range(r, 2 * r)), list(slots)))
+    return np.moveaxis(out, list(range(r)), list(slots))
 
 
 class SlotSpace:
     """Distinguishable N-slot tensor space over the mode basis.
 
     Implements the counting operators literally — slot-wise p/q products,
-    subset sums, weights as sector sums — for validating the production
-    route and for exercising the comparison lemmas on honest antisymmetric
-    states (embedded from configuration amplitudes with permutation signs).
+    subset sums, weights as sector sums — as the oracle for the production
+    route and for :class:`AdaptedSlots`, and embeds configuration amplitudes
+    as honest antisymmetric tensors (with permutation signs).
     """
 
     def __init__(self, projections: Projections, n_particles: int):
@@ -238,19 +251,19 @@ class SlotSpace:
     # -- embedding ---------------------------------------------------------
 
     def embed(self, state: ManyBodyState) -> np.ndarray:
+        """T[config[perm]] = sign(perm) c_config / sqrt(N!) over all permutations."""
         N, L = self.n_particles, self.n_modes
         if state.basis.n_particles != N or state.basis.n_modes != L:
             raise GridMismatchError("state does not match this slot space")
+        perms = np.array(list(permutations(range(N))), dtype=np.int64).reshape(-1, N)
+        inversions = np.triu(perms[:, :, None] > perms[:, None, :], 1).sum(axis=(1, 2))
+        signs = (-1.0) ** inversions
+        idx = np.array(state.basis.configs, dtype=np.int64)[:, perms]
         T = np.zeros((L,) * N, dtype=np.complex128)
         root = 1.0 / math.sqrt(math.factorial(N))
-        for c_I, config in zip(state.amplitudes, state.basis.configs):
-            if c_I == 0:
-                continue
-            for perm in permutations(range(N)):
-                inv = sum(
-                    1 for i in range(N) for j in range(i + 1, N) if perm[i] > perm[j]
-                )
-                T[tuple(config[s] for s in perm)] += (-1.0) ** inv * c_I * root
+        T[tuple(idx[..., s] for s in range(N))] = (
+            signs[None, :] * state.amplitudes[:, None] * root
+        )
         return T
 
     def extract(self, T: np.ndarray, basis: ConfigBasis) -> ManyBodyState:
@@ -266,11 +279,7 @@ class SlotSpace:
 
     def apply_on_slots(self, T: np.ndarray, mat: np.ndarray, slots: tuple[int, ...]) -> np.ndarray:
         """Apply a |slots|-particle operator (flat C-order matrix) to the slots."""
-        L = self.n_modes
-        r = len(slots)
-        tens = mat.reshape((L,) * (2 * r))
-        out = np.tensordot(tens, T, axes=(list(range(r, 2 * r)), list(slots)))
-        return np.moveaxis(out, list(range(r)), list(slots))
+        return _apply_on_slots(T, mat, slots)
 
     def product_q(self, T: np.ndarray, n0: int) -> np.ndarray:
         out = T
@@ -300,6 +309,74 @@ class SlotSpace:
 
     def inner(self, A: np.ndarray, B: np.ndarray) -> complex:
         return complex(np.vdot(A, B))
+
+    def norm_sq(self, T: np.ndarray) -> float:
+        return float(np.vdot(T, T).real)
+
+
+class AdaptedSlots:
+    """The N-slot tensor space in the orbital-adapted mode basis U.
+
+    ``rotate`` applies U^dagger to every slot once.  There p is diag(1_n, 0)
+    on each slot, so a sector over a slot subset is T times the 0/1 mask
+    "complement indices among the slots == k", a q-product is the sector with
+    every listed slot outside Ran p, and a weight is T times its table at the
+    complement count over all slots.  Counts are cached per slot subset.  A
+    local operator stays in the site basis and is applied between U and
+    U^dagger on its own slots.  Method names follow :class:`SlotSpace`, the
+    literal oracle.
+    """
+
+    def __init__(self, projections: Projections, n_particles: int):
+        self.U = projections.basis_matrix
+        self.n_particles = n_particles
+        self._outside = (np.arange(projections.n_modes) >= projections.n_occupied).astype(
+            np.int64
+        )
+        self._counts: dict[tuple[int, ...], np.ndarray] = {}
+
+    def _turn(self, T: np.ndarray, M: np.ndarray, slots) -> np.ndarray:
+        """Apply the one-slot matrix M to each of ``slots`` in turn."""
+        L = M.shape[0]
+        for slot in slots:
+            T = np.matmul(M, T.reshape(L**slot, L, -1)).reshape(T.shape)
+        return T
+
+    def rotate(self, T: np.ndarray) -> np.ndarray:
+        """Site-basis slot tensor -> adapted basis."""
+        return self._turn(T, self.U.conj().T, range(self.n_particles))
+
+    def unrotate(self, T: np.ndarray) -> np.ndarray:
+        """Adapted-basis slot tensor -> site basis."""
+        return self._turn(T, self.U, range(self.n_particles))
+
+    def count(self, slots: tuple[int, ...]) -> np.ndarray:
+        """Complement indices among ``slots``, broadcastable against a slot tensor."""
+        if slots not in self._counts:
+            N = self.n_particles
+            count = np.zeros((1,) * N, dtype=np.int64)
+            for slot in slots:
+                shape = [1] * N
+                shape[slot] = -1
+                count = count + self._outside.reshape(shape)
+            self._counts[slots] = count
+        return self._counts[slots]
+
+    def apply_on_slots(self, T: np.ndarray, mat: np.ndarray, slots: tuple[int, ...]) -> np.ndarray:
+        """Apply a site-basis |slots|-particle operator to an adapted tensor."""
+        T = self._turn(T, self.U, slots)
+        T = _apply_on_slots(T, mat, slots)
+        return self._turn(T, self.U.conj().T, slots)
+
+    def product_q(self, T: np.ndarray, n0: int) -> np.ndarray:
+        return self.sector(T, n0, tuple(range(n0)))
+
+    def sector(self, T: np.ndarray, k: int, slots: tuple[int, ...] | None = None) -> np.ndarray:
+        slots = tuple(range(self.n_particles)) if slots is None else tuple(slots)
+        return T * (self.count(slots) == k)
+
+    def weight(self, T: np.ndarray, weight: WeightFunction) -> np.ndarray:
+        return T * weight.values()[self.count(tuple(range(self.n_particles)))]
 
     def norm_sq(self, T: np.ndarray) -> float:
         return float(np.vdot(T, T).real)
@@ -375,6 +452,13 @@ def lemma_suite(
 
     The shifted-complement bound for d > N^gamma is recorded under
     ``reported`` without assertion — it provably fails there at small N.
+
+    Each trial embeds its state literally (``SlotSpace.embed``) and takes the
+    N+1 literal ``SlotSpace.sector`` components, which feed the sector masses,
+    ``sector_completeness`` and ``mass_route_agreement`` (against the
+    determinant route of ``sector_masses``).  Every other check runs on the
+    tensor rotated once into the adapted basis (:class:`AdaptedSlots`), where
+    sectors, weights and q-products are masks.
     """
     rng = np.random.default_rng(seed)
     asserted: dict = {}
@@ -389,17 +473,9 @@ def lemma_suite(
         T = space.embed(state)
         ctx_base = {"trial": trial, "N": N, "L": L, "seed": seed}
 
-        # sector components of T, computed once; sectors are orthogonal and
-        # complete, so weights of T are linear combinations of these.
+        # literal sector components of T: the masses every alpha is read from
         comps = [space.sector(T, k) for k in range(N + 1)]
         masses = np.array([space.norm_sq(c) for c in comps])
-
-        def combo(weight: WeightFunction) -> np.ndarray:
-            out = np.zeros_like(T)
-            for f_k, c in zip(weight.table, comps):
-                if f_k != 0.0:
-                    out += f_k * c
-            return out
 
         def alpha_of(weight: WeightFunction) -> float:
             return float(np.dot(weight.values(), masses))
@@ -419,18 +495,20 @@ def lemma_suite(
         )
 
         n_w = weight_number(N)
+        view = AdaptedSlots(proj, N)
+        R = view.rotate(T)
 
         # q-conversion: n0 such that n0 + 1 <= N
         for n0 in range(0, min(3, N - 1) + 1):
-            lhs = space.norm_sq(space.product_q(T, n0 + 1))
+            lhs = view.norm_sq(view.product_q(R, n0 + 1))
             rhs = 2.0 * alpha_of(weight_power(n_w, n0 + 1))
             _record(asserted, "q_conversion", lhs, rhs, {**ctx_base, "n0": n0})
 
         # sqrt-conversion: 1 <= n0 < N
         linv = weight_inverse_sqrt(N)
         for n0 in range(1, min(3, N - 1) + 1):
-            v = space.weight(space.product_q(T, n0), linv)
-            lhs = space.norm_sq(v)
+            v = view.weight(view.product_q(R, n0), linv)
+            lhs = view.norm_sq(v)
             rhs = 2.0 * (space.norm_sq(T) if n0 == 1 else alpha_of(weight_power(n_w, n0 - 1)))
             _record(asserted, "sqrt_conversion", lhs, rhs, {**ctx_base, "n0": n0})
 
@@ -445,13 +523,13 @@ def lemma_suite(
         # shift identity: f_hat (P^(a) A_C P^(b)) = (P^(a) A_C P^(b)) f_hat_{a-b}
         a_sh = int(rng.integers(0, size_C + 1))
         b_sh = int(rng.integers(0, size_C + 1))
-        sandwich_sh = space.sector(
-            space.apply_on_slots(space.sector(T, b_sh, slots), A_C, slots), a_sh, slots
+        sandwich_sh = view.sector(
+            view.apply_on_slots(view.sector(R, b_sh, slots), A_C, slots), a_sh, slots
         )
-        lhs_vec = space.weight(sandwich_sh, n_w)
-        rhs_vec = space.sector(
-            space.apply_on_slots(
-                space.sector(combo(n_w.shifted(a_sh - b_sh)), b_sh, slots), A_C, slots
+        lhs_vec = view.weight(sandwich_sh, n_w)
+        rhs_vec = view.sector(
+            view.apply_on_slots(
+                view.sector(view.weight(R, n_w.shifted(a_sh - b_sh)), b_sh, slots), A_C, slots
             ),
             a_sh,
             slots,
@@ -477,9 +555,9 @@ def lemma_suite(
                     if d == 0 and sign == -1:
                         continue
                     shifted = w_w.shifted(sign * d)
-                    W_shift_T = combo(shifted)
+                    W_shift_T = view.weight(R, shifted)
                     for n0 in range(1, min(3, N) + 1):
-                        lhs = space.norm_sq(space.product_q(W_shift_T, n0))
+                        lhs = view.norm_sq(view.product_q(W_shift_T, n0))
                         rhs = 2.0 * N ** (n0 * (gamma - 1.0)) * alpha_m
                         ctx = {**ctx_base, "gamma": gamma, "d": sign * d, "n0": n0}
                         target = asserted if d <= N**gamma + 1e-9 else reported
@@ -507,27 +585,27 @@ def lemma_suite(
                 )
                 ctx = {**ctx_base, "gamma": gamma, "d": d}
 
-                DT = combo(D_w)
-                ET = combo(E_w)
+                DT = view.weight(R, D_w)
+                ET = view.weight(R, E_w)
                 norm_T = space.norm_sq(T)
-                _record(asserted, "diff_D_plain", space.norm_sq(DT), d * N**-gamma * norm_T, ctx)
-                _record(asserted, "diff_E_plain", space.norm_sq(ET), d * N**-gamma * norm_T, ctx)
+                _record(asserted, "diff_D_plain", view.norm_sq(DT), d * N**-gamma * norm_T, ctx)
+                _record(asserted, "diff_E_plain", view.norm_sq(ET), d * N**-gamma * norm_T, ctx)
                 if alpha_m > 1e-14:
-                    _record(asserted, "diff_D_q1", space.norm_sq(space.product_q(DT, 1)),
+                    _record(asserted, "diff_D_q1", view.norm_sq(view.product_q(DT, 1)),
                             d * (d + 1) * N**-1.0 * alpha_m, ctx)
-                    _record(asserted, "diff_E_q1", space.norm_sq(space.product_q(ET, 1)),
+                    _record(asserted, "diff_E_q1", view.norm_sq(view.product_q(ET, 1)),
                             d * N**-1.0 * alpha_m, ctx)
                     if N >= 2:
-                        _record(asserted, "diff_D_q1q2", space.norm_sq(space.product_q(DT, 2)),
+                        _record(asserted, "diff_D_q1q2", view.norm_sq(view.product_q(DT, 2)),
                                 d * (d + 1) ** 2 * N ** (gamma - 2.0) * alpha_m, ctx)
-                        _record(asserted, "diff_E_q1q2", space.norm_sq(space.product_q(ET, 2)),
+                        _record(asserted, "diff_E_q1q2", view.norm_sq(view.product_q(ET, 2)),
                                 d * N ** (gamma - 2.0) * alpha_m, ctx)
 
                 # factorisation through a sandwiched local operator
                 if d <= size_C:
                     a = int(rng.integers(0, size_C - d + 1))
-                    sandwich = space.sector(
-                        space.apply_on_slots(space.sector(T, a, slots), A_C, slots),
+                    sandwich = view.sector(
+                        view.apply_on_slots(view.sector(R, a, slots), A_C, slots),
                         a + d,
                         slots,
                     )
@@ -536,10 +614,12 @@ def lemma_suite(
                         "m-m_-d",
                         gamma,
                     )
-                    lhs_vec = space.weight(sandwich, diff_w)
-                    rhs_vec = space.weight(
-                        space.sector(
-                            space.apply_on_slots(space.sector(combo(E_w), a, slots), A_C, slots),
+                    lhs_vec = view.weight(sandwich, diff_w)
+                    rhs_vec = view.weight(
+                        view.sector(
+                            view.apply_on_slots(
+                                view.sector(view.weight(R, E_w), a, slots), A_C, slots
+                            ),
                             a + d,
                             slots,
                         ),

@@ -188,6 +188,9 @@ def test_config_error_exit_codes(tmp_path):
         ("hartree", "grid.dim=4"),
         ("lemmas", "lemmas.trials=-1"),
         ("lemmas", "lemmas.trials=0"),
+        ("lemmas", "lemmas.sizes="),
+        ("lemmas", "lemmas.sizes=,"),
+        ("lemmas", "lemmas.sizes=5x12"),
     ],
 )
 def test_bad_values_exit_2_without_traceback(tmp_path, command, override):

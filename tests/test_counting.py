@@ -1,11 +1,13 @@
 """Sector projectors, weight operators, and the comparison-lemma suite."""
 
 import math
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
 
 from mflab.counting import (
+    AdaptedSlots,
     Projections,
     SlotSpace,
     WeightFunction,
@@ -118,6 +120,61 @@ def test_literal_versus_production_sectors():
     literal_w = space.extract(space.weight(T, w), basis)
     production_w = apply_weight(psi, w, proj)
     np.testing.assert_allclose(literal_w.amplitudes, production_w.amplitudes, atol=1e-12)
+
+
+def embed_by_permutation_loop(state, N, L):
+    """Reference embedding: one signed entry per configuration and permutation."""
+    T = np.zeros((L,) * N, dtype=np.complex128)
+    root = 1.0 / math.sqrt(math.factorial(N))
+    for c_I, config in zip(state.amplitudes, state.basis.configs):
+        if c_I == 0:
+            continue
+        for perm in permutations(range(N)):
+            inv = sum(1 for i in range(N) for j in range(i + 1, N) if perm[i] > perm[j])
+            T[tuple(config[s] for s in perm)] += (-1.0) ** inv * c_I * root
+    return T
+
+
+@pytest.mark.parametrize("N, L", [(1, 4), (2, 6), (3, 8), (4, 8), (3, 12)])
+def test_embed_matches_permutation_loop_and_round_trips(N, L):
+    rng = np.random.default_rng(41 + 10 * N + L)
+    basis = ConfigBasis(n_modes=L, n_particles=N)
+    space = SlotSpace(_random_projections(L, N, rng), N)
+    psi = random_state(basis, rng)
+    T = space.embed(psi)
+    assert np.array_equal(T, embed_by_permutation_loop(psi, N, L))
+    np.testing.assert_allclose(space.extract(T, basis).amplitudes, psi.amplitudes,
+                               rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("N, L", [(1, 4), (3, 3), (2, 6), (3, 8), (4, 8), (3, 12)])
+def test_adapted_slots_match_literal_slot_space(N, L):
+    rng = np.random.default_rng(43 + 10 * N + L)
+    basis = ConfigBasis(n_modes=L, n_particles=N)
+    proj = _random_projections(L, N, rng)  # (3, 3): q = 0, no complement modes
+    space = SlotSpace(proj, N)
+    view = AdaptedSlots(proj, N)
+    T = space.embed(random_state(basis, rng))
+    R = view.rotate(T)
+    assert abs(view.norm_sq(R) - space.norm_sq(T)) < 1e-12
+
+    def close(adapted, literal):
+        assert np.max(np.abs(view.unrotate(adapted) - literal)) < 1e-12
+
+    close(R, T)
+    for k in range(-1, N + 2):
+        close(view.sector(R, k), space.sector(T, k))
+    for n0 in range(N + 1):
+        close(view.product_q(R, n0), space.product_q(T, n0))
+    for w in (weight_number(N), weight_inverse_sqrt(N), weight_threshold(N, 0.5).shifted(-1)):
+        close(view.weight(R, w), space.weight(T, w))
+    for r in range(1, min(3, N) + 1):
+        slot_sets = list(combinations(range(N), r))
+        slots = slot_sets[int(rng.integers(len(slot_sets)))]
+        for k in range(-1, r + 2):
+            close(view.sector(R, k, slots), space.sector(T, k, slots))
+        A = rng.standard_normal((L**r, L**r)) + 1j * rng.standard_normal((L**r, L**r))
+        close(view.apply_on_slots(R, A, slots), space.apply_on_slots(T, A, slots))
 
 
 def test_alpha_number_two_routes_agree():
