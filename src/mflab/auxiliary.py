@@ -44,10 +44,11 @@ operator identity.
 
 ``run_auxiliary`` co-evolves the truncated state, the mean-field orbitals,
 and the exact state, recording occupancy diagnostics, the direct energy
-E_g = tr(p h~ p) with h~ = K + 1/2 t eps R + 1/3 (t eps)^2 W, the energy
-excess beta = eps/N (<Psi~, H~ Psi~> - E_g), the complement kinetic energy,
-and the norm distance between the truncated state and the gauged exact
-state.
+E_g = tr(p h~ p) with h~ = K + 1/2 t eps R + 1/3 (t eps)^2 W (gauge's
+expanded h_g with its R and W terms weighted by 1/2 and 1/3), the energy
+excess beta = eps/N (<Psi~, H~ Psi~> - E_g) from that same E_g, the
+complement kinetic energy, and the norm distance between the truncated
+state and the gauged exact state.
 """
 
 from __future__ import annotations
@@ -67,7 +68,7 @@ from .counting import (
     weight_threshold,
 )
 from .errors import ConfigError, ContractViolation, GridMismatchError, NumericalFailure
-from .gauge import _broadcast, _grad_apply, _mult_apply, gauge_orbitals, mean_field_forces
+from .gauge import _hg_apply_values, gauge_orbitals, mean_field_forces
 from .grid import (
     Grid,
     dense_gradient,
@@ -387,46 +388,24 @@ def build_aux_generator(
 # ---------------------------------------------------------------------------
 
 
-def _h_tilde_apply(vals: np.ndarray, forces, t: float, epsilon: float, grid: Grid) -> np.ndarray:
-    """Apply h~ = K + 1/2 t eps R + 1/3 (t eps)^2 W to stacked orbital values."""
-    te = t * epsilon
-    out = _mult_apply(vals, kinetic_multiplier(grid), grid)
-    fbar_fields = [f.values.real for f in forces.f_bar]
-    scalar = 0.5 * te * forces.mixed_real + (te**2 / 3.0) * (
-        sum(f**2 for f in fbar_fields) + 2.0 * forces.quad_correction.values.real
-    )
-    out = out + _broadcast(scalar, vals, grid) * vals
-    grads = _grad_apply(vals, grid, grid.kinetic_mode)
-    for a in range(grid.dim):
-        fb = _broadcast(fbar_fields[a], vals, grid)
-        out = out + 0.5 * te * (
-            1j * _grad_apply(fb * vals, grid, grid.kinetic_mode)[a] + fb * 1j * grads[a]
-        )
-    return out
-
-
 def direct_energy(gauged_orbitals: OrbitalSet, potential: InteractionPotential, t: float) -> float:
     """E_g = tr(p h~ p) = sum_j <psi_j, h~ psi_j> over the orbital family."""
     grid = gauged_orbitals.grid
     epsilon = gauged_orbitals.scaling.epsilon
     forces = mean_field_forces(gauged_orbitals, potential)
     vals = np.stack([phi.values for phi in gauged_orbitals.orbitals], axis=-1)
-    hval = _h_tilde_apply(vals, forces, t, epsilon, grid)
+    hval = _hg_apply_values(
+        vals, forces, t, epsilon, grid, "expanded",
+        kinetic=kinetic_multiplier(grid), weights=(0.5, 1.0 / 3.0),
+    )
     return float(grid.cell_volume * np.vdot(vals, hval).real)
 
 
-def energy_excess(
-    aux_state: ManyBodyState,
-    generator: ManyBodyOperator,
-    gauged_orbitals: OrbitalSet,
-    potential: InteractionPotential,
-    t: float,
-) -> float:
-    """beta = eps/N ( <Psi~, H~ Psi~> - E_g )."""
+def energy_excess(aux_state: ManyBodyState, generator: ManyBodyOperator, e_g: float) -> float:
+    """beta = eps/N ( <Psi~, H~ Psi~> - E_g ), with E_g from ``direct_energy``."""
     expectation = float(
         np.vdot(aux_state.amplitudes, generator.matvec(aux_state.amplitudes)).real
     )
-    e_g = direct_energy(gauged_orbitals, potential, t)
     N = aux_state.basis.n_particles
     return generator.epsilon / N * (expectation - e_g)
 
@@ -555,8 +534,8 @@ def run_auxiliary(
             float(np.dot(weight_threshold(N, g).values(), masses)) for g in gammas
         )
         gen_t = build_aux_generator(base, psi_t, t, basis)
-        beta = energy_excess(aux_state, gen_t, psi_t, potential, t)
         e_g = direct_energy(psi_t, potential, t)
+        beta = energy_excess(aux_state, gen_t, e_g)
         bad = complement_kinetic(aux_state, psi_t)
         gauged_exact = gauge_manybody(exact_state, t, scaling.epsilon, potential)
         diff = float(np.linalg.norm(aux_state.amplitudes - gauged_exact.amplitudes))

@@ -38,7 +38,7 @@ import numpy as np
 from scipy.linalg import qr
 
 from .errors import ConfigError, ContractViolation, GridMismatchError
-from .manybody import ConfigBasis, ManyBodyState, lift_one_body
+from .manybody import ConfigBasis, ManyBodyState, lift_one_body, random_state
 
 
 # ---------------------------------------------------------------------------
@@ -421,11 +421,6 @@ def _record(table: dict, name: str, lhs: float, rhs: float, context: dict) -> No
         rec["violations"].append({"lhs": lhs, "rhs": rhs, **context})
 
 
-def _random_antisymmetric(basis: ConfigBasis, rng: np.random.Generator) -> ManyBodyState:
-    amps = rng.standard_normal(basis.dim) + 1j * rng.standard_normal(basis.dim)
-    return ManyBodyState(basis, amps / np.linalg.norm(amps), 0.0)
-
-
 def _random_projections(L: int, N: int, rng: np.random.Generator) -> Projections:
     M = rng.standard_normal((L, L)) + 1j * rng.standard_normal((L, L))
     U, _ = np.linalg.qr(M)
@@ -469,7 +464,7 @@ def lemma_suite(
         basis = ConfigBasis(n_modes=L, n_particles=N)
         proj = _random_projections(L, N, rng)
         space = SlotSpace(proj, N)
-        state = _random_antisymmetric(basis, rng)
+        state = random_state(basis, rng)
         T = space.embed(state)
         ctx_base = {"trial": trial, "N": N, "L": L, "seed": seed}
 

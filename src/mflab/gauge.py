@@ -22,11 +22,13 @@ Expanding the covariant square gives the equivalent form
     h_g = K + t*eps*R + (t*eps)^2 * W,
     R   = i grad . F_bar + F_bar . i grad + A + B,    W = F_bar.F_bar + 2C,
 
-used by the projected auxiliary dynamics.  Both forms are implemented and
-must agree to roundoff; the kinetic K and the gradients follow the grid's
-kinetic mode (in lattice mode the time stepper pairs the nearest-neighbour
-kinetic with centred-difference force couplings, mirroring the many-body
-lift exactly).
+which is the production route: ``run_gauged`` steps with it, and with the
+R and W terms weighted by (1/2, 1/3) it is the auxiliary generator
+h~ = K + 1/2 t eps R + 1/3 (t eps)^2 W of the direct energy E_g.  The
+covariant form is the oracle; both must agree to roundoff.  The kinetic K
+and the gradients follow the grid's kinetic mode (in lattice mode the time
+stepper pairs the nearest-neighbour kinetic with centred-difference force
+couplings, mirroring the many-body lift exactly).
 """
 
 from __future__ import annotations
@@ -57,14 +59,6 @@ def gauge_orbitals(state: OrbitalSet, potential: InteractionPotential) -> Orbita
         raise GridMismatchError("potential and orbitals use different grids")
     u = convolve_periodic(potential.v, density(state)).values.real
     phase = np.exp(1j * state.time * state.scaling.epsilon * u)
-    orbitals = tuple(Field(state.grid, phase * phi.values) for phi in state.orbitals)
-    return OrbitalSet(orbitals=orbitals, time=state.time, scaling=state.scaling)
-
-
-def ungauge_orbitals(state: OrbitalSet, potential: InteractionPotential) -> OrbitalSet:
-    """Inverse of :func:`gauge_orbitals` (densities agree, so the phase does)."""
-    u = convolve_periodic(potential.v, density(state)).values.real
-    phase = np.exp(-1j * state.time * state.scaling.epsilon * u)
     orbitals = tuple(Field(state.grid, phase * phi.values) for phi in state.orbitals)
     return OrbitalSet(orbitals=orbitals, time=state.time, scaling=state.scaling)
 
@@ -143,22 +137,26 @@ def _hg_apply_values(
     grid: Grid,
     form: str,
     kinetic: np.ndarray | None = None,
+    weights: tuple[float, float] = (1.0, 1.0),
 ) -> np.ndarray:
     """Apply h_g to raw values (any trailing stack axes).
 
-    ``kinetic`` overrides the (i grad)^2 default of the expanded form.
+    ``kinetic`` overrides the (i grad)^2 default of the expanded form, and
+    ``weights`` = (wR, wW) scales its R and W terms: (1/2, 1/3) gives the
+    auxiliary h~ = K + 1/2 t eps R + 1/3 (t eps)^2 W.
     """
     mode = forces.mode
     te = t * epsilon
+    wR, wW = weights
     scalar = _broadcast(
-        te * (forces.mixed_real + 2.0 * te * forces.quad_correction.values.real),
+        te * (wR * forces.mixed_real + 2.0 * te * wW * forces.quad_correction.values.real),
         vals,
         grid,
     )
     fbar = [_broadcast(f.values.real, vals, grid) for f in forces.f_bar]
     if form == "covariant":
-        if kinetic is not None:
-            raise ConfigError("the covariant form fixes its kinetic to (i grad)^2")
+        if kinetic is not None or weights != (1.0, 1.0):
+            raise ConfigError("the covariant form fixes its kinetic and weights to h_g's")
         out = scalar * vals
         grads = _grad_apply(vals, grid, mode)
         for a in range(grid.dim):
@@ -171,10 +169,10 @@ def _hg_apply_values(
         if kinetic is None:
             kinetic = sum(np.abs(m) ** 2 for m in mults)
         out = _mult_apply(vals, kinetic, grid)
-        out = out + (scalar + te**2 * sum(f**2 for f in fbar)) * vals
+        out = out + (scalar + wW * te**2 * sum(f**2 for f in fbar)) * vals
         grads = _grad_apply(vals, grid, mode)
         for a in range(grid.dim):
-            out = out + te * (
+            out = out + wR * te * (
                 1j * _grad_apply(fbar[a] * vals, grid, mode)[a] + fbar[a] * 1j * grads[a]
             )
         return out

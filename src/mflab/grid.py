@@ -18,7 +18,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -178,14 +178,6 @@ def gradient_multipliers(grid: Grid, mode: str = "spectral") -> tuple[np.ndarray
 # ---------------------------------------------------------------------------
 
 
-def fft(f: Field) -> np.ndarray:
-    return np.fft.fftn(f.values)
-
-
-def ifft_field(grid: Grid, spectrum: np.ndarray) -> Field:
-    return Field(grid, np.fft.ifftn(spectrum))
-
-
 def apply_multiplier(f: Field, multiplier: np.ndarray) -> Field:
     return Field(f.grid, np.fft.ifftn(multiplier * np.fft.fftn(f.values)))
 
@@ -267,6 +259,16 @@ def _dense_1d_shift(n: int, step: int) -> np.ndarray:
     return np.roll(np.eye(n), -step, axis=0)
 
 
+def _on_each_axis(grid: Grid, one: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The 1-D matrix ``one`` on each axis in turn, by kron with the identity."""
+    eye = np.eye(grid.sites_per_dim, dtype=one.dtype)
+    terms = []
+    for axis in range(grid.dim):
+        mats = [one if a == axis else eye for a in range(grid.dim)]
+        terms.append(np.ascontiguousarray(reduce(np.kron, mats)))
+    return tuple(terms)
+
+
 @lru_cache(maxsize=None)
 def dense_kinetic(grid: Grid, mode: str | None = None) -> np.ndarray:
     """Dense matrix of -Laplace on flattened site values (C order)."""
@@ -280,15 +282,7 @@ def dense_kinetic(grid: Grid, mode: str | None = None) -> np.ndarray:
         one = np.fft.ifft(k[:, None] ** 2 * np.fft.fft(np.eye(n), axis=0), axis=0)
     else:
         raise ConfigError(f"unknown kinetic mode {mode!r}")
-    total = np.zeros((grid.total_sites, grid.total_sites), dtype=one.dtype)
-    for axis in range(grid.dim):
-        mats = [np.eye(n)] * grid.dim
-        mats[axis] = one
-        term = mats[0]
-        for m in mats[1:]:
-            term = np.kron(term, m)
-        total = total + term
-    return np.ascontiguousarray(total)
+    return sum(_on_each_axis(grid, one))
 
 
 def difference_matrix(f: Field) -> np.ndarray:
@@ -317,12 +311,4 @@ def dense_gradient(grid: Grid, mode: str = "spectral") -> tuple[np.ndarray, ...]
         one = np.fft.ifft(1j * k[:, None] * np.fft.fft(np.eye(n), axis=0), axis=0)
     else:
         raise ConfigError(f"unknown gradient mode {mode!r}")
-    out = []
-    for axis in range(grid.dim):
-        mats = [np.eye(n, dtype=one.dtype)] * grid.dim
-        mats[axis] = one
-        term = mats[0]
-        for m in mats[1:]:
-            term = np.kron(term, m)
-        out.append(np.ascontiguousarray(term))
-    return tuple(out)
+    return _on_each_axis(grid, one)

@@ -24,13 +24,16 @@ from .grid import (
     Grid,
     apply_multiplier,
     convolve_periodic,
-    gradient,
     inner,
     kinetic_multiplier,
-    laplacian,
-    norm_l1,
 )
-from .model import InteractionPotential, ScalingParams, step_schedule
+from .model import (
+    InteractionPotential,
+    ScalingParams,
+    d_value,
+    derivative_densities,
+    step_schedule,
+)
 
 
 @dataclass(frozen=True)
@@ -123,9 +126,8 @@ class HartreeDiagnostics:
     """Per-snapshot health and structure measures.
 
     rho_grad = sum_k |grad phi_k|^2 and rho_lap = sum_k |K phi_k|^2 are the
-    derivative densities entering the semiclassical-structure value
-
-        d_value = max(N^(-5/6) |rho_grad|_1^(1/2), N^(-7/6) |rho_lap|_1^(1/2), 1).
+    derivative densities (``model.derivative_densities``) entering the
+    semiclassical-structure value ``model.d_value``.
     """
 
     time: float
@@ -138,34 +140,15 @@ class HartreeDiagnostics:
 
 
 def diagnostics(state: OrbitalSet, potential: InteractionPotential) -> HartreeDiagnostics:
-    grid = state.grid
-    mode = grid.kinetic_mode
-    N = state.N
-    rho_grad = np.zeros(grid.shape)
-    rho_lap = np.zeros(grid.shape)
-    for phi in state.orbitals:
-        for g in gradient(phi, mode):
-            rho_grad += np.abs(g.values) ** 2
-        if mode == "lattice":
-            lap = apply_multiplier(phi, -kinetic_multiplier(grid, "lattice"))
-        else:
-            lap = laplacian(phi)
-        rho_lap += np.abs(lap.values) ** 2
-    rho_grad_f = Field(grid, rho_grad)
-    rho_lap_f = Field(grid, rho_lap)
-    d_value = max(
-        float(N) ** (-5.0 / 6.0) * np.sqrt(norm_l1(rho_grad_f)),
-        float(N) ** (-7.0 / 6.0) * np.sqrt(norm_l1(rho_lap_f)),
-        1.0,
-    )
+    rho_grad, rho_lap = derivative_densities(state)
     return HartreeDiagnostics(
         time=state.time,
         energy=hartree_energy(state, potential),
         orthonormality_defect=orthonormality_defect(state),
         rho=density(state),
-        rho_grad=rho_grad_f,
-        rho_lap=rho_lap_f,
-        d_value=float(d_value),
+        rho_grad=rho_grad,
+        rho_lap=rho_lap,
+        d_value=d_value(state.N, rho_grad, rho_lap),
     )
 
 

@@ -30,7 +30,6 @@ Conventions:
 
 from __future__ import annotations
 
-import json
 import math
 import struct
 from dataclasses import dataclass
@@ -163,11 +162,6 @@ def lift_two_body(basis: ConfigBasis, W: np.ndarray) -> sp.csr_matrix:
 def lift_three_body(basis: ConfigBasis, W: np.ndarray) -> sp.csr_matrix:
     """sum_{i<j<k} W_ijk for a triple-space operator W (exchange-symmetric)."""
     return _lift(basis, W, 3, "three_body_table")
-
-
-def lift_diagonal(basis: ConfigBasis, values: np.ndarray) -> np.ndarray:
-    """Diagonal (config-space vector) of sum_i m(x_i) for a multiplication m."""
-    return basis.occupancy @ np.asarray(values).ravel()
 
 
 # ---------------------------------------------------------------------------
@@ -349,10 +343,9 @@ def gauge_manybody(
 
 @dataclass(frozen=True)
 class OneBodyMatrix:
-    """A mode-space matrix tagged with whether it is hermitian."""
+    """A mode-space matrix (one-body observable or reduced density)."""
 
     matrix: np.ndarray
-    hermitian: bool = True
 
 
 def rdm1(state: ManyBodyState) -> OneBodyMatrix:
@@ -363,7 +356,7 @@ def rdm1(state: ManyBodyState) -> OneBodyMatrix:
     contrib = signs * np.conj(c[rows]) * c[cols]
     M = np.zeros((basis.n_modes, basis.n_modes), dtype=np.complex128)
     np.add.at(M, (bs, as_), contrib)  # M[b, a] = <a^dag_b a_a>
-    return OneBodyMatrix(matrix=M.T / basis.n_particles, hermitian=True)
+    return OneBodyMatrix(matrix=M.T / basis.n_particles)
 
 
 def occupation_density(state: ManyBodyState) -> np.ndarray:
@@ -454,27 +447,3 @@ def load_state(path) -> ManyBodyState:
     if amps.shape != (dim,):
         raise ConfigError("state container payload truncated")
     return ManyBodyState(basis, amps, time)
-
-
-def save_state_json(state: ManyBodyState, path) -> None:
-    doc = {
-        "format": "mflab-state",
-        "version": 1,
-        "n_modes": state.basis.n_modes,
-        "n_particles": state.basis.n_particles,
-        "time": state.time,
-        "amplitudes_re": state.amplitudes.real.tolist(),
-        "amplitudes_im": state.amplitudes.imag.tolist(),
-    }
-    with open(path, "w") as fh:
-        json.dump(doc, fh)
-
-
-def load_state_json(path) -> ManyBodyState:
-    with open(path) as fh:
-        doc = json.load(fh)
-    if doc.get("format") != "mflab-state":
-        raise ConfigError(f"{path} is not a JSON state container")
-    basis = ConfigBasis(n_modes=doc["n_modes"], n_particles=doc["n_particles"])
-    amps = np.array(doc["amplitudes_re"]) + 1j * np.array(doc["amplitudes_im"])
-    return ManyBodyState(basis, amps, float(doc["time"]))

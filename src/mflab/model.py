@@ -20,9 +20,10 @@ from .errors import ConfigError, ContractViolation, NumericalFailure
 from .grid import (
     Field,
     Grid,
+    apply_multiplier,
     gradient,
     inner,
-    laplacian,
+    kinetic_multiplier,
     norm_l1,
     norm_l2,
 )
@@ -306,44 +307,49 @@ class AssumptionReport:
     d_value: float
 
 
-def assumption_diagnostics(orbital_set) -> AssumptionReport:
-    """Diagnose how the orbital family sits relative to the mean-field scaling.
+def derivative_densities(orbital_set) -> tuple[Field, Field]:
+    """rho_grad = sum_k |grad phi_k|^2 and rho_lap = sum_k |Lap phi_k|^2.
 
-    Uses the grid's kinetic mode for gradients/Laplacians, so lattice runs
-    are judged by the operators that actually generate their dynamics.
+    Gradient and Laplacian follow the grid's kinetic mode (the Laplacian is
+    the multiplier -K of ``kinetic_multiplier``), so lattice runs are judged
+    by the operators that actually generate their dynamics.
     """
     grid = orbital_set.grid
     mode = grid.kinetic_mode
-    N = orbital_set.scaling.N
-
-    sum_grad = 0.0
-    sum_lap = 0.0
-    rho = np.zeros(grid.shape)
+    minus_kinetic = -kinetic_multiplier(grid, mode)
+    rho_grad = np.zeros(grid.shape)
+    rho_lap = np.zeros(grid.shape)
     for phi in orbital_set.orbitals:
-        rho += np.abs(phi.values) ** 2
         for g in gradient(phi, mode):
-            sum_grad += norm_l2(g) ** 2
-        if mode == "lattice":
-            from .grid import apply_multiplier, kinetic_multiplier
+            rho_grad += np.abs(g.values) ** 2
+        rho_lap += np.abs(apply_multiplier(phi, minus_kinetic).values) ** 2
+    return Field(grid, rho_grad), Field(grid, rho_lap)
 
-            lap = apply_multiplier(phi, -kinetic_multiplier(grid, "lattice"))
-        else:
-            lap = laplacian(phi)
-        sum_lap += norm_l2(lap) ** 2
 
-    rho_field = Field(grid, rho)
-    grads = gradient(rho_field, mode)
-    grad_mag = np.sqrt(sum(np.abs(g.values) ** 2 for g in grads))
-    grad_rho_l1 = norm_l1(Field(grid, grad_mag))
-
-    d_value = max(
-        float(N) ** (-5.0 / 6.0) * np.sqrt(sum_grad),
-        float(N) ** (-7.0 / 6.0) * np.sqrt(sum_lap),
-        1.0,
+def d_value(N: int, rho_grad: Field, rho_lap: Field) -> float:
+    """max(N^(-5/6) |rho_grad|_1^(1/2), N^(-7/6) |rho_lap|_1^(1/2), 1)."""
+    return float(
+        max(
+            float(N) ** (-5.0 / 6.0) * np.sqrt(norm_l1(rho_grad)),
+            float(N) ** (-7.0 / 6.0) * np.sqrt(norm_l1(rho_lap)),
+            1.0,
+        )
     )
+
+
+def assumption_diagnostics(orbital_set) -> AssumptionReport:
+    """Diagnose how the orbital family sits relative to the mean-field scaling."""
+    grid = orbital_set.grid
+    N = orbital_set.scaling.N
+    rho_grad, rho_lap = derivative_densities(orbital_set)
+
+    rho = sum(np.abs(phi.values) ** 2 for phi in orbital_set.orbitals)
+    grads = gradient(Field(grid, rho), grid.kinetic_mode)
+    grad_mag = np.sqrt(sum(np.abs(g.values) ** 2 for g in grads))
+
     return AssumptionReport(
-        kin_grad_scaled=float(N) ** (-5.0 / 3.0) * sum_grad,
-        kin_lap_scaled=float(N) ** (-7.0 / 3.0) * sum_lap,
-        grad_rho_l1=grad_rho_l1,
-        d_value=float(d_value),
+        kin_grad_scaled=float(N) ** (-5.0 / 3.0) * norm_l1(rho_grad),
+        kin_lap_scaled=float(N) ** (-7.0 / 3.0) * norm_l1(rho_lap),
+        grad_rho_l1=norm_l1(Field(grid, grad_mag)),
+        d_value=d_value(N, rho_grad, rho_lap),
     )

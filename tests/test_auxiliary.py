@@ -192,12 +192,19 @@ def test_sector_projector_calls_do_not_grow_with_steps(monkeypatch):
     assert counts == [[2, 3], [2, 3]]
 
 
-def test_direct_energy_at_time_zero_is_kinetic():
-    grid, pot, orbitals = make_system(N=3)
-    K = dense_kinetic(grid)
+@pytest.mark.parametrize("mode", ["spectral", "lattice"])
+@pytest.mark.parametrize("t", [0.0, 0.7])
+def test_direct_energy_matches_dense_h_tilde(t, mode):
+    """E_g = tr(A^dag (K + 1/2 t eps R + 1/3 (t eps)^2 W) A), just the kinetic at t = 0."""
+    grid, pot, _ = make_system(N=3, mode=mode, amplitude=3.0)
+    # complex orbitals: real ones carry no current, so tr(p R) would vanish
+    orbitals = random_orbital_set(grid, 3, np.random.default_rng(4))
+    R, W = mean_field_rw(orbitals, pot)
+    te = t * orbitals.scaling.epsilon
+    h_tilde = dense_kinetic(grid) + 0.5 * te * R + te**2 / 3.0 * W
     A = math.sqrt(grid.cell_volume) * orbitals.value_matrix()
-    expected = float(np.trace(A.conj().T @ K @ A).real)
-    got = direct_energy(orbitals, pot, 0.0)
+    expected = float(np.trace(A.conj().T @ h_tilde @ A).real)
+    got = direct_energy(orbitals, pot, t)
     assert abs(got - expected) < 1e-10
 
 

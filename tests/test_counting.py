@@ -29,7 +29,7 @@ from mflab.counting import (
 from mflab.errors import ConfigError, ContractViolation, GridMismatchError
 from mflab.grid import Grid, make_field
 from mflab.hartree import OrbitalSet
-from mflab.manybody import ConfigBasis, ManyBodyState, slater_state
+from mflab.manybody import ConfigBasis, ManyBodyState, random_state, slater_state
 from mflab.model import ScalingParams
 
 
@@ -42,11 +42,6 @@ def random_orbital_set(grid, N, rng, epsilon=0.5):
         for k in range(N)
     )
     return OrbitalSet(orbitals=fields, time=0.0, scaling=ScalingParams(N=N, epsilon=epsilon))
-
-
-def random_state(basis, rng):
-    amps = rng.standard_normal(basis.dim) + 1j * rng.standard_normal(basis.dim)
-    return ManyBodyState(basis, amps / np.linalg.norm(amps), 0.0)
 
 
 def test_weight_tables():

@@ -11,7 +11,6 @@ from mflab.gauge import (
     gauge_orbitals,
     mean_field_forces,
     run_gauged,
-    ungauge_orbitals,
 )
 from mflab.grid import Field, Grid, inner, norm_l2
 from mflab.hartree import OrbitalSet, run_hartree
@@ -39,15 +38,12 @@ def setup(n=32, box=8.0, N=2, mode="spectral"):
     return grid, pot, state
 
 
-def test_gauge_preserves_moduli_and_inverts():
+def test_gauge_preserves_moduli():
     grid, pot, state = setup()
     moved = OrbitalSet(orbitals=state.orbitals, time=0.7, scaling=state.scaling)
     gauged = gauge_orbitals(moved, pot)
     for phi, psi in zip(moved.orbitals, gauged.orbitals):
         np.testing.assert_allclose(np.abs(psi.values), np.abs(phi.values), atol=1e-13)
-    back = ungauge_orbitals(gauged, pot)
-    for phi, psi in zip(moved.orbitals, back.orbitals):
-        np.testing.assert_allclose(psi.values, phi.values, atol=1e-13)
 
 
 def test_gauge_at_time_zero_is_identity():

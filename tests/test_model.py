@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from mflab.errors import ConfigError, NumericalFailure
-from mflab.grid import Grid, gradient, inner, norm_l2
-from mflab.hartree import density, gram_matrix, orthonormality_defect
+from mflab.grid import Grid, dense_gradient, dense_kinetic, gradient, inner, norm_l2
+from mflab.hartree import density, diagnostics, gram_matrix, orthonormality_defect
 from mflab.model import (
     InitialFamily,
     ScalingParams,
@@ -140,6 +140,20 @@ def test_assumption_diagnostics_formula():
     assert rep.kin_grad_scaled == pytest.approx(2.0 ** (-5 / 3) * sum_grad, rel=1e-12)
     expected_d = max(2.0 ** (-5 / 6) * np.sqrt(sum_grad), rep.d_value, 1.0)
     assert rep.d_value <= expected_d + 1e-12
+
+    # lattice mode: the moments use the centred-difference gradient and the
+    # nearest-neighbour kinetic, and hartree's d_value is the same number
+    grid = Grid(dim=1, sites_per_dim=16, box_length=4.0, kinetic_mode="lattice")
+    state = make_orbitals(InitialFamily("localized", width=0.6), 2, grid)
+    rep = assumption_diagnostics(state)
+    A = state.value_matrix()
+    sum_grad = grid.cell_volume * np.linalg.norm(dense_gradient(grid, "lattice")[0] @ A) ** 2
+    sum_lap = grid.cell_volume * np.linalg.norm(dense_kinetic(grid) @ A) ** 2
+    assert rep.kin_grad_scaled == pytest.approx(2.0 ** (-5 / 3) * sum_grad, rel=1e-12)
+    assert rep.kin_lap_scaled == pytest.approx(2.0 ** (-7 / 3) * sum_lap, rel=1e-12)
+    assert rep.d_value > 1.0
+    pot = build_potential(grid, "gaussian", amplitude=1.0, width=1.0)
+    assert diagnostics(state, pot).d_value == rep.d_value
 
 
 def test_orbital_count_guard():
