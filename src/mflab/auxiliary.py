@@ -62,6 +62,7 @@ import numpy as np
 
 from .counting import (
     Projections,
+    alpha_number_onebody,
     build_projections,
     sector_masses,
     weight_number,
@@ -81,11 +82,13 @@ from .manybody import (
     ConfigBasis,
     ManyBodyOperator,
     ManyBodyState,
+    annihilated,
     build_hamiltonian,
     gauge_manybody,
     lift_one_body,
     lift_three_body,
     lift_two_body,
+    one_body_expectation,
     propagate,
     slater_state,
 )
@@ -416,8 +419,7 @@ def complement_kinetic(aux_state: ManyBodyState, gauged_orbitals: OrbitalSet) ->
     p = orbital_projector(gauged_orbitals)
     q = np.eye(grid.total_sites) - p
     qKq = q @ dense_kinetic(grid) @ q
-    Q = lift_one_body(aux_state.basis, qKq)
-    val = float(np.vdot(aux_state.amplitudes, Q @ aux_state.amplitudes).real)
+    val = one_body_expectation(annihilated(aux_state), qKq).real
     return gauged_orbitals.scaling.epsilon / aux_state.basis.n_particles * val
 
 
@@ -426,17 +428,15 @@ def observable_localization_bound(
 ) -> dict:
     """|<psi, M_1 psi> - <psi, (pMp)_1 psi>| <= 3 ||M|| ||q_1 psi|| (per particle)."""
     N = state.basis.n_particles
-    c = state.amplitudes
-    lhs_full = np.vdot(c, lift_one_body(state.basis, M) @ c) / N
+    Phi = annihilated(state)
+    lhs_full = one_body_expectation(Phi, M) / N
     pMp = projections.p @ M @ projections.p
-    lhs_loc = np.vdot(c, lift_one_body(state.basis, pMp) @ c) / N
-    alpha_n = float(
-        np.vdot(c, lift_one_body(state.basis, projections.q) @ c).real / N
-    )
+    lhs_loc = one_body_expectation(Phi, pMp) / N
+    alpha_n = alpha_number_onebody(state, projections)
     opnorm = float(np.linalg.norm(M, 2))
     return {
         "lhs": float(abs(lhs_full - lhs_loc)),
-        "rhs": 3.0 * opnorm * math.sqrt(max(alpha_n, 0.0)),
+        "rhs": 3.0 * opnorm * math.sqrt(alpha_n),
     }
 
 

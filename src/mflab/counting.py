@@ -38,7 +38,7 @@ import numpy as np
 from scipy.linalg import qr
 
 from .errors import ConfigError, ContractViolation, GridMismatchError
-from .manybody import ConfigBasis, ManyBodyState, lift_one_body, random_state
+from .manybody import ConfigBasis, ManyBodyState, annihilated, random_state
 
 
 # ---------------------------------------------------------------------------
@@ -213,10 +213,15 @@ def alpha(weight: WeightFunction, state: ManyBodyState, projections: Projections
 
 
 def alpha_number_onebody(state: ManyBodyState, projections: Projections) -> float:
-    """Independent route to alpha_n: <psi, q_1 psi> = <psi, lift1(q) psi>/N."""
-    Q = lift_one_body(state.basis, projections.q)
-    c = state.amplitudes
-    return float(np.vdot(c, Q @ c).real / state.basis.n_particles)
+    """Independent route to alpha_n = <psi, q_1 psi> through the annihilation map.
+
+    With Phi = ``annihilated(psi)``, <psi, lift1(q) psi> = ||Phi q^T||_F^2 for
+    an orthogonal projector q, so alpha_n = ||Phi q^T||^2 / N is a norm and
+    never negative.  The lift expectation <psi, lift1(q) psi>/N is its test
+    oracle.
+    """
+    Phi = annihilated(state)
+    return float(np.linalg.norm(Phi @ projections.q.T) ** 2 / state.basis.n_particles)
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,11 @@ bit operations on the configuration bitmasks.  Each entry is a nonzero
 matrix element of a^dag_{d1}...a^dag_{dr} a_{cr}...a_{c1} (a_{c1} acts
 first, a^dag_{d1} last); entries run over columns, then ordered tuples of
 distinct occupied modes (c1 slowest), then created modes (dr slowest).
+These tables serve the lifts only.  Reduced densities and one-body
+expectations come from the annihilation map instead: ``annihilated`` scatters
+psi into the (dim_{N-1} x L) matrix Phi whose column a is a_a psi, through
+``ConfigBasis.annihilation_table`` (dim * N entries against the one-body
+table's dim * N * (L - N + 1)), and <a^dag_b a_a> = (Phi^H Phi)[b, a].
 
 Conventions:
 * |I> = a^dag_{i1} ... a^dag_{iN} |0> with i1 < ... < iN (flattened C-order
@@ -24,8 +29,9 @@ Conventions:
 * The Slater amplitude of an orbital family is the determinant of the
   measure-weighted value matrix, c_I = h^(dim N/2) det Phi[I, :], which makes
   the embedded state exactly unit-norm for orthonormal orbitals.
-* ``rdm1`` returns gamma[x, y] = <a^dag_y a_x>/N, normalised to unit trace;
-  for a Slater state gamma = p/N with p the orbital projector matrix.
+* ``rdm1`` returns gamma[x, y] = <a^dag_y a_x>/N, normalised to unit trace,
+  from the annihilation map; for a Slater state gamma = p/N with p the
+  orbital projector matrix.
 """
 
 from __future__ import annotations
@@ -102,6 +108,26 @@ class ConfigBasis:
         if self.n_modes > 12:
             raise ConfigError("three-body lifts are desk-scale only (L <= 12)")
         return self._table(3)
+
+    @cached_property
+    def annihilation_table(self) -> tuple[np.ndarray, np.ndarray, int]:
+        """Scatter pattern of the annihilation map psi -> (a_a psi)_a.
+
+        Returns ``(flat, signs, dim_less)``: for configuration J and its
+        k-th occupied mode a, a_a |J> = signs[k] |J minus a>, signs[k] =
+        (-1)^k, and flat[J, k] = (index of J minus a in the (N-1)-particle
+        basis) * L + a.  N = 1 maps onto one vacuum row.
+        """
+        L, N = self.n_modes, self.n_particles
+        modes = np.array(self.configs, dtype=np.int64)
+        signs = 1 - 2 * (np.arange(N) & 1)
+        if N == 1:
+            return modes, signs, 1
+        smaller = ConfigBasis(L, N - 1).masks
+        holes = self.masks[:, None] ^ (np.int64(1) << modes)
+        order = np.argsort(smaller)
+        rows = order[np.searchsorted(smaller, holes, sorter=order)]
+        return rows * L + modes, signs, len(smaller)
 
     def _table(self, r: int) -> tuple[np.ndarray, ...]:
         """Nonzero entries of a^dag_{d1}...a^dag_{dr} a_{cr}...a_{c1} on the basis.
@@ -348,15 +374,29 @@ class OneBodyMatrix:
     matrix: np.ndarray
 
 
-def rdm1(state: ManyBodyState) -> OneBodyMatrix:
-    """gamma[x, y] = <a^dag_y a_x>/N (unit trace, 0 <= gamma <= 1/N)."""
+def annihilated(state: ManyBodyState) -> np.ndarray:
+    """Phi[K, a] = <K| a_a |psi>: column a is a_a psi on the (N-1)-particle basis."""
     basis = state.basis
-    rows, cols, bs, as_, signs = basis.one_body_table
-    c = state.amplitudes
-    contrib = signs * np.conj(c[rows]) * c[cols]
-    M = np.zeros((basis.n_modes, basis.n_modes), dtype=np.complex128)
-    np.add.at(M, (bs, as_), contrib)  # M[b, a] = <a^dag_b a_a>
-    return OneBodyMatrix(matrix=M.T / basis.n_particles)
+    flat, signs, dim_less = basis.annihilation_table
+    Phi = np.zeros((dim_less, basis.n_modes), dtype=np.complex128)
+    Phi.flat[flat] = signs * state.amplitudes[:, None]  # J minus a fixes (J, a)
+    return Phi
+
+
+def one_body_expectation(Phi: np.ndarray, A: np.ndarray) -> complex:
+    """<psi, sum_i A_i psi> = tr(Phi^H Phi A^T) from Phi = ``annihilated(psi)``."""
+    return complex(np.vdot(Phi, Phi @ A.T))
+
+
+def rdm1(state: ManyBodyState) -> OneBodyMatrix:
+    """gamma[x, y] = <a^dag_y a_x>/N (unit trace, 0 <= gamma <= 1/N).
+
+    Taken from the annihilation map, M = Phi^H Phi with M[b, a] =
+    <a^dag_b a_a>, so no one-body table is built.
+    """
+    Phi = annihilated(state)
+    M = Phi.conj().T @ Phi
+    return OneBodyMatrix(matrix=M.T / state.basis.n_particles)
 
 
 def occupation_density(state: ManyBodyState) -> np.ndarray:

@@ -13,13 +13,11 @@ from mflab.auxiliary import (
     complement_kinetic,
     csv_header,
     direct_energy,
-    full_gauged_hamiltonian,
     gauge_frame_residual,
     gamma_suffix,
     kept_interaction,
     mean_field_rw,
     observable_localization_bound,
-    orbital_projector,
     run_auxiliary,
     rw_crosscheck,
     slot_sector_projectors,
@@ -32,7 +30,7 @@ from mflab.errors import ConfigError
 from mflab.gauge import gauge_orbitals
 from mflab.grid import Grid, dense_kinetic, make_field
 from mflab.hartree import OrbitalSet
-from mflab.manybody import ConfigBasis, ManyBodyState, slater_state
+from mflab.manybody import ConfigBasis, ManyBodyState, lift_one_body, random_state
 from mflab.model import InitialFamily, ScalingParams, build_potential, make_orbitals
 
 
@@ -213,10 +211,23 @@ def test_generator_reduces_to_kinetic_at_time_zero():
     basis = ConfigBasis(n_modes=grid.total_sites, n_particles=2)
     base = base_interactions(pot, include_triple=False)
     gen = build_aux_generator(base, orbitals, 0.0, basis)
-    from mflab.manybody import lift_one_body
-
     K = lift_one_body(basis, dense_kinetic(grid))
     assert abs(gen.matrix - K).max() < 1e-12
+
+
+def test_complement_kinetic_matches_lift_oracle():
+    grid, _, _ = make_system(N=3)
+    rng = np.random.default_rng(31)
+    orbitals = random_orbital_set(grid, 3, rng, epsilon=0.7)
+    basis = ConfigBasis(n_modes=grid.total_sites, n_particles=3)
+    q = build_projections(orbitals).q
+    Q = lift_one_body(basis, q @ dense_kinetic(grid) @ q)
+    for _ in range(3):
+        c = random_state(basis, rng).amplitudes
+        expected = 0.7 / 3 * np.vdot(c, Q @ c).real
+        got = complement_kinetic(ManyBodyState(basis, c, 0.0), orbitals)
+        assert expected > 1e-3
+        assert abs(got - expected) < 1e-13
 
 
 def test_run_auxiliary_structure_and_start_values():

@@ -8,9 +8,7 @@ import pytest
 
 from mflab.counting import (
     AdaptedSlots,
-    Projections,
     SlotSpace,
-    WeightFunction,
     alpha,
     alpha_number_onebody,
     apply_weight,
@@ -29,7 +27,13 @@ from mflab.counting import (
 from mflab.errors import ConfigError, ContractViolation, GridMismatchError
 from mflab.grid import Grid, make_field
 from mflab.hartree import OrbitalSet
-from mflab.manybody import ConfigBasis, ManyBodyState, random_state, slater_state
+from mflab.manybody import (
+    ConfigBasis,
+    ManyBodyState,
+    lift_one_body,
+    random_state,
+    slater_state,
+)
 from mflab.model import ScalingParams
 
 
@@ -183,6 +187,30 @@ def test_alpha_number_two_routes_agree():
         a1 = alpha(weight_number(3), psi, proj)
         a2 = alpha_number_onebody(psi, proj)
         assert abs(a1 - a2) < 1e-12
+
+
+def test_alpha_number_onebody_matches_lift_oracle():
+    grid = Grid(dim=1, sites_per_dim=10, box_length=5.0)
+    rng = np.random.default_rng(29)
+    basis = ConfigBasis(n_modes=10, n_particles=4)
+    for _ in range(3):
+        proj = build_projections(random_orbital_set(grid, 4, rng))
+        assert np.max(np.abs(proj.q @ proj.q - proj.q)) < 1e-14
+        Q = lift_one_body(basis, proj.q)
+        c = random_state(basis, rng).amplitudes
+        expected = np.vdot(c, Q @ c).real / 4
+        got = alpha_number_onebody(ManyBodyState(basis, c, 0.0), proj)
+        assert abs(got - expected) < 1e-13
+
+
+def test_alpha_number_onebody_nonnegative_on_slater_state():
+    grid = Grid(dim=1, sites_per_dim=10, box_length=5.0)
+    rng = np.random.default_rng(37)
+    for N in (1, 3, 5):
+        orbitals = random_orbital_set(grid, N, rng)
+        psi = slater_state(orbitals, ConfigBasis(n_modes=10, n_particles=N))
+        a = alpha_number_onebody(psi, build_projections(orbitals))
+        assert 0.0 <= a < 1e-25
 
 
 def test_falling_factorial_identity():

@@ -8,11 +8,10 @@ from mflab.grid import Grid, norm_l2
 from mflab.hartree import (
     diagnostics,
     hartree_energy,
-    hartree_step,
     orthonormality_defect,
     run_hartree,
 )
-from mflab.model import InitialFamily, ScalingParams, build_potential, make_orbitals
+from mflab.model import InitialFamily, build_potential, make_orbitals
 
 
 def localized_setup(n=32, box=8.0, N=2, mode="spectral"):

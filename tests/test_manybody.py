@@ -6,6 +6,7 @@ permutation signs, apply slot-wise operators there, and read the matrix
 elements back.
 """
 
+import math
 from itertools import combinations, permutations
 
 import numpy as np
@@ -17,6 +18,7 @@ from mflab.hartree import density
 from mflab.manybody import (
     ConfigBasis,
     ManyBodyState,
+    annihilated,
     build_hamiltonian,
     gauge_manybody,
     lift_one_body,
@@ -25,6 +27,7 @@ from mflab.manybody import (
     load_state,
     observe,
     occupation_density,
+    one_body_expectation,
     pairwise_potential_vector,
     propagate,
     propagate_dense,
@@ -43,8 +46,6 @@ from mflab.model import InitialFamily, ScalingParams, build_potential, make_orbi
 
 def embed(basis: ConfigBasis, idx: int) -> np.ndarray:
     """Antisymmetric tensor of one configuration, unit norm."""
-    import math
-
     L, N = basis.n_modes, basis.n_particles
     full = np.zeros((L,) * N, dtype=complex)
     config = basis.configs[idx]
@@ -228,6 +229,38 @@ def test_slater_state_norm_and_rdm():
     assert evals.min() > -1e-12
     assert evals.max() < 1.0 / 3.0 + 1e-12
     assert abs(np.trace(gamma).real - 1.0) < 1e-12
+
+
+def rdm1_table_oracle(state):
+    """gamma from the one-body table: np.add.at over every table entry."""
+    basis = state.basis
+    rows, cols, bs, as_, signs = basis.one_body_table
+    c = state.amplitudes
+    M = np.zeros((basis.n_modes, basis.n_modes), dtype=complex)
+    np.add.at(M, (bs, as_), signs * np.conj(c[rows]) * c[cols])
+    return M.T / basis.n_particles
+
+
+@pytest.mark.parametrize("L,N", [(5, 1), (6, 3), (6, 6), (8, 3), (20, 4)])
+def test_rdm1_matches_one_body_table_oracle(L, N):
+    rng = np.random.default_rng(100 * L + N)
+    basis = ConfigBasis(n_modes=L, n_particles=N)
+    state = random_state(basis, rng)
+    gamma = rdm1(state).matrix
+    assert "one_body_table" not in basis.__dict__
+    np.testing.assert_allclose(gamma, rdm1_table_oracle(state), rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("L,N", [(5, 1), (6, 3), (6, 6)])
+def test_one_body_expectation_matches_lift(L, N):
+    rng = np.random.default_rng(7 * L + N)
+    basis = ConfigBasis(n_modes=L, n_particles=N)
+    c = random_state(basis, rng).amplitudes
+    A = rng.standard_normal((L, L)) + 1j * rng.standard_normal((L, L))
+    Phi = annihilated(ManyBodyState(basis, c, 0.0))
+    assert Phi.shape == (math.comb(L, N - 1), L)
+    expected = np.vdot(c, lift_one_body(basis, A) @ c)
+    assert abs(one_body_expectation(Phi, A) - expected) < 1e-13
 
 
 def test_occupation_density_matches_orbital_density():

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from mflab.errors import ConfigError, NumericalFailure
-from mflab.grid import Grid, dense_gradient, dense_kinetic, gradient, inner, norm_l2
-from mflab.hartree import density, diagnostics, gram_matrix, orthonormality_defect
+from mflab.grid import Grid, dense_gradient, dense_kinetic, gradient, norm_l2
+from mflab.hartree import density, diagnostics, orthonormality_defect
 from mflab.model import (
     InitialFamily,
     ScalingParams,
