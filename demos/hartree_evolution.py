@@ -3,14 +3,15 @@
 Builds a smooth pair potential and three localized orbitals, integrates the
 coupled one-body equations to t = 1 with the Strang-split propagator, and
 tabulates the conserved quantities: total energy, orbital orthonormality,
-and the kinetic-regularity diagnostic d(t).
+and the kinetic-regularity diagnostic d(t).  The initial family's scaled
+kinetic moments show where it sits relative to the mean-field scaling.
 """
 
 import numpy as np
 
 from mflab.grid import Grid
 from mflab.hartree import hartree_energy, run_hartree
-from mflab.model import InitialFamily, build_potential, make_orbitals
+from mflab.model import InitialFamily, assumption_diagnostics, build_potential, make_orbitals
 
 grid = Grid(dim=1, sites_per_dim=64, box_length=10.0, kinetic_mode="spectral")
 potential = build_potential(grid, "gaussian", amplitude=2.0, width=1.0)
@@ -20,6 +21,10 @@ print(f"grid: {grid.sites_per_dim} sites, box {grid.box_length}, "
       f"spacing {grid.spacing:.3f}")
 print(f"N = {initial.N}, coupling scale epsilon = {initial.scaling.epsilon:.6f}")
 print(f"initial energy: {hartree_energy(initial, potential):.12f}")
+report = assumption_diagnostics(initial)
+print(f"scaled kinetic moments: grad {report.kin_grad_scaled:.4f}, "
+      f"Laplacian {report.kin_lap_scaled:.4f}; |grad rho|_1 = {report.grad_rho_l1:.4f}, "
+      f"D = {report.d_value:.3f}")
 print()
 
 trajectory = run_hartree(initial, potential, t_final=1.0, dt=1e-3)

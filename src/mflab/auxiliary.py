@@ -29,8 +29,8 @@ orbital flow:
 
 identities that hold exactly on the grid as long as both sides use the same
 gradient convention.  The auxiliary dynamics truncates each kernel to the
-blocks carrying at most two complement projections in total,
-w~ = sum_{b+c<=2} P^(b) w P^(c), where P^(b) distributes b factors of
+blocks carrying at most two (``MAX_COMPLEMENT``) complement projections in
+total, w~ = sum_{b+c<=2} P^(b) w P^(c), where P^(b) distributes b factors of
 q = 1 - p over the kernel's slots.  In the orbital-adapted mode basis U of
 ``build_projections`` (first N columns span Ran p) every P^(b) is diagonal,
 so the production route (``kept_interaction``) rotates the kernel slot by
@@ -49,6 +49,10 @@ expanded h_g with its R and W terms weighted by 1/2 and 1/3), the energy
 excess beta = eps/N (<Psi~, H~ Psi~> - E_g) from that same E_g, the
 complement kinetic energy, and the norm distance between the truncated
 state and the gauged exact state.
+
+``gauge_frame_residual`` is the oracle for the untruncated many-body gauged
+generator: it checks i d/dt Psi_gauge = eps H_gauge Psi_gauge against the
+gauged exact evolution, and only tests call it.
 """
 
 from __future__ import annotations
@@ -96,6 +100,7 @@ from .model import InteractionPotential, step_schedule
 from ._lanczos import expm_multiply_hermitian
 
 DEFAULT_GAMMAS = (1.0 / 6.0, 0.5, 1.0)
+MAX_COMPLEMENT = 2  # kept blocks carry at most this many q factors in total
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +125,7 @@ def base_interactions(
     L = grid.total_sites
     if L > 40:
         raise ConfigError(f"dense pair kernels limited to 40 sites, got {L}")
-    Gs = dense_gradient(grid, grid.kinetic_mode)
+    Gs = dense_gradient(grid)
     eye = np.eye(L)
     Fd = [difference_matrix(Fa).real for Fa in potential.force]
 
@@ -170,7 +175,7 @@ def mean_field_rw(state: OrbitalSet, potential: InteractionPotential):
     """Dense (R, W) from the convolved force data of the orbital family."""
     grid = state.grid
     forces = mean_field_forces(state, potential)
-    Gs = dense_gradient(grid, grid.kinetic_mode)
+    Gs = dense_gradient(grid)
     R = np.diag(forces.mixed_real.ravel()).astype(np.complex128)
     for a in range(grid.dim):
         fbar = forces.f_bar[a].values.real.ravel()
@@ -238,13 +243,12 @@ class TruncatedInteraction:
     kept: np.ndarray = field(repr=False)
     discarded: np.ndarray = field(repr=False)
     reconstruction_defect: float
-    max_complement: int
 
 
 def truncate_interaction(
-    w: np.ndarray, p: np.ndarray, q: np.ndarray, r: int, max_complement: int = 2
+    w: np.ndarray, p: np.ndarray, q: np.ndarray, r: int
 ) -> TruncatedInteraction:
-    """Split w into sum_{b+c<=max} P^(b) w P^(c) plus the discarded rest.
+    """Split w into sum_{b+c<=2} P^(b) w P^(c) plus the discarded rest.
 
     The literal oracle for the truncation: dense products with the sector
     projectors, O(L^(3r)) per block.  ``build_aux_generator`` computes the
@@ -259,7 +263,7 @@ def truncate_interaction(
         Pw = P[b] @ w
         for c in range(r + 1):
             block = Pw @ P[c]
-            if b + c <= max_complement:
+            if b + c <= MAX_COMPLEMENT:
                 kept += block
             else:
                 discarded += block
@@ -268,7 +272,6 @@ def truncate_interaction(
         kept=kept,
         discarded=discarded,
         reconstruction_defect=defect,
-        max_complement=max_complement,
     )
 
 
@@ -283,7 +286,7 @@ def _kept_mask(L: int, N: int, r: int) -> np.ndarray:
     D = np.diag((np.arange(L) < N).astype(float))
     P = slot_sector_projectors(D, np.eye(L) - D, r)
     exc = sum(b * np.diag(Pb).real for b, Pb in enumerate(P))
-    mask = exc[:, None] + exc[None, :] <= 2
+    mask = exc[:, None] + exc[None, :] <= MAX_COMPLEMENT
     mask.flags.writeable = False
     return mask
 
@@ -499,7 +502,6 @@ def run_auxiliary(
     dt: float,
     gammas: tuple[float, ...] = DEFAULT_GAMMAS,
     snapshot_every: int | None = None,
-    krylov_tol: float = 1e-13,
 ) -> AuxiliaryRun:
     """Co-evolve the truncated, mean-field, and exact dynamics from a Slater start.
 
@@ -560,14 +562,12 @@ def run_auxiliary(
         phi = hartree_step(phi_mid, potential, 0.5 * dt)
         psi_mid = gauge_orbitals(phi_mid, potential)
         gen = build_aux_generator(base, psi_mid, t_mid, basis)
-        amps = expm_multiply_hermitian(
-            gen.matvec, amps, -1j * dt * gen.epsilon, tol=krylov_tol
-        )
+        amps = expm_multiply_hermitian(gen.matvec, amps, -1j * dt * gen.epsilon)
         if not np.all(np.isfinite(amps)):
             raise NumericalFailure(f"non-finite truncated amplitudes at step {step}")
         if step in recorded:
             aux = ManyBodyState(basis, amps, t_next)
-            exact = propagate(exact, H_exact, t_next, krylov_tol=krylov_tol)
+            exact = propagate(exact, H_exact, t_next)
             rec, _ = take_record(t_next, aux, exact, phi)
             records.append(rec)
             aux_snaps.append(aux)

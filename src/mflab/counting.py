@@ -51,8 +51,6 @@ class WeightFunction:
     """A weight f on occupancy sectors 0..N (table of N+1 values)."""
 
     table: tuple[float, ...]
-    name: str
-    gamma: float | None = None
 
     @property
     def n_particles(self) -> int:
@@ -67,43 +65,42 @@ class WeightFunction:
         table = tuple(
             self.table[k + d] if 0 <= k + d <= N else 0.0 for k in range(N + 1)
         )
-        sign = "+" if d >= 0 else ""
-        return WeightFunction(table, f"{self.name}_shift{sign}{d}", self.gamma)
+        return WeightFunction(table)
 
     def __mul__(self, other: "WeightFunction") -> "WeightFunction":
         if self.n_particles != other.n_particles:
             raise ConfigError("weights for different particle numbers")
         table = tuple(a * b for a, b in zip(self.table, other.table))
-        return WeightFunction(table, f"({self.name})*({other.name})", None)
+        return WeightFunction(table)
 
 
 def weight_number(N: int) -> WeightFunction:
-    return WeightFunction(tuple(k / N for k in range(N + 1)), "n")
+    return WeightFunction(tuple(k / N for k in range(N + 1)))
 
 
 def weight_sqrt(N: int) -> WeightFunction:
-    return WeightFunction(tuple(math.sqrt(k / N) for k in range(N + 1)), "l")
+    return WeightFunction(tuple(math.sqrt(k / N) for k in range(N + 1)))
 
 
 def weight_inverse_sqrt(N: int) -> WeightFunction:
     """Inverse of the sqrt weight on the complement of sector zero."""
     table = (0.0,) + tuple(math.sqrt(N / k) for k in range(1, N + 1))
-    return WeightFunction(table, "l_inv")
+    return WeightFunction(table)
 
 
 def weight_threshold(N: int, gamma: float) -> WeightFunction:
     table = tuple(min(1.0, k / N**gamma) for k in range(N + 1))
-    return WeightFunction(table, f"m({gamma:g})", gamma)
+    return WeightFunction(table)
 
 
 def weight_complement(N: int, gamma: float) -> WeightFunction:
     table = tuple(1.0 - min(1.0, k / N**gamma) for k in range(N + 1))
-    return WeightFunction(table, f"w({gamma:g})", gamma)
+    return WeightFunction(table)
 
 
 def weight_power(base: WeightFunction, power: int) -> WeightFunction:
     table = tuple(v**power for v in base.table)
-    return WeightFunction(table, f"({base.name})^{power}", base.gamma)
+    return WeightFunction(table)
 
 
 # ---------------------------------------------------------------------------
@@ -351,10 +348,6 @@ class AdaptedSlots:
         """Site-basis slot tensor -> adapted basis."""
         return self._turn(T, self.U.conj().T, range(self.n_particles))
 
-    def unrotate(self, T: np.ndarray) -> np.ndarray:
-        """Adapted-basis slot tensor -> site basis."""
-        return self._turn(T, self.U, range(self.n_particles))
-
     def count(self, slots: tuple[int, ...]) -> np.ndarray:
         """Complement indices among ``slots``, broadcastable against a slot tensor."""
         if slots not in self._counts:
@@ -571,17 +564,13 @@ def lemma_suite(
                     tuple(
                         math.sqrt(max(x - y, 0.0))
                         for x, y in zip(m_w.table, m_minus.table)
-                    ),
-                    f"D(-{d})",
-                    gamma,
+                    )
                 )
                 E_w = WeightFunction(
                     tuple(
                         math.sqrt(max(x - y, 0.0))
                         for x, y in zip(m_plus.table, m_w.table)
-                    ),
-                    f"E(-{d})",
-                    gamma,
+                    )
                 )
                 ctx = {**ctx_base, "gamma": gamma, "d": d}
 
@@ -610,9 +599,7 @@ def lemma_suite(
                         slots,
                     )
                     diff_w = WeightFunction(
-                        tuple(x - y for x, y in zip(m_w.table, m_minus.table)),
-                        "m-m_-d",
-                        gamma,
+                        tuple(x - y for x, y in zip(m_w.table, m_minus.table))
                     )
                     lhs_vec = view.weight(sandwich, diff_w)
                     rhs_vec = view.weight(

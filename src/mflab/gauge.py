@@ -26,9 +26,12 @@ which is the production route: ``run_gauged`` steps with it, and with the
 R and W terms weighted by (1/2, 1/3) it is the auxiliary generator
 h~ = K + 1/2 t eps R + 1/3 (t eps)^2 W of the direct energy E_g.  The
 covariant form is the oracle; both must agree to roundoff.  The kinetic K
-and the gradients follow the grid's kinetic mode (in lattice mode the time
+and the gradients follow ``Grid.kinetic_mode`` (in lattice mode the time
 stepper pairs the nearest-neighbour kinetic with centred-difference force
 couplings, mirroring the many-body lift exactly).
+
+``cauchy_schwarz_report`` is an oracle for the paper's explicit-constant
+bound on the momentum coupling B; only tests call it.
 """
 
 from __future__ import annotations
@@ -68,7 +71,6 @@ class MeanFieldForces:
     """Density-averaged force data of a gauged orbital family at one time."""
 
     time: float
-    mode: str
     f_bar: tuple[Field, ...]
     momentum_coupling: Field  # B above; A is its pointwise conjugate
     quad_correction: Field  # C above, real
@@ -83,14 +85,13 @@ def mean_field_forces(state: OrbitalSet, potential: InteractionPotential) -> Mea
     if potential.grid != state.grid:
         raise GridMismatchError("potential and orbitals use different grids")
     grid = state.grid
-    mode = grid.kinetic_mode
     rho = density(state)
     f_bar = tuple(
         Field(grid, convolve_periodic(F, rho).values.real) for F in potential.force
     )
     G = [np.zeros(grid.shape, dtype=np.complex128) for _ in range(grid.dim)]
     for psi in state.orbitals:
-        for a, dpsi in enumerate(gradient(psi, mode)):
+        for a, dpsi in enumerate(gradient(psi)):
             G[a] += np.conj(psi.values) * dpsi.values
     B = np.zeros(grid.shape, dtype=np.complex128)
     Cvals = np.zeros(grid.shape)
@@ -101,7 +102,6 @@ def mean_field_forces(state: OrbitalSet, potential: InteractionPotential) -> Mea
         ).values.real
     return MeanFieldForces(
         time=state.time,
-        mode=mode,
         f_bar=f_bar,
         momentum_coupling=Field(grid, B),
         quad_correction=Field(grid, Cvals),
@@ -120,12 +120,12 @@ def _mult_apply(vals: np.ndarray, mult: np.ndarray, grid: Grid) -> np.ndarray:
     return np.fft.ifftn(_broadcast(mult, vals, grid) * spec, axes=axes)
 
 
-def _grad_apply(vals: np.ndarray, grid: Grid, mode: str) -> list[np.ndarray]:
+def _grad_apply(vals: np.ndarray, grid: Grid) -> list[np.ndarray]:
     axes = tuple(range(grid.dim))
     spec = np.fft.fftn(vals, axes=axes)
     return [
         np.fft.ifftn(_broadcast(m, vals, grid) * spec, axes=axes)
-        for m in gradient_multipliers(grid, mode)
+        for m in gradient_multipliers(grid)
     ]
 
 
@@ -145,7 +145,6 @@ def _hg_apply_values(
     ``weights`` = (wR, wW) scales its R and W terms: (1/2, 1/3) gives the
     auxiliary h~ = K + 1/2 t eps R + 1/3 (t eps)^2 W.
     """
-    mode = forces.mode
     te = t * epsilon
     wR, wW = weights
     scalar = _broadcast(
@@ -158,22 +157,22 @@ def _hg_apply_values(
         if kinetic is not None or weights != (1.0, 1.0):
             raise ConfigError("the covariant form fixes its kinetic and weights to h_g's")
         out = scalar * vals
-        grads = _grad_apply(vals, grid, mode)
+        grads = _grad_apply(vals, grid)
         for a in range(grid.dim):
             w = 1j * grads[a] + te * fbar[a] * vals
-            gw = _grad_apply(w, grid, mode)[a]
+            gw = _grad_apply(w, grid)[a]
             out = out + 1j * gw + te * fbar[a] * w
         return out
     if form == "expanded":
-        mults = gradient_multipliers(grid, mode)
+        mults = gradient_multipliers(grid)
         if kinetic is None:
             kinetic = sum(np.abs(m) ** 2 for m in mults)
         out = _mult_apply(vals, kinetic, grid)
         out = out + (scalar + wW * te**2 * sum(f**2 for f in fbar)) * vals
-        grads = _grad_apply(vals, grid, mode)
+        grads = _grad_apply(vals, grid)
         for a in range(grid.dim):
             out = out + wR * te * (
-                1j * _grad_apply(fbar[a] * vals, grid, mode)[a] + fbar[a] * 1j * grads[a]
+                1j * _grad_apply(fbar[a] * vals, grid)[a] + fbar[a] * 1j * grads[a]
             )
         return out
     raise ConfigError(f"unknown form {form!r}")
@@ -189,8 +188,8 @@ def apply_h_gauged(
     """Apply the gauged one-body generator in either algebraic form.
 
     The two forms are the same operator written differently and must agree
-    to roundoff; the kinetic term here is (i grad)^2 in the grid's gradient
-    mode.  Rejects force data computed at a different time.
+    to roundoff; the kinetic term here is (i grad)^2 with the grid's
+    gradient.  Rejects force data computed at a different time.
     """
     if abs(forces.time - t) > 1e-12 * max(1.0, abs(t)):
         raise ContractViolation(
@@ -213,7 +212,7 @@ def cauchy_schwarz_report(
     f_mag = np.sqrt(sum(F.values.real**2 for F in potential.force))
     grad_sq = 0.0
     for psi in state.orbitals:
-        for g in gradient(psi, state.grid.kinetic_mode):
+        for g in gradient(psi):
             grad_sq += norm_l2(g) ** 2
     rhs = float(np.max(f_mag)) * np.sqrt(state.N) * np.sqrt(grad_sq)
     return {"lhs": lhs, "rhs": float(rhs)}
@@ -236,7 +235,6 @@ def run_gauged(
     t_final: float,
     dt: float,
     snapshot_every: int | None = None,
-    krylov_tol: float = 1e-13,
 ) -> GaugedTrajectory:
     """Integrate the gauged orbital flow with midpoint-frozen exponentials.
 
@@ -253,7 +251,7 @@ def run_gauged(
     eps = initial.scaling.epsilon
     n_steps, recorded = step_schedule(t_final - initial.time, dt, snapshot_every)
 
-    kin = kinetic_multiplier(grid)  # grid's own mode
+    kin = kinetic_multiplier(grid)
 
     def stack(state: OrbitalSet) -> np.ndarray:
         return np.stack([phi.values for phi in state.orbitals], axis=-1)
@@ -277,13 +275,9 @@ def run_gauged(
         t0 = initial.time + (step - 1) * dt
         t_mid = t0 + 0.5 * dt
         forces_now = mean_field_forces(unstack(vals, t0), potential)
-        half = expm_multiply_hermitian(
-            generator(forces_now, t0), vals, -0.5j * dt * eps, tol=krylov_tol
-        )
+        half = expm_multiply_hermitian(generator(forces_now, t0), vals, -0.5j * dt * eps)
         forces_mid = mean_field_forces(unstack(half, t_mid), potential)
-        vals = expm_multiply_hermitian(
-            generator(forces_mid, t_mid), vals, -1j * dt * eps, tol=krylov_tol
-        )
+        vals = expm_multiply_hermitian(generator(forces_mid, t_mid), vals, -1j * dt * eps)
         if not np.all(np.isfinite(vals)):
             raise NumericalFailure(f"non-finite gauged orbitals at step {step}")
         if step in recorded:

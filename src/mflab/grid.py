@@ -1,4 +1,4 @@
-"""Periodic grids, fields, and spectral/lattice differential operators.
+"""Periodic grids, fields, and spectral/lattice kinetic operators.
 
 Conventions used throughout the package:
 
@@ -7,10 +7,11 @@ Conventions used throughout the package:
   in C order, axis 0 slowest.
 * The momentum lattice per axis is ``2*pi/box_length * {-n/2, ..., n/2-1}``
   in FFT ordering (``numpy.fft.fftfreq`` convention).
-* ``laplacian`` and ``gradient`` are the *spectral* operators (multipliers
-  ``-|k|**2`` and ``i*k_axis``); the lattice (finite-difference) variants are
-  exposed separately because they are genuinely different operators.  Which
-  kinetic operator a Hamiltonian uses is controlled by ``Grid.kinetic_mode``.
+* ``Grid.kinetic_mode`` is the only switch between the two kinetic
+  operators: "spectral" (multipliers ``|k|**2`` and ``i*k_axis``) or
+  "lattice" (nearest-neighbour kinetic and centred-difference gradient).
+  ``kinetic_multiplier``, ``gradient_multipliers``, ``gradient``,
+  ``dense_kinetic`` and ``dense_gradient`` all read it from the grid.
 * All inner products and norms carry the measure weight ``h**dim``, so that
   an orthonormal family of sampled continuum functions has unit L2 norm.
 """
@@ -140,37 +141,32 @@ def require_same_grid(*fields: Field) -> Grid:
 
 
 @lru_cache(maxsize=None)
-def kinetic_multiplier(grid: Grid, mode: str | None = None) -> np.ndarray:
-    """Fourier multiplier of the kinetic operator -Laplace in the given mode.
+def kinetic_multiplier(grid: Grid) -> np.ndarray:
+    """Fourier multiplier of the grid's kinetic operator K = -Laplace.
 
     spectral: sum_a k_a**2.
     lattice:  sum_a 4*sin(k_a*h/2)**2 / h**2, which is exactly the Fourier
     diagonalisation of (2*dim*I - sum of nearest-neighbour shifts)/h**2.
     """
-    mode = mode or grid.kinetic_mode
     ks = grid.wavenumber_mesh()
     h = grid.spacing
-    if mode == "spectral":
-        return sum(k**2 for k in ks)
-    if mode == "lattice":
+    if grid.kinetic_mode == "lattice":
         return sum(4.0 * np.sin(0.5 * k * h) ** 2 / h**2 for k in ks)
-    raise ConfigError(f"unknown kinetic mode {mode!r}")
+    return sum(k**2 for k in ks)
 
 
 @lru_cache(maxsize=None)
-def gradient_multipliers(grid: Grid, mode: str = "spectral") -> tuple[np.ndarray, ...]:
-    """Fourier multipliers of d/dx_a (one per axis), times i already included.
+def gradient_multipliers(grid: Grid) -> tuple[np.ndarray, ...]:
+    """Fourier multipliers of the grid's d/dx_a (one per axis), i included.
 
     spectral: i*k_a.  lattice: i*sin(k_a*h)/h, the diagonalisation of the
     centred difference (u(x+h) - u(x-h)) / (2h).
     """
     ks = grid.wavenumber_mesh()
     h = grid.spacing
-    if mode == "spectral":
-        return tuple(1j * k for k in ks)
-    if mode == "lattice":
+    if grid.kinetic_mode == "lattice":
         return tuple(1j * np.sin(k * h) / h for k in ks)
-    raise ConfigError(f"unknown gradient mode {mode!r}")
+    return tuple(1j * k for k in ks)
 
 
 # ---------------------------------------------------------------------------
@@ -182,46 +178,21 @@ def apply_multiplier(f: Field, multiplier: np.ndarray) -> Field:
     return Field(f.grid, np.fft.ifftn(multiplier * np.fft.fftn(f.values)))
 
 
-def laplacian(f: Field) -> Field:
-    """Spectral Laplacian (multiplier -|k|**2)."""
-    return apply_multiplier(f, -kinetic_multiplier(f.grid, "spectral"))
+def gradient(f: Field) -> tuple[Field, ...]:
+    """Gradient components in the grid's mode.
 
-
-def gradient(f: Field, mode: str = "spectral") -> tuple[Field, ...]:
-    """Gradient components, spectral by default, centred-difference if lattice."""
-    if mode == "lattice":
-        return lattice_gradient(f)
+    spectral: the multipliers i*k_a.  lattice: the centred difference,
+    evaluated by rolls (exactly antisymmetric).
+    """
+    grid = f.grid
+    if grid.kinetic_mode == "lattice":
+        h = grid.spacing
+        return tuple(
+            Field(grid, (np.roll(f.values, -1, axis=a) - np.roll(f.values, 1, axis=a)) / (2.0 * h))
+            for a in range(grid.dim)
+        )
     spectrum = np.fft.fftn(f.values)
-    mults = gradient_multipliers(f.grid, "spectral")
-    return tuple(Field(f.grid, np.fft.ifftn(m * spectrum)) for m in mults)
-
-
-def lattice_gradient(f: Field) -> tuple[Field, ...]:
-    """Centred difference gradient, evaluated by rolls (exactly antisymmetric)."""
-    h = f.grid.spacing
-    out = []
-    for axis in range(f.grid.dim):
-        vals = (np.roll(f.values, -1, axis=axis) - np.roll(f.values, 1, axis=axis)) / (2.0 * h)
-        out.append(Field(f.grid, vals))
-    return tuple(out)
-
-
-def divergence(components: tuple[Field, ...], mode: str = "spectral") -> Field:
-    grid = require_same_grid(*components)
-    if len(components) != grid.dim:
-        raise ValueError("need one component per axis")
-    if mode == "lattice":
-        total = np.zeros(grid.shape, dtype=np.complex128)
-        for axis, comp in enumerate(components):
-            total += (
-                np.roll(comp.values, -1, axis=axis) - np.roll(comp.values, 1, axis=axis)
-            ) / (2.0 * grid.spacing)
-        return Field(grid, total)
-    mults = gradient_multipliers(grid, "spectral")
-    total = np.zeros(grid.shape, dtype=np.complex128)
-    for m, comp in zip(mults, components):
-        total += np.fft.ifftn(m * np.fft.fftn(comp.values))
-    return Field(grid, total)
+    return tuple(Field(grid, np.fft.ifftn(m * spectrum)) for m in gradient_multipliers(grid))
 
 
 def convolve_periodic(a: Field, b: Field) -> Field:
@@ -270,18 +241,14 @@ def _on_each_axis(grid: Grid, one: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 @lru_cache(maxsize=None)
-def dense_kinetic(grid: Grid, mode: str | None = None) -> np.ndarray:
-    """Dense matrix of -Laplace on flattened site values (C order)."""
-    mode = mode or grid.kinetic_mode
+def dense_kinetic(grid: Grid) -> np.ndarray:
+    """Dense matrix of the grid's K = -Laplace on flattened site values (C order)."""
     n = grid.sites_per_dim
-    h = grid.spacing
-    if mode == "lattice":
-        one = (2.0 * np.eye(n) - _dense_1d_shift(n, 1) - _dense_1d_shift(n, -1)) / h**2
-    elif mode == "spectral":
+    if grid.kinetic_mode == "lattice":
+        one = (2.0 * np.eye(n) - _dense_1d_shift(n, 1) - _dense_1d_shift(n, -1)) / grid.spacing**2
+    else:
         k = grid.axis_wavenumbers()
         one = np.fft.ifft(k[:, None] ** 2 * np.fft.fft(np.eye(n), axis=0), axis=0)
-    else:
-        raise ConfigError(f"unknown kinetic mode {mode!r}")
     return sum(_on_each_axis(grid, one))
 
 
@@ -300,15 +267,12 @@ def difference_matrix(f: Field) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def dense_gradient(grid: Grid, mode: str = "spectral") -> tuple[np.ndarray, ...]:
-    """Dense matrices of d/dx_a on flattened site values, one per axis."""
+def dense_gradient(grid: Grid) -> tuple[np.ndarray, ...]:
+    """Dense matrices of the grid's d/dx_a on flattened site values, one per axis."""
     n = grid.sites_per_dim
-    h = grid.spacing
-    if mode == "lattice":
-        one = (_dense_1d_shift(n, 1) - _dense_1d_shift(n, -1)) / (2.0 * h)
-    elif mode == "spectral":
+    if grid.kinetic_mode == "lattice":
+        one = (_dense_1d_shift(n, 1) - _dense_1d_shift(n, -1)) / (2.0 * grid.spacing)
+    else:
         k = grid.axis_wavenumbers()
         one = np.fft.ifft(1j * k[:, None] * np.fft.fft(np.eye(n), axis=0), axis=0)
-    else:
-        raise ConfigError(f"unknown gradient mode {mode!r}")
     return _on_each_axis(grid, one)

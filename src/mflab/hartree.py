@@ -88,9 +88,9 @@ def orthonormality_defect(state: OrbitalSet) -> float:
     return float(np.max(np.abs(G - np.eye(state.N))))
 
 
-def kinetic_apply(phi: Field, mode: str | None = None) -> Field:
-    """Apply the kinetic operator K = -Laplace in the given (or grid's) mode."""
-    return apply_multiplier(phi, kinetic_multiplier(phi.grid, mode or phi.grid.kinetic_mode))
+def kinetic_apply(phi: Field) -> Field:
+    """Apply the grid's kinetic operator K = -Laplace."""
+    return apply_multiplier(phi, kinetic_multiplier(phi.grid))
 
 
 def hartree_energy(state: OrbitalSet, potential: InteractionPotential) -> float:

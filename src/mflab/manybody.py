@@ -48,8 +48,10 @@ from scipy.linalg import expm
 
 from ._lanczos import expm_multiply_hermitian
 from .errors import ConfigError, ContractViolation, GridMismatchError, NumericalFailure
-from .grid import dense_kinetic, difference_matrix
+from .grid import Field, dense_kinetic, difference_matrix
 from .model import InteractionPotential, ScalingParams, resolve_scaling, step_schedule
+
+DT_MIN = 1e-10  # smallest step a time-dependent generator may be integrated with
 
 
 def _parity(masks: np.ndarray) -> np.ndarray:
@@ -293,8 +295,6 @@ def propagate(
     hamiltonian,
     t_final: float,
     dt: float | None = None,
-    krylov_tol: float = 1e-13,
-    dt_min: float = 1e-10,
 ) -> ManyBodyState:
     """Evolve i d/dt Psi = eps H Psi to t_final.
 
@@ -302,7 +302,7 @@ def propagate(
     exponential over the whole span, split internally as needed) or a
     callable t -> ManyBodyOperator, integrated with midpoint-frozen
     exponential steps of size ``dt``.  Krylov stagnation triggers step
-    halving; below ``dt_min`` it is a hard failure.
+    halving; a step below ``DT_MIN`` is a hard failure.
     """
     span = t_final - state.time
     if span < 0:
@@ -313,17 +313,15 @@ def propagate(
     if callable(hamiltonian):
         if dt is None or dt <= 0:
             raise ConfigError("time-dependent generators need a positive dt")
-        if dt < dt_min:
-            raise NumericalFailure(f"step size {dt} below dt_min {dt_min}")
+        if dt < DT_MIN:
+            raise NumericalFailure(f"step size {dt} below DT_MIN {DT_MIN}")
         n_steps, _ = step_schedule(span, dt)
         amps = state.amplitudes
         for step in range(n_steps):
             op = hamiltonian(state.time + (step + 0.5) * dt)
             if op.basis != state.basis:
                 raise GridMismatchError("operator and state use different bases")
-            amps = expm_multiply_hermitian(
-                op.matvec, amps, -1j * dt * op.epsilon, tol=krylov_tol
-            )
+            amps = expm_multiply_hermitian(op.matvec, amps, -1j * dt * op.epsilon)
         if not np.all(np.isfinite(amps)):
             raise NumericalFailure("non-finite amplitudes during propagation")
         return ManyBodyState(state.basis, amps, t_final)
@@ -331,9 +329,7 @@ def propagate(
     op = hamiltonian
     if op.basis != state.basis:
         raise GridMismatchError("operator and state use different bases")
-    amps = expm_multiply_hermitian(
-        op.matvec, state.amplitudes, -1j * span * op.epsilon, tol=krylov_tol
-    )
+    amps = expm_multiply_hermitian(op.matvec, state.amplitudes, -1j * span * op.epsilon)
     if not np.all(np.isfinite(amps)):
         raise NumericalFailure("non-finite amplitudes during propagation")
     return ManyBodyState(state.basis, amps, t_final)
@@ -369,7 +365,7 @@ def gauge_manybody(
 
 @dataclass(frozen=True)
 class OneBodyMatrix:
-    """A mode-space matrix (one-body observable or reduced density)."""
+    """A mode-space matrix: the reduced density of ``rdm1``."""
 
     matrix: np.ndarray
 
@@ -411,41 +407,17 @@ class ObservationResult:
     comparison: float
 
 
-def observe(M, state: ManyBodyState, orbital_set, allow_general: bool = False) -> ObservationResult:
-    """Compare <Psi, (1/N) sum_i M_i Psi> with Tr(M p)/N for one observable.
-
-    ``M`` is a Field (multiplication observable, the supported dictionary
-    case) or a OneBodyMatrix; non-diagonal matrices are rejected unless
-    ``allow_general`` (they need the full one-body reduction, and only
-    hermitian ones have real expectations).
-    """
-    from .grid import Field  # local import: grid does not know about states
-
-    grid = orbital_set.grid
+def observe(M: Field, state: ManyBodyState, orbital_set) -> ObservationResult:
+    """Compare <Psi, (1/N) sum_i M_i Psi> with Tr(M p)/N for a multiplication observable."""
+    mvals = M.values.ravel()
+    if np.max(np.abs(mvals.imag)) > 1e-12:
+        raise ConfigError("multiplication observables must be real-valued")
     N = orbital_set.N
-    if isinstance(M, Field):
-        mvals = M.values.ravel()
-        if np.max(np.abs(mvals.imag)) > 1e-12:
-            raise ConfigError("multiplication observables must be real-valued")
-        exact = float(np.dot(mvals.real, occupation_density(state)).real) / N
-        A = orbital_set.value_matrix()
-        hart = grid.cell_volume * float(
-            np.einsum("x,xk,xk->", mvals.real, A.conj(), A).real
-        ) / N
-    else:
-        mat = M.matrix if isinstance(M, OneBodyMatrix) else np.asarray(M)
-        offdiag = float(np.max(np.abs(mat - np.diag(np.diag(mat)))))
-        if offdiag > 1e-12 and not allow_general:
-            raise ConfigError(
-                "non-diagonal observable: pass allow_general=True to accept "
-                "a general hermitian one-body matrix"
-            )
-        if np.max(np.abs(mat - mat.conj().T)) > 1e-10:
-            raise ConfigError("general observables must be hermitian")
-        gamma = rdm1(state).matrix
-        exact = float(np.trace(mat @ gamma).real)
-        A = np.sqrt(grid.cell_volume) * orbital_set.value_matrix()
-        hart = float(np.trace(mat @ (A @ A.conj().T)).real) / N
+    exact = float(np.dot(mvals.real, occupation_density(state)).real) / N
+    A = orbital_set.value_matrix()
+    hart = orbital_set.grid.cell_volume * float(
+        np.einsum("x,xk,xk->", mvals.real, A.conj(), A).real
+    ) / N
     return ObservationResult(
         trace_exact=exact, trace_hartree=hart, comparison=abs(exact - hart)
     )

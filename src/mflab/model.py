@@ -182,15 +182,6 @@ def build_potential(grid: Grid, kind: str, **params) -> InteractionPotential:
     return pot
 
 
-def force_gradient_defect(potential: InteractionPotential) -> float:
-    """Max deviation between the stored force and the spectral gradient of v."""
-    grads = gradient(potential.v)
-    return max(
-        float(np.max(np.abs(g.values - f.values)))
-        for g, f in zip(grads, potential.force)
-    )
-
-
 # ---------------------------------------------------------------------------
 # initial orbital families
 # ---------------------------------------------------------------------------
@@ -315,12 +306,11 @@ def derivative_densities(orbital_set) -> tuple[Field, Field]:
     by the operators that actually generate their dynamics.
     """
     grid = orbital_set.grid
-    mode = grid.kinetic_mode
-    minus_kinetic = -kinetic_multiplier(grid, mode)
+    minus_kinetic = -kinetic_multiplier(grid)
     rho_grad = np.zeros(grid.shape)
     rho_lap = np.zeros(grid.shape)
     for phi in orbital_set.orbitals:
-        for g in gradient(phi, mode):
+        for g in gradient(phi):
             rho_grad += np.abs(g.values) ** 2
         rho_lap += np.abs(apply_multiplier(phi, minus_kinetic).values) ** 2
     return Field(grid, rho_grad), Field(grid, rho_lap)
@@ -344,7 +334,7 @@ def assumption_diagnostics(orbital_set) -> AssumptionReport:
     rho_grad, rho_lap = derivative_densities(orbital_set)
 
     rho = sum(np.abs(phi.values) ** 2 for phi in orbital_set.orbitals)
-    grads = gradient(Field(grid, rho), grid.kinetic_mode)
+    grads = gradient(Field(grid, rho))
     grad_mag = np.sqrt(sum(np.abs(g.values) ** 2 for g in grads))
 
     return AssumptionReport(

@@ -1,0 +1,96 @@
+"""Public API audit: each public function earns its place, and none takes a mode.
+
+A public function or method of ``src/mflab`` must be referenced from
+``src/`` or ``demos/`` (by name, or as a string looked up with
+``getattr``), be used by the acceptance suite, or be named as an oracle in
+its module's docstring: a sentence of the docstring names it (or its class)
+in double backticks or as :class:`Name` and says "oracle".
+``Grid.kinetic_mode`` is the only switch for the kinetic operator, so no
+public signature takes a ``mode``.
+"""
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "mflab"
+
+
+def _parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def _public_defs(tree: ast.Module):
+    """(qualified name, def node) of public top-level functions and public methods."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if not node.name.startswith("_"):
+                yield node.name, node
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield f"{node.name}.{item.name}", item
+
+
+def _references(paths) -> set[str]:
+    """Every name loaded, attribute read or string constant in the given files."""
+    names: set[str] = set()
+    for path in paths:
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                names.add(node.value)
+    return names
+
+
+def _oracles(tree: ast.Module) -> set[str]:
+    """Names that a sentence of the module docstring calls an oracle."""
+    doc = ast.get_docstring(tree) or ""
+    found: set[str] = set()
+    for sentence in re.split(r"(?<=[.;])\s+", doc):
+        if "oracle" in sentence:
+            found.update(re.findall(r"(?:``|:class:`)([A-Za-z_][\w.]*)`", sentence))
+    return found
+
+
+def _modules():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert modules, f"no modules under {PACKAGE}"
+    return modules
+
+
+def test_every_public_function_has_a_user_or_is_a_named_oracle():
+    used = _references([*_modules(), *(ROOT / "demos").glob("*.py")])
+    used |= _references([ROOT / "tests" / "test_acceptance.py"])
+    orphans = []
+    for path in _modules():
+        tree = _parse(path)
+        oracles = _oracles(tree)
+        for qualname, _ in _public_defs(tree):
+            owner, _, name = qualname.rpartition(".")
+            if name not in used and not oracles & {name, qualname, owner}:
+                orphans.append(f"{path.stem}.{qualname}")
+    assert not orphans, (
+        "public functions with no caller in src/, demos/ or the acceptance suite, "
+        f"and not named as an oracle in their module docstring: {orphans}"
+    )
+
+
+def test_no_public_signature_takes_a_mode():
+    offenders = []
+    for path in _modules():
+        tree = _parse(path)
+        for qualname, node in _public_defs(tree):
+            args = node.args
+            params = [*args.posonlyargs, *args.args, *args.kwonlyargs]
+            if any(a.arg == "mode" for a in params):
+                offenders.append(f"{path.stem}.{qualname}")
+        for cls in (n for n in tree.body if isinstance(n, ast.ClassDef)):
+            for item in cls.body:
+                if isinstance(item, ast.AnnAssign) and getattr(item.target, "id", None) == "mode":
+                    offenders.append(f"{path.stem}.{cls.name}.mode")
+    assert not offenders, f"the kinetic mode belongs to Grid.kinetic_mode: {offenders}"

@@ -158,7 +158,10 @@ def test_adapted_slots_match_literal_slot_space(N, L):
     assert abs(view.norm_sq(R) - space.norm_sq(T)) < 1e-12
 
     def close(adapted, literal):
-        assert np.max(np.abs(view.unrotate(adapted) - literal)) < 1e-12
+        # back to the site basis through the literal route: U on every slot
+        for slot in range(N):
+            adapted = space.apply_one(adapted, proj.basis_matrix, slot)
+        assert np.max(np.abs(adapted - literal)) < 1e-12
 
     close(R, T)
     for k in range(-1, N + 2):

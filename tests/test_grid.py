@@ -1,5 +1,7 @@
 """Grid, field and operator conventions."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,14 +12,13 @@ from mflab.grid import (
     Field,
     Grid,
     convolve_periodic,
+    apply_multiplier,
     dense_gradient,
     dense_kinetic,
-    divergence,
     gradient,
+    gradient_multipliers,
     inner,
     kinetic_multiplier,
-    laplacian,
-    lattice_gradient,
     norm_l1,
     norm_l2,
     zeros,
@@ -58,7 +59,7 @@ def test_plane_wave_is_laplacian_eigenfunction():
     xs = grid.coordinate_mesh()
     kvec = 2.0 * np.pi / grid.box_length * np.array([3.0, -2.0])
     wave = Field(grid, np.exp(1j * (kvec[0] * xs[0] + kvec[1] * xs[1])))
-    out = laplacian(wave)
+    out = apply_multiplier(wave, -kinetic_multiplier(grid))
     np.testing.assert_allclose(
         out.values, -np.dot(kvec, kvec) * wave.values, atol=1e-10
     )
@@ -69,41 +70,41 @@ def test_laplacian_equals_div_grad():
     for dim in (1, 2):
         grid = Grid(dim=dim, sites_per_dim=12, box_length=3.0)
         f = random_field(grid, rng)
-        lhs = laplacian(f)
-        rhs = divergence(gradient(f))
-        np.testing.assert_allclose(lhs.values, rhs.values, atol=1e-11)
+        lhs = apply_multiplier(f, -kinetic_multiplier(grid))
+        rhs = sum(gradient(g)[a].values for a, g in enumerate(gradient(f)))
+        np.testing.assert_allclose(lhs.values, rhs, atol=1e-11)
 
 
 def test_lattice_kinetic_multiplier_matches_matrix():
     grid = Grid(dim=2, sites_per_dim=6, box_length=2.5, kinetic_mode="lattice")
     rng = np.random.default_rng(3)
     f = random_field(grid, rng)
-    via_mult = np.fft.ifftn(kinetic_multiplier(grid, "lattice") * np.fft.fftn(f.values))
-    mat = dense_kinetic(grid, "lattice")
+    via_mult = np.fft.ifftn(kinetic_multiplier(grid) * np.fft.fftn(f.values))
+    mat = dense_kinetic(grid)
     via_mat = (mat @ f.values.ravel()).reshape(grid.shape)
     np.testing.assert_allclose(via_mult, via_mat, atol=1e-11)
 
 
 def test_lattice_gradient_matches_rolls_and_multiplier():
-    grid = Grid(dim=1, sites_per_dim=10, box_length=4.0)
+    grid = Grid(dim=1, sites_per_dim=10, box_length=4.0, kinetic_mode="lattice")
     rng = np.random.default_rng(5)
     f = random_field(grid, rng)
-    from mflab.grid import gradient_multipliers
-
-    (g_roll,) = lattice_gradient(f)
-    mult = gradient_multipliers(grid, "lattice")[0]
+    (g_roll,) = gradient(f)
+    mult = gradient_multipliers(grid)[0]
     g_mult = np.fft.ifft(mult * np.fft.fft(f.values))
     np.testing.assert_allclose(g_roll.values, g_mult, atol=1e-12)
 
 
 def test_gradients_are_antisymmetric():
     rng = np.random.default_rng(11)
-    grid = Grid(dim=1, sites_per_dim=16, box_length=2.0)
-    u, v = random_field(grid, rng), random_field(grid, rng)
+    spectral = Grid(dim=1, sites_per_dim=16, box_length=2.0)
+    u, v = random_field(spectral, rng).values, random_field(spectral, rng).values
     for mode in ("spectral", "lattice"):
-        (gu,) = gradient(u, mode)
-        (gv,) = gradient(v, mode)
-        assert abs(inner(u, gv) + inner(gu, v)) < 1e-12
+        grid = replace(spectral, kinetic_mode=mode)
+        fu, fv = Field(grid, u), Field(grid, v)
+        (gu,) = gradient(fu)
+        (gv,) = gradient(fv)
+        assert abs(inner(fu, gv) + inner(gu, fv)) < 1e-12
 
 
 def test_dense_matrices_hermitian_and_consistent():
@@ -111,12 +112,33 @@ def test_dense_matrices_hermitian_and_consistent():
         grid = Grid(dim=1, sites_per_dim=12, box_length=3.0, kinetic_mode=mode)
         T = dense_kinetic(grid)
         assert np.max(np.abs(T - T.conj().T)) < 1e-12
-        G = dense_gradient(grid, mode)[0]
+        G = dense_gradient(grid)[0]
         assert np.max(np.abs(G + G.conj().T)) < 1e-12
         rng = np.random.default_rng(1)
         f = random_field(grid, rng)
-        via_mult = np.fft.ifftn(kinetic_multiplier(grid, mode) * np.fft.fftn(f.values))
+        via_mult = np.fft.ifftn(kinetic_multiplier(grid) * np.fft.fftn(f.values))
         np.testing.assert_allclose((T @ f.values.ravel()), via_mult.ravel(), atol=1e-10)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_lattice_grid_operators_all_follow_its_mode(dim):
+    # every operator reads the mode from the grid: centred differences and
+    # the nearest-neighbour kinetic, whichever route computes them
+    grid = Grid(dim=dim, sites_per_dim=8, box_length=3.0, kinetic_mode="lattice")
+    h = grid.spacing
+    f = random_field(grid, np.random.default_rng(17 + dim))
+    flat = f.values.ravel()
+    shift = [(np.roll(f.values, -1, axis=a), np.roll(f.values, 1, axis=a)) for a in range(dim)]
+    stencil = (2 * dim * f.values - sum(up + down for up, down in shift)) / h**2
+    K = kinetic_multiplier(grid)
+    np.testing.assert_allclose(np.fft.ifftn(K * np.fft.fftn(f.values)), stencil, atol=1e-11)
+    np.testing.assert_allclose(dense_kinetic(grid) @ flat, stencil.ravel(), atol=1e-11)
+    routes = zip(gradient(f), dense_gradient(grid), gradient_multipliers(grid))
+    for a, (g, G, m) in enumerate(routes):
+        rolls = (shift[a][0] - shift[a][1]) / (2.0 * h)
+        assert np.array_equal(g.values, rolls)
+        np.testing.assert_allclose(G @ flat, rolls.ravel(), atol=1e-12)
+        np.testing.assert_allclose(np.fft.ifftn(m * np.fft.fftn(f.values)), rolls, atol=1e-12)
 
 
 @settings(max_examples=20, deadline=None)

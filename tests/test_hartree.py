@@ -102,7 +102,7 @@ def test_energy_matches_direct_formula():
     from mflab.grid import convolve_periodic, dense_kinetic, inner
 
     A = state.value_matrix()
-    T = dense_kinetic(grid, "spectral")
+    T = dense_kinetic(grid)  # a spectral grid
     kin = grid.cell_volume * np.real(np.trace(A.conj().T @ (T @ A)))
     from mflab.hartree import density
 

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from mflab.errors import ConfigError, ContractViolation, GridMismatchError
-from mflab.grid import Field, Grid, dense_kinetic
+from mflab.grid import Field, Grid
 from mflab.hartree import density
 from mflab.manybody import (
     ConfigBasis,
@@ -310,17 +310,12 @@ def test_observe_slater_sides_agree():
     assert res.comparison < 1e-13
 
 
-def test_observe_rejects_nondiagonal_without_flag():
+def test_observe_rejects_complex_observable():
     grid, pot, basis = small_system(N=2)
     orbs = make_orbitals(InitialFamily("localized", width=1.0), 2, grid)
     psi = slater_state(orbs, basis)
-    from mflab.manybody import OneBodyMatrix
-
-    M = dense_kinetic(grid, "lattice")
     with pytest.raises(ConfigError):
-        observe(OneBodyMatrix(M), psi, orbs)
-    res = observe(OneBodyMatrix(M), psi, orbs, allow_general=True)
-    assert res.comparison < 1e-10
+        observe(Field(grid, 1j * np.ones(grid.shape)), psi, orbs)
 
 
 def test_basis_mismatch_rejected():

@@ -12,7 +12,6 @@ from mflab.model import (
     assumption_diagnostics,
     build_potential,
     epsilon_for,
-    force_gradient_defect,
     make_orbitals,
     resolve_scaling,
 )
@@ -34,7 +33,9 @@ def test_potential_even_and_force_consistent(dim, kind, params):
     for axis in range(dim):
         rev = np.roll(np.flip(rev, axis=axis), 1, axis=axis)
     assert np.max(np.abs(vals - rev)) < 1e-12
-    assert force_gradient_defect(pot) < 1e-12
+    # the stored force is the spectral gradient of v (the grid is spectral)
+    for g, f in zip(gradient(pot.v), pot.force):
+        assert np.max(np.abs(g.values - f.values)) < 1e-12
 
 
 def test_potential_guards():
@@ -147,7 +148,7 @@ def test_assumption_diagnostics_formula():
     state = make_orbitals(InitialFamily("localized", width=0.6), 2, grid)
     rep = assumption_diagnostics(state)
     A = state.value_matrix()
-    sum_grad = grid.cell_volume * np.linalg.norm(dense_gradient(grid, "lattice")[0] @ A) ** 2
+    sum_grad = grid.cell_volume * np.linalg.norm(dense_gradient(grid)[0] @ A) ** 2
     sum_lap = grid.cell_volume * np.linalg.norm(dense_kinetic(grid) @ A) ** 2
     assert rep.kin_grad_scaled == pytest.approx(2.0 ** (-5 / 3) * sum_grad, rel=1e-12)
     assert rep.kin_lap_scaled == pytest.approx(2.0 ** (-7 / 3) * sum_lap, rel=1e-12)
