@@ -5,7 +5,8 @@ via the Lanczos recurrence with full reorthogonalisation (the Krylov spaces
 here are small, so reorthogonalising is cheap and keeps the tridiagonal
 coefficients trustworthy at tight tolerances).  If the Krylov space stops
 converging before ``max_krylov`` vectors, the step is split in half and
-retried; halving below ``max_halvings`` raises ``NumericalFailure``.
+retried; halving below ``max_halvings`` raises ``NumericalFailure``, and so
+does a non-finite Lanczos coefficient (an overflowing generator).
 
 Works on complex arrays of any shape; the flat Euclidean inner product is
 used, which agrees with any uniformly weighted L2 product up to an overall
@@ -56,8 +57,12 @@ def _krylov_segment(
         for b in basis:
             w = w - np.vdot(b, w) * b
         beta = np.linalg.norm(w)
+        if not (np.isfinite(alphas[j]) and np.isfinite(beta)):
+            raise NumericalFailure(
+                f"non-finite Lanczos coefficient (alpha {alphas[j]}, beta {beta})"
+            )
 
-        evals, evecs = eigh_tridiagonal(np.array(alphas), np.array(betas))
+        evals, evecs = eigh_tridiagonal(np.array(alphas), np.array(betas), check_finite=False)
         y = evecs @ (np.exp(scale * evals) * evecs[0, :].conj())
 
         if beta < 1e-14 * max(1.0, abs(alphas[j])):

@@ -73,13 +73,12 @@ from .counting import (
     weight_threshold,
 )
 from .errors import ConfigError, ContractViolation, GridMismatchError, NumericalFailure
-from .gauge import _hg_apply_values, gauge_orbitals, mean_field_forces
+from .gauge import _frozen_generator, gauge_orbitals, mean_field_forces
 from .grid import (
     Grid,
     dense_gradient,
     dense_kinetic,
     difference_matrix,
-    kinetic_multiplier,
 )
 from .hartree import OrbitalSet, hartree_step
 from .manybody import (
@@ -400,10 +399,7 @@ def direct_energy(gauged_orbitals: OrbitalSet, potential: InteractionPotential, 
     epsilon = gauged_orbitals.scaling.epsilon
     forces = mean_field_forces(gauged_orbitals, potential)
     vals = np.stack([phi.values for phi in gauged_orbitals.orbitals], axis=-1)
-    hval = _hg_apply_values(
-        vals, forces, t, epsilon, grid, "expanded",
-        kinetic=kinetic_multiplier(grid), weights=(0.5, 1.0 / 3.0),
-    )
+    hval = _frozen_generator(forces, t, epsilon, grid, weights=(0.5, 1.0 / 3.0))(vals)
     return float(grid.cell_volume * np.vdot(vals, hval).real)
 
 

@@ -35,6 +35,7 @@ import argparse
 import json
 import math
 import sys
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -621,22 +622,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+def _run(args) -> tuple[int, str]:
+    """Exit code and outcome line of one command."""
     try:
         cfg = load_config(args)
         cfg.out_dir.mkdir(parents=True, exist_ok=True)
         COMMANDS[args.command](cfg)
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+        return 2, f"config error: {exc}"
     except NumericalFailure as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
+        return 3, f"numerical failure: {exc}"
     except ContractViolation as exc:
-        print(f"contract violation: {exc}", file=sys.stderr)
-        return 4
-    return 0
+        return 4, f"contract violation: {exc}"
+    return 0, ""
+
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
+    # Warnings raised during the run (numpy overflow on a bad input, say) are
+    # shown after the outcome line, so that stderr opens with the failure.
+    with warnings.catch_warnings(record=True) as caught:
+        code, outcome = _run(args)
+    if outcome:
+        print(outcome, file=sys.stderr)
+    for w in caught:
+        warnings.showwarning(w.message, w.category, w.filename, w.lineno)
+    return code
 
 
 if __name__ == "__main__":

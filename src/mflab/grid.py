@@ -19,7 +19,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
@@ -116,6 +116,11 @@ class Field:
             )
         object.__setattr__(self, "values", vals)
 
+    @cached_property
+    def spectrum(self) -> np.ndarray:
+        """``fftn`` of the values, computed on first use; a Field's values must not change."""
+        return np.fft.fftn(self.values)
+
 
 def make_field(grid: Grid, values: np.ndarray) -> Field:
     return Field(grid, np.asarray(values))
@@ -178,27 +183,34 @@ def apply_multiplier(f: Field, multiplier: np.ndarray) -> Field:
     return Field(f.grid, np.fft.ifftn(multiplier * np.fft.fftn(f.values)))
 
 
+def _gradient_values(vals: np.ndarray, grid: Grid) -> list[np.ndarray]:
+    """Gradient components of grid values that may carry leading stack axes."""
+    axes = tuple(range(vals.ndim - grid.dim, vals.ndim))
+    if grid.kinetic_mode == "lattice":
+        h = grid.spacing
+        return [(np.roll(vals, -1, axis=a) - np.roll(vals, 1, axis=a)) / (2.0 * h) for a in axes]
+    spectrum = np.fft.fftn(vals, axes=axes)
+    return [np.fft.ifftn(m * spectrum, axes=axes) for m in gradient_multipliers(grid)]
+
+
 def gradient(f: Field) -> tuple[Field, ...]:
     """Gradient components in the grid's mode.
 
     spectral: the multipliers i*k_a.  lattice: the centred difference,
     evaluated by rolls (exactly antisymmetric).
     """
-    grid = f.grid
-    if grid.kinetic_mode == "lattice":
-        h = grid.spacing
-        return tuple(
-            Field(grid, (np.roll(f.values, -1, axis=a) - np.roll(f.values, 1, axis=a)) / (2.0 * h))
-            for a in range(grid.dim)
-        )
-    spectrum = np.fft.fftn(f.values)
-    return tuple(Field(grid, np.fft.ifftn(m * spectrum)) for m in gradient_multipliers(grid))
+    return tuple(Field(f.grid, g) for g in _gradient_values(f.values, f.grid))
 
 
 def convolve_periodic(a: Field, b: Field) -> Field:
-    """Periodic convolution (a * b)(x) = h^dim * sum_y a(x-y) b(y)."""
+    """Periodic convolution (a * b)(x) = h^dim * sum_y a(x-y) b(y).
+
+    Both spectra are cached on their Fields, so a potential's v and force
+    components are transformed once, and so is a field convolved with
+    several kernels.
+    """
     grid = require_same_grid(a, b)
-    vals = grid.cell_volume * np.fft.ifftn(np.fft.fftn(a.values) * np.fft.fftn(b.values))
+    vals = grid.cell_volume * np.fft.ifftn(a.spectrum * b.spectrum)
     return Field(grid, vals)
 
 

@@ -108,14 +108,16 @@ def hartree_step(state: OrbitalSet, potential: InteractionPotential, dt: float) 
     grid = state.grid
     eps = state.scaling.epsilon
     half_kin = np.exp(-0.5j * dt * eps * kinetic_multiplier(grid))
+    axes = tuple(range(1, grid.dim + 1))  # the orbitals are stacked on axis 0
 
-    mids = [np.fft.ifftn(half_kin * np.fft.fftn(phi.values)) for phi in state.orbitals]
+    stack = np.stack([phi.values for phi in state.orbitals])
+    mids = np.fft.ifftn(half_kin * np.fft.fftn(stack, axes=axes), axes=axes)
     rho_mid = np.zeros(grid.shape)
     for m in mids:
         rho_mid += np.abs(m) ** 2
     u = convolve_periodic(potential.v, Field(grid, rho_mid)).values.real
     pot_phase = np.exp(-1j * dt * eps * u)
-    new = [np.fft.ifftn(half_kin * np.fft.fftn(pot_phase * m)) for m in mids]
+    new = np.fft.ifftn(half_kin * np.fft.fftn(pot_phase * mids, axes=axes), axes=axes)
 
     orbitals = tuple(Field(grid, vals) for vals in new)
     return OrbitalSet(orbitals=orbitals, time=state.time + dt, scaling=state.scaling)

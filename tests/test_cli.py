@@ -208,6 +208,22 @@ def test_bad_values_exit_2_without_traceback(tmp_path, command, override):
     assert not (tmp_path / "lemma_report.json").exists()
 
 
+@pytest.mark.parametrize("command", ["hartree", "exact", "aux"])
+def test_overflowing_potential_exits_3_without_traceback(tmp_path, command):
+    src = str(Path(mflab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "mflab.cli", command, "--out", str(tmp_path),
+         "--override", "potential.amplitude=1e200",
+         *(arg for item in SMALL for arg in ("--override", item))],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("numerical failure:")
+
+
 def test_observable_dictionary_properties():
     grid = Grid(dim=1, sites_per_dim=16, box_length=8.0, kinetic_mode="lattice")
     dictionary = observable_dictionary(grid, boxes=8, include_bump=True)

@@ -5,6 +5,7 @@ import pytest
 
 from mflab.errors import ConfigError, ContractViolation
 from mflab.gauge import (
+    _frozen_generator,
     apply_h_gauged,
     cauchy_schwarz_report,
     continuity_residual,
@@ -12,7 +13,14 @@ from mflab.gauge import (
     mean_field_forces,
     run_gauged,
 )
-from mflab.grid import Field, Grid, inner, norm_l2
+from mflab.grid import (
+    Field,
+    Grid,
+    gradient_multipliers,
+    inner,
+    kinetic_multiplier,
+    norm_l2,
+)
 from mflab.hartree import OrbitalSet, run_hartree
 from mflab.model import InitialFamily, ScalingParams, build_potential, make_orbitals
 
@@ -66,6 +74,94 @@ def test_generator_forms_agree(mode, dim):
     b = apply_h_gauged(probe, forces, 0.8, 0.5, form="expanded")
     scale = max(1.0, float(np.max(np.abs(a.values))))
     assert np.max(np.abs(a.values - b.values)) / scale < 1e-12
+
+
+def _expanded_per_term(vals, forces, t, epsilon, grid, weights):
+    """The expanded generator with every term transformed and combined on its own."""
+    axes = tuple(range(grid.dim))
+
+    def col(m):
+        return m.reshape(m.shape + (1,) * (vals.ndim - grid.dim))
+
+    def mult_apply(u, m):
+        return np.fft.ifftn(col(m) * np.fft.fftn(u, axes=axes), axes=axes)
+
+    def grad_apply(u):
+        spec = np.fft.fftn(u, axes=axes)
+        return [np.fft.ifftn(col(m) * spec, axes=axes) for m in gradient_multipliers(grid)]
+
+    te = t * epsilon
+    wR, wW = weights
+    scalar = col(
+        te * (wR * forces.mixed_real + 2.0 * te * wW * forces.quad_correction.values.real)
+    )
+    fbar = [col(f.values.real) for f in forces.f_bar]
+    out = mult_apply(vals, kinetic_multiplier(grid))
+    out = out + (scalar + wW * te**2 * sum(f**2 for f in fbar)) * vals
+    grads = grad_apply(vals)
+    for a in range(grid.dim):
+        out = out + wR * te * (
+            1j * grad_apply(fbar[a] * vals)[a] + fbar[a] * 1j * grads[a]
+        )
+    return out
+
+
+@pytest.mark.parametrize("weights", [(1.0, 1.0), (0.5, 1.0 / 3.0)])
+@pytest.mark.parametrize("N", [1, 2, 3, 4])
+@pytest.mark.parametrize("mode", ["spectral", "lattice"])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_frozen_generator_is_bit_identical_to_per_term_body(dim, mode, N, weights):
+    rng = np.random.default_rng(17 + N)
+    grid = Grid(dim=dim, sites_per_dim=16 if dim == 1 else 12, box_length=6.0,
+                kinetic_mode=mode)
+    pot = build_potential(grid, "gaussian", amplitude=3.0, width=1.6)
+    state = random_orbital_set(grid, N, rng, time=2.5)
+    forces = mean_field_forces(state, pot)
+    vals = rng.standard_normal(grid.shape + (N,)) + 1j * rng.standard_normal(grid.shape + (N,))
+    got = _frozen_generator(forces, 2.5, 0.3, grid, weights)(vals)
+    assert np.array_equal(got, _expanded_per_term(vals, forces, 2.5, 0.3, grid, weights))
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4])
+@pytest.mark.parametrize("mode", ["spectral", "lattice"])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_mean_field_forces_bit_identical_to_convolution_formulas(dim, mode, N):
+    rng = np.random.default_rng(23 + N)
+    grid = Grid(dim=dim, sites_per_dim=16 if dim == 1 else 12, box_length=6.0,
+                kinetic_mode=mode)
+    pot = build_potential(grid, "gaussian", amplitude=1.5, width=1.6)
+    state = random_orbital_set(grid, N, rng, time=0.8)
+
+    def conv(a, b):
+        return grid.cell_volume * np.fft.ifftn(np.fft.fftn(a) * np.fft.fftn(b))
+
+    def grad(u):
+        if mode == "lattice":
+            h = grid.spacing
+            return [(np.roll(u, -1, axis=a) - np.roll(u, 1, axis=a)) / (2.0 * h)
+                    for a in range(dim)]
+        spec = np.fft.fftn(u)
+        return [np.fft.ifftn(m * spec) for m in gradient_multipliers(grid)]
+
+    rho = np.zeros(grid.shape)
+    for psi in state.orbitals:
+        rho += np.abs(psi.values) ** 2
+    f_bar = [conv(F.values, rho).real for F in pot.force]
+    G = [np.zeros(grid.shape, dtype=np.complex128) for _ in range(dim)]
+    for psi in state.orbitals:
+        for a, dpsi in enumerate(grad(psi.values)):
+            G[a] += np.conj(psi.values) * dpsi
+    B = np.zeros(grid.shape, dtype=np.complex128)
+    C = np.zeros(grid.shape)
+    for a in range(dim):
+        B += -1j * conv(pot.force[a].values, G[a])
+        C -= conv(pot.force[a].values, f_bar[a] * rho).real
+
+    for _ in range(2):  # the second call reads the cached kernel spectra
+        forces = mean_field_forces(state, pot)
+        assert all(np.array_equal(f.values, want) for f, want in zip(forces.f_bar, f_bar))
+        assert np.array_equal(forces.momentum_coupling.values, B)
+        assert np.array_equal(forces.quad_correction.values, C)
 
 
 @pytest.mark.parametrize("mode", ["spectral", "lattice"])

@@ -4,14 +4,15 @@ import numpy as np
 import pytest
 
 from mflab.errors import ConfigError
-from mflab.grid import Grid, norm_l2
+from mflab.grid import Grid, kinetic_multiplier, norm_l2
 from mflab.hartree import (
     diagnostics,
     hartree_energy,
+    hartree_step,
     orthonormality_defect,
     run_hartree,
 )
-from mflab.model import InitialFamily, build_potential, make_orbitals
+from mflab.model import InitialFamily, ScalingParams, build_potential, make_orbitals
 
 
 def localized_setup(n=32, box=8.0, N=2, mode="spectral"):
@@ -135,3 +136,29 @@ def test_diagnostics_density_consistency():
     assert rep.orthonormality_defect < 1e-12
     assert abs(grid.cell_volume * np.sum(rep.rho.values.real) - state.N) < 1e-12
     assert rep.d_value >= 1.0
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4])
+@pytest.mark.parametrize("mode", ["spectral", "lattice"])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_hartree_step_bit_identical_to_per_orbital_loop(dim, mode, N):
+    grid = Grid(dim=dim, sites_per_dim=16 if dim == 1 else 12, box_length=6.0,
+                kinetic_mode=mode)
+    pot = build_potential(grid, "gaussian", amplitude=1.5, width=1.6)
+    state = make_orbitals(InitialFamily("localized", width=0.6), N, grid,
+                          ScalingParams(N=N, epsilon=0.3))
+    orbitals = state.orbitals
+    dt = 0.01
+
+    half_kin = np.exp(-0.5j * dt * 0.3 * kinetic_multiplier(grid))
+    mids = [np.fft.ifftn(half_kin * np.fft.fftn(phi.values)) for phi in orbitals]
+    rho_mid = np.zeros(grid.shape)
+    for m in mids:
+        rho_mid += np.abs(m) ** 2
+    u = (grid.cell_volume * np.fft.ifftn(np.fft.fftn(pot.v.values) * np.fft.fftn(rho_mid))).real
+    pot_phase = np.exp(-1j * dt * 0.3 * u)
+    want = [np.fft.ifftn(half_kin * np.fft.fftn(pot_phase * m)) for m in mids]
+
+    got = hartree_step(state, pot, dt)
+    assert got.time == dt
+    assert all(np.array_equal(phi.values, w) for phi, w in zip(got.orbitals, want))

@@ -63,3 +63,10 @@ def test_non_hermitian_rejected():
     v = np.ones(3, dtype=complex)
     with pytest.raises(NumericalFailure):
         expm_multiply_hermitian(lambda x: A @ x, v, -1j)
+
+
+def test_non_finite_coefficient_is_numerical_failure():
+    A = np.diag([1.0, np.inf, 3.0])
+    v = np.ones(3, dtype=complex)
+    with np.errstate(invalid="ignore"), pytest.raises(NumericalFailure, match="non-finite"):
+        expm_multiply_hermitian(lambda x: A @ x, v, -1j)
