@@ -33,14 +33,20 @@ blocks carrying at most two (``MAX_COMPLEMENT``) complement projections in
 total, w~ = sum_{b+c<=2} P^(b) w P^(c), where P^(b) distributes b factors of
 q = 1 - p over the kernel's slots.  In the orbital-adapted mode basis U of
 ``build_projections`` (first N columns span Ran p) every P^(b) is diagonal,
-so the production route (``kept_interaction``) rotates the kernel slot by
-slot, multiplies it by the fixed 0/1 mask exc(row) + exc(col) <= 2, and
-rotates back: O(L^(2r+1)) per kernel instead of O(L^(3r)).  The mask depends
-only on (L, N, r) and is built once from ``slot_sector_projectors``, the
-literal kron construction of P^(b).  ``truncate_interaction`` keeps the
-literal sum of projector products as the oracle and returns the discarded
-blocks alongside, so that kept + discarded = w can be checked as an
-operator identity.
+so the production route (``kept_interaction``) rotates the kernel forward
+slot by slot, O(L^(2r+1)) per kernel instead of O(L^(3r)), and multiplies it
+by the fixed 0/1 mask exc(row) + exc(col) <= 2.  The kept kernels are never
+rotated back to site modes.  The lift tables only index mode labels, so
+``build_aux_generator`` lifts them on the configuration basis of the adapted
+modes, H_ad, and carries the sum back once:
+H = lift1(K) + Rot^dag H_ad Rot, with Rot = ``Projections.rotation``
+(Rot c holds a state's adapted amplitudes).  H is a dense dim x dim array,
+dim <= 495 at every CLI cap.  The mask depends only on (L, N, r) and is
+built once from ``slot_sector_projectors``, the literal kron construction of
+P^(b).  ``truncate_interaction`` keeps the literal sum of projector products
+as the oracle and returns the discarded blocks alongside, so that
+kept + discarded = w can be checked as an operator identity; lifting its kept
+part on the site basis reproduces ``build_aux_generator``.
 
 ``run_auxiliary`` co-evolves the truncated state, the mean-field orbitals,
 and the exact state, recording occupancy diagnostics, the direct energy
@@ -251,7 +257,7 @@ def truncate_interaction(
 
     The literal oracle for the truncation: dense products with the sector
     projectors, O(L^(3r)) per block.  ``build_aux_generator`` computes the
-    same kept part by rotate-mask-rotate (``kept_interaction``).
+    same kept part in the adapted mode basis (``kept_interaction``).
     """
     if w.ndim == 1:
         w = np.diag(w.astype(np.complex128))
@@ -290,17 +296,17 @@ def _kept_mask(L: int, N: int, r: int) -> np.ndarray:
     return mask
 
 
-def _rotate_slots(w: np.ndarray, left: np.ndarray, right: np.ndarray, r: int) -> np.ndarray:
-    """left^(x r) @ w @ right^(x r) for an (L^r, L^r) kernel, one slot at a time.
+def _rotate_slots(w: np.ndarray, U: np.ndarray, r: int) -> np.ndarray:
+    """(U^dag)^(x r) @ w @ U^(x r) for an (L^r, L^r) kernel, one slot at a time.
 
     Each pass contracts the leading index of the 2r-index tensor with one
     L x L matrix and cycles it to the back (one matmul, no transpose copy),
     so after 2r passes the index order is restored: O(L^(2r+1)) instead of
     O(L^(3r)).
     """
-    L = left.shape[0]
+    L = U.shape[0]
     out = w
-    for A in (left.T,) * r + (right,) * r:
+    for A in (U.conj(),) * r + (U,) * r:
         out = out.reshape(L, -1).T @ A
     return out.reshape(L**r, L**r)
 
@@ -321,18 +327,22 @@ def _rotate_diagonal(d: np.ndarray, U: np.ndarray, r: int) -> np.ndarray:
 
 
 def kept_interaction(w: np.ndarray, projections: Projections, r: int) -> np.ndarray:
-    """sum_{b+c<=2} P^(b) w P^(c) by rotate-mask-rotate in the adapted basis.
+    """sum_{b+c<=2} P^(b) w P^(c) in the adapted mode basis, by rotate and mask.
 
-    ``w`` is an (L^r, L^r) kernel or the diagonal (L^r,) of one.
+    ``w`` is an (L^r, L^r) site-basis kernel or the diagonal (L^r,) of one.
+    The result is (U^dag)^(x r) [sum_{b+c<=2} P^(b) w P^(c)] U^(x r) with
+    U = ``projections.basis_matrix``: the kept kernel on adapted modes,
+    where each P^(b) is diagonal.  It stays there; ``build_aux_generator``
+    lifts it on the adapted configuration basis.
     """
     U = projections.basis_matrix
     L = U.shape[0]
     if w.ndim == 1:
         rotated = _rotate_diagonal(w, U, r)
     else:
-        rotated = _rotate_slots(w, U.conj().T, U, r)
+        rotated = _rotate_slots(w, U, r)
     rotated *= _kept_mask(L, projections.n_occupied, r)
-    return _rotate_slots(rotated, U, U.conj().T, r)
+    return rotated
 
 
 # ---------------------------------------------------------------------------
@@ -373,18 +383,19 @@ def build_aux_generator(
     te = t * epsilon
     proj = build_projections(gauged_orbitals)
 
-    H = lift_one_body(basis, dense_kinetic(grid)).astype(np.complex128)
     w2 = te * base.pair_momentum
     w2[np.diag_indices_from(w2)] += te**2 * base.pair_diag
-    H = H + lift_two_body(basis, kept_interaction(w2, proj, 2))
+    H_ad = lift_two_body(basis, kept_interaction(w2, proj, 2))
     if basis.n_particles >= 3:
         if base.triple_diag is None:
             raise ConfigError("triple kernel required for three or more particles")
-        H = H + lift_three_body(basis, kept_interaction(te**2 * base.triple_diag, proj, 3))
-    H = H.tocsr()
-    asym = abs(H - H.conjugate().transpose())
-    if asym.nnz and asym.max() > 1e-9:
-        raise ContractViolation(f"truncated generator not hermitian: defect {asym.max()}")
+        H_ad = H_ad + lift_three_body(basis, kept_interaction(te**2 * base.triple_diag, proj, 3))
+    Rot, _ = proj.rotation(basis)
+    H = Rot.conj().T @ (H_ad @ Rot)
+    H += lift_one_body(basis, dense_kinetic(grid)).toarray()
+    defect = float(np.max(np.abs(H - H.conj().T)))
+    if defect > 1e-9:
+        raise ContractViolation(f"truncated generator not hermitian: defect {defect}")
     return ManyBodyOperator(basis=basis, matrix=H, epsilon=epsilon)
 
 

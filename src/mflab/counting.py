@@ -11,7 +11,11 @@ f_hat = sum_k f(k) P^(k).  Three implementations are kept deliberately:
 
 * a production route on the configuration basis: rotate to an orbital-adapted
   mode basis (first n columns span Ran p), where the sector index is just the
-  count of occupied complement modes and every weight operator is diagonal;
+  count of occupied complement modes and every weight operator is diagonal.
+  The rotation ``Projections.rotation`` holds the N x N minors of the basis
+  matrix for every pair of configurations, evaluated as one vectorised
+  Leibniz sum over the N! permutations with shared partial products;
+  ``np.linalg.det`` of each minor is its test oracle;
 * the same adapted basis on the N-fold tensor space (:class:`AdaptedSlots`):
   a slot tensor is rotated once, slot by slot, after which every sector,
   weight and q-product is an elementwise mask on complement counts; the
@@ -140,17 +144,40 @@ class Projections:
         key = (basis.n_modes, basis.n_particles)
         if key not in self._rotations:
             configs = np.array(basis.configs)
-            U = self.basis_matrix
-            dim, Npart = basis.dim, basis.n_particles
-            Rot = np.empty((dim, dim), dtype=np.complex128)
-            chunk = max(1, int(2**22 // max(1, dim * Npart * Npart)))
-            for start in range(0, dim, chunk):
-                Ks = configs[start : start + chunk]
-                sub = U[configs[None, :, :, None], Ks[:, None, None, :]]
-                Rot[start : start + chunk, :] = np.conj(np.linalg.det(sub))
             exc = (configs >= self.n_occupied).sum(axis=1)
-            self._rotations[key] = (Rot, exc)
+            self._rotations[key] = (_leibniz_rotation(self.basis_matrix, configs), exc)
         return self._rotations[key]
+
+
+def _leibniz_rotation(U: np.ndarray, configs: np.ndarray) -> np.ndarray:
+    """Rot[K, I] = conj(det A), A[i, j] = conj(U[I_i, K_j]), for every pair (K, I).
+
+    The Leibniz sum det A = sum_s sign(s) prod_i A[i, s(i)] over the N!
+    permutations, evaluated elementwise on (dim, dim) arrays for all pairs
+    at once.  Permutations that agree on rows 0..i share their partial
+    product: it is the minor on rows 0..i and the column set s({0..i}), so
+    the minors are built row by row over column subsets (Laplace expansion
+    along the newest row), N 2^(N-1) array products instead of N! N.
+    Every caller has N <= 5; ``np.linalg.det`` of each minor is the test
+    oracle.
+    """
+    N = configs.shape[1]
+    T = U.conj().T  # T[K_j, I_i] = A[i, j]
+    minors = {(): 1.0}
+    for i in range(N):
+        row = [T[configs[:, j]][:, configs[:, i]] for j in range(N)]  # A[i, j] over (K, I)
+        grown = {}
+        for cols in combinations(range(N), i + 1):
+            acc = np.zeros_like(row[0])
+            for pos, j in enumerate(cols):  # cofactor sign (-1)^(i + pos)
+                term = row[j] * minors[cols[:pos] + cols[pos + 1:]]
+                if (i + pos) % 2:
+                    acc -= term
+                else:
+                    acc += term
+            grown[cols] = acc
+        minors = grown
+    return minors[tuple(range(N))]
 
 
 def build_projections(orbital_set) -> Projections:

@@ -104,7 +104,11 @@ def hartree_energy(state: OrbitalSet, potential: InteractionPotential) -> float:
 
 
 def hartree_step(state: OrbitalSet, potential: InteractionPotential, dt: float) -> OrbitalSet:
-    """One Strang step of the self-consistent evolution."""
+    """One Strang step of the self-consistent evolution.
+
+    A potential phase dt eps max|v * rho| above pi per step aliases, so it
+    raises ``NumericalFailure`` instead of returning an unresolved step.
+    """
     grid = state.grid
     eps = state.scaling.epsilon
     half_kin = np.exp(-0.5j * dt * eps * kinetic_multiplier(grid))
@@ -116,6 +120,12 @@ def hartree_step(state: OrbitalSet, potential: InteractionPotential, dt: float) 
     for m in mids:
         rho_mid += np.abs(m) ** 2
     u = convolve_periodic(potential.v, Field(grid, rho_mid)).values.real
+    phase = abs(dt * eps) * np.max(np.abs(u))
+    if phase > np.pi:
+        raise NumericalFailure(
+            f"potential phase {phase:.3g} rad per step exceeds pi: dt = {dt} "
+            "does not resolve v * rho"
+        )
     pot_phase = np.exp(-1j * dt * eps * u)
     new = np.fft.ifftn(half_kin * np.fft.fftn(pot_phase * mids, axes=axes), axes=axes)
 

@@ -9,15 +9,22 @@ The rescaled generator is
 with K the grid's kinetic matrix in its kinetic mode.  ``lift_one_body``/
 ``lift_two_body``/``lift_three_body`` raise r-body mode-space operators
 (r = 1, 2, 3) to the configuration basis through precomputed index/sign
-tables, so lifting a new operator is a vectorised gather divided by r!.
+tables, so lifting a new operator is one vectorised gather.
 One r-body builder (``ConfigBasis._table``) makes every table, with numpy
 bit operations on the configuration bitmasks.  Each entry is a nonzero
 matrix element of a^dag_{d1}...a^dag_{dr} a_{cr}...a_{c1} (a_{c1} acts
 first, a^dag_{d1} last); entries run over columns, then ordered tuples of
-distinct occupied modes (c1 slowest), then created modes (dr slowest).
-These tables serve the lifts only.  Reduced densities and one-body
-expectations come from the annihilation map instead: ``annihilated`` scatters
-psi into the (dim_{N-1} x L) matrix Phi whose column a is a_a psi, through
+distinct occupied modes (c1 slowest), then increasing created modes
+d1 < ... < dr (dr slowest).  Every r-body operator a lift receives is
+exchange symmetric, W[(d_s), (c_s)] = W[(d), (c)] for each simultaneous
+slot permutation s, so the r! orderings of the created modes give equal
+terms: the increasing one with every ordering of the annihilated modes
+counts each term once, and the lift needs no 1/r!.  (A kernel that is not
+exchange symmetric would be lifted wrongly.)  One-body tables have a single
+created mode and are unaffected.  A lift stores no explicit zeros.  These
+tables serve the lifts only.  Reduced densities and one-body expectations
+come from the annihilation map instead: ``annihilated`` scatters psi into
+the (dim_{N-1} x L) matrix Phi whose column a is a_a psi, through
 ``ConfigBasis.annihilation_table`` (dim * N entries against the one-body
 table's dim * N * (L - N + 1)), and <a^dag_b a_a> = (Phi^H Phi)[b, a].
 
@@ -36,7 +43,6 @@ Conventions:
 
 from __future__ import annotations
 
-import math
 import struct
 from dataclasses import dataclass
 from functools import cached_property
@@ -134,11 +140,13 @@ class ConfigBasis:
     def _table(self, r: int) -> tuple[np.ndarray, ...]:
         """Nonzero entries of a^dag_{d1}...a^dag_{dr} a_{cr}...a_{c1} on the basis.
 
-        Returns int64 ``(rows, cols, row_slot, col_slot)`` and int8 ``signs``
+        Returns int32 ``(rows, cols, row_slot, col_slot)`` and int8 ``signs``
         with <rows[e]| ... |cols[e]> = signs[e], row_slot = (d1, ..., dr) and
-        col_slot = (c1, ..., cr) flattened C-order, in the entry order of the
-        module docstring.  The int64 bitmasks rely on the n_modes <= 62 guard
-        of ``__post_init__``.
+        col_slot = (c1, ..., cr) flattened C-order, d1 < ... < dr, in the
+        entry order of the module docstring: dim * N!/(N-r)! * C(L-N+r, r)
+        entries.  The int64 bitmasks rely on the n_modes <= 62 guard of
+        ``__post_init__``; int32 holds every row and slot index (dim and
+        L^r stay far below 2^31 wherever a table is built).
         """
         L = self.n_modes
         configs = np.array(self.configs, dtype=np.int64)
@@ -155,26 +163,39 @@ class ConfigBasis:
         weights = L ** np.arange(r - 1, -1, -1, dtype=np.int64)
         col_slot = c @ weights
         row_slot = np.zeros(len(cols), dtype=np.int64)
-        bits = np.int64(1) << np.arange(L, dtype=np.int64)
+        modes = np.arange(L, dtype=np.int64)
+        bits = np.int64(1) << modes
+        bound = np.full(len(cols), L)  # d_k < d_{k+1}: created modes increase
         for k in reversed(range(r)):  # a^dag_{dr} acts first
-            entry, d = np.nonzero((masks[:, None] & bits) == 0)
+            free = ((masks[:, None] & bits) == 0) & (modes < bound[:, None])
+            entry, d = np.nonzero(free)
             signs = signs[entry] * _parity(masks[entry] & (bits[d] - 1))
             masks = masks[entry] | bits[d]
             cols, col_slot = cols[entry], col_slot[entry]
             row_slot = row_slot[entry] + d * weights[k]
+            bound = d
         order = np.argsort(self.masks)
         rows = order[np.searchsorted(self.masks, masks, sorter=order)]
-        return rows, cols, row_slot, col_slot, signs.astype(np.int8)
+        index = (rows, cols, row_slot, col_slot)
+        return (*(a.astype(np.int32) for a in index), signs.astype(np.int8))
 
 
 def _lift(basis: ConfigBasis, W: np.ndarray, r: int, table: str) -> sp.csr_matrix:
-    """sum over r-subsets of particles of W, gathered through ``basis.<table>``."""
+    """sum over r-subsets of particles of an exchange-symmetric W, gathered
+    through ``basis.<table>``, one term per table entry.
+
+    Entries where W vanishes are dropped before the COO -> CSR sort: the
+    adapted-basis kernels of the auxiliary generator are mostly masked zeros.
+    """
     n = basis.n_modes**r
     if W.shape != (n, n):
         raise GridMismatchError(f"{r}-body operator shape {W.shape} != ({n}, {n})")
     rows, cols, row_slot, col_slot, signs = getattr(basis, table)
-    data = signs * W[row_slot, col_slot] / math.factorial(r)
-    return sp.coo_matrix((data, (rows, cols)), shape=(basis.dim, basis.dim)).tocsr()
+    data = signs * W[row_slot, col_slot]
+    nz = data != 0
+    return sp.coo_matrix(
+        (data[nz], (rows[nz], cols[nz])), shape=(basis.dim, basis.dim)
+    ).tocsr()
 
 
 def lift_one_body(basis: ConfigBasis, A: np.ndarray) -> sp.csr_matrix:
@@ -252,10 +273,15 @@ def slater_state(orbital_set, basis: ConfigBasis) -> ManyBodyState:
 
 @dataclass(frozen=True, eq=False)
 class ManyBodyOperator:
-    """A hermitian configuration-space operator plus the rescaling epsilon."""
+    """A hermitian configuration-space operator plus the rescaling epsilon.
+
+    ``matrix`` is scipy CSR for the lifted Hamiltonians and a dense
+    (dim, dim) array for the truncated auxiliary generator, which is
+    carried back from the adapted configuration basis as one dense product.
+    """
 
     basis: ConfigBasis
-    matrix: sp.csr_matrix
+    matrix: sp.csr_matrix | np.ndarray
     epsilon: float
 
     def matvec(self, x: np.ndarray) -> np.ndarray:

@@ -30,7 +30,14 @@ from mflab.errors import ConfigError
 from mflab.gauge import gauge_orbitals
 from mflab.grid import Grid, dense_kinetic, make_field
 from mflab.hartree import OrbitalSet
-from mflab.manybody import ConfigBasis, ManyBodyState, lift_one_body, random_state
+from mflab.manybody import (
+    ConfigBasis,
+    ManyBodyState,
+    lift_one_body,
+    lift_three_body,
+    lift_two_body,
+    random_state,
+)
 from mflab.model import InitialFamily, ScalingParams, build_potential, make_orbitals
 
 
@@ -137,6 +144,14 @@ def test_truncation_triple_reconstructs():
     assert tr.reconstruction_defect < 1e-10
 
 
+def to_adapted(kernel, U, r):
+    """(U^dag)^(x r) kernel U^(x r) with the dense kron product."""
+    Ur = U
+    for _ in range(r - 1):
+        Ur = np.kron(Ur, U)
+    return Ur.conj().T @ kernel @ Ur
+
+
 def test_kept_interaction_matches_truncation_oracle():
     rng = np.random.default_rng(23)
     grid, pot, orbitals = make_system(N=3)
@@ -155,8 +170,36 @@ def test_kept_interaction_matches_truncation_oracle():
     for proj in projections:
         for w, r in kernels:
             oracle = truncate_interaction(w, proj.p, proj.q, r).kept
+            oracle = to_adapted(oracle, proj.basis_matrix, r)
             got = kept_interaction(w, proj, r)
             assert np.max(np.abs(got - oracle)) <= 1e-12 * np.max(np.abs(w)), (r, w.ndim)
+
+
+@pytest.mark.parametrize("mode", ["lattice", "spectral"])
+@pytest.mark.parametrize("t", [0.3, 0.7])
+@pytest.mark.parametrize("L,N", [(6, 2), (6, 3), (6, 4), (8, 3)])
+def test_aux_generator_matches_lifted_truncation_oracle(L, N, t, mode):
+    """The adapted-basis route equals the site-basis lifts of the literal truncation."""
+    grid, pot, orbitals = make_system(n=L, N=N, mode=mode, amplitude=2.0)
+    moved = OrbitalSet(orbitals=orbitals.orbitals, time=t, scaling=orbitals.scaling)
+    psi = gauge_orbitals(moved, pot)
+    base = base_interactions(pot, include_triple=N >= 3)
+    basis = ConfigBasis(n_modes=L, n_particles=N)
+    te = t * psi.scaling.epsilon
+    proj = build_projections(psi)
+
+    w2 = te * base.pair_momentum + te**2 * np.diag(base.pair_diag)
+    oracle = lift_one_body(basis, dense_kinetic(grid)) + lift_two_body(
+        basis, truncate_interaction(w2, proj.p, proj.q, 2).kept
+    )
+    if N >= 3:
+        w3 = truncate_interaction(te**2 * base.triple_diag, proj.p, proj.q, 3).kept
+        oracle = oracle + lift_three_body(basis, w3)
+    oracle = oracle.toarray()
+
+    got = build_aux_generator(base, psi, t, basis).matrix
+    assert isinstance(got, np.ndarray) and got.shape == (basis.dim, basis.dim)
+    assert np.max(np.abs(got - oracle)) <= 1e-12 * np.max(np.abs(oracle))
 
 
 def test_kept_mask_is_cached_per_shape():

@@ -224,6 +224,21 @@ def test_overflowing_potential_exits_3_without_traceback(tmp_path, command):
     assert proc.stderr.startswith("numerical failure:")
 
 
+def test_unresolved_hartree_step_exits_3_before_writing(tmp_path):
+    src = str(Path(mflab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "mflab.cli", "hartree", "--out", str(tmp_path),
+         "--override", "potential.amplitude=1e200"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith("numerical failure:")
+    assert "exceeds pi" in proc.stderr
+    assert not list(tmp_path.glob("hartree_N2_*"))
+
+
 def test_observable_dictionary_properties():
     grid = Grid(dim=1, sites_per_dim=16, box_length=8.0, kinetic_mode="lattice")
     dictionary = observable_dictionary(grid, boxes=8, include_bump=True)

@@ -179,6 +179,20 @@ def test_adapted_slots_match_literal_slot_space(N, L):
         close(view.apply_on_slots(R, A, slots), space.apply_on_slots(T, A, slots))
 
 
+@pytest.mark.parametrize("N,L", [(1, 4), (2, 6), (3, 8), (4, 8), (5, 7)])
+def test_rotation_matches_determinant_oracle(N, L):
+    """Rot[K, I] = conj(det U[sites(I), modes(K)]), each minor by np.linalg.det."""
+    proj = _random_projections(L, N, np.random.default_rng(10 * N + L))
+    basis = ConfigBasis(n_modes=L, n_particles=N)
+    Rot, exc = proj.rotation(basis)
+    configs = np.array(basis.configs)
+    U = proj.basis_matrix
+    minors = U[configs[None, :, :, None], configs[:, None, None, :]]  # [K, I, i, j]
+    np.testing.assert_allclose(Rot, np.conj(np.linalg.det(minors)), rtol=0, atol=1e-13)
+    np.testing.assert_allclose(Rot @ Rot.conj().T, np.eye(basis.dim), rtol=0, atol=1e-13)
+    np.testing.assert_array_equal(exc, (configs >= N).sum(axis=1))
+
+
 def test_alpha_number_two_routes_agree():
     grid = Grid(dim=1, sites_per_dim=10, box_length=5.0)
     rng = np.random.default_rng(17)

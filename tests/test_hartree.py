@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from mflab.errors import ConfigError
+from mflab.errors import ConfigError, NumericalFailure
 from mflab.grid import Grid, kinetic_multiplier, norm_l2
 from mflab.hartree import (
     diagnostics,
@@ -51,6 +51,19 @@ def test_constant_potential_adds_global_phase():
     phase = np.exp(-1j * t_final * eps * c * state.N)
     for pa, pb in zip(a.orbitals, b.orbitals):
         np.testing.assert_allclose(pb.values, phase * pa.values, atol=1e-12)
+
+
+def test_step_beyond_phase_resolution_fails():
+    """dt eps max|v * rho| > pi raises; v * rho = c N for a constant v = c."""
+    grid = Grid(dim=1, sites_per_dim=16, box_length=5.0)
+    state = make_orbitals(InitialFamily("delocalized"), 2, grid)
+    dt = 0.01
+    at_pi = np.pi / (dt * state.scaling.epsilon * state.N)
+    below = build_potential(grid, "cosine_sum", amplitudes=[], offset=0.99 * at_pi)
+    above = build_potential(grid, "cosine_sum", amplitudes=[], offset=-1.01 * at_pi)
+    assert hartree_step(state, below, dt).time == dt
+    with pytest.raises(NumericalFailure, match="exceeds pi"):
+        hartree_step(state, above, dt)
 
 
 @pytest.mark.parametrize("mode", ["spectral", "lattice"])

@@ -140,6 +140,20 @@ def test_lift_three_body_vanishes_for_pairs():
     assert lift_three_body(basis, W).nnz == 0
 
 
+@pytest.mark.parametrize("L,N", [(4, 2), (5, 3), (6, 4), (8, 3), (12, 3)])
+def test_table_lengths_and_created_mode_order(L, N):
+    """dim * N!/(N-r)! * C(L-N+r, r) entries: ordered annihilated, increasing created modes."""
+    basis = ConfigBasis(n_modes=L, n_particles=N)
+    tables = {1: basis.one_body_table, 2: basis.two_body_table, 3: basis.three_body_table}
+    for r, (rows, cols, row_slot, col_slot, signs) in tables.items():
+        expected = basis.dim * math.perm(N, r) * math.comb(L - N + r, r)
+        assert len(rows) == expected, r
+        assert all(a.dtype == np.int32 for a in (rows, cols, row_slot, col_slot))
+        assert signs.dtype == np.int8
+        created = np.stack(np.unravel_index(row_slot, (L,) * r))
+        assert np.all(np.diff(created, axis=0) > 0)
+
+
 def test_lift_diagonal_matches_one_body():
     rng = np.random.default_rng(2)
     basis = ConfigBasis(n_modes=6, n_particles=3)
