@@ -372,8 +372,14 @@ def build_aux_generator(
     gauged_orbitals: OrbitalSet,
     t: float,
     basis: ConfigBasis,
+    proj: Projections,
 ) -> ManyBodyOperator:
-    """Truncated gauged generator with projections from the given orbitals."""
+    """Truncated gauged generator with projections from the given orbitals.
+
+    ``proj`` is ``build_projections(gauged_orbitals)``; callers pass it in
+    because they need it too (``run_auxiliary``'s sector masses read its
+    rotation table), so it and its rotation are built once.
+    """
     grid = base.grid
     if gauged_orbitals.grid != grid:
         raise GridMismatchError("orbitals and kernels use different grids")
@@ -381,7 +387,6 @@ def build_aux_generator(
         raise GridMismatchError("basis mode count does not match the grid")
     epsilon = gauged_orbitals.scaling.epsilon
     te = t * epsilon
-    proj = build_projections(gauged_orbitals)
 
     w2 = te * base.pair_momentum
     w2[np.diag_indices_from(w2)] += te**2 * base.pair_diag
@@ -542,7 +547,7 @@ def run_auxiliary(
         a_m = tuple(
             float(np.dot(weight_threshold(N, g).values(), masses)) for g in gammas
         )
-        gen_t = build_aux_generator(base, psi_t, t, basis)
+        gen_t = build_aux_generator(base, psi_t, t, basis, proj)
         e_g = direct_energy(psi_t, potential, t)
         beta = energy_excess(aux_state, gen_t, e_g)
         bad = complement_kinetic(aux_state, psi_t)
@@ -568,7 +573,7 @@ def run_auxiliary(
         phi_mid = hartree_step(phi, potential, 0.5 * dt)
         phi = hartree_step(phi_mid, potential, 0.5 * dt)
         psi_mid = gauge_orbitals(phi_mid, potential)
-        gen = build_aux_generator(base, psi_mid, t_mid, basis)
+        gen = build_aux_generator(base, psi_mid, t_mid, basis, build_projections(psi_mid))
         amps = expm_multiply_hermitian(gen.matvec, amps, -1j * dt * gen.epsilon)
         if not np.all(np.isfinite(amps)):
             raise NumericalFailure(f"non-finite truncated amplitudes at step {step}")

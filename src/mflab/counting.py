@@ -71,12 +71,6 @@ class WeightFunction:
         )
         return WeightFunction(table)
 
-    def __mul__(self, other: "WeightFunction") -> "WeightFunction":
-        if self.n_particles != other.n_particles:
-            raise ConfigError("weights for different particle numbers")
-        table = tuple(a * b for a, b in zip(self.table, other.table))
-        return WeightFunction(table)
-
 
 def weight_number(N: int) -> WeightFunction:
     return WeightFunction(tuple(k / N for k in range(N + 1)))

@@ -37,6 +37,7 @@ bound on the momentum coupling B; only tests call it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -45,6 +46,7 @@ from .errors import ConfigError, ContractViolation, GridMismatchError, Numerical
 from .grid import (
     Field,
     Grid,
+    _fftn,
     _gradient_values,
     convolve_periodic,
     gradient,
@@ -83,31 +85,54 @@ class MeanFieldForces:
 
 
 def mean_field_forces(state: OrbitalSet, potential: InteractionPotential) -> MeanFieldForces:
+    """F_bar, B and C of the docstring above at the state's time.
+
+    The 3 d convolutions with the force components F_a run as two stacked
+    transform stages, F_a^ rho^ first and then [G_a, F_bar_a rho]; each
+    product keeps the operand order of ``convolve_periodic``, so the result
+    is bit-identical to convolving one pair at a time.
+    """
     if potential.grid != state.grid:
         raise GridMismatchError("potential and orbitals use different grids")
     grid = state.grid
-    rho = density(state)
-    f_bar = tuple(
-        Field(grid, convolve_periodic(F, rho).values.real) for F in potential.force
-    )
-    grads = _gradient_values(np.stack([psi.values for psi in state.orbitals]), grid)
-    G = [np.zeros(grid.shape, dtype=np.complex128) for _ in range(grid.dim)]
-    for j, psi in enumerate(state.orbitals):
-        for a in range(grid.dim):
-            G[a] += np.conj(psi.values) * grads[a][j]
+    d = grid.dim
+    force_hat = np.stack([F.spectrum for F in potential.force])
+    rho_field = density(state)
+    rho = rho_field.values.real
+    axes = tuple(range(1, d + 1))
+    f_bar = (grid.cell_volume * _fftn(force_hat * rho_field.spectrum, axes, inverse=True)).real
+
+    psi = np.stack([phi.values for phi in state.orbitals])
+    conj_psi = np.conj(psi)
+    flux = np.zeros((2, d) + grid.shape, dtype=np.complex128)  # [G_a], [F_bar_a rho]
+    for a, grad in enumerate(_gradient_values(psi, grid)):
+        for term in conj_psi * grad:  # summed orbital by orbital
+            flux[0, a] += term
+    flux[1] = f_bar * rho
+    flux_axes = tuple(range(2, d + 2))
+    conv = grid.cell_volume * _fftn(force_hat * _fftn(flux, flux_axes), flux_axes, inverse=True)
     B = np.zeros(grid.shape, dtype=np.complex128)
     Cvals = np.zeros(grid.shape)
-    for a in range(grid.dim):
-        B += -1j * convolve_periodic(potential.force[a], Field(grid, G[a])).values
-        Cvals -= convolve_periodic(
-            potential.force[a], Field(grid, f_bar[a].values.real * rho.values.real)
-        ).values.real
+    for a in range(d):
+        B += -1j * conv[0, a]
+        Cvals -= conv[1, a].real
     return MeanFieldForces(
         time=state.time,
-        f_bar=f_bar,
+        f_bar=tuple(Field(grid, f) for f in f_bar),
         momentum_coupling=Field(grid, B),
         quad_correction=Field(grid, Cvals),
     )
+
+
+@lru_cache(maxsize=None)
+def _generator_multipliers(grid: Grid) -> np.ndarray:
+    """[K, d_1, ..., d_d] multipliers stacked, with a trailing orbital axis.
+
+    The frozen generator multiplies psi^ by all of them and F_bar_a psi^ by
+    d_a, which is entry 1 + a.
+    """
+    mults = np.stack([kinetic_multiplier(grid), *gradient_multipliers(grid)])
+    return mults.reshape(mults.shape + (1,))
 
 
 def _frozen_generator(
@@ -131,30 +156,26 @@ def _frozen_generator(
     wR, wW = weights
     col = grid.shape + (1,)
     scalar = te * (wR * forces.mixed_real + 2.0 * te * wW * forces.quad_correction.values.real)
-    fbar = [f.values.real.reshape(col) for f in forces.f_bar]
+    fbar = np.stack([f.values.real.reshape(col) for f in forces.f_bar])
     diag = scalar.reshape(col) + wW * te**2 * sum(f**2 for f in fbar)
-    i_fbar = [f * 1j for f in fbar]
+    i_fbar = fbar * 1j
     coupling = wR * te
-    kin = kinetic_multiplier(grid).reshape(col)
-    mults = [m.reshape(col) for m in gradient_multipliers(grid)]
     d = grid.dim
+    mults = _generator_multipliers(grid)
     axes = tuple(range(1, d + 1))
 
     def matvec(vals: np.ndarray) -> np.ndarray:
         stack = np.empty((1 + d,) + vals.shape, dtype=np.complex128)
         stack[0] = vals
-        for a in range(d):
-            np.multiply(fbar[a], vals, out=stack[1 + a])
-        spec = np.fft.fftn(stack, axes=axes)
+        np.multiply(fbar, vals, out=stack[1:])
+        spec = _fftn(stack, axes)
         prods = np.empty((1 + 2 * d,) + vals.shape, dtype=np.complex128)
-        np.multiply(kin, spec[0], out=prods[0])
-        for a in range(d):
-            np.multiply(mults[a], spec[0], out=prods[1 + a])
-            np.multiply(mults[a], spec[1 + a], out=prods[1 + d + a])
-        back = np.fft.ifftn(prods, axes=axes)
+        np.multiply(mults, spec[0], out=prods[: 1 + d])
+        np.multiply(mults[1:], spec[1:], out=prods[1 + d :])
+        back = _fftn(prods, axes, inverse=True)
         out = back[0] + diag * vals
         for a in range(d):
-            out = out + coupling * (1j * back[1 + d + a] + i_fbar[a] * back[1 + a])
+            out += coupling * (1j * back[1 + d + a] + i_fbar[a] * back[1 + a])
         return out
 
     return matvec

@@ -18,6 +18,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, reduce
 
@@ -49,8 +50,12 @@ class Grid:
             raise ConfigError(
                 f"sites_per_dim must be even and >= 2, got {self.sites_per_dim}"
             )
-        if not self.box_length > 0:
-            raise ConfigError(f"box_length must be positive, got {self.box_length}")
+        if not 1e-100 <= self.spacing <= 1e100:
+            # keeps h**dim and 1/h**2 finite and normal
+            raise ConfigError(
+                f"box_length {self.box_length} gives grid spacing {self.spacing}, "
+                "outside [1e-100, 1e100]"
+            )
         if self.kinetic_mode not in KINETIC_MODES:
             raise ConfigError(
                 f"kinetic_mode must be one of {KINETIC_MODES}, got {self.kinetic_mode!r}"
@@ -119,7 +124,7 @@ class Field:
     @cached_property
     def spectrum(self) -> np.ndarray:
         """``fftn`` of the values, computed on first use; a Field's values must not change."""
-        return np.fft.fftn(self.values)
+        return _fftn(self.values, range(self.grid.dim))
 
 
 def make_field(grid: Grid, values: np.ndarray) -> Field:
@@ -138,6 +143,20 @@ def require_same_grid(*fields: Field) -> Grid:
                 f"fields live on different grids: {grid} vs {f.grid}"
             )
     return grid
+
+
+def _fftn(vals: np.ndarray, axes: Sequence[int], inverse: bool = False) -> np.ndarray:
+    """``np.fft.fftn(vals, axes=axes)`` (``ifftn`` if ``inverse``), one axis at a time.
+
+    fftn itself applies ``fft`` to the listed axes from the last to the
+    first, and so does this loop, so the result is bit-identical; what it
+    skips is fftn's argument handling, which on small grids costs more than
+    the transforms.  A stacked array transforms each line as on its own.
+    """
+    transform = np.fft.ifft if inverse else np.fft.fft
+    for axis in reversed(axes):
+        vals = transform(vals, axis=axis)
+    return vals
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +199,14 @@ def gradient_multipliers(grid: Grid) -> tuple[np.ndarray, ...]:
 
 
 def apply_multiplier(f: Field, multiplier: np.ndarray) -> Field:
-    return Field(f.grid, np.fft.ifftn(multiplier * np.fft.fftn(f.values)))
+    axes = range(f.grid.dim)
+    return Field(f.grid, _fftn(multiplier * _fftn(f.values, axes), axes, inverse=True))
+
+
+@lru_cache(maxsize=None)
+def _shift_index(n: int, step: int) -> np.ndarray:
+    """Sites of u(x + step*h) on a periodic axis of n sites: ``take`` of these is ``np.roll(u, -step)``."""
+    return (np.arange(n) + step) % n
 
 
 def _gradient_values(vals: np.ndarray, grid: Grid) -> list[np.ndarray]:
@@ -188,9 +214,10 @@ def _gradient_values(vals: np.ndarray, grid: Grid) -> list[np.ndarray]:
     axes = tuple(range(vals.ndim - grid.dim, vals.ndim))
     if grid.kinetic_mode == "lattice":
         h = grid.spacing
-        return [(np.roll(vals, -1, axis=a) - np.roll(vals, 1, axis=a)) / (2.0 * h) for a in axes]
-    spectrum = np.fft.fftn(vals, axes=axes)
-    return [np.fft.ifftn(m * spectrum, axes=axes) for m in gradient_multipliers(grid)]
+        up, down = _shift_index(grid.sites_per_dim, 1), _shift_index(grid.sites_per_dim, -1)
+        return [(vals.take(up, axis=a) - vals.take(down, axis=a)) / (2.0 * h) for a in axes]
+    spectrum = _fftn(vals, axes)
+    return [_fftn(m * spectrum, axes, inverse=True) for m in gradient_multipliers(grid)]
 
 
 def gradient(f: Field) -> tuple[Field, ...]:
@@ -210,7 +237,7 @@ def convolve_periodic(a: Field, b: Field) -> Field:
     several kernels.
     """
     grid = require_same_grid(a, b)
-    vals = grid.cell_volume * np.fft.ifftn(a.spectrum * b.spectrum)
+    vals = grid.cell_volume * _fftn(a.spectrum * b.spectrum, range(grid.dim), inverse=True)
     return Field(grid, vals)
 
 

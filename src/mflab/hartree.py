@@ -22,6 +22,7 @@ from .errors import ConfigError, GridMismatchError, NumericalFailure
 from .grid import (
     Field,
     Grid,
+    _fftn,
     apply_multiplier,
     convolve_periodic,
     inner,
@@ -115,7 +116,7 @@ def hartree_step(state: OrbitalSet, potential: InteractionPotential, dt: float) 
     axes = tuple(range(1, grid.dim + 1))  # the orbitals are stacked on axis 0
 
     stack = np.stack([phi.values for phi in state.orbitals])
-    mids = np.fft.ifftn(half_kin * np.fft.fftn(stack, axes=axes), axes=axes)
+    mids = _fftn(half_kin * _fftn(stack, axes), axes, inverse=True)
     rho_mid = np.zeros(grid.shape)
     for m in mids:
         rho_mid += np.abs(m) ** 2
@@ -127,7 +128,7 @@ def hartree_step(state: OrbitalSet, potential: InteractionPotential, dt: float) 
             "does not resolve v * rho"
         )
     pot_phase = np.exp(-1j * dt * eps * u)
-    new = np.fft.ifftn(half_kin * np.fft.fftn(pot_phase * mids, axes=axes), axes=axes)
+    new = _fftn(half_kin * _fftn(pot_phase * mids, axes), axes, inverse=True)
 
     orbitals = tuple(Field(grid, vals) for vals in new)
     return OrbitalSet(orbitals=orbitals, time=state.time + dt, scaling=state.scaling)

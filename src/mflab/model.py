@@ -29,6 +29,8 @@ from .grid import (
 )
 
 EPSILON_RULES = ("standard", "dimension_adapted")
+# steps one time loop may take (1000x the default run)
+MAX_STEPS = 10**6
 
 
 @dataclass(frozen=True)
@@ -88,6 +90,11 @@ def step_schedule(span: float, dt: float, every: int | None = None) -> tuple[int
     """
     if dt <= 0 or span <= 0:
         raise ConfigError("time span and dt must be positive")
+    if not span / dt <= MAX_STEPS:  # also an overflowing quotient
+        raise ConfigError(
+            f"time span {span} takes {span / dt:.3g} steps of dt = {dt}, "
+            f"over the {MAX_STEPS}-step budget"
+        )
     n_steps = int(round(span / dt))
     if n_steps < 1 or abs(n_steps * dt - span) > 1e-9 * max(1.0, span):
         raise ConfigError(f"time span {span} is not an integer multiple of dt = {dt}")
@@ -139,15 +146,16 @@ def build_potential(grid: Grid, kind: str, **params) -> InteractionPotential:
             raise ConfigError(
                 f"gaussian width {width} under-resolved: need >= 3*spacing = {3*grid.spacing}"
             )
+        width_sq = np.float64(width) ** 2  # inf, not OverflowError, for a huge width
         vvals = np.zeros(grid.shape)
         fvals = [np.zeros(grid.shape) for _ in range(grid.dim)]
         for image in product((-1.0, 0.0, 1.0), repeat=grid.dim):
             shifted = [disp[a] + image[a] * grid.box_length for a in range(grid.dim)]
             r2 = sum(s**2 for s in shifted)
-            bump = amplitude * np.exp(-r2 / (2.0 * width**2))
+            bump = amplitude * np.exp(-r2 / (2.0 * width_sq))
             vvals += bump
             for a in range(grid.dim):
-                fvals[a] += bump * (-shifted[a] / width**2)
+                fvals[a] += bump * (-shifted[a] / width_sq)
     elif kind == "cosine_sum":
         amplitudes = [float(a) for a in params.get("amplitudes", [])]
         offset = float(params.get("offset", 0.0))
@@ -246,13 +254,13 @@ def make_orbitals(family: InitialFamily, N: int, grid: Grid,
             )
         xs = grid.coordinate_mesh()
         L = grid.box_length
-        w = family.width
+        width_sq = np.float64(family.width) ** 2  # inf, not OverflowError, for a huge width
 
         def periodic_bump(coord: np.ndarray, centre: float) -> np.ndarray:
             off = np.mod(coord - centre + 0.5 * L, L) - 0.5 * L
             total = np.zeros_like(off)
             for img in (-1.0, 0.0, 1.0):
-                total += np.exp(-((off + img * L) ** 2) / (2.0 * w**2))
+                total += np.exp(-((off + img * L) ** 2) / (2.0 * width_sq))
             return total
 
         raw = []

@@ -30,6 +30,7 @@ from mflab.auxiliary import (
 from mflab.cli import main as cli_main
 from mflab.counting import (
     SlotSpace,
+    WeightFunction,
     alpha,
     alpha_number_onebody,
     apply_weight,
@@ -127,7 +128,7 @@ def test_01_weight_operator_algebra():
     basis = ConfigBasis(L, N)
     f = weight_number(N)
     g = weight_threshold(N, 0.5)
-    fg = f * g
+    fg = WeightFunction(tuple(a * b for a, b in zip(f.table, g.table)))
 
     worst_orth = worst_complete = worst_product = worst_shift = 0.0
     for _ in range(200):

@@ -197,7 +197,7 @@ def test_aux_generator_matches_lifted_truncation_oracle(L, N, t, mode):
         oracle = oracle + lift_three_body(basis, w3)
     oracle = oracle.toarray()
 
-    got = build_aux_generator(base, psi, t, basis).matrix
+    got = build_aux_generator(base, psi, t, basis, proj).matrix
     assert isinstance(got, np.ndarray) and got.shape == (basis.dim, basis.dim)
     assert np.max(np.abs(got - oracle)) <= 1e-12 * np.max(np.abs(oracle))
 
@@ -253,7 +253,7 @@ def test_generator_reduces_to_kinetic_at_time_zero():
     grid, pot, orbitals = make_system(N=2)
     basis = ConfigBasis(n_modes=grid.total_sites, n_particles=2)
     base = base_interactions(pot, include_triple=False)
-    gen = build_aux_generator(base, orbitals, 0.0, basis)
+    gen = build_aux_generator(base, orbitals, 0.0, basis, build_projections(orbitals))
     K = lift_one_body(basis, dense_kinetic(grid))
     assert abs(gen.matrix - K).max() < 1e-12
 

@@ -7,14 +7,19 @@ determinism, and the exit-code contract.
 """
 
 import csv
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 import mflab
 from mflab.cli import main, observable_dictionary
@@ -224,6 +229,62 @@ def test_overflowing_potential_exits_3_without_traceback(tmp_path, command):
     assert proc.stderr.startswith("numerical failure:")
     # each command fails before it writes any output file
     assert not list(tmp_path.iterdir())
+
+
+def _numbers(lo, hi):
+    return st.floats(lo, hi).map(repr)
+
+
+# --override values per command, drawn small (grid.sites <= 16, time.t_final
+# <= 0.02, lemmas.trials <= 3); at most one key of an example gets a
+# malformed value instead
+OVERRIDE_VALUES = {
+    "hartree": {
+        "grid.sites": st.integers(4, 16).map(str),
+        "grid.dim": st.sampled_from(["1", "2"]),
+        "grid.box": _numbers(1.0, 10.0),
+        "grid.kinetic_mode": st.sampled_from(["spectral", "lattice"]),
+        "potential.amplitude": _numbers(-3.0, 3.0),
+        "potential.width": _numbers(0.2, 4.0),
+        "family.width": _numbers(0.2, 3.0),
+        "scaling.n": st.sampled_from(["1", "2", "3", "4", "2,3"]),
+        "scaling.epsilon": _numbers(0.01, 2.0),
+        "time.t_final": st.sampled_from(["0.004", "0.01", "0.02"]),
+        "time.dt": st.sampled_from(["0.001", "0.002", "0.003", "0.005"]),
+        "time.snapshot_every": st.integers(1, 10).map(str),
+    },
+    "lemmas": {
+        "lemmas.trials": st.integers(1, 3).map(str),
+        "lemmas.sizes": st.sampled_from(["1x4", "2x6", "3x3", "2x4, 3x6"]),
+        "counting.gammas": st.sampled_from(["0.5", "0.25, 1.0", "1.0"]),
+        "run.seed": st.integers(0, 2**64 - 1).map(str),
+    },
+}
+MALFORMED = st.sampled_from(["-1", "-0.5", "0", "abc", "nan", "NaN", "1e-320", ""])
+BOUNDED = {
+    "hartree": {"time.t_final": "0.02", "time.dt": "0.002"},
+    "lemmas": {"lemmas.trials": "2", "lemmas.sizes": "2x6"},
+}
+
+
+@pytest.mark.parametrize("command", ["hartree", "lemmas"])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_override_values_keep_exit_code_contract(command, data):
+    values = OVERRIDE_VALUES[command]
+    keys = data.draw(st.lists(st.sampled_from(sorted(values)), min_size=1, max_size=3,
+                              unique=True), label="keys")
+    malformed = data.draw(st.sampled_from([None, *keys]), label="malformed key")
+    overrides = dict(BOUNDED[command])
+    for key in keys:
+        overrides[key] = data.draw(MALFORMED if key == malformed else values[key], label=key)
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as out, redirect_stdout(io.StringIO()), \
+            redirect_stderr(err):
+        code = run_cli(command, out, *(f"{k}={v}" for k, v in overrides.items()))
+    event(f"exit {code}")
+    assert code in (0, 2, 3, 4), err.getvalue()
+    assert "Traceback" not in err.getvalue()
 
 
 def test_observable_dictionary_properties():

@@ -9,6 +9,7 @@ import pytest
 from mflab.counting import (
     AdaptedSlots,
     SlotSpace,
+    WeightFunction,
     alpha,
     alpha_number_onebody,
     apply_weight,
@@ -262,7 +263,8 @@ def test_weight_operator_algebra():
     assert abs(lhs - rhs) < 1e-13
     # f_hat g_hat = (fg)_hat
     seq = apply_weight(apply_weight(psi, g, proj), f, proj)
-    joint = apply_weight(psi, f * g, proj)
+    fg = WeightFunction(tuple(a * b for a, b in zip(f.table, g.table)))
+    joint = apply_weight(psi, fg, proj)
     np.testing.assert_allclose(seq.amplitudes, joint.amplitudes, atol=1e-13)
     # powers
     twice = apply_weight(apply_weight(psi, g, proj), g, proj)

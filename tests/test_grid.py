@@ -11,6 +11,7 @@ from mflab.errors import ConfigError, GridMismatchError
 from mflab.grid import (
     Field,
     Grid,
+    _fftn,
     convolve_periodic,
     apply_multiplier,
     dense_gradient,
@@ -37,6 +38,8 @@ def test_grid_validation():
         Grid(dim=1, sites_per_dim=7, box_length=1.0)
     with pytest.raises(ConfigError):
         Grid(dim=1, sites_per_dim=8, box_length=-1.0)
+    with pytest.raises(ConfigError):  # the spacing would underflow h**dim
+        Grid(dim=1, sites_per_dim=8, box_length=1e-320)
     with pytest.raises(ConfigError):
         Grid(dim=1, sites_per_dim=8, box_length=1.0, kinetic_mode="exact")
 
@@ -202,3 +205,22 @@ def test_norms_scale_with_measure():
     f = Field(grid, np.ones(grid.shape))
     assert abs(norm_l2(f) - np.sqrt(2.0)) < 1e-14
     assert abs(norm_l1(f) - 2.0) < 1e-14
+
+
+@pytest.mark.parametrize("inverse", [False, True])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_per_axis_transform_is_bit_identical_to_fftn(dim, inverse):
+    rng = np.random.default_rng(40 + dim)
+    n = 6
+    grid_axes = tuple(range(dim))
+    fftn = np.fft.ifftn if inverse else np.fft.fftn
+    # plain grid values, a leading stack axis, and a trailing orbital axis too
+    for shape, axes in (
+        ((n,) * dim, grid_axes),
+        ((3,) + (n,) * dim, tuple(a + 1 for a in grid_axes)),
+        ((3,) + (n,) * dim + (4,), tuple(a + 1 for a in grid_axes)),
+    ):
+        vals = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        assert np.array_equal(_fftn(vals, axes, inverse), fftn(vals, axes=axes))
+    real = rng.standard_normal((n,) * dim)
+    assert np.array_equal(_fftn(real, grid_axes, inverse), fftn(real))

@@ -2,9 +2,10 @@
 
 import numpy as np
 import pytest
-from scipy.linalg import expm
+from scipy.linalg import eigh_tridiagonal, expm
 
-from mflab._lanczos import expm_multiply_hermitian
+from mflab import _lanczos
+from mflab._lanczos import _eigh_tridiagonal, _norm, expm_multiply_hermitian
 from mflab.errors import NumericalFailure
 
 
@@ -70,3 +71,34 @@ def test_non_finite_coefficient_is_numerical_failure():
     v = np.ones(3, dtype=complex)
     with np.errstate(invalid="ignore"), pytest.raises(NumericalFailure, match="non-finite"):
         expm_multiply_hermitian(lambda x: A @ x, v, -1j)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_direct_tridiagonal_solve_is_bit_identical_to_scipy(n):
+    rng = np.random.default_rng(60 + n)
+    d = rng.standard_normal(n)
+    e = np.abs(rng.standard_normal(n - 1))  # Lanczos betas are norms
+    w, v = _eigh_tridiagonal(d, e)
+    want_w, want_v = eigh_tridiagonal(d, e, check_finite=False)
+    assert np.array_equal(w, want_w) and np.array_equal(v, want_v)
+    assert w.dtype == want_w.dtype and v.strides == want_v.strides
+
+
+def test_failed_tridiagonal_solve_is_numerical_failure(monkeypatch):
+    def failing_stevd(d, e):
+        return d.copy(), np.eye(len(d)), 2
+
+    monkeypatch.setattr(_lanczos, "_stevd", failing_stevd)
+    A = np.diag([1.0, 2.0, 3.0]) + np.diag([0.5, 0.5], 1) + np.diag([0.5, 0.5], -1)
+    v = np.ones(3, dtype=complex)
+    with pytest.raises(NumericalFailure, match="stevd"):
+        expm_multiply_hermitian(lambda x: A @ x, v, -1j)
+
+
+@pytest.mark.parametrize("shape", [(7,), (16, 3), (4, 5, 2)])
+def test_inline_norm_is_bit_identical_to_numpy(shape):
+    rng = np.random.default_rng(len(shape))
+    real = rng.standard_normal(shape)
+    cplx = real + 1j * rng.standard_normal(shape)
+    for x in (real, cplx, cplx.T, cplx[..., ::2]):
+        assert _norm(x) == np.linalg.norm(x)

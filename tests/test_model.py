@@ -14,6 +14,7 @@ from mflab.model import (
     epsilon_for,
     make_orbitals,
     resolve_scaling,
+    step_schedule,
 )
 
 
@@ -161,3 +162,21 @@ def test_orbital_count_guard():
     grid = Grid(dim=1, sites_per_dim=4, box_length=4.0)
     with pytest.raises(ConfigError):
         make_orbitals(InitialFamily("delocalized"), 5, grid)
+
+
+def test_step_budget_rejects_unrunnable_schedules():
+    assert step_schedule(1.0, 1e-6)[0] == 10**6
+    with pytest.raises(ConfigError, match="budget"):
+        step_schedule(0.02, 1e-300)  # 2e298 steps
+    with pytest.raises(ConfigError, match="budget"):
+        step_schedule(0.02, 1e-320)  # the quotient overflows to inf
+
+
+def test_huge_widths_give_flat_profiles_not_overflow():
+    grid = Grid(dim=1, sites_per_dim=16, box_length=8.0)
+    with np.errstate(over="ignore"):
+        pot = build_potential(grid, "gaussian", amplitude=1.0, width=1e300)
+        assert np.all(pot.v.values == 3.0)  # three periodic images of exp(0)
+        assert all(np.all(F.values == 0.0) for F in pot.force)
+        state = make_orbitals(InitialFamily("localized", width=1e300), 1, grid)
+    assert np.allclose(np.abs(state.orbitals[0].values), state.orbitals[0].values[0])
