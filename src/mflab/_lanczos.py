@@ -11,7 +11,7 @@ tridiagonal eigensolve.
 
 The exponentials are small and many (the gauged flow makes thousands on
 16-point orbitals), so per-call overhead matters: the tridiagonal problem
-goes straight to the LAPACK driver ``scipy.linalg.eigh_tridiagonal`` uses,
+goes straight to the LAPACK routine ``scipy.linalg.eigh_tridiagonal`` uses,
 and norms are formed as ``np.linalg.norm`` forms them, without its argument
 handling.  Both give the same bits as the library calls they replace.
 
@@ -32,7 +32,7 @@ from .errors import NumericalFailure
 
 MatVec = Callable[[np.ndarray], np.ndarray]
 
-# the driver eigh_tridiagonal picks for select="a", fetched once
+# the LAPACK routine eigh_tridiagonal picks for select="a", fetched once
 _stevd, = get_lapack_funcs(("stevd",), (np.zeros(1),))
 
 

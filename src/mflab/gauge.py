@@ -85,7 +85,7 @@ class MeanFieldForces:
 
 
 def mean_field_forces(state: OrbitalSet, potential: InteractionPotential) -> MeanFieldForces:
-    """F_bar, B and C of the docstring above at the state's time.
+    """F_bar, B and C of the module docstring at the state's time.
 
     The 3 d convolutions with the force components F_a run as two stacked
     transform stages, F_a^ rho^ first and then [G_a, F_bar_a rho]; each
