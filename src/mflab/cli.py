@@ -492,6 +492,7 @@ def cmd_exact(cfg: RunConfig) -> None:
 def cmd_compare(cfg: RunConfig) -> None:
     potential = cfg.build_potential()
     dictionary = observable_dictionary(cfg.grid, cfg.boxes, cfg.include_bump)
+    observables = [M for _, M in dictionary]
     summary: dict = {}
     for N in cfg.n_values:
         basis = _exact_basis(cfg, N)
@@ -506,14 +507,12 @@ def cmd_compare(cfg: RunConfig) -> None:
         for snap in traj.snapshots:
             state = propagate(state, hamiltonian, snap.time)
             alpha_n = alpha_number_onebody(state, build_projections(snap))
-            comparisons = [
-                observe(M, state, snap).comparison for _, M in dictionary
-            ]
+            comparisons = [res.comparison for res in observe(observables, state, snap)]
             gauged_state = gauge_manybody(state, snap.time, scaling.epsilon, potential)
             gauged_snap = gauge_orbitals(snap, potential)
             gauge_defect = max(
-                abs(observe(M, gauged_state, gauged_snap).comparison - c)
-                for (_, M), c in zip(dictionary, comparisons)
+                abs(res.comparison - c)
+                for res, c in zip(observe(observables, gauged_state, gauged_snap), comparisons)
             )
             rows.append(
                 [snap.time, alpha_n, max(comparisons), gauge_defect] + comparisons

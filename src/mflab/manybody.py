@@ -44,6 +44,7 @@ Conventions:
 from __future__ import annotations
 
 import struct
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, permutations
@@ -433,20 +434,30 @@ class ObservationResult:
     comparison: float
 
 
-def observe(M: Field, state: ManyBodyState, orbital_set) -> ObservationResult:
-    """Compare <Psi, (1/N) sum_i M_i Psi> with Tr(M p)/N for a multiplication observable."""
-    mvals = M.values.ravel()
+def observe(
+    M: Field | Sequence[Field], state: ManyBodyState, orbital_set
+) -> ObservationResult | list[ObservationResult]:
+    """Compare <Psi, (1/N) sum_i M_i Psi> with Tr(M p)/N for multiplication observables.
+
+    ``M`` is one real ``Field`` (one ``ObservationResult``) or a sequence of
+    them (a list of results, in order).  A sequence is read through one
+    (n_obs x L) product against the state's occupation density and the
+    orbitals' density sum_k |phi_k(x)|^2, each formed once per call.
+    """
+    fields = [M] if isinstance(M, Field) else list(M)
+    mvals = np.stack([f.values.ravel() for f in fields])
     if np.max(np.abs(mvals.imag)) > 1e-12:
         raise ConfigError("multiplication observables must be real-valued")
     N = orbital_set.N
-    exact = float(np.dot(mvals.real, occupation_density(state)).real) / N
     A = orbital_set.value_matrix()
-    hart = orbital_set.grid.cell_volume * float(
-        np.einsum("x,xk,xk->", mvals.real, A.conj(), A).real
-    ) / N
-    return ObservationResult(
-        trace_exact=exact, trace_hartree=hart, comparison=abs(exact - hart)
-    )
+    exact = mvals.real @ occupation_density(state) / N
+    density = (A.real**2 + A.imag**2).sum(axis=1)
+    hart = orbital_set.grid.cell_volume * (mvals.real @ density) / N
+    results = [
+        ObservationResult(trace_exact=e, trace_hartree=h, comparison=abs(e - h))
+        for e, h in zip(exact.tolist(), hart.tolist())
+    ]
+    return results[0] if isinstance(M, Field) else results
 
 
 # ---------------------------------------------------------------------------

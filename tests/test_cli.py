@@ -235,24 +235,38 @@ def _numbers(lo, hi):
     return st.floats(lo, hi).map(repr)
 
 
-# --override values per command, drawn small (grid.sites <= 16, time.t_final
-# <= 0.02, lemmas.trials <= 3); at most one key of an example gets a
-# malformed value instead
+# --override values per command, drawn small (grid.sites <= 16 for hartree
+# and <= 8 for the many-body commands, scaling.n <= 3 there, observables.boxes
+# <= 4 <= grid.sites, time.t_final <= 0.02, lemmas.trials <= 3); at most one
+# key of an example gets a malformed value instead
+ORBITAL_VALUES = {
+    "grid.dim": st.sampled_from(["1", "2"]),
+    "grid.box": _numbers(1.0, 10.0),
+    "grid.kinetic_mode": st.sampled_from(["spectral", "lattice"]),
+    "potential.amplitude": _numbers(-3.0, 3.0),
+    "potential.width": _numbers(0.2, 4.0),
+    "family.width": _numbers(0.2, 3.0),
+    "scaling.epsilon": _numbers(0.01, 2.0),
+    "time.t_final": st.sampled_from(["0.004", "0.01", "0.02"]),
+    "time.dt": st.sampled_from(["0.001", "0.002", "0.003", "0.005"]),
+    "time.snapshot_every": st.integers(1, 10).map(str),
+}
+MANYBODY_VALUES = {
+    **ORBITAL_VALUES,
+    "grid.sites": st.integers(4, 8).map(str),
+    "scaling.n": st.sampled_from(["1", "2", "3", "2,3"]),
+    "observables.boxes": st.integers(1, 4).map(str),
+    "observables.bump": st.sampled_from(["true", "false"]),
+}
 OVERRIDE_VALUES = {
     "hartree": {
+        **ORBITAL_VALUES,
         "grid.sites": st.integers(4, 16).map(str),
-        "grid.dim": st.sampled_from(["1", "2"]),
-        "grid.box": _numbers(1.0, 10.0),
-        "grid.kinetic_mode": st.sampled_from(["spectral", "lattice"]),
-        "potential.amplitude": _numbers(-3.0, 3.0),
-        "potential.width": _numbers(0.2, 4.0),
-        "family.width": _numbers(0.2, 3.0),
         "scaling.n": st.sampled_from(["1", "2", "3", "4", "2,3"]),
-        "scaling.epsilon": _numbers(0.01, 2.0),
-        "time.t_final": st.sampled_from(["0.004", "0.01", "0.02"]),
-        "time.dt": st.sampled_from(["0.001", "0.002", "0.003", "0.005"]),
-        "time.snapshot_every": st.integers(1, 10).map(str),
     },
+    "exact": MANYBODY_VALUES,
+    "compare": MANYBODY_VALUES,
+    "aux": MANYBODY_VALUES,
     "lemmas": {
         "lemmas.trials": st.integers(1, 3).map(str),
         "lemmas.sizes": st.sampled_from(["1x4", "2x6", "3x3", "2x4, 3x6"]),
@@ -261,13 +275,18 @@ OVERRIDE_VALUES = {
     },
 }
 MALFORMED = st.sampled_from(["-1", "-0.5", "0", "abc", "nan", "NaN", "1e-320", ""])
+MANYBODY_BOUNDED = {"grid.sites": "8", "observables.boxes": "4",
+                    "time.t_final": "0.02", "time.dt": "0.002"}
 BOUNDED = {
     "hartree": {"time.t_final": "0.02", "time.dt": "0.002"},
+    "exact": MANYBODY_BOUNDED,
+    "compare": MANYBODY_BOUNDED,
+    "aux": MANYBODY_BOUNDED,
     "lemmas": {"lemmas.trials": "2", "lemmas.sizes": "2x6"},
 }
 
 
-@pytest.mark.parametrize("command", ["hartree", "lemmas"])
+@pytest.mark.parametrize("command", ["hartree", "exact", "compare", "aux", "lemmas"])
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_override_values_keep_exit_code_contract(command, data):

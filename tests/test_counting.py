@@ -23,7 +23,9 @@ from mflab.counting import (
     weight_power,
     weight_sqrt,
     weight_threshold,
+    _gaussian_operator,
     _random_projections,
+    _threshold_differences,
 )
 from mflab.errors import ConfigError, ContractViolation, GridMismatchError
 from mflab.grid import Grid, make_field
@@ -180,6 +182,36 @@ def test_adapted_slots_match_literal_slot_space(N, L):
         close(view.apply_on_slots(R, A, slots), space.apply_on_slots(T, A, slots))
 
 
+@pytest.mark.parametrize("N, L", [(1, 4), (2, 6), (4, 8), (4, 12)])
+def test_mask_table_matches_masked_and_literal_norms(N, L):
+    """sum_k f(k)^2 M[n0, k] = |f_hat prod_{i<=n0} q_i psi|^2 on both tensor routes."""
+    rng = np.random.default_rng(47 + 10 * N + L)
+    proj = _random_projections(L, N, rng)
+    space = SlotSpace(proj, N)
+    view = AdaptedSlots(proj, N)
+    T = space.embed(random_state(ConfigBasis(n_modes=L, n_particles=N), rng))
+    R = view.rotate(T)
+    table = view.mask_table(R)
+    assert table.shape == (N + 1, N + 1)
+    _, D_w, E_w = _threshold_differences(weight_threshold(N, 0.5), 1)
+    weights = [
+        WeightFunction((1.0,) * (N + 1)),
+        weight_number(N),
+        weight_inverse_sqrt(N),
+        weight_complement(N, 0.5).shifted(-1),
+        D_w,
+        E_w,
+    ]
+    for w in weights:
+        literal = space.weight(T, w)
+        for n0 in range(N + 1):
+            from_table = float(np.dot(w.values() ** 2, table[n0]))
+            masked = view.norm_sq(view.weight(view.product_q(R, n0), w))
+            direct = space.norm_sq(space.product_q(literal, n0))
+            assert from_table == pytest.approx(masked, rel=1e-13), (w, n0)
+            assert from_table == pytest.approx(direct, rel=1e-13), (w, n0)
+
+
 @pytest.mark.parametrize("N,L", [(1, 4), (2, 6), (3, 8), (4, 8), (5, 7)])
 def test_rotation_matches_determinant_oracle(N, L):
     """Rot[K, I] = conj(det U[sites(I), modes(K)]), each minor by np.linalg.det."""
@@ -323,3 +355,58 @@ def test_lemma_suite_clean_and_serializable(tmp_path):
     with open(tmp_path / "report.json") as fh:
         data = json.load(fh)
     assert data["seed"] == 7 and data["trials"] == 12
+
+
+def test_lemma_report_structure_is_pinned(tmp_path):
+    """Reruns write the same bytes; check names, order and trial counts follow
+    from the default sizes (2x6, 3x8, 4x8, 3x12) and gammas (1/6, 1/2, 1).
+
+    Eight trials run each size twice.  Per trial of N particles on L modes,
+    with m = min(3, N): q-conversion has min(4, N) checks, sqrt-conversion
+    min(3, N - 1); per gamma each diff_* check has m, the factorisation
+    size_C (3 if L^3 <= 1024, else 2, capped at N: 2, 3, 3, 2), and the
+    shifted complement (2m + 1) m, asserted for shifts d <= N^gamma: d <= 1
+    at gamma 1/6, d <= 1 (N = 2, 3) or 2 (N = 4) at gamma 1/2, all at gamma 1.
+    That is 2 (22 + 39 + 45 + 39) = 290 asserted, 2 (8 + 24 + 18 + 24) = 148
+    reported, one twenty-fifth of the 200-trial default.
+    """
+    paths = [tmp_path / "first.json", tmp_path / "second.json"]
+    for path in paths:
+        report = lemma_suite(seed=11, trials=8, out_path=path)
+        assert report.violation_count == 0, report.asserted
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    import json
+
+    data = json.loads(paths[0].read_text())
+    diff = 2 * 3 * (2 + 3 + 3 + 3)
+    assert [(name, rec["trials"]) for name, rec in data["asserted"].items()] == [
+        ("sector_completeness", 8),
+        ("projector_orthogonality", 8),
+        ("mass_route_agreement", 8),
+        ("q_conversion", 2 * (2 + 3 + 4 + 3)),
+        ("sqrt_conversion", 2 * (1 + 2 + 3 + 2)),
+        ("shift_identity", 8),
+        ("shifted_complement", 290),
+        ("diff_D_plain", diff),
+        ("diff_E_plain", diff),
+        ("diff_D_q1", diff),
+        ("diff_E_q1", diff),
+        ("diff_D_q1q2", diff),
+        ("diff_E_q1q2", diff),
+        ("difference_factorisation", 2 * 3 * (2 + 3 + 3 + 2)),
+    ]
+    assert [(name, rec["trials"]) for name, rec in data["reported"].items()] == [
+        ("shifted_complement", 148),
+    ]
+
+
+def test_gaussian_operator_is_the_two_draw_operator():
+    """The reused buffer holds, bit for bit, the operator of two separate draws."""
+    fresh, reused = np.random.default_rng(3), np.random.default_rng(3)
+    buffers: dict = {}
+    for n in (36, 512, 36):
+        expected = fresh.standard_normal((n, n)) + 1j * fresh.standard_normal((n, n))
+        assert np.array_equal(_gaussian_operator(reused, n, buffers), expected)
+    assert set(buffers) == {36, 512}
+    assert fresh.bit_generator.state == reused.bit_generator.state

@@ -324,12 +324,36 @@ def test_observe_slater_sides_agree():
     assert res.comparison < 1e-13
 
 
+def test_observe_sequence_matches_per_observable_traces():
+    """One call over a sequence gives, per observable, the traces summed
+    observable by observable (einsum over the orbitals), as a single-Field call does."""
+    grid, pot, basis = small_system(N=2)
+    orbs = make_orbitals(InitialFamily("localized", width=1.0), 2, grid)
+    rng = np.random.default_rng(5)
+    psi = random_state(basis, rng)
+    fields = [Field(grid, rng.standard_normal(grid.shape)) for _ in range(4)]
+    together = observe(fields, psi, orbs)
+    assert len(together) == len(fields)
+    A = orbs.value_matrix()
+    for M, res in zip(fields, together):
+        m = M.values.real.ravel()
+        exact = float(np.dot(m, occupation_density(psi))) / 2
+        hart = grid.cell_volume * float(np.einsum("x,xk,xk->", m, A.conj(), A).real) / 2
+        assert res.trace_exact == pytest.approx(exact, rel=1e-13)
+        assert res.trace_hartree == pytest.approx(hart, rel=1e-13)
+        assert res.comparison == abs(res.trace_exact - res.trace_hartree)
+        assert observe(M, psi, orbs).trace_exact == pytest.approx(exact, rel=1e-13)
+
+
 def test_observe_rejects_complex_observable():
     grid, pot, basis = small_system(N=2)
     orbs = make_orbitals(InitialFamily("localized", width=1.0), 2, grid)
     psi = slater_state(orbs, basis)
     with pytest.raises(ConfigError):
         observe(Field(grid, 1j * np.ones(grid.shape)), psi, orbs)
+    with pytest.raises(ConfigError):
+        observe([Field(grid, np.ones(grid.shape)), Field(grid, 1j * np.ones(grid.shape))],
+                psi, orbs)
 
 
 def test_basis_mismatch_rejected():
