@@ -85,24 +85,32 @@ class MeanFieldForces:
 
 
 def mean_field_forces(state: OrbitalSet, potential: InteractionPotential) -> MeanFieldForces:
-    """F_bar, B and C of the module docstring at the state's time.
-
-    The 3 d convolutions with the force components F_a run as two stacked
-    transform stages, F_a^ rho^ first and then [G_a, F_bar_a rho]; each
-    product keeps the operand order of ``convolve_periodic``, so the result
-    is bit-identical to convolving one pair at a time.
-    """
+    """F_bar, B and C of the module docstring at the state's time."""
     if potential.grid != state.grid:
         raise GridMismatchError("potential and orbitals use different grids")
-    grid = state.grid
+    return _forces(np.stack([phi.values for phi in state.orbitals]), state.time, potential)
+
+
+def _forces(psi: np.ndarray, time: float, potential: InteractionPotential) -> MeanFieldForces:
+    """``mean_field_forces`` of the orbitals stacked on axis 0 of ``psi`` (any layout).
+
+    rho is summed orbital by orbital and transformed as complex, as
+    ``density`` and ``Field.spectrum`` do.  The 3 d convolutions with the
+    force components F_a run as two stacked transform stages, F_a^ rho^
+    first and then [G_a, F_bar_a rho]; each product keeps the operand order
+    of ``convolve_periodic``, so the result is bit-identical to convolving
+    one pair at a time.
+    """
+    grid = potential.grid
     d = grid.dim
     force_hat = np.stack([F.spectrum for F in potential.force])
-    rho_field = density(state)
-    rho = rho_field.values.real
+    rho = np.zeros(grid.shape)
+    for phi in psi:
+        rho += np.abs(phi) ** 2
     axes = tuple(range(1, d + 1))
-    f_bar = (grid.cell_volume * _fftn(force_hat * rho_field.spectrum, axes, inverse=True)).real
+    rho_hat = _fftn(rho.astype(np.complex128), range(d))
+    f_bar = (grid.cell_volume * _fftn(force_hat * rho_hat, axes, inverse=True)).real
 
-    psi = np.stack([phi.values for phi in state.orbitals])
     conj_psi = np.conj(psi)
     flux = np.zeros((2, d) + grid.shape, dtype=np.complex128)  # [G_a], [F_bar_a rho]
     for a, grad in enumerate(_gradient_values(psi, grid)):
@@ -117,7 +125,7 @@ def mean_field_forces(state: OrbitalSet, potential: InteractionPotential) -> Mea
         B += -1j * conv[0, a]
         Cvals -= conv[1, a].real
     return MeanFieldForces(
-        time=state.time,
+        time=time,
         f_bar=tuple(Field(grid, f) for f in f_bar),
         momentum_coupling=Field(grid, B),
         quad_correction=Field(grid, Cvals),
@@ -280,41 +288,40 @@ def run_gauged(
     The generator's kinetic term follows ``grid.kinetic_mode``: the spectral
     multiplier, or the nearest-neighbour lattice kinetic paired with
     centred-difference couplings (matching the many-body lift).
+
+    The orbitals are stepped as one ``(*grid.shape, N)`` array, orbital axis
+    last as the frozen generator takes them; ``OrbitalSet``s are built only
+    for the recorded snapshots.
     """
     grid = initial.grid
+    if potential.grid != grid:
+        raise GridMismatchError("potential and orbitals use different grids")
     eps = initial.scaling.epsilon
     n_steps, recorded = step_schedule(t_final - initial.time, dt, snapshot_every)
-
-    def stack(state: OrbitalSet) -> np.ndarray:
-        return np.stack([phi.values for phi in state.orbitals], axis=-1)
-
-    def unstack(vals: np.ndarray, time: float) -> OrbitalSet:
-        orbs = tuple(Field(grid, vals[..., j]) for j in range(vals.shape[-1]))
-        return OrbitalSet(orbitals=orbs, time=time, scaling=initial.scaling)
-
-    state = initial
-    vals = stack(state)
-    snaps = [state]
+    vals = np.stack([phi.values for phi in initial.orbitals], axis=-1)
+    snaps = [initial]
     for step in range(1, n_steps + 1):
         t0 = initial.time + (step - 1) * dt
         t_mid = t0 + 0.5 * dt
-        forces_now = mean_field_forces(unstack(vals, t0), potential)
+        forces_now = _forces(np.moveaxis(vals, -1, 0), t0, potential)
         half = expm_multiply_hermitian(
             _frozen_generator(forces_now, t0, eps, grid), vals, -0.5j * dt * eps)
-        forces_mid = mean_field_forces(unstack(half, t_mid), potential)
+        forces_mid = _forces(np.moveaxis(half, -1, 0), t_mid, potential)
         vals = expm_multiply_hermitian(
             _frozen_generator(forces_mid, t_mid, eps, grid), vals, -1j * dt * eps)
         if not np.all(np.isfinite(vals)):
             raise NumericalFailure(f"non-finite gauged orbitals at step {step}")
         if step in recorded:
-            snaps.append(unstack(vals, initial.time + step * dt))
+            orbs = tuple(Field(grid, vals[..., j]) for j in range(vals.shape[-1]))
+            snaps.append(OrbitalSet(orbs, initial.time + step * dt, initial.scaling))
     return GaugedTrajectory(snapshots=tuple(snaps), dt=dt, potential=potential)
 
 
 def continuity_residual(traj: GaugedTrajectory, potential: InteractionPotential) -> np.ndarray:
     """Relative defect of d/dt (v * rho_t) + eps*(A + B + 2 t eps C) at interior snapshots.
 
-    The time derivative is a centred difference over the snapshot spacing.
+    The time derivative is a centred difference over the snapshot spacing,
+    three-point where a short last interval makes the two gaps differ.
     The residual has a time part, O(spacing^2) + O(dt^2), which shrinks about
     4x when both dt and the snapshot spacing are halved, and a space part,
     O(h^2) in the grid spacing h, from the mismatch between the continuum A,
@@ -333,7 +340,12 @@ def continuity_residual(traj: GaugedTrajectory, potential: InteractionPotential)
     ]
     out = []
     for i in range(1, len(traj.snapshots) - 1):
-        du = (u[i + 1] - u[i - 1]) / (times[i + 1] - times[i - 1])
+        h1, h2 = times[i] - times[i - 1], times[i + 1] - times[i]
+        if round(h1 / traj.dt) == round(h2 / traj.dt):
+            du = (u[i + 1] - u[i - 1]) / (times[i + 1] - times[i - 1])
+        else:  # three-point formula for unequal gaps
+            du = (h1**2 * u[i + 1] - h2**2 * u[i - 1] + (h2**2 - h1**2) * u[i]) / (
+                h1 * h2 * (h1 + h2))
         forces = mean_field_forces(traj.snapshots[i], potential)
         rhs = eps * (
             forces.mixed_real + 2.0 * times[i] * eps * forces.quad_correction.values.real

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, reduce
 
 import numpy as np
+from numpy.fft import _pocketfft_umath as _pocketfft
 
 from .errors import ConfigError, GridMismatchError
 
@@ -148,14 +149,18 @@ def require_same_grid(*fields: Field) -> Grid:
 def _fftn(vals: np.ndarray, axes: Sequence[int], inverse: bool = False) -> np.ndarray:
     """``np.fft.fftn(vals, axes=axes)`` (``ifftn`` if ``inverse``), one axis at a time.
 
-    fftn itself applies ``fft`` to the listed axes from the last to the
-    first, and so does this loop, so the result is bit-identical; what it
-    skips is fftn's argument handling, which on small grids costs more than
-    the transforms.  A stacked array transforms each line as on its own.
+    fftn applies ``fft`` to the axes from the last to the first, and ``fft``
+    calls numpy's pocketfft gufunc with the factor 1 forward and 1.0/n inverse
+    (numpy's "backward" normalisation).  This loop makes the same gufunc calls
+    in the same order, so the result is bit-identical, but skips the argument
+    handling of fftn and fft, which on small grids costs more than the
+    transforms.  Each axis writes a fresh C-ordered complex array, so any
+    input layout works, and a stacked array transforms each line as on its own.
     """
-    transform = np.fft.ifft if inverse else np.fft.fft
+    ufunc = _pocketfft.ifft if inverse else _pocketfft.fft
     for axis in reversed(axes):
-        vals = transform(vals, axis=axis)
+        fct = 1.0 / vals.shape[axis] if inverse else 1
+        vals = ufunc(vals, fct, axes=[(axis,), (), (axis,)], out=np.empty(vals.shape, complex))
     return vals
 
 

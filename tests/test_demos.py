@@ -1,4 +1,4 @@
-"""The demos that reach reduced densities and alpha_n run to completion.
+"""Every demo runs to completion.
 
 Each demo runs in its own interpreter with ``PYTHONPATH=src`` and a single
 BLAS thread, as a user would start it from the root of a checkout.
@@ -17,6 +17,8 @@ DEMOS = (
     "exact_vs_hartree_trend.py",
     "observables_snapshots.py",
     "auxiliary_truncation.py",
+    "gauge_two_routes.py",
+    "hartree_evolution.py",
 )
 
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from mflab._lanczos import expm_multiply_hermitian
 from mflab.errors import ConfigError, ContractViolation
 from mflab.gauge import (
     _frozen_generator,
@@ -234,6 +235,48 @@ def test_continuity_residual_refines():
     coarse = worst(8e-3, 5)
     fine = worst(4e-3, 5)  # same snapshot count, half the spacing
     assert coarse / fine >= 3.0
+
+
+@pytest.mark.parametrize("mode", ["spectral", "lattice"])
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("N", [1, 3])
+def test_run_gauged_matches_public_route_bit_for_bit(mode, dim, N):
+    """run_gauged's array loop takes the same steps as one built from public pieces."""
+    grid = Grid(dim=dim, sites_per_dim=8, box_length=6.0, kinetic_mode=mode)
+    pot = build_potential(grid, "gaussian", amplitude=1.5, width=2.5)
+    state = make_orbitals(InitialFamily("localized", width=0.8), N, grid)
+    dt, n_steps = 0.01, 4
+    traj = run_gauged(state, pot, n_steps * dt, dt, snapshot_every=1)
+    eps = state.scaling.epsilon
+
+    def at(vals, t):
+        orbs = tuple(Field(grid, vals[..., j]) for j in range(N))
+        return OrbitalSet(orbitals=orbs, time=t, scaling=state.scaling)
+
+    vals = np.stack([phi.values for phi in state.orbitals], axis=-1)
+    for step in range(1, n_steps + 1):
+        t0 = (step - 1) * dt
+        t_mid = t0 + 0.5 * dt
+        gen = _frozen_generator(mean_field_forces(at(vals, t0), pot), t0, eps, grid)
+        half = expm_multiply_hermitian(gen, vals, -0.5j * dt * eps)
+        gen = _frozen_generator(mean_field_forces(at(half, t_mid), pot), t_mid, eps, grid)
+        vals = expm_multiply_hermitian(gen, vals, -1j * dt * eps)
+        snap = traj.snapshots[step]
+        assert snap.time == step * dt
+        for j, phi in enumerate(snap.orbitals):
+            assert np.array_equal(phi.values, vals[..., j])
+
+
+@pytest.mark.parametrize("mode", ["spectral", "lattice"])
+def test_continuity_residual_on_a_short_last_interval(mode):
+    """With snapshot_every = 30 of 100 steps the last gap is 10 steps; no jump there."""
+    grid = Grid(dim=1, sites_per_dim=64, box_length=8.0, kinetic_mode=mode)
+    pot = build_potential(grid, "gaussian", amplitude=1.0, width=3.0)
+    state = make_orbitals(InitialFamily("localized", width=1.2), 2, grid)
+    traj = run_gauged(state, pot, t_final=0.1, dt=1e-3, snapshot_every=30)
+    np.testing.assert_allclose(np.diff(traj.times), [0.03, 0.03, 0.03, 0.01])
+    residuals = continuity_residual(traj, pot)
+    assert abs(residuals[-1] / residuals[-2] - 1.0) < 0.05
 
 
 def test_continuity_needs_three_snapshots():

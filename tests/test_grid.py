@@ -214,13 +214,23 @@ def test_per_axis_transform_is_bit_identical_to_fftn(dim, inverse):
     n = 6
     grid_axes = tuple(range(dim))
     fftn = np.fft.ifftn if inverse else np.fft.fftn
+    stacked = tuple(a + 1 for a in grid_axes)
+
+    def check(vals, axes):
+        out = _fftn(vals, axes, inverse)
+        assert np.array_equal(out, fftn(vals, axes=axes))
+        assert not np.shares_memory(out, vals)
+
     # plain grid values, a leading stack axis, and a trailing orbital axis too
     for shape, axes in (
         ((n,) * dim, grid_axes),
-        ((3,) + (n,) * dim, tuple(a + 1 for a in grid_axes)),
-        ((3,) + (n,) * dim + (4,), tuple(a + 1 for a in grid_axes)),
+        ((3,) + (n,) * dim, stacked),
+        ((3,) + (n,) * dim + (4,), stacked),
     ):
-        vals = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        assert np.array_equal(_fftn(vals, axes, inverse), fftn(vals, axes=axes))
-    real = rng.standard_normal((n,) * dim)
-    assert np.array_equal(_fftn(real, grid_axes, inverse), fftn(real))
+        check(rng.standard_normal(shape) + 1j * rng.standard_normal(shape), axes)
+    check(rng.standard_normal((n,) * dim), grid_axes)
+    # non-contiguous views: orbitals moved from last to first, reversed strides
+    shape = (n,) * dim + (3,)
+    trailing = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    check(np.moveaxis(trailing, -1, 0), stacked)
+    check(trailing[..., ::-1, :], grid_axes)
