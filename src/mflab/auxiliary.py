@@ -414,7 +414,7 @@ def direct_energy(gauged_orbitals: OrbitalSet, potential: InteractionPotential, 
     grid = gauged_orbitals.grid
     epsilon = gauged_orbitals.scaling.epsilon
     forces = mean_field_forces(gauged_orbitals, potential)
-    vals = np.stack([phi.values for phi in gauged_orbitals.orbitals], axis=-1)
+    vals = np.ascontiguousarray(np.moveaxis(gauged_orbitals.values, 0, -1))
     hval = _frozen_generator(forces, t, epsilon, grid, weights=(0.5, 1.0 / 3.0))(vals)
     return float(grid.cell_volume * np.vdot(vals, hval).real)
 

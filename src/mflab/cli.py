@@ -90,7 +90,9 @@ DEFAULTS: dict[str, dict[str, str]] = {
 
 MAX_TOTAL_SITES = 4096
 MAX_BASIS_DIM = 6000
-MAX_AUX_SITES = {2: 24, 3: 12, 4: 12}
+# a default N = 4 run (1000 steps, one BLAS thread) takes about 23 s on 10 sites
+# and over 60 s on 12
+MAX_AUX_SITES = {2: 24, 3: 12, 4: 10}
 # entries L**N of one lemma-suite slot tensor: a 4x12 trial takes about 0.3 s,
 # while the literal sector sums cost about N * 2**N * L**(N+1) per trial and an
 # 8x12 tensor alone would need 6.9 GB
@@ -426,9 +428,7 @@ def cmd_hartree(cfg: RunConfig) -> None:
                 for d in traj.diagnostics
             ],
         )
-        stack = np.stack(
-            [np.stack([phi.values for phi in s.orbitals]) for s in traj.snapshots]
-        )
+        stack = np.stack([s.values for s in traj.snapshots])
         path = cfg.out_dir / f"hartree_N{N}_orbitals.npy"
         np.save(path, stack)
         print(f"wrote {path}")

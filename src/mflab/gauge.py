@@ -65,8 +65,7 @@ def gauge_orbitals(state: OrbitalSet, potential: InteractionPotential) -> Orbita
         raise GridMismatchError("potential and orbitals use different grids")
     u = convolve_periodic(potential.v, density(state)).values.real
     phase = np.exp(1j * state.time * state.scaling.epsilon * u)
-    orbitals = tuple(Field(state.grid, phase * phi.values) for phi in state.orbitals)
-    return OrbitalSet(orbitals=orbitals, time=state.time, scaling=state.scaling)
+    return OrbitalSet.from_values(state.grid, phase * state.values, state.time, state.scaling)
 
 
 @dataclass(frozen=True)
@@ -86,13 +85,22 @@ class MeanFieldForces:
 
 def mean_field_forces(state: OrbitalSet, potential: InteractionPotential) -> MeanFieldForces:
     """F_bar, B and C of the module docstring at the state's time."""
-    if potential.grid != state.grid:
+    grid = state.grid
+    if potential.grid != grid:
         raise GridMismatchError("potential and orbitals use different grids")
-    return _forces(np.stack([phi.values for phi in state.orbitals]), state.time, potential)
+    f_bar, B, C = _force_values(state.values, potential)
+    return MeanFieldForces(
+        time=state.time,
+        f_bar=tuple(Field(grid, f) for f in f_bar),
+        momentum_coupling=Field(grid, B),
+        quad_correction=Field(grid, C),
+    )
 
 
-def _forces(psi: np.ndarray, time: float, potential: InteractionPotential) -> MeanFieldForces:
-    """``mean_field_forces`` of the orbitals stacked on axis 0 of ``psi`` (any layout).
+def _force_values(
+    psi: np.ndarray, potential: InteractionPotential
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(F_bar stacked on axis 0, B, C) of the orbitals stacked on axis 0 of ``psi`` (any layout).
 
     rho is summed orbital by orbital and transformed as complex, as
     ``density`` and ``Field.spectrum`` do.  The 3 d convolutions with the
@@ -103,7 +111,7 @@ def _forces(psi: np.ndarray, time: float, potential: InteractionPotential) -> Me
     """
     grid = potential.grid
     d = grid.dim
-    force_hat = np.stack([F.spectrum for F in potential.force])
+    force_hat = potential.force_spectrum
     rho = np.zeros(grid.shape)
     for phi in psi:
         rho += np.abs(phi) ** 2
@@ -120,16 +128,11 @@ def _forces(psi: np.ndarray, time: float, potential: InteractionPotential) -> Me
     flux_axes = tuple(range(2, d + 2))
     conv = grid.cell_volume * _fftn(force_hat * _fftn(flux, flux_axes), flux_axes, inverse=True)
     B = np.zeros(grid.shape, dtype=np.complex128)
-    Cvals = np.zeros(grid.shape)
+    C = np.zeros(grid.shape)
     for a in range(d):
         B += -1j * conv[0, a]
-        Cvals -= conv[1, a].real
-    return MeanFieldForces(
-        time=time,
-        f_bar=tuple(Field(grid, f) for f in f_bar),
-        momentum_coupling=Field(grid, B),
-        quad_correction=Field(grid, Cvals),
-    )
+        C -= conv[1, a].real
+    return f_bar, B, C
 
 
 @lru_cache(maxsize=None)
@@ -150,25 +153,42 @@ def _frozen_generator(
     grid: Grid,
     weights: tuple[float, float] = (1.0, 1.0),
 ):
-    """Matvec of the expanded generator K + wR t eps R + wW (t eps)^2 W, frozen at (forces, t).
+    """``_generator`` of the force data in ``forces``."""
+    f_bar = np.stack([f.values.real for f in forces.f_bar])
+    return _generator(f_bar, forces.momentum_coupling.values, forces.quad_correction.values.real,
+                      t, epsilon, grid, weights)
 
+
+def _generator(
+    f_bar: np.ndarray,
+    B: np.ndarray,
+    C: np.ndarray,
+    t: float,
+    epsilon: float,
+    grid: Grid,
+    weights: tuple[float, float] = (1.0, 1.0),
+):
+    """Matvec of the expanded generator K + wR t eps R + wW (t eps)^2 W, frozen at (F_bar, B, C, t).
+
+    ``f_bar`` holds the real F_bar_a stacked on axis 0 and ``B``, ``C`` the
+    grid values of the module docstring, as ``_force_values`` returns them.
     ``weights`` = (wR, wW); (1/2, 1/3) gives the auxiliary h~.  The matvec
     acts on grid-shaped values with one trailing orbital axis.  Everything
-    that depends only on (forces, t) is computed here once; each call makes
-    one ``fftn`` over the stack [psi, F_bar_1 psi, ..., F_bar_d psi] and one
-    ``ifftn`` over [K psi^, d_a psi^, d_a (F_bar_a psi)^].  Batched FFT lines
-    and the kept operand order make it bit-identical to transforming and
-    combining each term on its own.
+    that depends only on (F_bar, B, C, t) is computed here once; each call
+    makes one ``fftn`` over the stack [psi, F_bar_1 psi, ..., F_bar_d psi]
+    and one ``ifftn`` over [K psi^, d_a psi^, d_a (F_bar_a psi)^].  Batched
+    FFT lines and the kept operand order make it bit-identical to
+    transforming and combining each term on its own.
     """
     te = t * epsilon
     wR, wW = weights
+    d = grid.dim
     col = grid.shape + (1,)
-    scalar = te * (wR * forces.mixed_real + 2.0 * te * wW * forces.quad_correction.values.real)
-    fbar = np.stack([f.values.real.reshape(col) for f in forces.f_bar])
+    scalar = te * (wR * (2.0 * B.real) + 2.0 * te * wW * C)
+    fbar = f_bar.reshape((d,) + col)
     diag = scalar.reshape(col) + wW * te**2 * sum(f**2 for f in fbar)
     i_fbar = fbar * 1j
     coupling = wR * te
-    d = grid.dim
     mults = _generator_multipliers(grid)
     axes = tuple(range(1, d + 1))
 
@@ -290,30 +310,31 @@ def run_gauged(
     centred-difference couplings (matching the many-body lift).
 
     The orbitals are stepped as one ``(*grid.shape, N)`` array, orbital axis
-    last as the frozen generator takes them; ``OrbitalSet``s are built only
-    for the recorded snapshots.
+    last as the frozen generator takes them, and the forces read its
+    orbital-first transpose; a recorded snapshot is an ``OrbitalSet`` of that
+    transpose.
     """
     grid = initial.grid
     if potential.grid != grid:
         raise GridMismatchError("potential and orbitals use different grids")
     eps = initial.scaling.epsilon
     n_steps, recorded = step_schedule(t_final - initial.time, dt, snapshot_every)
-    vals = np.stack([phi.values for phi in initial.orbitals], axis=-1)
+    to_last = (*range(1, grid.dim + 1), 0)  # orbital axis last, and back
+    to_first = (grid.dim, *range(grid.dim))
+    vals = np.ascontiguousarray(initial.values.transpose(to_last))
     snaps = [initial]
     for step in range(1, n_steps + 1):
         t0 = initial.time + (step - 1) * dt
         t_mid = t0 + 0.5 * dt
-        forces_now = _forces(np.moveaxis(vals, -1, 0), t0, potential)
-        half = expm_multiply_hermitian(
-            _frozen_generator(forces_now, t0, eps, grid), vals, -0.5j * dt * eps)
-        forces_mid = _forces(np.moveaxis(half, -1, 0), t_mid, potential)
-        vals = expm_multiply_hermitian(
-            _frozen_generator(forces_mid, t_mid, eps, grid), vals, -1j * dt * eps)
-        if not np.all(np.isfinite(vals)):
+        gen = _generator(*_force_values(vals.transpose(to_first), potential), t0, eps, grid)
+        half = expm_multiply_hermitian(gen, vals, -0.5j * dt * eps)
+        gen = _generator(*_force_values(half.transpose(to_first), potential), t_mid, eps, grid)
+        vals = expm_multiply_hermitian(gen, vals, -1j * dt * eps)
+        if not np.isfinite(vals).all():
             raise NumericalFailure(f"non-finite gauged orbitals at step {step}")
         if step in recorded:
-            orbs = tuple(Field(grid, vals[..., j]) for j in range(vals.shape[-1]))
-            snaps.append(OrbitalSet(orbs, initial.time + step * dt, initial.scaling))
+            snaps.append(OrbitalSet.from_values(
+                grid, vals.transpose(to_first), initial.time + step * dt, initial.scaling))
     return GaugedTrajectory(snapshots=tuple(snaps), dt=dt, potential=potential)
 
 

@@ -14,7 +14,9 @@ unitary, hence exactly orbital-norm preserving.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -37,45 +39,75 @@ from .model import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class OrbitalSet:
-    """An ordered family of one-particle orbitals at a common time."""
+    """An ordered family of N one-particle orbitals at a common time.
 
-    orbitals: tuple[Field, ...]
+    The orbitals are held as one complex array ``values`` of shape
+    (N, *grid.shape), orbital k at ``values[k]``.  ``OrbitalSet(orbitals,
+    time, scaling)`` stacks the given ``Field``s once;
+    ``OrbitalSet.from_values(grid, values, time, scaling)`` keeps the given
+    stack as it is and makes no ``Field``.  ``orbitals`` is the tuple of
+    ``Field``s, the given ones or views of the stack made on first use.
+    """
+
+    values: np.ndarray = field(repr=False)
+    grid: Grid
     time: float
     scaling: ScalingParams
 
-    def __post_init__(self) -> None:
-        if not self.orbitals:
+    def __init__(self, orbitals: Sequence[Field], time: float, scaling: ScalingParams) -> None:
+        if not orbitals:
             raise ConfigError("OrbitalSet needs at least one orbital")
-        grid = self.orbitals[0].grid
-        for phi in self.orbitals[1:]:
+        grid = orbitals[0].grid
+        for phi in orbitals[1:]:
             if phi.grid != grid:
                 raise GridMismatchError("orbitals live on different grids")
-        if self.scaling.N != len(self.orbitals):
-            raise ConfigError(
-                f"scaling.N = {self.scaling.N} but {len(self.orbitals)} orbitals supplied"
-            )
-        if self.scaling.epsilon is None:
-            raise ConfigError("OrbitalSet requires a resolved (concrete) epsilon")
+        self._set(grid, np.stack([phi.values for phi in orbitals]), time, scaling)
+        self.__dict__["orbitals"] = tuple(orbitals)
 
-    @property
-    def grid(self) -> Grid:
-        return self.orbitals[0].grid
+    @classmethod
+    def from_values(
+        cls, grid: Grid, values: np.ndarray, time: float, scaling: ScalingParams
+    ) -> OrbitalSet:
+        """The set whose orbital k is ``values[k]``; the array is not copied."""
+        values = np.asarray(values, dtype=np.complex128)
+        if values.shape[1:] != grid.shape:
+            raise GridMismatchError(
+                f"orbital values shape {values.shape} does not stack grid shape {grid.shape}"
+            )
+        if not len(values):
+            raise ConfigError("OrbitalSet needs at least one orbital")
+        state = cls.__new__(cls)
+        state._set(grid, values, time, scaling)
+        return state
+
+    def _set(self, grid: Grid, values: np.ndarray, time: float, scaling: ScalingParams) -> None:
+        if scaling.N != len(values):
+            raise ConfigError(f"scaling.N = {scaling.N} but {len(values)} orbitals supplied")
+        if scaling.epsilon is None:
+            raise ConfigError("OrbitalSet requires a resolved (concrete) epsilon")
+        for name, val in (("values", values), ("grid", grid), ("time", time),
+                          ("scaling", scaling)):
+            object.__setattr__(self, name, val)
+
+    @cached_property
+    def orbitals(self) -> tuple[Field, ...]:
+        return tuple(Field(self.grid, phi) for phi in self.values)
 
     @property
     def N(self) -> int:
-        return len(self.orbitals)
+        return len(self.values)
 
     def value_matrix(self) -> np.ndarray:
         """Site-value matrix, one orbital per column (flattened C order)."""
-        return np.stack([phi.values.ravel() for phi in self.orbitals], axis=1)
+        return np.stack([phi.ravel() for phi in self.values], axis=1)
 
 
 def density(state: OrbitalSet) -> Field:
     rho = np.zeros(state.grid.shape)
-    for phi in state.orbitals:
-        rho += np.abs(phi.values) ** 2
+    for phi in state.values:
+        rho += np.abs(phi) ** 2
     return Field(state.grid, rho)
 
 
@@ -109,18 +141,21 @@ def hartree_step(state: OrbitalSet, potential: InteractionPotential, dt: float) 
 
     A potential phase dt eps max|v * rho| above pi per step aliases, so it
     raises ``NumericalFailure`` instead of returning an unresolved step.
+    The orbitals are stepped as the stack ``state.values``, and v * rho is
+    formed with the operations of ``convolve_periodic``.
     """
     grid = state.grid
     eps = state.scaling.epsilon
     half_kin = np.exp(-0.5j * dt * eps * kinetic_multiplier(grid))
+    space = range(grid.dim)
     axes = tuple(range(1, grid.dim + 1))  # the orbitals are stacked on axis 0
 
-    stack = np.stack([phi.values for phi in state.orbitals])
-    mids = _fftn(half_kin * _fftn(stack, axes), axes, inverse=True)
+    mids = _fftn(half_kin * _fftn(state.values, axes), axes, inverse=True)
     rho_mid = np.zeros(grid.shape)
     for m in mids:
         rho_mid += np.abs(m) ** 2
-    u = convolve_periodic(potential.v, Field(grid, rho_mid)).values.real
+    rho_hat = _fftn(rho_mid.astype(np.complex128), space)
+    u = (grid.cell_volume * _fftn(potential.v.spectrum * rho_hat, space, inverse=True)).real
     phase = abs(dt * eps) * np.max(np.abs(u))
     if phase > np.pi:
         raise NumericalFailure(
@@ -129,9 +164,7 @@ def hartree_step(state: OrbitalSet, potential: InteractionPotential, dt: float) 
         )
     pot_phase = np.exp(-1j * dt * eps * u)
     new = _fftn(half_kin * _fftn(pot_phase * mids, axes), axes, inverse=True)
-
-    orbitals = tuple(Field(grid, vals) for vals in new)
-    return OrbitalSet(orbitals=orbitals, time=state.time + dt, scaling=state.scaling)
+    return OrbitalSet.from_values(grid, new, state.time + dt, state.scaling)
 
 
 @dataclass(frozen=True)
@@ -186,19 +219,23 @@ def run_hartree(
     dt: float,
     snapshot_every: int | None = None,
 ) -> HartreeTrajectory:
-    """Integrate to t_final with fixed step dt, recording ~100 snapshots.
+    """Integrate from ``initial.time`` to the time t_final with fixed step dt.
 
-    ``snapshot_every`` overrides the default cadence
-    max(1, floor(t_final / (100*dt))) steps between recorded snapshots.
+    About 100 snapshots are recorded; ``snapshot_every`` overrides the
+    default cadence max(1, floor(span / (100*dt))) steps, where span =
+    t_final - initial.time must be a positive multiple of dt.  Each step is
+    one ``hartree_step`` call.
     """
-    n_steps, recorded = step_schedule(t_final, dt, snapshot_every)
+    if potential.grid != initial.grid:
+        raise GridMismatchError("potential and orbitals use different grids")
+    n_steps, recorded = step_schedule(t_final - initial.time, dt, snapshot_every)
 
     state = initial
     snaps = [state]
     diags = [diagnostics(state, potential)]
     for step in range(1, n_steps + 1):
         state = hartree_step(state, potential, dt)
-        if not all(np.all(np.isfinite(phi.values)) for phi in state.orbitals):
+        if not np.isfinite(state.values).all():
             raise NumericalFailure(f"non-finite orbital values at step {step}")
         if step in recorded:
             snaps.append(state)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product
 
 import numpy as np
@@ -119,6 +120,11 @@ class InteractionPotential:
     @property
     def grid(self) -> Grid:
         return self.v.grid
+
+    @cached_property
+    def force_spectrum(self) -> np.ndarray:
+        """The force components' spectra stacked on axis 0, computed on first use."""
+        return np.stack([F.spectrum for F in self.force])
 
 
 def _evenness_defect(f: Field) -> float:

@@ -22,7 +22,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import mflab
-from mflab.cli import main, observable_dictionary
+from mflab.cli import MAX_AUX_SITES, main, observable_dictionary
 from mflab.errors import ConfigError
 from mflab.grid import Grid
 
@@ -148,6 +148,16 @@ def test_aux_small_run_layout(tmp_path):
     assert abs(float(rows[0]["beta"])) < 1e-10
     assert float(rows[0]["norm_diff_aux_gauged"]) < 1e-12
     assert float(rows[-1]["t"]) == pytest.approx(0.1)
+
+
+def test_aux_four_particle_cap(tmp_path):
+    """N = 4 stops at 10 sites; 12, the cap before, is a config error."""
+    assert MAX_AUX_SITES[4] == 10
+    err = io.StringIO()
+    with redirect_stderr(err), redirect_stdout(io.StringIO()):
+        code = run_cli("aux", tmp_path, "scaling.n=4", "grid.sites=12")
+    assert code == 2
+    assert "N = 4 needs at most 10 modes, got 12" in err.getvalue()
 
 
 def test_lemmas_writes_clean_report(tmp_path):

@@ -6,7 +6,9 @@ import pytest
 from mflab._lanczos import expm_multiply_hermitian
 from mflab.errors import ConfigError, ContractViolation
 from mflab.gauge import (
+    _force_values,
     _frozen_generator,
+    _generator,
     apply_h_gauged,
     cauchy_schwarz_report,
     continuity_residual,
@@ -265,6 +267,26 @@ def test_run_gauged_matches_public_route_bit_for_bit(mode, dim, N):
         assert snap.time == step * dt
         for j, phi in enumerate(snap.orbitals):
             assert np.array_equal(phi.values, vals[..., j])
+
+
+@pytest.mark.parametrize("weights", [(1.0, 1.0), (0.5, 1.0 / 3.0)])
+@pytest.mark.parametrize("mode", ["spectral", "lattice"])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_array_generator_matches_the_forces_route_bit_for_bit(dim, mode, weights):
+    """_generator on _force_values of a transposed stack is _frozen_generator(mean_field_forces)."""
+    grid = Grid(dim=dim, sites_per_dim=8, box_length=6.0, kinetic_mode=mode)
+    pot = build_potential(grid, "gaussian", amplitude=1.5, width=2.5)
+    state = random_orbital_set(grid, 3, np.random.default_rng(dim), time=0.4)
+    eps, t = state.scaling.epsilon, state.time
+    vals = np.stack([phi.values for phi in state.orbitals], axis=-1)
+    orbital_first = vals.transpose(dim, *range(dim))
+    f_bar, B, C = _force_values(orbital_first, pot)
+    forces = mean_field_forces(state, pot)  # from a contiguous stack
+    assert np.array_equal(np.stack([f.values.real for f in forces.f_bar]), f_bar)
+    assert np.array_equal(forces.momentum_coupling.values, B)
+    assert np.array_equal(forces.quad_correction.values.real, C)
+    want = _frozen_generator(forces, t, eps, grid, weights)(vals)
+    assert np.array_equal(_generator(f_bar, B, C, t, eps, grid, weights)(vals), want)
 
 
 @pytest.mark.parametrize("mode", ["spectral", "lattice"])

@@ -3,9 +3,12 @@
 import numpy as np
 import pytest
 
-from mflab.errors import ConfigError, NumericalFailure
+from mflab import hartree
+from mflab.errors import ConfigError, GridMismatchError, NumericalFailure
+from mflab.gauge import run_gauged
 from mflab.grid import Grid, kinetic_multiplier, norm_l2
 from mflab.hartree import (
+    OrbitalSet,
     diagnostics,
     hartree_energy,
     hartree_step,
@@ -175,3 +178,82 @@ def test_hartree_step_bit_identical_to_per_orbital_loop(dim, mode, N):
     got = hartree_step(state, pot, dt)
     assert got.time == dt
     assert all(np.array_equal(phi.values, w) for phi, w in zip(got.orbitals, want))
+
+
+def test_non_finite_orbital_fails_at_the_first_step():
+    _, pot, state = localized_setup(n=16)
+    vals = state.values.copy()
+    vals[1, 3] = np.nan
+    bad = OrbitalSet.from_values(state.grid, vals, state.time, state.scaling)
+    with pytest.raises(NumericalFailure, match="non-finite orbital values at step 1"):
+        run_hartree(bad, pot, t_final=0.05, dt=0.01)
+
+
+def test_run_hartree_rejects_a_potential_on_another_grid():
+    _, _, state = localized_setup(n=16)
+    _, other, _ = localized_setup(n=32)
+    with pytest.raises(GridMismatchError):
+        run_hartree(state, other, t_final=0.05, dt=0.01)
+
+
+def test_run_hartree_takes_one_hartree_step_per_step(monkeypatch):
+    """The module-level step is what run_hartree calls, so wrapping it sees every step."""
+    _, pot, state = localized_setup(n=16)
+    calls = []
+
+    def counted(*args):
+        calls.append(args[0].time)
+        return hartree_step(*args)
+
+    monkeypatch.setattr(hartree, "hartree_step", counted)
+    traj = run_hartree(state, pot, t_final=0.2, dt=0.01, snapshot_every=5)
+    assert len(calls) == 20
+    assert traj.snapshots[-1].time == pytest.approx(0.2, abs=1e-12)
+
+
+@pytest.mark.parametrize("route", [run_hartree, run_gauged])
+def test_both_routes_end_at_t_final_from_a_later_start(route):
+    _, pot, state = localized_setup(n=16)
+    later = OrbitalSet(orbitals=state.orbitals, time=0.5, scaling=state.scaling)
+    traj = route(later, pot, t_final=1.0, dt=0.01)
+    assert traj.snapshots[0].time == 0.5
+    assert len(traj.snapshots) == 51
+    assert traj.snapshots[-1].time == pytest.approx(1.0, abs=1e-12)
+    for t_final in (0.5, 0.3):
+        with pytest.raises(ConfigError):
+            route(later, pot, t_final=t_final, dt=0.01)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_orbital_set_from_values_matches_the_field_built_set(dim):
+    grid = Grid(dim=dim, sites_per_dim=16 if dim == 1 else 8, box_length=6.0)
+    state = make_orbitals(InitialFamily("localized", width=0.8), 3, grid)
+    stack = np.stack([phi.values for phi in state.orbitals])
+    built = OrbitalSet.from_values(grid, stack, state.time, state.scaling)
+    assert built.values is stack  # no copy, no Field until asked for
+    assert "orbitals" not in vars(built)
+    assert np.array_equal(built.values, state.values)
+    assert built.N == state.N == 3 and built.grid == grid
+    for a, b in zip(built.orbitals, state.orbitals):
+        assert a.grid == grid and np.array_equal(a.values, b.values)
+    assert np.array_equal(built.value_matrix(), state.value_matrix())
+
+
+def test_orbital_set_rejects_the_same_inputs_from_either_constructor():
+    grid = Grid(dim=1, sites_per_dim=16, box_length=6.0)
+    state = make_orbitals(InitialFamily("localized", width=0.8), 2, grid)
+    fields, vals = state.orbitals, state.values
+    resolved = state.scaling
+    cases = [
+        ((), vals[:0], resolved, "at least one orbital"),
+        (fields, vals, ScalingParams(N=3, epsilon=0.5), "scaling.N = 3 but 2"),
+        (fields, vals, ScalingParams(N=2), "resolved"),
+    ]
+    for orbitals, stack, scaling, message in cases:
+        with pytest.raises(ConfigError, match=message):
+            OrbitalSet(orbitals=orbitals, time=0.0, scaling=scaling)
+        with pytest.raises(ConfigError, match=message):
+            OrbitalSet.from_values(grid, stack, 0.0, scaling)
+    with pytest.raises(GridMismatchError):
+        OrbitalSet.from_values(Grid(dim=1, sites_per_dim=8, box_length=6.0), vals, 0.0,
+                               resolved)
