@@ -570,8 +570,8 @@ def run_auxiliary(
     for step in range(1, n_steps + 1):
         t_mid = (step - 0.5) * dt
         t_next = step * dt
-        phi_mid = hartree_step(phi, potential, 0.5 * dt)
-        phi = hartree_step(phi_mid, potential, 0.5 * dt)
+        phi_mid = hartree_step(phi, potential, 0.5 * dt, t_mid)
+        phi = hartree_step(phi_mid, potential, 0.5 * dt, t_next)
         psi_mid = gauge_orbitals(phi_mid, potential)
         gen = build_aux_generator(base, psi_mid, t_mid, basis, build_projections(psi_mid))
         amps = expm_multiply_hermitian(gen.matvec, amps, -1j * dt * gen.epsilon)

@@ -43,7 +43,12 @@ import numpy as np
 
 from .counting import alpha_number_onebody, build_projections, lemma_suite
 from .errors import ConfigError, ContractViolation, NumericalFailure
-from .gauge import continuity_residual, gauge_orbitals, run_gauged
+from .gauge import (
+    continuity_residual,
+    gauge_orbitals,
+    require_continuity_snapshots,
+    run_gauged,
+)
 from .grid import Field, Grid
 from .hartree import run_hartree
 from .manybody import (
@@ -416,6 +421,9 @@ def _exact_basis(cfg: RunConfig, N: int) -> ConfigBasis:
 
 
 def cmd_hartree(cfg: RunConfig) -> None:
+    # the continuity column needs an interior snapshot: check before integrating
+    _, recorded = step_schedule(cfg.t_final, cfg.dt, cfg.snapshot_every)
+    require_continuity_snapshots(len(recorded))
     potential = cfg.build_potential()
     for N in cfg.n_values:
         initial = cfg.initial_orbitals(N)

@@ -300,8 +300,8 @@ class SlotSpace:
     # -- slot operators ------------------------------------------------------
 
     def apply_one(self, T: np.ndarray, M: np.ndarray, slot: int) -> np.ndarray:
-        out = np.tensordot(M, T, axes=([1], [slot]))
-        return np.moveaxis(out, 0, slot)
+        L = self.n_modes
+        return np.matmul(M, T.reshape(L**slot, L, -1)).reshape(T.shape)
 
     def apply_on_slots(self, T: np.ndarray, mat: np.ndarray, slots: tuple[int, ...]) -> np.ndarray:
         """Apply a |slots|-particle operator (flat C-order matrix) to the slots."""
@@ -471,18 +471,18 @@ def _random_projections(L: int, N: int, rng: np.random.Generator) -> Projections
     return Projections(p=p, q=np.eye(L) - p, basis_matrix=U, n_occupied=N)
 
 
-def _gaussian_operator(rng: np.random.Generator, n: int, buffers: dict) -> np.ndarray:
-    """n x n complex Gaussian matrix, real part drawn first, in buffers reused per n.
+def _gaussian_operator(rng: np.random.Generator, n: int, operators: dict) -> np.ndarray:
+    """The n x n complex Gaussian operator, drawn once per n and then shared.
 
-    Equal, bit for bit and in the generator state it leaves, to
-    ``rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))``.
+    The first call for n draws ``rng.standard_normal((n, n)) + 1j *
+    rng.standard_normal((n, n))`` (real part first) and keeps it, read-only,
+    in ``operators``; later calls for n return that array and draw nothing.
     """
-    if n not in buffers:
-        buffers[n] = (np.empty((n, n)), np.empty((n, n), dtype=np.complex128))
-    part, A = buffers[n]
-    A.real = rng.standard_normal(out=part)
-    A.imag = rng.standard_normal(out=part)
-    return A
+    if n not in operators:
+        A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        A.flags.writeable = False
+        operators[n] = A
+    return operators[n]
 
 
 def _threshold_differences(
@@ -530,15 +530,25 @@ def lemma_suite(
     need tensors: every input they feed to the local operator A_C (each
     sector P^(b) R once, the shifted-weight and E-weighted inputs) is
     stacked on a trailing axis and A_C is applied once per trial, each side
-    of an identity still to its own input.  A_C, the shift sectors and the
-    factorisation sectors are drawn first, in the order the checks read
-    them, and checks are recorded in a fixed order, so a seed fixes the
-    report byte for byte.
+    of an identity still to its own input.
+
+    A_C is one dense complex Gaussian operator per operator size L^|C|,
+    drawn at the first trial of that size and shared, read-only, by the
+    later ones.  Both sandwich checks are linear in A_C: for a fixed trial
+    a coding error leaves a defect D(A_C) with D linear, and a nonzero D
+    vanishes only on a proper subspace, a null set of the Gaussian.  A_C is
+    drawn independently of every trial's projections and state, so one
+    draw per size catches the error with probability one, as a fresh draw
+    per trial would.
+
+    A_C (at first use), the shift sectors and the factorisation sectors are
+    drawn first, in the order the checks read them, and checks are recorded
+    in a fixed order, so a seed fixes the report byte for byte.
     """
     rng = np.random.default_rng(seed)
     asserted: dict = {}
     reported: dict = {}
-    operator_buffers: dict = {}
+    operators: dict = {}
 
     for trial in range(trials):
         N, L = sizes[trial % len(sizes)]
@@ -593,11 +603,11 @@ def lemma_suite(
             rhs = 2.0 * (norm_T if n0 == 1 else alpha_of(weight_power(n_w, n0 - 1)))
             _record(asserted, "sqrt_conversion", lhs, rhs, {**ctx_base, "n0": n0})
 
-        # one random local operator per trial for the sandwich identities;
-        # keep the acting slot set small when the mode count is large.
+        # one random local operator per operator size for the sandwich
+        # identities; keep the acting slot set small when the mode count is large.
         size_C = min(3, N) if L**3 <= 1024 else min(2, N)
         slots = tuple(range(size_C))
-        A_C = _gaussian_operator(rng, L**size_C, operator_buffers)
+        A_C = _gaussian_operator(rng, L**size_C, operators)
         # shift identity sectors, then the factorisation's lower sector a per
         # (gamma, d <= size_C) in the order the loops below read them
         a_sh = int(rng.integers(0, size_C + 1))

@@ -338,6 +338,12 @@ def run_gauged(
     return GaugedTrajectory(snapshots=tuple(snaps), dt=dt, potential=potential)
 
 
+def require_continuity_snapshots(count: int) -> None:
+    """Raise ``ConfigError`` unless ``count`` snapshots leave an interior one."""
+    if count < 3:
+        raise ConfigError("continuity residual needs at least 3 snapshots")
+
+
 def continuity_residual(traj: GaugedTrajectory, potential: InteractionPotential) -> np.ndarray:
     """Relative defect of d/dt (v * rho_t) + eps*(A + B + 2 t eps C) at interior snapshots.
 
@@ -352,8 +358,7 @@ def continuity_residual(traj: GaugedTrajectory, potential: InteractionPotential)
     snapshot spacing, so the centred difference keeps only 7-9 significant
     digits.
     """
-    if len(traj.snapshots) < 3:
-        raise ConfigError("continuity residual needs at least 3 snapshots")
+    require_continuity_snapshots(len(traj.snapshots))
     eps = traj.snapshots[0].scaling.epsilon
     times = traj.times
     u = [

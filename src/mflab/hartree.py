@@ -136,8 +136,13 @@ def hartree_energy(state: OrbitalSet, potential: InteractionPotential) -> float:
     return float(kin + pot)
 
 
-def hartree_step(state: OrbitalSet, potential: InteractionPotential, dt: float) -> OrbitalSet:
-    """One Strang step of the self-consistent evolution.
+def hartree_step(
+    state: OrbitalSet, potential: InteractionPotential, dt: float, time: float
+) -> OrbitalSet:
+    """One Strang step of the self-consistent evolution, to the given ``time``.
+
+    Callers pass their step count times dt: ``state.time + dt`` would drift
+    by a rounding error per step.
 
     A potential phase dt eps max|v * rho| above pi per step aliases, so it
     raises ``NumericalFailure`` instead of returning an unresolved step.
@@ -164,7 +169,7 @@ def hartree_step(state: OrbitalSet, potential: InteractionPotential, dt: float) 
         )
     pot_phase = np.exp(-1j * dt * eps * u)
     new = _fftn(half_kin * _fftn(pot_phase * mids, axes), axes, inverse=True)
-    return OrbitalSet.from_values(grid, new, state.time + dt, state.scaling)
+    return OrbitalSet.from_values(grid, new, time, state.scaling)
 
 
 @dataclass(frozen=True)
@@ -224,7 +229,8 @@ def run_hartree(
     About 100 snapshots are recorded; ``snapshot_every`` overrides the
     default cadence max(1, floor(span / (100*dt))) steps, where span =
     t_final - initial.time must be a positive multiple of dt.  Each step is
-    one ``hartree_step`` call.
+    one ``hartree_step`` call; the state after step k carries the time
+    initial.time + k*dt.
     """
     if potential.grid != initial.grid:
         raise GridMismatchError("potential and orbitals use different grids")
@@ -234,7 +240,7 @@ def run_hartree(
     snaps = [state]
     diags = [diagnostics(state, potential)]
     for step in range(1, n_steps + 1):
-        state = hartree_step(state, potential, dt)
+        state = hartree_step(state, potential, dt, initial.time + step * dt)
         if not np.isfinite(state.values).all():
             raise NumericalFailure(f"non-finite orbital values at step {step}")
         if step in recorded:

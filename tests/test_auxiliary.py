@@ -293,6 +293,25 @@ def test_run_auxiliary_structure_and_start_values():
     assert np.all(np.diff(times) > 0)
 
 
+def test_run_auxiliary_orbital_times_are_step_counts_times_dt(monkeypatch):
+    """Step k's two Hartree half steps carry (k - 1/2) dt and k dt exactly."""
+    grid, pot, orbitals = make_system(N=2)
+    dt = 0.02
+    times = []
+    step = auxiliary.hartree_step
+
+    def recorded(*args):
+        out = step(*args)
+        times.append(out.time)
+        return out
+
+    monkeypatch.setattr(auxiliary, "hartree_step", recorded)
+    run = run_auxiliary(orbitals, pot, t_final=0.2, dt=dt, snapshot_every=5)
+    assert times == [t for k in range(1, 11) for t in ((k - 0.5) * dt, k * dt)]
+    assert [s.time for s in run.orbital_snapshots] == [0.0, 5 * dt, 10 * dt]
+    assert run.times.tolist() == [0.0, 5 * dt, 10 * dt]
+
+
 def test_run_auxiliary_free_case_matches_exact():
     # amplitude zero: the force vanishes, the gauge phase is a global constant,
     # and the truncated dynamics must ride the exact one to solver tolerance.

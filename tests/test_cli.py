@@ -160,6 +160,17 @@ def test_aux_four_particle_cap(tmp_path):
     assert "N = 4 needs at most 10 modes, got 12" in err.getvalue()
 
 
+def test_hartree_rejects_a_two_snapshot_schedule_before_integrating(tmp_path):
+    """A cadence past the step count leaves only the endpoints, so the
+    continuity column has no interior snapshot: exit 2 with no output."""
+    err = io.StringIO()
+    with redirect_stderr(err), redirect_stdout(io.StringIO()):
+        code = run_cli("hartree", tmp_path, "time.snapshot_every=1000")
+    assert code == 2
+    assert "continuity residual needs at least 3 snapshots" in err.getvalue()
+    assert sorted(tmp_path.glob("hartree_N*")) == []
+
+
 def test_lemmas_writes_clean_report(tmp_path):
     assert run_cli("lemmas", tmp_path, "lemmas.trials=5", seed=11) == 0
     report = json.loads((tmp_path / "lemma_report.json").read_text())

@@ -401,12 +401,55 @@ def test_lemma_report_structure_is_pinned(tmp_path):
     ]
 
 
-def test_gaussian_operator_is_the_two_draw_operator():
-    """The reused buffer holds, bit for bit, the operator of two separate draws."""
-    fresh, reused = np.random.default_rng(3), np.random.default_rng(3)
-    buffers: dict = {}
-    for n in (36, 512, 36):
-        expected = fresh.standard_normal((n, n)) + 1j * fresh.standard_normal((n, n))
-        assert np.array_equal(_gaussian_operator(reused, n, buffers), expected)
-    assert set(buffers) == {36, 512}
-    assert fresh.bit_generator.state == reused.bit_generator.state
+def test_gaussian_operator_is_drawn_once_per_size():
+    """One read-only array per n: the two-draw operator of the generator state
+    at its first use; later calls for n return it and draw nothing."""
+    fresh, shared = np.random.default_rng(3), np.random.default_rng(3)
+    operators: dict = {}
+    first: dict = {}
+    for n in (36, 512, 36, 512):
+        A = _gaussian_operator(shared, n, operators)
+        if n not in first:
+            expected = fresh.standard_normal((n, n)) + 1j * fresh.standard_normal((n, n))
+            assert np.array_equal(A, expected)
+            first[n] = A
+        assert A is first[n]
+        assert not A.flags.writeable
+        with pytest.raises(ValueError):
+            A[0, 0] = 0.0
+    assert set(operators) == {36, 512}
+    assert fresh.bit_generator.state == shared.bit_generator.state
+
+
+@pytest.mark.parametrize(
+    "check, planted",
+    [
+        # the shift identity's shifted-weight input, first of the weighted columns
+        ("shift_identity", lambda k: slice(-k, -k + 1)),
+        # the factorisation's E-weighted inputs, the last k - 1 columns
+        ("difference_factorisation", lambda k: slice(-k + 1, None)),
+    ],
+)
+def test_sandwich_checks_catch_an_operator_dependent_defect(monkeypatch, check, planted):
+    """The shared A_C still has teeth: applying A_C^T in place of A_C to the
+    weighted side of a sandwich identity is recorded as violations, while the
+    unplanted suite records none.  Of the stacked inputs, the last
+    k = 1 + len(gammas) |C| are the weighted ones."""
+    gammas = (1.0 / 6.0, 0.5, 1.0)
+    clean = lemma_suite(seed=5, trials=8, gammas=gammas)
+    for name in ("shift_identity", "difference_factorisation"):
+        assert clean.asserted[name]["violations"] == []
+
+    apply = AdaptedSlots.apply_on_slots
+
+    def transposed(self, T, mat, slots):
+        out = apply(self, T, mat, slots)
+        cols = planted(1 + len(gammas) * len(slots))
+        out[..., cols] = apply(self, T[..., cols], mat.T, slots)
+        return out
+
+    monkeypatch.setattr(AdaptedSlots, "apply_on_slots", transposed)
+    broken = lemma_suite(seed=5, trials=8, gammas=gammas)
+    assert broken.asserted[check]["violations"]
+    other = ({"shift_identity", "difference_factorisation"} - {check}).pop()
+    assert broken.asserted[other]["violations"] == []

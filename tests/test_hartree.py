@@ -64,9 +64,9 @@ def test_step_beyond_phase_resolution_fails():
     at_pi = np.pi / (dt * state.scaling.epsilon * state.N)
     below = build_potential(grid, "cosine_sum", amplitudes=[], offset=0.99 * at_pi)
     above = build_potential(grid, "cosine_sum", amplitudes=[], offset=-1.01 * at_pi)
-    assert hartree_step(state, below, dt).time == dt
+    assert hartree_step(state, below, dt, dt).time == dt
     with pytest.raises(NumericalFailure, match="exceeds pi"):
-        hartree_step(state, above, dt)
+        hartree_step(state, above, dt, dt)
 
 
 @pytest.mark.parametrize("mode", ["spectral", "lattice"])
@@ -175,7 +175,7 @@ def test_hartree_step_bit_identical_to_per_orbital_loop(dim, mode, N):
     pot_phase = np.exp(-1j * dt * 0.3 * u)
     want = [np.fft.ifftn(half_kin * np.fft.fftn(pot_phase * m)) for m in mids]
 
-    got = hartree_step(state, pot, dt)
+    got = hartree_step(state, pot, dt, dt)
     assert got.time == dt
     assert all(np.array_equal(phi.values, w) for phi, w in zip(got.orbitals, want))
 
@@ -209,6 +209,21 @@ def test_run_hartree_takes_one_hartree_step_per_step(monkeypatch):
     traj = run_hartree(state, pot, t_final=0.2, dt=0.01, snapshot_every=5)
     assert len(calls) == 20
     assert traj.snapshots[-1].time == pytest.approx(0.2, abs=1e-12)
+
+
+def test_snapshot_times_are_the_step_count_times_dt():
+    """A snapshot after k steps carries initial.time + k*dt exactly, in the
+    trajectory and its diagnostics; adding dt per step drifts (t = 1 read
+    1.0000000000000007 after 100 steps of 0.01)."""
+    _, pot, state = localized_setup(n=16)
+    dt = 0.01
+    for start in (0.0, 0.5):
+        initial = OrbitalSet(orbitals=state.orbitals, time=start, scaling=state.scaling)
+        traj = run_hartree(initial, pot, t_final=start + 1.0, dt=dt, snapshot_every=10)
+        expected = [start + k * dt for k in range(0, 101, 10)]
+        assert traj.times.tolist() == expected
+        assert [d.time for d in traj.diagnostics] == expected
+    assert traj.snapshots[-1].time == 1.5
 
 
 @pytest.mark.parametrize("route", [run_hartree, run_gauged])
