@@ -80,6 +80,19 @@ def _krylov_segment(
                 f"generator is not hermitian: diagonal Lanczos coefficient {alpha}"
             )
         alphas[j] = a_j = alpha.real
+        if not math.isfinite(a_j):
+            raise NumericalFailure(f"non-finite Lanczos coefficient (alpha {a_j})")
+
+        # y needs only alphas[:j+1] and betas[:j]: test convergence before
+        # building the next vector, which a converged segment never uses
+        evals, evecs = _eigh_tridiagonal(alphas[: j + 1], betas[:j])
+        y = evecs @ (np.exp(scale * evals) * evecs[0, :].conj())
+        if y_prev is not None:
+            diff = -y  # the previous iterate padded with a zero, minus y
+            np.subtract(y_prev, y[:-1], out=diff[:-1])
+            if _norm(diff) < tol:
+                return _assemble(basis, y, norm_v)
+
         w = w - a_j * basis[j]
         if j > 0:
             w -= betas[j - 1] * basis[j - 1]
@@ -87,21 +100,10 @@ def _krylov_segment(
         for b in basis:
             w -= np.vdot(b, w) * b
         beta = _norm(w)
-        if not (math.isfinite(a_j) and math.isfinite(beta)):
-            raise NumericalFailure(
-                f"non-finite Lanczos coefficient (alpha {a_j}, beta {beta})"
-            )
-
-        evals, evecs = _eigh_tridiagonal(alphas[: j + 1], betas[:j])
-        y = evecs @ (np.exp(scale * evals) * evecs[0, :].conj())
-
+        if not math.isfinite(beta):
+            raise NumericalFailure(f"non-finite Lanczos coefficient (beta {beta})")
         if beta < 1e-14 * max(1.0, abs(a_j)):
             return _assemble(basis, y, norm_v)  # invariant subspace: exact
-        if y_prev is not None:
-            diff = -y  # the previous iterate padded with a zero, minus y
-            np.subtract(y_prev, y[:-1], out=diff[:-1])
-            if _norm(diff) < tol:
-                return _assemble(basis, y, norm_v)
         y_prev = y
         betas[j] = beta
         basis.append(w / beta)

@@ -33,20 +33,29 @@ blocks carrying at most two (``MAX_COMPLEMENT``) complement projections in
 total, w~ = sum_{b+c<=2} P^(b) w P^(c), where P^(b) distributes b factors of
 q = 1 - p over the kernel's slots.  In the orbital-adapted mode basis U of
 ``build_projections`` (first N columns span Ran p) every P^(b) is diagonal,
-so the production route (``kept_interaction``) rotates the kernel forward
-slot by slot, O(L^(2r+1)) per kernel instead of O(L^(3r)), and multiplies it
-by the fixed 0/1 mask exc(row) + exc(col) <= 2.  The kept kernels are never
-rotated back to site modes.  The lift tables only index mode labels, so
-``build_aux_generator`` lifts them on the configuration basis of the adapted
-modes, H_ad, and carries the sum back once:
+and the kept part is the set of entries whose row and column multi-indices
+carry at most two complement modes (q modes, the last L - N) between them.
+The production route (``kept_interaction``) builds each kernel there.  The
+pair kernel is rotated forward slot by slot, O(L^5) instead of O(L^6), and
+multiplied by the fixed 0/1 mask exc(row) + exc(col) <= 2, which depends
+only on (L, N) and is built once from ``slot_sector_projectors``, the
+literal kron construction of P^(b).  The triple kernel is diagonal on site
+modes, so its adapted entries are sum_x d[x1, x2, x3] rho[x1, k1, l1]
+rho[x2, k2, l2] rho[x3, k3, l3] with rho[x, k, l] = conj(U[x, k]) U[x, l];
+each slot's (k, l) is split into p/q blocks, and only the 22 block
+combinations with at most two q modes in total are contracted (3.8% of
+the L^6 entries at L = 12, N = 3); the rest is never formed.  The kept
+kernels are never rotated back to site modes.  The lift tables only index
+mode labels, so ``build_aux_generator`` lifts them on the configuration
+basis of the adapted modes, H_ad, and carries the sum back once:
 H = lift1(K) + Rot^dag H_ad Rot, with Rot = ``Projections.rotation``
 (Rot c holds a state's adapted amplitudes).  H is a dense dim x dim array,
-dim <= 495 at every CLI cap.  The mask depends only on (L, N, r) and is
-built once from ``slot_sector_projectors``, the literal kron construction of
-P^(b).  ``truncate_interaction`` keeps the literal sum of projector products
-as the oracle and returns the discarded blocks alongside, so that
-kept + discarded = w can be checked as an operator identity; lifting its kept
-part on the site basis reproduces ``build_aux_generator``.
+dim <= 495 at every CLI cap; lift1(K) does not change during a run, and
+``run_auxiliary`` lifts it once.  ``truncate_interaction`` keeps the literal
+sum of projector products as the oracle and returns the discarded blocks
+alongside, so that kept + discarded = w can be checked as an operator
+identity; lifting its kept part on the site basis reproduces
+``build_aux_generator``.
 
 ``run_auxiliary`` co-evolves the truncated state, the mean-field orbitals,
 and the exact state, recording occupancy diagnostics, the direct energy
@@ -311,37 +320,60 @@ def _rotate_slots(w: np.ndarray, U: np.ndarray, r: int) -> np.ndarray:
     return out.reshape(L**r, L**r)
 
 
-def _rotate_diagonal(d: np.ndarray, U: np.ndarray, r: int) -> np.ndarray:
-    """(U^dag)^(x r) @ diag(d) @ U^(x r), contracting one slot's pair density at a time.
+def _kept_diagonal(d: np.ndarray, U: np.ndarray, N: int, r: int) -> np.ndarray:
+    """sum_{b+c<=2} P^(b) diag(d) P^(c) for an r-slot diagonal, in the adapted basis.
 
-    rho[x, k, l] = conj(U[x, k]) U[x, l]; the last slot costs O(L^(2r+1)),
-    the earlier ones a factor L^2 less each.
+    The rotated kernel is sum_x d[x1, ..., xr] prod_s rho[x_s, k_s, l_s] with
+    rho[x, k, l] = conj(U[x, k]) U[x, l].  Each slot's (k, l) lies in one of
+    four blocks (p or q modes for k, and for l), and only the block
+    combinations carrying at most two q modes in total are kept (22 of 64
+    for r = 3), so only those are contracted.  Like ``_rotate_slots``, each
+    pass contracts the leading site index with one block of rho and cycles
+    the block's (k, l) to the back, slot 1 first; a partial sum is shared by
+    every combination that extends it.  The rest of the result stays zero.
     """
     L = U.shape[0]
-    rho = np.einsum("xk,xl->xkl", U.conj(), U)
-    out = d.reshape((L,) * r)
+    blocks = []  # (rho on the block as an (L, mk * ml) matrix, k modes, l modes, shape, q count)
+    for bk, nk in ((slice(0, N), 0), (slice(N, L), 1)):  # p modes, q modes
+        for bl, nl in ((slice(0, N), 0), (slice(N, L), 1)):
+            Uk, Ul = U[:, bk].conj(), U[:, bl]
+            if Uk.size and Ul.size:
+                rho = (Uk[:, :, None] * Ul[:, None, :]).reshape(L, -1)
+                blocks.append((rho, bk, bl, (Uk.shape[1], Ul.shape[1]), nk + nl))
+    parts = [(d, (), (), (), 0)]
     for _ in range(r):
-        out = np.tensordot(out, rho, axes=([0], [0]))
-    out = out.transpose(list(range(0, 2 * r, 2)) + list(range(1, 2 * r, 2)))
+        parts = [
+            (t.reshape(L, -1).T @ rho, ks + (bk,), ls + (bl,), shape + mkl, c + n)
+            for t, ks, ls, shape, c in parts
+            for rho, bk, bl, mkl, n in blocks
+            if c + n <= MAX_COMPLEMENT
+        ]
+    order = list(range(0, 2 * r, 2)) + list(range(1, 2 * r, 2))
+    out = np.zeros((L,) * (2 * r), dtype=np.complex128)
+    for t, ks, ls, shape, _ in parts:
+        out[ks + ls] = t.reshape(shape).transpose(order)
     return out.reshape(L**r, L**r)
 
 
 def kept_interaction(w: np.ndarray, projections: Projections, r: int) -> np.ndarray:
-    """sum_{b+c<=2} P^(b) w P^(c) in the adapted mode basis, by rotate and mask.
+    """sum_{b+c<=2} P^(b) w P^(c) in the adapted mode basis.
 
     ``w`` is an (L^r, L^r) site-basis kernel or the diagonal (L^r,) of one.
     The result is (U^dag)^(x r) [sum_{b+c<=2} P^(b) w P^(c)] U^(x r) with
     U = ``projections.basis_matrix``: the kept kernel on adapted modes,
-    where each P^(b) is diagonal.  It stays there; ``build_aux_generator``
-    lifts it on the adapted configuration basis.
+    where each P^(b) is diagonal.  A diagonal kernel is contracted on its
+    kept blocks only (``_kept_diagonal``); a dense one is rotated whole and
+    multiplied by the 0/1 mask.  The result stays in the adapted
+    basis; ``build_aux_generator`` lifts it on the adapted configuration
+    basis.
     """
     U = projections.basis_matrix
     L = U.shape[0]
+    N = projections.n_occupied
     if w.ndim == 1:
-        rotated = _rotate_diagonal(w, U, r)
-    else:
-        rotated = _rotate_slots(w, U, r)
-    rotated *= _kept_mask(L, projections.n_occupied, r)
+        return _kept_diagonal(w, U, N, r)
+    rotated = _rotate_slots(w, U, r)
+    rotated *= _kept_mask(L, N, r)
     return rotated
 
 
@@ -373,12 +405,15 @@ def build_aux_generator(
     t: float,
     basis: ConfigBasis,
     proj: Projections,
+    kinetic: np.ndarray,
 ) -> ManyBodyOperator:
     """Truncated gauged generator with projections from the given orbitals.
 
     ``proj`` is ``build_projections(gauged_orbitals)``; callers pass it in
     because they need it too (``run_auxiliary``'s sector masses read its
-    rotation table), so it and its rotation are built once.
+    rotation table), so it and its rotation are built once.  ``kinetic`` is
+    the dense lift ``lift_one_body(basis, dense_kinetic(grid)).toarray()``,
+    the same for every build of a run, so a run lifts it once.
     """
     grid = base.grid
     if gauged_orbitals.grid != grid:
@@ -397,7 +432,7 @@ def build_aux_generator(
         H_ad = H_ad + lift_three_body(basis, kept_interaction(te**2 * base.triple_diag, proj, 3))
     Rot, _ = proj.rotation(basis)
     H = Rot.conj().T @ (H_ad @ Rot)
-    H += lift_one_body(basis, dense_kinetic(grid)).toarray()
+    H += kinetic
     defect = float(np.max(np.abs(H - H.conj().T)))
     if defect > 1e-9:
         raise ContractViolation(f"truncated generator not hermitian: defect {defect}")
@@ -532,6 +567,7 @@ def run_auxiliary(
     basis = ConfigBasis(n_modes=grid.total_sites, n_particles=scaling.N)
     base = base_interactions(potential, include_triple=scaling.N >= 3)
     H_exact = build_hamiltonian(basis, potential, scaling)
+    kinetic = lift_one_body(basis, dense_kinetic(grid)).toarray()
 
     psi0 = slater_state(initial, basis)
     aux = psi0
@@ -547,7 +583,7 @@ def run_auxiliary(
         a_m = tuple(
             float(np.dot(weight_threshold(N, g).values(), masses)) for g in gammas
         )
-        gen_t = build_aux_generator(base, psi_t, t, basis, proj)
+        gen_t = build_aux_generator(base, psi_t, t, basis, proj, kinetic)
         e_g = direct_energy(psi_t, potential, t)
         beta = energy_excess(aux_state, gen_t, e_g)
         bad = complement_kinetic(aux_state, psi_t)
@@ -573,7 +609,7 @@ def run_auxiliary(
         phi_mid = hartree_step(phi, potential, 0.5 * dt, t_mid)
         phi = hartree_step(phi_mid, potential, 0.5 * dt, t_next)
         psi_mid = gauge_orbitals(phi_mid, potential)
-        gen = build_aux_generator(base, psi_mid, t_mid, basis, build_projections(psi_mid))
+        gen = build_aux_generator(base, psi_mid, t_mid, basis, build_projections(psi_mid), kinetic)
         amps = expm_multiply_hermitian(gen.matvec, amps, -1j * dt * gen.epsilon)
         if not np.all(np.isfinite(amps)):
             raise NumericalFailure(f"non-finite truncated amplitudes at step {step}")

@@ -499,6 +499,26 @@ def _threshold_differences(
     return WeightFunction(diff), D_w, E_w
 
 
+def _size_weights(N: int, gammas: tuple[float, ...]) -> tuple:
+    """The lemma suite's weight tables for N particles, which depend on N and gamma only.
+
+    Returns ``(n_w, linv, per_gamma)``: the number and inverse-sqrt weights
+    and, per gamma, ``(m_w, shifted, differences)`` with m_w the threshold
+    weight, ``shifted[s]`` the complement weight shifted by s for |s| <=
+    min(3, N) and ``differences[d]`` = ``_threshold_differences(m_w, d)``
+    for 1 <= d <= min(3, N).
+    """
+    span = min(3, N)
+    per_gamma = []
+    for gamma in gammas:
+        m_w = weight_threshold(N, gamma)
+        w_w = weight_complement(N, gamma)
+        shifted = {s: w_w.shifted(s) for s in range(-span, span + 1)}
+        differences = {d: _threshold_differences(m_w, d) for d in range(1, span + 1)}
+        per_gamma.append((m_w, shifted, differences))
+    return weight_number(N), weight_inverse_sqrt(N), per_gamma
+
+
 def lemma_suite(
     seed: int = 0,
     trials: int = 200,
@@ -543,12 +563,15 @@ def lemma_suite(
 
     A_C (at first use), the shift sectors and the factorisation sectors are
     drawn first, in the order the checks read them, and checks are recorded
-    in a fixed order, so a seed fixes the report byte for byte.
+    in a fixed order, so a seed fixes the report byte for byte.  The weight
+    tables depend only on N and gamma and are built once per N
+    (``_size_weights``).
     """
     rng = np.random.default_rng(seed)
     asserted: dict = {}
     reported: dict = {}
     operators: dict = {}
+    weights: dict = {}
 
     for trial in range(trials):
         N, L = sizes[trial % len(sizes)]
@@ -580,7 +603,9 @@ def lemma_suite(
             ctx_base,
         )
 
-        n_w = weight_number(N)
+        if N not in weights:
+            weights[N] = _size_weights(N, gammas)
+        n_w, linv, per_gamma = weights[N]
         norm_T = space.norm_sq(T)
         view = AdaptedSlots(proj, N)
         R = view.rotate(T)
@@ -597,7 +622,6 @@ def lemma_suite(
             _record(asserted, "q_conversion", lhs, rhs, {**ctx_base, "n0": n0})
 
         # sqrt-conversion: 1 <= n0 < N
-        linv = weight_inverse_sqrt(N)
         for n0 in range(1, min(3, N - 1) + 1):
             lhs = mask_norm(linv, n0)
             rhs = 2.0 * (norm_T if n0 == 1 else alpha_of(weight_power(n_w, n0 - 1)))
@@ -612,10 +636,9 @@ def lemma_suite(
         # (gamma, d <= size_C) in the order the loops below read them
         a_sh = int(rng.integers(0, size_C + 1))
         b_sh = int(rng.integers(0, size_C + 1))
-        thresholds = [weight_threshold(N, gamma) for gamma in gammas]
         lower = [
-            (m_w, d, int(rng.integers(0, size_C - d + 1)))
-            for m_w in thresholds
+            (differences[d], int(rng.integers(0, size_C - d + 1)))
+            for _, _, differences in per_gamma
             for d in range(1, size_C + 1)
         ]
 
@@ -624,17 +647,16 @@ def lemma_suite(
         # shifted-weight input and each factorisation's E-weighted input
         inputs: list[np.ndarray] = []
         sector_col: dict[int, int] = {}
-        for b in (b_sh, *(a for _, _, a in lower)):
+        for b in (b_sh, *(a for _, a in lower)):
             if b not in sector_col:
                 sector_col[b] = len(inputs)
                 inputs.append(view.sector(R, b, slots))
         shift_col = len(inputs)
         inputs.append(view.sector(view.weight(R, n_w.shifted(a_sh - b_sh)), b_sh, slots))
-        for m_w, d, a in lower:
-            _, _, E_w = _threshold_differences(m_w, d)
+        for (_, _, E_w), a in lower:
             inputs.append(view.sector(view.weight(R, E_w), a, slots))
         applied = view.apply_on_slots(np.stack(inputs, axis=-1), A_C, slots)
-        factorised = iter(zip((a for _, _, a in lower), range(shift_col + 1, len(inputs))))
+        factorised = iter(zip((a for _, a in lower), range(shift_col + 1, len(inputs))))
 
         # shift identity: f_hat (P^(a) A_C P^(b)) = (P^(a) A_C P^(b)) f_hat_{a-b}
         sandwich_sh = view.sector(applied[..., sector_col[b_sh]], a_sh, slots)
@@ -650,8 +672,7 @@ def lemma_suite(
             {**ctx_base, "a": a_sh, "b": b_sh},
         )
 
-        for gamma, m_w in zip(gammas, thresholds):
-            w_w = weight_complement(N, gamma)
+        for gamma, (m_w, shifted_w, differences) in zip(gammas, per_gamma):
             alpha_m = alpha_of(m_w)
 
             # shifted-complement bound
@@ -659,9 +680,8 @@ def lemma_suite(
                 for sign in (+1, -1):
                     if d == 0 and sign == -1:
                         continue
-                    shifted = w_w.shifted(sign * d)
                     for n0 in range(1, min(3, N) + 1):
-                        lhs = mask_norm(shifted, n0)
+                        lhs = mask_norm(shifted_w[sign * d], n0)
                         rhs = 2.0 * N ** (n0 * (gamma - 1.0)) * alpha_m
                         ctx = {**ctx_base, "gamma": gamma, "d": sign * d, "n0": n0}
                         target = asserted if d <= N**gamma + 1e-9 else reported
@@ -669,7 +689,7 @@ def lemma_suite(
 
             # threshold-difference operators and factorisation
             for d in range(1, min(3, N) + 1):
-                diff_w, D_w, E_w = _threshold_differences(m_w, d)
+                diff_w, D_w, E_w = differences[d]
                 ctx = {**ctx_base, "gamma": gamma, "d": d}
 
                 _record(asserted, "diff_D_plain", mask_norm(D_w, 0), d * N**-gamma * norm_T, ctx)

@@ -13,13 +13,17 @@ tables, so lifting a new operator is one vectorised gather.
 One r-body builder (``ConfigBasis._table``) makes every table, with numpy
 bit operations on the configuration bitmasks.  Each entry is a nonzero
 matrix element of a^dag_{d1}...a^dag_{dr} a_{cr}...a_{c1} (a_{c1} acts
-first, a^dag_{d1} last); entries run over columns, then ordered tuples of
-distinct occupied modes (c1 slowest), then increasing created modes
-d1 < ... < dr (dr slowest).  Every r-body operator a lift receives is
-exchange symmetric, W[(d_s), (c_s)] = W[(d), (c)] for each simultaneous
-slot permutation s, so the r! orderings of the created modes give equal
-terms: the increasing one with every ordering of the annihilated modes
-counts each term once, and the lift needs no 1/r!.  (A kernel that is not
+first, a^dag_{d1} last).  Entries are generated over columns, then ordered
+tuples of distinct occupied modes (c1 slowest), then increasing created
+modes d1 < ... < dr (dr slowest), and stored sorted by (row, column), the
+generation order kept among entries of one matrix element, so that a lift
+sums each element's run of entries without sorting (CSR order; its row
+pointer and run starts are ``ConfigBasis.csr_pattern``, built once per
+table).  Every r-body operator a lift receives is exchange symmetric,
+W[(d_s), (c_s)] = W[(d), (c)] for each simultaneous slot permutation s,
+so the r! orderings of the created modes give equal terms: the
+increasing one with every ordering of the annihilated modes counts each
+term once, and the lift needs no 1/r!.  (A kernel that is not
 exchange symmetric would be lifted wrongly.)  One-body tables have a single
 created mode and are unaffected.  A lift stores no explicit zeros.  These
 tables serve the lifts only.  Reduced densities and one-body expectations
@@ -144,10 +148,10 @@ class ConfigBasis:
         Returns int32 ``(rows, cols, row_slot, col_slot)`` and int8 ``signs``
         with <rows[e]| ... |cols[e]> = signs[e], row_slot = (d1, ..., dr) and
         col_slot = (c1, ..., cr) flattened C-order, d1 < ... < dr, in the
-        entry order of the module docstring: dim * N!/(N-r)! * C(L-N+r, r)
-        entries.  The int64 bitmasks rely on the n_modes <= 62 guard of
-        ``__post_init__``; int32 holds every row and slot index (dim and
-        L^r stay far below 2^31 wherever a table is built).
+        CSR entry order of the module docstring: dim * N!/(N-r)! *
+        C(L-N+r, r) entries.  The int64 bitmasks rely on the n_modes <= 62
+        guard of ``__post_init__``; int32 holds every row and slot index (dim
+        and L^r stay far below 2^31 wherever a table is built).
         """
         L = self.n_modes
         configs = np.array(self.configs, dtype=np.int64)
@@ -177,26 +181,57 @@ class ConfigBasis:
             bound = d
         order = np.argsort(self.masks)
         rows = order[np.searchsorted(self.masks, masks, sorter=order)]
+        del free, entry, d, bound, masks  # release the loop's arrays before sorting
+        # cols never decrease, so a stable sort on rows puts the entries in CSR order
+        entry = np.argsort(rows, kind="stable")
         index = (rows, cols, row_slot, col_slot)
-        return (*(a.astype(np.int32) for a in index), signs.astype(np.int8))
+        return (*(a.astype(np.int32)[entry] for a in index), signs.astype(np.int8)[entry])
+
+    @cached_property
+    def _csr_patterns(self) -> dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """Per table name, the CSR structure ``_lift`` sums into (filled on first use)."""
+        return {}
+
+    def csr_pattern(self, table: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(starts, indices, indptr)`` of the lift table ``table``, computed once.
+
+        The table is in CSR order, so each distinct (row, col) is one run of
+        entries: ``starts`` holds where each run begins, ``indices`` its
+        column and ``indptr`` the row pointer over runs.
+        """
+        pattern = self._csr_patterns.get(table)
+        if pattern is None:
+            rows, cols = getattr(self, table)[:2]
+            new = np.ones(len(rows), dtype=bool)
+            new[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+            starts = np.flatnonzero(new)
+            indptr = np.searchsorted(rows[starts], np.arange(self.dim + 1)).astype(np.int32)
+            pattern = self._csr_patterns[table] = (starts, cols[starts], indptr)
+        return pattern
 
 
 def _lift(basis: ConfigBasis, W: np.ndarray, r: int, table: str) -> sp.csr_matrix:
     """sum over r-subsets of particles of an exchange-symmetric W, gathered
     through ``basis.<table>``, one term per table entry.
 
-    Entries where W vanishes are dropped before the COO -> CSR sort: the
-    adapted-basis kernels of the auxiliary generator are mostly masked zeros.
+    The table is in CSR order and ``ConfigBasis.csr_pattern`` holds its
+    structure, so a lift is one gather, one sum over each run of entries
+    that share a matrix element, and one pass that drops the elements that
+    sum to zero (the adapted-basis kernels of the auxiliary generator are
+    mostly masked zeros); nothing is sorted.
     """
     n = basis.n_modes**r
     if W.shape != (n, n):
         raise GridMismatchError(f"{r}-body operator shape {W.shape} != ({n}, {n})")
-    rows, cols, row_slot, col_slot, signs = getattr(basis, table)
-    data = signs * W[row_slot, col_slot]
+    _, _, row_slot, col_slot, signs = getattr(basis, table)
+    starts, indices, indptr = basis.csr_pattern(table)
+    # int32 flat slots: L^(2r) < 2^31 for every table ConfigBasis builds
+    data = np.add.reduceat(signs * W.ravel().take(row_slot * n + col_slot), starts)
     nz = data != 0
-    return sp.coo_matrix(
-        (data[nz], (rows[nz], cols[nz])), shape=(basis.dim, basis.dim)
-    ).tocsr()
+    kept_before = np.concatenate(([0], np.cumsum(nz)))
+    return sp.csr_matrix(
+        (data[nz], indices[nz], kept_before[indptr]), shape=(basis.dim, basis.dim)
+    )
 
 
 def lift_one_body(basis: ConfigBasis, A: np.ndarray) -> sp.csr_matrix:

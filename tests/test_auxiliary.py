@@ -174,6 +174,18 @@ def test_kept_interaction_matches_truncation_oracle():
             got = kept_interaction(w, proj, r)
             assert np.max(np.abs(got - oracle)) <= 1e-12 * np.max(np.abs(w)), (r, w.ndim)
 
+    # triple kernels built on their kept blocks: one complement mode at N = 5,
+    # none at N = L (every block with a q mode is empty)
+    for L, N in ((6, 1), (6, 5), (6, 6), (8, 3), (10, 4)):
+        grid = Grid(dim=1, sites_per_dim=L, box_length=float(L), kinetic_mode="lattice")
+        pot = build_potential(grid, "gaussian", amplitude=1.0, width=3.0)
+        w = base_interactions(pot).triple_diag
+        proj = _random_projections(L, N, rng)
+        oracle = truncate_interaction(w, proj.p, proj.q, 3).kept
+        oracle = to_adapted(oracle, proj.basis_matrix, 3)
+        got = kept_interaction(w, proj, 3)
+        assert np.max(np.abs(got - oracle)) <= 1e-12 * np.max(np.abs(w)), (L, N)
+
 
 @pytest.mark.parametrize("mode", ["lattice", "spectral"])
 @pytest.mark.parametrize("t", [0.3, 0.7])
@@ -197,7 +209,8 @@ def test_aux_generator_matches_lifted_truncation_oracle(L, N, t, mode):
         oracle = oracle + lift_three_body(basis, w3)
     oracle = oracle.toarray()
 
-    got = build_aux_generator(base, psi, t, basis, proj).matrix
+    kinetic = lift_one_body(basis, dense_kinetic(grid)).toarray()
+    got = build_aux_generator(base, psi, t, basis, proj, kinetic).matrix
     assert isinstance(got, np.ndarray) and got.shape == (basis.dim, basis.dim)
     assert np.max(np.abs(got - oracle)) <= 1e-12 * np.max(np.abs(oracle))
 
@@ -212,6 +225,20 @@ def test_kept_mask_is_cached_per_shape():
     # b + c <= 2 sector blocks: row/column multi-indices count complement modes
     exc = (np.indices((6,) * 3) >= 2).sum(axis=0).ravel()
     np.testing.assert_array_equal(first, exc[:, None] + exc[None, :] <= 2)
+
+
+def test_triple_kernel_leaves_no_kept_mask():
+    """The triple kernel is built on its kept blocks: only the pair mask is cached."""
+    grid, pot, orbitals = make_system(N=3)
+    basis = ConfigBasis(n_modes=grid.total_sites, n_particles=3)
+    kinetic = lift_one_body(basis, dense_kinetic(grid)).toarray()
+    _kept_mask.cache_clear()
+    build_aux_generator(
+        base_interactions(pot), orbitals, 0.4, basis, build_projections(orbitals), kinetic
+    )
+    assert _kept_mask.cache_info().currsize == 1
+    _kept_mask(grid.total_sites, 3, 2)
+    assert _kept_mask.cache_info().hits == 1
 
 
 def test_sector_projector_calls_do_not_grow_with_steps(monkeypatch):
@@ -230,7 +257,8 @@ def test_sector_projector_calls_do_not_grow_with_steps(monkeypatch):
         calls.clear()
         run_auxiliary(orbitals, pot, t_final=t_final, dt=0.05)
         counts.append(sorted(calls))
-    assert counts == [[2, 3], [2, 3]]
+    # the pair mask only: triple kernels are built on their kept blocks
+    assert counts == [[2], [2]]
 
 
 @pytest.mark.parametrize("mode", ["spectral", "lattice"])
@@ -253,8 +281,8 @@ def test_generator_reduces_to_kinetic_at_time_zero():
     grid, pot, orbitals = make_system(N=2)
     basis = ConfigBasis(n_modes=grid.total_sites, n_particles=2)
     base = base_interactions(pot, include_triple=False)
-    gen = build_aux_generator(base, orbitals, 0.0, basis, build_projections(orbitals))
     K = lift_one_body(basis, dense_kinetic(grid))
+    gen = build_aux_generator(base, orbitals, 0.0, basis, build_projections(orbitals), K.toarray())
     assert abs(gen.matrix - K).max() < 1e-12
 
 

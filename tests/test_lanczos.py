@@ -7,6 +7,9 @@ from scipy.linalg import eigh_tridiagonal, expm
 from mflab import _lanczos
 from mflab._lanczos import _eigh_tridiagonal, _norm, expm_multiply_hermitian
 from mflab.errors import NumericalFailure
+from mflab.gauge import run_gauged
+from mflab.grid import Grid
+from mflab.model import InitialFamily, build_potential, make_orbitals
 
 
 def random_hermitian(n, rng):
@@ -102,3 +105,68 @@ def test_inline_norm_is_bit_identical_to_numpy(shape):
     cplx = real + 1j * rng.standard_normal(shape)
     for x in (real, cplx, cplx.T, cplx[..., ::2]):
         assert _norm(x) == np.linalg.norm(x)
+
+
+def _reference_segment(matvec, v, scale, tol, max_krylov):
+    """The segment that finishes each Lanczos step before testing convergence.
+
+    Kept as the bit-for-bit reference: the production segment tests
+    convergence before the three-term subtraction, the reorthogonalisation
+    and the beta norm, which a converged step never reads.
+    """
+    norm_v = _norm(v)
+    if norm_v == 0.0:
+        return v.copy()
+    basis = [v / norm_v]
+    alphas = np.empty(max_krylov)
+    betas = np.empty(max_krylov)
+    y_prev = None
+    for j in range(max_krylov):
+        w = matvec(basis[j])
+        alphas[j] = a_j = complex(np.vdot(basis[j], w)).real
+        w = w - a_j * basis[j]
+        if j > 0:
+            w -= betas[j - 1] * basis[j - 1]
+        for b in basis:
+            w -= np.vdot(b, w) * b
+        beta = _norm(w)
+        evals, evecs = _eigh_tridiagonal(alphas[: j + 1], betas[:j])
+        y = evecs @ (np.exp(scale * evals) * evecs[0, :].conj())
+        if beta < 1e-14 * max(1.0, abs(a_j)):
+            return _lanczos._assemble(basis, y, norm_v)
+        if y_prev is not None:
+            diff = -y
+            np.subtract(y_prev, y[:-1], out=diff[:-1])
+            if _norm(diff) < tol:
+                return _lanczos._assemble(basis, y, norm_v)
+        y_prev = y
+        betas[j] = beta
+        basis.append(w / beta)
+    return None
+
+
+@pytest.mark.parametrize("n,scale,max_krylov", [
+    (60, -0.3j, 80), (60, -4.0j, 80), (60, -4.0j, 6), (40, -0.25, 80), (3, -1j, 80),
+])
+def test_segment_is_bit_identical_to_the_reference_order(n, scale, max_krylov):
+    """Converged, invariant-subspace and stagnating segments give the reference's bits."""
+    rng = np.random.default_rng(n)
+    A = random_hermitian(n, rng)
+    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    got = _lanczos._krylov_segment(lambda x: A @ x, v, scale, 1e-13, max_krylov)
+    want = _reference_segment(lambda x: A @ x, v, scale, 1e-13, max_krylov)
+    if want is None:
+        assert got is None
+    else:
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("mode", ["spectral", "lattice"])
+def test_gauged_flow_is_bit_identical_with_the_reference_segment(monkeypatch, mode):
+    grid = Grid(dim=1, sites_per_dim=16, box_length=8.0, kinetic_mode=mode)
+    pot = build_potential(grid, "gaussian", amplitude=2.0, width=1.5)
+    state = make_orbitals(InitialFamily("localized", width=0.8), 3, grid)
+    got = run_gauged(state, pot, 0.1, 0.01).snapshots[-1].values
+    monkeypatch.setattr(_lanczos, "_krylov_segment", _reference_segment)
+    want = run_gauged(state, pot, 0.1, 0.01).snapshots[-1].values
+    assert got.tobytes() == want.tobytes()

@@ -11,6 +11,7 @@ from itertools import combinations, permutations
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from mflab.errors import ConfigError, ContractViolation, GridMismatchError
 from mflab.grid import Field, Grid
@@ -161,6 +162,49 @@ def test_lift_diagonal_matches_one_body():
     via_table = lift_one_body(basis, np.diag(vals)).toarray()
     via_occ = np.diag(basis.occupancy @ vals)
     np.testing.assert_allclose(via_table, via_occ, atol=1e-13)
+
+
+def test_lift_stores_no_explicit_zeros():
+    """Duplicate entries are summed before zeros are dropped: diag(1, -1, 0, 0) on 2 of 4."""
+    basis = ConfigBasis(n_modes=4, n_particles=2)
+    M = lift_one_body(basis, np.diag([1.0, -1.0, 0.0, 0.0]))
+    assert M.nnz == 4
+    assert np.all(M.data != 0)
+    np.testing.assert_array_equal(M.diagonal(), basis.occupancy @ [1.0, -1.0, 0.0, 0.0])
+
+
+def exchange_symmetric(W, L, r):
+    """The average of W over the r! simultaneous slot permutations."""
+    T = W.reshape((L,) * (2 * r))
+    out = np.zeros_like(T)
+    for perm in permutations(range(r)):
+        out += T.transpose(list(perm) + [r + s for s in perm])
+    return (out / math.factorial(r)).reshape(L**r, L**r)
+
+
+@pytest.mark.parametrize("r,L,N", [(1, 7, 3), (2, 6, 3), (2, 7, 4), (3, 6, 3), (3, 7, 4)])
+def test_cached_pattern_lift_matches_coo_lift(r, L, N):
+    """One gather and run sum on the cached CSR pattern equals a COO -> CSR lift.
+
+    Two kernels in turn, so a lift that altered the cached pattern would show.
+    """
+    basis = ConfigBasis(n_modes=L, n_particles=N)
+    table = ("one_body_table", "two_body_table", "three_body_table")[r - 1]
+    lift = (lift_one_body, lift_two_body, lift_three_body)[r - 1]
+    rows, cols, row_slot, col_slot, signs = getattr(basis, table)
+    rng = np.random.default_rng(10 * r + L)
+    for _ in range(2):
+        W = rng.standard_normal((L**r, L**r)) + 1j * rng.standard_normal((L**r, L**r))
+        W = exchange_symmetric(W * (rng.random(W.shape) < 0.5), L, r)
+        want = sp.coo_matrix(
+            (signs * W[row_slot, col_slot], (rows, cols)), shape=(basis.dim, basis.dim)
+        ).tocsr()
+        want.eliminate_zeros()
+        got = lift(basis, W)
+        assert got.has_canonical_format
+        np.testing.assert_array_equal(got.indptr, want.indptr)
+        np.testing.assert_array_equal(got.indices, want.indices)
+        np.testing.assert_allclose(got.data, want.data, rtol=1e-14, atol=1e-15)
 
 
 # ---------------------------------------------------------------------------
