@@ -95,8 +95,8 @@ DEFAULTS: dict[str, dict[str, str]] = {
 
 MAX_TOTAL_SITES = 4096
 MAX_BASIS_DIM = 6000
-# a default N = 4 run (1000 steps, one BLAS thread) takes about 23 s on 10 sites
-# and over 60 s on 12
+# a default N = 4 run (1000 steps, one BLAS thread) took 29 s on 10 sites and
+# 145 s (278 MB) on 12, over the 60 s a capped run may take
 MAX_AUX_SITES = {2: 24, 3: 12, 4: 10}
 # entries L**N of one lemma-suite slot tensor: a 4x12 trial takes about 0.3 s,
 # while the literal sector sums cost about N * 2**N * L**(N+1) per trial and an

@@ -13,8 +13,9 @@ f_hat = sum_k f(k) P^(k).  Three implementations are kept deliberately:
   mode basis (first n columns span Ran p), where the sector index is just the
   count of occupied complement modes and every weight operator is diagonal.
   The rotation ``Projections.rotation`` holds the N x N minors of the basis
-  matrix for every pair of configurations, evaluated as one vectorised
-  Leibniz sum over the N! permutations with shared partial products;
+  matrix for every pair of configurations: the N-th compound matrix of
+  U^dagger, built level by level over lexicographic r-subsets by Laplace
+  expansion along the first row (``_compound``);
   ``np.linalg.det`` of each minor is its test oracle;
 * the same adapted basis on the N-fold tensor space (:class:`AdaptedSlots`):
   a slot tensor is rotated once, slot by slot, after which every sector,
@@ -39,6 +40,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, field
+from functools import lru_cache
 from itertools import combinations, permutations
 
 import numpy as np
@@ -130,9 +132,10 @@ class Projections:
     def rotation(self, basis: ConfigBasis) -> tuple[np.ndarray, np.ndarray]:
         """(Rot, exc): amplitudes in the adapted mode basis and sector index.
 
-        Rot[K, I] = conj(det(basis_matrix[sites(I), modes(K)])); a state's
-        adapted amplitudes are d = Rot @ c, and exc[K] counts the occupied
-        complement modes of configuration K.
+        Rot[K, I] = conj(det(basis_matrix[sites(I), modes(K)])), the N-th
+        compound of basis_matrix^dagger; a state's adapted amplitudes are
+        d = Rot @ c, and exc[K] counts the occupied complement modes of
+        configuration K.
         """
         if basis.n_modes != self.n_modes:
             raise GridMismatchError(
@@ -142,39 +145,74 @@ class Projections:
         if key not in self._rotations:
             configs = np.array(basis.configs)
             exc = (configs >= self.n_occupied).sum(axis=1)
-            self._rotations[key] = (_leibniz_rotation(self.basis_matrix, configs), exc)
+            self._rotations[key] = (_compound(self.basis_matrix.conj().T, basis.n_particles), exc)
         return self._rotations[key]
 
 
-def _leibniz_rotation(U: np.ndarray, configs: np.ndarray) -> np.ndarray:
-    """Rot[K, I] = conj(det A), A[i, j] = conj(U[I_i, K_j]), for every pair (K, I).
+@lru_cache(maxsize=None)
+def _compound_indices(L: int, N: int) -> tuple:
+    """Index arrays of ``_compound`` for the N x N minors of an L x L matrix.
 
-    The Leibniz sum det A = sum_s sign(s) prod_i A[i, s(i)] over the N!
-    permutations, evaluated elementwise on (dim, dim) arrays for all pairs
-    at once.  Permutations that agree on rows 0..i share their partial
-    product: it is the minor on rows 0..i and the column set s({0..i}), so
-    the minors are built row by row over column subsets (Laplace expansion
-    along the newest row), N 2^(N-1) array products instead of N! N.
-    Every caller has N <= 5; ``np.linalg.det`` of each minor is the test
-    oracle.
+    Level r = 1..N holds the r x r minors D_r[S, R] whose rows S are the
+    r-subsets of {N-r, ..., L-1} (the tails of N-subsets) and whose columns R
+    are all r-subsets of {0, ..., L-1}, both in lexicographic order.  Per
+    level the entry is ``(blocks, n_rows, entries, ranks)``:
+
+    * ``blocks``: one (s, start, stop, offset) per first row element s; rows
+      start:stop are those with S_0 = s, and their S minus S_0 are the rows
+      offset: of level r-1, in the same order;
+    * ``entries[pos]``: R_pos for every column R;
+    * ``ranks[pos]``: the column of R minus R_pos at level r-1.
     """
-    N = configs.shape[1]
-    T = U.conj().T  # T[K_j, I_i] = A[i, j]
-    minors = {(): 1.0}
-    for i in range(N):
-        row = [T[configs[:, j]][:, configs[:, i]] for j in range(N)]  # A[i, j] over (K, I)
-        grown = {}
-        for cols in combinations(range(N), i + 1):
-            acc = np.zeros_like(row[0])
-            for pos, j in enumerate(cols):  # cofactor sign (-1)^(i + pos)
-                term = row[j] * minors[cols[:pos] + cols[pos + 1:]]
-                if (i + pos) % 2:
-                    acc -= term
+    levels = []
+    previous = {(): 0}
+    for r in range(1, N + 1):
+        cols = list(combinations(range(L), r))
+        entries = np.array(cols, dtype=np.intp).T
+        ranks = np.array(
+            [[previous[c[:pos] + c[pos + 1:]] for c in cols] for pos in range(r)],
+            dtype=np.intp,
+        )
+        n_previous = math.comb(L - N + r - 1, r - 1)
+        blocks, start = [], 0
+        for s in range(N - r, L - r + 1):
+            size = math.comb(L - 1 - s, r - 1)
+            blocks.append((s, start, start + size, n_previous - size))
+            start += size
+        entries.flags.writeable = ranks.flags.writeable = False
+        levels.append((tuple(blocks), start, entries, ranks))
+        previous = {c: i for i, c in enumerate(cols)}
+    return tuple(levels)
+
+
+def _compound(M: np.ndarray, N: int) -> np.ndarray:
+    """The N-th compound matrix: D[S, R] = det M[S, R] over lex-ordered N-subsets.
+
+    Built level by level by Laplace expansion along the first row,
+
+        D_r[S, R] = sum_pos (-1)^pos M[S_0, R_pos] D_{r-1}[S minus S_0, R minus R_pos],
+
+    with D_0 = 1.  The rows with one first element S_0 read a contiguous
+    suffix of the previous level (``_compound_indices``), so each block is
+    r products of a row of M against gathered columns, N(N+1)/2 products in
+    all.  ``np.linalg.det`` of each minor is the test oracle.
+    """
+    D = np.ones((1, 1), dtype=np.complex128)
+    for blocks, n_rows, entries, ranks in _compound_indices(M.shape[0], N):
+        minors = [D[:, rank] for rank in ranks]
+        picked = M[:, entries]  # picked[s, pos, R] = M[s, R_pos]
+        D = np.empty((n_rows, entries.shape[1]), dtype=np.complex128)
+        term = np.empty((blocks[0][2], entries.shape[1]), dtype=np.complex128)
+        for s, start, stop, offset in blocks:
+            block, scratch = D[start:stop], term[: stop - start]
+            np.multiply(picked[s, 0], minors[0][offset:], out=block)
+            for pos in range(1, len(minors)):
+                np.multiply(picked[s, pos], minors[pos][offset:], out=scratch)
+                if pos % 2:
+                    block -= scratch
                 else:
-                    acc += term
-            grown[cols] = acc
-        minors = grown
-    return minors[tuple(range(N))]
+                    block += scratch
+    return D
 
 
 def build_projections(orbital_set) -> Projections:
@@ -251,7 +289,11 @@ def alpha_number_onebody(state: ManyBodyState, projections: Projections) -> floa
 
 
 def _apply_on_slots(T: np.ndarray, mat: np.ndarray, slots: tuple[int, ...]) -> np.ndarray:
-    """Apply a |slots|-particle operator (flat C-order matrix) to the slots of T."""
+    """Apply a |slots|-particle operator (flat C-order matrix) to the slots of T.
+
+    Axes past the N slots are a batch: a stack of tensors on a trailing axis
+    is carried through in one contraction.
+    """
     L = T.shape[0]
     r = len(slots)
     tens = mat.reshape((L,) * (2 * r))
@@ -348,9 +390,9 @@ class AdaptedSlots:
     "complement indices among the slots == k", a q-product is the sector with
     every listed slot outside Ran p, and a weight is T times its table at the
     complement count over all slots.  Counts are cached per slot subset.  A
-    local operator stays in the site basis and is applied between U and
-    U^dagger on its own slots.  Method names follow :class:`SlotSpace`, the
-    literal oracle.
+    local operator A applied to a rotated tensor with ``_apply_on_slots``
+    acts in the site basis as U^(x r) A (U^dagger)^(x r), still on its own
+    slots alone.  Method names follow :class:`SlotSpace`, the literal oracle.
     """
 
     def __init__(self, projections: Projections, n_particles: int):
@@ -361,16 +403,13 @@ class AdaptedSlots:
         )
         self._counts: dict[tuple[int, ...], np.ndarray] = {}
 
-    def _turn(self, T: np.ndarray, M: np.ndarray, slots) -> np.ndarray:
-        """Apply the one-slot matrix M to each of ``slots`` in turn."""
+    def rotate(self, T: np.ndarray) -> np.ndarray:
+        """Site-basis slot tensor -> adapted basis: U^dagger on every slot in turn."""
+        M = self.U.conj().T
         L = M.shape[0]
-        for slot in slots:
+        for slot in range(self.n_particles):
             T = np.matmul(M, T.reshape(L**slot, L, -1)).reshape(T.shape)
         return T
-
-    def rotate(self, T: np.ndarray) -> np.ndarray:
-        """Site-basis slot tensor -> adapted basis."""
-        return self._turn(T, self.U.conj().T, range(self.n_particles))
 
     def count(self, slots: tuple[int, ...]) -> np.ndarray:
         """Complement indices among ``slots``, broadcastable against a slot tensor."""
@@ -399,16 +438,6 @@ class AdaptedSlots:
             kept = np.broadcast_to(self.count(tuple(range(n0))) == n0, T.shape)
             table[n0] = np.bincount(total[kept], weights=mass[kept], minlength=N + 1)
         return table
-
-    def apply_on_slots(self, T: np.ndarray, mat: np.ndarray, slots: tuple[int, ...]) -> np.ndarray:
-        """Apply a site-basis |slots|-particle operator to an adapted tensor.
-
-        Axes past the N slots are a batch: a stack of tensors on a trailing
-        axis is carried through in one matrix product per step.
-        """
-        T = self._turn(T, self.U, slots)
-        T = _apply_on_slots(T, mat, slots)
-        return self._turn(T, self.U.conj().T, slots)
 
     def product_q(self, T: np.ndarray, n0: int) -> np.ndarray:
         return self.sector(T, n0, tuple(range(n0)))
@@ -549,17 +578,24 @@ def lemma_suite(
     q-product norm is sum_k f(k)^2 M[n0, k].  The two sandwich identities
     need tensors: every input they feed to the local operator A_C (each
     sector P^(b) R once, the shifted-weight and E-weighted inputs) is
-    stacked on a trailing axis and A_C is applied once per trial, each side
-    of an identity still to its own input.
+    stacked on a trailing axis and A_C is applied once per trial, directly
+    on the adapted slots C, each side of an identity still to its own input.
 
     A_C is one dense complex Gaussian operator per operator size L^|C|,
     drawn at the first trial of that size and shared, read-only, by the
-    later ones.  Both sandwich checks are linear in A_C: for a fixed trial
-    a coding error leaves a defect D(A_C) with D linear, and a nonzero D
-    vanishes only on a proper subspace, a null set of the Gaussian.  A_C is
-    drawn independently of every trial's projections and state, so one
-    draw per size catches the error with probability one, as a fresh draw
-    per trial would.
+    later ones.  Applied on adapted slots it is, in the site basis, the
+    operator U^(x|C|) A_C (U^dagger)^(x|C|) of the trial's U:
+    * both sandwich identities hold for any operator that acts on the
+      slots C alone, so this one satisfies them as A_C itself would;
+    * conjugating by a fixed unitary maps the complex Gaussian law to
+      itself, and A_C is drawn independently of every trial's projections
+      and state, so the operator each trial sees is again a complex
+      Gaussian independent of that trial;
+    * both checks are linear in the operator: a coding error leaves a
+      defect D(A) with D linear, and a nonzero D vanishes only on a proper
+      subspace, a null set of the Gaussian.
+    So one draw per size catches the error with probability one, as a
+    fresh draw per trial in the site basis would.
 
     A_C (at first use), the shift sectors and the factorisation sectors are
     drawn first, in the order the checks read them, and checks are recorded
@@ -655,7 +691,7 @@ def lemma_suite(
         inputs.append(view.sector(view.weight(R, n_w.shifted(a_sh - b_sh)), b_sh, slots))
         for (_, _, E_w), a in lower:
             inputs.append(view.sector(view.weight(R, E_w), a, slots))
-        applied = view.apply_on_slots(np.stack(inputs, axis=-1), A_C, slots)
+        applied = _apply_on_slots(np.stack(inputs, axis=-1), A_C, slots)
         factorised = iter(zip((a for _, a in lower), range(shift_col + 1, len(inputs))))
 
         # shift identity: f_hat (P^(a) A_C P^(b)) = (P^(a) A_C P^(b)) f_hat_{a-b}

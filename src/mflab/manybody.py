@@ -325,11 +325,20 @@ class ManyBodyOperator:
 
 
 def pairwise_potential_vector(basis: ConfigBasis, potential: InteractionPotential) -> np.ndarray:
-    """Config-space diagonal of sum_{i<j} v(x_i - x_j)."""
-    V = difference_matrix(potential.v).real
-    occ = basis.occupancy
-    quad = np.einsum("ij,ij->i", occ @ V, occ)
-    return 0.5 * (quad - occ @ np.diag(V))
+    """Config-space diagonal of sum_{i<j} v(x_i - x_j), read-only.
+
+    Computed once per (L, N) and kept on the potential, so that
+    ``build_hamiltonian`` and every ``gauge_manybody`` call share it.
+    """
+    key = (basis.n_modes, basis.n_particles)
+    if key not in potential._pair_diagonals:
+        V = difference_matrix(potential.v).real
+        occ = basis.occupancy
+        quad = np.einsum("ij,ij->i", occ @ V, occ)
+        vsum = 0.5 * (quad - occ @ np.diag(V))
+        vsum.flags.writeable = False
+        potential._pair_diagonals[key] = vsum
+    return potential._pair_diagonals[key]
 
 
 def build_hamiltonian(

@@ -110,12 +110,17 @@ def step_schedule(span: float, dt: float, every: int | None = None) -> tuple[int
 
 @dataclass(frozen=True, eq=False)
 class InteractionPotential:
-    """Even periodic pair potential v and its force field ``force = grad v``."""
+    """Even periodic pair potential v and its force field ``force = grad v``.
+
+    ``_pair_diagonals`` caches, per (L, N), the configuration-space diagonal
+    of the pair sum (``manybody.pairwise_potential_vector``).
+    """
 
     v: Field
     force: tuple[Field, ...]
     kind: str
     params: dict = field(repr=False, default_factory=dict)
+    _pair_diagonals: dict = field(default_factory=dict, repr=False)
 
     @property
     def grid(self) -> Grid:

@@ -83,19 +83,28 @@ def test_hartree_free_potential_has_constant_energy(tmp_path):
     assert max(residuals) < 1e-12
 
 
+RERUNS = {
+    "exact": SMALL,
+    "lemmas": ("lemmas.trials=8",),
+    "aux": ("grid.sites=8", "family.width=1.2", "time.t_final=0.05", "time.dt=0.005"),
+}
+
+
 def test_same_seed_reruns_are_byte_identical(tmp_path):
-    a, b = tmp_path / "a", tmp_path / "b"
-    for out in (a, b):
-        assert run_cli("exact", out, *SMALL, seed=7) == 0
-    for path_a in sorted(a.iterdir()):
-        path_b = b / path_a.name
-        if path_a.name == "run_config.json":
-            side_a = json.loads(path_a.read_text())
-            side_b = json.loads(path_b.read_text())
-            assert side_a["config"]["run"].pop("out") != side_b["config"]["run"].pop("out")
-            assert side_a == side_b
-        else:
-            assert path_a.read_bytes() == path_b.read_bytes()
+    for command, overrides in RERUNS.items():
+        a, b = tmp_path / command / "a", tmp_path / command / "b"
+        for out in (a, b):
+            assert run_cli(command, out, *overrides, seed=7) == 0
+        assert sorted(p.name for p in a.iterdir()) == sorted(p.name for p in b.iterdir())
+        for path_a in sorted(a.iterdir()):
+            path_b = b / path_a.name
+            if path_a.name == "run_config.json":
+                side_a = json.loads(path_a.read_text())
+                side_b = json.loads(path_b.read_text())
+                assert side_a["config"]["run"].pop("out") != side_b["config"]["run"].pop("out")
+                assert side_a == side_b
+            else:
+                assert path_a.read_bytes() == path_b.read_bytes(), (command, path_a.name)
 
 
 def test_exact_norm_column_and_dense_oracle(tmp_path):

@@ -1,11 +1,13 @@
 """Sector projectors, weight operators, and the comparison-lemma suite."""
 
 import math
+from functools import reduce
 from itertools import combinations, permutations
 
 import numpy as np
 import pytest
 
+from mflab import counting
 from mflab.counting import (
     AdaptedSlots,
     SlotSpace,
@@ -23,6 +25,7 @@ from mflab.counting import (
     weight_power,
     weight_sqrt,
     weight_threshold,
+    _apply_on_slots,
     _gaussian_operator,
     _random_projections,
     _threshold_differences,
@@ -179,7 +182,9 @@ def test_adapted_slots_match_literal_slot_space(N, L):
         for k in range(-1, r + 2):
             close(view.sector(R, k, slots), space.sector(T, k, slots))
         A = rng.standard_normal((L**r, L**r)) + 1j * rng.standard_normal((L**r, L**r))
-        close(view.apply_on_slots(R, A, slots), space.apply_on_slots(T, A, slots))
+        # (U^dagger)^(x r) A U^(x r) on the adapted slots is A on the site-basis slots
+        Ur = reduce(np.kron, [proj.basis_matrix] * r)
+        close(_apply_on_slots(R, Ur.conj().T @ A @ Ur, slots), space.apply_on_slots(T, A, slots))
 
 
 @pytest.mark.parametrize("N, L", [(1, 4), (2, 6), (4, 8), (4, 12)])
@@ -212,7 +217,9 @@ def test_mask_table_matches_masked_and_literal_norms(N, L):
             assert from_table == pytest.approx(direct, rel=1e-13), (w, n0)
 
 
-@pytest.mark.parametrize("N,L", [(1, 4), (2, 6), (3, 8), (4, 8), (5, 7)])
+@pytest.mark.parametrize(
+    "N,L", [(1, 4), (2, 6), (3, 8), (4, 8), (5, 7), (3, 12), (6, 8), (3, 3)]
+)
 def test_rotation_matches_determinant_oracle(N, L):
     """Rot[K, I] = conj(det U[sites(I), modes(K)]), each minor by np.linalg.det."""
     proj = _random_projections(L, N, np.random.default_rng(10 * N + L))
@@ -224,6 +231,15 @@ def test_rotation_matches_determinant_oracle(N, L):
     np.testing.assert_allclose(Rot, np.conj(np.linalg.det(minors)), rtol=0, atol=1e-13)
     np.testing.assert_allclose(Rot @ Rot.conj().T, np.eye(basis.dim), rtol=0, atol=1e-13)
     np.testing.assert_array_equal(exc, (configs >= N).sum(axis=1))
+
+
+def test_rotation_is_unitary_at_five_of_twelve():
+    """The (792 x 792) table of N = 5 on 12 modes, too large for the det oracle."""
+    proj = _random_projections(12, 5, np.random.default_rng(62))
+    basis = ConfigBasis(n_modes=12, n_particles=5)
+    Rot, _ = proj.rotation(basis)
+    assert Rot.shape == (792, 792)
+    np.testing.assert_allclose(Rot @ Rot.conj().T, np.eye(792), rtol=0, atol=1e-13)
 
 
 def test_alpha_number_two_routes_agree():
@@ -440,15 +456,15 @@ def test_sandwich_checks_catch_an_operator_dependent_defect(monkeypatch, check, 
     for name in ("shift_identity", "difference_factorisation"):
         assert clean.asserted[name]["violations"] == []
 
-    apply = AdaptedSlots.apply_on_slots
+    apply = counting._apply_on_slots
 
-    def transposed(self, T, mat, slots):
-        out = apply(self, T, mat, slots)
+    def transposed(T, mat, slots):
+        out = apply(T, mat, slots)
         cols = planted(1 + len(gammas) * len(slots))
-        out[..., cols] = apply(self, T[..., cols], mat.T, slots)
+        out[..., cols] = apply(T[..., cols], mat.T, slots)
         return out
 
-    monkeypatch.setattr(AdaptedSlots, "apply_on_slots", transposed)
+    monkeypatch.setattr(counting, "_apply_on_slots", transposed)
     broken = lemma_suite(seed=5, trials=8, gammas=gammas)
     assert broken.asserted[check]["violations"]
     other = ({"shift_identity", "difference_factorisation"} - {check}).pop()
