@@ -98,9 +98,9 @@ MAX_BASIS_DIM = 6000
 # a default N = 4 run (1000 steps, one BLAS thread) took 29 s on 10 sites and
 # 145 s (278 MB) on 12, over the 60 s a capped run may take
 MAX_AUX_SITES = {2: 24, 3: 12, 4: 10}
-# entries L**N of one lemma-suite slot tensor: a 4x12 trial takes about 0.3 s,
-# while the literal sector sums cost about N * 2**N * L**(N+1) per trial and an
-# 8x12 tensor alone would need 6.9 GB
+# entries L**N of one lemma-suite slot tensor: a 4x12 trial takes about 0.03 s
+# (one BLAS thread), while the literal sector sums cost about N * 2**N * L**(N+1)
+# per trial and an 8x12 tensor alone would need 6.9 GB
 MAX_LEMMA_SLOT_ENTRIES = 12**4
 
 

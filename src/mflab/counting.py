@@ -23,7 +23,11 @@ f_hat = sum_k f(k) P^(k).  Three implementations are kept deliberately:
   norm of any weighted q-product is read from one small table of masses
   (``AdaptedSlots.mask_table``); the lemma suite runs here.  The masked
   tensors ``AdaptedSlots.product_q`` and ``AdaptedSlots.norm_sq`` are the
-  table's test oracle;
+  table's test oracle.  The suite's sandwich checks apply a local operator
+  only to count blocks, the rows of one complement count over its slots
+  (``_block_product``); the masked ``AdaptedSlots.sector`` and
+  ``AdaptedSlots.weight`` around the full slot contraction
+  ``_apply_on_slots`` are that route's test oracle;
 * a literal route (:class:`SlotSpace`) on the full N-fold tensor space, the
   oracle for both: products of slot projectors and subset sums exactly as
   written above.
@@ -40,7 +44,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations, permutations
 
 import numpy as np
@@ -66,7 +70,14 @@ class WeightFunction:
         return len(self.table) - 1
 
     def values(self) -> np.ndarray:
-        return np.array(self.table)
+        """The table as one read-only array, built at the first call."""
+        return self._values
+
+    @cached_property
+    def _values(self) -> np.ndarray:
+        values = np.array(self.table)
+        values.flags.writeable = False
+        return values
 
     def shifted(self, d: int) -> "WeightFunction":
         """f_d(k) = f(k+d) restricted to 0 <= k+d <= N, else 0."""
@@ -301,6 +312,59 @@ def _apply_on_slots(T: np.ndarray, mat: np.ndarray, slots: tuple[int, ...]) -> n
     return np.moveaxis(out, list(range(r)), list(slots))
 
 
+@lru_cache(maxsize=None)
+def _slot_counts(L: int, n_occupied: int, N: int, slots: tuple[int, ...]) -> np.ndarray:
+    """Complement indices among ``slots`` of an N-slot tensor over L modes (read-only).
+
+    Mode x is a complement mode when x >= n_occupied.  The table broadcasts
+    against an (L,) * N slot tensor: its axis is L long on each listed slot
+    and 1 on the others.
+    """
+    outside = (np.arange(L) >= n_occupied).astype(np.int64)
+    count = np.zeros((1,) * N, dtype=np.int64)
+    for slot in slots:
+        shape = [1] * N
+        shape[slot] = -1
+        count = count + outside.reshape(shape)
+    count.flags.writeable = False
+    return count
+
+
+@lru_cache(maxsize=None)
+def _count_blocks(L: int, N: int, r: int) -> tuple:
+    """Count blocks over the first r slots of an N-slot tensor, one per count k = 0..r.
+
+    The first N of the L modes span Ran p, as in the lemma suite.  Viewed as
+    an (L**r, L**(N-r)) matrix, each row of a slot tensor is one multi-index
+    of slots 0..r-1, so the sector P^(k) over those slots keeps the rows
+    whose complement count over them is k.  Entry k is ``(rows, total)``:
+    those rows, and the complement count over all N slots gathered at them,
+    the table a weight is read at.  Both are read-only and derived from
+    ``_slot_counts``.
+    """
+    over_C = _slot_counts(L, N, N, tuple(range(r))).reshape(-1)
+    total = _slot_counts(L, N, N, tuple(range(N))).reshape(L**r, -1)
+    blocks = []
+    for k in range(r + 1):
+        rows = np.flatnonzero(over_C == k)
+        at_rows = total[rows]
+        rows.flags.writeable = at_rows.flags.writeable = False
+        blocks.append((rows, at_rows))
+    return tuple(blocks)
+
+
+def _block_product(A: np.ndarray, rows_out: np.ndarray, rows_in: np.ndarray, slabs: dict) -> dict:
+    """A[rows_out, rows_in] times each (len(rows_in), rest) slab, in one matmul.
+
+    The block is gathered on every call (blocks are not kept).  Returns the
+    products, each (len(rows_out), rest), under the keys of ``slabs``.
+    """
+    stacked = np.concatenate(list(slabs.values()), axis=1)
+    out = A[np.ix_(rows_out, rows_in)] @ stacked
+    rest = stacked.shape[1] // len(slabs)
+    return {key: out[:, j * rest:(j + 1) * rest] for j, key in enumerate(slabs)}
+
+
 class SlotSpace:
     """Distinguishable N-slot tensor space over the mode basis.
 
@@ -389,19 +453,19 @@ class AdaptedSlots:
     on each slot, so a sector over a slot subset is T times the 0/1 mask
     "complement indices among the slots == k", a q-product is the sector with
     every listed slot outside Ran p, and a weight is T times its table at the
-    complement count over all slots.  Counts are cached per slot subset.  A
-    local operator A applied to a rotated tensor with ``_apply_on_slots``
-    acts in the site basis as U^(x r) A (U^dagger)^(x r), still on its own
-    slots alone.  Method names follow :class:`SlotSpace`, the literal oracle.
+    complement count over all slots.  The count tables are kept per shape
+    and slot subset, read-only and shared by every instance
+    (``_slot_counts``).  A local operator A applied to a rotated tensor with
+    ``_apply_on_slots`` acts in the site basis as U^(x r) A (U^dagger)^(x r),
+    still on its own slots alone.  Method names follow :class:`SlotSpace`,
+    the literal oracle.
     """
 
     def __init__(self, projections: Projections, n_particles: int):
         self.U = projections.basis_matrix
+        self.n_modes = projections.n_modes
+        self.n_occupied = projections.n_occupied
         self.n_particles = n_particles
-        self._outside = (np.arange(projections.n_modes) >= projections.n_occupied).astype(
-            np.int64
-        )
-        self._counts: dict[tuple[int, ...], np.ndarray] = {}
 
     def rotate(self, T: np.ndarray) -> np.ndarray:
         """Site-basis slot tensor -> adapted basis: U^dagger on every slot in turn."""
@@ -413,15 +477,7 @@ class AdaptedSlots:
 
     def count(self, slots: tuple[int, ...]) -> np.ndarray:
         """Complement indices among ``slots``, broadcastable against a slot tensor."""
-        if slots not in self._counts:
-            N = self.n_particles
-            count = np.zeros((1,) * N, dtype=np.int64)
-            for slot in slots:
-                shape = [1] * N
-                shape[slot] = -1
-                count = count + self._outside.reshape(shape)
-            self._counts[slots] = count
-        return self._counts[slots]
+        return _slot_counts(self.n_modes, self.n_occupied, self.n_particles, tuple(slots))
 
     def mask_table(self, T: np.ndarray) -> np.ndarray:
         """M[n0, k] = sum of |T|^2 over the entries whose first n0 slots are all
@@ -576,10 +632,18 @@ def lemma_suite(
     norms all read the trial's mask table M[n0, k], the mass of R with its
     first n0 slots outside Ran p and complement count k: a weighted
     q-product norm is sum_k f(k)^2 M[n0, k].  The two sandwich identities
-    need tensors: every input they feed to the local operator A_C (each
-    sector P^(b) R once, the shifted-weight and E-weighted inputs) is
-    stacked on a trailing axis and A_C is applied once per trial, directly
-    on the adapted slots C, each side of an identity still to its own input.
+    apply the local operator A_C, on count blocks only.  C is the first |C|
+    slots, so viewed as an (L^|C|, rest) matrix each row of R is one slot-C
+    multi-index, and the sector P^(b) over C is the rows whose complement
+    count over C is b (``_count_blocks``).  Every input fed to A_C (the
+    sector P^(b) R, the shift identity's shifted-weight input, each
+    factorisation's E-weighted input) is built on those rows alone, a weight
+    read at the total complement count gathered there.  The inputs are
+    grouped by (b, a), and each group is one matmul of the gathered block
+    A_C[a, b] against its stacked inputs (``_block_product``), which yields
+    exactly the count-a rows the check reads.  Both sides of an identity,
+    each still from its own input, and its scale are compared on those rows:
+    outside them both sides are zero.
 
     A_C is one dense complex Gaussian operator per operator size L^|C|,
     drawn at the first trial of that size and shared, read-only, by the
@@ -666,40 +730,46 @@ def lemma_suite(
         # one random local operator per operator size for the sandwich
         # identities; keep the acting slot set small when the mode count is large.
         size_C = min(3, N) if L**3 <= 1024 else min(2, N)
-        slots = tuple(range(size_C))
         A_C = _gaussian_operator(rng, L**size_C, operators)
         # shift identity sectors, then the factorisation's lower sector a per
         # (gamma, d <= size_C) in the order the loops below read them
         a_sh = int(rng.integers(0, size_C + 1))
         b_sh = int(rng.integers(0, size_C + 1))
         lower = [
-            (differences[d], int(rng.integers(0, size_C - d + 1)))
+            (d, differences[d], int(rng.integers(0, size_C - d + 1)))
             for _, _, differences in per_gamma
             for d in range(1, size_C + 1)
         ]
 
-        # every sandwich input of the trial, stacked so that A_C acts once:
-        # the sectors P^(b) R (shared across gamma), the shift identity's
+        # every sandwich input of the trial, on its own count-b rows of R viewed
+        # as an (L^|C|, rest) matrix and grouped by (b, a) so that each block
+        # A_C[a, b] acts once: the sector P^(b) R, the shift identity's
         # shifted-weight input and each factorisation's E-weighted input
-        inputs: list[np.ndarray] = []
-        sector_col: dict[int, int] = {}
-        for b in (b_sh, *(a for _, a in lower)):
-            if b not in sector_col:
-                sector_col[b] = len(inputs)
-                inputs.append(view.sector(R, b, slots))
-        shift_col = len(inputs)
-        inputs.append(view.sector(view.weight(R, n_w.shifted(a_sh - b_sh)), b_sh, slots))
-        for (_, _, E_w), a in lower:
-            inputs.append(view.sector(view.weight(R, E_w), a, slots))
-        applied = _apply_on_slots(np.stack(inputs, axis=-1), A_C, slots)
-        factorised = iter(zip((a for _, a in lower), range(shift_col + 1, len(inputs))))
+        blocks = _count_blocks(L, N, size_C)
+        R_rows = R.reshape(L**size_C, -1)
+        sectors = {b: R_rows[blocks[b][0]] for b in {b_sh, *(a for _, _, a in lower)}}
+        groups: dict[tuple[int, int], dict] = {
+            (b_sh, a_sh): {
+                "sector": sectors[b_sh],
+                "shift": n_w.shifted(a_sh - b_sh).values()[blocks[b_sh][1]] * sectors[b_sh],
+            }
+        }
+        for j, (d, (_, _, E_w), a) in enumerate(lower):
+            group = groups.setdefault((a, a + d), {"sector": sectors[a]})
+            group[f"E{j}"] = E_w.values()[blocks[a][1]] * sectors[a]
+        applied = {
+            (b, a): _block_product(A_C, blocks[a][0], blocks[b][0], slabs)
+            for (b, a), slabs in groups.items()
+        }
+        factorised = iter(enumerate(a for _, _, a in lower))
 
-        # shift identity: f_hat (P^(a) A_C P^(b)) = (P^(a) A_C P^(b)) f_hat_{a-b}
-        sandwich_sh = view.sector(applied[..., sector_col[b_sh]], a_sh, slots)
-        lhs_vec = view.weight(sandwich_sh, n_w)
-        rhs_vec = view.sector(applied[..., shift_col], a_sh, slots)
-        defect = float(np.max(np.abs(lhs_vec - rhs_vec)))
-        scale = max(float(np.max(np.abs(sandwich_sh))), 1e-6)
+        # shift identity: f_hat (P^(a) A_C P^(b)) = (P^(a) A_C P^(b)) f_hat_{a-b},
+        # both sides zero off the count-a rows
+        out = applied[(b_sh, a_sh)]
+        sandwich_sh = out["sector"]
+        lhs_vec = n_w.values()[blocks[a_sh][1]] * sandwich_sh
+        defect = float(np.max(np.abs(lhs_vec - out["shift"]), initial=0.0))
+        scale = max(float(np.max(np.abs(sandwich_sh), initial=0.0)), 1e-6)
         _record(
             asserted,
             "shift_identity",
@@ -743,12 +813,14 @@ def lemma_suite(
 
                 # factorisation through a sandwiched local operator
                 if d <= size_C:
-                    a, col = next(factorised)
-                    sandwich = view.sector(applied[..., sector_col[a]], a + d, slots)
-                    lhs_vec = view.weight(sandwich, diff_w)
-                    rhs_vec = view.weight(view.sector(applied[..., col], a + d, slots), D_w)
-                    defect = float(np.max(np.abs(lhs_vec - rhs_vec)))
-                    scale = max(float(np.max(np.abs(sandwich))), 1e-6)
+                    j, a = next(factorised)
+                    out = applied[(a, a + d)]
+                    total = blocks[a + d][1]
+                    sandwich = out["sector"]
+                    lhs_vec = diff_w.values()[total] * sandwich
+                    rhs_vec = D_w.values()[total] * out[f"E{j}"]
+                    defect = float(np.max(np.abs(lhs_vec - rhs_vec), initial=0.0))
+                    scale = max(float(np.max(np.abs(sandwich), initial=0.0)), 1e-6)
                     _record(
                         asserted,
                         "difference_factorisation",

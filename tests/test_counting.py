@@ -26,6 +26,8 @@ from mflab.counting import (
     weight_sqrt,
     weight_threshold,
     _apply_on_slots,
+    _block_product,
+    _count_blocks,
     _gaussian_operator,
     _random_projections,
     _threshold_differences,
@@ -72,6 +74,16 @@ def test_weight_tables():
     assert sh.table == (0.5, 0.75, 1.0, 0.0, 0.0)
     sh = n.shifted(-1)
     assert sh.table == (0.0, 0.0, 0.25, 0.5, 0.75)
+
+
+def test_weight_values_are_one_read_only_array():
+    w = weight_threshold(4, 0.5)
+    values = w.values()
+    assert values is w.values()
+    assert np.array_equal(values, np.array(w.table))
+    with pytest.raises(ValueError):
+        values[0] = 1.0
+    assert w == weight_threshold(4, 0.5) and hash(w) == hash(weight_threshold(4, 0.5))
 
 
 def test_slater_sits_in_sector_zero():
@@ -185,6 +197,67 @@ def test_adapted_slots_match_literal_slot_space(N, L):
         # (U^dagger)^(x r) A U^(x r) on the adapted slots is A on the site-basis slots
         Ur = reduce(np.kron, [proj.basis_matrix] * r)
         close(_apply_on_slots(R, Ur.conj().T @ A @ Ur, slots), space.apply_on_slots(T, A, slots))
+
+
+def test_count_tables_are_shared_read_only_arrays():
+    """Every instance of one shape reads the same read-only count tables, and
+    the count blocks over the first r slots partition the rows by count."""
+    rng = np.random.default_rng(7)
+    N, L = 3, 8
+    first = AdaptedSlots(_random_projections(L, N, rng), N)
+    second = AdaptedSlots(_random_projections(L, N, rng), N)
+    for slots in ((0,), (1, 2), (0, 1, 2)):
+        table = first.count(slots)
+        assert second.count(slots) is table
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[...] = 0
+    total = first.count((0, 1, 2)).reshape(L**2, -1)
+    over_C = first.count((0, 1)).reshape(-1)
+    blocks = _count_blocks(L, N, 2)
+    assert _count_blocks(L, N, 2) is blocks
+    assert np.array_equal(np.sort(np.concatenate([rows for rows, _ in blocks])), np.arange(L**2))
+    for k, (rows, at_rows) in enumerate(blocks):
+        assert np.all(over_C[rows] == k)
+        assert np.array_equal(at_rows, total[rows])
+        assert not rows.flags.writeable and not at_rows.flags.writeable
+
+
+@pytest.mark.parametrize(
+    "N, L", [(2, 6), (3, 8), (4, 8), (3, 12), (1, 1), (3, 3), (1, 5), (1, 12), (4, 12)]
+)
+def test_block_products_match_the_full_slot_contraction(N, L):
+    """A_C[rows_a, rows_b] on the count-b rows of R is P^(a) A_C P^(b) R on the
+    count-a rows, and zero elsewhere, for every (b, a); a weight read at the
+    gathered count table is the masked weight on those rows.  (1, 1) and
+    (3, 3) have no complement rows, and N = 1 acts on a single slot."""
+    rng = np.random.default_rng(53 + 10 * N + L)
+    proj = _random_projections(L, N, rng)
+    view = AdaptedSlots(proj, N)
+    state = random_state(ConfigBasis(n_modes=L, n_particles=N), rng)
+    R = view.rotate(SlotSpace(proj, N).embed(state))
+    r = min(3, N) if L**3 <= 1024 else min(2, N)
+    C = tuple(range(r))
+    A = rng.standard_normal((L**r, L**r)) + 1j * rng.standard_normal((L**r, L**r))
+    blocks = _count_blocks(L, N, r)
+    R_rows = R.reshape(L**r, -1)
+    _, _, E_w = _threshold_differences(weight_threshold(N, 0.5), 1)
+    for w in (weight_number(N), E_w):
+        weighted = view.weight(R, w).reshape(L**r, -1)
+        for rows, total in blocks:
+            assert np.array_equal(w.values()[total] * R_rows[rows], weighted[rows])
+    inputs = {"sector": lambda b: view.sector(R, b, C),
+              "weighted": lambda b: view.sector(view.weight(R, E_w), b, C)}
+    for b, (rows_b, total_b) in enumerate(blocks):
+        slabs = {"sector": R_rows[rows_b], "weighted": E_w.values()[total_b] * R_rows[rows_b]}
+        for a, (rows_a, _) in enumerate(blocks):
+            out = _block_product(A, rows_a, rows_b, slabs)
+            for key, full_input in inputs.items():
+                full = view.sector(_apply_on_slots(full_input(b), A, C), a, C).reshape(L**r, -1)
+                scale = np.max(np.abs(full), initial=0.0)
+                assert out[key].shape == (len(rows_a), R_rows.shape[1])
+                assert np.max(np.abs(out[key] - full[rows_a]), initial=0.0) <= 1e-12 * scale
+                assert not np.delete(full, rows_a, axis=0).any()
 
 
 @pytest.mark.parametrize("N, L", [(1, 4), (2, 6), (4, 8), (4, 12)])
@@ -440,31 +513,33 @@ def test_gaussian_operator_is_drawn_once_per_size():
 @pytest.mark.parametrize(
     "check, planted",
     [
-        # the shift identity's shifted-weight input, first of the weighted columns
-        ("shift_identity", lambda k: slice(-k, -k + 1)),
-        # the factorisation's E-weighted inputs, the last k - 1 columns
-        ("difference_factorisation", lambda k: slice(-k + 1, None)),
+        # the shift identity's shifted-weight input
+        ("shift_identity", lambda key: key == "shift"),
+        # the factorisation's E-weighted inputs
+        ("difference_factorisation", lambda key: key.startswith("E")),
     ],
 )
 def test_sandwich_checks_catch_an_operator_dependent_defect(monkeypatch, check, planted):
     """The shared A_C still has teeth: applying A_C^T in place of A_C to the
     weighted side of a sandwich identity is recorded as violations, while the
-    unplanted suite records none.  Of the stacked inputs, the last
-    k = 1 + len(gammas) |C| are the weighted ones."""
+    unplanted suite records none.  The block product keys its inputs: the
+    sector P^(b) R is "sector", the shift identity's shifted-weight input
+    "shift" and each factorisation's E-weighted input "E<j>"."""
     gammas = (1.0 / 6.0, 0.5, 1.0)
     clean = lemma_suite(seed=5, trials=8, gammas=gammas)
     for name in ("shift_identity", "difference_factorisation"):
         assert clean.asserted[name]["violations"] == []
 
-    apply = counting._apply_on_slots
+    product = counting._block_product
 
-    def transposed(T, mat, slots):
-        out = apply(T, mat, slots)
-        cols = planted(1 + len(gammas) * len(slots))
-        out[..., cols] = apply(T[..., cols], mat.T, slots)
+    def transposed(A, rows_out, rows_in, slabs):
+        out = product(A, rows_out, rows_in, slabs)
+        wrong = {key: slab for key, slab in slabs.items() if planted(key)}
+        if wrong:
+            out.update(product(A.T, rows_out, rows_in, wrong))
         return out
 
-    monkeypatch.setattr(counting, "_apply_on_slots", transposed)
+    monkeypatch.setattr(counting, "_block_product", transposed)
     broken = lemma_suite(seed=5, trials=8, gammas=gammas)
     assert broken.asserted[check]["violations"]
     other = ({"shift_identity", "difference_factorisation"} - {check}).pop()
