@@ -33,10 +33,11 @@ for N in (2, 3, 4):
     hamiltonian = build_hamiltonian(basis, potential, initial.scaling)
     trajectory = run_hartree(initial, potential, t_final=1.0, dt=1e-3)
 
-    state = slater_state(initial, basis)
+    # eps H is fixed, so one call serves every snapshot time from shared Krylov spaces
+    states = propagate(slater_state(initial, basis), hamiltonian,
+                       [snap.time for snap in trajectory.snapshots])
     worst_alpha = 0.0
-    for snap in trajectory.snapshots:
-        state = propagate(state, hamiltonian, snap.time)
+    for snap, state in zip(trajectory.snapshots, states):
         worst_alpha = max(worst_alpha,
                           alpha_number_onebody(state, build_projections(snap)))
     final_snap = trajectory.snapshots[-1]

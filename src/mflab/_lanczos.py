@@ -9,6 +9,16 @@ retried; halving below ``max_halvings`` raises ``NumericalFailure``, and so
 do a non-finite Lanczos coefficient (an overflowing generator) and a failed
 tridiagonal eigensolve.
 
+One Krylov space serves many times.  With V_m and the tridiagonal T_m of
+the recurrence, exp(s A) v ~ |v| V_m exp(s T_m) e_1 for every scale s, so
+``expm_multiply_hermitian_times`` reads a whole sequence of times t from one
+space (scale * t each).  Convergence is tested on the furthest pending time
+at every step, and on the first until it converges.  The space grows until
+the furthest time converges, or until it is twice the size at which the
+first did; it then serves the leading times that have converged, and the
+next space starts from the last state served.  When not even the first
+pending time converges, the step to it is halved, as for a single time.
+
 The exponentials are small and many (the gauged flow makes thousands on
 16-point orbitals), so per-call overhead matters: the tridiagonal problem
 goes straight to the LAPACK routine ``scipy.linalg.eigh_tridiagonal`` uses,
@@ -23,6 +33,7 @@ constant and therefore yields the same Krylov coefficients.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator, Sequence
 from typing import Callable
 
 import numpy as np
@@ -55,22 +66,63 @@ def _norm(x: np.ndarray) -> float:
     return np.sqrt(x.dot(x))
 
 
+def _settled(y: np.ndarray, y_prev: np.ndarray | None, tol: float) -> bool:
+    """Whether the iterate y moved by less than tol from y_prev padded with a zero."""
+    if y_prev is None:
+        return False
+    diff = -y
+    np.subtract(y_prev, y[:-1], out=diff[:-1])
+    return _norm(diff) < tol
+
+
+def _coefficients(evals: np.ndarray, evecs: np.ndarray, scales) -> np.ndarray:
+    """exp(s T) e_1 for each scale s, one column each, from T's eigendecomposition."""
+    phase = evecs[0, :].conj()
+    return np.stack([evecs @ (np.exp(s * evals) * phase) for s in scales], axis=1)
+
+
+def _settled_prefix(now: tuple, before: tuple, scales, tol: float) -> np.ndarray:
+    """The columns of the leading scales that moved by less than tol in the last step.
+
+    ``now`` and ``before`` are the eigendecompositions of the last two
+    tridiagonals.  The first scale converged earlier, so it is always kept.
+    """
+    coeffs = _coefficients(*now, scales)
+    diff = coeffs.copy()
+    diff[:-1] -= _coefficients(*before, scales)
+    settled = np.sqrt((diff.real**2 + diff.imag**2).sum(axis=0)) < tol
+    count = len(scales) if settled.all() else max(1, int(settled.argmin()))
+    return coeffs[:, :count]
+
+
 def _krylov_segment(
     matvec: MatVec,
     v: np.ndarray,
-    scale: complex,
+    scale: complex | np.ndarray,
     tol: float,
     max_krylov: int,
-) -> np.ndarray | None:
-    """One exponential segment; returns None if the space did not converge."""
+) -> np.ndarray | tuple[list[np.ndarray], np.ndarray, float] | None:
+    """One Lanczos space: exp(s A) v for one scale s, or for a prefix of several.
+
+    A scalar ``scale`` returns the vector, or None if the space did not
+    converge.  A 1-D ndarray of scales of increasing magnitude returns
+    ``(basis, coeffs, norm_v)`` with exp(s_k A) v = norm_v * sum_i
+    coeffs[i, k] basis[i] for the first ``coeffs.shape[1]`` scales (the stop
+    rule of the module docstring), or None if not even the first converged.
+    """
+    single = not isinstance(scale, np.ndarray)
+    scales = (scale,) if single else scale
+    several = len(scales) > 1
     norm_v = _norm(v)
     if norm_v == 0.0:
-        return v.copy()
+        return v.copy() if single else ([v], np.zeros((1, len(scales))), norm_v)
 
     basis = [v / norm_v]
     alphas = np.empty(max_krylov)
     betas = np.empty(max_krylov)
     y_prev: np.ndarray | None = None
+    y_first: np.ndarray | None = None  # the first scale's iterate, until it converges
+    first_size = None  # the space size at which the first scale converged
 
     for j in range(max_krylov):
         w = matvec(basis[j])
@@ -86,12 +138,20 @@ def _krylov_segment(
         # y needs only alphas[:j+1] and betas[:j]: test convergence before
         # building the next vector, which a converged segment never uses
         evals, evecs = _eigh_tridiagonal(alphas[: j + 1], betas[:j])
-        y = evecs @ (np.exp(scale * evals) * evecs[0, :].conj())
-        if y_prev is not None:
-            diff = -y  # the previous iterate padded with a zero, minus y
-            np.subtract(y_prev, y[:-1], out=diff[:-1])
-            if _norm(diff) < tol:
+        y = evecs @ (np.exp(scales[-1] * evals) * evecs[0, :].conj())
+        if _settled(y, y_prev, tol):
+            if single:
                 return _assemble(basis, y, norm_v)
+            return basis, _coefficients(evals, evecs, scales), norm_v
+        if several:
+            if first_size is None:
+                y0 = evecs @ (np.exp(scales[0] * evals) * evecs[0, :].conj())
+                if _settled(y0, y_first, tol):
+                    first_size = j + 1
+                y_first = y0
+            if first_size is not None and (j + 1 >= 2 * first_size or j + 1 == max_krylov):
+                return basis, _settled_prefix((evals, evecs), before, scales, tol), norm_v
+            before = evals, evecs
 
         w = w - a_j * basis[j]
         if j > 0:
@@ -102,8 +162,10 @@ def _krylov_segment(
         beta = _norm(w)
         if not math.isfinite(beta):
             raise NumericalFailure(f"non-finite Lanczos coefficient (beta {beta})")
-        if beta < 1e-14 * max(1.0, abs(a_j)):
-            return _assemble(basis, y, norm_v)  # invariant subspace: exact
+        if beta < 1e-14 * max(1.0, abs(a_j)):  # invariant subspace: exact
+            if single:
+                return _assemble(basis, y, norm_v)
+            return basis, _coefficients(evals, evecs, scales), norm_v
         y_prev = y
         betas[j] = beta
         basis.append(w / beta)
@@ -147,3 +209,56 @@ def expm_multiply_hermitian(
                 f"Krylov exponential stagnated even with {segments} substeps"
             )
         segments *= 2
+
+
+def expm_multiply_hermitian_times(
+    matvec: MatVec,
+    v: np.ndarray,
+    scale: complex,
+    times: Sequence[float],
+    tol: float = 1e-13,
+    max_krylov: int = 80,
+    max_halvings: int = 12,
+) -> Iterator[np.ndarray]:
+    """exp(scale * t * A) v for each of the non-decreasing times t >= 0, in turn.
+
+    A generator that holds one Krylov space at a time: each space serves
+    every pending time it has converged for (the stop rule of the module
+    docstring), and the next starts from the last state served.  A time 0
+    yields ``v`` itself.  When the first pending time does not converge, a
+    space aims at half the distance to it, and every later space keeps that
+    shorter reach; more than ``max_halvings`` halvings raise
+    ``NumericalFailure``.
+    """
+    times = [float(t) for t in times]
+    base = 0.0  # the time of v
+    reach = math.inf  # the longest step a space may aim for
+    halvings = 0
+    i = 0  # the first pending time
+    while i < len(times):
+        if times[i] == base:
+            i += 1
+            yield v
+            continue
+        lead = [base + reach] if times[i] - base > reach else []
+        targets = lead + times[i:]
+        space = _krylov_segment(matvec, v, scale * (np.array(targets) - base), tol, max_krylov)
+        if space is None:
+            halvings += 1
+            if halvings > max_halvings or base + (targets[0] - base) / 2 == base:
+                raise NumericalFailure(
+                    f"Krylov exponential stagnated even with a step of {targets[0] - base:.3g}"
+                )
+            reach = (targets[0] - base) / 2
+            continue
+        basis, coeffs, norm_v = space
+        del space
+        served = coeffs.shape[1]
+        for k in range(served):
+            v = _assemble(basis, coeffs[:, k], norm_v)
+            if k == served - 1:
+                del basis  # one Krylov space at a time, and none held after its last state
+            if k >= len(lead):
+                i += 1
+                yield v
+        base = targets[served - 1]

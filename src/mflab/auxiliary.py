@@ -572,6 +572,7 @@ def run_auxiliary(
     psi0 = slater_state(initial, basis)
     aux = psi0
     exact = psi0
+    exact_records = propagate(psi0, H_exact, [step * dt for step in sorted(recorded) if step])
     phi = initial
 
     def take_record(t: float, aux_state, exact_state, phi_state):
@@ -615,7 +616,7 @@ def run_auxiliary(
             raise NumericalFailure(f"non-finite truncated amplitudes at step {step}")
         if step in recorded:
             aux = ManyBodyState(basis, amps, t_next)
-            exact = propagate(exact, H_exact, t_next)
+            exact = next(exact_records)
             rec, _ = take_record(t_next, aux, exact, phi)
             records.append(rec)
             aux_snaps.append(aux)
@@ -657,12 +658,12 @@ def gauge_frame_residual(
     base = base_interactions(potential, include_triple=scaling.N >= 3)
     H = build_hamiltonian(basis, potential, scaling)
     psi0 = slater_state(initial, basis)
-
-    def gauged_at(s: float) -> np.ndarray:
-        st = propagate(psi0, H, s) if s > 0 else psi0
-        return gauge_manybody(st, s, scaling.epsilon, potential).amplitudes
-
-    minus, mid, plus = gauged_at(t - dt), gauged_at(t), gauged_at(t + dt)
+    times = (t - dt, t, t + dt)
+    states = propagate(psi0, H, [max(s, 0.0) for s in times])
+    minus, mid, plus = (
+        gauge_manybody(st, s, scaling.epsilon, potential).amplitudes
+        for st, s in zip(states, times)
+    )
     Hg = full_gauged_hamiltonian(base, basis, t, scaling.epsilon)
     rhs = scaling.epsilon * (Hg.matrix @ mid)
     lhs = 1j * (plus - minus) / (2.0 * dt)

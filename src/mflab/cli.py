@@ -460,13 +460,12 @@ def cmd_exact(cfg: RunConfig) -> None:
         basis = _exact_basis(cfg, N)
         scaling = cfg.scaling_for(N)
         hamiltonian = build_hamiltonian(basis, potential, scaling)
-        state = slater_state(cfg.initial_orbitals(N), basis)
-        initial = state
+        initial = slater_state(cfg.initial_orbitals(N), basis)
 
         spectra_rows = []
         trace_rows = []
-        for t in times:
-            state = propagate(state, hamiltonian, t)
+        for state in propagate(initial, hamiltonian, times):
+            t = state.time
             norm = float(np.linalg.norm(state.amplitudes))
             spectrum = np.linalg.eigvalsh(rdm1(state).matrix)[::-1]
             spectra_rows.append([t, norm] + list(spectrum))
@@ -509,11 +508,14 @@ def cmd_compare(cfg: RunConfig) -> None:
         traj = run_hartree(
             cfg.initial_orbitals(N), potential, cfg.t_final, cfg.dt, cfg.snapshot_every
         )
-        state = slater_state(traj.snapshots[0], basis)
+        states = propagate(
+            slater_state(traj.snapshots[0], basis),
+            hamiltonian,
+            [snap.time for snap in traj.snapshots],
+        )
 
         rows = []
-        for snap in traj.snapshots:
-            state = propagate(state, hamiltonian, snap.time)
+        for snap, state in zip(traj.snapshots, states):
             alpha_n = alpha_number_onebody(state, build_projections(snap))
             comparisons = [res.comparison for res in observe(observables, state, snap)]
             gauged_state = gauge_manybody(state, snap.time, scaling.epsilon, potential)

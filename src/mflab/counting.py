@@ -338,18 +338,20 @@ def _count_blocks(L: int, N: int, r: int) -> tuple:
     an (L**r, L**(N-r)) matrix, each row of a slot tensor is one multi-index
     of slots 0..r-1, so the sector P^(k) over those slots keeps the rows
     whose complement count over them is k.  Entry k is ``(rows, total)``:
-    those rows, and the complement count over all N slots gathered at them,
-    the table a weight is read at.  Both are read-only and derived from
-    ``_slot_counts``.
+    those rows, and the complement count over all N slots on each of them,
+    the (L**(N-r),) vector a weight is read at.  On a row of count k over
+    the first r slots that total is k plus the count over the other slots,
+    the same for every such row, so a weighted input multiplies its rows by
+    one broadcast row.  Both are read-only and derived from ``_slot_counts``.
     """
     over_C = _slot_counts(L, N, N, tuple(range(r))).reshape(-1)
-    total = _slot_counts(L, N, N, tuple(range(N))).reshape(L**r, -1)
+    others = _slot_counts(L, N, N, tuple(range(r, N))).reshape(-1)
     blocks = []
     for k in range(r + 1):
         rows = np.flatnonzero(over_C == k)
-        at_rows = total[rows]
-        rows.flags.writeable = at_rows.flags.writeable = False
-        blocks.append((rows, at_rows))
+        total = k + others
+        rows.flags.writeable = total.flags.writeable = False
+        blocks.append((rows, total))
     return tuple(blocks)
 
 
@@ -587,21 +589,26 @@ def _threshold_differences(
 def _size_weights(N: int, gammas: tuple[float, ...]) -> tuple:
     """The lemma suite's weight tables for N particles, which depend on N and gamma only.
 
-    Returns ``(n_w, linv, per_gamma)``: the number and inverse-sqrt weights
-    and, per gamma, ``(m_w, shifted, differences)`` with m_w the threshold
-    weight, ``shifted[s]`` the complement weight shifted by s for |s| <=
-    min(3, N) and ``differences[d]`` = ``_threshold_differences(m_w, d)``
-    for 1 <= d <= min(3, N).
+    Returns ``(n_w, linv_sq, per_gamma)``: the number weight, the squared
+    inverse-sqrt weight and, per gamma, ``(m_w, shifted_sq, differences)``
+    with m_w the threshold weight, ``shifted_sq[s]`` the squared complement
+    weight shifted by s for |s| <= min(3, N) and ``differences[d]`` the
+    three weights of ``_threshold_differences(m_w, d)`` followed by the
+    squares of D and E, for 1 <= d <= min(3, N).  A mask norm reads only
+    the squared tables, so each weight is squared here, once per N.
     """
     span = min(3, N)
     per_gamma = []
     for gamma in gammas:
         m_w = weight_threshold(N, gamma)
         w_w = weight_complement(N, gamma)
-        shifted = {s: w_w.shifted(s) for s in range(-span, span + 1)}
-        differences = {d: _threshold_differences(m_w, d) for d in range(1, span + 1)}
-        per_gamma.append((m_w, shifted, differences))
-    return weight_number(N), weight_inverse_sqrt(N), per_gamma
+        shifted_sq = {s: w_w.shifted(s).values() ** 2 for s in range(-span, span + 1)}
+        differences = {}
+        for d in range(1, span + 1):
+            diff_w, D_w, E_w = _threshold_differences(m_w, d)
+            differences[d] = (diff_w, D_w, E_w, D_w.values() ** 2, E_w.values() ** 2)
+        per_gamma.append((m_w, shifted_sq, differences))
+    return weight_number(N), weight_inverse_sqrt(N).values() ** 2, per_gamma
 
 
 def lemma_suite(
@@ -637,8 +644,9 @@ def lemma_suite(
     multi-index, and the sector P^(b) over C is the rows whose complement
     count over C is b (``_count_blocks``).  Every input fed to A_C (the
     sector P^(b) R, the shift identity's shifted-weight input, each
-    factorisation's E-weighted input) is built on those rows alone, a weight
-    read at the total complement count gathered there.  The inputs are
+    factorisation's E-weighted input) is built on those rows alone, times a
+    weight read at their total complement count, one broadcast row per
+    count b.  The inputs are
     grouped by (b, a), and each group is one matmul of the gathered block
     A_C[a, b] against its stacked inputs (``_block_product``), which yields
     exactly the count-a rows the check reads.  Both sides of an identity,
@@ -705,15 +713,15 @@ def lemma_suite(
 
         if N not in weights:
             weights[N] = _size_weights(N, gammas)
-        n_w, linv, per_gamma = weights[N]
+        n_w, linv_sq, per_gamma = weights[N]
         norm_T = space.norm_sq(T)
         view = AdaptedSlots(proj, N)
         R = view.rotate(T)
         table = view.mask_table(R)
 
-        def mask_norm(weight: WeightFunction, n0: int) -> float:
-            """|f_hat prod_{i<=n0} q_i psi|^2, read from the mask table."""
-            return float(np.dot(weight.values() ** 2, table[n0]))
+        def mask_norm(squared: np.ndarray, n0: int) -> float:
+            """|f_hat prod_{i<=n0} q_i psi|^2 from the squared table of f and the mask table."""
+            return float(np.dot(squared, table[n0]))
 
         # q-conversion: n0 such that n0 + 1 <= N
         for n0 in range(0, min(3, N - 1) + 1):
@@ -723,7 +731,7 @@ def lemma_suite(
 
         # sqrt-conversion: 1 <= n0 < N
         for n0 in range(1, min(3, N - 1) + 1):
-            lhs = mask_norm(linv, n0)
+            lhs = mask_norm(linv_sq, n0)
             rhs = 2.0 * (norm_T if n0 == 1 else alpha_of(weight_power(n_w, n0 - 1)))
             _record(asserted, "sqrt_conversion", lhs, rhs, {**ctx_base, "n0": n0})
 
@@ -736,7 +744,7 @@ def lemma_suite(
         a_sh = int(rng.integers(0, size_C + 1))
         b_sh = int(rng.integers(0, size_C + 1))
         lower = [
-            (d, differences[d], int(rng.integers(0, size_C - d + 1)))
+            (d, differences[d][2], int(rng.integers(0, size_C - d + 1)))
             for _, _, differences in per_gamma
             for d in range(1, size_C + 1)
         ]
@@ -754,7 +762,7 @@ def lemma_suite(
                 "shift": n_w.shifted(a_sh - b_sh).values()[blocks[b_sh][1]] * sectors[b_sh],
             }
         }
-        for j, (d, (_, _, E_w), a) in enumerate(lower):
+        for j, (d, E_w, a) in enumerate(lower):
             group = groups.setdefault((a, a + d), {"sector": sectors[a]})
             group[f"E{j}"] = E_w.values()[blocks[a][1]] * sectors[a]
         applied = {
@@ -778,7 +786,7 @@ def lemma_suite(
             {**ctx_base, "a": a_sh, "b": b_sh},
         )
 
-        for gamma, (m_w, shifted_w, differences) in zip(gammas, per_gamma):
+        for gamma, (m_w, shifted_sq, differences) in zip(gammas, per_gamma):
             alpha_m = alpha_of(m_w)
 
             # shifted-complement bound
@@ -787,7 +795,7 @@ def lemma_suite(
                     if d == 0 and sign == -1:
                         continue
                     for n0 in range(1, min(3, N) + 1):
-                        lhs = mask_norm(shifted_w[sign * d], n0)
+                        lhs = mask_norm(shifted_sq[sign * d], n0)
                         rhs = 2.0 * N ** (n0 * (gamma - 1.0)) * alpha_m
                         ctx = {**ctx_base, "gamma": gamma, "d": sign * d, "n0": n0}
                         target = asserted if d <= N**gamma + 1e-9 else reported
@@ -795,20 +803,20 @@ def lemma_suite(
 
             # threshold-difference operators and factorisation
             for d in range(1, min(3, N) + 1):
-                diff_w, D_w, E_w = differences[d]
+                diff_w, D_w, _, D_sq, E_sq = differences[d]
                 ctx = {**ctx_base, "gamma": gamma, "d": d}
 
-                _record(asserted, "diff_D_plain", mask_norm(D_w, 0), d * N**-gamma * norm_T, ctx)
-                _record(asserted, "diff_E_plain", mask_norm(E_w, 0), d * N**-gamma * norm_T, ctx)
+                _record(asserted, "diff_D_plain", mask_norm(D_sq, 0), d * N**-gamma * norm_T, ctx)
+                _record(asserted, "diff_E_plain", mask_norm(E_sq, 0), d * N**-gamma * norm_T, ctx)
                 if alpha_m > 1e-14:
-                    _record(asserted, "diff_D_q1", mask_norm(D_w, 1),
+                    _record(asserted, "diff_D_q1", mask_norm(D_sq, 1),
                             d * (d + 1) * N**-1.0 * alpha_m, ctx)
-                    _record(asserted, "diff_E_q1", mask_norm(E_w, 1),
+                    _record(asserted, "diff_E_q1", mask_norm(E_sq, 1),
                             d * N**-1.0 * alpha_m, ctx)
                     if N >= 2:
-                        _record(asserted, "diff_D_q1q2", mask_norm(D_w, 2),
+                        _record(asserted, "diff_D_q1q2", mask_norm(D_sq, 2),
                                 d * (d + 1) ** 2 * N ** (gamma - 2.0) * alpha_m, ctx)
-                        _record(asserted, "diff_E_q1q2", mask_norm(E_w, 2),
+                        _record(asserted, "diff_E_q1q2", mask_norm(E_sq, 2),
                                 d * N ** (gamma - 2.0) * alpha_m, ctx)
 
                 # factorisation through a sandwiched local operator

@@ -32,6 +32,13 @@ the (dim_{N-1} x L) matrix Phi whose column a is a_a psi, through
 ``ConfigBasis.annihilation_table`` (dim * N entries against the one-body
 table's dim * N * (L - N + 1)), and <a^dag_b a_a> = (Phi^H Phi)[b, a].
 
+``propagate`` evolves a state under a fixed operator eps H through a whole
+sequence of times at once.  Since eps H does not depend on time, one Krylov
+space serves every snapshot time it has converged for, read from one
+tridiagonal matrix; a space grows until the furthest pending time
+converges, or until it is twice the size at which the first pending time
+converged, and the next space starts from the last state it served.
+
 Conventions:
 * |I> = a^dag_{i1} ... a^dag_{iN} |0> with i1 < ... < iN (flattened C-order
   site indices).
@@ -48,7 +55,7 @@ Conventions:
 from __future__ import annotations
 
 import struct
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, permutations
@@ -57,7 +64,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import expm
 
-from ._lanczos import expm_multiply_hermitian
+from ._lanczos import expm_multiply_hermitian, expm_multiply_hermitian_times
 from .errors import ConfigError, ContractViolation, GridMismatchError, NumericalFailure
 from .grid import Field, dense_kinetic, difference_matrix
 from .model import InteractionPotential, ScalingParams, resolve_scaling, step_schedule
@@ -364,24 +371,41 @@ def build_hamiltonian(
 def propagate(
     state: ManyBodyState,
     hamiltonian,
-    t_final: float,
+    t_final: float | Sequence[float],
     dt: float | None = None,
-) -> ManyBodyState:
-    """Evolve i d/dt Psi = eps H Psi to t_final.
+) -> ManyBodyState | Iterator[ManyBodyState]:
+    """Evolve i d/dt Psi = eps H Psi to t_final, or through a sequence of times.
 
-    ``hamiltonian`` is either a fixed ManyBodyOperator (one Krylov
-    exponential over the whole span, split internally as needed) or a
-    callable t -> ManyBodyOperator, integrated with midpoint-frozen
-    exponential steps of size ``dt``.  Krylov stagnation triggers step
-    halving; a step below ``DT_MIN`` is a hard failure.
+    ``hamiltonian`` is either a fixed ManyBodyOperator or a callable t ->
+    ManyBodyOperator, integrated to the single time ``t_final`` with
+    midpoint-frozen exponential steps of size ``dt``.  Krylov stagnation
+    triggers step halving; a step below ``DT_MIN`` is a hard failure.
+
+    With a fixed operator ``t_final`` may also be a non-decreasing sequence
+    of times, none before the state's: the result is then an iterator of
+    ManyBodyStates, one per time, each computed when it is taken.  eps H
+    does not depend on time, so one Krylov space serves every pending time
+    it has converged for: it grows until the furthest pending time
+    converges, or until it is twice the size at which the first did, and
+    the next space starts from the last state it served
+    (``_lanczos.expm_multiply_hermitian_times``).  The iterator holds one
+    Krylov space at a time, never the whole trajectory.  A single time is
+    the one-element case and returns its state; a time equal to the
+    state's returns its amplitudes unchanged.
     """
-    span = t_final - state.time
-    if span < 0:
+    single = np.ndim(t_final) == 0
+    times = [t_final] if single else list(t_final)
+    if times and times[0] < state.time:
         raise ConfigError("t_final lies before the state's time")
-    if span == 0:
-        return state
+    if any(later < earlier for earlier, later in zip(times, times[1:])):
+        raise ConfigError("propagation times must not decrease")
 
     if callable(hamiltonian):
+        if not single:
+            raise ConfigError("a sequence of times needs a fixed ManyBodyOperator")
+        span = t_final - state.time
+        if span == 0:
+            return state
         if dt is None or dt <= 0:
             raise ConfigError("time-dependent generators need a positive dt")
         if dt < DT_MIN:
@@ -400,10 +424,21 @@ def propagate(
     op = hamiltonian
     if op.basis != state.basis:
         raise GridMismatchError("operator and state use different bases")
-    amps = expm_multiply_hermitian(op.matvec, state.amplitudes, -1j * span * op.epsilon)
-    if not np.all(np.isfinite(amps)):
-        raise NumericalFailure("non-finite amplitudes during propagation")
-    return ManyBodyState(state.basis, amps, t_final)
+    trajectory = _trajectory(state, op, times)
+    return next(trajectory) if single else trajectory
+
+
+def _trajectory(
+    state: ManyBodyState, op: ManyBodyOperator, times: list
+) -> Iterator[ManyBodyState]:
+    spans = [t - state.time for t in times]
+    amplitudes = expm_multiply_hermitian_times(
+        op.matvec, state.amplitudes, -1j * op.epsilon, spans
+    )
+    for t, amps in zip(times, amplitudes):
+        if not np.all(np.isfinite(amps)):
+            raise NumericalFailure("non-finite amplitudes during propagation")
+        yield ManyBodyState(state.basis, amps, t)
 
 
 def propagate_dense(

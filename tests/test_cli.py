@@ -125,6 +125,26 @@ def test_exact_norm_column_and_dense_oracle(tmp_path):
     assert oracle["krylov_vs_dense"] < 1e-10
 
 
+def test_exact_routes_serve_each_trajectory_from_few_krylov_spaces(tmp_path, monkeypatch):
+    """exact and compare on 20 sites (about 100 snapshots per N) take at most
+    100 Hamiltonian matvecs per N, where one space per snapshot took 600-700."""
+    from mflab.manybody import ManyBodyOperator
+
+    counts = {}
+    matvec = ManyBodyOperator.matvec
+
+    def counted(self, x):
+        key = (command, self.basis.n_particles)
+        counts[key] = counts.get(key, 0) + 1
+        return matvec(self, x)
+
+    monkeypatch.setattr(ManyBodyOperator, "matvec", counted)
+    for command in ("exact", "compare"):
+        assert run_cli(command, tmp_path / command, "grid.sites=20", "scaling.n=2,3,4") == 0
+    assert sorted(counts) == [(c, N) for c in ("compare", "exact") for N in (2, 3, 4)]
+    assert max(counts.values()) <= 100, counts
+
+
 def test_exact_basis_over_budget_is_config_error(tmp_path):
     assert run_cli("exact", tmp_path, "scaling.n=6") == 2
 

@@ -201,7 +201,8 @@ def test_adapted_slots_match_literal_slot_space(N, L):
 
 def test_count_tables_are_shared_read_only_arrays():
     """Every instance of one shape reads the same read-only count tables, and
-    the count blocks over the first r slots partition the rows by count."""
+    the count blocks over the first r slots partition the rows by count, each
+    with one total-count row shared by all of its rows."""
     rng = np.random.default_rng(7)
     N, L = 3, 8
     first = AdaptedSlots(_random_projections(L, N, rng), N)
@@ -219,7 +220,8 @@ def test_count_tables_are_shared_read_only_arrays():
     assert np.array_equal(np.sort(np.concatenate([rows for rows, _ in blocks])), np.arange(L**2))
     for k, (rows, at_rows) in enumerate(blocks):
         assert np.all(over_C[rows] == k)
-        assert np.array_equal(at_rows, total[rows])
+        assert at_rows.shape == (L ** (N - 2),)
+        assert np.array_equal(np.broadcast_to(at_rows, (len(rows), L ** (N - 2))), total[rows])
         assert not rows.flags.writeable and not at_rows.flags.writeable
 
 

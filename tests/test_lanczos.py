@@ -5,7 +5,12 @@ import pytest
 from scipy.linalg import eigh_tridiagonal, expm
 
 from mflab import _lanczos
-from mflab._lanczos import _eigh_tridiagonal, _norm, expm_multiply_hermitian
+from mflab._lanczos import (
+    _eigh_tridiagonal,
+    _norm,
+    expm_multiply_hermitian,
+    expm_multiply_hermitian_times,
+)
 from mflab.errors import NumericalFailure
 from mflab.gauge import run_gauged
 from mflab.grid import Grid
@@ -105,6 +110,73 @@ def test_inline_norm_is_bit_identical_to_numpy(shape):
     cplx = real + 1j * rng.standard_normal(shape)
     for x in (real, cplx, cplx.T, cplx[..., ::2]):
         assert _norm(x) == np.linalg.norm(x)
+
+
+def _spaces(monkeypatch):
+    """Record (scales asked for, scales served) of every multi-scale Krylov space."""
+    segment, log = _lanczos._krylov_segment, []
+
+    def logged(matvec, v, scale, tol, max_krylov):
+        out = segment(matvec, v, scale, tol, max_krylov)
+        log.append((len(scale), None if out is None else out[1].shape[1]))
+        return out
+
+    monkeypatch.setattr(_lanczos, "_krylov_segment", logged)
+    return log
+
+
+@pytest.mark.parametrize("max_krylov", [80, 12])
+def test_time_sequence_matches_dense_expm_across_restarts(monkeypatch, max_krylov):
+    """A long span served by several spaces: each is cut at twice the size at
+    which its first time converged (or at max_krylov) and serves a prefix."""
+    rng = np.random.default_rng(70)
+    A = random_hermitian(60, rng)
+    v = rng.standard_normal(60) + 1j * rng.standard_normal(60)
+    times = np.linspace(0.0, 3.0, 31)
+    log = _spaces(monkeypatch)
+    got = list(expm_multiply_hermitian_times(
+        lambda x: A @ x, v, -0.25j, times, max_krylov=max_krylov))
+    assert len(got) == len(times)
+    assert got[0] is v
+    for t, out in zip(times, got):
+        want = expm(-0.25j * t * A) @ v
+        assert np.linalg.norm(out - want) < 1e-11 * np.linalg.norm(v)
+    assert len(log) > 1 and all(served for _, served in log)
+    assert any(served < asked for asked, served in log)
+    assert sum(served for _, served in log) == len(times) - 1
+
+
+def test_time_sequence_halves_when_the_first_time_stagnates(monkeypatch):
+    rng = np.random.default_rng(71)
+    A = random_hermitian(40, rng)
+    v = rng.standard_normal(40) + 1j * rng.standard_normal(40)
+    times = [2.0, 2.5]
+    log = _spaces(monkeypatch)
+    got = list(expm_multiply_hermitian_times(lambda x: A @ x, v, -1j, times, max_krylov=8))
+    for t, out in zip(times, got):
+        assert np.linalg.norm(out - expm(-1j * t * A) @ v) < 1e-11 * np.linalg.norm(v)
+    assert log[0] == (2, None) and log[-1][1]
+    with pytest.raises(NumericalFailure, match="stagnated"):
+        list(expm_multiply_hermitian_times(
+            lambda x: A @ x, v, -1j, times, max_krylov=8, max_halvings=1))
+
+
+def test_time_sequence_of_a_zero_vector_is_zero():
+    zero = np.zeros(5, dtype=complex)
+    outs = list(expm_multiply_hermitian_times(lambda x: 2 * x, zero, -1j, [0.5, 1.0]))
+    assert len(outs) == 2 and all(not out.any() for out in outs)
+
+
+@pytest.mark.parametrize("scale", [-0.3j, -4.0j, -0.25])
+def test_one_scale_array_gives_the_scalar_segment_bits(scale):
+    rng = np.random.default_rng(72)
+    A = random_hermitian(60, rng)
+    v = rng.standard_normal(60) + 1j * rng.standard_normal(60)
+    want = _lanczos._krylov_segment(lambda x: A @ x, v, scale, 1e-13, 80)
+    basis, coeffs, norm_v = _lanczos._krylov_segment(
+        lambda x: A @ x, v, np.array([scale]), 1e-13, 80)
+    assert coeffs.shape == (len(basis), 1)
+    assert _lanczos._assemble(basis, coeffs[:, 0], norm_v).tobytes() == want.tobytes()
 
 
 def _reference_segment(matvec, v, scale, tol, max_krylov):

@@ -414,6 +414,74 @@ def test_basis_mismatch_rejected():
         propagate(random_state(twin, rng), lambda t: H, t_final=0.1, dt=0.05)
 
 
+def _oracle_systems():
+    """The bases of dim <= 400 that acceptance 08 checks Krylov against dense on."""
+    for sites in (4, 6, 8, 10, 12, 14, 16):
+        grid = Grid(dim=1, sites_per_dim=sites, box_length=8.0, kinetic_mode="lattice")
+        pot = build_potential(grid, "cosine_sum", amplitudes=[0.8], offset=0.3)
+        for N in range(1, 6):
+            if N > sites or math.comb(sites, N) > 400:
+                continue
+            basis = ConfigBasis(sites, N)
+            state = slater_state(make_orbitals(InitialFamily("delocalized"), N, grid), basis)
+            yield state, build_hamiltonian(basis, pot, ScalingParams(N=N))
+
+
+def test_time_sequence_matches_dense_at_every_snapshot():
+    times = [0.0, 0.05, 0.1, 0.2, 0.35, 0.5]
+    bases = 0
+    for state, H in _oracle_systems():
+        dense = state
+        served = list(propagate(state, H, times))
+        assert [s.time for s in served] == times
+        for got in served:
+            dense = propagate_dense(dense, H, got.time)
+            assert np.linalg.norm(got.amplitudes - dense.amplitudes) < 1e-10
+        bases += 1
+    assert bases >= 20
+
+
+def test_time_sequence_matches_sequential_single_time_calls():
+    grid, pot, basis = small_system(N=3)
+    H = build_hamiltonian(basis, pot, ScalingParams(N=3))
+    state = random_state(basis, np.random.default_rng(21), time=0.25)
+    times = state.time + 0.01 * np.arange(0, 301, 3)
+    single = state
+    served = list(propagate(state, H, times))
+    assert [s.time for s in served] == list(times)
+    for got in served:
+        single = propagate(single, H, got.time)
+        assert np.linalg.norm(got.amplitudes - single.amplitudes) < 1e-12
+
+
+def test_time_sequence_at_the_state_time_returns_its_amplitudes():
+    grid, pot, basis = small_system(N=2)
+    H = build_hamiltonian(basis, pot, ScalingParams(N=2))
+    state = random_state(basis, np.random.default_rng(22), time=0.4)
+    first, again, later = propagate(state, H, [0.4, 0.4, 0.9])
+    assert first.amplitudes.tobytes() == state.amplitudes.tobytes()
+    assert again.amplitudes.tobytes() == state.amplitudes.tobytes()
+    assert first.time == again.time == 0.4 and later.time == 0.9
+    assert propagate(state, H, 0.4).amplitudes.tobytes() == state.amplitudes.tobytes()
+    assert list(propagate(state, H, [])) == []
+
+
+def test_time_sequence_rejects_bad_requests():
+    grid, pot, basis = small_system(N=2)
+    H = build_hamiltonian(basis, pot, ScalingParams(N=2))
+    rng = np.random.default_rng(23)
+    state = random_state(basis, rng, time=0.1)
+    with pytest.raises(ConfigError):
+        propagate(state, H, [0.2, 0.5, 0.3])
+    with pytest.raises(ConfigError):
+        propagate(state, H, [0.05, 0.2])
+    with pytest.raises(ConfigError):
+        propagate(state, lambda t: H, [0.2, 0.3], dt=0.05)
+    other = ConfigBasis(n_modes=basis.n_modes, n_particles=3)
+    with pytest.raises(GridMismatchError):
+        propagate(random_state(other, rng), H, [0.1, 0.2])
+
+
 def test_serialization_round_trips(tmp_path):
     grid, pot, basis = small_system(N=3)
     rng = np.random.default_rng(12)
