@@ -12,12 +12,19 @@ tridiagonal eigensolve.
 One Krylov space serves many times.  With V_m and the tridiagonal T_m of
 the recurrence, exp(s A) v ~ |v| V_m exp(s T_m) e_1 for every scale s, so
 ``expm_multiply_hermitian_times`` reads a whole sequence of times t from one
-space (scale * t each).  Convergence is tested on the furthest pending time
-at every step, and on the first until it converges.  The space grows until
-the furthest time converges, or until it is twice the size at which the
-first did; it then serves the leading times that have converged, and the
-next space starts from the last state served.  When not even the first
-pending time converges, the step to it is halved, as for a single time.
+space (scale * t each).  Pending times are tested in order: the first until
+it converges, then the next.  The work of a space grows as the square of its
+size m (each vector is reorthogonalised against all before it), so once k
+times have converged, the last at size m_k, the space grows for time k + 1
+only while m^2 / (k + 1) stays below m_k^2 / k, i.e. while m < m_k
+sqrt((k + 1) / k).  Whether time k + 1 makes it is judged when time k
+converges, from the geometric rate at which the iterate of time k + 1 has
+been settling over the last three steps; a time that is not expected to
+make it, or does not, ends the space.  The space serves its k converged times, and the
+next space starts from the last state served.  On long gaps this serves one
+time per space, as separate exponentials would; on short gaps one space
+serves many.  When not even the first pending time converges, the step to
+it is halved, as for a single time.
 
 The exponentials are small and many (the gauged flow makes thousands on
 16-point orbitals), so per-call overhead matters: the tridiagonal problem
@@ -43,6 +50,8 @@ from .errors import NumericalFailure
 
 MatVec = Callable[[np.ndarray], np.ndarray]
 
+TOL = 1e-13  # the default coefficient tolerance, and the one times are served to
+
 # the LAPACK routine eigh_tridiagonal picks for select="a", fetched once
 _stevd, = get_lapack_funcs(("stevd",), (np.zeros(1),))
 
@@ -66,33 +75,46 @@ def _norm(x: np.ndarray) -> float:
     return np.sqrt(x.dot(x))
 
 
-def _settled(y: np.ndarray, y_prev: np.ndarray | None, tol: float) -> bool:
-    """Whether the iterate y moved by less than tol from y_prev padded with a zero."""
-    if y_prev is None:
-        return False
+def _alpha(b: np.ndarray, w: np.ndarray) -> float:
+    """The diagonal Lanczos coefficient <b, A b>, given w = A b."""
+    alpha = complex(np.vdot(b, w))
+    if abs(alpha.imag) > 1e-8 * max(1.0, abs(alpha)):
+        raise NumericalFailure(
+            f"generator is not hermitian: diagonal Lanczos coefficient {alpha}"
+        )
+    if not math.isfinite(alpha.real):
+        raise NumericalFailure(f"non-finite Lanczos coefficient (alpha {alpha.real})")
+    return alpha.real
+
+
+def _extend(
+    basis: list[np.ndarray], betas: np.ndarray, w: np.ndarray, a_j: float, j: int
+) -> np.ndarray | None:
+    """The Lanczos vector after the j + 1 vectors of ``basis``, from w = A basis[j].
+
+    Stores its beta in ``betas[j]``.  Returns None when the space is
+    invariant (then the exponential read from it is exact).
+    """
+    w = w - a_j * basis[j]
+    if j > 0:
+        w -= betas[j - 1] * basis[j - 1]
+    # full reorthogonalisation against the small basis
+    for b in basis:
+        w -= np.vdot(b, w) * b
+    beta = _norm(w)
+    if not math.isfinite(beta):
+        raise NumericalFailure(f"non-finite Lanczos coefficient (beta {beta})")
+    if beta < 1e-14 * max(1.0, abs(a_j)):
+        return None
+    betas[j] = beta
+    return w / beta
+
+
+def _moved(y: np.ndarray, y_prev: np.ndarray) -> float:
+    """How far the iterate y moved from y_prev padded with a zero."""
     diff = -y
     np.subtract(y_prev, y[:-1], out=diff[:-1])
-    return _norm(diff) < tol
-
-
-def _coefficients(evals: np.ndarray, evecs: np.ndarray, scales) -> np.ndarray:
-    """exp(s T) e_1 for each scale s, one column each, from T's eigendecomposition."""
-    phase = evecs[0, :].conj()
-    return np.stack([evecs @ (np.exp(s * evals) * phase) for s in scales], axis=1)
-
-
-def _settled_prefix(now: tuple, before: tuple, scales, tol: float) -> np.ndarray:
-    """The columns of the leading scales that moved by less than tol in the last step.
-
-    ``now`` and ``before`` are the eigendecompositions of the last two
-    tridiagonals.  The first scale converged earlier, so it is always kept.
-    """
-    coeffs = _coefficients(*now, scales)
-    diff = coeffs.copy()
-    diff[:-1] -= _coefficients(*before, scales)
-    settled = np.sqrt((diff.real**2 + diff.imag**2).sum(axis=0)) < tol
-    count = len(scales) if settled.all() else max(1, int(settled.argmin()))
-    return coeffs[:, :count]
+    return _norm(diff)
 
 
 def _krylov_segment(
@@ -102,75 +124,122 @@ def _krylov_segment(
     tol: float,
     max_krylov: int,
 ) -> np.ndarray | tuple[list[np.ndarray], np.ndarray, float] | None:
-    """One Lanczos space: exp(s A) v for one scale s, or for a prefix of several.
+    """One exponential segment; returns None if the space did not converge.
 
-    A scalar ``scale`` returns the vector, or None if the space did not
-    converge.  A 1-D ndarray of scales of increasing magnitude returns
-    ``(basis, coeffs, norm_v)`` with exp(s_k A) v = norm_v * sum_i
-    coeffs[i, k] basis[i] for the first ``coeffs.shape[1]`` scales (the stop
-    rule of the module docstring), or None if not even the first converged.
+    A 1-D ndarray of scales is served by ``_krylov_space`` instead, so every
+    Krylov space of the module is built under this name (``bench/tracing.py``
+    times each call as ``lanczos.segment``).
     """
-    single = not isinstance(scale, np.ndarray)
-    scales = (scale,) if single else scale
-    several = len(scales) > 1
+    if isinstance(scale, np.ndarray):
+        return _krylov_space(matvec, v, scale, tol, max_krylov)
     norm_v = _norm(v)
     if norm_v == 0.0:
-        return v.copy() if single else ([v], np.zeros((1, len(scales))), norm_v)
+        return v.copy()
 
     basis = [v / norm_v]
     alphas = np.empty(max_krylov)
     betas = np.empty(max_krylov)
     y_prev: np.ndarray | None = None
-    y_first: np.ndarray | None = None  # the first scale's iterate, until it converges
-    first_size = None  # the space size at which the first scale converged
 
     for j in range(max_krylov):
         w = matvec(basis[j])
-        alpha = complex(np.vdot(basis[j], w))
-        if abs(alpha.imag) > 1e-8 * max(1.0, abs(alpha)):
-            raise NumericalFailure(
-                f"generator is not hermitian: diagonal Lanczos coefficient {alpha}"
-            )
-        alphas[j] = a_j = alpha.real
-        if not math.isfinite(a_j):
-            raise NumericalFailure(f"non-finite Lanczos coefficient (alpha {a_j})")
-
+        alphas[j] = a_j = _alpha(basis[j], w)
         # y needs only alphas[:j+1] and betas[:j]: test convergence before
         # building the next vector, which a converged segment never uses
-        evals, evecs = _eigh_tridiagonal(alphas[: j + 1], betas[:j])
-        y = evecs @ (np.exp(scales[-1] * evals) * evecs[0, :].conj())
-        if _settled(y, y_prev, tol):
-            if single:
-                return _assemble(basis, y, norm_v)
-            return basis, _coefficients(evals, evecs, scales), norm_v
-        if several:
-            if first_size is None:
-                y0 = evecs @ (np.exp(scales[0] * evals) * evecs[0, :].conj())
-                if _settled(y0, y_first, tol):
-                    first_size = j + 1
-                y_first = y0
-            if first_size is not None and (j + 1 >= 2 * first_size or j + 1 == max_krylov):
-                return basis, _settled_prefix((evals, evecs), before, scales, tol), norm_v
-            before = evals, evecs
-
-        w = w - a_j * basis[j]
-        if j > 0:
-            w -= betas[j - 1] * basis[j - 1]
-        # full reorthogonalisation against the small basis
-        for b in basis:
-            w -= np.vdot(b, w) * b
-        beta = _norm(w)
-        if not math.isfinite(beta):
-            raise NumericalFailure(f"non-finite Lanczos coefficient (beta {beta})")
-        if beta < 1e-14 * max(1.0, abs(a_j)):  # invariant subspace: exact
-            if single:
-                return _assemble(basis, y, norm_v)
-            return basis, _coefficients(evals, evecs, scales), norm_v
+        y = _iterate(_eigh_tridiagonal(alphas[: j + 1], betas[:j]), scale)
+        if y_prev is not None and _moved(y, y_prev) < tol:
+            return _assemble(basis, y, norm_v)
+        nxt = _extend(basis, betas, w, a_j, j)
+        if nxt is None:
+            return _assemble(basis, y, norm_v)  # invariant subspace: exact
+        basis.append(nxt)
         y_prev = y
-        betas[j] = beta
-        basis.append(w / beta)
 
     return None
+
+
+def _iterate(spectrum: tuple[np.ndarray, np.ndarray], scale: complex) -> np.ndarray:
+    """exp(scale T) e_1 from T's eigendecomposition."""
+    evals, evecs = spectrum
+    return evecs @ (np.exp(scale * evals) * evecs[0, :].conj())
+
+
+def _coefficients(spectrum: tuple[np.ndarray, np.ndarray], scales) -> np.ndarray:
+    """exp(s T) e_1 for each scale s, one column each."""
+    return np.stack([_iterate(spectrum, s) for s in scales], axis=1)
+
+
+def _steps_to_settle(spectra: list, scale: complex, last: float, tol: float) -> float:
+    """Steps until the iterate of ``scale`` moves less than tol.
+
+    Extrapolates the geometric rate from its move in the oldest step that
+    ``spectra`` spans to ``last``, its move in the newest (up to three steps
+    apart).
+    """
+    back = len(spectra) - 2
+    if back < 1:
+        return 0.0
+    earlier = _moved(_iterate(spectra[1], scale), _iterate(spectra[0], scale))
+    if not 0.0 < last < earlier:
+        return math.inf
+    return math.log(tol / last) / math.log(last / earlier) * back
+
+
+def _krylov_space(
+    matvec: MatVec, v: np.ndarray, scales: np.ndarray, tol: float, max_krylov: int
+) -> tuple[list[np.ndarray], np.ndarray, float] | None:
+    """One Lanczos space for the scales of increasing magnitude.
+
+    Returns ``(basis, coeffs, norm_v)`` with exp(s_k A) v = norm_v * sum_i
+    coeffs[i, k] basis[i] for the first ``coeffs.shape[1]`` scales (the stop
+    rule of the module docstring), or None if not even the first converged.
+    """
+    norm_v = _norm(v)
+    if norm_v == 0.0:
+        return [v], np.zeros((1, len(scales))), norm_v
+
+    basis = [v / norm_v]
+    alphas = np.empty(max_krylov)
+    betas = np.empty(max_krylov)
+    spectra: list = []  # eigendecompositions of the last five tridiagonals, newest last
+    done = 0  # the leading scales converged so far, which a stop serves
+    limit = max_krylov  # the size at which the space stops waiting for scale ``done``
+    y_prev: np.ndarray | None = None  # the last step's iterate of scale ``done``
+
+    for j in range(max_krylov):
+        w = matvec(basis[j])
+        alphas[j] = a_j = _alpha(basis[j], w)
+        spectra = spectra[-4:] + [_eigh_tridiagonal(alphas[: j + 1], betas[:j])]
+        converged = done
+        while True:
+            y = _iterate(spectra[-1], scales[done])
+            move = math.inf if y_prev is None else _moved(y, y_prev)
+            if move >= tol:
+                break
+            done += 1
+            if done == len(scales):
+                break
+            y_prev = _iterate(spectra[-2], scales[done])
+        y_prev = y
+        if done == len(scales):
+            break
+        if done > converged:
+            # the next scale gets its chance only if it is expected to
+            # converge before the work per served scale would rise
+            limit = min((j + 1) * math.sqrt((done + 1) / done), max_krylov)
+            if j + 1 + _steps_to_settle(spectra, scales[done], move, tol) >= limit:
+                break
+        elif j + 1 >= limit:
+            break
+        nxt = _extend(basis, betas, w, a_j, j)
+        if nxt is None:
+            done = len(scales)  # invariant subspace: exact for every scale
+            break
+        basis.append(nxt)
+
+    if done == 0:
+        return None
+    return basis, _coefficients(spectra[-1], scales[:done]), norm_v
 
 
 def _assemble(basis: list[np.ndarray], y: np.ndarray, norm_v: float) -> np.ndarray:
@@ -184,7 +253,7 @@ def expm_multiply_hermitian(
     matvec: MatVec,
     v: np.ndarray,
     scale: complex,
-    tol: float = 1e-13,
+    tol: float = TOL,
     max_krylov: int = 80,
     max_halvings: int = 12,
 ) -> np.ndarray:
@@ -216,7 +285,6 @@ def expm_multiply_hermitian_times(
     v: np.ndarray,
     scale: complex,
     times: Sequence[float],
-    tol: float = 1e-13,
     max_krylov: int = 80,
     max_halvings: int = 12,
 ) -> Iterator[np.ndarray]:
@@ -242,7 +310,7 @@ def expm_multiply_hermitian_times(
             continue
         lead = [base + reach] if times[i] - base > reach else []
         targets = lead + times[i:]
-        space = _krylov_segment(matvec, v, scale * (np.array(targets) - base), tol, max_krylov)
+        space = _krylov_segment(matvec, v, scale * (np.array(targets) - base), TOL, max_krylov)
         if space is None:
             halvings += 1
             if halvings > max_halvings or base + (targets[0] - base) / 2 == base:

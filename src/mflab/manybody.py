@@ -35,9 +35,9 @@ table's dim * N * (L - N + 1)), and <a^dag_b a_a> = (Phi^H Phi)[b, a].
 ``propagate`` evolves a state under a fixed operator eps H through a whole
 sequence of times at once.  Since eps H does not depend on time, one Krylov
 space serves every snapshot time it has converged for, read from one
-tridiagonal matrix; a space grows until the furthest pending time
-converges, or until it is twice the size at which the first pending time
-converged, and the next space starts from the last state it served.
+tridiagonal matrix; a space keeps growing for the next pending time only
+while that lowers the work per served time (the stop rule of ``_lanczos``),
+and the next space starts from the last state it served.
 
 Conventions:
 * |I> = a^dag_{i1} ... a^dag_{iN} |0> with i1 < ... < iN (flattened C-order
@@ -385,13 +385,13 @@ def propagate(
     of times, none before the state's: the result is then an iterator of
     ManyBodyStates, one per time, each computed when it is taken.  eps H
     does not depend on time, so one Krylov space serves every pending time
-    it has converged for: it grows until the furthest pending time
-    converges, or until it is twice the size at which the first did, and
-    the next space starts from the last state it served
-    (``_lanczos.expm_multiply_hermitian_times``).  The iterator holds one
-    Krylov space at a time, never the whole trajectory.  A single time is
-    the one-element case and returns its state; a time equal to the
-    state's returns its amplitudes unchanged.
+    it has converged for: it keeps growing for the next pending time only
+    while that lowers the work per served time, which grows as the square
+    of the space's size, and the next space starts from the last state it
+    served (``_lanczos.expm_multiply_hermitian_times``).  The iterator
+    holds one Krylov space at a time, never the whole trajectory.  A single
+    time is the one-element case and returns its state; a time equal to
+    the state's returns its amplitudes unchanged.
     """
     single = np.ndim(t_final) == 0
     times = [t_final] if single else list(t_final)

@@ -125,25 +125,55 @@ def _spaces(monkeypatch):
     return log
 
 
-@pytest.mark.parametrize("max_krylov", [80, 12])
+@pytest.mark.parametrize("max_krylov", [80, 30])
 def test_time_sequence_matches_dense_expm_across_restarts(monkeypatch, max_krylov):
-    """A long span served by several spaces: each is cut at twice the size at
-    which its first time converged (or at max_krylov) and serves a prefix."""
+    """A long span served by several spaces: each stops once a further time
+    would raise the work per served time (or at max_krylov) and serves a prefix."""
     rng = np.random.default_rng(70)
     A = random_hermitian(60, rng)
     v = rng.standard_normal(60) + 1j * rng.standard_normal(60)
-    times = np.linspace(0.0, 3.0, 31)
+    times = np.linspace(0.0, 6.0, 31)
     log = _spaces(monkeypatch)
     got = list(expm_multiply_hermitian_times(
-        lambda x: A @ x, v, -0.25j, times, max_krylov=max_krylov))
+        lambda x: A @ x, v, -1j, times, max_krylov=max_krylov))
     assert len(got) == len(times)
     assert got[0] is v
     for t, out in zip(times, got):
-        want = expm(-0.25j * t * A) @ v
+        want = expm(-1j * t * A) @ v
         assert np.linalg.norm(out - want) < 1e-11 * np.linalg.norm(v)
     assert len(log) > 1 and all(served for _, served in log)
     assert any(served < asked for asked, served in log)
     assert sum(served for _, served in log) == len(times) - 1
+
+
+@pytest.mark.parametrize("gap", [0.01, 0.6])
+def test_time_sequence_shares_spaces_only_where_it_saves_work(monkeypatch, gap):
+    """Short gaps: one space serves all twelve times.  Long gaps: one space
+    per time, with no more matvecs than one exponential per gap."""
+    rng = np.random.default_rng(73)
+    A = random_hermitian(200, rng)
+    v = rng.standard_normal(200) + 1j * rng.standard_normal(200)
+    times = gap * np.arange(1, 13)
+    calls = []
+
+    def matvec(x):
+        calls.append(1)
+        return A @ x
+
+    state = v
+    for _ in times:
+        state = expm_multiply_hermitian(matvec, state, -1j * gap)
+    separate = len(calls)
+    calls.clear()
+    log = _spaces(monkeypatch)
+    got = list(expm_multiply_hermitian_times(matvec, v, -1j, times))
+    for t, out in zip(times, got):
+        assert np.linalg.norm(out - expm(-1j * t * A) @ v) < 1e-11 * np.linalg.norm(v)
+    if gap < 0.1:
+        assert log == [(12, 12)]
+    else:
+        assert [served for _, served in log] == [1] * 12
+        assert len(calls) <= separate
 
 
 def test_time_sequence_halves_when_the_first_time_stagnates(monkeypatch):
