@@ -3,28 +3,31 @@
 Computes exp(scale * A) v for a hermitian operator A given only its action,
 via the Lanczos recurrence with full reorthogonalisation (the Krylov spaces
 here are small, so reorthogonalising is cheap and keeps the tridiagonal
-coefficients trustworthy at tight tolerances).  If the Krylov space stops
-converging before ``max_krylov`` vectors, the step is split in half and
-retried; halving below ``max_halvings`` raises ``NumericalFailure``, and so
-do a non-finite Lanczos coefficient (an overflowing generator) and a failed
-tridiagonal eigensolve.
+coefficients trustworthy at tight tolerances).  ``_krylov_segment`` is the
+one Lanczos loop; a non-finite Lanczos coefficient (an overflowing
+generator) and a failed tridiagonal eigensolve raise ``NumericalFailure``.
 
 One Krylov space serves many times.  With V_m and the tridiagonal T_m of
 the recurrence, exp(s A) v ~ |v| V_m exp(s T_m) e_1 for every scale s, so
 ``expm_multiply_hermitian_times`` reads a whole sequence of times t from one
-space (scale * t each).  Pending times are tested in order: the first until
-it converges, then the next.  The work of a space grows as the square of its
-size m (each vector is reorthogonalised against all before it), so once k
-times have converged, the last at size m_k, the space grows for time k + 1
-only while m^2 / (k + 1) stays below m_k^2 / k, i.e. while m < m_k
-sqrt((k + 1) / k).  Whether time k + 1 makes it is judged when time k
-converges, from the geometric rate at which the iterate of time k + 1 has
-been settling over the last three steps; a time that is not expected to
-make it, or does not, ends the space.  The space serves its k converged times, and the
-next space starts from the last state served.  On long gaps this serves one
-time per space, as separate exponentials would; on short gaps one space
-serves many.  When not even the first pending time converges, the step to
-it is halved, as for a single time.
+space (scale * t each), and ``expm_multiply_hermitian`` is its one-time
+case.  Pending times are tested in order: the first until its iterate moves
+less than ``TOL`` in one step, then the next.  The work of a space grows as
+the square of its size m (each vector is reorthogonalised against all
+before it), so once k times have converged, the last at size m_k, the space
+grows for time k + 1 only while m^2 / (k + 1) stays below m_k^2 / k, i.e.
+while m < m_k sqrt((k + 1) / k).  Whether time k + 1 makes it is judged when
+time k converges, from the geometric rate at which the iterate of time k + 1
+has been settling over the last three steps; a time that is not expected to
+make it, or does not, ends the space.  The space serves its k converged
+times, and the next space starts from the last state served.  On long gaps
+this serves one time per space, as separate exponentials would; on short
+gaps one space serves many.
+
+A space stops at ``MAX_KRYLOV`` vectors.  When not even the first pending
+time has converged by then, the step to it is halved, and later spaces keep
+the shorter reach; more than ``MAX_HALVINGS`` halvings raise
+``NumericalFailure`` ("stagnated").  This one rule serves both drivers.
 
 The exponentials are small and many (the gauged flow makes thousands on
 16-point orbitals), so per-call overhead matters: the tridiagonal problem
@@ -40,6 +43,7 @@ constant and therefore yields the same Krylov coefficients.
 from __future__ import annotations
 
 import math
+from collections import deque
 from collections.abc import Iterator, Sequence
 from typing import Callable
 
@@ -50,7 +54,9 @@ from .errors import NumericalFailure
 
 MatVec = Callable[[np.ndarray], np.ndarray]
 
-TOL = 1e-13  # the default coefficient tolerance, and the one times are served to
+TOL = 1e-13  # the coefficient tolerance every exponential is served to
+MAX_KRYLOV = 80  # the largest Krylov space
+MAX_HALVINGS = 12  # the halvings of a step before it counts as stagnated
 
 # the LAPACK routine eigh_tridiagonal picks for select="a", fetched once
 _stevd, = get_lapack_funcs(("stevd",), (np.zeros(1),))
@@ -117,60 +123,14 @@ def _moved(y: np.ndarray, y_prev: np.ndarray) -> float:
     return _norm(diff)
 
 
-def _krylov_segment(
-    matvec: MatVec,
-    v: np.ndarray,
-    scale: complex | np.ndarray,
-    tol: float,
-    max_krylov: int,
-) -> np.ndarray | tuple[list[np.ndarray], np.ndarray, float] | None:
-    """One exponential segment; returns None if the space did not converge.
-
-    A 1-D ndarray of scales is served by ``_krylov_space`` instead, so every
-    Krylov space of the module is built under this name (``bench/tracing.py``
-    times each call as ``lanczos.segment``).
-    """
-    if isinstance(scale, np.ndarray):
-        return _krylov_space(matvec, v, scale, tol, max_krylov)
-    norm_v = _norm(v)
-    if norm_v == 0.0:
-        return v.copy()
-
-    basis = [v / norm_v]
-    alphas = np.empty(max_krylov)
-    betas = np.empty(max_krylov)
-    y_prev: np.ndarray | None = None
-
-    for j in range(max_krylov):
-        w = matvec(basis[j])
-        alphas[j] = a_j = _alpha(basis[j], w)
-        # y needs only alphas[:j+1] and betas[:j]: test convergence before
-        # building the next vector, which a converged segment never uses
-        y = _iterate(_eigh_tridiagonal(alphas[: j + 1], betas[:j]), scale)
-        if y_prev is not None and _moved(y, y_prev) < tol:
-            return _assemble(basis, y, norm_v)
-        nxt = _extend(basis, betas, w, a_j, j)
-        if nxt is None:
-            return _assemble(basis, y, norm_v)  # invariant subspace: exact
-        basis.append(nxt)
-        y_prev = y
-
-    return None
-
-
 def _iterate(spectrum: tuple[np.ndarray, np.ndarray], scale: complex) -> np.ndarray:
     """exp(scale T) e_1 from T's eigendecomposition."""
     evals, evecs = spectrum
     return evecs @ (np.exp(scale * evals) * evecs[0, :].conj())
 
 
-def _coefficients(spectrum: tuple[np.ndarray, np.ndarray], scales) -> np.ndarray:
-    """exp(s T) e_1 for each scale s, one column each."""
-    return np.stack([_iterate(spectrum, s) for s in scales], axis=1)
-
-
-def _steps_to_settle(spectra: list, scale: complex, last: float, tol: float) -> float:
-    """Steps until the iterate of ``scale`` moves less than tol.
+def _steps_to_settle(spectra: deque, scale: complex, last: float) -> float:
+    """Steps until the iterate of ``scale`` moves less than TOL.
 
     Extrapolates the geometric rate from its move in the oldest step that
     ``spectra`` spans to ``last``, its move in the newest (up to three steps
@@ -182,64 +142,62 @@ def _steps_to_settle(spectra: list, scale: complex, last: float, tol: float) -> 
     earlier = _moved(_iterate(spectra[1], scale), _iterate(spectra[0], scale))
     if not 0.0 < last < earlier:
         return math.inf
-    return math.log(tol / last) / math.log(last / earlier) * back
+    return math.log(TOL / last) / math.log(last / earlier) * back
 
 
-def _krylov_space(
-    matvec: MatVec, v: np.ndarray, scales: np.ndarray, tol: float, max_krylov: int
-) -> tuple[list[np.ndarray], np.ndarray, float] | None:
+def _krylov_segment(
+    matvec: MatVec, v: np.ndarray, scales: Sequence[complex]
+) -> tuple[list[np.ndarray], list[np.ndarray], float] | None:
     """One Lanczos space for the scales of increasing magnitude.
 
     Returns ``(basis, coeffs, norm_v)`` with exp(s_k A) v = norm_v * sum_i
-    coeffs[i, k] basis[i] for the first ``coeffs.shape[1]`` scales (the stop
-    rule of the module docstring), or None if not even the first converged.
+    coeffs[k][i] basis[i] for the first ``len(coeffs)`` scales (the stop rule
+    of the module docstring), or None if not even the first converged.
     """
     norm_v = _norm(v)
     if norm_v == 0.0:
-        return [v], np.zeros((1, len(scales))), norm_v
+        return [v], [np.zeros(1)] * len(scales), norm_v
 
     basis = [v / norm_v]
-    alphas = np.empty(max_krylov)
-    betas = np.empty(max_krylov)
-    spectra: list = []  # eigendecompositions of the last five tridiagonals, newest last
+    alphas = np.empty(MAX_KRYLOV)
+    betas = np.empty(MAX_KRYLOV)
+    # eigendecompositions of the newest tridiagonals: a later scale's settling
+    # rate reads up to five, and a single scale needs only the newest
+    spectra: deque = deque(maxlen=5 if len(scales) > 1 else 1)
     done = 0  # the leading scales converged so far, which a stop serves
-    limit = max_krylov  # the size at which the space stops waiting for scale ``done``
+    limit = MAX_KRYLOV  # the size at which the space stops waiting for scale ``done``
     y_prev: np.ndarray | None = None  # the last step's iterate of scale ``done``
 
-    for j in range(max_krylov):
+    for j in range(MAX_KRYLOV):
         w = matvec(basis[j])
         alphas[j] = a_j = _alpha(basis[j], w)
-        spectra = spectra[-4:] + [_eigh_tridiagonal(alphas[: j + 1], betas[:j])]
-        converged = done
-        while True:
-            y = _iterate(spectra[-1], scales[done])
-            move = math.inf if y_prev is None else _moved(y, y_prev)
-            if move >= tol:
-                break
-            done += 1
-            if done == len(scales):
-                break
-            y_prev = _iterate(spectra[-2], scales[done])
-        y_prev = y
-        if done == len(scales):
-            break
-        if done > converged:
+        # the iterates need only alphas[:j+1] and betas[:j]: test convergence
+        # before building the next vector, which a stopping space never uses
+        spectra.append(_eigh_tridiagonal(alphas[: j + 1], betas[:j]))
+        y = _iterate(spectra[-1], scales[done])
+        if y_prev is not None and (move := _moved(y, y_prev)) < TOL:
+            while move < TOL:  # scale ``done`` converged: test the next
+                done += 1
+                if done == len(scales):  # all served; y is the last one's iterate
+                    return basis, [_iterate(spectra[-1], s) for s in scales[:-1]] + [y], norm_v
+                y = _iterate(spectra[-1], scales[done])
+                move = _moved(y, _iterate(spectra[-2], scales[done]))
             # the next scale gets its chance only if it is expected to
             # converge before the work per served scale would rise
-            limit = min((j + 1) * math.sqrt((done + 1) / done), max_krylov)
-            if j + 1 + _steps_to_settle(spectra, scales[done], move, tol) >= limit:
+            limit = min((j + 1) * math.sqrt((done + 1) / done), MAX_KRYLOV)
+            if j + 1 + _steps_to_settle(spectra, scales[done], move) >= limit:
                 break
         elif j + 1 >= limit:
             break
+        y_prev = y
         nxt = _extend(basis, betas, w, a_j, j)
-        if nxt is None:
-            done = len(scales)  # invariant subspace: exact for every scale
-            break
+        if nxt is None:  # invariant subspace: exact for every scale
+            return basis, [_iterate(spectra[-1], s) for s in scales], norm_v
         basis.append(nxt)
 
     if done == 0:
         return None
-    return basis, _coefficients(spectra[-1], scales[:done]), norm_v
+    return basis, [_iterate(spectra[-1], s) for s in scales[:done]], norm_v
 
 
 def _assemble(basis: list[np.ndarray], y: np.ndarray, norm_v: float) -> np.ndarray:
@@ -249,44 +207,22 @@ def _assemble(basis: list[np.ndarray], y: np.ndarray, norm_v: float) -> np.ndarr
     return norm_v * out
 
 
-def expm_multiply_hermitian(
-    matvec: MatVec,
-    v: np.ndarray,
-    scale: complex,
-    tol: float = TOL,
-    max_krylov: int = 80,
-    max_halvings: int = 12,
-) -> np.ndarray:
-    """exp(scale * A) v for hermitian A, to the requested coefficient tolerance."""
-    segments = 1
-    halvings = 0
-    while True:
-        seg_scale = scale / segments
-        out = v
-        ok = True
-        for _ in range(segments):
-            nxt = _krylov_segment(matvec, out, seg_scale, tol, max_krylov)
-            if nxt is None:
-                ok = False
-                break
-            out = nxt
-        if ok:
-            return out
-        halvings += 1
-        if halvings > max_halvings:
-            raise NumericalFailure(
-                f"Krylov exponential stagnated even with {segments} substeps"
-            )
-        segments *= 2
+def expm_multiply_hermitian(matvec: MatVec, v: np.ndarray, scale: complex) -> np.ndarray:
+    """exp(scale * A) v for hermitian A, to the coefficient tolerance TOL.
+
+    The one-time case of ``expm_multiply_hermitian_times``: one Krylov space
+    aims at the whole step, and only if it stagnates does the many-time
+    route take over and halve the step.
+    """
+    space = _krylov_segment(matvec, v, (scale,))
+    if space is None:
+        return next(expm_multiply_hermitian_times(matvec, v, scale, (1.0,)))
+    basis, (y,), norm_v = space
+    return _assemble(basis, y, norm_v)
 
 
 def expm_multiply_hermitian_times(
-    matvec: MatVec,
-    v: np.ndarray,
-    scale: complex,
-    times: Sequence[float],
-    max_krylov: int = 80,
-    max_halvings: int = 12,
+    matvec: MatVec, v: np.ndarray, scale: complex, times: Sequence[float]
 ) -> Iterator[np.ndarray]:
     """exp(scale * t * A) v for each of the non-decreasing times t >= 0, in turn.
 
@@ -295,7 +231,7 @@ def expm_multiply_hermitian_times(
     docstring), and the next starts from the last state served.  A time 0
     yields ``v`` itself.  When the first pending time does not converge, a
     space aims at half the distance to it, and every later space keeps that
-    shorter reach; more than ``max_halvings`` halvings raise
+    shorter reach; more than ``MAX_HALVINGS`` halvings raise
     ``NumericalFailure``.
     """
     times = [float(t) for t in times]
@@ -310,10 +246,10 @@ def expm_multiply_hermitian_times(
             continue
         lead = [base + reach] if times[i] - base > reach else []
         targets = lead + times[i:]
-        space = _krylov_segment(matvec, v, scale * (np.array(targets) - base), TOL, max_krylov)
+        space = _krylov_segment(matvec, v, [scale * (t - base) for t in targets])
         if space is None:
             halvings += 1
-            if halvings > max_halvings or base + (targets[0] - base) / 2 == base:
+            if halvings > MAX_HALVINGS or base + (targets[0] - base) / 2 == base:
                 raise NumericalFailure(
                     f"Krylov exponential stagnated even with a step of {targets[0] - base:.3g}"
                 )
@@ -321,9 +257,9 @@ def expm_multiply_hermitian_times(
             continue
         basis, coeffs, norm_v = space
         del space
-        served = coeffs.shape[1]
+        served = len(coeffs)
         for k in range(served):
-            v = _assemble(basis, coeffs[:, k], norm_v)
+            v = _assemble(basis, coeffs[k], norm_v)
             if k == served - 1:
                 del basis  # one Krylov space at a time, and none held after its last state
             if k >= len(lead):

@@ -378,8 +378,9 @@ def propagate(
 
     ``hamiltonian`` is either a fixed ManyBodyOperator or a callable t ->
     ManyBodyOperator, integrated to the single time ``t_final`` with
-    midpoint-frozen exponential steps of size ``dt``.  Krylov stagnation
-    triggers step halving; a step below ``DT_MIN`` is a hard failure.
+    midpoint-frozen exponential steps of size ``dt``; a ``dt`` below
+    ``DT_MIN`` is a hard failure.  Each exponential that stagnates halves its
+    Krylov step inside ``_lanczos`` (the one halving rule, ``MAX_HALVINGS``).
 
     With a fixed operator ``t_final`` may also be a non-decreasing sequence
     of times, none before the state's: the result is then an iterator of

@@ -116,9 +116,9 @@ def _spaces(monkeypatch):
     """Record (scales asked for, scales served) of every multi-scale Krylov space."""
     segment, log = _lanczos._krylov_segment, []
 
-    def logged(matvec, v, scale, tol, max_krylov):
-        out = segment(matvec, v, scale, tol, max_krylov)
-        log.append((len(scale), None if out is None else out[1].shape[1]))
+    def logged(matvec, v, scales):
+        out = segment(matvec, v, scales)
+        log.append((len(scales), None if out is None else len(out[1])))
         return out
 
     monkeypatch.setattr(_lanczos, "_krylov_segment", logged)
@@ -133,9 +133,9 @@ def test_time_sequence_matches_dense_expm_across_restarts(monkeypatch, max_krylo
     A = random_hermitian(60, rng)
     v = rng.standard_normal(60) + 1j * rng.standard_normal(60)
     times = np.linspace(0.0, 6.0, 31)
+    monkeypatch.setattr(_lanczos, "MAX_KRYLOV", max_krylov)
     log = _spaces(monkeypatch)
-    got = list(expm_multiply_hermitian_times(
-        lambda x: A @ x, v, -1j, times, max_krylov=max_krylov))
+    got = list(expm_multiply_hermitian_times(lambda x: A @ x, v, -1j, times))
     assert len(got) == len(times)
     assert got[0] is v
     for t, out in zip(times, got):
@@ -181,14 +181,30 @@ def test_time_sequence_halves_when_the_first_time_stagnates(monkeypatch):
     A = random_hermitian(40, rng)
     v = rng.standard_normal(40) + 1j * rng.standard_normal(40)
     times = [2.0, 2.5]
+    monkeypatch.setattr(_lanczos, "MAX_KRYLOV", 8)
     log = _spaces(monkeypatch)
-    got = list(expm_multiply_hermitian_times(lambda x: A @ x, v, -1j, times, max_krylov=8))
+    got = list(expm_multiply_hermitian_times(lambda x: A @ x, v, -1j, times))
     for t, out in zip(times, got):
         assert np.linalg.norm(out - expm(-1j * t * A) @ v) < 1e-11 * np.linalg.norm(v)
     assert log[0] == (2, None) and log[-1][1]
+    monkeypatch.setattr(_lanczos, "MAX_HALVINGS", 1)
     with pytest.raises(NumericalFailure, match="stagnated"):
-        list(expm_multiply_hermitian_times(
-            lambda x: A @ x, v, -1j, times, max_krylov=8, max_halvings=1))
+        list(expm_multiply_hermitian_times(lambda x: A @ x, v, -1j, times))
+
+
+def test_single_time_halves_when_its_space_stagnates(monkeypatch):
+    """The one-time driver's failed space hands the step to the halving rule."""
+    rng = np.random.default_rng(71)
+    A = random_hermitian(40, rng)
+    v = rng.standard_normal(40) + 1j * rng.standard_normal(40)
+    monkeypatch.setattr(_lanczos, "MAX_KRYLOV", 8)
+    log = _spaces(monkeypatch)
+    got = expm_multiply_hermitian(lambda x: A @ x, v, -2j)
+    assert np.linalg.norm(got - expm(-2j * A) @ v) < 1e-11 * np.linalg.norm(v)
+    assert log[0] == (1, None) and log[-1][1]
+    monkeypatch.setattr(_lanczos, "MAX_HALVINGS", 1)
+    with pytest.raises(NumericalFailure, match="stagnated"):
+        expm_multiply_hermitian(lambda x: A @ x, v, -2j)
 
 
 def test_time_sequence_of_a_zero_vector_is_zero():
@@ -197,33 +213,22 @@ def test_time_sequence_of_a_zero_vector_is_zero():
     assert len(outs) == 2 and all(not out.any() for out in outs)
 
 
-@pytest.mark.parametrize("scale", [-0.3j, -4.0j, -0.25])
-def test_one_scale_array_gives_the_scalar_segment_bits(scale):
-    rng = np.random.default_rng(72)
-    A = random_hermitian(60, rng)
-    v = rng.standard_normal(60) + 1j * rng.standard_normal(60)
-    want = _lanczos._krylov_segment(lambda x: A @ x, v, scale, 1e-13, 80)
-    basis, coeffs, norm_v = _lanczos._krylov_segment(
-        lambda x: A @ x, v, np.array([scale]), 1e-13, 80)
-    assert coeffs.shape == (len(basis), 1)
-    assert _lanczos._assemble(basis, coeffs[:, 0], norm_v).tobytes() == want.tobytes()
-
-
-def _reference_segment(matvec, v, scale, tol, max_krylov):
-    """The segment that finishes each Lanczos step before testing convergence.
+def _reference_segment(matvec, v, scales):
+    """The one-scale space that finishes each Lanczos step before testing convergence.
 
     Kept as the bit-for-bit reference: the production segment tests
     convergence before the three-term subtraction, the reorthogonalisation
     and the beta norm, which a converged step never reads.
     """
+    scale, = scales
     norm_v = _norm(v)
     if norm_v == 0.0:
-        return v.copy()
+        return [v], [np.zeros(1)], norm_v
     basis = [v / norm_v]
-    alphas = np.empty(max_krylov)
-    betas = np.empty(max_krylov)
+    alphas = np.empty(_lanczos.MAX_KRYLOV)
+    betas = np.empty(_lanczos.MAX_KRYLOV)
     y_prev = None
-    for j in range(max_krylov):
+    for j in range(_lanczos.MAX_KRYLOV):
         w = matvec(basis[j])
         alphas[j] = a_j = complex(np.vdot(basis[j], w)).real
         w = w - a_j * basis[j]
@@ -235,32 +240,39 @@ def _reference_segment(matvec, v, scale, tol, max_krylov):
         evals, evecs = _eigh_tridiagonal(alphas[: j + 1], betas[:j])
         y = evecs @ (np.exp(scale * evals) * evecs[0, :].conj())
         if beta < 1e-14 * max(1.0, abs(a_j)):
-            return _lanczos._assemble(basis, y, norm_v)
+            return basis, [y], norm_v
         if y_prev is not None:
             diff = -y
             np.subtract(y_prev, y[:-1], out=diff[:-1])
-            if _norm(diff) < tol:
-                return _lanczos._assemble(basis, y, norm_v)
+            if _norm(diff) < _lanczos.TOL:
+                return basis, [y], norm_v
         y_prev = y
         betas[j] = beta
         basis.append(w / beta)
     return None
 
 
+def _state(space):
+    """The bytes of the state a one-scale space serves."""
+    basis, (y,), norm_v = space
+    return _lanczos._assemble(basis, y, norm_v).tobytes()
+
+
 @pytest.mark.parametrize("n,scale,max_krylov", [
     (60, -0.3j, 80), (60, -4.0j, 80), (60, -4.0j, 6), (40, -0.25, 80), (3, -1j, 80),
 ])
-def test_segment_is_bit_identical_to_the_reference_order(n, scale, max_krylov):
+def test_segment_is_bit_identical_to_the_reference_order(monkeypatch, n, scale, max_krylov):
     """Converged, invariant-subspace and stagnating segments give the reference's bits."""
     rng = np.random.default_rng(n)
     A = random_hermitian(n, rng)
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    got = _lanczos._krylov_segment(lambda x: A @ x, v, scale, 1e-13, max_krylov)
-    want = _reference_segment(lambda x: A @ x, v, scale, 1e-13, max_krylov)
+    monkeypatch.setattr(_lanczos, "MAX_KRYLOV", max_krylov)
+    got = _lanczos._krylov_segment(lambda x: A @ x, v, (scale,))
+    want = _reference_segment(lambda x: A @ x, v, (scale,))
     if want is None:
         assert got is None
     else:
-        assert got.tobytes() == want.tobytes()
+        assert _state(got) == _state(want)
 
 
 @pytest.mark.parametrize("mode", ["spectral", "lattice"])
