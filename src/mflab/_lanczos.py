@@ -162,7 +162,8 @@ def _krylov_segment(
     alphas = np.empty(MAX_KRYLOV)
     betas = np.empty(MAX_KRYLOV)
     # eigendecompositions of the newest tridiagonals: a later scale's settling
-    # rate reads up to five, and a single scale needs only the newest
+    # rate reads up to five; a single scale needs only the newest, and
+    # holding more slows the many small one-time exponentials
     spectra: deque = deque(maxlen=5 if len(scales) > 1 else 1)
     done = 0  # the leading scales converged so far, which a stop serves
     limit = MAX_KRYLOV  # the size at which the space stops waiting for scale ``done``

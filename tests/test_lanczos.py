@@ -128,7 +128,7 @@ def _spaces(monkeypatch):
 @pytest.mark.parametrize("max_krylov", [80, 30])
 def test_time_sequence_matches_dense_expm_across_restarts(monkeypatch, max_krylov):
     """A long span served by several spaces: each stops once a further time
-    would raise the work per served time (or at max_krylov) and serves a prefix."""
+    would raise the work per served time (or at MAX_KRYLOV) and serves a prefix."""
     rng = np.random.default_rng(70)
     A = random_hermitian(60, rng)
     v = rng.standard_normal(60) + 1j * rng.standard_normal(60)
