@@ -213,11 +213,11 @@ def expm_multiply_hermitian(matvec: MatVec, v: np.ndarray, scale: complex) -> np
 
     The one-time case of ``expm_multiply_hermitian_times``: one Krylov space
     aims at the whole step, and only if it stagnates does the many-time
-    route take over and halve the step.
+    route take over from it, with that failure as its first halving.
     """
     space = _krylov_segment(matvec, v, (scale,))
     if space is None:
-        return next(expm_multiply_hermitian_times(matvec, v, scale, (1.0,)))
+        return next(_served(matvec, v, scale, [1.0], _halved(0.0, 1.0, 1), 1))
     basis, (y,), norm_v = space
     return _assemble(basis, y, norm_v)
 
@@ -235,10 +235,25 @@ def expm_multiply_hermitian_times(
     shorter reach; more than ``MAX_HALVINGS`` halvings raise
     ``NumericalFailure``.
     """
-    times = [float(t) for t in times]
+    yield from _served(matvec, v, scale, [float(t) for t in times], math.inf, 0)
+
+
+def _halved(base: float, target: float, halvings: int) -> float:
+    """The reach after the ``halvings``-th stagnated space, aimed from ``base`` at ``target``."""
+    if halvings > MAX_HALVINGS or base + (target - base) / 2 == base:
+        raise NumericalFailure(
+            f"Krylov exponential stagnated even with a step of {target - base:.3g}"
+        )
+    return (target - base) / 2
+
+
+def _served(
+    matvec: MatVec, v: np.ndarray, scale: complex, times: list[float], reach: float,
+    halvings: int,
+) -> Iterator[np.ndarray]:
+    """``expm_multiply_hermitian_times`` from v at time 0, after ``halvings``
+    halvings have cut the longest step a space may aim for to ``reach``."""
     base = 0.0  # the time of v
-    reach = math.inf  # the longest step a space may aim for
-    halvings = 0
     i = 0  # the first pending time
     while i < len(times):
         if times[i] == base:
@@ -250,11 +265,7 @@ def expm_multiply_hermitian_times(
         space = _krylov_segment(matvec, v, [scale * (t - base) for t in targets])
         if space is None:
             halvings += 1
-            if halvings > MAX_HALVINGS or base + (targets[0] - base) / 2 == base:
-                raise NumericalFailure(
-                    f"Krylov exponential stagnated even with a step of {targets[0] - base:.3g}"
-                )
-            reach = (targets[0] - base) / 2
+            reach = _halved(base, targets[0], halvings)
             continue
         basis, coeffs, norm_v = space
         del space

@@ -128,13 +128,32 @@ class Projections:
 
     ``basis_matrix`` is unitary with the first ``n_occupied`` columns spanning
     Ran p; in that mode basis the sector decomposition is by occupation count.
+    ``columns`` is either the whole L x L basis, used as given, or its
+    first ``n_occupied`` columns (the orthonormal orbitals); then the
+    complement columns come from a pivoted QR of q, and the unitarity of the
+    result is checked, at the first use of ``basis_matrix`` or ``rotation``.
+    Readers of p and q alone never pay for the QR.
     """
 
     p: np.ndarray = field(repr=False)
     q: np.ndarray = field(repr=False)
-    basis_matrix: np.ndarray = field(repr=False)
+    columns: np.ndarray = field(repr=False)
     n_occupied: int
     _rotations: dict = field(default_factory=dict, repr=False)
+
+    @cached_property
+    def basis_matrix(self) -> np.ndarray:
+        L, N = self.columns.shape
+        if N > self.n_occupied:
+            return self.columns
+        Qfull, _, _ = qr(self.q, pivoting=True)
+        U = np.hstack([self.columns, Qfull[:, : L - N]])
+        unitarity = np.max(np.abs(U.conj().T @ U - np.eye(L)))
+        if unitarity > 1e-10:
+            raise ContractViolation(
+                f"adapted mode basis failed to be unitary (defect {unitarity:.2e})"
+            )
+        return U
 
     @property
     def n_modes(self) -> int:
@@ -234,17 +253,8 @@ def build_projections(orbital_set) -> Projections:
     defect = np.max(np.abs(A.conj().T @ A - np.eye(N)))
     if defect > 1e-8:
         raise ContractViolation(f"orbitals not orthonormal (defect {defect:.2e})")
-    L = A.shape[0]
     p = A @ A.conj().T
-    q = np.eye(L) - p
-    Qfull, _, _ = qr(q, pivoting=True)
-    U = np.hstack([A, Qfull[:, : L - N]])
-    unitarity = np.max(np.abs(U.conj().T @ U - np.eye(L)))
-    if unitarity > 1e-10:
-        raise ContractViolation(
-            f"adapted mode basis failed to be unitary (defect {unitarity:.2e})"
-        )
-    return Projections(p=p, q=q, basis_matrix=U, n_occupied=N)
+    return Projections(p=p, q=np.eye(len(A)) - p, columns=A, n_occupied=N)
 
 
 def sector_masses(state: ManyBodyState, projections: Projections) -> np.ndarray:
@@ -555,7 +565,7 @@ def _random_projections(L: int, N: int, rng: np.random.Generator) -> Projections
     U, _ = np.linalg.qr(M)
     A = U[:, :N]
     p = A @ A.conj().T
-    return Projections(p=p, q=np.eye(L) - p, basis_matrix=U, n_occupied=N)
+    return Projections(p=p, q=np.eye(L) - p, columns=U, n_occupied=N)
 
 
 def _gaussian_operator(rng: np.random.Generator, n: int, operators: dict) -> np.ndarray:

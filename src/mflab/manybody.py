@@ -10,27 +10,31 @@ with K the grid's kinetic matrix in its kinetic mode.  ``lift_one_body``/
 ``lift_two_body``/``lift_three_body`` raise r-body mode-space operators
 (r = 1, 2, 3) to the configuration basis through precomputed index/sign
 tables, so lifting a new operator is one vectorised gather.
-One r-body builder (``ConfigBasis._table``) makes every table, with numpy
-bit operations on the configuration bitmasks.  Each entry is a nonzero
-matrix element of a^dag_{d1}...a^dag_{dr} a_{cr}...a_{c1} (a_{c1} acts
-first, a^dag_{d1} last).  Entries are generated over columns, then ordered
-tuples of distinct occupied modes (c1 slowest), then increasing created
-modes d1 < ... < dr (dr slowest), and stored sorted by (row, column), the
-generation order kept among entries of one matrix element, so that a lift
-sums each element's run of entries without sorting (CSR order; its row
-pointer and run starts are ``ConfigBasis.csr_pattern``, built once per
-table).  Every r-body operator a lift receives is exchange symmetric,
-W[(d_s), (c_s)] = W[(d), (c)] for each simultaneous slot permutation s,
-so the r! orderings of the created modes give equal terms: the
-increasing one with every ordering of the annihilated modes counts each
-term once, and the lift needs no 1/r!.  (A kernel that is not
-exchange symmetric would be lifted wrongly.)  One-body tables have a single
-created mode and are unaffected.  A lift stores no explicit zeros.  These
-tables serve the lifts only.  Reduced densities and one-body expectations
-come from the annihilation map instead: ``annihilated`` scatters psi into
-the (dim_{N-1} x L) matrix Phi whose column a is a_a psi, through
-``ConfigBasis.annihilation_table`` (dim * N entries against the one-body
-table's dim * N * (L - N + 1)), and <a^dag_b a_a> = (Phi^H Phi)[b, a].
+One r-body builder (``ConfigBasis._table``) makes every table from the
+annihilation map of each basis N, N-1, ..., N-r+1 and its inverse, the
+creation map (``ConfigBasis.annihilation_table``/``creation_table``): the
+r annihilations walk down through the first, the r creations back up
+through the second, so every row is a gather and no bitmask is searched.
+Each entry is a nonzero matrix element of a^dag_{d1}...a^dag_{dr}
+a_{cr}...a_{c1} (a_{c1} acts first, a^dag_{d1} last).  Entries are
+generated over columns, then ordered tuples of distinct occupied modes (c1
+slowest), then increasing created modes d1 < ... < dr (dr slowest), and
+stored sorted by (row, column), the generation order kept among entries of
+one matrix element, so that a lift sums each element's run of entries
+without sorting (CSR order; its row pointer and run starts are
+``ConfigBasis.csr_pattern``, built once per table).  Every r-body operator
+a lift receives is exchange symmetric, W[(d_s), (c_s)] = W[(d), (c)] for
+each simultaneous slot permutation s, so the r! orderings of the created
+modes give equal terms: the increasing one with every ordering of the
+annihilated modes counts each term once, and the lift needs no 1/r!.  (A
+kernel that is not exchange symmetric would be lifted wrongly.)  One-body
+tables have a single created mode and are unaffected.  A lift stores no
+explicit zeros.  These tables serve the lifts only.  Reduced densities and
+one-body expectations come from the annihilation map itself:
+``annihilated`` scatters psi into the (dim_{N-1} x L) matrix Phi whose
+column a is a_a psi, through ``ConfigBasis.annihilation_table`` (dim * N
+entries against the one-body table's dim * N * (L - N + 1)), and
+<a^dag_b a_a> = (Phi^H Phi)[b, a].
 
 ``propagate`` evolves a state under a fixed operator eps H through a whole
 sequence of times at once.  Since eps H does not depend on time, one Krylov
@@ -72,11 +76,6 @@ from .model import InteractionPotential, ScalingParams, resolve_scaling, step_sc
 DT_MIN = 1e-10  # smallest step a time-dependent generator may be integrated with
 
 
-def _parity(masks: np.ndarray) -> np.ndarray:
-    """+1/-1 for an even/odd number of set bits in each mask."""
-    return 1 - 2 * (np.bitwise_count(masks) & 1).astype(np.int64)
-
-
 @dataclass(frozen=True)
 class ConfigBasis:
     """All N-of-L fermionic configurations, lexicographically ordered."""
@@ -107,11 +106,8 @@ class ConfigBasis:
 
     @cached_property
     def occupancy(self) -> np.ndarray:
-        """(dim, L) 0/1 array of mode occupations."""
-        occ = np.zeros((self.dim, self.n_modes))
-        for i, c in enumerate(self.configs):
-            occ[i, list(c)] = 1.0
-        return occ
+        """(dim, L) 0/1 array of mode occupations, read off the bitmasks."""
+        return ((self.masks[:, None] >> np.arange(self.n_modes)) & 1).astype(np.float64)
 
     # ---- index/sign tables (built once, reused for every lifted operator) ----
 
@@ -130,24 +126,47 @@ class ConfigBasis:
         return self._table(3)
 
     @cached_property
+    def _smaller(self) -> ConfigBasis:
+        """The (N-1)-particle basis on the same modes (N >= 2), shared by the tables."""
+        return ConfigBasis(self.n_modes, self.n_particles - 1)
+
+    @cached_property
     def annihilation_table(self) -> tuple[np.ndarray, np.ndarray, int]:
         """Scatter pattern of the annihilation map psi -> (a_a psi)_a.
 
         Returns ``(flat, signs, dim_less)``: for configuration J and its
-        k-th occupied mode a, a_a |J> = signs[k] |J minus a>, signs[k] =
-        (-1)^k, and flat[J, k] = (index of J minus a in the (N-1)-particle
-        basis) * L + a.  N = 1 maps onto one vacuum row.
+        k-th occupied mode a, a_a |J> = signs[k] |J minus a>, float
+        signs[k] = (-1)^k, and flat[J, k] = (index of J minus a in the
+        (N-1)-particle basis) * L + a.  N = 1 maps onto one vacuum row.  The
+        ranks are searched once here, over the (N-1)-particle bitmasks;
+        ``creation_table`` and every lift table are composed from these maps.
         """
         L, N = self.n_modes, self.n_particles
         modes = np.array(self.configs, dtype=np.int64)
-        signs = 1 - 2 * (np.arange(N) & 1)
+        signs = 1.0 - 2.0 * (np.arange(N) & 1)
         if N == 1:
             return modes, signs, 1
-        smaller = ConfigBasis(L, N - 1).masks
+        smaller = self._smaller.masks
         holes = self.masks[:, None] ^ (np.int64(1) << modes)
         order = np.argsort(smaller)
         rows = order[np.searchsorted(smaller, holes, sorter=order)]
         return rows * L + modes, signs, len(smaller)
+
+    @cached_property
+    def creation_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """The inverse of ``annihilation_table``: a^dag_d |K> = signs[K, d] |index[K, d]>.
+
+        For each (N-1)-particle configuration K (the vacuum when N = 1) and
+        mode d, int32 ``index[K, d]`` is the index of K plus d in this basis
+        and int8 ``signs[K, d]`` = (-1)^(modes of K below d); where d is in
+        K the index is -1 and the sign 0.
+        """
+        flat, signs, dim_less = self.annihilation_table
+        index = np.full((dim_less, self.n_modes), -1, dtype=np.int32)
+        sign = np.zeros((dim_less, self.n_modes), dtype=np.int8)
+        index.ravel()[flat.ravel()] = np.repeat(np.arange(self.dim, dtype=np.int32), len(signs))
+        sign.ravel()[flat.ravel()] = np.tile(signs.astype(np.int8), self.dim)
+        return index, sign
 
     def _table(self, r: int) -> tuple[np.ndarray, ...]:
         """Nonzero entries of a^dag_{d1}...a^dag_{dr} a_{cr}...a_{c1} on the basis.
@@ -156,43 +175,52 @@ class ConfigBasis:
         with <rows[e]| ... |cols[e]> = signs[e], row_slot = (d1, ..., dr) and
         col_slot = (c1, ..., cr) flattened C-order, d1 < ... < dr, in the
         CSR entry order of the module docstring: dim * N!/(N-r)! *
-        C(L-N+r, r) entries.  The int64 bitmasks rely on the n_modes <= 62
-        guard of ``__post_init__``; int32 holds every row and slot index (dim
-        and L^r stay far below 2^31 wherever a table is built).
+        C(L-N+r, r) entries, none when r > N.  Composed from the maps of the
+        bases N, N-1, ..., N-r+1: the annihilations walk down through their
+        ``annihilation_table``s, the creations back up through their
+        ``creation_table``s, so each pass is a gather (int32 holds every row
+        and slot index: dim and L^r stay far below 2^31 wherever a table is
+        built).
         """
-        L = self.n_modes
-        configs = np.array(self.configs, dtype=np.int64)
-        slots = permutations(range(self.n_particles), r)
-        slots = np.array(list(slots), dtype=np.int64).reshape(-1, r)  # none when r > N
-        c = configs[:, slots].reshape(-1, r)
-        cols = np.repeat(np.arange(self.dim, dtype=np.int64), len(slots))
-        masks = self.masks[cols]
-        signs = np.ones(len(cols), dtype=np.int64)
-        for k in range(r):  # a_{c1} acts first
-            bit = np.int64(1) << c[:, k]
-            signs *= _parity(masks & (bit - 1))
-            masks ^= bit
+        L, N, dim = self.n_modes, self.n_particles, self.dim
+        if r > N:  # no slot tuples
+            return (*[np.zeros(0, dtype=np.int32)] * 4, np.zeros(0, dtype=np.int8))
+        slots = np.array(list(permutations(range(N), r)), dtype=np.int64)
+        bases = [self]
+        for _ in range(r - 1):
+            bases.append(bases[-1]._smaller)
+        # a_{c1} acts first: c_k is the pos[k]-th mode a_{c1}..a_{c(k-1)} leave, sign (-1)^pos[k]
+        pos = slots - ((slots[:, None, :] < slots[:, :, None]) & np.tri(r, k=-1, dtype=bool)).sum(2)
+        held = np.arange(dim)[:, None]  # per (column, slot tuple), after each annihilation
+        for k, basis in enumerate(bases):
+            held = basis.annihilation_table[0][held, pos[:, k]] // L
+        signs = np.tile(1 - 2 * (pos.sum(axis=1) & 1).astype(np.int8), dim)
         weights = L ** np.arange(r - 1, -1, -1, dtype=np.int64)
-        col_slot = c @ weights
-        row_slot = np.zeros(len(cols), dtype=np.int64)
-        modes = np.arange(L, dtype=np.int64)
-        bits = np.int64(1) << modes
-        bound = np.full(len(cols), L)  # d_k < d_{k+1}: created modes increase
-        for k in reversed(range(r)):  # a^dag_{dr} acts first
-            free = ((masks[:, None] & bits) == 0) & (modes < bound[:, None])
+        col_slot = (self.annihilation_table[0] % L)[:, slots] @ weights
+        held = held.ravel()
+        origin = row_slot = bound = None  # origin: the (column, slot tuple) of each entry
+        modes = np.arange(L)
+        for k in reversed(range(r)):  # a^dag_{dr} acts first, into basis N - k
+            index, created = bases[k].creation_table
+            free = index[held] >= 0
+            if bound is not None:
+                free &= modes < bound[:, None]  # d_k < d_{k+1}: created modes increase
             entry, d = np.nonzero(free)
-            signs = signs[entry] * _parity(masks[entry] & (bits[d] - 1))
-            masks = masks[entry] | bits[d]
-            cols, col_slot = cols[entry], col_slot[entry]
-            row_slot = row_slot[entry] + d * weights[k]
+            signs = signs[entry] * created[held[entry], d]
+            held = index[held[entry], d]
+            origin = entry if origin is None else origin[entry]
+            row_slot = d * weights[k] if row_slot is None else row_slot[entry] + d * weights[k]
             bound = d
-        order = np.argsort(self.masks)
-        rows = order[np.searchsorted(self.masks, masks, sorter=order)]
-        del free, entry, d, bound, masks  # release the loop's arrays before sorting
+        row_slot = row_slot.astype(np.int32)
+        origin = origin.astype(np.int32)
+        del free, entry, d, bound  # release the loop's arrays before sorting
         # cols never decrease, so a stable sort on rows puts the entries in CSR order
-        entry = np.argsort(rows, kind="stable")
-        index = (rows, cols, row_slot, col_slot)
-        return (*(a.astype(np.int32)[entry] for a in index), signs.astype(np.int8)[entry])
+        entry = np.argsort(held.astype(np.uint16) if dim < 1 << 16 else held, kind="stable")
+        rows = np.repeat(np.arange(dim, dtype=np.int32), np.bincount(held, minlength=dim))
+        origin = origin[entry]
+        cols = origin // np.int32(len(slots))
+        col_slot = col_slot.ravel().astype(np.int32)[origin]
+        return rows, cols, row_slot[entry], col_slot, signs[entry]
 
     @cached_property
     def _csr_patterns(self) -> dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]]:
@@ -482,7 +510,8 @@ def annihilated(state: ManyBodyState) -> np.ndarray:
     basis = state.basis
     flat, signs, dim_less = basis.annihilation_table
     Phi = np.zeros((dim_less, basis.n_modes), dtype=np.complex128)
-    Phi.flat[flat] = signs * state.amplitudes[:, None]  # J minus a fixes (J, a)
+    # J minus a fixes (J, a), so no two entries collide
+    Phi.ravel()[flat.ravel()] = (state.amplitudes[:, None] * signs).ravel()
     return Phi
 
 

@@ -6,6 +6,7 @@ from itertools import combinations, permutations
 
 import numpy as np
 import pytest
+from scipy.linalg import qr
 
 from mflab import counting
 from mflab.counting import (
@@ -328,6 +329,27 @@ def test_alpha_number_two_routes_agree():
         a1 = alpha(weight_number(3), psi, proj)
         a2 = alpha_number_onebody(psi, proj)
         assert abs(a1 - a2) < 1e-12
+
+
+def test_adapted_basis_is_built_at_first_use():
+    """p and q alone need no QR: the complement columns come from a pivoted
+    QR of q, checked for unitarity, when ``basis_matrix`` is first read."""
+    grid = Grid(dim=1, sites_per_dim=8, box_length=4.0)
+    rng = np.random.default_rng(41)
+    orbitals = random_orbital_set(grid, 3, rng)
+    proj = build_projections(orbitals)
+    alpha_number_onebody(random_state(ConfigBasis(n_modes=8, n_particles=3), rng), proj)
+    assert "basis_matrix" not in vars(proj)
+    A = np.sqrt(grid.cell_volume) * orbitals.value_matrix()
+    Qfull, _, _ = qr(proj.q, pivoting=True)
+    U = proj.basis_matrix
+    assert U.tobytes() == np.hstack([A, Qfull[:, :5]]).tobytes()
+    assert proj.basis_matrix is U
+    skewed = counting.Projections(p=proj.p, q=proj.q, columns=2 * A, n_occupied=3)
+    with pytest.raises(ContractViolation, match="unitary"):
+        skewed.basis_matrix
+    given = _random_projections(8, 3, rng)
+    assert given.basis_matrix is given.columns
 
 
 def test_alpha_number_onebody_matches_lift_oracle():

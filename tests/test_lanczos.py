@@ -193,7 +193,9 @@ def test_time_sequence_halves_when_the_first_time_stagnates(monkeypatch):
 
 
 def test_single_time_halves_when_its_space_stagnates(monkeypatch):
-    """The one-time driver's failed space hands the step to the halving rule."""
+    """The one-time driver's failed space hands the step to the halving rule,
+    as its first halving: the whole step is not built again, and the spaces
+    and bits are those of the many-time route for the one time."""
     rng = np.random.default_rng(71)
     A = random_hermitian(40, rng)
     v = rng.standard_normal(40) + 1j * rng.standard_normal(40)
@@ -202,6 +204,10 @@ def test_single_time_halves_when_its_space_stagnates(monkeypatch):
     got = expm_multiply_hermitian(lambda x: A @ x, v, -2j)
     assert np.linalg.norm(got - expm(-2j * A) @ v) < 1e-11 * np.linalg.norm(v)
     assert log[0] == (1, None) and log[-1][1]
+    assert [served for asked, served in log if asked == 1].count(None) == 1
+    single, log[:] = list(log), []
+    again = next(expm_multiply_hermitian_times(lambda x: A @ x, v, -2j, [1.0]))
+    assert log == single and again.tobytes() == got.tobytes()
     monkeypatch.setattr(_lanczos, "MAX_HALVINGS", 1)
     with pytest.raises(NumericalFailure, match="stagnated"):
         expm_multiply_hermitian(lambda x: A @ x, v, -2j)

@@ -1,9 +1,11 @@
 """Configuration basis, fermionic lifts, exact propagation.
 
-The lift tables are checked against an independent oracle: embed the
+The lift tables are checked against two independent oracles: embed the
 configuration amplitudes into the full N-fold tensor space with explicit
 permutation signs, apply slot-wise operators there, and read the matrix
-elements back.
+elements back; and ``reference_table``, which finds every table row by a
+search over the configuration bitmasks instead of composing the
+annihilation and creation maps.
 """
 
 import math
@@ -139,6 +141,92 @@ def test_lift_three_body_vanishes_for_pairs():
     basis = ConfigBasis(n_modes=4, n_particles=2)
     W = np.eye(4**3)
     assert lift_three_body(basis, W).nnz == 0
+
+
+def _parity(masks: np.ndarray) -> np.ndarray:
+    """+1/-1 for an even/odd number of set bits in each mask."""
+    return 1 - 2 * (np.bitwise_count(masks) & 1).astype(np.int64)
+
+
+def reference_table(basis: ConfigBasis, r: int) -> tuple[np.ndarray, ...]:
+    """``ConfigBasis._table(r)`` by bit operations on the configuration bitmasks.
+
+    Annihilates and creates on int64 masks, with signs from bit parities
+    below each mode, in the generation order of the module docstring, then
+    ranks each final mask by ``searchsorted`` and stable-sorts by row.
+    """
+    L = basis.n_modes
+    configs = np.array(basis.configs, dtype=np.int64)
+    slots = np.array(list(permutations(range(basis.n_particles), r)), dtype=np.int64)
+    c = configs[:, slots.reshape(-1, r)].reshape(-1, r)
+    cols = np.repeat(np.arange(basis.dim, dtype=np.int64), len(slots))
+    masks = basis.masks[cols]
+    signs = np.ones(len(cols), dtype=np.int64)
+    for k in range(r):  # a_{c1} acts first
+        bit = np.int64(1) << c[:, k]
+        signs *= _parity(masks & (bit - 1))
+        masks ^= bit
+    weights = L ** np.arange(r - 1, -1, -1, dtype=np.int64)
+    col_slot = c @ weights
+    row_slot = np.zeros(len(cols), dtype=np.int64)
+    modes = np.arange(L, dtype=np.int64)
+    bits = np.int64(1) << modes
+    bound = np.full(len(cols), L)
+    for k in reversed(range(r)):  # a^dag_{dr} acts first
+        free = ((masks[:, None] & bits) == 0) & (modes < bound[:, None])
+        entry, d = np.nonzero(free)
+        signs = signs[entry] * _parity(masks[entry] & (bits[d] - 1))
+        masks = masks[entry] | bits[d]
+        cols, col_slot = cols[entry], col_slot[entry]
+        row_slot = row_slot[entry] + d * weights[k]
+        bound = d
+    order = np.argsort(basis.masks)
+    rows = order[np.searchsorted(basis.masks, masks, sorter=order)]
+    entry = np.argsort(rows, kind="stable")
+    index = (rows, cols, row_slot, col_slot)
+    return (*(a.astype(np.int32)[entry] for a in index), signs.astype(np.int8)[entry])
+
+
+@pytest.mark.parametrize(
+    "L,N,rs",
+    [
+        (5, 1, (1, 2, 3)),  # N = 1; r > N is empty
+        (4, 2, (1, 2, 3)),
+        (6, 6, (1, 2, 3)),  # N = L
+        (3, 3, (3,)),  # r = N = L
+        (8, 2, (1, 2)),
+        (8, 3, (1, 2, 3)),
+        (12, 3, (1, 2, 3)),
+        (12, 4, (1, 2, 3)),
+        (20, 4, (1,)),
+    ],
+)
+def test_table_matches_mask_search_reference(L, N, rs):
+    """The composed tables equal the bitmask builder's, element and dtype."""
+    for r in rs:
+        got = ConfigBasis(n_modes=L, n_particles=N)._table(r)
+        want = reference_table(ConfigBasis(n_modes=L, n_particles=N), r)
+        assert len(got) == len(want) == 5
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype, (r, g.dtype, w.dtype)
+            np.testing.assert_array_equal(g, w)
+
+
+@pytest.mark.parametrize("L,N", [(5, 1), (6, 3), (6, 6)])
+def test_creation_table_inverts_annihilation_table(L, N):
+    """a^dag_d |K> lands on J exactly when a_d |J> lands on K, with the same sign."""
+    basis = ConfigBasis(n_modes=L, n_particles=N)
+    flat, signs, dim_less = basis.annihilation_table
+    index, created = basis.creation_table
+    assert index.shape == created.shape == (dim_less, L)
+    assert index.dtype == np.int32 and created.dtype == np.int8
+    K, d = np.divmod(flat, L)
+    configs = np.broadcast_to(np.arange(basis.dim)[:, None], K.shape)
+    np.testing.assert_array_equal(index[K, d], configs)
+    np.testing.assert_array_equal(created[K, d], np.broadcast_to(signs, K.shape))
+    free = index >= 0
+    assert free.sum() == basis.dim * N  # every other (K, d) has d in K
+    assert np.all(created[~free] == 0)
 
 
 @pytest.mark.parametrize("L,N", [(4, 2), (5, 3), (6, 4), (8, 3), (12, 3)])
@@ -290,9 +378,9 @@ def test_slater_state_norm_and_rdm():
 
 
 def rdm1_table_oracle(state):
-    """gamma from the one-body table: np.add.at over every table entry."""
+    """gamma from the bitmask one-body table: np.add.at over every table entry."""
     basis = state.basis
-    rows, cols, bs, as_, signs = basis.one_body_table
+    rows, cols, bs, as_, signs = reference_table(basis, 1)
     c = state.amplitudes
     M = np.zeros((basis.n_modes, basis.n_modes), dtype=complex)
     np.add.at(M, (bs, as_), signs * np.conj(c[rows]) * c[cols])
@@ -307,6 +395,36 @@ def test_rdm1_matches_one_body_table_oracle(L, N):
     gamma = rdm1(state).matrix
     assert "one_body_table" not in basis.__dict__
     np.testing.assert_allclose(gamma, rdm1_table_oracle(state), rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("L,N", [(5, 1), (6, 3), (6, 6), (20, 4)])
+def test_annihilated_is_bit_identical_to_integer_sign_scatter(L, N):
+    """The float-sign scatter gives the bits of (-1)^k as integers times psi
+    written through ``Phi.flat``, signed zeros included (a complex, a real
+    and an imaginary state, and a unit vector)."""
+    basis = ConfigBasis(n_modes=L, n_particles=N)
+    flat, _, dim_less = basis.annihilation_table
+    int_signs = 1 - 2 * (np.arange(N) & 1)
+    c = random_state(basis, np.random.default_rng(L + N)).amplitudes
+    unit = np.zeros(basis.dim, dtype=complex)
+    unit[-1] = 1.0
+    for c in (c, c.real + 0j, 1j * c.imag, unit):
+        want = np.zeros((dim_less, L), dtype=np.complex128)
+        want.flat[flat] = int_signs * c[:, None]
+        got = annihilated(ManyBodyState(basis, c, 0.0))
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("L,N", [(5, 1), (6, 3), (6, 6), (20, 4)])
+def test_occupancy_is_bit_identical_to_per_configuration_fill(L, N):
+    basis = ConfigBasis(n_modes=L, n_particles=N)
+    want = np.zeros((basis.dim, L))
+    for i, config in enumerate(basis.configs):
+        want[i, list(config)] = 1.0
+    got = basis.occupancy
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("L,N", [(5, 1), (6, 3), (6, 6)])
