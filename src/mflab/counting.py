@@ -15,7 +15,9 @@ f_hat = sum_k f(k) P^(k).  Three implementations are kept deliberately:
   The rotation ``Projections.rotation`` holds the N x N minors of the basis
   matrix for every pair of configurations: the N-th compound matrix of
   U^dagger, built level by level over lexicographic r-subsets by Laplace
-  expansion along the first row (``_compound``);
+  expansion along the first row (``_compound``), whose subsets and the
+  ranks of their (r-1)-subsets are read off the r-particle ``ConfigBasis``
+  (its ``configs`` and ``annihilation_table``);
   ``np.linalg.det`` of each minor is its test oracle;
 * the same adapted basis on the N-fold tensor space (:class:`AdaptedSlots`):
   a slot tensor is rotated once, slot by slot, after which every sector,
@@ -173,8 +175,7 @@ class Projections:
             )
         key = (basis.n_modes, basis.n_particles)
         if key not in self._rotations:
-            configs = np.array(basis.configs)
-            exc = (configs >= self.n_occupied).sum(axis=1)
+            exc = (basis.configs >= self.n_occupied).sum(axis=1)
             self._rotations[key] = (_compound(self.basis_matrix.conj().T, basis.n_particles), exc)
         return self._rotations[key]
 
@@ -191,27 +192,24 @@ def _compound_indices(L: int, N: int) -> tuple:
     * ``blocks``: one (s, start, stop, offset) per first row element s; rows
       start:stop are those with S_0 = s, and their S minus S_0 are the rows
       offset: of level r-1, in the same order;
-    * ``entries[pos]``: R_pos for every column R;
-    * ``ranks[pos]``: the column of R minus R_pos at level r-1.
+    * ``entries[pos]``: R_pos for every column R, the ``configs`` of the
+      r-particle ``ConfigBasis``;
+    * ``ranks[pos]``: the column of R minus R_pos at level r-1, read off
+      that basis's ``annihilation_table``.
     """
     levels = []
-    previous = {(): 0}
     for r in range(1, N + 1):
-        cols = list(combinations(range(L), r))
-        entries = np.array(cols, dtype=np.intp).T
-        ranks = np.array(
-            [[previous[c[:pos] + c[pos + 1:]] for c in cols] for pos in range(r)],
-            dtype=np.intp,
-        )
+        basis = ConfigBasis(L, r)
+        entries = basis.configs.T
+        ranks = (basis.annihilation_table[0] // L).T
         n_previous = math.comb(L - N + r - 1, r - 1)
         blocks, start = [], 0
         for s in range(N - r, L - r + 1):
             size = math.comb(L - 1 - s, r - 1)
             blocks.append((s, start, start + size, n_previous - size))
             start += size
-        entries.flags.writeable = ranks.flags.writeable = False
+        ranks.flags.writeable = False
         levels.append((tuple(blocks), start, entries, ranks))
-        previous = {c: i for i, c in enumerate(cols)}
     return tuple(levels)
 
 
@@ -402,7 +400,7 @@ class SlotSpace:
         perms = np.array(list(permutations(range(N))), dtype=np.int64).reshape(-1, N)
         inversions = np.triu(perms[:, :, None] > perms[:, None, :], 1).sum(axis=(1, 2))
         signs = (-1.0) ** inversions
-        idx = np.array(state.basis.configs, dtype=np.int64)[:, perms]
+        idx = state.basis.configs[:, perms]
         T = np.zeros((L,) * N, dtype=np.complex128)
         root = 1.0 / math.sqrt(math.factorial(N))
         T[tuple(idx[..., s] for s in range(N))] = (
@@ -412,8 +410,7 @@ class SlotSpace:
 
     def extract(self, T: np.ndarray, basis: ConfigBasis) -> ManyBodyState:
         root = math.sqrt(math.factorial(self.n_particles))
-        idx = tuple(np.array([c[i] for c in basis.configs]) for i in range(self.n_particles))
-        return ManyBodyState(basis, root * T[idx], 0.0)
+        return ManyBodyState(basis, root * T[tuple(basis.configs.T)], 0.0)
 
     # -- slot operators ------------------------------------------------------
 
@@ -524,13 +521,6 @@ class AdaptedSlots:
 # ---------------------------------------------------------------------------
 # lemma suite
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class CheckRecord:
-    trials: int = 0
-    max_ratio: float = 0.0  # lhs / rhs, > 1 is a violation
-    violations: list = field(default_factory=list)
 
 
 @dataclass

@@ -1,7 +1,8 @@
 """Exact fermionic dynamics on the antisymmetric configuration basis.
 
 States live on ordered N-site configurations of the L = total_sites grid
-modes (occupation-number basis, configurations sorted lexicographically).
+modes (occupation-number basis, configurations sorted lexicographically in
+one integer array and ranked in closed form, with no mode limit).
 The rescaled generator is
 
     i d/dt Psi = epsilon * H Psi,    H = lift1(K) + sum_{i<j} v(x_i - x_j),
@@ -14,7 +15,7 @@ One r-body builder (``ConfigBasis._table``) makes every table from the
 annihilation map of each basis N, N-1, ..., N-r+1 and its inverse, the
 creation map (``ConfigBasis.annihilation_table``/``creation_table``): the
 r annihilations walk down through the first, the r creations back up
-through the second, so every row is a gather and no bitmask is searched.
+through the second, so every row is a gather and nothing is searched.
 Each entry is a nonzero matrix element of a^dag_{d1}...a^dag_{dr}
 a_{cr}...a_{c1} (a_{c1} acts first, a^dag_{d1} last).  Entries are
 generated over columns, then ordered tuples of distinct occupied modes (c1
@@ -58,11 +59,12 @@ Conventions:
 
 from __future__ import annotations
 
+import math
 import struct
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, permutations
+from itertools import chain, combinations, permutations
 
 import numpy as np
 import scipy.sparse as sp
@@ -78,7 +80,8 @@ DT_MIN = 1e-10  # smallest step a time-dependent generator may be integrated wit
 
 @dataclass(frozen=True)
 class ConfigBasis:
-    """All N-of-L fermionic configurations, lexicographically ordered."""
+    """All N-of-L fermionic configurations, lexicographically ordered: ``configs``,
+    one read-only (dim, N) int64 array, ranked in closed form (``annihilation_table``)."""
 
     n_modes: int
     n_particles: int
@@ -88,26 +91,24 @@ class ConfigBasis:
             raise ConfigError(
                 f"need 1 <= N <= L, got N={self.n_particles}, L={self.n_modes}"
             )
-        if self.n_modes > 62:
-            raise ConfigError("mode count beyond the desk-scale bitmask range")
 
     @cached_property
-    def configs(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(combinations(range(self.n_modes), self.n_particles))
+    def configs(self) -> np.ndarray:
+        flat = chain.from_iterable(combinations(range(self.n_modes), self.n_particles))
+        configs = np.fromiter(flat, np.int64, self.dim * self.n_particles).reshape(self.dim, -1)
+        configs.flags.writeable = False
+        return configs
 
     @property
     def dim(self) -> int:
-        return len(self.configs)
-
-    @cached_property
-    def masks(self) -> np.ndarray:
-        """int64 occupation bitmask of each configuration (bit m set = mode m occupied)."""
-        return (np.int64(1) << np.array(self.configs, dtype=np.int64)).sum(axis=1)
+        return math.comb(self.n_modes, self.n_particles)
 
     @cached_property
     def occupancy(self) -> np.ndarray:
-        """(dim, L) 0/1 array of mode occupations, read off the bitmasks."""
-        return ((self.masks[:, None] >> np.arange(self.n_modes)) & 1).astype(np.float64)
+        """(dim, L) 0/1 array of mode occupations, ones scattered at ``configs``."""
+        occupancy = np.zeros((self.dim, self.n_modes))
+        np.put_along_axis(occupancy, self.configs, 1.0, axis=1)
+        return occupancy
 
     # ---- index/sign tables (built once, reused for every lifted operator) ----
 
@@ -136,21 +137,26 @@ class ConfigBasis:
 
         Returns ``(flat, signs, dim_less)``: for configuration J and its
         k-th occupied mode a, a_a |J> = signs[k] |J minus a>, float
-        signs[k] = (-1)^k, and flat[J, k] = (index of J minus a in the
-        (N-1)-particle basis) * L + a.  N = 1 maps onto one vacuum row.  The
-        ranks are searched once here, over the (N-1)-particle bitmasks;
-        ``creation_table`` and every lift table are composed from these maps.
+        signs[k] = (-1)^k, and flat[J, k] = (rank of J minus a among the
+        (N-1)-particle configurations) * L + a.  N = 1 maps onto one vacuum
+        row.  A lexicographic n-subset c_0 < ... < c_(n-1) of L modes has
+        rank C(L, n) - 1 - sum_i C(L-1-c_i, n-i), so the ranks of every
+        J minus a are read from a small binomial table; ``creation_table``
+        and every lift table are composed from these maps.
         """
         L, N = self.n_modes, self.n_particles
-        modes = np.array(self.configs, dtype=np.int64)
+        modes = self.configs
         signs = 1.0 - 2.0 * (np.arange(N) & 1)
-        if N == 1:
-            return modes, signs, 1
-        smaller = self._smaller.masks
-        holes = self.masks[:, None] ^ (np.int64(1) << modes)
-        order = np.argsort(smaller)
-        rows = order[np.searchsorted(smaller, holes, sorter=order)]
-        return rows * L + modes, signs, len(smaller)
+        # C(x, m) for x < L, m <= N; ranks read only x - m <= L - N (the rest may overflow)
+        binom = np.array([[math.comb(x, m) * (x - m <= L - N) for m in range(N + 1)]
+                          for x in range(L)], dtype=np.int64)
+        # J minus its k-th mode keeps the modes before k at their place, the later ones move up one
+        before = binom[L - 1 - modes, N - 1 - np.arange(N)]
+        after = binom[L - 1 - modes, N - np.arange(N)]
+        dim_less = math.comb(L, N - 1)
+        rows = (dim_less - 1 - (np.cumsum(before, axis=1) - before)
+                - (after.sum(axis=1, keepdims=True) - np.cumsum(after, axis=1)))
+        return rows * L + modes, signs, dim_less
 
     @cached_property
     def creation_table(self) -> tuple[np.ndarray, np.ndarray]:
@@ -179,8 +185,9 @@ class ConfigBasis:
         bases N, N-1, ..., N-r+1: the annihilations walk down through their
         ``annihilation_table``s, the creations back up through their
         ``creation_table``s, so each pass is a gather (int32 holds every row
-        and slot index: dim and L^r stay far below 2^31 wherever a table is
-        built).
+        and slot index: rows are below dim, and slots below L^r, where
+        L^(2r) < 2^31 because ``_lift`` reads an (L^r, L^r) operator and
+        three-body tables stop at L = 12).
         """
         L, N, dim = self.n_modes, self.n_particles, self.dim
         if r > N:  # no slot tuples
@@ -260,7 +267,7 @@ def _lift(basis: ConfigBasis, W: np.ndarray, r: int, table: str) -> sp.csr_matri
         raise GridMismatchError(f"{r}-body operator shape {W.shape} != ({n}, {n})")
     _, _, row_slot, col_slot, signs = getattr(basis, table)
     starts, indices, indptr = basis.csr_pattern(table)
-    # int32 flat slots: L^(2r) < 2^31 for every table ConfigBasis builds
+    # int32 flat slots: L^(2r) < 2^31, the size of W itself (32 GiB at 2^31)
     data = np.add.reduceat(signs * W.ravel().take(row_slot * n + col_slot), starts)
     nz = data != 0
     kept_before = np.concatenate(([0], np.cumsum(nz)))
@@ -331,8 +338,7 @@ def slater_state(orbital_set, basis: ConfigBasis) -> ManyBodyState:
             f"orbitals are not orthonormal (defect {defect:.2e}); "
             "a determinant state needs an orthonormal family"
         )
-    idx = np.array(basis.configs)
-    stacked = A[idx, :]  # (dim, N, N): rows = occupied sites, cols = orbitals
+    stacked = A[basis.configs, :]  # (dim, N, N): rows = occupied sites, cols = orbitals
     amps = np.linalg.det(stacked)
     return ManyBodyState(basis, amps, orbital_set.time)
 

@@ -1,6 +1,6 @@
-"""Public API audit: each public function earns its place, and none takes a mode.
+"""Public API audit: each public class and function earns its place, and none takes a mode.
 
-A public function or method of ``src/mflab`` must be referenced from
+A public class, function or method of ``src/mflab`` must be referenced from
 ``src/`` or ``demos/`` (by name, or as a string looked up with
 ``getattr``), be used by the acceptance suite, or be named as an oracle in
 its module's docstring: a sentence of the docstring names it (or its class)
@@ -22,12 +22,13 @@ def _parse(path: Path) -> ast.Module:
 
 
 def _public_defs(tree: ast.Module):
-    """(qualified name, def node) of public top-level functions and public methods."""
+    """(qualified name, node) of public top-level functions and classes and public methods."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             if not node.name.startswith("_"):
                 yield node.name, node
         elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            yield node.name, node
             for item in node.body:
                 if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
                     yield f"{node.name}.{item.name}", item
@@ -75,7 +76,7 @@ def test_every_public_function_has_a_user_or_is_a_named_oracle():
             if name not in used and not oracles & {name, qualname, owner}:
                 orphans.append(f"{path.stem}.{qualname}")
     assert not orphans, (
-        "public functions with no caller in src/, demos/ or the acceptance suite, "
+        "public classes or functions with no user in src/, demos/ or the acceptance suite, "
         f"and not named as an oracle in their module docstring: {orphans}"
     )
 
@@ -85,6 +86,8 @@ def test_no_public_signature_takes_a_mode():
     for path in _modules():
         tree = _parse(path)
         for qualname, node in _public_defs(tree):
+            if isinstance(node, ast.ClassDef):
+                continue
             args = node.args
             params = [*args.posonlyargs, *args.args, *args.kwonlyargs]
             if any(a.arg == "mode" for a in params):

@@ -22,7 +22,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import mflab
-from mflab.cli import MAX_AUX_SITES, main, observable_dictionary
+from mflab.cli import MAX_AUX_SITES, MAX_BASIS_DIM, main, observable_dictionary
 from mflab.errors import ConfigError
 from mflab.grid import Grid
 
@@ -147,6 +147,31 @@ def test_exact_routes_serve_each_trajectory_from_few_krylov_spaces(tmp_path, mon
 
 def test_exact_basis_over_budget_is_config_error(tmp_path):
     assert run_cli("exact", tmp_path, "scaling.n=6") == 2
+
+
+GRID_3D = ("grid.dim=3", "grid.sites=4", "grid.box=4", "observables.boxes=2")
+
+
+def test_exact_route_runs_on_a_3d_grid(tmp_path):
+    """4^3 = 64 modes: N=2 (dim 2016) runs; N=3 (dim 41,664) is over the basis budget."""
+    assert run_cli("exact", tmp_path / "exact", *GRID_3D, "scaling.n=2") == 0
+    assert run_cli("compare", tmp_path / "compare", *GRID_3D, "scaling.n=2") == 0
+    summary = json.loads((tmp_path / "compare" / "compare_summary.json").read_text())
+    assert summary["N2"]["initial_comparison_max"] <= 1e-12
+    assert summary["N2"]["max_gauge_defect"] <= 1e-12
+
+    src = str(Path(mflab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "mflab.cli", "compare", "--out", str(tmp_path / "n3"),
+         *(arg for item in (*GRID_3D, "scaling.n=3") for arg in ("--override", item))],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("config error:")
+    assert f"dimension 41664, over the {MAX_BASIS_DIM} budget" in proc.stderr
 
 
 def test_compare_t0_and_gauge_route(tmp_path):

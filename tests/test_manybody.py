@@ -149,18 +149,20 @@ def _parity(masks: np.ndarray) -> np.ndarray:
 
 
 def reference_table(basis: ConfigBasis, r: int) -> tuple[np.ndarray, ...]:
-    """``ConfigBasis._table(r)`` by bit operations on the configuration bitmasks.
+    """``ConfigBasis._table(r)`` by bit operations on configuration bitmasks.
 
-    Annihilates and creates on int64 masks, with signs from bit parities
-    below each mode, in the generation order of the module docstring, then
-    ranks each final mask by ``searchsorted`` and stable-sorts by row.
+    Builds an int64 occupation bitmask per configuration (L <= 62), then
+    annihilates and creates on the masks, with signs from bit parities below
+    each mode, in the generation order of the module docstring, ranks each
+    final mask by ``searchsorted`` and stable-sorts by row.
     """
     L = basis.n_modes
-    configs = np.array(basis.configs, dtype=np.int64)
+    configs = np.array(list(combinations(range(L), basis.n_particles)), dtype=np.int64)
+    all_masks = (np.int64(1) << configs).sum(axis=1)
     slots = np.array(list(permutations(range(basis.n_particles), r)), dtype=np.int64)
     c = configs[:, slots.reshape(-1, r)].reshape(-1, r)
     cols = np.repeat(np.arange(basis.dim, dtype=np.int64), len(slots))
-    masks = basis.masks[cols]
+    masks = all_masks[cols]
     signs = np.ones(len(cols), dtype=np.int64)
     for k in range(r):  # a_{c1} acts first
         bit = np.int64(1) << c[:, k]
@@ -180,8 +182,8 @@ def reference_table(basis: ConfigBasis, r: int) -> tuple[np.ndarray, ...]:
         cols, col_slot = cols[entry], col_slot[entry]
         row_slot = row_slot[entry] + d * weights[k]
         bound = d
-    order = np.argsort(basis.masks)
-    rows = order[np.searchsorted(basis.masks, masks, sorter=order)]
+    order = np.argsort(all_masks)
+    rows = order[np.searchsorted(all_masks, masks, sorter=order)]
     entry = np.argsort(rows, kind="stable")
     index = (rows, cols, row_slot, col_slot)
     return (*(a.astype(np.int32)[entry] for a in index), signs.astype(np.int8)[entry])
@@ -210,6 +212,28 @@ def test_table_matches_mask_search_reference(L, N, rs):
         for g, w in zip(got, want):
             assert g.dtype == w.dtype, (r, g.dtype, w.dtype)
             np.testing.assert_array_equal(g, w)
+
+
+@pytest.mark.parametrize("L,N", [(5, 1), (6, 6), (20, 6), (64, 2), (64, 3)])
+def test_configs_are_the_lexicographic_combinations_read_only(L, N):
+    configs = ConfigBasis(n_modes=L, n_particles=N).configs
+    assert configs.dtype == np.int64 and configs.shape == (math.comb(L, N), N)
+    np.testing.assert_array_equal(configs, list(combinations(range(L), N)))
+    assert not configs.flags.writeable
+    with pytest.raises(ValueError):
+        configs[0, 0] = 1
+
+
+@pytest.mark.parametrize("L,N", [(64, 2), (64, 3)])
+def test_annihilation_ranks_match_a_dict_lookup(L, N):
+    """Past 62 modes, the closed-form rank of J minus a is its lexicographic index."""
+    basis = ConfigBasis(n_modes=L, n_particles=N)
+    flat, _, dim_less = basis.annihilation_table
+    rank = {c: i for i, c in enumerate(combinations(range(L), N - 1))}
+    want = [[rank[c[:k] + c[k + 1:]] * L + c[k] for k in range(N)]
+            for c in combinations(range(L), N)]
+    assert flat.dtype == np.int64 and dim_less == len(rank)
+    np.testing.assert_array_equal(flat, want)
 
 
 @pytest.mark.parametrize("L,N", [(5, 1), (6, 3), (6, 6)])
