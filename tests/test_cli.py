@@ -38,6 +38,17 @@ def run_cli(command, out_dir, *overrides, seed=None, config=None):
     return main(argv)
 
 
+def run_cli_process(command, out_dir, *overrides):
+    """``python -m mflab.cli`` in a fresh interpreter, for exit codes and stderr."""
+    src = str(Path(mflab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argv = [sys.executable, "-m", "mflab.cli", command, "--out", str(out_dir)]
+    for item in overrides:
+        argv += ["--override", item]
+    return subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
+
+
 def read_csv(path):
     with open(path, encoding="utf-8") as fh:
         return list(csv.DictReader(fh))
@@ -160,14 +171,7 @@ def test_exact_route_runs_on_a_3d_grid(tmp_path):
     assert summary["N2"]["initial_comparison_max"] <= 1e-12
     assert summary["N2"]["max_gauge_defect"] <= 1e-12
 
-    src = str(Path(mflab.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run(
-        [sys.executable, "-m", "mflab.cli", "compare", "--out", str(tmp_path / "n3"),
-         *(arg for item in (*GRID_3D, "scaling.n=3") for arg in ("--override", item))],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
+    proc = run_cli_process("compare", tmp_path / "n3", *GRID_3D, "scaling.n=3")
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("config error:")
@@ -274,14 +278,7 @@ def test_config_error_exit_codes(tmp_path):
     ],
 )
 def test_bad_values_exit_2_without_traceback(tmp_path, command, override):
-    src = str(Path(mflab.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run(
-        [sys.executable, "-m", "mflab.cli", command, "--out", str(tmp_path),
-         "--override", override],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
+    proc = run_cli_process(command, tmp_path, override)
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("config error:")
@@ -290,15 +287,7 @@ def test_bad_values_exit_2_without_traceback(tmp_path, command, override):
 
 @pytest.mark.parametrize("command", ["hartree", "exact", "aux"])
 def test_overflowing_potential_exits_3_without_traceback(tmp_path, command):
-    src = str(Path(mflab.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run(
-        [sys.executable, "-m", "mflab.cli", command, "--out", str(tmp_path),
-         "--override", "potential.amplitude=1e200",
-         *(arg for item in SMALL for arg in ("--override", item))],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
+    proc = run_cli_process(command, tmp_path, "potential.amplitude=1e200", *SMALL)
     assert proc.returncode == 3, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("numerical failure:")
