@@ -27,7 +27,7 @@ potential = build_potential(grid, "gaussian", amplitude=1.0, width=3.0)
 initial = make_orbitals(InitialFamily("localized", width=1.2), 2, grid)
 eps = initial.scaling.epsilon
 
-base = base_interactions(potential, include_triple=False)
+base = base_interactions(potential)
 t_probe = 0.6
 moved = OrbitalSet(orbitals=initial.orbitals, time=t_probe, scaling=initial.scaling)
 proj = build_projections(gauge_orbitals(moved, potential))

@@ -88,7 +88,7 @@ from .counting import (
     weight_threshold,
 )
 from .errors import ConfigError, ContractViolation, GridMismatchError, NumericalFailure
-from .gauge import _frozen_generator, gauge_orbitals, mean_field_forces
+from .gauge import _generator, gauge_orbitals, mean_field_forces
 from .grid import (
     Grid,
     dense_gradient,
@@ -129,12 +129,10 @@ class BaseInteractions:
     grid: Grid
     pair_momentum: np.ndarray = field(repr=False)  # (L^2, L^2), hermitian
     pair_diag: np.ndarray = field(repr=False)  # (L^2,)
-    triple_diag: np.ndarray | None = field(repr=False)  # (L^3,) or None
+    triple_diag: np.ndarray = field(repr=False)  # (L^3,)
 
 
-def base_interactions(
-    potential: InteractionPotential, include_triple: bool = True
-) -> BaseInteractions:
+def base_interactions(potential: InteractionPotential) -> BaseInteractions:
     grid = potential.grid
     L = grid.total_sites
     if L > 40:
@@ -153,25 +151,18 @@ def base_interactions(
         pair_momentum -= D2 * fd[None, :] + fd[:, None] * D2
         pair_diag += 2.0 * fd**2
 
-    triple_diag = None
-    if include_triple:
-        if L**3 > 2_000_000:
-            raise ConfigError(
-                f"triple kernel would need {L**3} entries; pass include_triple=False"
-            )
-        trip = np.zeros((L, L, L))
-        for a in range(grid.dim):
-            F = Fd[a]
-            trip += np.einsum("xy,xz->xyz", F, F)
-            trip += np.einsum("yx,yz->xyz", F, F)
-            trip += np.einsum("zx,zy->xyz", F, F)
-        triple_diag = 2.0 * trip.ravel()
+    trip = np.zeros((L, L, L))
+    for a in range(grid.dim):
+        F = Fd[a]
+        trip += np.einsum("xy,xz->xyz", F, F)
+        trip += np.einsum("yx,yz->xyz", F, F)
+        trip += np.einsum("zx,zy->xyz", F, F)
 
     return BaseInteractions(
         grid=grid,
         pair_momentum=pair_momentum,
         pair_diag=pair_diag,
-        triple_diag=triple_diag,
+        triple_diag=2.0 * trip.ravel(),
     )
 
 
@@ -192,11 +183,11 @@ def mean_field_rw(state: OrbitalSet, potential: InteractionPotential):
     Gs = dense_gradient(grid)
     R = np.diag(forces.mixed_real.ravel()).astype(np.complex128)
     for a in range(grid.dim):
-        fbar = forces.f_bar[a].values.real.ravel()
+        fbar = forces.f_bar[a].ravel()
         iG = 1j * Gs[a]
         R += iG * fbar[None, :] + fbar[:, None] * iG
-    wdiag = sum(f.values.real**2 for f in forces.f_bar)
-    wdiag = wdiag + 2.0 * forces.quad_correction.values.real
+    wdiag = sum(f**2 for f in forces.f_bar)
+    wdiag = wdiag + 2.0 * forces.quad_correction
     W = np.diag(wdiag.ravel()).astype(np.complex128)
     return R, W
 
@@ -209,8 +200,6 @@ def trace_formula_rw(base: BaseInteractions, state: OrbitalSet):
     p = orbital_projector(state)
     W2 = base.pair_momentum.reshape(L, L, L, L)
     R = np.einsum("xuyv,vu->xy", W2, p)
-    if base.triple_diag is None:
-        raise ConfigError("trace formula for W needs the triple kernel")
     w3 = base.triple_diag.reshape(L, L, L)
     rho_p = np.diag(p).real
     Wd = 0.5 * np.einsum("xab,a,b->x", w3, rho_p, rho_p)
@@ -393,8 +382,6 @@ def full_gauged_hamiltonian(
     H = lift_one_body(basis, dense_kinetic(grid)).astype(np.complex128)
     H = H + lift_two_body(basis, te * base.pair_momentum + te**2 * np.diag(base.pair_diag))
     if basis.n_particles >= 3:
-        if base.triple_diag is None:
-            raise ConfigError("triple kernel required for three or more particles")
         H = H + lift_three_body(basis, te**2 * np.diag(base.triple_diag))
     return ManyBodyOperator(basis=basis, matrix=H.tocsr(), epsilon=epsilon)
 
@@ -427,8 +414,6 @@ def build_aux_generator(
     w2[np.diag_indices_from(w2)] += te**2 * base.pair_diag
     H_ad = lift_two_body(basis, kept_interaction(w2, proj, 2))
     if basis.n_particles >= 3:
-        if base.triple_diag is None:
-            raise ConfigError("triple kernel required for three or more particles")
         H_ad = H_ad + lift_three_body(basis, kept_interaction(te**2 * base.triple_diag, proj, 3))
     Rot, _ = proj.rotation(basis)
     H = Rot.conj().T @ (H_ad @ Rot)
@@ -444,13 +429,13 @@ def build_aux_generator(
 # ---------------------------------------------------------------------------
 
 
-def direct_energy(gauged_orbitals: OrbitalSet, potential: InteractionPotential, t: float) -> float:
-    """E_g = tr(p h~ p) = sum_j <psi_j, h~ psi_j> over the orbital family."""
+def direct_energy(gauged_orbitals: OrbitalSet, potential: InteractionPotential) -> float:
+    """E_g = tr(p h~ p) = sum_j <psi_j, h~ psi_j> over the orbital family, at its time."""
     grid = gauged_orbitals.grid
     epsilon = gauged_orbitals.scaling.epsilon
     forces = mean_field_forces(gauged_orbitals, potential)
     vals = np.ascontiguousarray(np.moveaxis(gauged_orbitals.values, 0, -1))
-    hval = _frozen_generator(forces, t, epsilon, grid, weights=(0.5, 1.0 / 3.0))(vals)
+    hval = _generator(forces, epsilon, grid, weights=(0.5, 1.0 / 3.0))(vals)
     return float(grid.cell_volume * np.vdot(vals, hval).real)
 
 
@@ -565,7 +550,7 @@ def run_auxiliary(
     n_steps, recorded = step_schedule(t_final, dt, snapshot_every)
 
     basis = ConfigBasis(n_modes=grid.total_sites, n_particles=scaling.N)
-    base = base_interactions(potential, include_triple=scaling.N >= 3)
+    base = base_interactions(potential)
     H_exact = build_hamiltonian(basis, potential, scaling)
     kinetic = lift_one_body(basis, dense_kinetic(grid)).toarray()
 
@@ -585,7 +570,7 @@ def run_auxiliary(
             float(np.dot(weight_threshold(N, g).values(), masses)) for g in gammas
         )
         gen_t = build_aux_generator(base, psi_t, t, basis, proj, kinetic)
-        e_g = direct_energy(psi_t, potential, t)
+        e_g = direct_energy(psi_t, potential)
         beta = energy_excess(aux_state, gen_t, e_g)
         bad = complement_kinetic(aux_state, psi_t)
         gauged_exact = gauge_manybody(exact_state, t, scaling.epsilon, potential)
@@ -655,7 +640,7 @@ def gauge_frame_residual(
     grid = initial.grid
     scaling = initial.scaling
     basis = ConfigBasis(n_modes=grid.total_sites, n_particles=scaling.N)
-    base = base_interactions(potential, include_triple=scaling.N >= 3)
+    base = base_interactions(potential)
     H = build_hamiltonian(basis, potential, scaling)
     psi0 = slater_state(initial, basis)
     times = (t - dt, t, t + dt)

@@ -170,14 +170,7 @@ class RunConfig:
 
     def scaling_for(self, N: int) -> ScalingParams:
         return resolve_scaling(
-            ScalingParams(
-                N=N,
-                epsilon=self.epsilon,
-                epsilon_rule=self.epsilon_rule,
-                t_final=self.t_final,
-                dt=self.dt,
-            ),
-            self.grid,
+            ScalingParams(N=N, epsilon=self.epsilon, epsilon_rule=self.epsilon_rule), self.grid
         )
 
     def build_potential(self):
@@ -582,8 +575,8 @@ def cmd_lemmas(cfg: RunConfig) -> None:
         trials=cfg.lemma_trials,
         sizes=cfg.lemma_sizes,
         gammas=cfg.gammas,
-        out_path=path,
     )
+    report.to_json(path)
     print(f"wrote {path}")
     for name in sorted(report.asserted):
         entry = report.asserted[name]

@@ -616,7 +616,6 @@ def lemma_suite(
     trials: int = 200,
     sizes: tuple[tuple[int, int], ...] = ((2, 6), (3, 8), (4, 8), (3, 12)),
     gammas: tuple[float, ...] = (1.0 / 6.0, 0.5, 1.0),
-    out_path=None,
 ) -> LemmaReport:
     """Exercise the conversion and shifted-weight lemmas on random states.
 
@@ -837,7 +836,7 @@ def lemma_suite(
                         {**ctx, "a": a},
                     )
 
-    report = LemmaReport(
+    return LemmaReport(
         seed=seed,
         trials=trials,
         sizes=[list(s) for s in sizes],
@@ -845,6 +844,3 @@ def lemma_suite(
         asserted=asserted,
         reported=reported,
     )
-    if out_path is not None:
-        report.to_json(out_path)
-    return report

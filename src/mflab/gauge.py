@@ -22,13 +22,14 @@ Expanding the covariant square gives the equivalent form
     h_g = K + t*eps*R + (t*eps)^2 * W,
     R   = i grad . F_bar + F_bar . i grad + A + B,    W = F_bar.F_bar + 2C,
 
-which is the production route: ``run_gauged`` steps with it, and with the
-R and W terms weighted by (1/2, 1/3) it is the auxiliary generator
+which is the production route: ``_generator`` of a ``MeanFieldForces``
+record, which carries its own time t.  ``run_gauged`` steps with it, and
+with the R and W terms weighted by (1/2, 1/3) it is the auxiliary generator
 h~ = K + 1/2 t eps R + 1/3 (t eps)^2 W of the direct energy E_g.  The
-covariant form is the oracle; both must agree to roundoff.  The kinetic K
-and the gradients follow ``Grid.kinetic_mode`` (in lattice mode the time
-stepper pairs the nearest-neighbour kinetic with centred-difference force
-couplings, mirroring the many-body lift exactly).
+covariant form, ``covariant_apply``, is the oracle; both must agree to
+roundoff.  The kinetic K and the gradients follow ``Grid.kinetic_mode`` (in
+lattice mode the time stepper pairs the nearest-neighbour kinetic with
+centred-difference force couplings, mirroring the many-body lift exactly).
 
 ``cauchy_schwarz_report`` is an oracle for the paper's explicit-constant
 bound on the momentum coupling B; only tests call it.
@@ -42,7 +43,7 @@ from functools import lru_cache
 import numpy as np
 
 from ._lanczos import expm_multiply_hermitian
-from .errors import ConfigError, ContractViolation, GridMismatchError, NumericalFailure
+from .errors import ConfigError, GridMismatchError, NumericalFailure
 from .grid import (
     Field,
     Grid,
@@ -53,9 +54,8 @@ from .grid import (
     gradient_multipliers,
     kinetic_multiplier,
     norm_l2,
-    norm_sup,
 )
-from .hartree import OrbitalSet, density
+from .hartree import OrbitalSet, _density_values, density
 from .model import InteractionPotential, step_schedule
 
 
@@ -73,34 +73,25 @@ class MeanFieldForces:
     """Density-averaged force data of a gauged orbital family at one time."""
 
     time: float
-    f_bar: tuple[Field, ...]
-    momentum_coupling: Field  # B above; A is its pointwise conjugate
-    quad_correction: Field  # C above, real
+    f_bar: np.ndarray  # F_bar_a stacked on axis 0, real, shape (d, *grid.shape)
+    momentum_coupling: np.ndarray  # B above, complex; A is its pointwise conjugate
+    quad_correction: np.ndarray  # C above, real
 
     @property
     def mixed_real(self) -> np.ndarray:
         """A + B = 2 Re B as a real array."""
-        return 2.0 * self.momentum_coupling.values.real
+        return 2.0 * self.momentum_coupling.real
 
 
 def mean_field_forces(state: OrbitalSet, potential: InteractionPotential) -> MeanFieldForces:
     """F_bar, B and C of the module docstring at the state's time."""
-    grid = state.grid
-    if potential.grid != grid:
+    if potential.grid != state.grid:
         raise GridMismatchError("potential and orbitals use different grids")
-    f_bar, B, C = _force_values(state.values, potential)
-    return MeanFieldForces(
-        time=state.time,
-        f_bar=tuple(Field(grid, f) for f in f_bar),
-        momentum_coupling=Field(grid, B),
-        quad_correction=Field(grid, C),
-    )
+    return _forces(state.values, potential, state.time)
 
 
-def _force_values(
-    psi: np.ndarray, potential: InteractionPotential
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(F_bar stacked on axis 0, B, C) of the orbitals stacked on axis 0 of ``psi`` (any layout).
+def _forces(psi: np.ndarray, potential: InteractionPotential, time: float) -> MeanFieldForces:
+    """The forces at ``time`` of the orbitals stacked on axis 0 of ``psi`` (any layout).
 
     rho is summed orbital by orbital and transformed as complex, as
     ``density`` and ``Field.spectrum`` do.  The 3 d convolutions with the
@@ -112,9 +103,7 @@ def _force_values(
     grid = potential.grid
     d = grid.dim
     force_hat = potential.force_spectrum
-    rho = np.zeros(grid.shape)
-    for phi in psi:
-        rho += np.abs(phi) ** 2
+    rho = _density_values(psi)
     axes = tuple(range(1, d + 1))
     rho_hat = _fftn(rho.astype(np.complex128), range(d))
     f_bar = (grid.cell_volume * _fftn(force_hat * rho_hat, axes, inverse=True)).real
@@ -132,60 +121,42 @@ def _force_values(
     for a in range(d):
         B += -1j * conv[0, a]
         C -= conv[1, a].real
-    return f_bar, B, C
+    return MeanFieldForces(time=time, f_bar=f_bar, momentum_coupling=B, quad_correction=C)
 
 
 @lru_cache(maxsize=None)
 def _generator_multipliers(grid: Grid) -> np.ndarray:
     """[K, d_1, ..., d_d] multipliers stacked, with a trailing orbital axis.
 
-    The frozen generator multiplies psi^ by all of them and F_bar_a psi^ by
-    d_a, which is entry 1 + a.
+    The generator multiplies psi^ by all of them and F_bar_a psi^ by d_a,
+    which is entry 1 + a.
     """
     mults = np.stack([kinetic_multiplier(grid), *gradient_multipliers(grid)])
     return mults.reshape(mults.shape + (1,))
 
 
-def _frozen_generator(
-    forces: MeanFieldForces,
-    t: float,
-    epsilon: float,
-    grid: Grid,
-    weights: tuple[float, float] = (1.0, 1.0),
-):
-    """``_generator`` of the force data in ``forces``."""
-    f_bar = np.stack([f.values.real for f in forces.f_bar])
-    return _generator(f_bar, forces.momentum_coupling.values, forces.quad_correction.values.real,
-                      t, epsilon, grid, weights)
-
-
 def _generator(
-    f_bar: np.ndarray,
-    B: np.ndarray,
-    C: np.ndarray,
-    t: float,
+    forces: MeanFieldForces,
     epsilon: float,
     grid: Grid,
     weights: tuple[float, float] = (1.0, 1.0),
 ):
-    """Matvec of the expanded generator K + wR t eps R + wW (t eps)^2 W, frozen at (F_bar, B, C, t).
+    """Matvec of the expanded generator K + wR t eps R + wW (t eps)^2 W, frozen at ``forces``.
 
-    ``f_bar`` holds the real F_bar_a stacked on axis 0 and ``B``, ``C`` the
-    grid values of the module docstring, as ``_force_values`` returns them.
-    ``weights`` = (wR, wW); (1/2, 1/3) gives the auxiliary h~.  The matvec
-    acts on grid-shaped values with one trailing orbital axis.  Everything
-    that depends only on (F_bar, B, C, t) is computed here once; each call
-    makes one ``fftn`` over the stack [psi, F_bar_1 psi, ..., F_bar_d psi]
-    and one ``ifftn`` over [K psi^, d_a psi^, d_a (F_bar_a psi)^].  Batched
-    FFT lines and the kept operand order make it bit-identical to
-    transforming and combining each term on its own.
+    t is ``forces.time``.  ``weights`` = (wR, wW); (1/2, 1/3) gives the
+    auxiliary h~.  The matvec acts on grid-shaped values with one trailing
+    orbital axis.  Everything that depends only on the forces is computed
+    here once; each call makes one ``fftn`` over the stack [psi, F_bar_1
+    psi, ..., F_bar_d psi] and one ``ifftn`` over [K psi^, d_a psi^, d_a
+    (F_bar_a psi)^].  Batched FFT lines and the kept operand order make it
+    bit-identical to transforming and combining each term on its own.
     """
-    te = t * epsilon
+    te = forces.time * epsilon
     wR, wW = weights
     d = grid.dim
     col = grid.shape + (1,)
-    scalar = te * (wR * (2.0 * B.real) + 2.0 * te * wW * C)
-    fbar = f_bar.reshape((d,) + col)
+    scalar = te * (wR * forces.mixed_real + 2.0 * te * wW * forces.quad_correction)
+    fbar = forces.f_bar.reshape((d,) + col)
     diag = scalar.reshape(col) + wW * te**2 * sum(f**2 for f in fbar)
     i_fbar = fbar * 1j
     coupling = wR * te
@@ -209,17 +180,17 @@ def _generator(
     return matvec
 
 
-def _covariant_apply(
-    vals: np.ndarray, forces: MeanFieldForces, t: float, epsilon: float, grid: Grid
-) -> np.ndarray:
-    """The oracle form (i grad + t eps F_bar)^2 + t eps (A + B + 2 t eps C) on grid values.
+def covariant_apply(psi: Field, forces: MeanFieldForces, epsilon: float) -> Field:
+    """The oracle form (i grad + t eps F_bar)^2 + t eps (A + B + 2 t eps C) applied to ``psi``.
 
-    The square's kinetic part is sum_a |gradient multiplier|^2, so the
-    multiplier K - sum_a |m_a|^2 is added to make it the grid's K: zero up
-    to roundoff in spectral mode, the lattice kinetic's difference from the
-    squared centred difference in lattice mode.
+    t is ``forces.time``.  The square's kinetic part is sum_a |gradient
+    multiplier|^2, so the multiplier K - sum_a |m_a|^2 is added to make it
+    the grid's K: zero up to roundoff in spectral mode, the lattice
+    kinetic's difference from the squared centred difference in lattice
+    mode.
     """
-    te = t * epsilon
+    grid, vals = psi.grid, psi.values
+    te = forces.time * epsilon
     mults = gradient_multipliers(grid)
 
     def deriv(u: np.ndarray, a: int) -> np.ndarray:
@@ -227,38 +198,11 @@ def _covariant_apply(
 
     kin_defect = kinetic_multiplier(grid) - sum(np.abs(m) ** 2 for m in mults)
     out = np.fft.ifftn(kin_defect * np.fft.fftn(vals))
-    out = out + te * (forces.mixed_real + 2.0 * te * forces.quad_correction.values.real) * vals
+    out = out + te * (forces.mixed_real + 2.0 * te * forces.quad_correction) * vals
     for a, f in enumerate(forces.f_bar):
-        w = 1j * deriv(vals, a) + te * f.values.real * vals
-        out = out + 1j * deriv(w, a) + te * f.values.real * w
-    return out
-
-
-def apply_h_gauged(
-    psi: Field,
-    forces: MeanFieldForces,
-    t: float,
-    epsilon: float,
-    form: str = "covariant",
-) -> Field:
-    """Apply the gauged one-body generator in either algebraic form.
-
-    The two forms are the same operator written differently and must agree
-    to roundoff; both use the grid's kinetic K, so "expanded" is exactly the
-    operator ``run_gauged`` steps with.  Rejects force data computed at a
-    different time.
-    """
-    if abs(forces.time - t) > 1e-12 * max(1.0, abs(t)):
-        raise ContractViolation(
-            f"stale forces: computed at t={forces.time}, requested t={t}"
-        )
-    if form == "covariant":
-        out = _covariant_apply(psi.values, forces, t, epsilon, psi.grid)
-    elif form == "expanded":
-        out = _frozen_generator(forces, t, epsilon, psi.grid)(psi.values[..., None])[..., 0]
-    else:
-        raise ConfigError(f"unknown form {form!r}")
-    return Field(psi.grid, out)
+        w = 1j * deriv(vals, a) + te * f * vals
+        out = out + 1j * deriv(w, a) + te * f * w
+    return Field(grid, out)
 
 
 def cauchy_schwarz_report(
@@ -270,7 +214,7 @@ def cauchy_schwarz_report(
     with |F| the pointwise Euclidean magnitude of the force components.
     """
     forces = mean_field_forces(state, potential)
-    lhs = norm_sup(forces.momentum_coupling)
+    lhs = float(np.max(np.abs(forces.momentum_coupling)))
     f_mag = np.sqrt(sum(F.values.real**2 for F in potential.force))
     grad_sq = 0.0
     for psi in state.orbitals:
@@ -310,7 +254,7 @@ def run_gauged(
     centred-difference couplings (matching the many-body lift).
 
     The orbitals are stepped as one ``(*grid.shape, N)`` array, orbital axis
-    last as the frozen generator takes them, and the forces read its
+    last as ``_generator`` takes them, and the forces read its
     orbital-first transpose; a recorded snapshot is an ``OrbitalSet`` of that
     transpose.
     """
@@ -326,9 +270,9 @@ def run_gauged(
     for step in range(1, n_steps + 1):
         t0 = initial.time + (step - 1) * dt
         t_mid = t0 + 0.5 * dt
-        gen = _generator(*_force_values(vals.transpose(to_first), potential), t0, eps, grid)
+        gen = _generator(_forces(vals.transpose(to_first), potential, t0), eps, grid)
         half = expm_multiply_hermitian(gen, vals, -0.5j * dt * eps)
-        gen = _generator(*_force_values(half.transpose(to_first), potential), t_mid, eps, grid)
+        gen = _generator(_forces(half.transpose(to_first), potential, t_mid), eps, grid)
         vals = expm_multiply_hermitian(gen, vals, -1j * dt * eps)
         if not np.isfinite(vals).all():
             raise NumericalFailure(f"non-finite gauged orbitals at step {step}")
@@ -374,7 +318,7 @@ def continuity_residual(traj: GaugedTrajectory, potential: InteractionPotential)
                 h1 * h2 * (h1 + h2))
         forces = mean_field_forces(traj.snapshots[i], potential)
         rhs = eps * (
-            forces.mixed_real + 2.0 * times[i] * eps * forces.quad_correction.values.real
+            forces.mixed_real + 2.0 * times[i] * eps * forces.quad_correction
         )
         defect = np.max(np.abs(du + rhs))
         scale = max(np.max(np.abs(du)), np.max(np.abs(rhs)), 1e-300)

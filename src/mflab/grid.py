@@ -128,14 +128,6 @@ class Field:
         return _fftn(self.values, range(self.grid.dim))
 
 
-def make_field(grid: Grid, values: np.ndarray) -> Field:
-    return Field(grid, np.asarray(values))
-
-
-def zeros(grid: Grid) -> Field:
-    return Field(grid, np.zeros(grid.shape))
-
-
 def require_same_grid(*fields: Field) -> Grid:
     grid = fields[0].grid
     for f in fields[1:]:
@@ -258,10 +250,6 @@ def norm_l2(f: Field) -> float:
 
 def norm_l1(f: Field) -> float:
     return float(f.grid.cell_volume * np.sum(np.abs(f.values)))
-
-
-def norm_sup(f: Field) -> float:
-    return float(np.max(np.abs(f.values)))
 
 
 # ---------------------------------------------------------------------------

@@ -104,11 +104,16 @@ class OrbitalSet:
         return np.stack([phi.ravel() for phi in self.values], axis=1)
 
 
-def density(state: OrbitalSet) -> Field:
-    rho = np.zeros(state.grid.shape)
-    for phi in state.values:
+def _density_values(values: np.ndarray) -> np.ndarray:
+    """sum_k |phi_k|^2 of the orbitals stacked on axis 0 of ``values``, one orbital at a time."""
+    rho = np.zeros(values.shape[1:])
+    for phi in values:
         rho += np.abs(phi) ** 2
-    return Field(state.grid, rho)
+    return rho
+
+
+def density(state: OrbitalSet) -> Field:
+    return Field(state.grid, _density_values(state.values))
 
 
 def gram_matrix(state: OrbitalSet) -> np.ndarray:
@@ -156,10 +161,7 @@ def hartree_step(
     axes = tuple(range(1, grid.dim + 1))  # the orbitals are stacked on axis 0
 
     mids = _fftn(half_kin * _fftn(state.values, axes), axes, inverse=True)
-    rho_mid = np.zeros(grid.shape)
-    for m in mids:
-        rho_mid += np.abs(m) ** 2
-    rho_hat = _fftn(rho_mid.astype(np.complex128), space)
+    rho_hat = _fftn(_density_values(mids).astype(np.complex128), space)
     u = (grid.cell_volume * _fftn(potential.v.spectrum * rho_hat, space, inverse=True)).real
     phase = abs(dt * eps) * np.max(np.abs(u))
     if phase > np.pi:
@@ -176,17 +178,14 @@ def hartree_step(
 class HartreeDiagnostics:
     """Per-snapshot health and structure measures.
 
-    rho_grad = sum_k |grad phi_k|^2 and rho_lap = sum_k |K phi_k|^2 are the
-    derivative densities (``model.derivative_densities``) entering the
-    semiclassical-structure value ``model.d_value``.
+    ``d_value`` is the semiclassical-structure value ``model.d_value`` of the
+    derivative densities sum_k |grad phi_k|^2 and sum_k |K phi_k|^2
+    (``model.derivative_densities``).
     """
 
     time: float
     energy: float
     orthonormality_defect: float
-    rho: Field
-    rho_grad: Field
-    rho_lap: Field
     d_value: float
 
 
@@ -196,9 +195,6 @@ def diagnostics(state: OrbitalSet, potential: InteractionPotential) -> HartreeDi
         time=state.time,
         energy=hartree_energy(state, potential),
         orthonormality_defect=orthonormality_defect(state),
-        rho=density(state),
-        rho_grad=rho_grad,
-        rho_lap=rho_lap,
         d_value=d_value(state.N, rho_grad, rho_lap),
     )
 

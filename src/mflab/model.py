@@ -10,7 +10,7 @@ this sign (see the gauge module tests).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import product
 
@@ -36,7 +36,7 @@ MAX_STEPS = 10**6
 
 @dataclass(frozen=True)
 class ScalingParams:
-    """Particle number and the coupling/time scales derived from it.
+    """Particle number and the coupling scale derived from it.
 
     ``epsilon`` may be given explicitly; otherwise it is resolved from
     ``epsilon_rule``: "standard" gives N**(-2/3) regardless of dimension,
@@ -46,8 +46,6 @@ class ScalingParams:
     N: int
     epsilon: float | None = None
     epsilon_rule: str = "standard"
-    t_final: float = 1.0
-    dt: float = 1e-3
 
     def __post_init__(self) -> None:
         if self.N < 1:
@@ -72,14 +70,7 @@ def resolve_scaling(scaling: ScalingParams, grid: Grid) -> ScalingParams:
     """Return a copy with ``epsilon`` made concrete for this grid."""
     if scaling.epsilon is not None:
         return scaling
-    eps = epsilon_for(scaling.N, scaling.epsilon_rule, grid.dim)
-    return ScalingParams(
-        N=scaling.N,
-        epsilon=eps,
-        epsilon_rule=scaling.epsilon_rule,
-        t_final=scaling.t_final,
-        dt=scaling.dt,
-    )
+    return replace(scaling, epsilon=epsilon_for(scaling.N, scaling.epsilon_rule, grid.dim))
 
 
 def step_schedule(span: float, dt: float, every: int | None = None) -> tuple[int, frozenset[int]]:

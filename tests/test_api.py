@@ -4,7 +4,10 @@ A public class, function or method of ``src/mflab`` must be referenced from
 ``src/`` or ``demos/`` (by name, or as a string looked up with
 ``getattr``), be used by the acceptance suite, or be named as an oracle in
 its module's docstring: a sentence of the docstring names it (or its class)
-in double backticks or as :class:`Name` and says "oracle".
+in double backticks or as :class:`Name` and says "oracle".  A top-level
+class or function is referenced only by a name load, a ``from ... import``
+or a string; a method also by an attribute read, so ``np.zeros`` does not
+count as a use of a top-level ``zeros``.
 ``Grid.kinetic_mode`` is the only switch for the kinetic operator, so no
 public signature takes a ``mode``.
 """
@@ -34,18 +37,21 @@ def _public_defs(tree: ast.Module):
                     yield f"{node.name}.{item.name}", item
 
 
-def _references(paths) -> set[str]:
-    """Every name loaded, attribute read or string constant in the given files."""
+def _references(paths) -> tuple[set[str], set[str]]:
+    """(names loaded, imported by name or held as strings; attributes read) in the files."""
     names: set[str] = set()
+    attrs: set[str] = set()
     for path in paths:
         for node in ast.walk(_parse(path)):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 names.add(node.id)
+            elif isinstance(node, ast.ImportFrom):
+                names.update(alias.name for alias in node.names)
             elif isinstance(node, ast.Attribute):
-                names.add(node.attr)
+                attrs.add(node.attr)
             elif isinstance(node, ast.Constant) and isinstance(node.value, str):
                 names.add(node.value)
-    return names
+    return names, attrs
 
 
 def _oracles(tree: ast.Module) -> set[str]:
@@ -65,14 +71,16 @@ def _modules():
 
 
 def test_every_public_function_has_a_user_or_is_a_named_oracle():
-    used = _references([*_modules(), *(ROOT / "demos").glob("*.py")])
-    used |= _references([ROOT / "tests" / "test_acceptance.py"])
+    names, attrs = _references(
+        [*_modules(), *(ROOT / "demos").glob("*.py"), ROOT / "tests" / "test_acceptance.py"]
+    )
     orphans = []
     for path in _modules():
         tree = _parse(path)
         oracles = _oracles(tree)
         for qualname, _ in _public_defs(tree):
             owner, _, name = qualname.rpartition(".")
+            used = names | attrs if owner else names
             if name not in used and not oracles & {name, qualname, owner}:
                 orphans.append(f"{path.stem}.{qualname}")
     assert not orphans, (

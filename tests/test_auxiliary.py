@@ -28,7 +28,7 @@ from mflab.auxiliary import (
 from mflab.counting import _random_projections, build_projections
 from mflab.errors import ConfigError
 from mflab.gauge import gauge_orbitals
-from mflab.grid import Grid, dense_kinetic, make_field
+from mflab.grid import Field, Grid, dense_kinetic
 from mflab.hartree import OrbitalSet
 from mflab.manybody import (
     ConfigBasis,
@@ -41,15 +41,15 @@ from mflab.manybody import (
 from mflab.model import InitialFamily, ScalingParams, build_potential, make_orbitals
 
 
-def random_orbital_set(grid, N, rng, epsilon=0.5):
+def random_orbital_set(grid, N, rng, epsilon=0.5, time=0.0):
     L = grid.total_sites
     M = rng.standard_normal((L, N)) + 1j * rng.standard_normal((L, N))
     Q, _ = np.linalg.qr(M)
     fields = tuple(
-        make_field(grid, (Q[:, k] / math.sqrt(grid.cell_volume)).reshape(grid.shape))
+        Field(grid, (Q[:, k] / math.sqrt(grid.cell_volume)).reshape(grid.shape))
         for k in range(N)
     )
-    return OrbitalSet(orbitals=fields, time=0.0, scaling=ScalingParams(N=N, epsilon=epsilon))
+    return OrbitalSet(orbitals=fields, time=time, scaling=ScalingParams(N=N, epsilon=epsilon))
 
 
 def make_system(n=8, box=8.0, N=2, mode="lattice", amplitude=1.0):
@@ -123,7 +123,7 @@ def test_slot_sector_projectors_complete_and_orthogonal():
 def test_truncation_reconstructs_every_kernel():
     rng = np.random.default_rng(21)
     grid, pot, _ = make_system()
-    base = base_interactions(pot, include_triple=False)
+    base = base_interactions(pot)
     proj = _random_projections(grid.total_sites, 2, rng)
     for w, r in ((base.pair_momentum, 2), (base.pair_diag, 2)):
         tr = truncate_interaction(w, proj.p, proj.q, r)
@@ -195,7 +195,7 @@ def test_aux_generator_matches_lifted_truncation_oracle(L, N, t, mode):
     grid, pot, orbitals = make_system(n=L, N=N, mode=mode, amplitude=2.0)
     moved = OrbitalSet(orbitals=orbitals.orbitals, time=t, scaling=orbitals.scaling)
     psi = gauge_orbitals(moved, pot)
-    base = base_interactions(pot, include_triple=N >= 3)
+    base = base_interactions(pot)
     basis = ConfigBasis(n_modes=L, n_particles=N)
     te = t * psi.scaling.epsilon
     proj = build_projections(psi)
@@ -267,20 +267,20 @@ def test_direct_energy_matches_dense_h_tilde(t, mode):
     """E_g = tr(A^dag (K + 1/2 t eps R + 1/3 (t eps)^2 W) A), just the kinetic at t = 0."""
     grid, pot, _ = make_system(N=3, mode=mode, amplitude=3.0)
     # complex orbitals: real ones carry no current, so tr(p R) would vanish
-    orbitals = random_orbital_set(grid, 3, np.random.default_rng(4))
+    orbitals = random_orbital_set(grid, 3, np.random.default_rng(4), time=t)
     R, W = mean_field_rw(orbitals, pot)
     te = t * orbitals.scaling.epsilon
     h_tilde = dense_kinetic(grid) + 0.5 * te * R + te**2 / 3.0 * W
     A = math.sqrt(grid.cell_volume) * orbitals.value_matrix()
     expected = float(np.trace(A.conj().T @ h_tilde @ A).real)
-    got = direct_energy(orbitals, pot, t)
+    got = direct_energy(orbitals, pot)
     assert abs(got - expected) < 1e-10
 
 
 def test_generator_reduces_to_kinetic_at_time_zero():
     grid, pot, orbitals = make_system(N=2)
     basis = ConfigBasis(n_modes=grid.total_sites, n_particles=2)
-    base = base_interactions(pot, include_triple=False)
+    base = base_interactions(pot)
     K = lift_one_body(basis, dense_kinetic(grid))
     gen = build_aux_generator(base, orbitals, 0.0, basis, build_projections(orbitals), K.toarray())
     assert abs(gen.matrix - K).max() < 1e-12

@@ -34,7 +34,7 @@ from mflab.counting import (
     _threshold_differences,
 )
 from mflab.errors import ConfigError, ContractViolation, GridMismatchError
-from mflab.grid import Grid, make_field
+from mflab.grid import Field, Grid
 from mflab.hartree import OrbitalSet
 from mflab.manybody import (
     ConfigBasis,
@@ -51,7 +51,7 @@ def random_orbital_set(grid, N, rng, epsilon=0.5):
     M = rng.standard_normal((L, N)) + 1j * rng.standard_normal((L, N))
     Q, _ = np.linalg.qr(M)
     fields = tuple(
-        make_field(grid, (Q[:, k] / math.sqrt(grid.cell_volume)).reshape(grid.shape))
+        Field(grid, (Q[:, k] / math.sqrt(grid.cell_volume)).reshape(grid.shape))
         for k in range(N)
     )
     return OrbitalSet(orbitals=fields, time=0.0, scaling=ScalingParams(N=N, epsilon=epsilon))
@@ -439,10 +439,8 @@ def test_guards():
 
 
 def test_lemma_suite_clean_and_serializable(tmp_path):
-    report = lemma_suite(
-        seed=7, trials=12, sizes=((2, 4), (3, 6)), gammas=(0.5, 1.0),
-        out_path=tmp_path / "report.json",
-    )
+    report = lemma_suite(seed=7, trials=12, sizes=((2, 4), (3, 6)), gammas=(0.5, 1.0))
+    report.to_json(tmp_path / "report.json")
     assert report.violation_count == 0, report.asserted
     for name in (
         "q_conversion",
@@ -485,8 +483,9 @@ def test_lemma_report_structure_is_pinned(tmp_path):
     """
     paths = [tmp_path / "first.json", tmp_path / "second.json"]
     for path in paths:
-        report = lemma_suite(seed=11, trials=8, out_path=path)
+        report = lemma_suite(seed=11, trials=8)
         assert report.violation_count == 0, report.asserted
+        report.to_json(path)
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
     import json

@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 
 from mflab._lanczos import expm_multiply_hermitian
-from mflab.errors import ConfigError, ContractViolation
+from mflab.errors import ConfigError
 from mflab.gauge import (
-    _force_values,
-    _frozen_generator,
+    _forces,
     _generator,
-    apply_h_gauged,
     cauchy_schwarz_report,
     continuity_residual,
+    covariant_apply,
     gauge_orbitals,
     mean_field_forces,
     run_gauged,
@@ -73,13 +72,13 @@ def test_generator_forms_agree(mode, dim):
     state = random_orbital_set(grid, 3, rng, time=0.8)
     forces = mean_field_forces(state, pot)
     probe = Field(grid, rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape))
-    a = apply_h_gauged(probe, forces, 0.8, 0.5, form="covariant")
-    b = apply_h_gauged(probe, forces, 0.8, 0.5, form="expanded")
-    scale = max(1.0, float(np.max(np.abs(a.values))))
-    assert np.max(np.abs(a.values - b.values)) / scale < 1e-12
+    a = covariant_apply(probe, forces, 0.5).values
+    b = _generator(forces, 0.5, grid)(probe.values[..., None])[..., 0]
+    scale = max(1.0, float(np.max(np.abs(a))))
+    assert np.max(np.abs(a - b)) / scale < 1e-12
 
 
-def _expanded_per_term(vals, forces, t, epsilon, grid, weights):
+def _expanded_per_term(vals, forces, epsilon, grid, weights):
     """The expanded generator with every term transformed and combined on its own."""
     axes = tuple(range(grid.dim))
 
@@ -93,12 +92,10 @@ def _expanded_per_term(vals, forces, t, epsilon, grid, weights):
         spec = np.fft.fftn(u, axes=axes)
         return [np.fft.ifftn(col(m) * spec, axes=axes) for m in gradient_multipliers(grid)]
 
-    te = t * epsilon
+    te = forces.time * epsilon
     wR, wW = weights
-    scalar = col(
-        te * (wR * forces.mixed_real + 2.0 * te * wW * forces.quad_correction.values.real)
-    )
-    fbar = [col(f.values.real) for f in forces.f_bar]
+    scalar = col(te * (wR * forces.mixed_real + 2.0 * te * wW * forces.quad_correction))
+    fbar = [col(f) for f in forces.f_bar]
     out = mult_apply(vals, kinetic_multiplier(grid))
     out = out + (scalar + wW * te**2 * sum(f**2 for f in fbar)) * vals
     grads = grad_apply(vals)
@@ -121,8 +118,8 @@ def test_frozen_generator_is_bit_identical_to_per_term_body(dim, mode, N, weight
     state = random_orbital_set(grid, N, rng, time=2.5)
     forces = mean_field_forces(state, pot)
     vals = rng.standard_normal(grid.shape + (N,)) + 1j * rng.standard_normal(grid.shape + (N,))
-    got = _frozen_generator(forces, 2.5, 0.3, grid, weights)(vals)
-    assert np.array_equal(got, _expanded_per_term(vals, forces, 2.5, 0.3, grid, weights))
+    got = _generator(forces, 0.3, grid, weights)(vals)
+    assert np.array_equal(got, _expanded_per_term(vals, forces, 0.3, grid, weights))
 
 
 @pytest.mark.parametrize("N", [1, 2, 3, 4])
@@ -162,9 +159,9 @@ def test_mean_field_forces_bit_identical_to_convolution_formulas(dim, mode, N):
 
     for _ in range(2):  # the second call reads the cached kernel spectra
         forces = mean_field_forces(state, pot)
-        assert all(np.array_equal(f.values, want) for f, want in zip(forces.f_bar, f_bar))
-        assert np.array_equal(forces.momentum_coupling.values, B)
-        assert np.array_equal(forces.quad_correction.values, C)
+        assert np.array_equal(forces.f_bar, f_bar)
+        assert np.array_equal(forces.momentum_coupling, B)
+        assert np.array_equal(forces.quad_correction, C)
 
 
 @pytest.mark.parametrize("mode", ["spectral", "lattice"])
@@ -176,26 +173,18 @@ def test_generator_hermitian(mode):
     forces = mean_field_forces(state, pot)
     u = Field(grid, rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape))
     w = Field(grid, rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape))
-    hu = apply_h_gauged(u, forces, 1.3, 0.4)
-    hw = apply_h_gauged(w, forces, 1.3, 0.4)
+    hu = covariant_apply(u, forces, 0.4)
+    hw = covariant_apply(w, forces, 0.4)
     assert abs(inner(u, hw) - np.conj(inner(w, hu))) < 1e-10
-
-
-def test_stale_forces_rejected():
-    _, pot, state = setup()
-    forces = mean_field_forces(state, pot)  # time 0.0
-    probe = state.orbitals[0]
-    with pytest.raises(ContractViolation):
-        apply_h_gauged(probe, forces, 0.5, 0.4)
 
 
 def test_forces_vanish_without_interaction():
     grid, _, state = setup()
     free = build_potential(grid, "cosine_sum", amplitudes=[], offset=0.9)
     forces = mean_field_forces(state, free)
-    assert all(np.max(np.abs(f.values)) < 1e-14 for f in forces.f_bar)
-    assert np.max(np.abs(forces.momentum_coupling.values)) < 1e-14
-    assert np.max(np.abs(forces.quad_correction.values)) < 1e-14
+    assert np.max(np.abs(forces.f_bar)) < 1e-14
+    assert np.max(np.abs(forces.momentum_coupling)) < 1e-14
+    assert np.max(np.abs(forces.quad_correction)) < 1e-14
 
 
 @pytest.mark.parametrize("mode", ["spectral", "lattice"])
@@ -259,9 +248,9 @@ def test_run_gauged_matches_public_route_bit_for_bit(mode, dim, N):
     for step in range(1, n_steps + 1):
         t0 = (step - 1) * dt
         t_mid = t0 + 0.5 * dt
-        gen = _frozen_generator(mean_field_forces(at(vals, t0), pot), t0, eps, grid)
+        gen = _generator(mean_field_forces(at(vals, t0), pot), eps, grid)
         half = expm_multiply_hermitian(gen, vals, -0.5j * dt * eps)
-        gen = _frozen_generator(mean_field_forces(at(half, t_mid), pot), t_mid, eps, grid)
+        gen = _generator(mean_field_forces(at(half, t_mid), pot), eps, grid)
         vals = expm_multiply_hermitian(gen, vals, -1j * dt * eps)
         snap = traj.snapshots[step]
         assert snap.time == step * dt
@@ -273,20 +262,20 @@ def test_run_gauged_matches_public_route_bit_for_bit(mode, dim, N):
 @pytest.mark.parametrize("mode", ["spectral", "lattice"])
 @pytest.mark.parametrize("dim", [1, 2])
 def test_array_generator_matches_the_forces_route_bit_for_bit(dim, mode, weights):
-    """_generator on _force_values of a transposed stack is _frozen_generator(mean_field_forces)."""
+    """A transposed stack has the forces of a contiguous one, bit for bit, and so the generator."""
     grid = Grid(dim=dim, sites_per_dim=8, box_length=6.0, kinetic_mode=mode)
     pot = build_potential(grid, "gaussian", amplitude=1.5, width=2.5)
     state = random_orbital_set(grid, 3, np.random.default_rng(dim), time=0.4)
-    eps, t = state.scaling.epsilon, state.time
+    eps = state.scaling.epsilon
     vals = np.stack([phi.values for phi in state.orbitals], axis=-1)
-    orbital_first = vals.transpose(dim, *range(dim))
-    f_bar, B, C = _force_values(orbital_first, pot)
-    forces = mean_field_forces(state, pot)  # from a contiguous stack
-    assert np.array_equal(np.stack([f.values.real for f in forces.f_bar]), f_bar)
-    assert np.array_equal(forces.momentum_coupling.values, B)
-    assert np.array_equal(forces.quad_correction.values.real, C)
-    want = _frozen_generator(forces, t, eps, grid, weights)(vals)
-    assert np.array_equal(_generator(f_bar, B, C, t, eps, grid, weights)(vals), want)
+    got = _forces(vals.transpose(dim, *range(dim)), pot, state.time)
+    want = mean_field_forces(state, pot)  # from a contiguous stack
+    assert got.time == want.time
+    assert np.array_equal(got.f_bar, want.f_bar)
+    assert np.array_equal(got.momentum_coupling, want.momentum_coupling)
+    assert np.array_equal(got.quad_correction, want.quad_correction)
+    assert np.array_equal(_generator(got, eps, grid, weights)(vals),
+                          _generator(want, eps, grid, weights)(vals))
 
 
 @pytest.mark.parametrize("mode", ["spectral", "lattice"])

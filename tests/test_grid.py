@@ -22,7 +22,6 @@ from mflab.grid import (
     kinetic_multiplier,
     norm_l1,
     norm_l2,
-    zeros,
 )
 
 
@@ -51,8 +50,8 @@ def test_field_shape_checked():
 
 
 def test_mixed_grids_rejected():
-    a = zeros(Grid(dim=1, sites_per_dim=8, box_length=1.0))
-    b = zeros(Grid(dim=1, sites_per_dim=8, box_length=2.0))
+    a = Field(Grid(dim=1, sites_per_dim=8, box_length=1.0), np.zeros(8))
+    b = Field(Grid(dim=1, sites_per_dim=8, box_length=2.0), np.zeros(8))
     with pytest.raises(GridMismatchError):
         inner(a, b)
 

@@ -9,6 +9,7 @@ from mflab.gauge import run_gauged
 from mflab.grid import Grid, kinetic_multiplier, norm_l2
 from mflab.hartree import (
     OrbitalSet,
+    density,
     diagnostics,
     hartree_energy,
     hartree_step,
@@ -150,7 +151,7 @@ def test_diagnostics_density_consistency():
     grid, pot, state = localized_setup(n=24)
     rep = diagnostics(state, pot)
     assert rep.orthonormality_defect < 1e-12
-    assert abs(grid.cell_volume * np.sum(rep.rho.values.real) - state.N) < 1e-12
+    assert abs(grid.cell_volume * np.sum(density(state).values.real) - state.N) < 1e-12
     assert rep.d_value >= 1.0
 
 
