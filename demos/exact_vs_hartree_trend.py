@@ -11,8 +11,6 @@ The final-time comparison shrinks as N grows -- the mean-field trend -- while
 the occupied-complement weight alpha_n stays far below 1/2.
 """
 
-import numpy as np
-
 from mflab.cli import observable_dictionary
 from mflab.counting import alpha_number_onebody, build_projections
 from mflab.grid import Grid

@@ -245,12 +245,8 @@ def _compound(M: np.ndarray, N: int) -> np.ndarray:
 
 def build_projections(orbital_set) -> Projections:
     """Projections onto the span of an orthonormal orbital family."""
-    grid = orbital_set.grid
-    A = np.sqrt(grid.cell_volume) * orbital_set.value_matrix()
+    A = orbital_set.orthonormal_columns()
     N = A.shape[1]
-    defect = np.max(np.abs(A.conj().T @ A - np.eye(N)))
-    if defect > 1e-8:
-        raise ContractViolation(f"orbitals not orthonormal (defect {defect:.2e})")
     p = A @ A.conj().T
     return Projections(p=p, q=np.eye(len(A)) - p, columns=A, n_occupied=N)
 

@@ -64,6 +64,8 @@ def gauge_orbitals(state: OrbitalSet, potential: InteractionPotential) -> Orbita
     if potential.grid != state.grid:
         raise GridMismatchError("potential and orbitals use different grids")
     u = convolve_periodic(potential.v, density(state)).values.real
+    if not np.isfinite(u).all():  # exp(i 0 inf) at t = 0 would make NaN orbitals
+        raise NumericalFailure(f"non-finite v * rho at t = {state.time}")
     phase = np.exp(1j * state.time * state.scaling.epsilon * u)
     return OrbitalSet.from_values(state.grid, phase * state.values, state.time, state.scaling)
 

@@ -195,9 +195,10 @@ def gradient_multipliers(grid: Grid) -> tuple[np.ndarray, ...]:
 # ---------------------------------------------------------------------------
 
 
-def apply_multiplier(f: Field, multiplier: np.ndarray) -> Field:
-    axes = range(f.grid.dim)
-    return Field(f.grid, _fftn(multiplier * _fftn(f.values, axes), axes, inverse=True))
+def apply_multiplier(vals: np.ndarray, multiplier: np.ndarray) -> np.ndarray:
+    """The Fourier multiplier applied to grid values that may carry leading stack axes."""
+    axes = range(vals.ndim - multiplier.ndim, vals.ndim)
+    return _fftn(multiplier * _fftn(vals, axes), axes, inverse=True)
 
 
 @lru_cache(maxsize=None)

@@ -9,7 +9,10 @@ nearest-neighbour lattice kinetic, per ``Grid.kinetic_mode``) and ``v * rho``
 is the periodic convolution.  Time stepping is Strang splitting: a half step
 of the kinetic phase, a full step of the (self-consistently re-evaluated)
 potential phase, and another kinetic half step — second order, exactly
-unitary, hence exactly orbital-norm preserving.
+unitary, hence exactly orbital-norm preserving.  Consecutive steps share a
+kinetic half step, so ``hartree_step`` merges them ("first same as last"):
+n steps make a half kinetic phase, n potential kicks with a full kinetic
+phase between each two, and a half phase, one stacked transform pair a step.
 """
 
 from __future__ import annotations
@@ -20,11 +23,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigError, GridMismatchError, NumericalFailure
+from .errors import ConfigError, ContractViolation, GridMismatchError, NumericalFailure
 from .grid import (
     Field,
     Grid,
-    _fftn,
     apply_multiplier,
     convolve_periodic,
     inner,
@@ -35,6 +37,7 @@ from .model import (
     ScalingParams,
     d_value,
     derivative_densities,
+    step_count,
     step_schedule,
 )
 
@@ -103,6 +106,14 @@ class OrbitalSet:
         """Site-value matrix, one orbital per column (flattened C order)."""
         return np.stack([phi.ravel() for phi in self.values], axis=1)
 
+    def orthonormal_columns(self) -> np.ndarray:
+        """sqrt(h) ``value_matrix()``, whose columns must be orthonormal to 1e-8."""
+        A = np.sqrt(self.grid.cell_volume) * self.value_matrix()
+        defect = np.max(np.abs(A.conj().T @ A - np.eye(self.N)))
+        if not defect <= 1e-8:  # a NaN defect fails too
+            raise ContractViolation(f"orbitals are not orthonormal (defect {defect:.2e})")
+        return A
+
 
 def _density_values(values: np.ndarray) -> np.ndarray:
     """sum_k |phi_k|^2 of the orbitals stacked on axis 0 of ``values``, one orbital at a time."""
@@ -126,16 +137,14 @@ def orthonormality_defect(state: OrbitalSet) -> float:
     return float(np.max(np.abs(G - np.eye(state.N))))
 
 
-def kinetic_apply(phi: Field) -> Field:
-    """Apply the grid's kinetic operator K = -Laplace."""
-    return apply_multiplier(phi, kinetic_multiplier(phi.grid))
-
-
 def hartree_energy(state: OrbitalSet, potential: InteractionPotential) -> float:
     """Conserved energy sum_k <phi_k, K phi_k> + (1/2) <rho, v * rho>."""
-    if potential.grid != state.grid:
+    grid = state.grid
+    if potential.grid != grid:
         raise GridMismatchError("potential and orbitals use different grids")
-    kin = sum(inner(phi, kinetic_apply(phi)).real for phi in state.orbitals)
+    k_phis = apply_multiplier(state.values, kinetic_multiplier(grid))
+    kin = sum((grid.cell_volume * np.vdot(phi, k_phi)).real
+              for phi, k_phi in zip(state.values, k_phis))
     rho = density(state)
     pot = 0.5 * inner(rho, convolve_periodic(potential.v, rho)).real
     return float(kin + pot)
@@ -144,34 +153,36 @@ def hartree_energy(state: OrbitalSet, potential: InteractionPotential) -> float:
 def hartree_step(
     state: OrbitalSet, potential: InteractionPotential, dt: float, time: float
 ) -> OrbitalSet:
-    """One Strang step of the self-consistent evolution, to the given ``time``.
+    """The merged Strang steps (module docstring) of dt from ``state.time`` to ``time``.
 
-    Callers pass their step count times dt: ``state.time + dt`` would drift
-    by a rounding error per step.
-
-    A potential phase dt eps max|v * rho| above pi per step aliases, so it
-    raises ``NumericalFailure`` instead of returning an unresolved step.
-    The orbitals are stepped as the stack ``state.values``, and v * rho is
-    formed with the operations of ``convolve_periodic``.
+    The step count is ``step_count(time - state.time, dt)``, so a ``time``
+    off the dt grid raises ``ConfigError``; callers pass their step count
+    times dt, as adding dt per step drifts.  One step makes the operations
+    of an unmerged Strang step.  A potential phase dt eps max|v * rho| above
+    pi aliases, and a NaN one comes from non-finite orbitals or v * rho:
+    either raises ``NumericalFailure`` at its step, so the orbitals returned
+    are finite.  v * rho is formed with the operations of ``convolve_periodic``.
     """
+    n_steps = step_count(time - state.time, dt)
     grid = state.grid
     eps = state.scaling.epsilon
     half_kin = np.exp(-0.5j * dt * eps * kinetic_multiplier(grid))
-    space = range(grid.dim)
-    axes = tuple(range(1, grid.dim + 1))  # the orbitals are stacked on axis 0
+    full_kin = half_kin * half_kin if n_steps > 1 else None
 
-    mids = _fftn(half_kin * _fftn(state.values, axes), axes, inverse=True)
-    rho_hat = _fftn(_density_values(mids).astype(np.complex128), space)
-    u = (grid.cell_volume * _fftn(potential.v.spectrum * rho_hat, space, inverse=True)).real
-    phase = abs(dt * eps) * np.max(np.abs(u))
-    if phase > np.pi:
-        raise NumericalFailure(
-            f"potential phase {phase:.3g} rad per step exceeds pi: dt = {dt} "
-            "does not resolve v * rho"
-        )
-    pot_phase = np.exp(-1j * dt * eps * u)
-    new = _fftn(half_kin * _fftn(pot_phase * mids, axes), axes, inverse=True)
-    return OrbitalSet.from_values(grid, new, time, state.scaling)
+    vals = apply_multiplier(state.values, half_kin)
+    for step in range(1, n_steps + 1):
+        rho = _density_values(vals).astype(np.complex128)
+        u = (grid.cell_volume * apply_multiplier(rho, potential.v.spectrum)).real
+        phase = abs(dt * eps) * np.abs(u).max()
+        if not phase <= np.pi:
+            where = f"at step {step} of dt = {dt} after t = {state.time}"
+            if np.isfinite(phase):
+                raise NumericalFailure(f"potential phase {phase:.3g} rad {where} exceeds pi")
+            bad = "v * rho" if np.isfinite(vals).all() else "orbital values"
+            raise NumericalFailure(f"non-finite {bad} {where}")
+        pot_phase = np.exp(-1j * dt * eps * u)
+        vals = apply_multiplier(pot_phase * vals, half_kin if step == n_steps else full_kin)
+    return OrbitalSet.from_values(grid, vals, time, state.scaling)
 
 
 @dataclass(frozen=True)
@@ -224,24 +235,17 @@ def run_hartree(
 
     About 100 snapshots are recorded; ``snapshot_every`` overrides the
     default cadence max(1, floor(span / (100*dt))) steps, where span =
-    t_final - initial.time must be a positive multiple of dt.  Each step is
-    one ``hartree_step`` call; the state after step k carries the time
+    t_final - initial.time must be a positive multiple of dt.  Each interval
+    between two recorded steps is one ``hartree_step`` call, which reads its
+    step count from the times; the state after step k carries the time
     initial.time + k*dt.
     """
     if potential.grid != initial.grid:
         raise GridMismatchError("potential and orbitals use different grids")
-    n_steps, recorded = step_schedule(t_final - initial.time, dt, snapshot_every)
+    _, recorded = step_schedule(t_final - initial.time, dt, snapshot_every)
 
-    state = initial
-    snaps = [state]
-    diags = [diagnostics(state, potential)]
-    for step in range(1, n_steps + 1):
-        state = hartree_step(state, potential, dt, initial.time + step * dt)
-        if not np.isfinite(state.values).all():
-            raise NumericalFailure(f"non-finite orbital values at step {step}")
-        if step in recorded:
-            snaps.append(state)
-            diags.append(diagnostics(state, potential))
-    return HartreeTrajectory(
-        snapshots=tuple(snaps), diagnostics=tuple(diags), dt=dt, potential=potential
-    )
+    snaps = [initial]
+    for step in sorted(recorded)[1:]:
+        snaps.append(hartree_step(snaps[-1], potential, dt, initial.time + step * dt))
+    diags = tuple(diagnostics(state, potential) for state in snaps)
+    return HartreeTrajectory(snapshots=tuple(snaps), diagnostics=diags, dt=dt, potential=potential)

@@ -73,7 +73,7 @@ from scipy.linalg import expm
 from ._lanczos import expm_multiply_hermitian, expm_multiply_hermitian_times
 from .errors import ConfigError, ContractViolation, GridMismatchError, NumericalFailure
 from .grid import Field, dense_kinetic, difference_matrix
-from .model import InteractionPotential, ScalingParams, resolve_scaling, step_schedule
+from .model import InteractionPotential, ScalingParams, resolve_scaling, step_count
 
 DT_MIN = 1e-10  # smallest step a time-dependent generator may be integrated with
 
@@ -331,13 +331,7 @@ def slater_state(orbital_set, basis: ConfigBasis) -> ManyBodyState:
         raise ConfigError(
             f"basis particle number {basis.n_particles} != orbital count {orbital_set.N}"
         )
-    A = np.sqrt(grid.cell_volume) * orbital_set.value_matrix()
-    defect = np.max(np.abs(A.conj().T @ A - np.eye(orbital_set.N)))
-    if defect > 1e-8:
-        raise ContractViolation(
-            f"orbitals are not orthonormal (defect {defect:.2e}); "
-            "a determinant state needs an orthonormal family"
-        )
+    A = orbital_set.orthonormal_columns()
     stacked = A[basis.configs, :]  # (dim, N, N): rows = occupied sites, cols = orbitals
     amps = np.linalg.det(stacked)
     return ManyBodyState(basis, amps, orbital_set.time)
@@ -445,7 +439,7 @@ def propagate(
             raise ConfigError("time-dependent generators need a positive dt")
         if dt < DT_MIN:
             raise NumericalFailure(f"step size {dt} below DT_MIN {DT_MIN}")
-        n_steps, _ = step_schedule(span, dt)
+        n_steps = step_count(span, dt)
         amps = state.amplitudes
         for step in range(n_steps):
             op = hamiltonian(state.time + (step + 0.5) * dt)

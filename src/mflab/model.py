@@ -73,13 +73,8 @@ def resolve_scaling(scaling: ScalingParams, grid: Grid) -> ScalingParams:
     return replace(scaling, epsilon=epsilon_for(scaling.N, scaling.epsilon_rule, grid.dim))
 
 
-def step_schedule(span: float, dt: float, every: int | None = None) -> tuple[int, frozenset[int]]:
-    """Step count over ``span`` and the recorded step indices.
-
-    ``span`` must be a positive integer multiple of ``dt``.  Records are taken
-    every ``every`` steps (default max(1, floor(span / (100*dt))), about 100
-    snapshots) and always at steps 0 and n_steps.
-    """
+def step_count(span: float, dt: float) -> int:
+    """The number of steps dt in ``span``, a positive integer multiple of ``dt``."""
     if dt <= 0 or span <= 0:
         raise ConfigError("time span and dt must be positive")
     if not span / dt <= MAX_STEPS:  # also an overflowing quotient
@@ -90,6 +85,14 @@ def step_schedule(span: float, dt: float, every: int | None = None) -> tuple[int
     n_steps = int(round(span / dt))
     if n_steps < 1 or abs(n_steps * dt - span) > 1e-9 * max(1.0, span):
         raise ConfigError(f"time span {span} is not an integer multiple of dt = {dt}")
+    return n_steps
+
+
+def step_schedule(span: float, dt: float, every: int | None = None) -> tuple[int, frozenset[int]]:
+    """``step_count(span, dt)`` and the recorded step indices: every ``every`` steps
+    (default max(1, floor(span / (100*dt))), about 100 snapshots) and always
+    steps 0 and n_steps."""
+    n_steps = step_count(span, dt)
     every = every or max(1, math.floor(span / (100.0 * dt)))
     return n_steps, frozenset({0, n_steps, *range(every, n_steps, every)})
 
@@ -316,13 +319,13 @@ def derivative_densities(orbital_set) -> tuple[Field, Field]:
     by the operators that actually generate their dynamics.
     """
     grid = orbital_set.grid
-    minus_kinetic = -kinetic_multiplier(grid)
+    laps = apply_multiplier(orbital_set.values, -kinetic_multiplier(grid))
     rho_grad = np.zeros(grid.shape)
     rho_lap = np.zeros(grid.shape)
-    for phi in orbital_set.orbitals:
+    for phi, lap in zip(orbital_set.orbitals, laps):
         for g in gradient(phi):
             rho_grad += np.abs(g.values) ** 2
-        rho_lap += np.abs(apply_multiplier(phi, minus_kinetic).values) ** 2
+        rho_lap += np.abs(lap) ** 2
     return Field(grid, rho_grad), Field(grid, rho_lap)
 
 

@@ -9,7 +9,9 @@ class or function is referenced only by a name load, a ``from ... import``
 or a string; a method also by an attribute read, so ``np.zeros`` does not
 count as a use of a top-level ``zeros``.
 ``Grid.kinetic_mode`` is the only switch for the kinetic operator, so no
-public signature takes a ``mode``.
+public signature takes a ``mode``.  Every name a file of ``src/``, ``tests/``
+or ``demos/`` imports is loaded in that file; the package ``__init__.py``
+files import to re-export and are exempt.
 """
 
 import ast
@@ -105,3 +107,25 @@ def test_no_public_signature_takes_a_mode():
                 if isinstance(item, ast.AnnAssign) and getattr(item.target, "id", None) == "mode":
                     offenders.append(f"{path.stem}.{cls.name}.mode")
     assert not offenders, f"the kinetic mode belongs to Grid.kinetic_mode: {offenders}"
+
+
+def test_every_imported_name_is_loaded():
+    files = [
+        *(p for p in (ROOT / "src").rglob("*.py") if p.name != "__init__.py"),
+        *(ROOT / "tests").rglob("*.py"),
+        *(ROOT / "demos").rglob("*.py"),
+    ]
+    unused = []
+    for path in sorted(files):
+        tree = _parse(path)
+        loaded = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)
+                  and isinstance(n.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.partition(".")[0]
+                    if name not in loaded:
+                        unused.append(f"{path.relative_to(ROOT)}:{node.lineno} {name}")
+    assert not unused, f"imported names never loaded: {unused}"

@@ -295,6 +295,18 @@ def test_overflowing_potential_exits_3_without_traceback(tmp_path, command):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize(
+    "command, n", [("aux", 2), ("aux", 3), ("compare", 2), ("exact", 2), ("hartree", 2)]
+)
+def test_potential_overflowing_to_inf_exits_3_without_traceback(tmp_path, command, n):
+    """At amplitude 1e308 v * rho is inf, and the t = 0 gauge phase exp(i 0 inf) is NaN."""
+    proc = run_cli_process(command, tmp_path, "grid.sites=8", f"scaling.n={n}",
+                           "time.t_final=0.01", "potential.amplitude=1e308")
+    assert proc.returncode == 3, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("numerical failure:")
+
+
 def _numbers(lo, hi):
     return st.floats(lo, hi).map(repr)
 

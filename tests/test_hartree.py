@@ -4,10 +4,21 @@ import numpy as np
 import pytest
 
 from mflab import hartree
-from mflab.errors import ConfigError, GridMismatchError, NumericalFailure
+from mflab.counting import build_projections
+from mflab.errors import ConfigError, ContractViolation, GridMismatchError, NumericalFailure
 from mflab.gauge import run_gauged
-from mflab.grid import Grid, kinetic_multiplier, norm_l2
+from mflab.grid import (
+    Field,
+    Grid,
+    _fftn,
+    convolve_periodic,
+    dense_kinetic,
+    inner,
+    kinetic_multiplier,
+    norm_l2,
+)
 from mflab.hartree import (
+    HartreeDiagnostics,
     OrbitalSet,
     density,
     diagnostics,
@@ -16,7 +27,15 @@ from mflab.hartree import (
     orthonormality_defect,
     run_hartree,
 )
-from mflab.model import InitialFamily, ScalingParams, build_potential, make_orbitals
+from mflab.manybody import ConfigBasis, slater_state
+from mflab.model import (
+    InitialFamily,
+    ScalingParams,
+    build_potential,
+    d_value,
+    derivative_densities,
+    make_orbitals,
+)
 
 
 def localized_setup(n=32, box=8.0, N=2, mode="spectral"):
@@ -105,8 +124,6 @@ def test_self_convergence_order_two():
             norm_l2(_diff(pa, pb)) for pa, pb in zip(a.orbitals, b.orbitals)
         )
 
-    from mflab.grid import Field
-
     def _diff(pa, pb):
         return Field(pa.grid, pa.values - pb.values)
 
@@ -117,13 +134,9 @@ def test_self_convergence_order_two():
 
 def test_energy_matches_direct_formula():
     grid, pot, state = localized_setup(n=24)
-    from mflab.grid import convolve_periodic, dense_kinetic, inner
-
     A = state.value_matrix()
     T = dense_kinetic(grid)  # a spectral grid
     kin = grid.cell_volume * np.real(np.trace(A.conj().T @ (T @ A)))
-    from mflab.hartree import density
-
     rho = density(state)
     potE = 0.5 * inner(rho, convolve_periodic(pot.v, rho)).real
     assert hartree_energy(state, pot) == pytest.approx(kin + potE, rel=1e-12)
@@ -190,6 +203,20 @@ def test_non_finite_orbital_fails_at_the_first_step():
         run_hartree(bad, pot, t_final=0.05, dt=0.01)
 
 
+def test_a_nan_family_fails_the_orthonormality_check_of_every_user():
+    """A NaN defect compares false against any tolerance, so it is tested as not <= tol."""
+    grid = Grid(dim=1, sites_per_dim=8, box_length=8.0)
+    state = make_orbitals(InitialFamily("localized", width=1.2), 2, grid)
+    vals = state.values.copy()
+    vals[0, 2] = np.nan
+    bad = OrbitalSet.from_values(grid, vals, 0.0, state.scaling)
+    users = (OrbitalSet.orthonormal_columns, build_projections,
+             lambda s: slater_state(s, ConfigBasis(8, 2)))
+    for use in users:
+        with pytest.raises(ContractViolation, match="not orthonormal"):
+            use(bad)
+
+
 def test_run_hartree_rejects_a_potential_on_another_grid():
     _, _, state = localized_setup(n=16)
     _, other, _ = localized_setup(n=32)
@@ -197,19 +224,109 @@ def test_run_hartree_rejects_a_potential_on_another_grid():
         run_hartree(state, other, t_final=0.05, dt=0.01)
 
 
-def test_run_hartree_takes_one_hartree_step_per_step(monkeypatch):
-    """The module-level step is what run_hartree calls, so wrapping it sees every step."""
+def test_run_hartree_takes_one_hartree_step_per_recorded_interval(monkeypatch):
+    """The module-level step is what run_hartree calls, so wrapping it sees every
+    interval; the step counts it reads from the times sum to the run's steps."""
     _, pot, state = localized_setup(n=16)
-    calls = []
+    steps = []
 
-    def counted(*args):
-        calls.append(args[0].time)
-        return hartree_step(*args)
+    def counted(state, potential, dt, time):
+        steps.append(round((time - state.time) / dt))
+        return hartree_step(state, potential, dt, time)
 
     monkeypatch.setattr(hartree, "hartree_step", counted)
-    traj = run_hartree(state, pot, t_final=0.2, dt=0.01, snapshot_every=5)
-    assert len(calls) == 20
-    assert traj.snapshots[-1].time == pytest.approx(0.2, abs=1e-12)
+    traj = run_hartree(state, pot, t_final=0.23, dt=0.01, snapshot_every=5)
+    assert steps == [5, 5, 5, 5, 3]
+    assert traj.snapshots[-1].time == pytest.approx(0.23, abs=1e-12)
+
+
+def stepping_setup(dim, mode, N):
+    grid = Grid(dim=dim, sites_per_dim=16 if dim == 1 else 12, box_length=6.0,
+                kinetic_mode=mode)
+    pot = build_potential(grid, "gaussian", amplitude=1.5, width=1.6)
+    state = make_orbitals(InitialFamily("localized", width=0.6), N, grid,
+                          ScalingParams(N=N, epsilon=0.3))
+    return grid, pot, state
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4])
+@pytest.mark.parametrize("mode", ["spectral", "lattice"])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_merged_steps_match_repeated_single_steps(dim, mode, N):
+    _, pot, state = stepping_setup(dim, mode, N)
+    dt = 0.01
+    merged = hartree_step(state, pot, dt, 7 * dt)
+    single = state
+    for step in range(1, 8):
+        single = hartree_step(single, pot, dt, step * dt)
+    assert merged.time == single.time == 7 * dt
+    assert np.max(np.abs(merged.values - single.values)) <= 1e-12
+
+
+def test_step_count_off_the_dt_grid_is_rejected():
+    _, pot, state = localized_setup(n=16)
+    dt = 0.01
+    for time in (0.025, 0.0, -0.01, np.nan):
+        with pytest.raises(ConfigError):
+            hartree_step(state, pot, dt, time)
+
+
+def _inject_at_call(monkeypatch, call, edit):
+    """Let hartree_step's density see ``edit(orbital stack)`` at its ``call``-th step."""
+    density_values = hartree._density_values
+    seen = []
+
+    def patched(vals):
+        seen.append(None)
+        return density_values(edit(vals) if len(seen) == call else vals)
+
+    monkeypatch.setattr(hartree, "_density_values", patched)
+
+
+def test_aliasing_check_fires_inside_a_merged_call(monkeypatch):
+    _, pot, state = localized_setup(n=16)
+    _inject_at_call(monkeypatch, 3, lambda vals: 1e4 * vals)
+    with pytest.raises(NumericalFailure, match="at step 3 of .* exceeds pi"):
+        hartree_step(state, pot, 0.01, 0.05)
+
+
+def test_non_finite_orbital_fails_at_its_step_inside_a_merged_call(monkeypatch):
+    _, pot, state = localized_setup(n=16)
+
+    def poison(vals):
+        vals[1, 3] = np.nan  # the orbitals the step goes on with
+        return vals
+
+    _inject_at_call(monkeypatch, 4, poison)
+    with pytest.raises(NumericalFailure, match="non-finite orbital values at step 4 "):
+        hartree_step(state, pot, 0.01, 0.05)
+
+
+@pytest.mark.parametrize("mode", ["spectral", "lattice"])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_diagnostics_equal_the_per_orbital_formulas(dim, mode):
+    """The stacked K phi of the energy and the Laplacian density change no bit."""
+    grid, pot, state = stepping_setup(dim, mode, 3)
+    state = hartree_step(state, pot, 0.01, 0.05)
+    space = range(grid.dim)
+    k_mult = kinetic_multiplier(grid)
+    kin, rho_lap = 0, np.zeros(grid.shape)
+    for phi in state.orbitals:
+        k_phi = _fftn(k_mult * _fftn(phi.values, space), space, inverse=True)
+        kin += inner(phi, Field(grid, k_phi)).real
+        lap = _fftn(-k_mult * _fftn(phi.values, space), space, inverse=True)
+        rho_lap += np.abs(lap) ** 2
+    rho = density(state)
+    pot_energy = 0.5 * inner(rho, convolve_periodic(pot.v, rho)).real
+    rho_grad, _ = derivative_densities(state)
+    want = HartreeDiagnostics(
+        time=0.05,
+        energy=float(kin + pot_energy),
+        orthonormality_defect=orthonormality_defect(state),
+        d_value=d_value(state.N, rho_grad, Field(grid, rho_lap)),
+    )
+    assert diagnostics(state, pot) == want
+    assert np.array_equal(derivative_densities(state)[1].values, rho_lap)
 
 
 def test_snapshot_times_are_the_step_count_times_dt():
