@@ -13,13 +13,14 @@ threshold weights, the energy excess beta, and the distance between the
 auxiliary and gauged-exact states.
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 from mflab.auxiliary import base_interactions, run_auxiliary, truncate_interaction
 from mflab.counting import build_projections
 from mflab.gauge import gauge_orbitals
 from mflab.grid import Grid
-from mflab.hartree import OrbitalSet
 from mflab.model import InitialFamily, build_potential, make_orbitals
 
 grid = Grid(dim=1, sites_per_dim=8, box_length=8.0, kinetic_mode="lattice")
@@ -29,7 +30,7 @@ eps = initial.scaling.epsilon
 
 base = base_interactions(potential)
 t_probe = 0.6
-moved = OrbitalSet(orbitals=initial.orbitals, time=t_probe, scaling=initial.scaling)
+moved = replace(initial, time=t_probe)
 proj = build_projections(gauge_orbitals(moved, potential))
 kernel = t_probe * eps * base.pair_momentum \
     + (t_probe * eps) ** 2 * np.diag(base.pair_diag)

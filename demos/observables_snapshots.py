@@ -36,11 +36,11 @@ basis = ConfigBasis(grid.total_sites, N)
 hamiltonian = build_hamiltonian(basis, potential, initial.scaling)
 
 state = slater_state(initial, basis)
-spectrum0 = np.linalg.eigvalsh(rdm1(state).matrix)[::-1]
+spectrum0 = np.linalg.eigvalsh(rdm1(state))[::-1]
 print("gamma spectrum at t = 0 (Slater):", np.round(spectrum0[: N + 2], 9))
 
 state = propagate(state, hamiltonian, 1.0)
-spectrum1 = np.linalg.eigvalsh(rdm1(state).matrix)[::-1]
+spectrum1 = np.linalg.eigvalsh(rdm1(state))[::-1]
 print("gamma spectrum at t = 1:         ", np.round(spectrum1[: N + 2], 9))
 print(f"trace: {np.sum(spectrum1):.12f}   cap 1/N = {1 / N:.6f}")
 print()

@@ -171,11 +171,6 @@ def base_interactions(potential: InteractionPotential) -> BaseInteractions:
 # ---------------------------------------------------------------------------
 
 
-def orbital_projector(state: OrbitalSet) -> np.ndarray:
-    A = math.sqrt(state.grid.cell_volume) * state.value_matrix()
-    return A @ A.conj().T
-
-
 def mean_field_rw(state: OrbitalSet, potential: InteractionPotential):
     """Dense (R, W) from the convolved force data of the orbital family."""
     grid = state.grid
@@ -197,7 +192,7 @@ def trace_formula_rw(base: BaseInteractions, state: OrbitalSet):
     if state.grid != base.grid:
         raise GridMismatchError("orbitals and kernels use different grids")
     L = base.grid.total_sites
-    p = orbital_projector(state)
+    p = build_projections(state).p
     W2 = base.pair_momentum.reshape(L, L, L, L)
     R = np.einsum("xuyv,vu->xy", W2, p)
     w3 = base.triple_diag.reshape(L, L, L)
@@ -448,12 +443,12 @@ def energy_excess(aux_state: ManyBodyState, generator: ManyBodyOperator, e_g: fl
     return generator.epsilon / N * (expectation - e_g)
 
 
-def complement_kinetic(aux_state: ManyBodyState, gauged_orbitals: OrbitalSet) -> float:
-    """eps/N <Psi~, sum_i (q K q)_i Psi~>."""
-    grid = gauged_orbitals.grid
-    p = orbital_projector(gauged_orbitals)
-    q = np.eye(grid.total_sites) - p
-    qKq = q @ dense_kinetic(grid) @ q
+def complement_kinetic(
+    aux_state: ManyBodyState, gauged_orbitals: OrbitalSet, proj: Projections
+) -> float:
+    """eps/N <Psi~, sum_i (q K q)_i Psi~>, q from ``proj = build_projections(gauged_orbitals)``."""
+    q = proj.q
+    qKq = q @ dense_kinetic(gauged_orbitals.grid) @ q
     val = one_body_expectation(annihilated(aux_state), qKq).real
     return gauged_orbitals.scaling.epsilon / aux_state.basis.n_particles * val
 
@@ -495,11 +490,8 @@ class AuxRecord:
 class AuxiliaryRun:
     records: tuple[AuxRecord, ...]
     gammas: tuple[float, ...]
-    dt: float
-    basis: ConfigBasis
     aux_snapshots: tuple[ManyBodyState, ...]
     exact_snapshots: tuple[ManyBodyState, ...]
-    orbital_snapshots: tuple[OrbitalSet, ...]
 
     @property
     def times(self) -> np.ndarray:
@@ -555,12 +547,12 @@ def run_auxiliary(
     kinetic = lift_one_body(basis, dense_kinetic(grid)).toarray()
 
     psi0 = slater_state(initial, basis)
-    aux = psi0
-    exact = psi0
     exact_records = propagate(psi0, H_exact, [step * dt for step in sorted(recorded) if step])
     phi = initial
 
-    def take_record(t: float, aux_state, exact_state, phi_state):
+    records, aux_snaps, exact_snaps = [], [], []
+
+    def take_record(t: float, aux_state, exact_state, phi_state) -> None:
         psi_t = gauge_orbitals(phi_state, potential)
         proj = build_projections(psi_t)
         masses = sector_masses(aux_state, proj)
@@ -572,23 +564,18 @@ def run_auxiliary(
         gen_t = build_aux_generator(base, psi_t, t, basis, proj, kinetic)
         e_g = direct_energy(psi_t, potential)
         beta = energy_excess(aux_state, gen_t, e_g)
-        bad = complement_kinetic(aux_state, psi_t)
+        bad = complement_kinetic(aux_state, psi_t, proj)
         gauged_exact = gauge_manybody(exact_state, t, scaling.epsilon, potential)
         diff = float(np.linalg.norm(aux_state.amplitudes - gauged_exact.amplitudes))
-        return AuxRecord(
+        records.append(AuxRecord(
             time=t, alpha_n=a_n, alpha_m=a_m, beta=beta, e_gauge=e_g,
             bad_kinetic=bad, norm_diff_aux_gauged=diff,
-        ), psi_t
+        ))
+        aux_snaps.append(aux_state)
+        exact_snaps.append(exact_state)
 
-    records = []
-    aux_snaps, exact_snaps, orb_snaps = [], [], []
-    rec, _ = take_record(0.0, aux, exact, phi)
-    records.append(rec)
-    aux_snaps.append(aux)
-    exact_snaps.append(exact)
-    orb_snaps.append(phi)
-
-    amps = aux.amplitudes
+    take_record(0.0, psi0, psi0, phi)
+    amps = psi0.amplitudes
     for step in range(1, n_steps + 1):
         t_mid = (step - 0.5) * dt
         t_next = step * dt
@@ -600,22 +587,13 @@ def run_auxiliary(
         if not np.all(np.isfinite(amps)):
             raise NumericalFailure(f"non-finite truncated amplitudes at step {step}")
         if step in recorded:
-            aux = ManyBodyState(basis, amps, t_next)
-            exact = next(exact_records)
-            rec, _ = take_record(t_next, aux, exact, phi)
-            records.append(rec)
-            aux_snaps.append(aux)
-            exact_snaps.append(exact)
-            orb_snaps.append(phi)
+            take_record(t_next, ManyBodyState(basis, amps, t_next), next(exact_records), phi)
 
     return AuxiliaryRun(
         records=tuple(records),
         gammas=tuple(gammas),
-        dt=dt,
-        basis=basis,
         aux_snapshots=tuple(aux_snaps),
         exact_snapshots=tuple(exact_snaps),
-        orbital_snapshots=tuple(orb_snaps),
     )
 
 

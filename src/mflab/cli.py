@@ -460,7 +460,7 @@ def cmd_exact(cfg: RunConfig) -> None:
         for state in propagate(initial, hamiltonian, times):
             t = state.time
             norm = float(np.linalg.norm(state.amplitudes))
-            spectrum = np.linalg.eigvalsh(rdm1(state).matrix)[::-1]
+            spectrum = np.linalg.eigvalsh(rdm1(state))[::-1]
             spectra_rows.append([t, norm] + list(spectrum))
             occ = occupation_density(state)
             traces = [

@@ -67,7 +67,7 @@ def gauge_orbitals(state: OrbitalSet, potential: InteractionPotential) -> Orbita
     if not np.isfinite(u).all():  # exp(i 0 inf) at t = 0 would make NaN orbitals
         raise NumericalFailure(f"non-finite v * rho at t = {state.time}")
     phase = np.exp(1j * state.time * state.scaling.epsilon * u)
-    return OrbitalSet.from_values(state.grid, phase * state.values, state.time, state.scaling)
+    return OrbitalSet(state.grid, phase * state.values, state.time, state.scaling)
 
 
 @dataclass(frozen=True)
@@ -230,7 +230,6 @@ def cauchy_schwarz_report(
 class GaugedTrajectory:
     snapshots: tuple[OrbitalSet, ...]
     dt: float
-    potential: InteractionPotential
 
     @property
     def times(self) -> np.ndarray:
@@ -279,9 +278,9 @@ def run_gauged(
         if not np.isfinite(vals).all():
             raise NumericalFailure(f"non-finite gauged orbitals at step {step}")
         if step in recorded:
-            snaps.append(OrbitalSet.from_values(
+            snaps.append(OrbitalSet(
                 grid, vals.transpose(to_first), initial.time + step * dt, initial.scaling))
-    return GaugedTrajectory(snapshots=tuple(snaps), dt=dt, potential=potential)
+    return GaugedTrajectory(snapshots=tuple(snaps), dt=dt)
 
 
 def require_continuity_snapshots(count: int) -> None:

@@ -13,13 +13,13 @@ unitary, hence exactly orbital-norm preserving.  Consecutive steps share a
 kinetic half step, so ``hartree_step`` merges them ("first same as last"):
 n steps make a half kinetic phase, n potential kicks with a full kinetic
 phase between each two, and a half phase, one stacked transform pair a step.
+An ``OrbitalSet`` holds the family as one (N, *grid.shape) array, which
+``hartree_step`` advances whole.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -42,59 +42,35 @@ from .model import (
 )
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@dataclass(frozen=True, eq=False)
 class OrbitalSet:
     """An ordered family of N one-particle orbitals at a common time.
 
-    The orbitals are held as one complex array ``values`` of shape
-    (N, *grid.shape), orbital k at ``values[k]``.  ``OrbitalSet(orbitals,
-    time, scaling)`` stacks the given ``Field``s once;
-    ``OrbitalSet.from_values(grid, values, time, scaling)`` keeps the given
-    stack as it is and makes no ``Field``.  ``orbitals`` is the tuple of
-    ``Field``s, the given ones or views of the stack made on first use.
+    The orbitals are one complex array ``values`` of shape (N, *grid.shape),
+    orbital k at ``values[k]``; a complex128 array is kept as given, not
+    copied.  ``orbitals`` views each row as a ``Field``.
     """
 
-    values: np.ndarray = field(repr=False)
     grid: Grid
+    values: np.ndarray = field(repr=False)
     time: float
     scaling: ScalingParams
 
-    def __init__(self, orbitals: Sequence[Field], time: float, scaling: ScalingParams) -> None:
-        if not orbitals:
-            raise ConfigError("OrbitalSet needs at least one orbital")
-        grid = orbitals[0].grid
-        for phi in orbitals[1:]:
-            if phi.grid != grid:
-                raise GridMismatchError("orbitals live on different grids")
-        self._set(grid, np.stack([phi.values for phi in orbitals]), time, scaling)
-        self.__dict__["orbitals"] = tuple(orbitals)
-
-    @classmethod
-    def from_values(
-        cls, grid: Grid, values: np.ndarray, time: float, scaling: ScalingParams
-    ) -> OrbitalSet:
-        """The set whose orbital k is ``values[k]``; the array is not copied."""
-        values = np.asarray(values, dtype=np.complex128)
-        if values.shape[1:] != grid.shape:
+    def __post_init__(self) -> None:
+        values = np.asarray(self.values, dtype=np.complex128)
+        if values.shape[1:] != self.grid.shape:
             raise GridMismatchError(
-                f"orbital values shape {values.shape} does not stack grid shape {grid.shape}"
+                f"orbital values shape {values.shape} does not stack grid shape {self.grid.shape}"
             )
         if not len(values):
             raise ConfigError("OrbitalSet needs at least one orbital")
-        state = cls.__new__(cls)
-        state._set(grid, values, time, scaling)
-        return state
-
-    def _set(self, grid: Grid, values: np.ndarray, time: float, scaling: ScalingParams) -> None:
-        if scaling.N != len(values):
-            raise ConfigError(f"scaling.N = {scaling.N} but {len(values)} orbitals supplied")
-        if scaling.epsilon is None:
+        if self.scaling.N != len(values):
+            raise ConfigError(f"scaling.N = {self.scaling.N} but {len(values)} orbitals supplied")
+        if self.scaling.epsilon is None:
             raise ConfigError("OrbitalSet requires a resolved (concrete) epsilon")
-        for name, val in (("values", values), ("grid", grid), ("time", time),
-                          ("scaling", scaling)):
-            object.__setattr__(self, name, val)
+        object.__setattr__(self, "values", values)
 
-    @cached_property
+    @property
     def orbitals(self) -> tuple[Field, ...]:
         return tuple(Field(self.grid, phi) for phi in self.values)
 
@@ -182,7 +158,7 @@ def hartree_step(
             raise NumericalFailure(f"non-finite {bad} {where}")
         pot_phase = np.exp(-1j * dt * eps * u)
         vals = apply_multiplier(pot_phase * vals, half_kin if step == n_steps else full_kin)
-    return OrbitalSet.from_values(grid, vals, time, state.scaling)
+    return OrbitalSet(grid, vals, time, state.scaling)
 
 
 @dataclass(frozen=True)
@@ -216,8 +192,6 @@ class HartreeTrajectory:
 
     snapshots: tuple[OrbitalSet, ...]
     diagnostics: tuple[HartreeDiagnostics, ...]
-    dt: float
-    potential: InteractionPotential
 
     @property
     def times(self) -> np.ndarray:
@@ -248,4 +222,4 @@ def run_hartree(
     for step in sorted(recorded)[1:]:
         snaps.append(hartree_step(snaps[-1], potential, dt, initial.time + step * dt))
     diags = tuple(diagnostics(state, potential) for state in snaps)
-    return HartreeTrajectory(snapshots=tuple(snaps), diagnostics=diags, dt=dt, potential=potential)
+    return HartreeTrajectory(snapshots=tuple(snaps), diagnostics=diags)

@@ -498,13 +498,6 @@ def gauge_manybody(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OneBodyMatrix:
-    """A mode-space matrix: the reduced density of ``rdm1``."""
-
-    matrix: np.ndarray
-
-
 def annihilated(state: ManyBodyState) -> np.ndarray:
     """Phi[K, a] = <K| a_a |psi>: column a is a_a psi on the (N-1)-particle basis."""
     basis = state.basis
@@ -520,7 +513,7 @@ def one_body_expectation(Phi: np.ndarray, A: np.ndarray) -> complex:
     return complex(np.vdot(Phi, Phi @ A.T))
 
 
-def rdm1(state: ManyBodyState) -> OneBodyMatrix:
+def rdm1(state: ManyBodyState) -> np.ndarray:
     """gamma[x, y] = <a^dag_y a_x>/N (unit trace, 0 <= gamma <= 1/N).
 
     Taken from the annihilation map, M = Phi^H Phi with M[b, a] =
@@ -528,7 +521,7 @@ def rdm1(state: ManyBodyState) -> OneBodyMatrix:
     """
     Phi = annihilated(state)
     M = Phi.conj().T @ Phi
-    return OneBodyMatrix(matrix=M.T / state.basis.n_particles)
+    return M.T / state.basis.n_particles
 
 
 def occupation_density(state: ManyBodyState) -> np.ndarray:

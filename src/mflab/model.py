@@ -113,7 +113,6 @@ class InteractionPotential:
     v: Field
     force: tuple[Field, ...]
     kind: str
-    params: dict = field(repr=False, default_factory=dict)
     _pair_diagonals: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -126,12 +125,11 @@ class InteractionPotential:
         return np.stack([F.spectrum for F in self.force])
 
 
-def _evenness_defect(f: Field) -> float:
-    vals = f.values
-    rev = vals
-    for axis in range(f.grid.dim):
-        rev = np.roll(np.flip(rev, axis=axis), 1, axis=axis)
-    return float(np.max(np.abs(vals - rev)))
+def _reflect(vals: np.ndarray) -> np.ndarray:
+    """u(-x) of periodic grid values u(x): each axis flipped and rolled by one site."""
+    for axis in range(vals.ndim):
+        vals = np.roll(np.flip(vals, axis=axis), 1, axis=axis)
+    return vals
 
 
 def build_potential(grid: Grid, kind: str, **params) -> InteractionPotential:
@@ -180,16 +178,12 @@ def build_potential(grid: Grid, kind: str, **params) -> InteractionPotential:
     # map.  Truncated image sums leave a tiny parity defect at the half-box
     # seam, and downstream algebra (antisymmetric difference matrices,
     # exchange-symmetric pair kernels) needs the sampled force exactly odd.
-    for a in range(grid.dim):
-        rev = fvals[a]
-        for axis in range(grid.dim):
-            rev = np.roll(np.flip(rev, axis=axis), 1, axis=axis)
-        fvals[a] = 0.5 * (fvals[a] - rev)
+    fvals = [0.5 * (f - _reflect(f)) for f in fvals]
 
     v = Field(grid, vvals)
     force = tuple(Field(grid, f) for f in fvals)
-    pot = InteractionPotential(v=v, force=force, kind=kind, params=dict(params))
-    defect = _evenness_defect(v)
+    pot = InteractionPotential(v=v, force=force, kind=kind)
+    defect = float(np.max(np.abs(vvals - _reflect(vvals))))
     if defect > 1e-12 * max(1.0, float(np.max(np.abs(vvals)))):
         raise ContractViolation(f"potential is not even: defect {defect}")
     return pot
@@ -246,12 +240,11 @@ def make_orbitals(family: InitialFamily, N: int, grid: Grid,
     if family.kind == "delocalized":
         xs = grid.coordinate_mesh()
         amp = grid.box_length ** (-grid.dim / 2.0)
-        orbitals = []
-        for m in _plane_wave_modes(N, grid.dim):
-            phase = sum(
-                (2.0 * np.pi * m[a] / grid.box_length) * xs[a] for a in range(grid.dim)
-            )
-            orbitals.append(Field(grid, amp * np.exp(1j * phase)))
+        values = np.stack([
+            amp * np.exp(1j * sum(
+                (2.0 * np.pi * m[a] / grid.box_length) * xs[a] for a in range(grid.dim)))
+            for m in _plane_wave_modes(N, grid.dim)
+        ])
     else:
         if family.width < grid.spacing:
             raise ConfigError(
@@ -284,10 +277,9 @@ def make_orbitals(family: InitialFamily, N: int, grid: Grid,
             )
         S_inv_half = (evecs * evals**-0.5) @ evecs.conj().T
         stack = np.stack([f.values for f in raw], axis=-1)
-        mixed = stack @ S_inv_half
-        orbitals = [Field(grid, mixed[..., j]) for j in range(N)]
+        values = np.ascontiguousarray(np.moveaxis(stack @ S_inv_half, -1, 0))
 
-    return OrbitalSet(orbitals=tuple(orbitals), time=0.0, scaling=scaling)
+    return OrbitalSet(grid, values, 0.0, scaling)
 
 
 # ---------------------------------------------------------------------------

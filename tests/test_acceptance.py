@@ -16,6 +16,7 @@ orders, and oracle agreement at their native tolerances.
 import json
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -98,7 +99,8 @@ def random_orbital_set(grid, N, rng, epsilon=0.5):
         Field(grid, (Q[:, k] / math.sqrt(grid.cell_volume)).reshape(grid.shape))
         for k in range(N)
     )
-    return OrbitalSet(orbitals=fields, time=0.0, scaling=ScalingParams(N=N, epsilon=epsilon))
+    return OrbitalSet(grid, np.stack([phi.values for phi in fields]), 0.0,
+                      ScalingParams(N=N, epsilon=epsilon))
 
 
 def localized_system(sites=16, N=2, box=8.0):
@@ -238,13 +240,13 @@ def test_04_reduced_density_exactness():
     for _ in range(20):
         orbitals = random_orbital_set(grid, N, rng)
         proj = build_projections(orbitals)
-        gamma = rdm1(slater_state(orbitals, basis)).matrix
+        gamma = rdm1(slater_state(orbitals, basis))
         worst_slater = max(worst_slater, float(np.max(np.abs(gamma - proj.p / N))))
 
     worst_trace = worst_herm = 0.0
     eig_low, eig_high = np.inf, -np.inf
     for _ in range(50):
-        gamma = rdm1(random_state(basis, rng)).matrix
+        gamma = rdm1(random_state(basis, rng))
         worst_trace = max(worst_trace, abs(float(np.trace(gamma).real) - 1.0))
         worst_herm = max(worst_herm, float(np.max(np.abs(gamma - gamma.conj().T))))
         eigs = np.linalg.eigvalsh(gamma)
@@ -395,7 +397,7 @@ def test_09_rw_trace_formulas_and_generator_forms():
             worst_r = max(worst_r, defects["R_defect"])
             worst_w = max(worst_w, defects["W_defect"])
 
-            moved = OrbitalSet(orbitals=state.orbitals, time=0.8, scaling=state.scaling)
+            moved = replace(state, time=0.8)
             forces = mean_field_forces(moved, pot)
             probe = Field(grid, rng.standard_normal(grid.shape)
                           + 1j * rng.standard_normal(grid.shape))
@@ -419,7 +421,7 @@ def test_10_truncation_reconstruction_and_auxiliary_flow():
     t_probe = 0.6
 
     base = base_interactions(pot)
-    moved = OrbitalSet(orbitals=state.orbitals, time=t_probe, scaling=state.scaling)
+    moved = replace(state, time=t_probe)
     proj = build_projections(gauge_orbitals(moved, pot))
     w2 = t_probe * eps * base.pair_momentum \
         + (t_probe * eps) ** 2 * np.diag(base.pair_diag)

@@ -11,7 +11,9 @@ count as a use of a top-level ``zeros``.
 ``Grid.kinetic_mode`` is the only switch for the kinetic operator, so no
 public signature takes a ``mode``.  Every name a file of ``src/``, ``tests/``
 or ``demos/`` imports is loaded in that file; the package ``__init__.py``
-files import to re-export and are exempt.
+files import to re-export and are exempt.  Every field of a dataclass of
+``src/mflab`` is read as an attribute in ``src/``, ``demos/`` or the
+acceptance suite, unless the class hands itself whole to ``asdict``.
 """
 
 import ast
@@ -129,3 +131,38 @@ def test_every_imported_name_is_loaded():
                     if name not in loaded:
                         unused.append(f"{path.relative_to(ROOT)}:{node.lineno} {name}")
     assert not unused, f"imported names never loaded: {unused}"
+
+
+def _is_dataclass(cls: ast.ClassDef) -> bool:
+    """True if ``@dataclass`` or ``@dataclass(...)`` decorates the class."""
+    return any(getattr(getattr(dec, "func", dec), "id", None) == "dataclass"
+               for dec in cls.decorator_list)
+
+
+def _serialised_whole(cls: ast.ClassDef) -> bool:
+    """True if the class hands itself to ``asdict``, so every field is written out."""
+    return any(
+        isinstance(node, ast.Call) and getattr(node.func, "id", None) == "asdict"
+        and any(getattr(arg, "id", None) == "self" for arg in node.args)
+        for node in ast.walk(cls)
+    )
+
+
+def test_every_dataclass_field_is_read():
+    files = [*_modules(), *(ROOT / "demos").glob("*.py"), ROOT / "tests" / "test_acceptance.py"]
+    read = {
+        node.attr
+        for path in files
+        for node in ast.walk(_parse(path))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    unread = []
+    for path in _modules():
+        for cls in _parse(path).body:
+            if not (isinstance(cls, ast.ClassDef) and _is_dataclass(cls)) \
+                    or _serialised_whole(cls):
+                continue
+            for item in cls.body:
+                if isinstance(item, ast.AnnAssign) and item.target.id not in read:
+                    unread.append(f"{path.stem}.{cls.name}.{item.target.id}")
+    assert not unread, f"dataclass fields no caller reads: {unread}"

@@ -54,7 +54,8 @@ def random_orbital_set(grid, N, rng, epsilon=0.5):
         Field(grid, (Q[:, k] / math.sqrt(grid.cell_volume)).reshape(grid.shape))
         for k in range(N)
     )
-    return OrbitalSet(orbitals=fields, time=0.0, scaling=ScalingParams(N=N, epsilon=epsilon))
+    return OrbitalSet(grid, np.stack([phi.values for phi in fields]), 0.0,
+                      ScalingParams(N=N, epsilon=epsilon))
 
 
 def test_weight_tables():
@@ -421,11 +422,7 @@ def test_guards():
     rng = np.random.default_rng(31)
     grid = Grid(dim=1, sites_per_dim=6, box_length=6.0)
     good = random_orbital_set(grid, 2, rng)
-    bad = OrbitalSet(
-        orbitals=(good.orbitals[0], good.orbitals[0]),
-        time=0.0,
-        scaling=ScalingParams(N=2, epsilon=0.5),
-    )
+    bad = OrbitalSet(grid, good.values[[0, 0]], 0.0, ScalingParams(N=2, epsilon=0.5))
     with pytest.raises(ContractViolation):
         build_projections(bad)
     proj = build_projections(good)

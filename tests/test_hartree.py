@@ -1,5 +1,7 @@
 """Self-consistent orbital evolution: exactness, conservation, convergence."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -198,7 +200,7 @@ def test_non_finite_orbital_fails_at_the_first_step():
     _, pot, state = localized_setup(n=16)
     vals = state.values.copy()
     vals[1, 3] = np.nan
-    bad = OrbitalSet.from_values(state.grid, vals, state.time, state.scaling)
+    bad = OrbitalSet(state.grid, vals, state.time, state.scaling)
     with pytest.raises(NumericalFailure, match="non-finite orbital values at step 1"):
         run_hartree(bad, pot, t_final=0.05, dt=0.01)
 
@@ -209,7 +211,7 @@ def test_a_nan_family_fails_the_orthonormality_check_of_every_user():
     state = make_orbitals(InitialFamily("localized", width=1.2), 2, grid)
     vals = state.values.copy()
     vals[0, 2] = np.nan
-    bad = OrbitalSet.from_values(grid, vals, 0.0, state.scaling)
+    bad = OrbitalSet(grid, vals, 0.0, state.scaling)
     users = (OrbitalSet.orthonormal_columns, build_projections,
              lambda s: slater_state(s, ConfigBasis(8, 2)))
     for use in users:
@@ -336,7 +338,7 @@ def test_snapshot_times_are_the_step_count_times_dt():
     _, pot, state = localized_setup(n=16)
     dt = 0.01
     for start in (0.0, 0.5):
-        initial = OrbitalSet(orbitals=state.orbitals, time=start, scaling=state.scaling)
+        initial = replace(state, time=start)
         traj = run_hartree(initial, pot, t_final=start + 1.0, dt=dt, snapshot_every=10)
         expected = [start + k * dt for k in range(0, 101, 10)]
         assert traj.times.tolist() == expected
@@ -347,7 +349,7 @@ def test_snapshot_times_are_the_step_count_times_dt():
 @pytest.mark.parametrize("route", [run_hartree, run_gauged])
 def test_both_routes_end_at_t_final_from_a_later_start(route):
     _, pot, state = localized_setup(n=16)
-    later = OrbitalSet(orbitals=state.orbitals, time=0.5, scaling=state.scaling)
+    later = replace(state, time=0.5)
     traj = route(later, pot, t_final=1.0, dt=0.01)
     assert traj.snapshots[0].time == 0.5
     assert len(traj.snapshots) == 51
@@ -358,35 +360,23 @@ def test_both_routes_end_at_t_final_from_a_later_start(route):
 
 
 @pytest.mark.parametrize("dim", [1, 2])
-def test_orbital_set_from_values_matches_the_field_built_set(dim):
+def test_orbital_set_keeps_its_stack_and_rejects_bad_ones(dim):
     grid = Grid(dim=dim, sites_per_dim=16 if dim == 1 else 8, box_length=6.0)
     state = make_orbitals(InitialFamily("localized", width=0.8), 3, grid)
-    stack = np.stack([phi.values for phi in state.orbitals])
-    built = OrbitalSet.from_values(grid, stack, state.time, state.scaling)
-    assert built.values is stack  # no copy, no Field until asked for
-    assert "orbitals" not in vars(built)
-    assert np.array_equal(built.values, state.values)
-    assert built.N == state.N == 3 and built.grid == grid
-    for a, b in zip(built.orbitals, state.orbitals):
-        assert a.grid == grid and np.array_equal(a.values, b.values)
-    assert np.array_equal(built.value_matrix(), state.value_matrix())
-
-
-def test_orbital_set_rejects_the_same_inputs_from_either_constructor():
-    grid = Grid(dim=1, sites_per_dim=16, box_length=6.0)
-    state = make_orbitals(InitialFamily("localized", width=0.8), 2, grid)
-    fields, vals = state.orbitals, state.values
-    resolved = state.scaling
+    stack = state.values.copy()
+    built = OrbitalSet(grid, stack, state.time, state.scaling)
+    assert built.values is stack  # kept as given, not copied
+    assert built.N == 3 and built.grid == grid
+    for phi, row in zip(built.orbitals, stack):
+        assert phi.grid == grid and np.shares_memory(phi.values, stack)
+        assert np.array_equal(phi.values, row)
     cases = [
-        ((), vals[:0], resolved, "at least one orbital"),
-        (fields, vals, ScalingParams(N=3, epsilon=0.5), "scaling.N = 3 but 2"),
-        (fields, vals, ScalingParams(N=2), "resolved"),
+        (stack[:0], state.scaling, "at least one orbital"),
+        (stack, ScalingParams(N=2, epsilon=0.5), "scaling.N = 2 but 3"),
+        (stack, ScalingParams(N=3), "resolved"),
     ]
-    for orbitals, stack, scaling, message in cases:
+    for values, scaling, message in cases:
         with pytest.raises(ConfigError, match=message):
-            OrbitalSet(orbitals=orbitals, time=0.0, scaling=scaling)
-        with pytest.raises(ConfigError, match=message):
-            OrbitalSet.from_values(grid, stack, 0.0, scaling)
+            OrbitalSet(grid, values, 0.0, scaling)
     with pytest.raises(GridMismatchError):
-        OrbitalSet.from_values(Grid(dim=1, sites_per_dim=8, box_length=6.0), vals, 0.0,
-                               resolved)
+        OrbitalSet(Grid(dim=dim, sites_per_dim=4, box_length=6.0), stack, 0.0, state.scaling)

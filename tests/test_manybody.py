@@ -390,7 +390,7 @@ def test_slater_state_norm_and_rdm():
     orbs = make_orbitals(InitialFamily("localized", width=1.2), 3, grid)
     psi = slater_state(orbs, basis)
     assert abs(psi.norm - 1.0) < 1e-12
-    gamma = rdm1(psi).matrix
+    gamma = rdm1(psi)
     A = np.sqrt(grid.cell_volume) * orbs.value_matrix()
     p = A @ A.conj().T
     np.testing.assert_allclose(gamma, p / 3.0, atol=1e-12)
@@ -416,7 +416,7 @@ def test_rdm1_matches_one_body_table_oracle(L, N):
     rng = np.random.default_rng(100 * L + N)
     basis = ConfigBasis(n_modes=L, n_particles=N)
     state = random_state(basis, rng)
-    gamma = rdm1(state).matrix
+    gamma = rdm1(state)
     assert "one_body_table" not in basis.__dict__
     np.testing.assert_allclose(gamma, rdm1_table_oracle(state), rtol=0, atol=1e-14)
 
@@ -475,11 +475,7 @@ def test_occupation_density_matches_orbital_density():
 def test_slater_rejects_nonorthonormal():
     grid, pot, basis = small_system(N=2)
     orbs = make_orbitals(InitialFamily("localized", width=1.0), 2, grid)
-    skewed = type(orbs)(
-        orbitals=(orbs.orbitals[0], orbs.orbitals[0]),  # repeated orbital
-        time=0.0,
-        scaling=orbs.scaling,
-    )
+    skewed = type(orbs)(grid, orbs.values[[0, 0]], 0.0, orbs.scaling)  # repeated orbital
     with pytest.raises(ContractViolation):
         slater_state(skewed, basis)
 
