@@ -21,7 +21,7 @@ from mflab.model import InitialFamily, build_potential, make_orbitals
 grid = Grid(dim=1, sites_per_dim=16, box_length=8.0, kinetic_mode="lattice")
 potential = build_potential(grid, "gaussian", amplitude=1.0, width=3.0)
 family = InitialFamily("localized", width=1.2)
-dictionary = observable_dictionary(grid, boxes=8, include_bump=True)
+_, observables = observable_dictionary(grid, boxes=8, include_bump=True)
 
 print(f"{'N':>3} {'eps':>8} {'final comparison':>18} {'max alpha_n':>13}")
 finals = {}
@@ -39,7 +39,7 @@ for N in (2, 3, 4):
         worst_alpha = max(worst_alpha,
                           alpha_number_onebody(state, build_projections(snap)))
     final_snap = trajectory.snapshots[-1]
-    finals[N] = max(observe(M, state, final_snap).comparison for _, M in dictionary)
+    finals[N] = max(res.comparison for res in observe(observables, state, final_snap))
     print(f"{N:3d} {initial.scaling.epsilon:8.4f} {finals[N]:18.6e} {worst_alpha:13.2e}")
 
 print()

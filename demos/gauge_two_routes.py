@@ -13,7 +13,7 @@ residual that vanishes with the grid spacing.
 import numpy as np
 
 from mflab.gauge import continuity_residual, gauge_orbitals, run_gauged
-from mflab.grid import Field, Grid, norm_l2
+from mflab.grid import Grid, norm_l2
 from mflab.hartree import run_hartree
 from mflab.model import InitialFamily, build_potential, make_orbitals
 
@@ -27,10 +27,8 @@ def route_distance(dt: float) -> float:
     plain = run_hartree(initial, potential, t_final, dt, snapshot_every=10**9)
     via_phase = gauge_orbitals(plain.snapshots[-1], potential)
     direct = run_gauged(initial, potential, t_final, dt, snapshot_every=10**9)
-    return max(
-        norm_l2(Field(grid, a.values - b.values))
-        for a, b in zip(via_phase.orbitals, direct.snapshots[-1].orbitals)
-    )
+    # orbital by orbital: each route's family is one (N, *grid.shape) array
+    return max(norm_l2(a - b, grid) for a, b in zip(via_phase.values, direct.snapshots[-1].values))
 
 
 print(f"{'dt':>8} {'route distance':>16} {'ratio':>8}")

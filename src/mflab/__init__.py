@@ -2,7 +2,7 @@
 
 Subpackages are organised bottom-up:
 
-* ``grid``      periodic grids, fields, spectral/lattice operators
+* ``grid``      periodic grids and spectral/lattice operators on grid values
 * ``model``     interaction potentials, scaling, initial orbital families
 * ``hartree``   the rescaled self-consistent orbital evolution
 * ``gauge``     pair-phase gauge transforms and the gauged orbital flow
@@ -10,6 +10,10 @@ Subpackages are organised bottom-up:
 * ``counting``  occupancy sectors, weight operators, their comparison lemmas
 * ``auxiliary`` the projected (truncated) auxiliary dynamics and energies
 * ``cli``       reproducible command-line drivers
+
+Grid data (orbitals, densities, potentials, forces, observables) is a plain
+numpy array whose trailing axes are the grid's sites, with the ``Grid`` it
+lives on passed alongside; see ``grid``.
 """
 
 from .errors import (
@@ -19,10 +23,9 @@ from .errors import (
     MflabError,
     NumericalFailure,
 )
-from .grid import Field, Grid
+from .grid import Grid
 
 __all__ = [
-    "Field",
     "Grid",
     "MflabError",
     "GridMismatchError",

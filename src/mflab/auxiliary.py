@@ -139,7 +139,7 @@ def base_interactions(potential: InteractionPotential) -> BaseInteractions:
         raise ConfigError(f"dense pair kernels limited to 40 sites, got {L}")
     Gs = dense_gradient(grid)
     eye = np.eye(L)
-    Fd = [difference_matrix(Fa).real for Fa in potential.force]
+    Fd = [difference_matrix(Fa) for Fa in potential.force]
 
     pair_momentum = np.zeros((L * L, L * L), dtype=np.complex128)
     pair_diag = np.zeros(L * L)

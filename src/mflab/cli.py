@@ -49,14 +49,14 @@ from .gauge import (
     require_continuity_snapshots,
     run_gauged,
 )
-from .grid import Field, Grid
+from .grid import Grid
 from .hartree import run_hartree
 from .manybody import (
     ConfigBasis,
     build_hamiltonian,
+    exact_traces,
     gauge_manybody,
     observe,
-    occupation_density,
     propagate,
     propagate_dense,
     rdm1,
@@ -332,36 +332,31 @@ def load_config(args: argparse.Namespace) -> RunConfig:
 
 
 def observable_dictionary(grid: Grid, boxes: int = 8,
-                          include_bump: bool = True) -> list[tuple[str, Field]]:
+                          include_bump: bool = True) -> tuple[list[str], np.ndarray]:
     """Named multiplication observables: box indicators plus a smooth bump.
 
     ``boxes`` equal sub-boxes partition the domain along axis 0 (each
     observable is the 0/1 indicator of one sub-box), and the optional bump is
     cos^2(pi*u/(L/2)) on |u| <= L/4 (u the axis-0 distance from the box
     centre), i.e. a smooth function supported on half the box.  All are
-    diagonal, real, and have sup-norm one.
+    diagonal, real, and have sup-norm one.  Returns the names and one real
+    (n_obs, *grid.shape) array of the observables' values, in that order.
     """
     if not 1 <= boxes <= grid.sites_per_dim:
         raise ConfigError(f"need 1 <= boxes <= {grid.sites_per_dim}, got {boxes}")
     x = grid.axis_coordinates()
     L = grid.box_length
-    tail_shape = (-1,) + (1,) * (grid.dim - 1)
-
-    def along_axis0(profile: np.ndarray) -> Field:
-        vals = np.broadcast_to(profile.reshape(tail_shape), grid.shape)
-        return Field(grid, np.ascontiguousarray(vals, dtype=np.float64))
-
-    out = []
+    names, profiles = [], []
     for j in range(boxes):
-        mask = (x >= j * L / boxes - 1e-12) & (x < (j + 1) * L / boxes - 1e-12)
-        out.append((f"box{j}", along_axis0(mask.astype(np.float64))))
+        names.append(f"box{j}")
+        profiles.append((x >= j * L / boxes - 1e-12) & (x < (j + 1) * L / boxes - 1e-12))
     if include_bump:
         u = x - L / 2.0
-        profile = np.where(
-            np.abs(u) < L / 4.0, np.cos(np.pi * u / (L / 2.0)) ** 2, 0.0
-        )
-        out.append(("bump", along_axis0(profile)))
-    return out
+        names.append("bump")
+        profiles.append(np.where(np.abs(u) < L / 4.0, np.cos(np.pi * u / (L / 2.0)) ** 2, 0.0))
+    along_axis0 = np.reshape(profiles, (len(names), -1) + (1,) * (grid.dim - 1))
+    values = np.broadcast_to(along_axis0, (len(names),) + grid.shape)
+    return names, np.ascontiguousarray(values, dtype=np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -385,14 +380,14 @@ def _write_json(path: Path, payload) -> None:
 
 
 def write_sidecar(cfg: RunConfig, command: str) -> None:
-    dictionary = observable_dictionary(cfg.grid, cfg.boxes, cfg.include_bump)
+    names, _ = observable_dictionary(cfg.grid, cfg.boxes, cfg.include_bump)
     payload = {
         "command": command,
         "config": cfg.raw,
         "resolved_epsilon": {
             str(N): cfg.scaling_for(N).epsilon for N in cfg.n_values
         },
-        "observable_dictionary": [name for name, _ in dictionary],
+        "observable_dictionary": names,
         "package": "mflab",
     }
     _write_json(cfg.out_dir / "run_config.json", payload)
@@ -446,7 +441,7 @@ def cmd_hartree(cfg: RunConfig) -> None:
 
 def cmd_exact(cfg: RunConfig) -> None:
     potential = cfg.build_potential()
-    dictionary = observable_dictionary(cfg.grid, cfg.boxes, cfg.include_bump)
+    names, observables = observable_dictionary(cfg.grid, cfg.boxes, cfg.include_bump)
     _, recorded = step_schedule(cfg.t_final, cfg.dt, cfg.snapshot_every)
     times = [step * cfg.dt for step in sorted(recorded)]
     for N in cfg.n_values:
@@ -458,15 +453,10 @@ def cmd_exact(cfg: RunConfig) -> None:
         spectra_rows = []
         trace_rows = []
         for state in propagate(initial, hamiltonian, times):
-            t = state.time
-            norm = float(np.linalg.norm(state.amplitudes))
+            t, norm = state.time, state.norm
             spectrum = np.linalg.eigvalsh(rdm1(state))[::-1]
             spectra_rows.append([t, norm] + list(spectrum))
-            occ = occupation_density(state)
-            traces = [
-                float(np.dot(M.values.real.ravel(), occ)) / N for _, M in dictionary
-            ]
-            trace_rows.append([t, norm] + traces)
+            trace_rows.append([t, norm] + exact_traces(observables, state).tolist())
 
         _write_csv(
             cfg.out_dir / f"exact_N{N}_spectra.csv",
@@ -475,7 +465,7 @@ def cmd_exact(cfg: RunConfig) -> None:
         )
         _write_csv(
             cfg.out_dir / f"exact_N{N}_observables.csv",
-            ["t", "norm"] + [f"trace_{name}" for name, _ in dictionary],
+            ["t", "norm"] + [f"trace_{name}" for name in names],
             trace_rows,
         )
         if basis.dim <= 400:
@@ -491,8 +481,7 @@ def cmd_exact(cfg: RunConfig) -> None:
 
 def cmd_compare(cfg: RunConfig) -> None:
     potential = cfg.build_potential()
-    dictionary = observable_dictionary(cfg.grid, cfg.boxes, cfg.include_bump)
-    observables = [M for _, M in dictionary]
+    names, observables = observable_dictionary(cfg.grid, cfg.boxes, cfg.include_bump)
     summary: dict = {}
     for N in cfg.n_values:
         basis = _exact_basis(cfg, N)
@@ -524,7 +513,7 @@ def cmd_compare(cfg: RunConfig) -> None:
         _write_csv(
             cfg.out_dir / f"compare_N{N}.csv",
             ["t", "alpha_n", "comparison_max", "gauge_defect_max"]
-            + [f"comparison_{name}" for name, _ in dictionary],
+            + [f"comparison_{name}" for name in names],
             rows,
         )
         summary[f"N{N}"] = {

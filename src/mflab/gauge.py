@@ -33,6 +33,11 @@ centred-difference force couplings, mirroring the many-body lift exactly).
 
 ``cauchy_schwarz_report`` is an oracle for the paper's explicit-constant
 bound on the momentum coupling B; only tests call it.
+
+Orbitals are the (N, *grid.shape) ``values`` of an ``OrbitalSet`` (the
+generator takes them orbital axis last), and every convolution with v or a
+force component is ``grid.convolve_periodic`` of the potential's cached
+spectra.
 """
 
 from __future__ import annotations
@@ -45,17 +50,15 @@ import numpy as np
 from ._lanczos import expm_multiply_hermitian
 from .errors import ConfigError, GridMismatchError, NumericalFailure
 from .grid import (
-    Field,
     Grid,
     _fftn,
-    _gradient_values,
     convolve_periodic,
     gradient,
     gradient_multipliers,
     kinetic_multiplier,
     norm_l2,
 )
-from .hartree import OrbitalSet, _density_values, density
+from .hartree import OrbitalSet, density
 from .model import InteractionPotential, step_schedule
 
 
@@ -63,7 +66,7 @@ def gauge_orbitals(state: OrbitalSet, potential: InteractionPotential) -> Orbita
     """Multiply each orbital by the pair phase exp(+i t eps (v * rho_t))."""
     if potential.grid != state.grid:
         raise GridMismatchError("potential and orbitals use different grids")
-    u = convolve_periodic(potential.v, density(state)).values.real
+    u = convolve_periodic(potential.v_spectrum, density(state.values), state.grid).real
     if not np.isfinite(u).all():  # exp(i 0 inf) at t = 0 would make NaN orbitals
         raise NumericalFailure(f"non-finite v * rho at t = {state.time}")
     phase = np.exp(1j * state.time * state.scaling.epsilon * u)
@@ -95,29 +98,22 @@ def mean_field_forces(state: OrbitalSet, potential: InteractionPotential) -> Mea
 def _forces(psi: np.ndarray, potential: InteractionPotential, time: float) -> MeanFieldForces:
     """The forces at ``time`` of the orbitals stacked on axis 0 of ``psi`` (any layout).
 
-    rho is summed orbital by orbital and transformed as complex, as
-    ``density`` and ``Field.spectrum`` do.  The 3 d convolutions with the
-    force components F_a run as two stacked transform stages, F_a^ rho^
-    first and then [G_a, F_bar_a rho]; each product keeps the operand order
-    of ``convolve_periodic``, so the result is bit-identical to convolving
-    one pair at a time.
+    The 3 d convolutions with the force components F_a are two stacked
+    ``convolve_periodic`` calls, F_a * rho first and then F_a * [G_a,
+    F_bar_a rho]; each equals convolving one pair at a time, bit for bit.
     """
     grid = potential.grid
     d = grid.dim
-    force_hat = potential.force_spectrum
-    rho = _density_values(psi)
-    axes = tuple(range(1, d + 1))
-    rho_hat = _fftn(rho.astype(np.complex128), range(d))
-    f_bar = (grid.cell_volume * _fftn(force_hat * rho_hat, axes, inverse=True)).real
+    rho = density(psi)
+    f_bar = convolve_periodic(potential.force_spectrum, rho, grid).real
 
     conj_psi = np.conj(psi)
     flux = np.zeros((2, d) + grid.shape, dtype=np.complex128)  # [G_a], [F_bar_a rho]
-    for a, grad in enumerate(_gradient_values(psi, grid)):
+    for a, grad in enumerate(gradient(psi, grid)):
         for term in conj_psi * grad:  # summed orbital by orbital
             flux[0, a] += term
     flux[1] = f_bar * rho
-    flux_axes = tuple(range(2, d + 2))
-    conv = grid.cell_volume * _fftn(force_hat * _fftn(flux, flux_axes), flux_axes, inverse=True)
+    conv = convolve_periodic(potential.force_spectrum, flux, grid)
     B = np.zeros(grid.shape, dtype=np.complex128)
     C = np.zeros(grid.shape)
     for a in range(d):
@@ -182,16 +178,18 @@ def _generator(
     return matvec
 
 
-def covariant_apply(psi: Field, forces: MeanFieldForces, epsilon: float) -> Field:
+def covariant_apply(
+    psi: np.ndarray, forces: MeanFieldForces, epsilon: float, grid: Grid
+) -> np.ndarray:
     """The oracle form (i grad + t eps F_bar)^2 + t eps (A + B + 2 t eps C) applied to ``psi``.
 
-    t is ``forces.time``.  The square's kinetic part is sum_a |gradient
+    ``psi`` holds the values of one function on ``grid``; t is
+    ``forces.time``.  The square's kinetic part is sum_a |gradient
     multiplier|^2, so the multiplier K - sum_a |m_a|^2 is added to make it
     the grid's K: zero up to roundoff in spectral mode, the lattice
     kinetic's difference from the squared centred difference in lattice
     mode.
     """
-    grid, vals = psi.grid, psi.values
     te = forces.time * epsilon
     mults = gradient_multipliers(grid)
 
@@ -199,12 +197,12 @@ def covariant_apply(psi: Field, forces: MeanFieldForces, epsilon: float) -> Fiel
         return np.fft.ifftn(mults[a] * np.fft.fftn(u))
 
     kin_defect = kinetic_multiplier(grid) - sum(np.abs(m) ** 2 for m in mults)
-    out = np.fft.ifftn(kin_defect * np.fft.fftn(vals))
-    out = out + te * (forces.mixed_real + 2.0 * te * forces.quad_correction) * vals
+    out = np.fft.ifftn(kin_defect * np.fft.fftn(psi))
+    out = out + te * (forces.mixed_real + 2.0 * te * forces.quad_correction) * psi
     for a, f in enumerate(forces.f_bar):
-        w = 1j * deriv(vals, a) + te * f * vals
+        w = 1j * deriv(psi, a) + te * f * psi
         out = out + 1j * deriv(w, a) + te * f * w
-    return Field(grid, out)
+    return out
 
 
 def cauchy_schwarz_report(
@@ -217,11 +215,8 @@ def cauchy_schwarz_report(
     """
     forces = mean_field_forces(state, potential)
     lhs = float(np.max(np.abs(forces.momentum_coupling)))
-    f_mag = np.sqrt(sum(F.values.real**2 for F in potential.force))
-    grad_sq = 0.0
-    for psi in state.orbitals:
-        for g in gradient(psi):
-            grad_sq += norm_l2(g) ** 2
+    f_mag = np.sqrt(sum(F**2 for F in potential.force))
+    grad_sq = sum(norm_l2(g, state.grid) ** 2 for g in gradient(state.values, state.grid))
     rhs = float(np.max(f_mag)) * np.sqrt(state.N) * np.sqrt(grad_sq)
     return {"lhs": lhs, "rhs": float(rhs)}
 
@@ -307,7 +302,8 @@ def continuity_residual(traj: GaugedTrajectory, potential: InteractionPotential)
     eps = traj.snapshots[0].scaling.epsilon
     times = traj.times
     u = [
-        convolve_periodic(potential.v, density(s)).values.real for s in traj.snapshots
+        convolve_periodic(potential.v_spectrum, density(s.values), s.grid).real
+        for s in traj.snapshots
     ]
     out = []
     for i in range(1, len(traj.snapshots) - 1):

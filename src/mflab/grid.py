@@ -1,12 +1,18 @@
-"""Periodic grids, fields, and spectral/lattice kinetic operators.
+"""Periodic grids and spectral/lattice kinetic operators.
 
 Conventions used throughout the package:
 
 * The torus [0, box_length)^dim is sampled on ``sites_per_dim`` points per
   axis, spacing ``h = box_length / sites_per_dim``.  Site values are stored
   in C order, axis 0 slowest.
+* Grid data is a plain numpy array whose trailing ``dim`` axes are the
+  grid's sites; leading axes stack several functions (the orbitals of a
+  family, the components of a force), and the operations here act on every
+  stacked function at once.  The ``Grid`` is passed alongside.  Real
+  functions (potentials, forces, densities, observables) are real arrays.
 * The momentum lattice per axis is ``2*pi/box_length * {-n/2, ..., n/2-1}``
-  in FFT ordering (``numpy.fft.fftfreq`` convention).
+  in FFT ordering (``numpy.fft.fftfreq`` convention).  A spectrum is the
+  ``fftn`` over the grid axes of the complex128 cast of the values.
 * ``Grid.kinetic_mode`` is the only switch between the two kinetic
   operators: "spectral" (multipliers ``|k|**2`` and ``i*k_axis``) or
   "lattice" (nearest-neighbour kinetic and centred-difference gradient).
@@ -19,13 +25,13 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
-from functools import cached_property, lru_cache, reduce
+from dataclasses import dataclass
+from functools import lru_cache, reduce
 
 import numpy as np
 from numpy.fft import _pocketfft_umath as _pocketfft
 
-from .errors import ConfigError, GridMismatchError
+from .errors import ConfigError
 
 KINETIC_MODES = ("spectral", "lattice")
 
@@ -107,37 +113,6 @@ class Grid:
         return tuple(np.meshgrid(*([k] * self.dim), indexing="ij"))
 
 
-@dataclass(frozen=True, eq=False)
-class Field:
-    """Complex scalar field sampled on a grid."""
-
-    grid: Grid
-    values: np.ndarray = field(repr=False)
-
-    def __post_init__(self) -> None:
-        vals = np.asarray(self.values, dtype=np.complex128)
-        if vals.shape != self.grid.shape:
-            raise GridMismatchError(
-                f"field values shape {vals.shape} does not match grid shape {self.grid.shape}"
-            )
-        object.__setattr__(self, "values", vals)
-
-    @cached_property
-    def spectrum(self) -> np.ndarray:
-        """``fftn`` of the values, computed on first use; a Field's values must not change."""
-        return _fftn(self.values, range(self.grid.dim))
-
-
-def require_same_grid(*fields: Field) -> Grid:
-    grid = fields[0].grid
-    for f in fields[1:]:
-        if f.grid != grid:
-            raise GridMismatchError(
-                f"fields live on different grids: {grid} vs {f.grid}"
-            )
-    return grid
-
-
 def _fftn(vals: np.ndarray, axes: Sequence[int], inverse: bool = False) -> np.ndarray:
     """``np.fft.fftn(vals, axes=axes)`` (``ifftn`` if ``inverse``), one axis at a time.
 
@@ -148,6 +123,8 @@ def _fftn(vals: np.ndarray, axes: Sequence[int], inverse: bool = False) -> np.nd
     handling of fftn and fft, which on small grids costs more than the
     transforms.  Each axis writes a fresh C-ordered complex array, so any
     input layout works, and a stacked array transforms each line as on its own.
+    The gufunc has complex loops only, so real values are transformed as
+    their complex128 cast.
     """
     ufunc = _pocketfft.ifft if inverse else _pocketfft.fft
     for axis in reversed(axes):
@@ -191,7 +168,7 @@ def gradient_multipliers(grid: Grid) -> tuple[np.ndarray, ...]:
 
 
 # ---------------------------------------------------------------------------
-# field operations
+# operations on grid values (leading stack axes allowed)
 # ---------------------------------------------------------------------------
 
 
@@ -207,50 +184,49 @@ def _shift_index(n: int, step: int) -> np.ndarray:
     return (np.arange(n) + step) % n
 
 
-def _gradient_values(vals: np.ndarray, grid: Grid) -> list[np.ndarray]:
-    """Gradient components of grid values that may carry leading stack axes."""
-    axes = tuple(range(vals.ndim - grid.dim, vals.ndim))
+def gradient(vals: np.ndarray, grid: Grid) -> tuple[np.ndarray, ...]:
+    """Gradient components, one per axis, of grid values that may carry leading stack axes.
+
+    spectral: the multipliers i*k_a.  lattice: the centred difference,
+    evaluated by periodic shifts (exactly antisymmetric).  Each stacked
+    function's components equal those of the function on its own.
+    """
+    axes = range(vals.ndim - grid.dim, vals.ndim)
     if grid.kinetic_mode == "lattice":
         h = grid.spacing
         up, down = _shift_index(grid.sites_per_dim, 1), _shift_index(grid.sites_per_dim, -1)
-        return [(vals.take(up, axis=a) - vals.take(down, axis=a)) / (2.0 * h) for a in axes]
+        return tuple((vals.take(up, axis=a) - vals.take(down, axis=a)) / (2.0 * h) for a in axes)
     spectrum = _fftn(vals, axes)
-    return [_fftn(m * spectrum, axes, inverse=True) for m in gradient_multipliers(grid)]
+    return tuple(_fftn(m * spectrum, axes, inverse=True) for m in gradient_multipliers(grid))
 
 
-def gradient(f: Field) -> tuple[Field, ...]:
-    """Gradient components in the grid's mode.
+def convolve_periodic(kernel_spectrum: np.ndarray, vals: np.ndarray, grid: Grid) -> np.ndarray:
+    """Periodic convolution (a * b)(x) = h^dim * sum_y a(x-y) b(y) of kernels a with values b.
 
-    spectral: the multipliers i*k_a.  lattice: the centred difference,
-    evaluated by rolls (exactly antisymmetric).
+    ``kernel_spectrum`` is the spectrum of the kernels a, which
+    ``InteractionPotential`` caches for its v and force, so each is
+    transformed once.  Kernels and
+    values may carry leading stack axes, which broadcast; each stacked
+    convolution equals the one of its pair on its own.  The result is
+    complex; for real a and b its imaginary part is roundoff, and callers
+    take ``.real``.
     """
-    return tuple(Field(f.grid, g) for g in _gradient_values(f.values, f.grid))
+    product = kernel_spectrum * _fftn(vals, range(vals.ndim - grid.dim, vals.ndim))
+    axes = range(product.ndim - grid.dim, product.ndim)
+    return grid.cell_volume * _fftn(product, axes, inverse=True)
 
 
-def convolve_periodic(a: Field, b: Field) -> Field:
-    """Periodic convolution (a * b)(x) = h^dim * sum_y a(x-y) b(y).
-
-    Both spectra are cached on their Fields, so a potential's v and force
-    components are transformed once, and so is a field convolved with
-    several kernels.
-    """
-    grid = require_same_grid(a, b)
-    vals = grid.cell_volume * _fftn(a.spectrum * b.spectrum, range(grid.dim), inverse=True)
-    return Field(grid, vals)
+def inner(a: np.ndarray, b: np.ndarray, grid: Grid) -> complex:
+    """L2 inner product of grid values with measure weight, conjugate-linear in ``a``."""
+    return complex(grid.cell_volume * np.vdot(a, b))
 
 
-def inner(a: Field, b: Field) -> complex:
-    """L2 inner product with measure weight, conjugate-linear in ``a``."""
-    grid = require_same_grid(a, b)
-    return complex(grid.cell_volume * np.vdot(a.values, b.values))
+def norm_l2(vals: np.ndarray, grid: Grid) -> float:
+    return float(np.sqrt(grid.cell_volume) * np.linalg.norm(vals))
 
 
-def norm_l2(f: Field) -> float:
-    return float(np.sqrt(f.grid.cell_volume) * np.linalg.norm(f.values))
-
-
-def norm_l1(f: Field) -> float:
-    return float(f.grid.cell_volume * np.sum(np.abs(f.values)))
+def norm_l1(vals: np.ndarray, grid: Grid) -> float:
+    return float(grid.cell_volume * np.sum(np.abs(vals)))
 
 
 # ---------------------------------------------------------------------------
@@ -285,18 +261,15 @@ def dense_kinetic(grid: Grid) -> np.ndarray:
     return sum(_on_each_axis(grid, one))
 
 
-def difference_matrix(f: Field) -> np.ndarray:
-    """Matrix M[x, y] = f(x - y) over flattened sites (periodic differences).
+def difference_matrix(vals: np.ndarray) -> np.ndarray:
+    """Matrix M[x, y] = f(x - y) over flattened sites (periodic differences) of grid values f.
 
-    Only meaningful for fields sampled from periodic functions of the
+    Only meaningful for values sampled from periodic functions of the
     separation (interaction potentials, force components).
     """
-    grid = f.grid
-    n = grid.sites_per_dim
-    idx = np.arange(grid.total_sites)
-    multi = np.array(np.unravel_index(idx, grid.shape))
-    diffs = tuple(np.mod(multi[a][:, None] - multi[a][None, :], n) for a in range(grid.dim))
-    return f.values[diffs]
+    multi = np.unravel_index(np.arange(vals.size), vals.shape)
+    diffs = tuple(np.mod(m[:, None] - m[None, :], n) for m, n in zip(multi, vals.shape))
+    return vals[diffs]
 
 
 @lru_cache(maxsize=None)

@@ -14,24 +14,22 @@ kinetic half step, so ``hartree_step`` merges them ("first same as last"):
 n steps make a half kinetic phase, n potential kicks with a full kinetic
 phase between each two, and a half phase, one stacked transform pair a step.
 An ``OrbitalSet`` holds the family as one (N, *grid.shape) array, which
-``hartree_step`` advances whole.
+``hartree_step`` advances whole; ``density`` sums it, and v * rho is
+``grid.convolve_periodic`` of the potential's cached spectrum, here and in
+the energy.  ``gram_matrix`` is the one Gram formula: the diagnostics'
+``orthonormality_defect`` and the orthonormality check of
+``OrbitalSet.orthonormal_columns`` read it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .errors import ConfigError, ContractViolation, GridMismatchError, NumericalFailure
-from .grid import (
-    Field,
-    Grid,
-    apply_multiplier,
-    convolve_periodic,
-    inner,
-    kinetic_multiplier,
-)
+from .grid import Grid, apply_multiplier, convolve_periodic, inner, kinetic_multiplier, norm_l1
 from .model import (
     InteractionPotential,
     ScalingParams,
@@ -48,7 +46,8 @@ class OrbitalSet:
 
     The orbitals are one complex array ``values`` of shape (N, *grid.shape),
     orbital k at ``values[k]``; a complex128 array is kept as given, not
-    copied.  ``orbitals`` views each row as a ``Field``.
+    copied, and must not change afterwards: ``kinetic_values`` is computed
+    from it once.
     """
 
     grid: Grid
@@ -71,10 +70,6 @@ class OrbitalSet:
         object.__setattr__(self, "values", values)
 
     @property
-    def orbitals(self) -> tuple[Field, ...]:
-        return tuple(Field(self.grid, phi) for phi in self.values)
-
-    @property
     def N(self) -> int:
         return len(self.values)
 
@@ -84,23 +79,23 @@ class OrbitalSet:
 
     def orthonormal_columns(self) -> np.ndarray:
         """sqrt(h) ``value_matrix()``, whose columns must be orthonormal to 1e-8."""
-        A = np.sqrt(self.grid.cell_volume) * self.value_matrix()
-        defect = np.max(np.abs(A.conj().T @ A - np.eye(self.N)))
+        defect = orthonormality_defect(self)
         if not defect <= 1e-8:  # a NaN defect fails too
             raise ContractViolation(f"orbitals are not orthonormal (defect {defect:.2e})")
-        return A
+        return np.sqrt(self.grid.cell_volume) * self.value_matrix()
+
+    @cached_property
+    def kinetic_values(self) -> np.ndarray:
+        """K phi_k of every orbital, stacked as ``values``, from one transform pair."""
+        return apply_multiplier(self.values, kinetic_multiplier(self.grid))
 
 
-def _density_values(values: np.ndarray) -> np.ndarray:
+def density(values: np.ndarray) -> np.ndarray:
     """sum_k |phi_k|^2 of the orbitals stacked on axis 0 of ``values``, one orbital at a time."""
     rho = np.zeros(values.shape[1:])
     for phi in values:
         rho += np.abs(phi) ** 2
     return rho
-
-
-def density(state: OrbitalSet) -> Field:
-    return Field(state.grid, _density_values(state.values))
 
 
 def gram_matrix(state: OrbitalSet) -> np.ndarray:
@@ -109,8 +104,7 @@ def gram_matrix(state: OrbitalSet) -> np.ndarray:
 
 
 def orthonormality_defect(state: OrbitalSet) -> float:
-    G = gram_matrix(state)
-    return float(np.max(np.abs(G - np.eye(state.N))))
+    return float(np.max(np.abs(gram_matrix(state) - np.eye(state.N))))
 
 
 def hartree_energy(state: OrbitalSet, potential: InteractionPotential) -> float:
@@ -118,11 +112,10 @@ def hartree_energy(state: OrbitalSet, potential: InteractionPotential) -> float:
     grid = state.grid
     if potential.grid != grid:
         raise GridMismatchError("potential and orbitals use different grids")
-    k_phis = apply_multiplier(state.values, kinetic_multiplier(grid))
     kin = sum((grid.cell_volume * np.vdot(phi, k_phi)).real
-              for phi, k_phi in zip(state.values, k_phis))
-    rho = density(state)
-    pot = 0.5 * inner(rho, convolve_periodic(potential.v, rho)).real
+              for phi, k_phi in zip(state.values, state.kinetic_values))
+    rho = density(state.values)
+    pot = 0.5 * inner(rho, convolve_periodic(potential.v_spectrum, rho, grid), grid).real
     return float(kin + pot)
 
 
@@ -137,7 +130,7 @@ def hartree_step(
     of an unmerged Strang step.  A potential phase dt eps max|v * rho| above
     pi aliases, and a NaN one comes from non-finite orbitals or v * rho:
     either raises ``NumericalFailure`` at its step, so the orbitals returned
-    are finite.  v * rho is formed with the operations of ``convolve_periodic``.
+    are finite.
     """
     n_steps = step_count(time - state.time, dt)
     grid = state.grid
@@ -147,8 +140,7 @@ def hartree_step(
 
     vals = apply_multiplier(state.values, half_kin)
     for step in range(1, n_steps + 1):
-        rho = _density_values(vals).astype(np.complex128)
-        u = (grid.cell_volume * apply_multiplier(rho, potential.v.spectrum)).real
+        u = convolve_periodic(potential.v_spectrum, density(vals), grid).real
         phase = abs(dt * eps) * np.abs(u).max()
         if not phase <= np.pi:
             where = f"at step {step} of dt = {dt} after t = {state.time}"
@@ -177,12 +169,13 @@ class HartreeDiagnostics:
 
 
 def diagnostics(state: OrbitalSet, potential: InteractionPotential) -> HartreeDiagnostics:
-    rho_grad, rho_lap = derivative_densities(state)
+    """The snapshot's measures; the energy and rho_lap share its ``kinetic_values``."""
+    grad_l1, lap_l1 = (norm_l1(r, state.grid) for r in derivative_densities(state))
     return HartreeDiagnostics(
         time=state.time,
         energy=hartree_energy(state, potential),
         orthonormality_defect=orthonormality_defect(state),
-        d_value=d_value(state.N, rho_grad, rho_lap),
+        d_value=d_value(state.N, grad_l1, lap_l1),
     )
 
 

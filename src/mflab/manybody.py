@@ -72,7 +72,8 @@ from scipy.linalg import expm
 
 from ._lanczos import expm_multiply_hermitian, expm_multiply_hermitian_times
 from .errors import ConfigError, ContractViolation, GridMismatchError, NumericalFailure
-from .grid import Field, dense_kinetic, difference_matrix
+from .grid import dense_kinetic, difference_matrix
+from .hartree import density
 from .model import InteractionPotential, ScalingParams, resolve_scaling, step_count
 
 DT_MIN = 1e-10  # smallest step a time-dependent generator may be integrated with
@@ -367,7 +368,7 @@ def pairwise_potential_vector(basis: ConfigBasis, potential: InteractionPotentia
     """
     key = (basis.n_modes, basis.n_particles)
     if key not in potential._pair_diagonals:
-        V = difference_matrix(potential.v).real
+        V = difference_matrix(potential.v)
         occ = basis.occupancy
         quad = np.einsum("ij,ij->i", occ @ V, occ)
         vsum = 0.5 * (quad - occ @ np.diag(V))
@@ -536,30 +537,31 @@ class ObservationResult:
     comparison: float
 
 
-def observe(
-    M: Field | Sequence[Field], state: ManyBodyState, orbital_set
-) -> ObservationResult | list[ObservationResult]:
-    """Compare <Psi, (1/N) sum_i M_i Psi> with Tr(M p)/N for multiplication observables.
+def exact_traces(M: np.ndarray, state: ManyBodyState) -> np.ndarray:
+    """<Psi, (1/N) sum_i M(x_i) Psi> of each real multiplication observable on axis 0 of ``M``.
 
-    ``M`` is one real ``Field`` (one ``ObservationResult``) or a sequence of
-    them (a list of results, in order).  A sequence is read through one
-    (n_obs x L) product against the state's occupation density and the
-    orbitals' density sum_k |phi_k(x)|^2, each formed once per call.
+    ``M`` stacks the observables' grid values, as ``cli.observable_dictionary``
+    returns them; all are read through one (n_obs x L) product against the
+    state's occupation density.
     """
-    fields = [M] if isinstance(M, Field) else list(M)
-    mvals = np.stack([f.values.ravel() for f in fields])
-    if np.max(np.abs(mvals.imag)) > 1e-12:
+    if np.iscomplexobj(M):
         raise ConfigError("multiplication observables must be real-valued")
-    N = orbital_set.N
-    A = orbital_set.value_matrix()
-    exact = mvals.real @ occupation_density(state) / N
-    density = (A.real**2 + A.imag**2).sum(axis=1)
-    hart = orbital_set.grid.cell_volume * (mvals.real @ density) / N
-    results = [
+    return M.reshape(len(M), -1) @ occupation_density(state) / state.basis.n_particles
+
+
+def observe(M: np.ndarray, state: ManyBodyState, orbital_set) -> list[ObservationResult]:
+    """Compare ``exact_traces`` with Tr(M p)/N for each observable stacked on axis 0 of ``M``.
+
+    Tr(M p) is read through one (n_obs x L) product against the orbitals'
+    ``density``; the results follow the rows of ``M``.
+    """
+    exact = exact_traces(M, state)
+    rho = density(orbital_set.values).ravel()
+    hart = orbital_set.grid.cell_volume * (M.reshape(len(M), -1) @ rho) / orbital_set.N
+    return [
         ObservationResult(trace_exact=e, trace_hartree=h, comparison=abs(e - h))
         for e, h in zip(exact.tolist(), hart.tolist())
     ]
-    return results[0] if isinstance(M, Field) else results
 
 
 # ---------------------------------------------------------------------------

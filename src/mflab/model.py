@@ -18,16 +18,7 @@ import numpy as np
 from scipy.linalg import eigh
 
 from .errors import ConfigError, ContractViolation, NumericalFailure
-from .grid import (
-    Field,
-    Grid,
-    apply_multiplier,
-    gradient,
-    inner,
-    kinetic_multiplier,
-    norm_l1,
-    norm_l2,
-)
+from .grid import Grid, _fftn, gradient, inner, norm_l1, norm_l2
 
 EPSILON_RULES = ("standard", "dimension_adapted")
 # steps one time loop may take (1000x the default run)
@@ -106,23 +97,26 @@ def step_schedule(span: float, dt: float, every: int | None = None) -> tuple[int
 class InteractionPotential:
     """Even periodic pair potential v and its force field ``force = grad v``.
 
-    ``_pair_diagonals`` caches, per (L, N), the configuration-space diagonal
-    of the pair sum (``manybody.pairwise_potential_vector``).
+    ``v`` is real on the grid; ``force`` stacks its real components on axis
+    0, shape (dim, *grid.shape).  Their spectra are computed on first use
+    and kept, as ``grid.convolve_periodic`` takes them.  ``_pair_diagonals``
+    caches, per (L, N), the configuration-space diagonal of the pair sum
+    (``manybody.pairwise_potential_vector``).
     """
 
-    v: Field
-    force: tuple[Field, ...]
+    grid: Grid
+    v: np.ndarray = field(repr=False)
+    force: np.ndarray = field(repr=False)
     kind: str
     _pair_diagonals: dict = field(default_factory=dict, repr=False)
 
-    @property
-    def grid(self) -> Grid:
-        return self.v.grid
+    @cached_property
+    def v_spectrum(self) -> np.ndarray:
+        return _fftn(self.v, range(self.grid.dim))
 
     @cached_property
     def force_spectrum(self) -> np.ndarray:
-        """The force components' spectra stacked on axis 0, computed on first use."""
-        return np.stack([F.spectrum for F in self.force])
+        return _fftn(self.force, range(1, self.grid.dim + 1))
 
 
 def _reflect(vals: np.ndarray) -> np.ndarray:
@@ -178,11 +172,8 @@ def build_potential(grid: Grid, kind: str, **params) -> InteractionPotential:
     # map.  Truncated image sums leave a tiny parity defect at the half-box
     # seam, and downstream algebra (antisymmetric difference matrices,
     # exchange-symmetric pair kernels) needs the sampled force exactly odd.
-    fvals = [0.5 * (f - _reflect(f)) for f in fvals]
-
-    v = Field(grid, vvals)
-    force = tuple(Field(grid, f) for f in fvals)
-    pot = InteractionPotential(v=v, force=force, kind=kind)
+    force = np.stack([0.5 * (f - _reflect(f)) for f in fvals])
+    pot = InteractionPotential(grid=grid, v=vvals, force=force, kind=kind)
     defect = float(np.max(np.abs(vvals - _reflect(vvals))))
     if defect > 1e-12 * max(1.0, float(np.max(np.abs(vvals)))):
         raise ContractViolation(f"potential is not even: defect {defect}")
@@ -267,16 +258,17 @@ def make_orbitals(family: InitialFamily, N: int, grid: Grid,
             g = periodic_bump(xs[0], centre)
             for a in range(1, grid.dim):
                 g = g * periodic_bump(xs[a], 0.5 * L)
-            fld = Field(grid, g)
-            raw.append(Field(grid, g / norm_l2(fld)))
-        S = np.array([[inner(a, b) for b in raw] for a in raw])
+            # the norm of the complex orbital: BLAS sums a real array in another order
+            norm = norm_l2(g.astype(np.complex128), grid)
+            raw.append((g / norm).astype(np.complex128))
+        S = np.array([[inner(a, b, grid) for b in raw] for a in raw])
         evals, evecs = eigh(S)
         if evals.min() <= 0 or evals.max() / evals.min() > 1e8:
             raise NumericalFailure(
                 f"bump overlap matrix ill-conditioned (cond {evals.max()/max(evals.min(), 1e-300):.2e})"
             )
         S_inv_half = (evecs * evals**-0.5) @ evecs.conj().T
-        stack = np.stack([f.values for f in raw], axis=-1)
+        stack = np.stack(raw, axis=-1)
         values = np.ascontiguousarray(np.moveaxis(stack @ S_inv_half, -1, 0))
 
     return OrbitalSet(grid, values, 0.0, scaling)
@@ -303,30 +295,33 @@ class AssumptionReport:
     d_value: float
 
 
-def derivative_densities(orbital_set) -> tuple[Field, Field]:
+def derivative_densities(orbital_set) -> tuple[np.ndarray, np.ndarray]:
     """rho_grad = sum_k |grad phi_k|^2 and rho_lap = sum_k |Lap phi_k|^2.
 
     Gradient and Laplacian follow the grid's kinetic mode (the Laplacian is
-    the multiplier -K of ``kinetic_multiplier``), so lattice runs are judged
-    by the operators that actually generate their dynamics.
+    -K, and |-K phi|^2 = |K phi|^2 of the family's ``kinetic_values``), so
+    lattice runs are judged by the operators that actually generate their
+    dynamics.  The gradients of all orbitals come from one stacked call and
+    are summed orbital by orbital, axis by axis.
     """
     grid = orbital_set.grid
-    laps = apply_multiplier(orbital_set.values, -kinetic_multiplier(grid))
+    grads = gradient(orbital_set.values, grid)
     rho_grad = np.zeros(grid.shape)
     rho_lap = np.zeros(grid.shape)
-    for phi, lap in zip(orbital_set.orbitals, laps):
-        for g in gradient(phi):
-            rho_grad += np.abs(g.values) ** 2
-        rho_lap += np.abs(lap) ** 2
-    return Field(grid, rho_grad), Field(grid, rho_lap)
+    for k, k_phi in enumerate(orbital_set.kinetic_values):
+        for g in grads:
+            rho_grad += np.abs(g[k]) ** 2
+        rho_lap += np.abs(k_phi) ** 2
+    return rho_grad, rho_lap
 
 
-def d_value(N: int, rho_grad: Field, rho_lap: Field) -> float:
-    """max(N^(-5/6) |rho_grad|_1^(1/2), N^(-7/6) |rho_lap|_1^(1/2), 1)."""
+def d_value(N: int, grad_l1: float, lap_l1: float) -> float:
+    """max(N^(-5/6) grad_l1^(1/2), N^(-7/6) lap_l1^(1/2), 1) of the L1 norms of the
+    derivative densities rho_grad and rho_lap."""
     return float(
         max(
-            float(N) ** (-5.0 / 6.0) * np.sqrt(norm_l1(rho_grad)),
-            float(N) ** (-7.0 / 6.0) * np.sqrt(norm_l1(rho_lap)),
+            float(N) ** (-5.0 / 6.0) * np.sqrt(grad_l1),
+            float(N) ** (-7.0 / 6.0) * np.sqrt(lap_l1),
             1.0,
         )
     )
@@ -334,17 +329,16 @@ def d_value(N: int, rho_grad: Field, rho_lap: Field) -> float:
 
 def assumption_diagnostics(orbital_set) -> AssumptionReport:
     """Diagnose how the orbital family sits relative to the mean-field scaling."""
+    from .hartree import density  # local import keeps module layering acyclic
+
     grid = orbital_set.grid
     N = orbital_set.scaling.N
-    rho_grad, rho_lap = derivative_densities(orbital_set)
-
-    rho = sum(np.abs(phi.values) ** 2 for phi in orbital_set.orbitals)
-    grads = gradient(Field(grid, rho))
-    grad_mag = np.sqrt(sum(np.abs(g.values) ** 2 for g in grads))
+    grad_l1, lap_l1 = (norm_l1(r, grid) for r in derivative_densities(orbital_set))
+    grad_mag = np.sqrt(sum(np.abs(g) ** 2 for g in gradient(density(orbital_set.values), grid)))
 
     return AssumptionReport(
-        kin_grad_scaled=float(N) ** (-5.0 / 3.0) * norm_l1(rho_grad),
-        kin_lap_scaled=float(N) ** (-7.0 / 3.0) * norm_l1(rho_lap),
-        grad_rho_l1=norm_l1(Field(grid, grad_mag)),
-        d_value=d_value(N, rho_grad, rho_lap),
+        kin_grad_scaled=float(N) ** (-5.0 / 3.0) * grad_l1,
+        kin_lap_scaled=float(N) ** (-7.0 / 3.0) * lap_l1,
+        grad_rho_l1=norm_l1(grad_mag, grid),
+        d_value=d_value(N, grad_l1, lap_l1),
     )

@@ -51,7 +51,7 @@ from mflab.gauge import (
     mean_field_forces,
     run_gauged,
 )
-from mflab.grid import Field, Grid, dense_kinetic, norm_l2
+from mflab.grid import Grid, dense_kinetic, norm_l2
 from mflab.hartree import (
     OrbitalSet,
     gram_matrix,
@@ -95,12 +95,8 @@ def random_orbital_set(grid, N, rng, epsilon=0.5):
     L = grid.total_sites
     M = rng.standard_normal((L, N)) + 1j * rng.standard_normal((L, N))
     Q, _ = np.linalg.qr(M)
-    fields = tuple(
-        Field(grid, (Q[:, k] / math.sqrt(grid.cell_volume)).reshape(grid.shape))
-        for k in range(N)
-    )
-    return OrbitalSet(grid, np.stack([phi.values for phi in fields]), 0.0,
-                      ScalingParams(N=N, epsilon=epsilon))
+    values = (Q.T / math.sqrt(grid.cell_volume)).reshape((N,) + grid.shape)
+    return OrbitalSet(grid, values, 0.0, ScalingParams(N=N, epsilon=epsilon))
 
 
 def localized_system(sites=16, N=2, box=8.0):
@@ -267,7 +263,7 @@ def test_05_gauge_invariant_comparison():
     from mflab.cli import observable_dictionary
 
     grid, pot, initial = localized_system(N=3)
-    dictionary = observable_dictionary(grid, boxes=8, include_bump=True)
+    names, observables = observable_dictionary(grid, boxes=8, include_bump=True)
     scaling = initial.scaling
     basis = ConfigBasis(grid.total_sites, 3)
     hamiltonian = build_hamiltonian(basis, pot, scaling)
@@ -279,16 +275,16 @@ def test_05_gauge_invariant_comparison():
         state = propagate(state, hamiltonian, snap.time)
         gauged_state = gauge_manybody(state, snap.time, scaling.epsilon, pot)
         gauged_snap = gauge_orbitals(snap, pot)
-        for _, M in dictionary:
-            plain = observe(M, state, snap).comparison
-            gauged = observe(M, gauged_state, gauged_snap).comparison
-            worst = max(worst, abs(plain - gauged))
+        plain = observe(observables, state, snap)
+        gauged = observe(observables, gauged_state, gauged_snap)
+        for a, b in zip(plain, gauged):
+            worst = max(worst, abs(a.comparison - b.comparison))
 
     elapsed = time.perf_counter() - start
     ok = worst < 1e-12
     _report(5, "gauge invariance of the dictionary comparison (N=3, t<=1)", ok,
             f"max |comparison(plain) - comparison(gauged)| over "
-            f"{len(traj.snapshots)} snapshots x {len(dictionary)} observables: "
+            f"{len(traj.snapshots)} snapshots x {len(names)} observables: "
             f"{worst:.2e} (<1e-12)",
             elapsed)
 
@@ -302,8 +298,7 @@ def test_06_two_route_gauged_hartree():
         via_gauge = gauge_orbitals(hart.snapshots[-1], pot)
         direct = run_gauged(state, pot, 1.0, dt, snapshot_every=10**9)
         return max(
-            norm_l2(Field(grid, a.values - b.values))
-            for a, b in zip(via_gauge.orbitals, direct.snapshots[-1].orbitals)
+            norm_l2(a - b, grid) for a, b in zip(via_gauge.values, direct.snapshots[-1].values)
         )
 
     g2, g1 = route_gap(2e-3), route_gap(1e-3)
@@ -399,10 +394,9 @@ def test_09_rw_trace_formulas_and_generator_forms():
 
             moved = replace(state, time=0.8)
             forces = mean_field_forces(moved, pot)
-            probe = Field(grid, rng.standard_normal(grid.shape)
-                          + 1j * rng.standard_normal(grid.shape))
-            a = covariant_apply(probe, forces, 0.5).values
-            b = _generator(forces, 0.5, grid)(probe.values[..., None])[..., 0]
+            probe = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+            a = covariant_apply(probe, forces, 0.5, grid)
+            b = _generator(forces, 0.5, grid)(probe[..., None])[..., 0]
             scale = max(1.0, float(np.max(np.abs(a))))
             worst_form = max(worst_form, float(np.max(np.abs(a - b))) / scale)
 

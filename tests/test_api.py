@@ -14,11 +14,15 @@ or ``demos/`` imports is loaded in that file; the package ``__init__.py``
 files import to re-export and are exempt.  Every field of a dataclass of
 ``src/mflab`` is read as an attribute in ``src/``, ``demos/`` or the
 acceptance suite, unless the class hands itself whole to ``asdict``.
+Every name the package exports in ``__all__`` resolves on it, so ``from
+mflab import *`` works.
 """
 
 import ast
 import re
 from pathlib import Path
+
+import mflab
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "mflab"
@@ -166,3 +170,11 @@ def test_every_dataclass_field_is_read():
                 if isinstance(item, ast.AnnAssign) and item.target.id not in read:
                     unread.append(f"{path.stem}.{cls.name}.{item.target.id}")
     assert not unread, f"dataclass fields no caller reads: {unread}"
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in mflab.__all__ if not hasattr(mflab, name)]
+    assert not missing, f"names in mflab.__all__ the package does not define: {missing}"
+    namespace: dict = {}
+    exec("from mflab import *", namespace)
+    assert set(mflab.__all__) <= set(namespace)

@@ -29,7 +29,7 @@ from mflab.auxiliary import (
 from mflab.counting import _random_projections, build_projections
 from mflab.errors import ConfigError
 from mflab.gauge import gauge_orbitals
-from mflab.grid import Field, Grid, dense_kinetic
+from mflab.grid import Grid, dense_kinetic
 from mflab.hartree import OrbitalSet
 from mflab.manybody import (
     ConfigBasis,
@@ -46,12 +46,8 @@ def random_orbital_set(grid, N, rng, epsilon=0.5, time=0.0):
     L = grid.total_sites
     M = rng.standard_normal((L, N)) + 1j * rng.standard_normal((L, N))
     Q, _ = np.linalg.qr(M)
-    fields = tuple(
-        Field(grid, (Q[:, k] / math.sqrt(grid.cell_volume)).reshape(grid.shape))
-        for k in range(N)
-    )
-    return OrbitalSet(grid, np.stack([phi.values for phi in fields]), time,
-                      ScalingParams(N=N, epsilon=epsilon))
+    values = (Q.T / math.sqrt(grid.cell_volume)).reshape((N,) + grid.shape)
+    return OrbitalSet(grid, values, time, ScalingParams(N=N, epsilon=epsilon))
 
 
 def make_system(n=8, box=8.0, N=2, mode="lattice", amplitude=1.0):

@@ -384,17 +384,16 @@ def test_override_values_keep_exit_code_contract(command, data):
 
 def test_observable_dictionary_properties():
     grid = Grid(dim=1, sites_per_dim=16, box_length=8.0, kinetic_mode="lattice")
-    dictionary = observable_dictionary(grid, boxes=8, include_bump=True)
-    assert [name for name, _ in dictionary] == [f"box{j}" for j in range(8)] + ["bump"]
+    names, observables = observable_dictionary(grid, boxes=8, include_bump=True)
+    assert names == [f"box{j}" for j in range(8)] + ["bump"]
+    assert observables.shape == (9,) + grid.shape and observables.dtype == np.float64
 
-    total = sum(M.values.real for name, M in dictionary if name.startswith("box"))
-    np.testing.assert_allclose(total, 1.0)  # indicators partition the box
-    for name, M in dictionary:
-        assert np.all(M.values.real >= 0.0)
-        assert np.all(M.values.imag == 0.0)
-        assert np.max(M.values.real) == pytest.approx(1.0)
+    np.testing.assert_allclose(observables[:8].sum(axis=0), 1.0)  # indicators partition the box
+    for M in observables:
+        assert np.all(M >= 0.0)
+        assert np.max(M) == pytest.approx(1.0)
 
-    bump = dict(dictionary)["bump"].values.real
+    bump = observables[names.index("bump")]
     assert np.count_nonzero(bump) == 7  # open half-box support on 16 sites
     x = grid.axis_coordinates()
     inside = np.abs(x - 4.0) <= 2.0
@@ -403,9 +402,9 @@ def test_observable_dictionary_properties():
     )
 
     two_d = Grid(dim=2, sites_per_dim=4, box_length=8.0, kinetic_mode="lattice")
-    for name, M in observable_dictionary(two_d, boxes=4):
-        assert M.values.shape == (4, 4)
-        assert np.all(M.values == M.values[:, :1])  # constant along the other axis
+    names, observables = observable_dictionary(two_d, boxes=4)
+    assert observables.shape == (len(names), 4, 4)
+    assert np.all(observables == observables[:, :, :1])  # constant along the other axis
 
     with pytest.raises(ConfigError):
         observable_dictionary(grid, boxes=17)

@@ -34,7 +34,7 @@ from mflab.counting import (
     _threshold_differences,
 )
 from mflab.errors import ConfigError, ContractViolation, GridMismatchError
-from mflab.grid import Field, Grid
+from mflab.grid import Grid
 from mflab.hartree import OrbitalSet
 from mflab.manybody import (
     ConfigBasis,
@@ -50,12 +50,8 @@ def random_orbital_set(grid, N, rng, epsilon=0.5):
     L = grid.total_sites
     M = rng.standard_normal((L, N)) + 1j * rng.standard_normal((L, N))
     Q, _ = np.linalg.qr(M)
-    fields = tuple(
-        Field(grid, (Q[:, k] / math.sqrt(grid.cell_volume)).reshape(grid.shape))
-        for k in range(N)
-    )
-    return OrbitalSet(grid, np.stack([phi.values for phi in fields]), 0.0,
-                      ScalingParams(N=N, epsilon=epsilon))
+    values = (Q.T / math.sqrt(grid.cell_volume)).reshape((N,) + grid.shape)
+    return OrbitalSet(grid, values, 0.0, ScalingParams(N=N, epsilon=epsilon))
 
 
 def test_weight_tables():

@@ -18,7 +18,6 @@ from mflab.gauge import (
     run_gauged,
 )
 from mflab.grid import (
-    Field,
     Grid,
     gradient_multipliers,
     inner,
@@ -34,13 +33,8 @@ def random_orbital_set(grid, N, rng, time=0.0, epsilon=0.5):
         (grid.total_sites, N)
     )
     Q, _ = np.linalg.qr(cols)
-    orbitals = tuple(
-        Field(grid, (Q[:, j] / np.sqrt(grid.cell_volume)).reshape(grid.shape))
-        for j in range(N)
-    )
-    return OrbitalSet(
-        grid, np.stack([phi.values for phi in orbitals]), time, ScalingParams(N=N, epsilon=epsilon)
-    )
+    values = (Q.T / np.sqrt(grid.cell_volume)).reshape((N,) + grid.shape)
+    return OrbitalSet(grid, values, time, ScalingParams(N=N, epsilon=epsilon))
 
 
 def setup(n=32, box=8.0, N=2, mode="spectral"):
@@ -54,15 +48,13 @@ def test_gauge_preserves_moduli():
     grid, pot, state = setup()
     moved = replace(state, time=0.7)
     gauged = gauge_orbitals(moved, pot)
-    for phi, psi in zip(moved.orbitals, gauged.orbitals):
-        np.testing.assert_allclose(np.abs(psi.values), np.abs(phi.values), atol=1e-13)
+    np.testing.assert_allclose(np.abs(gauged.values), np.abs(moved.values), atol=1e-13)
 
 
 def test_gauge_at_time_zero_is_identity():
     _, pot, state = setup()
     gauged = gauge_orbitals(state, pot)
-    for phi, psi in zip(state.orbitals, gauged.orbitals):
-        np.testing.assert_allclose(psi.values, phi.values, atol=1e-15)
+    np.testing.assert_allclose(gauged.values, state.values, atol=1e-15)
 
 
 @pytest.mark.parametrize("mode", ["spectral", "lattice"])
@@ -73,9 +65,9 @@ def test_generator_forms_agree(mode, dim):
     pot = build_potential(grid, "gaussian", amplitude=1.5, width=1.6)
     state = random_orbital_set(grid, 3, rng, time=0.8)
     forces = mean_field_forces(state, pot)
-    probe = Field(grid, rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape))
-    a = covariant_apply(probe, forces, 0.5).values
-    b = _generator(forces, 0.5, grid)(probe.values[..., None])[..., 0]
+    probe = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+    a = covariant_apply(probe, forces, 0.5, grid)
+    b = _generator(forces, 0.5, grid)(probe[..., None])[..., 0]
     scale = max(1.0, float(np.max(np.abs(a))))
     assert np.max(np.abs(a - b)) / scale < 1e-12
 
@@ -146,18 +138,18 @@ def test_mean_field_forces_bit_identical_to_convolution_formulas(dim, mode, N):
         return [np.fft.ifftn(m * spec) for m in gradient_multipliers(grid)]
 
     rho = np.zeros(grid.shape)
-    for psi in state.orbitals:
-        rho += np.abs(psi.values) ** 2
-    f_bar = [conv(F.values, rho).real for F in pot.force]
+    for psi in state.values:
+        rho += np.abs(psi) ** 2
+    f_bar = [conv(F, rho).real for F in pot.force]
     G = [np.zeros(grid.shape, dtype=np.complex128) for _ in range(dim)]
-    for psi in state.orbitals:
-        for a, dpsi in enumerate(grad(psi.values)):
-            G[a] += np.conj(psi.values) * dpsi
+    for psi in state.values:
+        for a, dpsi in enumerate(grad(psi)):
+            G[a] += np.conj(psi) * dpsi
     B = np.zeros(grid.shape, dtype=np.complex128)
     C = np.zeros(grid.shape)
     for a in range(dim):
-        B += -1j * conv(pot.force[a].values, G[a])
-        C -= conv(pot.force[a].values, f_bar[a] * rho).real
+        B += -1j * conv(pot.force[a], G[a])
+        C -= conv(pot.force[a], f_bar[a] * rho).real
 
     for _ in range(2):  # the second call reads the cached kernel spectra
         forces = mean_field_forces(state, pot)
@@ -173,11 +165,11 @@ def test_generator_hermitian(mode):
     pot = build_potential(grid, "cosine_sum", amplitudes=[0.8, 0.3])
     state = random_orbital_set(grid, 2, rng, time=1.3)
     forces = mean_field_forces(state, pot)
-    u = Field(grid, rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape))
-    w = Field(grid, rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape))
-    hu = covariant_apply(u, forces, 0.4)
-    hw = covariant_apply(w, forces, 0.4)
-    assert abs(inner(u, hw) - np.conj(inner(w, hu))) < 1e-10
+    u = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+    w = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+    hu = covariant_apply(u, forces, 0.4, grid)
+    hw = covariant_apply(w, forces, 0.4, grid)
+    assert abs(inner(u, hw, grid) - np.conj(inner(w, hu, grid))) < 1e-10
 
 
 def test_forces_vanish_without_interaction():
@@ -195,8 +187,8 @@ def test_zero_force_flow_matches_free_flow(mode):
     free = build_potential(grid, "cosine_sum", amplitudes=[], offset=0.0)
     traj_g = run_gauged(state, free, t_final=0.3, dt=0.01)
     traj_h = run_hartree(state, free, t_final=0.3, dt=0.01)
-    for pg, ph in zip(traj_g.snapshots[-1].orbitals, traj_h.snapshots[-1].orbitals):
-        np.testing.assert_allclose(pg.values, ph.values, atol=1e-11)
+    np.testing.assert_allclose(traj_g.snapshots[-1].values, traj_h.snapshots[-1].values,
+                               atol=1e-11)
 
 
 def test_two_route_consistency_and_order():
@@ -208,8 +200,8 @@ def test_two_route_consistency_and_order():
         via_gauge = gauge_orbitals(hart.snapshots[-1], pot)
         direct = run_gauged(state, pot, t_final, dt, snapshot_every=10**9)
         return max(
-            norm_l2(Field(a.grid, a.values - b.values))
-            for a, b in zip(via_gauge.orbitals, direct.snapshots[-1].orbitals)
+            norm_l2(a - b, state.grid)
+            for a, b in zip(via_gauge.values, direct.snapshots[-1].values)
         )
 
     g1, g2 = route_gap(8e-3), route_gap(4e-3)
@@ -245,7 +237,7 @@ def test_run_gauged_matches_public_route_bit_for_bit(mode, dim, N):
     def at(vals, t):
         return OrbitalSet(grid, np.ascontiguousarray(np.moveaxis(vals, -1, 0)), t, state.scaling)
 
-    vals = np.stack([phi.values for phi in state.orbitals], axis=-1)
+    vals = np.stack(list(state.values), axis=-1)
     for step in range(1, n_steps + 1):
         t0 = (step - 1) * dt
         t_mid = t0 + 0.5 * dt
@@ -255,8 +247,8 @@ def test_run_gauged_matches_public_route_bit_for_bit(mode, dim, N):
         vals = expm_multiply_hermitian(gen, vals, -1j * dt * eps)
         snap = traj.snapshots[step]
         assert snap.time == step * dt
-        for j, phi in enumerate(snap.orbitals):
-            assert np.array_equal(phi.values, vals[..., j])
+        for j, phi in enumerate(snap.values):
+            assert np.array_equal(phi, vals[..., j])
 
 
 @pytest.mark.parametrize("weights", [(1.0, 1.0), (0.5, 1.0 / 3.0)])
@@ -268,7 +260,7 @@ def test_array_generator_matches_the_forces_route_bit_for_bit(dim, mode, weights
     pot = build_potential(grid, "gaussian", amplitude=1.5, width=2.5)
     state = random_orbital_set(grid, 3, np.random.default_rng(dim), time=0.4)
     eps = state.scaling.epsilon
-    vals = np.stack([phi.values for phi in state.orbitals], axis=-1)
+    vals = np.stack(list(state.values), axis=-1)
     got = _forces(vals.transpose(dim, *range(dim)), pot, state.time)
     want = mean_field_forces(state, pot)  # from a contiguous stack
     assert got.time == want.time

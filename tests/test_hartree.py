@@ -5,18 +5,20 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from mflab import hartree
+from mflab import hartree, model
 from mflab.counting import build_projections
 from mflab.errors import ConfigError, ContractViolation, GridMismatchError, NumericalFailure
 from mflab.gauge import run_gauged
 from mflab.grid import (
-    Field,
     Grid,
     _fftn,
+    apply_multiplier,
     convolve_periodic,
     dense_kinetic,
+    gradient,
     inner,
     kinetic_multiplier,
+    norm_l1,
     norm_l2,
 )
 from mflab.hartree import (
@@ -56,10 +58,9 @@ def test_free_evolution_of_plane_waves_is_exact():
     traj = run_hartree(state, pot, t_final=0.5, dt=0.01)
     final = traj.snapshots[-1]
     k = grid.axis_wavenumbers()
-    for phi0, phiT in zip(state.orbitals, final.orbitals):
-        spec0 = np.fft.fft(phi0.values)
-        expected = np.fft.ifft(np.exp(-1j * 0.5 * eps * k**2) * spec0)
-        np.testing.assert_allclose(phiT.values, expected, atol=1e-12)
+    for phi0, phiT in zip(state.values, final.values):
+        expected = np.fft.ifft(np.exp(-1j * 0.5 * eps * k**2) * np.fft.fft(phi0))
+        np.testing.assert_allclose(phiT, expected, atol=1e-12)
 
 
 def test_constant_potential_adds_global_phase():
@@ -74,8 +75,7 @@ def test_constant_potential_adds_global_phase():
     b = run_hartree(state, const, t_final, 0.01).snapshots[-1]
     # v * rho = c * N when v is constant, a pure global phase
     phase = np.exp(-1j * t_final * eps * c * state.N)
-    for pa, pb in zip(a.orbitals, b.orbitals):
-        np.testing.assert_allclose(pb.values, phase * pa.values, atol=1e-12)
+    np.testing.assert_allclose(b.values, phase * a.values, atol=1e-12)
 
 
 def test_step_beyond_phase_resolution_fails():
@@ -122,12 +122,7 @@ def test_self_convergence_order_two():
     ref = final(6.25e-4)
 
     def dist(a, b):
-        return max(
-            norm_l2(_diff(pa, pb)) for pa, pb in zip(a.orbitals, b.orbitals)
-        )
-
-    def _diff(pa, pb):
-        return Field(pa.grid, pa.values - pb.values)
+        return max(norm_l2(pa - pb, a.grid) for pa, pb in zip(a.values, b.values))
 
     d1 = dist(final(5e-3), ref)
     d2 = dist(final(2.5e-3), ref)
@@ -139,8 +134,8 @@ def test_energy_matches_direct_formula():
     A = state.value_matrix()
     T = dense_kinetic(grid)  # a spectral grid
     kin = grid.cell_volume * np.real(np.trace(A.conj().T @ (T @ A)))
-    rho = density(state)
-    potE = 0.5 * inner(rho, convolve_periodic(pot.v, rho)).real
+    rho = density(state.values)
+    potE = 0.5 * inner(rho, convolve_periodic(pot.v_spectrum, rho, grid), grid).real
     assert hartree_energy(state, pot) == pytest.approx(kin + potE, rel=1e-12)
 
 
@@ -166,7 +161,7 @@ def test_diagnostics_density_consistency():
     grid, pot, state = localized_setup(n=24)
     rep = diagnostics(state, pot)
     assert rep.orthonormality_defect < 1e-12
-    assert abs(grid.cell_volume * np.sum(density(state).values.real) - state.N) < 1e-12
+    assert abs(grid.cell_volume * np.sum(density(state.values)) - state.N) < 1e-12
     assert rep.d_value >= 1.0
 
 
@@ -179,21 +174,22 @@ def test_hartree_step_bit_identical_to_per_orbital_loop(dim, mode, N):
     pot = build_potential(grid, "gaussian", amplitude=1.5, width=1.6)
     state = make_orbitals(InitialFamily("localized", width=0.6), N, grid,
                           ScalingParams(N=N, epsilon=0.3))
-    orbitals = state.orbitals
     dt = 0.01
 
     half_kin = np.exp(-0.5j * dt * 0.3 * kinetic_multiplier(grid))
-    mids = [np.fft.ifftn(half_kin * np.fft.fftn(phi.values)) for phi in orbitals]
+    mids = [np.fft.ifftn(half_kin * np.fft.fftn(phi)) for phi in state.values]
     rho_mid = np.zeros(grid.shape)
     for m in mids:
         rho_mid += np.abs(m) ** 2
-    u = (grid.cell_volume * np.fft.ifftn(np.fft.fftn(pot.v.values) * np.fft.fftn(rho_mid))).real
+    u = (grid.cell_volume * np.fft.ifftn(np.fft.fftn(pot.v) * np.fft.fftn(rho_mid))).real
+    # the kick's v * rho is convolve_periodic's, on its own
+    assert np.array_equal(convolve_periodic(pot.v_spectrum, rho_mid, grid).real, u)
     pot_phase = np.exp(-1j * dt * 0.3 * u)
     want = [np.fft.ifftn(half_kin * np.fft.fftn(pot_phase * m)) for m in mids]
 
     got = hartree_step(state, pot, dt, dt)
     assert got.time == dt
-    assert all(np.array_equal(phi.values, w) for phi, w in zip(got.orbitals, want))
+    assert all(np.array_equal(phi, w) for phi, w in zip(got.values, want))
 
 
 def test_non_finite_orbital_fails_at_the_first_step():
@@ -275,14 +271,13 @@ def test_step_count_off_the_dt_grid_is_rejected():
 
 def _inject_at_call(monkeypatch, call, edit):
     """Let hartree_step's density see ``edit(orbital stack)`` at its ``call``-th step."""
-    density_values = hartree._density_values
     seen = []
 
     def patched(vals):
         seen.append(None)
-        return density_values(edit(vals) if len(seen) == call else vals)
+        return density(edit(vals) if len(seen) == call else vals)
 
-    monkeypatch.setattr(hartree, "_density_values", patched)
+    monkeypatch.setattr(hartree, "density", patched)
 
 
 def test_aliasing_check_fires_inside_a_merged_call(monkeypatch):
@@ -307,28 +302,46 @@ def test_non_finite_orbital_fails_at_its_step_inside_a_merged_call(monkeypatch):
 @pytest.mark.parametrize("mode", ["spectral", "lattice"])
 @pytest.mark.parametrize("dim", [1, 2])
 def test_diagnostics_equal_the_per_orbital_formulas(dim, mode):
-    """The stacked K phi of the energy and the Laplacian density change no bit."""
+    """The one stacked K phi of the energy and the Laplacian density, and the
+    stacked gradients of the gradient density, change no bit."""
     grid, pot, state = stepping_setup(dim, mode, 3)
     state = hartree_step(state, pot, 0.01, 0.05)
     space = range(grid.dim)
     k_mult = kinetic_multiplier(grid)
-    kin, rho_lap = 0, np.zeros(grid.shape)
-    for phi in state.orbitals:
-        k_phi = _fftn(k_mult * _fftn(phi.values, space), space, inverse=True)
-        kin += inner(phi, Field(grid, k_phi)).real
-        lap = _fftn(-k_mult * _fftn(phi.values, space), space, inverse=True)
+    kin, rho_grad, rho_lap = 0, np.zeros(grid.shape), np.zeros(grid.shape)
+    for phi in state.values:
+        k_phi = _fftn(k_mult * _fftn(phi, space), space, inverse=True)
+        kin += inner(phi, k_phi, grid).real
+        for g in gradient(phi, grid):
+            rho_grad += np.abs(g) ** 2
+        lap = _fftn(-k_mult * _fftn(phi, space), space, inverse=True)
         rho_lap += np.abs(lap) ** 2
-    rho = density(state)
-    pot_energy = 0.5 * inner(rho, convolve_periodic(pot.v, rho)).real
-    rho_grad, _ = derivative_densities(state)
+    rho = density(state.values)
+    pot_energy = 0.5 * inner(rho, convolve_periodic(pot.v_spectrum, rho, grid), grid).real
     want = HartreeDiagnostics(
         time=0.05,
         energy=float(kin + pot_energy),
         orthonormality_defect=orthonormality_defect(state),
-        d_value=d_value(state.N, rho_grad, Field(grid, rho_lap)),
+        d_value=d_value(state.N, norm_l1(rho_grad, grid), norm_l1(rho_lap, grid)),
     )
     assert diagnostics(state, pot) == want
-    assert np.array_equal(derivative_densities(state)[1].values, rho_lap)
+    got_grad, got_lap = derivative_densities(state)
+    assert np.array_equal(got_grad, rho_grad) and np.array_equal(got_lap, rho_lap)
+
+
+def test_diagnostics_transform_the_orbitals_once(monkeypatch):
+    """The energy and the Laplacian density share one stacked K phi."""
+    grid, pot, state = stepping_setup(1, "lattice", 3)
+    calls = []
+
+    def counted(vals, multiplier):
+        calls.append(vals.shape)
+        return apply_multiplier(vals, multiplier)
+
+    monkeypatch.setattr(hartree, "apply_multiplier", counted)
+    monkeypatch.setattr(model, "apply_multiplier", counted, raising=False)
+    diagnostics(state, pot)
+    assert calls == [state.values.shape]
 
 
 def test_snapshot_times_are_the_step_count_times_dt():
@@ -367,9 +380,6 @@ def test_orbital_set_keeps_its_stack_and_rejects_bad_ones(dim):
     built = OrbitalSet(grid, stack, state.time, state.scaling)
     assert built.values is stack  # kept as given, not copied
     assert built.N == 3 and built.grid == grid
-    for phi, row in zip(built.orbitals, stack):
-        assert phi.grid == grid and np.shares_memory(phi.values, stack)
-        assert np.array_equal(phi.values, row)
     cases = [
         (stack[:0], state.scaling, "at least one orbital"),
         (stack, ScalingParams(N=2, epsilon=0.5), "scaling.N = 2 but 3"),

@@ -16,13 +16,14 @@ import pytest
 import scipy.sparse as sp
 
 from mflab.errors import ConfigError, ContractViolation, GridMismatchError
-from mflab.grid import Field, Grid
+from mflab.grid import Grid
 from mflab.hartree import density
 from mflab.manybody import (
     ConfigBasis,
     ManyBodyState,
     annihilated,
     build_hamiltonian,
+    exact_traces,
     gauge_manybody,
     lift_one_body,
     lift_three_body,
@@ -335,7 +336,7 @@ def test_pairwise_vector_matches_direct_sum():
     grid, pot, basis = small_system()
     from mflab.grid import difference_matrix
 
-    V = difference_matrix(pot.v).real
+    V = difference_matrix(pot.v)
     vec = pairwise_potential_vector(basis, pot)
     for idx in (0, 5, len(basis.configs) - 1):
         config = basis.configs[idx]
@@ -468,7 +469,7 @@ def test_occupation_density_matches_orbital_density():
     orbs = make_orbitals(InitialFamily("localized", width=1.0), 2, grid)
     psi = slater_state(orbs, basis)
     occ = occupation_density(psi)
-    rho = density(orbs).values.real.ravel()
+    rho = density(orbs.values).ravel()
     np.testing.assert_allclose(occ, grid.cell_volume * rho, atol=1e-12)
 
 
@@ -490,9 +491,9 @@ def test_gauge_manybody_preserves_moduli_and_observables():
     )
     at_zero = gauge_manybody(state, 0.0, 0.5, pot)
     np.testing.assert_allclose(at_zero.amplitudes, state.amplitudes, atol=1e-15)
-    m = Field(grid, rng.standard_normal(grid.shape))
-    occ_a = np.dot(m.values.ravel(), occupation_density(state))
-    occ_b = np.dot(m.values.ravel(), occupation_density(gauged))
+    m = rng.standard_normal(grid.shape)
+    occ_a = np.dot(m.ravel(), occupation_density(state))
+    occ_b = np.dot(m.ravel(), occupation_density(gauged))
     assert abs(occ_a - occ_b) < 1e-13
 
 
@@ -502,29 +503,31 @@ def test_observe_slater_sides_agree():
     psi = slater_state(orbs, basis)
     box = np.zeros(grid.shape)
     box[2:5] = 1.0
-    res = observe(Field(grid, box), psi, orbs)
+    (res,) = observe(box[None], psi, orbs)
     assert res.comparison < 1e-13
 
 
 def test_observe_sequence_matches_per_observable_traces():
-    """One call over a sequence gives, per observable, the traces summed
-    observable by observable (einsum over the orbitals), as a single-Field call does."""
+    """One call over a stack gives, per observable, the traces summed
+    observable by observable (einsum over the orbitals), as a one-row stack does,
+    and its exact traces are ``exact_traces``."""
     grid, pot, basis = small_system(N=2)
     orbs = make_orbitals(InitialFamily("localized", width=1.0), 2, grid)
     rng = np.random.default_rng(5)
     psi = random_state(basis, rng)
-    fields = [Field(grid, rng.standard_normal(grid.shape)) for _ in range(4)]
-    together = observe(fields, psi, orbs)
-    assert len(together) == len(fields)
+    observables = rng.standard_normal((4,) + grid.shape)
+    together = observe(observables, psi, orbs)
+    assert len(together) == len(observables)
+    assert [res.trace_exact for res in together] == exact_traces(observables, psi).tolist()
     A = orbs.value_matrix()
-    for M, res in zip(fields, together):
-        m = M.values.real.ravel()
+    for M, res in zip(observables, together):
+        m = M.ravel()
         exact = float(np.dot(m, occupation_density(psi))) / 2
         hart = grid.cell_volume * float(np.einsum("x,xk,xk->", m, A.conj(), A).real) / 2
         assert res.trace_exact == pytest.approx(exact, rel=1e-13)
         assert res.trace_hartree == pytest.approx(hart, rel=1e-13)
         assert res.comparison == abs(res.trace_exact - res.trace_hartree)
-        assert observe(M, psi, orbs).trace_exact == pytest.approx(exact, rel=1e-13)
+        assert observe(M[None], psi, orbs)[0].trace_exact == pytest.approx(exact, rel=1e-13)
 
 
 def test_observe_rejects_complex_observable():
@@ -532,10 +535,9 @@ def test_observe_rejects_complex_observable():
     orbs = make_orbitals(InitialFamily("localized", width=1.0), 2, grid)
     psi = slater_state(orbs, basis)
     with pytest.raises(ConfigError):
-        observe(Field(grid, 1j * np.ones(grid.shape)), psi, orbs)
+        observe(1j * np.ones((1,) + grid.shape), psi, orbs)
     with pytest.raises(ConfigError):
-        observe([Field(grid, np.ones(grid.shape)), Field(grid, 1j * np.ones(grid.shape))],
-                psi, orbs)
+        observe(np.stack([np.ones(grid.shape), 1j * np.ones(grid.shape)]), psi, orbs)
 
 
 def test_basis_mismatch_rejected():

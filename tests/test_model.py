@@ -29,14 +29,16 @@ from mflab.model import (
 def test_potential_even_and_force_consistent(dim, kind, params):
     grid = Grid(dim=dim, sites_per_dim=24, box_length=6.0)
     pot = build_potential(grid, kind, **params)
-    vals = pot.v.values
+    vals = pot.v
+    assert vals.dtype == pot.force.dtype == np.float64
+    assert pot.force.shape == (dim,) + grid.shape
     rev = vals
     for axis in range(dim):
         rev = np.roll(np.flip(rev, axis=axis), 1, axis=axis)
     assert np.max(np.abs(vals - rev)) < 1e-12
     # the stored force is the spectral gradient of v (the grid is spectral)
-    for g, f in zip(gradient(pot.v), pot.force):
-        assert np.max(np.abs(g.values - f.values)) < 1e-12
+    for g, f in zip(gradient(pot.v, grid), pot.force):
+        assert np.max(np.abs(g - f)) < 1e-12
 
 
 def test_potential_guards():
@@ -72,13 +74,13 @@ def test_delocalized_orbitals_are_lowest_plane_waves():
     x = grid.axis_coordinates()
     amp = grid.box_length**-0.5
     expected_modes = [0, 1, -1]
-    for phi, m in zip(state.orbitals, expected_modes):
+    for phi, m in zip(state.values, expected_modes):
         wave = amp * np.exp(2j * np.pi * m / grid.box_length * x)
-        assert norm_l2(phi) == pytest.approx(1.0, abs=1e-12)
-        overlap = grid.cell_volume * np.vdot(wave, phi.values)
+        assert norm_l2(phi, grid) == pytest.approx(1.0, abs=1e-12)
+        overlap = grid.cell_volume * np.vdot(wave, phi)
         assert abs(abs(overlap) - 1.0) < 1e-12
-    rho = density(state)
-    assert np.max(np.abs(rho.values - 3.0 / grid.box_length)) < 1e-12
+    rho = density(state.values)
+    assert np.max(np.abs(rho - 3.0 / grid.box_length)) < 1e-12
 
 
 def test_delocalized_fill_order_2d():
@@ -89,8 +91,8 @@ def test_delocalized_fill_order_2d():
     # under the (|m|, sign) per-component tie break applied left to right
     kx, ky = grid.wavenumber_mesh()
     seen = []
-    for phi in state.orbitals:
-        spec = np.abs(np.fft.fftn(phi.values))
+    for phi in state.values:
+        spec = np.abs(np.fft.fftn(phi))
         loc = np.unravel_index(np.argmax(spec), spec.shape)
         kvec = (kx[loc], ky[loc])
         seen.append(
@@ -105,8 +107,8 @@ def test_localized_orbitals_orthonormal_and_centred():
     state = make_orbitals(InitialFamily("localized", width=0.5), 4, grid)
     assert orthonormality_defect(state) < 1e-12
     x = grid.axis_coordinates()
-    for j, phi in enumerate(state.orbitals):
-        peak = x[np.argmax(np.abs(phi.values))]
+    for j, phi in enumerate(state.values):
+        peak = x[np.argmax(np.abs(phi))]
         assert abs(peak - (j + 0.5) * 2.0) < grid.spacing + 1e-12
 
 
@@ -138,7 +140,7 @@ def test_assumption_diagnostics_formula():
     grid = Grid(dim=1, sites_per_dim=16, box_length=4.0)
     state = make_orbitals(InitialFamily("localized", width=0.6), 2, grid)
     rep = assumption_diagnostics(state)
-    sum_grad = sum(norm_l2(gradient(phi)[0]) ** 2 for phi in state.orbitals)
+    sum_grad = sum(norm_l2(gradient(phi, grid)[0], grid) ** 2 for phi in state.values)
     assert rep.kin_grad_scaled == pytest.approx(2.0 ** (-5 / 3) * sum_grad, rel=1e-12)
     expected_d = max(2.0 ** (-5 / 6) * np.sqrt(sum_grad), rep.d_value, 1.0)
     assert rep.d_value <= expected_d + 1e-12
@@ -176,7 +178,7 @@ def test_huge_widths_give_flat_profiles_not_overflow():
     grid = Grid(dim=1, sites_per_dim=16, box_length=8.0)
     with np.errstate(over="ignore"):
         pot = build_potential(grid, "gaussian", amplitude=1.0, width=1e300)
-        assert np.all(pot.v.values == 3.0)  # three periodic images of exp(0)
-        assert all(np.all(F.values == 0.0) for F in pot.force)
+        assert np.all(pot.v == 3.0)  # three periodic images of exp(0)
+        assert np.all(pot.force == 0.0)
         state = make_orbitals(InitialFamily("localized", width=1e300), 1, grid)
-    assert np.allclose(np.abs(state.orbitals[0].values), state.orbitals[0].values[0])
+    assert np.allclose(np.abs(state.values[0]), state.values[0, 0])
