@@ -48,9 +48,9 @@ print()
 final_orbitals = run_hartree(initial, potential, t_final=1.0, dt=1e-3).snapshots[-1]
 print(f"{'observable':>12} {'exact trace':>13} {'orbital trace':>14} {'difference':>12}")
 names, observables = observable_dictionary(grid, boxes=4, include_bump=True)
-for name, result in zip(names, observe(observables, state, final_orbitals)):
-    print(f"{name:>12} {result.trace_exact:13.6f} {result.trace_hartree:14.6f} "
-          f"{result.comparison:12.2e}")
+exact, hart = observe(observables, state, final_orbitals)
+for name, e, h in zip(names, exact, hart):
+    print(f"{name:>12} {e:13.6f} {h:14.6f} {abs(e - h):12.2e}")
 
 with tempfile.TemporaryDirectory() as tmp:
     path = Path(tmp) / "state.mbs"

@@ -27,7 +27,7 @@ gaps one space serves many.
 A space stops at ``MAX_KRYLOV`` vectors.  When not even the first pending
 time has converged by then, the step to it is halved, and later spaces keep
 the shorter reach; more than ``MAX_HALVINGS`` halvings raise
-``NumericalFailure`` ("stagnated").  This one rule serves both drivers.
+``NumericalFailure`` ("stagnated").  This one rule serves every exponential.
 
 The exponentials are small and many (the gauged flow makes thousands on
 16-point orbitals), so per-call overhead matters: the tridiagonal problem
@@ -211,15 +211,10 @@ def _assemble(basis: list[np.ndarray], y: np.ndarray, norm_v: float) -> np.ndarr
 def expm_multiply_hermitian(matvec: MatVec, v: np.ndarray, scale: complex) -> np.ndarray:
     """exp(scale * A) v for hermitian A, to the coefficient tolerance TOL.
 
-    The one-time case of ``expm_multiply_hermitian_times``: one Krylov space
-    aims at the whole step, and only if it stagnates does the many-time
-    route take over from it, with that failure as its first halving.
+    The one-time case of ``expm_multiply_hermitian_times``: the state at
+    time 1 of ``scale``.
     """
-    space = _krylov_segment(matvec, v, (scale,))
-    if space is None:
-        return next(_served(matvec, v, scale, [1.0], _halved(0.0, 1.0, 1), 1))
-    basis, (y,), norm_v = space
-    return _assemble(basis, y, norm_v)
+    return next(_served(matvec, v, scale, [1.0], math.inf, 0))
 
 
 def expm_multiply_hermitian_times(

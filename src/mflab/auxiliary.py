@@ -80,6 +80,7 @@ from itertools import combinations
 import numpy as np
 
 from .counting import (
+    DEFAULT_GAMMAS,
     Projections,
     alpha_number_onebody,
     build_projections,
@@ -113,7 +114,6 @@ from .manybody import (
 from .model import InteractionPotential, step_schedule
 from ._lanczos import expm_multiply_hermitian
 
-DEFAULT_GAMMAS = (1.0 / 6.0, 0.5, 1.0)
 MAX_COMPLEMENT = 2  # kept blocks carry at most this many q factors in total
 
 

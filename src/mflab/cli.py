@@ -25,6 +25,10 @@ alone.  With a fixed seed, reruns are byte-identical: floats are serialized
 via ``repr`` (shortest roundtrip), JSON keys are sorted, and no timestamps
 are recorded.
 
+``load_config`` checks the whole configuration, and the command's budgets
+for every particle number, and builds the objects the commands start from,
+so every configuration error is raised before a command writes anything.
+
 Exit codes: 0 success, 2 configuration error, 3 numerical failure
 (non-finite values / stagnation), 4 contract or bound violation.
 """
@@ -41,16 +45,18 @@ from pathlib import Path
 
 import numpy as np
 
-from .counting import alpha_number_onebody, build_projections, lemma_suite
-from .errors import ConfigError, ContractViolation, NumericalFailure
-from .gauge import (
-    continuity_residual,
-    gauge_orbitals,
-    require_continuity_snapshots,
-    run_gauged,
+from .counting import (
+    DEFAULT_GAMMAS,
+    LEMMA_SIZES,
+    LEMMA_TRIALS,
+    alpha_number_onebody,
+    build_projections,
+    lemma_suite,
 )
+from .errors import ConfigError, ContractViolation, NumericalFailure
+from .gauge import continuity_residual, gauge_orbitals, require_continuity_snapshots, run_gauged
 from .grid import Grid
-from .hartree import run_hartree
+from .hartree import OrbitalSet, run_hartree
 from .manybody import (
     ConfigBasis,
     build_hamiltonian,
@@ -64,10 +70,10 @@ from .manybody import (
 )
 from .model import (
     InitialFamily,
+    InteractionPotential,
     ScalingParams,
     build_potential,
     make_orbitals,
-    resolve_scaling,
     step_schedule,
 )
 
@@ -88,8 +94,9 @@ DEFAULTS: dict[str, dict[str, str]] = {
     "scaling": {"n": "2", "epsilon_rule": "standard", "epsilon": ""},
     "time": {"t_final": "1.0", "dt": "0.001", "snapshot_every": ""},
     "observables": {"boxes": "8", "bump": "true"},
-    "counting": {"gammas": "0.16666666666666666, 0.5, 1.0"},
-    "lemmas": {"trials": "200", "sizes": "2x6, 3x8, 4x8, 3x12"},
+    "counting": {"gammas": ", ".join(map(repr, DEFAULT_GAMMAS))},
+    "lemmas": {"trials": str(LEMMA_TRIALS),
+               "sizes": ", ".join(f"{N}x{L}" for N, L in LEMMA_SIZES)},
     "run": {"seed": "0", "out": "runs"},
 }
 
@@ -147,37 +154,23 @@ def _get_list(raw: dict, section: str, key: str, cast, want: str) -> tuple:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Fully parsed configuration shared by all commands."""
+    """The resolved configuration: ``orbitals`` holds the initial orbitals of each
+    N of ``scaling.n`` in order, each carrying its resolved ``ScalingParams``."""
 
     grid: Grid
-    potential_kind: str
-    potential_params: dict
-    family: InitialFamily
-    n_values: tuple[int, ...]
-    epsilon_rule: str
-    epsilon: float | None
+    potential: InteractionPotential
+    orbitals: tuple[OrbitalSet, ...]
+    observable_names: list[str]
+    observables: np.ndarray
     t_final: float
     dt: float
     snapshot_every: int | None
-    boxes: int
-    include_bump: bool
     gammas: tuple[float, ...]
     lemma_trials: int
     lemma_sizes: tuple[tuple[int, int], ...]
     seed: int
     out_dir: Path
     raw: dict
-
-    def scaling_for(self, N: int) -> ScalingParams:
-        return resolve_scaling(
-            ScalingParams(N=N, epsilon=self.epsilon, epsilon_rule=self.epsilon_rule), self.grid
-        )
-
-    def build_potential(self):
-        return build_potential(self.grid, self.potential_kind, **self.potential_params)
-
-    def initial_orbitals(self, N: int):
-        return make_orbitals(self.family, N, self.grid, self.scaling_for(N))
 
 
 def _read_config_file(path: Path) -> dict[str, dict[str, str]]:
@@ -225,6 +218,8 @@ def _resolve_raw(args: argparse.Namespace) -> dict[str, dict[str, str]]:
 
 
 def load_config(args: argparse.Namespace) -> RunConfig:
+    """Check the whole configuration, and the budgets of ``args.command`` for
+    every N, and build the objects the commands start from."""
     raw = _resolve_raw(args)
 
     grid = Grid(
@@ -259,9 +254,7 @@ def load_config(args: argparse.Namespace) -> RunConfig:
     n_values = _get_list(raw, "scaling", "n", int, "integers")
     if not n_values or any(n < 1 for n in n_values):
         raise _fail("scaling", "n", raw["scaling"]["n"], "positive integers")
-    epsilon = None
-    if raw["scaling"]["epsilon"].strip():
-        epsilon = _get_float(raw, "scaling", "epsilon")
+    epsilon = _get_float(raw, "scaling", "epsilon") if raw["scaling"]["epsilon"].strip() else None
 
     snapshot_every = None
     if raw["time"]["snapshot_every"].strip():
@@ -270,17 +263,9 @@ def load_config(args: argparse.Namespace) -> RunConfig:
             raise _fail("time", "snapshot_every", raw["time"]["snapshot_every"],
                         "a positive integer")
 
-    boxes = _get_int(raw, "observables", "boxes")
-    if not 1 <= boxes <= grid.sites_per_dim:
-        raise ConfigError(
-            f"[observables] boxes = {boxes}: need between 1 and sites per axis "
-            f"({grid.sites_per_dim}) so every indicator is non-empty"
-        )
-
     gammas = _get_list(raw, "counting", "gammas", float, "numbers")
     if not gammas or any(not 0 < g <= 1 for g in gammas):
-        raise _fail("counting", "gammas", raw["counting"]["gammas"],
-                    "exponents in (0, 1]")
+        raise _fail("counting", "gammas", raw["counting"]["gammas"], "exponents in (0, 1]")
 
     def _pair(token: str) -> tuple[int, int]:
         n_str, sep, l_str = token.partition("x")
@@ -304,19 +289,41 @@ def load_config(args: argparse.Namespace) -> RunConfig:
     if not 0 <= seed < 2**64:
         raise _fail("run", "seed", raw["run"]["seed"], "an unsigned 64-bit integer")
 
+    t_final, dt = _get_float(raw, "time", "t_final"), _get_float(raw, "time", "dt")
+    _, recorded = step_schedule(t_final, dt, snapshot_every)
+    if args.command == "hartree":  # the continuity column needs an interior snapshot
+        require_continuity_snapshots(len(recorded))
+    for N in n_values:  # the budgets of the command, for every N
+        if args.command in ("exact", "compare"):
+            dim = math.comb(grid.total_sites, N)
+            if dim > MAX_BASIS_DIM:
+                raise ConfigError(
+                    f"configuration basis for N = {N} on {grid.total_sites} modes has "
+                    f"dimension {dim}, over the {MAX_BASIS_DIM} budget"
+                )
+        elif args.command == "aux":
+            if N not in MAX_AUX_SITES:
+                raise ConfigError(f"auxiliary co-evolution supports N in {{2, 3, 4}}, got {N}")
+            if grid.total_sites > MAX_AUX_SITES[N]:
+                raise ConfigError(f"auxiliary co-evolution with N = {N} needs at most "
+                                  f"{MAX_AUX_SITES[N]} modes, got {grid.total_sites}")
+
+    rule = raw["scaling"]["epsilon_rule"].strip()
+    names, observables = observable_dictionary(
+        grid, _get_int(raw, "observables", "boxes"), _get_bool(raw, "observables", "bump")
+    )
     return RunConfig(
         grid=grid,
-        potential_kind=kind,
-        potential_params=params,
-        family=family,
-        n_values=n_values,
-        epsilon_rule=raw["scaling"]["epsilon_rule"].strip(),
-        epsilon=epsilon,
-        t_final=_get_float(raw, "time", "t_final"),
-        dt=_get_float(raw, "time", "dt"),
+        potential=build_potential(grid, kind, **params),
+        orbitals=tuple(
+            make_orbitals(family, N, grid, ScalingParams(N=N, epsilon=epsilon, epsilon_rule=rule))
+            for N in n_values
+        ),
+        observable_names=names,
+        observables=observables,
+        t_final=t_final,
+        dt=dt,
         snapshot_every=snapshot_every,
-        boxes=boxes,
-        include_bump=_get_bool(raw, "observables", "bump"),
         gammas=gammas,
         lemma_trials=lemma_trials,
         lemma_sizes=lemma_sizes,
@@ -343,7 +350,10 @@ def observable_dictionary(grid: Grid, boxes: int = 8,
     (n_obs, *grid.shape) array of the observables' values, in that order.
     """
     if not 1 <= boxes <= grid.sites_per_dim:
-        raise ConfigError(f"need 1 <= boxes <= {grid.sites_per_dim}, got {boxes}")
+        raise ConfigError(
+            f"[observables] boxes = {boxes}: need between 1 and sites per axis "
+            f"({grid.sites_per_dim}) so every indicator is non-empty"
+        )
     x = grid.axis_coordinates()
     L = grid.box_length
     names, profiles = [], []
@@ -380,27 +390,14 @@ def _write_json(path: Path, payload) -> None:
 
 
 def write_sidecar(cfg: RunConfig, command: str) -> None:
-    names, _ = observable_dictionary(cfg.grid, cfg.boxes, cfg.include_bump)
     payload = {
         "command": command,
         "config": cfg.raw,
-        "resolved_epsilon": {
-            str(N): cfg.scaling_for(N).epsilon for N in cfg.n_values
-        },
-        "observable_dictionary": names,
+        "resolved_epsilon": {str(o.N): o.scaling.epsilon for o in cfg.orbitals},
+        "observable_dictionary": cfg.observable_names,
         "package": "mflab",
     }
     _write_json(cfg.out_dir / "run_config.json", payload)
-
-
-def _exact_basis(cfg: RunConfig, N: int) -> ConfigBasis:
-    dim = math.comb(cfg.grid.total_sites, N)
-    if dim > MAX_BASIS_DIM:
-        raise ConfigError(
-            f"configuration basis for N = {N} on {cfg.grid.total_sites} modes has "
-            f"dimension {dim}, over the {MAX_BASIS_DIM} budget"
-        )
-    return ConfigBasis(cfg.grid.total_sites, N)
 
 
 # ---------------------------------------------------------------------------
@@ -409,13 +406,9 @@ def _exact_basis(cfg: RunConfig, N: int) -> ConfigBasis:
 
 
 def cmd_hartree(cfg: RunConfig) -> None:
-    # the continuity column needs an interior snapshot: check before integrating
-    _, recorded = step_schedule(cfg.t_final, cfg.dt, cfg.snapshot_every)
-    require_continuity_snapshots(len(recorded))
-    potential = cfg.build_potential()
-    for N in cfg.n_values:
-        initial = cfg.initial_orbitals(N)
-        traj = run_hartree(initial, potential, cfg.t_final, cfg.dt, cfg.snapshot_every)
+    for initial in cfg.orbitals:
+        N = initial.N
+        traj = run_hartree(initial, cfg.potential, cfg.t_final, cfg.dt, cfg.snapshot_every)
         _write_csv(
             cfg.out_dir / f"hartree_N{N}_diagnostics.csv",
             ["t", "energy", "orthonormality_defect", "d_value"],
@@ -429,8 +422,8 @@ def cmd_hartree(cfg: RunConfig) -> None:
         np.save(path, stack)
         print(f"wrote {path}")
 
-        gauged = run_gauged(initial, potential, cfg.t_final, cfg.dt, cfg.snapshot_every)
-        residuals = continuity_residual(gauged, potential)
+        gauged = run_gauged(initial, cfg.potential, cfg.t_final, cfg.dt, cfg.snapshot_every)
+        residuals = continuity_residual(gauged, cfg.potential)
         _write_csv(
             cfg.out_dir / f"hartree_N{N}_continuity.csv",
             ["t", "residual"],
@@ -440,15 +433,13 @@ def cmd_hartree(cfg: RunConfig) -> None:
 
 
 def cmd_exact(cfg: RunConfig) -> None:
-    potential = cfg.build_potential()
-    names, observables = observable_dictionary(cfg.grid, cfg.boxes, cfg.include_bump)
     _, recorded = step_schedule(cfg.t_final, cfg.dt, cfg.snapshot_every)
     times = [step * cfg.dt for step in sorted(recorded)]
-    for N in cfg.n_values:
-        basis = _exact_basis(cfg, N)
-        scaling = cfg.scaling_for(N)
-        hamiltonian = build_hamiltonian(basis, potential, scaling)
-        initial = slater_state(cfg.initial_orbitals(N), basis)
+    for orbitals in cfg.orbitals:
+        N = orbitals.N
+        basis = ConfigBasis(cfg.grid.total_sites, N)
+        hamiltonian = build_hamiltonian(basis, cfg.potential, orbitals.scaling)
+        initial = slater_state(orbitals, basis)
 
         spectra_rows = []
         trace_rows = []
@@ -456,7 +447,7 @@ def cmd_exact(cfg: RunConfig) -> None:
             t, norm = state.time, state.norm
             spectrum = np.linalg.eigvalsh(rdm1(state))[::-1]
             spectra_rows.append([t, norm] + list(spectrum))
-            trace_rows.append([t, norm] + exact_traces(observables, state).tolist())
+            trace_rows.append([t, norm] + exact_traces(cfg.observables, state).tolist())
 
         _write_csv(
             cfg.out_dir / f"exact_N{N}_spectra.csv",
@@ -465,7 +456,7 @@ def cmd_exact(cfg: RunConfig) -> None:
         )
         _write_csv(
             cfg.out_dir / f"exact_N{N}_observables.csv",
-            ["t", "norm"] + [f"trace_{name}" for name in names],
+            ["t", "norm"] + [f"trace_{name}" for name in cfg.observable_names],
             trace_rows,
         )
         if basis.dim <= 400:
@@ -480,16 +471,12 @@ def cmd_exact(cfg: RunConfig) -> None:
 
 
 def cmd_compare(cfg: RunConfig) -> None:
-    potential = cfg.build_potential()
-    names, observables = observable_dictionary(cfg.grid, cfg.boxes, cfg.include_bump)
     summary: dict = {}
-    for N in cfg.n_values:
-        basis = _exact_basis(cfg, N)
-        scaling = cfg.scaling_for(N)
-        hamiltonian = build_hamiltonian(basis, potential, scaling)
-        traj = run_hartree(
-            cfg.initial_orbitals(N), potential, cfg.t_final, cfg.dt, cfg.snapshot_every
-        )
+    for orbitals in cfg.orbitals:
+        N, scaling = orbitals.N, orbitals.scaling
+        basis = ConfigBasis(cfg.grid.total_sites, N)
+        hamiltonian = build_hamiltonian(basis, cfg.potential, scaling)
+        traj = run_hartree(orbitals, cfg.potential, cfg.t_final, cfg.dt, cfg.snapshot_every)
         states = propagate(
             slater_state(traj.snapshots[0], basis),
             hamiltonian,
@@ -499,21 +486,21 @@ def cmd_compare(cfg: RunConfig) -> None:
         rows = []
         for snap, state in zip(traj.snapshots, states):
             alpha_n = alpha_number_onebody(state, build_projections(snap))
-            comparisons = [res.comparison for res in observe(observables, state, snap)]
-            gauged_state = gauge_manybody(state, snap.time, scaling.epsilon, potential)
-            gauged_snap = gauge_orbitals(snap, potential)
-            gauge_defect = max(
-                abs(res.comparison - c)
-                for res, c in zip(observe(observables, gauged_state, gauged_snap), comparisons)
+            exact, hart = observe(cfg.observables, state, snap)
+            comparisons = np.abs(exact - hart)
+            gauged_exact, gauged_hart = observe(
+                cfg.observables,
+                gauge_manybody(state, snap.time, scaling.epsilon, cfg.potential),
+                gauge_orbitals(snap, cfg.potential),
             )
-            rows.append(
-                [snap.time, alpha_n, max(comparisons), gauge_defect] + comparisons
-            )
+            gauge_defect = np.max(np.abs(np.abs(gauged_exact - gauged_hart) - comparisons))
+            rows.append([snap.time, alpha_n, float(comparisons.max()), float(gauge_defect),
+                         *comparisons.tolist()])
 
         _write_csv(
             cfg.out_dir / f"compare_N{N}.csv",
             ["t", "alpha_n", "comparison_max", "gauge_defect_max"]
-            + [f"comparison_{name}" for name in names],
+            + [f"comparison_{name}" for name in cfg.observable_names],
             rows,
         )
         summary[f"N{N}"] = {
@@ -523,7 +510,7 @@ def cmd_compare(cfg: RunConfig) -> None:
             "max_gauge_defect": max(row[3] for row in rows),
         }
 
-    if {2, 4} <= set(cfg.n_values):
+    if {"N2", "N4"} <= summary.keys():
         summary["final_comparison_shrinks_from_N2_to_N4"] = bool(
             summary["N4"]["final_comparison_max"] < summary["N2"]["final_comparison_max"]
         )
@@ -534,26 +521,12 @@ def cmd_compare(cfg: RunConfig) -> None:
 def cmd_aux(cfg: RunConfig) -> None:
     from .auxiliary import run_auxiliary, write_records_csv
 
-    potential = cfg.build_potential()
-    for N in cfg.n_values:
-        cap = MAX_AUX_SITES.get(N)
-        if cap is None:
-            raise ConfigError(f"auxiliary co-evolution supports N in {{2, 3, 4}}, got {N}")
-        if cfg.grid.total_sites > cap:
-            raise ConfigError(
-                f"auxiliary co-evolution with N = {N} needs at most {cap} modes, "
-                f"got {cfg.grid.total_sites}"
-            )
-        run = run_auxiliary(
-            cfg.initial_orbitals(N),
-            potential,
-            cfg.t_final,
-            cfg.dt,
-            gammas=cfg.gammas,
-            snapshot_every=cfg.snapshot_every,
-        )
-        write_records_csv(run.records, cfg.gammas, cfg.out_dir / f"aux_N{N}.csv")
-        print(f"wrote {cfg.out_dir / f'aux_N{N}.csv'}")
+    for initial in cfg.orbitals:
+        run = run_auxiliary(initial, cfg.potential, cfg.t_final, cfg.dt, gammas=cfg.gammas,
+                            snapshot_every=cfg.snapshot_every)
+        path = cfg.out_dir / f"aux_N{initial.N}.csv"
+        write_records_csv(run.records, cfg.gammas, path)
+        print(f"wrote {path}")
     write_sidecar(cfg, "aux")
 
 

@@ -55,6 +55,11 @@ from scipy.linalg import qr
 from .errors import ConfigError, ContractViolation, GridMismatchError
 from .manybody import ConfigBasis, ManyBodyState, annihilated, random_state
 
+# the exponents gamma of the threshold weights that the auxiliary records and
+# the lemma suite read, and the lemma suite's default trials and NxL sizes
+DEFAULT_GAMMAS = (1.0 / 6.0, 0.5, 1.0)
+LEMMA_TRIALS = 200
+LEMMA_SIZES = ((2, 6), (3, 8), (4, 8), (3, 12))
 
 # ---------------------------------------------------------------------------
 # weights
@@ -609,9 +614,9 @@ def _size_weights(N: int, gammas: tuple[float, ...]) -> tuple:
 
 def lemma_suite(
     seed: int = 0,
-    trials: int = 200,
-    sizes: tuple[tuple[int, int], ...] = ((2, 6), (3, 8), (4, 8), (3, 12)),
-    gammas: tuple[float, ...] = (1.0 / 6.0, 0.5, 1.0),
+    trials: int = LEMMA_TRIALS,
+    sizes: tuple[tuple[int, int], ...] = LEMMA_SIZES,
+    gammas: tuple[float, ...] = DEFAULT_GAMMAS,
 ) -> LemmaReport:
     """Exercise the conversion and shifted-weight lemmas on random states.
 

@@ -530,13 +530,6 @@ def occupation_density(state: ManyBodyState) -> np.ndarray:
     return state.basis.occupancy.T @ np.abs(state.amplitudes) ** 2
 
 
-@dataclass(frozen=True)
-class ObservationResult:
-    trace_exact: float
-    trace_hartree: float
-    comparison: float
-
-
 def exact_traces(M: np.ndarray, state: ManyBodyState) -> np.ndarray:
     """<Psi, (1/N) sum_i M(x_i) Psi> of each real multiplication observable on axis 0 of ``M``.
 
@@ -549,19 +542,17 @@ def exact_traces(M: np.ndarray, state: ManyBodyState) -> np.ndarray:
     return M.reshape(len(M), -1) @ occupation_density(state) / state.basis.n_particles
 
 
-def observe(M: np.ndarray, state: ManyBodyState, orbital_set) -> list[ObservationResult]:
-    """Compare ``exact_traces`` with Tr(M p)/N for each observable stacked on axis 0 of ``M``.
+def observe(M: np.ndarray, state: ManyBodyState, orbital_set) -> tuple[np.ndarray, np.ndarray]:
+    """``exact_traces`` and Tr(M p)/N of each observable stacked on axis 0 of ``M``.
 
     Tr(M p) is read through one (n_obs x L) product against the orbitals'
-    ``density``; the results follow the rows of ``M``.
+    ``density``; both arrays follow the rows of ``M``, and their absolute
+    difference is the dictionary comparison.
     """
     exact = exact_traces(M, state)
     rho = density(orbital_set.values).ravel()
     hart = orbital_set.grid.cell_volume * (M.reshape(len(M), -1) @ rho) / orbital_set.N
-    return [
-        ObservationResult(trace_exact=e, trace_hartree=h, comparison=abs(e - h))
-        for e, h in zip(exact.tolist(), hart.tolist())
-    ]
+    return exact, hart
 
 
 # ---------------------------------------------------------------------------

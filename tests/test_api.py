@@ -15,7 +15,9 @@ files import to re-export and are exempt.  Every field of a dataclass of
 ``src/mflab`` is read as an attribute in ``src/``, ``demos/`` or the
 acceptance suite, unless the class hands itself whole to ``asdict``.
 Every name the package exports in ``__all__`` resolves on it, so ``from
-mflab import *`` works.
+mflab import *`` works.  ``cli.load_config`` resolves the whole run
+configuration, so no ``cmd_*`` function of ``cli`` raises ``ConfigError`` or
+builds a potential, initial orbitals or the observable dictionary.
 """
 
 import ast
@@ -178,3 +180,21 @@ def test_every_exported_name_resolves():
     namespace: dict = {}
     exec("from mflab import *", namespace)
     assert set(mflab.__all__) <= set(namespace)
+
+
+def test_cli_commands_only_compute_and_write():
+    builders = {"build_potential", "make_orbitals", "observable_dictionary"}
+    offenders = []
+    for node in _parse(PACKAGE / "cli.py").body:
+        if not (isinstance(node, ast.FunctionDef) and node.name.startswith("cmd_")):
+            continue
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Raise) and sub.exc is not None:
+                exc = sub.exc.func if isinstance(sub.exc, ast.Call) else sub.exc
+                if getattr(exc, "id", None) == "ConfigError":
+                    offenders.append(f"{node.name} raises ConfigError")
+            elif isinstance(sub, ast.Call):
+                name = getattr(sub.func, "id", None) or getattr(sub.func, "attr", None)
+                if name in builders:
+                    offenders.append(f"{node.name} calls {name}")
+    assert not offenders, f"load_config resolves the configuration, not the commands: {offenders}"

@@ -229,6 +229,55 @@ def test_hartree_rejects_a_two_snapshot_schedule_before_integrating(tmp_path):
     assert sorted(tmp_path.glob("hartree_N*")) == []
 
 
+@pytest.mark.parametrize(
+    "command, n_values",
+    [("hartree", "2,20"), ("exact", "2,8"), ("compare", "2,8"), ("aux", "2,5")],
+)
+def test_a_later_n_over_its_budget_exits_2_before_any_output(tmp_path, command, n_values):
+    """20 orbitals do not fit on 16 sites, N = 8 is over the basis budget
+    there and aux stops at N = 4: each is refused before N = 2 runs."""
+    err = io.StringIO()
+    with redirect_stderr(err), redirect_stdout(io.StringIO()):
+        code = run_cli(command, tmp_path, f"scaling.n={n_values}")
+    assert code == 2
+    assert err.getvalue().startswith("config error:")
+    assert not list(tmp_path.iterdir())
+
+
+def test_lemmas_refuses_a_bad_key_it_does_not_read_before_writing(tmp_path):
+    """The configuration is checked as a whole: an unknown epsilon rule stops
+    the lemma suite before it runs."""
+    err = io.StringIO()
+    with redirect_stderr(err), redirect_stdout(io.StringIO()):
+        code = run_cli("lemmas", tmp_path, "scaling.epsilon_rule=bogus", "lemmas.trials=2")
+    assert code == 2
+    assert "epsilon_rule must be one of" in err.getvalue()
+    assert not (tmp_path / "lemma_report.json").exists()
+    assert not list(tmp_path.iterdir())
+
+
+def test_lemmas_violation_exits_4_with_report_and_sidecar(tmp_path, monkeypatch):
+    """A bound violation is found by running the suite, so its report and the
+    sidecar are written before the exit 4.  The violation is planted as in
+    test_counting: A_C^T in place of A_C on the shift identity's weighted side."""
+    from mflab import counting
+
+    product = counting._block_product
+
+    def transposed(A, rows_out, rows_in, slabs):
+        out = product(A, rows_out, rows_in, slabs)
+        if "shift" in slabs:
+            out.update(product(A.T, rows_out, rows_in, {"shift": slabs["shift"]}))
+        return out
+
+    monkeypatch.setattr(counting, "_block_product", transposed)
+    with redirect_stderr(io.StringIO()), redirect_stdout(io.StringIO()):
+        code = run_cli("lemmas", tmp_path, "lemmas.trials=8", seed=5)
+    assert code == 4
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["lemma_report.json", "run_config.json"]
+    assert json.loads((tmp_path / "lemma_report.json").read_text())["seed"] == 5
+
+
 def test_lemmas_writes_clean_report(tmp_path):
     assert run_cli("lemmas", tmp_path, "lemmas.trials=5", seed=11) == 0
     report = json.loads((tmp_path / "lemma_report.json").read_text())
@@ -377,9 +426,12 @@ def test_override_values_keep_exit_code_contract(command, data):
     with tempfile.TemporaryDirectory() as out, redirect_stdout(io.StringIO()), \
             redirect_stderr(err):
         code = run_cli(command, out, *(f"{k}={v}" for k, v in overrides.items()))
+        written = sorted(os.listdir(out))
     event(f"exit {code}")
     assert code in (0, 2, 3, 4), err.getvalue()
     assert "Traceback" not in err.getvalue()
+    # every configuration error is raised before a command writes anything
+    assert code != 2 or not written, (written, err.getvalue())
 
 
 def test_observable_dictionary_properties():

@@ -503,8 +503,8 @@ def test_observe_slater_sides_agree():
     psi = slater_state(orbs, basis)
     box = np.zeros(grid.shape)
     box[2:5] = 1.0
-    (res,) = observe(box[None], psi, orbs)
-    assert res.comparison < 1e-13
+    (exact,), (hart,) = observe(box[None], psi, orbs)
+    assert abs(exact - hart) < 1e-13
 
 
 def test_observe_sequence_matches_per_observable_traces():
@@ -516,18 +516,17 @@ def test_observe_sequence_matches_per_observable_traces():
     rng = np.random.default_rng(5)
     psi = random_state(basis, rng)
     observables = rng.standard_normal((4,) + grid.shape)
-    together = observe(observables, psi, orbs)
-    assert len(together) == len(observables)
-    assert [res.trace_exact for res in together] == exact_traces(observables, psi).tolist()
+    exact_all, hart_all = observe(observables, psi, orbs)
+    assert exact_all.shape == hart_all.shape == (len(observables),)
+    assert np.array_equal(exact_all, exact_traces(observables, psi))
     A = orbs.value_matrix()
-    for M, res in zip(observables, together):
+    for M, e, h in zip(observables, exact_all, hart_all):
         m = M.ravel()
         exact = float(np.dot(m, occupation_density(psi))) / 2
         hart = grid.cell_volume * float(np.einsum("x,xk,xk->", m, A.conj(), A).real) / 2
-        assert res.trace_exact == pytest.approx(exact, rel=1e-13)
-        assert res.trace_hartree == pytest.approx(hart, rel=1e-13)
-        assert res.comparison == abs(res.trace_exact - res.trace_hartree)
-        assert observe(M[None], psi, orbs)[0].trace_exact == pytest.approx(exact, rel=1e-13)
+        assert e == pytest.approx(exact, rel=1e-13)
+        assert h == pytest.approx(hart, rel=1e-13)
+        assert observe(M[None], psi, orbs)[0][0] == pytest.approx(exact, rel=1e-13)
 
 
 def test_observe_rejects_complex_observable():
