@@ -44,10 +44,15 @@ modes, so its adapted entries are sum_x d[x1, x2, x3] rho[x1, k1, l1]
 rho[x2, k2, l2] rho[x3, k3, l3] with rho[x, k, l] = conj(U[x, k]) U[x, l];
 each slot's (k, l) is split into p/q blocks, and only the 22 block
 combinations with at most two q modes in total are contracted (3.8% of
-the L^6 entries at L = 12, N = 3); the rest is never formed.  The kept
+the L^6 entries at L = 12, N = 3); the rest is never formed.  Which blocks
+are kept depends only on (L, N), so ``run_auxiliary`` writes them into one
+zeroed (L^3, L^3) kernel that every build of the run reuses.  The kept
 kernels are never rotated back to site modes.  The lift tables only index
 mode labels, so ``build_aux_generator`` lifts them on the configuration
-basis of the adapted modes, H_ad, and carries the sum back once:
+basis of the adapted modes, H_ad, with the cap ``MAX_COMPLEMENT``: the lift
+gathers only the table runs a kept entry can reach (6,000 of 290,400
+three-body entries at L = 12, N = 3, ``ConfigBasis.kept_pattern``) and
+equals the full-table lift bit for bit.  The sum is carried back once:
 H = lift1(K) + Rot^dag H_ad Rot, with Rot = ``Projections.rotation``
 (Rot c holds a state's adapted amplitudes).  H is a dense dim x dim array,
 dim <= 495 at every CLI cap; lift1(K) does not change during a run, and
@@ -304,7 +309,9 @@ def _rotate_slots(w: np.ndarray, U: np.ndarray, r: int) -> np.ndarray:
     return out.reshape(L**r, L**r)
 
 
-def _kept_diagonal(d: np.ndarray, U: np.ndarray, N: int, r: int) -> np.ndarray:
+def _kept_diagonal(
+    d: np.ndarray, U: np.ndarray, N: int, r: int, out: np.ndarray
+) -> np.ndarray:
     """sum_{b+c<=2} P^(b) diag(d) P^(c) for an r-slot diagonal, in the adapted basis.
 
     The rotated kernel is sum_x d[x1, ..., xr] prod_s rho[x_s, k_s, l_s] with
@@ -314,7 +321,10 @@ def _kept_diagonal(d: np.ndarray, U: np.ndarray, N: int, r: int) -> np.ndarray:
     for r = 3), so only those are contracted.  Like ``_rotate_slots``, each
     pass contracts the leading site index with one block of rho and cycles
     the block's (k, l) to the back, slot 1 first; a partial sum is shared by
-    every combination that extends it.  The rest of the result stays zero.
+    every combination that extends it.  The kept blocks are written into
+    ``out``, a zeroed (L^r, L^r) complex array, and nothing else of it is
+    touched; they depend only on (L, N, r), so ``out`` can be reused for
+    the next diagonal of the same shape.
     """
     L = U.shape[0]
     blocks = []  # (rho on the block as an (L, mk * ml) matrix, k modes, l modes, shape, q count)
@@ -333,21 +343,25 @@ def _kept_diagonal(d: np.ndarray, U: np.ndarray, N: int, r: int) -> np.ndarray:
             if c + n <= MAX_COMPLEMENT
         ]
     order = list(range(0, 2 * r, 2)) + list(range(1, 2 * r, 2))
-    out = np.zeros((L,) * (2 * r), dtype=np.complex128)
+    tensor = out.reshape((L,) * (2 * r))
     for t, ks, ls, shape, _ in parts:
-        out[ks + ls] = t.reshape(shape).transpose(order)
-    return out.reshape(L**r, L**r)
+        tensor[ks + ls] = t.reshape(shape).transpose(order)
+    return out
 
 
-def kept_interaction(w: np.ndarray, projections: Projections, r: int) -> np.ndarray:
+def kept_interaction(
+    w: np.ndarray, projections: Projections, r: int, out: np.ndarray | None = None
+) -> np.ndarray:
     """sum_{b+c<=2} P^(b) w P^(c) in the adapted mode basis.
 
     ``w`` is an (L^r, L^r) site-basis kernel or the diagonal (L^r,) of one.
     The result is (U^dag)^(x r) [sum_{b+c<=2} P^(b) w P^(c)] U^(x r) with
     U = ``projections.basis_matrix``: the kept kernel on adapted modes,
-    where each P^(b) is diagonal.  A diagonal kernel is contracted on its
-    kept blocks only (``_kept_diagonal``); a dense one is rotated whole and
-    multiplied by the 0/1 mask.  The result stays in the adapted
+    where each P^(b) is diagonal, zero outside the kept entries.  A diagonal
+    kernel is contracted on its kept blocks only (``_kept_diagonal``), into
+    ``out`` if given (a kernel of the same (L, N, r) that only such calls
+    wrote) and into a fresh zeroed array otherwise; a dense one is rotated
+    whole and multiplied by the 0/1 mask.  The result stays in the adapted
     basis; ``build_aux_generator`` lifts it on the adapted configuration
     basis.
     """
@@ -355,7 +369,9 @@ def kept_interaction(w: np.ndarray, projections: Projections, r: int) -> np.ndar
     L = U.shape[0]
     N = projections.n_occupied
     if w.ndim == 1:
-        return _kept_diagonal(w, U, N, r)
+        if out is None:
+            out = np.zeros((L**r, L**r), dtype=np.complex128)
+        return _kept_diagonal(w, U, N, r, out)
     rotated = _rotate_slots(w, U, r)
     rotated *= _kept_mask(L, N, r)
     return rotated
@@ -388,6 +404,7 @@ def build_aux_generator(
     basis: ConfigBasis,
     proj: Projections,
     kinetic: np.ndarray,
+    triple_kernel: np.ndarray | None = None,
 ) -> ManyBodyOperator:
     """Truncated gauged generator with projections from the given orbitals.
 
@@ -395,7 +412,12 @@ def build_aux_generator(
     because they need it too (``run_auxiliary``'s sector masses read its
     rotation table), so it and its rotation are built once.  ``kinetic`` is
     the dense lift ``lift_one_body(basis, dense_kinetic(grid)).toarray()``,
-    the same for every build of a run, so a run lifts it once.
+    the same for every build of a run, so a run lifts it once.  The kept
+    kernels are lifted with the cap ``MAX_COMPLEMENT``.  For N >= 3 the kept
+    triple blocks go into ``triple_kernel``, a zeroed (L^3, L^3) complex
+    array that ``run_auxiliary`` passes to every build of a run (at L = 12
+    it is 48 MB, and faulting in fresh pages costs more than writing the
+    blocks); without it a build allocates its own.
     """
     grid = base.grid
     if gauged_orbitals.grid != grid:
@@ -407,9 +429,10 @@ def build_aux_generator(
 
     w2 = te * base.pair_momentum
     w2[np.diag_indices_from(w2)] += te**2 * base.pair_diag
-    H_ad = lift_two_body(basis, kept_interaction(w2, proj, 2))
+    H_ad = lift_two_body(basis, kept_interaction(w2, proj, 2), MAX_COMPLEMENT)
     if basis.n_particles >= 3:
-        H_ad = H_ad + lift_three_body(basis, kept_interaction(te**2 * base.triple_diag, proj, 3))
+        w3 = kept_interaction(te**2 * base.triple_diag, proj, 3, triple_kernel)
+        H_ad = H_ad + lift_three_body(basis, w3, MAX_COMPLEMENT)
     Rot, _ = proj.rotation(basis)
     H = Rot.conj().T @ (H_ad @ Rot)
     H += kinetic
@@ -545,6 +568,8 @@ def run_auxiliary(
     base = base_interactions(potential)
     H_exact = build_hamiltonian(basis, potential, scaling)
     kinetic = lift_one_body(basis, dense_kinetic(grid)).toarray()
+    L = grid.total_sites
+    triple = np.zeros((L**3, L**3), dtype=np.complex128) if scaling.N >= 3 else None
 
     psi0 = slater_state(initial, basis)
     exact_records = propagate(psi0, H_exact, [step * dt for step in sorted(recorded) if step])
@@ -561,7 +586,7 @@ def run_auxiliary(
         a_m = tuple(
             float(np.dot(weight_threshold(N, g).values(), masses)) for g in gammas
         )
-        gen_t = build_aux_generator(base, psi_t, t, basis, proj, kinetic)
+        gen_t = build_aux_generator(base, psi_t, t, basis, proj, kinetic, triple)
         e_g = direct_energy(psi_t, potential)
         beta = energy_excess(aux_state, gen_t, e_g)
         bad = complement_kinetic(aux_state, psi_t, proj)
@@ -582,7 +607,9 @@ def run_auxiliary(
         phi_mid = hartree_step(phi, potential, 0.5 * dt, t_mid)
         phi = hartree_step(phi_mid, potential, 0.5 * dt, t_next)
         psi_mid = gauge_orbitals(phi_mid, potential)
-        gen = build_aux_generator(base, psi_mid, t_mid, basis, build_projections(psi_mid), kinetic)
+        gen = build_aux_generator(
+            base, psi_mid, t_mid, basis, build_projections(psi_mid), kinetic, triple
+        )
         amps = expm_multiply_hermitian(gen.matvec, amps, -1j * dt * gen.epsilon)
         if not np.all(np.isfinite(amps)):
             raise NumericalFailure(f"non-finite truncated amplitudes at step {step}")

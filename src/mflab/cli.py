@@ -103,7 +103,9 @@ DEFAULTS: dict[str, dict[str, str]] = {
 MAX_TOTAL_SITES = 4096
 MAX_BASIS_DIM = 6000
 # a default N = 4 run (1000 steps, one BLAS thread) took 29 s on 10 sites and
-# 145 s (278 MB) on 12, over the 60 s a capped run may take
+# 145 s (278 MB) on 12, over the 60 s a capped run may take; a default N = 3
+# run on 12 sites takes 17-18 s at 132 MB since the generator lifts only its
+# kept table entries (37 s at 131 MB before, the same 2-vCPU host, alternating)
 MAX_AUX_SITES = {2: 24, 3: 12, 4: 10}
 # entries L**N of one lemma-suite slot tensor: a 4x12 trial takes about 0.03 s
 # (one BLAS thread), while the literal sector sums cost about N * 2**N * L**(N+1)

@@ -217,6 +217,34 @@ def _plane_wave_modes(N: int, dim: int) -> list[tuple[int, ...]]:
     return modes[:N]
 
 
+def _periodic_bump(coord: np.ndarray, centre: float, width: float, box: float) -> np.ndarray:
+    """exp(-x^2 / (2 width^2)) summed over the periodic images of x = coord - centre.
+
+    The images -1, 0, 1 come first, then the pairs -k, k for k = 2, 3, ...
+    until the next pair changes no value of the sum.  A narrow bump thus keeps
+    the bits of its three-image sum (at width 1.2 on box 8 the pair +-2 is
+    below e^-44 of it), and a wide one takes every image above roundoff.
+    """
+    if width >= 2.0 * box:
+        # flat to roundoff: by Poisson summation the sum's first Fourier mode
+        # is exp(-2 pi^2 width^2 / box^2) < 1e-34 of its mean
+        return np.ones_like(coord)
+    off = np.mod(coord - centre + 0.5 * box, box) - 0.5 * box
+    width_sq = np.float64(width) ** 2
+
+    def image(k: float) -> np.ndarray:
+        return np.exp(-((off + k * box) ** 2) / (2.0 * width_sq))
+
+    total = np.zeros_like(off)
+    for k in (-1.0, 0.0, 1.0):
+        total += image(k)
+    k = 2.0
+    while not np.array_equal(total + (pair := image(-k) + image(k)), total):
+        total += pair
+        k += 1.0
+    return total
+
+
 def make_orbitals(family: InitialFamily, N: int, grid: Grid,
                   scaling: ScalingParams | None = None):
     """Build the initial orthonormal orbitals for the given family."""
@@ -243,21 +271,12 @@ def make_orbitals(family: InitialFamily, N: int, grid: Grid,
             )
         xs = grid.coordinate_mesh()
         L = grid.box_length
-        width_sq = np.float64(family.width) ** 2  # inf, not OverflowError, for a huge width
-
-        def periodic_bump(coord: np.ndarray, centre: float) -> np.ndarray:
-            off = np.mod(coord - centre + 0.5 * L, L) - 0.5 * L
-            total = np.zeros_like(off)
-            for img in (-1.0, 0.0, 1.0):
-                total += np.exp(-((off + img * L) ** 2) / (2.0 * width_sq))
-            return total
-
         raw = []
         for j in range(N):
             centre = (j + 0.5) * L / N
-            g = periodic_bump(xs[0], centre)
+            g = _periodic_bump(xs[0], centre, family.width, L)
             for a in range(1, grid.dim):
-                g = g * periodic_bump(xs[a], 0.5 * L)
+                g = g * _periodic_bump(xs[a], 0.5 * L, family.width, L)
             # the norm of the complex orbital: BLAS sums a real array in another order
             norm = norm_l2(g.astype(np.complex128), grid)
             raw.append((g / norm).astype(np.complex128))

@@ -1,6 +1,7 @@
 """Interaction kernels, truncation algebra, and the co-evolved auxiliary run."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -237,6 +238,52 @@ def test_triple_kernel_leaves_no_kept_mask():
     assert _kept_mask.cache_info().currsize == 1
     _kept_mask(grid.total_sites, 3, 2)
     assert _kept_mask.cache_info().hits == 1
+
+
+def aux_builds(L, N, times):
+    """One generator build per time, from orbitals gauged at that time: the
+    fixed arguments of a run and the per-build arguments of each build."""
+    grid, pot, orbitals = make_system(n=L, N=N)
+    basis = ConfigBasis(n_modes=L, n_particles=N)
+    kinetic = lift_one_body(basis, dense_kinetic(grid)).toarray()
+    fixed = (base_interactions(pot), basis, kinetic)
+    per_build = []
+    for t in times:
+        psi = gauge_orbitals(replace(orbitals, time=t), pot)
+        per_build.append((psi, t, build_projections(psi)))
+    return fixed, per_build
+
+
+def test_reused_triple_kernel_gives_fresh_builds_bit_for_bit():
+    """Consecutive builds sharing one triple kernel equal builds with their own."""
+    (base, basis, kinetic), builds = aux_builds(8, 3, (0.3, 0.7))
+    L = basis.n_modes
+    shared = np.zeros((L**3, L**3), dtype=np.complex128)
+    for psi, t, proj in builds:
+        reused = build_aux_generator(base, psi, t, basis, proj, kinetic, shared).matrix
+        fresh = build_aux_generator(base, psi, t, basis, proj, kinetic).matrix
+        np.testing.assert_array_equal(reused, fresh)
+    psi, _, proj = builds[0]
+    for w, r in ((base.triple_diag, 3), (base.pair_momentum, 2)):
+        first, second = kept_interaction(w, proj, r), kept_interaction(w, proj, r)
+        assert first is not second and not np.shares_memory(first, second)
+        np.testing.assert_array_equal(first, second)
+
+
+def test_second_build_of_a_run_allocates_no_triple_kernel():
+    """At L = 12, N = 3 a build with the run's triple kernel (48 MB) peaks below 8 MB."""
+    (base, basis, kinetic), builds = aux_builds(12, 3, (0.3, 0.7))
+    L = basis.n_modes
+    shared = np.zeros((L**3, L**3), dtype=np.complex128)
+    (psi, t, proj), (psi2, t2, proj2) = builds
+    build_aux_generator(base, psi, t, basis, proj, kinetic, shared)
+    tracemalloc.start()
+    try:
+        build_aux_generator(base, psi2, t2, basis, proj2, kinetic, shared)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, peak
 
 
 def test_sector_projector_calls_do_not_grow_with_steps(monkeypatch):

@@ -320,6 +320,28 @@ def test_cached_pattern_lift_matches_coo_lift(r, L, N):
         np.testing.assert_allclose(got.data, want.data, rtol=1e-14, atol=1e-15)
 
 
+@pytest.mark.parametrize("r", [2, 3])
+@pytest.mark.parametrize("L,N", [(6, 2), (8, 3), (10, 4)])
+def test_kept_lift_equals_the_full_lift_bit_for_bit(r, L, N):
+    """A kernel zeroed outside exc(row) + exc(col) <= 2 (exc = modes >= N of a
+    slot tuple) lifts the same through the kept runs as through every entry."""
+    basis = ConfigBasis(n_modes=L, n_particles=N)
+    table = ("two_body_table", "three_body_table")[r - 2]
+    lift = (lift_two_body, lift_three_body)[r - 2]
+    exc = (np.indices((L,) * r) >= N).sum(axis=0).ravel()
+    kept = exc[:, None] + exc[None, :] <= 2
+    rng = np.random.default_rng(100 * r + L)
+    for _ in range(2):
+        W = rng.standard_normal(kept.shape) + 1j * rng.standard_normal(kept.shape)
+        W *= kept
+        full, capped = lift(basis, W), lift(basis, W, 2)
+        for name in ("data", "indices", "indptr"):
+            np.testing.assert_array_equal(getattr(capped, name), getattr(full, name))
+    flat, signs, starts, indices, indptr = basis.kept_pattern(table, r, 2)
+    assert basis.kept_pattern(table, r, 2)[0] is flat  # computed once per cap
+    assert r > N or len(flat) < len(getattr(basis, table)[0])
+
+
 # ---------------------------------------------------------------------------
 # Hamiltonian, Slater embedding, reduced density matrix
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import mflab.model as model
 from mflab.errors import ConfigError, NumericalFailure
 from mflab.grid import Grid, dense_gradient, dense_kinetic, gradient, norm_l2
 from mflab.hartree import density, diagnostics, orthonormality_defect
@@ -116,6 +117,37 @@ def test_localized_overlap_conditioning_guard():
     grid = Grid(dim=1, sites_per_dim=32, box_length=8.0)
     with pytest.raises(NumericalFailure):
         make_orbitals(InitialFamily("localized", width=1.5), 8, grid)
+
+
+def three_images(coord, centre, width, box):
+    """The bump summed over the images -1, 0, 1 only, in that order."""
+    off = np.mod(coord - centre + 0.5 * box, box) - 0.5 * box
+    total = np.zeros_like(off)
+    for img in (-1.0, 0.0, 1.0):
+        total += np.exp(-((off + img * box) ** 2) / (2.0 * width**2))
+    return total
+
+
+@pytest.mark.parametrize("sites", [8, 16, 20])
+def test_default_localized_orbitals_are_unchanged_by_the_image_sum(sites, monkeypatch):
+    """At the default width 1.2 on box 8 the images past +-1 are below roundoff."""
+    grid = Grid(dim=1, sites_per_dim=sites, box_length=8.0)
+    family = InitialFamily("localized", width=1.2)
+    summed = [make_orbitals(family, N, grid).values for N in (1, 2, 3, 4)]
+    monkeypatch.setattr(model, "_periodic_bump", three_images)
+    for N, values in zip((1, 2, 3, 4), summed):
+        np.testing.assert_array_equal(values, make_orbitals(family, N, grid).values)
+
+
+def test_wide_bumps_sum_every_image_before_the_conditioning_check(monkeypatch):
+    """N=4 at width 3.5 on the default 16-site grid is ill-conditioned once the
+    images are summed to roundoff; only the three-image truncation let it pass."""
+    grid = Grid(dim=1, sites_per_dim=16, box_length=8.0)
+    family = InitialFamily("localized", width=3.5)
+    with pytest.raises(NumericalFailure, match=r"cond 6\.\d\de\+12"):
+        make_orbitals(family, 4, grid)
+    monkeypatch.setattr(model, "_periodic_bump", three_images)
+    assert make_orbitals(family, 4, grid).N == 4  # the truncated tail passes the check
 
 
 def test_localized_width_resolution_guard():
