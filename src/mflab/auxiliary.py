@@ -51,8 +51,8 @@ kernels are never rotated back to site modes.  The lift tables only index
 mode labels, so ``build_aux_generator`` lifts them on the configuration
 basis of the adapted modes, H_ad, with the cap ``MAX_COMPLEMENT``: the lift
 gathers only the table runs a kept entry can reach (6,000 of 290,400
-three-body entries at L = 12, N = 3, ``ConfigBasis.kept_pattern``) and
-equals the full-table lift bit for bit.  The sum is carried back once:
+three-body entries at L = 12, N = 3, ``ConfigBasis.lift_pattern`` with that
+cap) and equals the full-table lift bit for bit.  The sum is carried back once:
 H = lift1(K) + Rot^dag H_ad Rot, with Rot = ``Projections.rotation``
 (Rot c holds a state's adapted amplitudes).  H is a dense dim x dim array,
 dim <= 495 at every CLI cap; lift1(K) does not change during a run, and
@@ -89,6 +89,7 @@ from .counting import (
     Projections,
     alpha_number_onebody,
     build_projections,
+    gamma_suffix,
     sector_masses,
     weight_number,
     weight_threshold,
@@ -519,10 +520,6 @@ class AuxiliaryRun:
     @property
     def times(self) -> np.ndarray:
         return np.array([rec.time for rec in self.records])
-
-
-def gamma_suffix(gamma: float) -> str:
-    return f"{gamma:.3g}".replace(".", "p").replace("-", "m")
 
 
 def csv_header(gammas: tuple[float, ...]) -> list[str]:

@@ -51,6 +51,7 @@ from .counting import (
     LEMMA_TRIALS,
     alpha_number_onebody,
     build_projections,
+    gamma_suffix,
     lemma_suite,
 )
 from .errors import ConfigError, ContractViolation, NumericalFailure
@@ -58,6 +59,7 @@ from .gauge import continuity_residual, gauge_orbitals, require_continuity_snaps
 from .grid import Grid
 from .hartree import OrbitalSet, run_hartree
 from .manybody import (
+    MAX_DENSE_DIM,
     ConfigBasis,
     build_hamiltonian,
     exact_traces,
@@ -254,8 +256,8 @@ def load_config(args: argparse.Namespace) -> RunConfig:
     )
 
     n_values = _get_list(raw, "scaling", "n", int, "integers")
-    if not n_values or any(n < 1 for n in n_values):
-        raise _fail("scaling", "n", raw["scaling"]["n"], "positive integers")
+    if not n_values or any(n < 1 for n in n_values) or len(set(n_values)) < len(n_values):
+        raise _fail("scaling", "n", raw["scaling"]["n"], "distinct positive integers")
     epsilon = _get_float(raw, "scaling", "epsilon") if raw["scaling"]["epsilon"].strip() else None
 
     snapshot_every = None
@@ -268,6 +270,9 @@ def load_config(args: argparse.Namespace) -> RunConfig:
     gammas = _get_list(raw, "counting", "gammas", float, "numbers")
     if not gammas or any(not 0 < g <= 1 for g in gammas):
         raise _fail("counting", "gammas", raw["counting"]["gammas"], "exponents in (0, 1]")
+    if len({gamma_suffix(g) for g in gammas}) < len(gammas):  # one CSV column per exponent
+        raise _fail("counting", "gammas", raw["counting"]["gammas"],
+                    "exponents distinct to three significant digits")
 
     def _pair(token: str) -> tuple[int, int]:
         n_str, sep, l_str = token.partition("x")
@@ -305,7 +310,8 @@ def load_config(args: argparse.Namespace) -> RunConfig:
                 )
         elif args.command == "aux":
             if N not in MAX_AUX_SITES:
-                raise ConfigError(f"auxiliary co-evolution supports N in {{2, 3, 4}}, got {N}")
+                raise ConfigError(f"auxiliary co-evolution supports N in "
+                                  f"{{{', '.join(map(str, MAX_AUX_SITES))}}}, got {N}")
             if grid.total_sites > MAX_AUX_SITES[N]:
                 raise ConfigError(f"auxiliary co-evolution with N = {N} needs at most "
                                   f"{MAX_AUX_SITES[N]} modes, got {grid.total_sites}")
@@ -461,7 +467,7 @@ def cmd_exact(cfg: RunConfig) -> None:
             ["t", "norm"] + [f"trace_{name}" for name in cfg.observable_names],
             trace_rows,
         )
-        if basis.dim <= 400:
+        if basis.dim <= MAX_DENSE_DIM:
             dense = propagate_dense(initial, hamiltonian, cfg.t_final)
             diff = float(np.linalg.norm(state.amplitudes - dense.amplitudes))
             _write_json(

@@ -61,6 +61,12 @@ DEFAULT_GAMMAS = (1.0 / 6.0, 0.5, 1.0)
 LEMMA_TRIALS = 200
 LEMMA_SIZES = ((2, 6), (3, 8), (4, 8), (3, 12))
 
+
+def gamma_suffix(gamma: float) -> str:
+    """The CSV column suffix of exponent ``gamma`` (three significant digits)."""
+    return f"{gamma:.3g}".replace(".", "p").replace("-", "m")
+
+
 # ---------------------------------------------------------------------------
 # weights
 # ---------------------------------------------------------------------------

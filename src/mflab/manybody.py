@@ -9,8 +9,8 @@ The rescaled generator is
 
 with K the grid's kinetic matrix in its kinetic mode.  ``lift_one_body``/
 ``lift_two_body``/``lift_three_body`` raise r-body mode-space operators
-(r = 1, 2, 3) to the configuration basis through precomputed index/sign
-tables, so lifting a new operator is one vectorised gather.
+(r = 1, 2, 3) to the configuration basis through precomputed tables, so
+lifting a new operator is one vectorised gather.
 One r-body builder (``ConfigBasis._table``) makes every table from the
 annihilation map of each basis N, N-1, ..., N-r+1 and its inverse, the
 creation map (``ConfigBasis.annihilation_table``/``creation_table``): the
@@ -22,16 +22,17 @@ generated over columns, then ordered tuples of distinct occupied modes (c1
 slowest), then increasing created modes d1 < ... < dr (dr slowest), and
 stored sorted by (row, column), the generation order kept among entries of
 one matrix element, so that a lift sums each element's run of entries
-without sorting (CSR order; its row pointer and run starts are
-``ConfigBasis.csr_pattern``, built once per table).  Every r-body operator
+without sorting (CSR order; each table carries its run starts, run
+columns and row pointer over runs).  Every r-body operator
 a lift receives is exchange symmetric, W[(d_s), (c_s)] = W[(d), (c)] for
 each simultaneous slot permutation s, so the r! orderings of the created
 modes give equal terms: the increasing one with every ordering of the
 annihilated modes counts each term once, and the lift needs no 1/r!.  (A
 kernel that is not exchange symmetric would be lifted wrongly.)  One-body
 tables have a single created mode and are unaffected.  A lift stores no
-explicit zeros.  A lift given a complement cap gathers only the runs a
-truncated adapted-basis kernel can reach (``ConfigBasis.kept_pattern``).
+explicit zeros.  Every lift reads ``ConfigBasis.lift_pattern``: the whole
+table, or for a complement cap only the runs a truncated adapted-basis
+kernel can reach.
 These tables serve the lifts only.  Reduced densities and
 one-body expectations come from the annihilation map itself:
 ``annihilated`` scatters psi into the (dim_{N-1} x L) matrix Phi whose
@@ -79,6 +80,7 @@ from .hartree import density
 from .model import InteractionPotential, ScalingParams, resolve_scaling, step_count
 
 DT_MIN = 1e-10  # smallest step a time-dependent generator may be integrated with
+MAX_DENSE_DIM = 400  # largest basis the dense-expm oracle (``propagate_dense``) takes
 
 
 @dataclass(frozen=True)
@@ -113,7 +115,7 @@ class ConfigBasis:
         np.put_along_axis(occupancy, self.configs, 1.0, axis=1)
         return occupancy
 
-    # ---- index/sign tables (built once, reused for every lifted operator) ----
+    # ---- lift tables (built once, reused for every lifted operator) ----
 
     @cached_property
     def one_body_table(self) -> tuple[np.ndarray, ...]:
@@ -178,23 +180,26 @@ class ConfigBasis:
         return index, sign
 
     def _table(self, r: int) -> tuple[np.ndarray, ...]:
-        """Nonzero entries of a^dag_{d1}...a^dag_{dr} a_{cr}...a_{c1} on the basis.
+        """``(flat, signs, starts, indices, indptr)`` of a^dag_{d1}...a^dag_{dr}
+        a_{cr}...a_{c1} on the basis, what a lift reads.
 
-        Returns int32 ``(rows, cols, row_slot, col_slot)`` and int8 ``signs``
-        with <rows[e]| ... |cols[e]> = signs[e], row_slot = (d1, ..., dr) and
-        col_slot = (c1, ..., cr) flattened C-order, d1 < ... < dr, in the
-        CSR entry order of the module docstring: dim * N!/(N-r)! *
-        C(L-N+r, r) entries, none when r > N.  Composed from the maps of the
-        bases N, N-1, ..., N-r+1: the annihilations walk down through their
-        ``annihilation_table``s, the creations back up through their
-        ``creation_table``s, so each pass is a gather (int32 holds every row
-        and slot index: rows are below dim, and slots below L^r, where
-        L^(2r) < 2^31 because ``_lift`` reads an (L^r, L^r) operator and
-        three-body tables stop at L = 12).
+        Per entry, in the CSR entry order of the module docstring (dim *
+        N!/(N-r)! * C(L-N+r, r) entries, none when r > N): the int32 kernel
+        index ``flat`` = row_slot * L^r + col_slot, row_slot = (d1, ..., dr)
+        with d1 < ... < dr and col_slot = (c1, ..., cr) flattened C-order, and
+        the int8 element ``signs``.  Each distinct (row, column) is one run of
+        entries: ``starts`` holds where each run begins, int32 ``indices`` its
+        column and int32 ``indptr`` the row pointer over runs.  Composed from
+        the maps of the bases N, ..., N-r+1: the annihilations walk down
+        through their ``annihilation_table``s, the creations back up through
+        their ``creation_table``s, so each pass is a gather (int32 holds every
+        index: L^(2r) < 2^31, because ``_lift`` reads an (L^r, L^r) operator
+        and three-body tables stop at L = 12).
         """
         L, N, dim = self.n_modes, self.n_particles, self.dim
         if r > N:  # no slot tuples
-            return (*[np.zeros(0, dtype=np.int32)] * 4, np.zeros(0, dtype=np.int8))
+            no = np.zeros(0, dtype=np.int32)
+            return no, no.astype(np.int8), no.astype(np.intp), no, np.zeros(dim + 1, dtype=np.int32)
         slots = np.array(list(permutations(range(N), r)), dtype=np.int64)
         bases = [self]
         for _ in range(r - 1):
@@ -227,95 +232,69 @@ class ConfigBasis:
         # cols never decrease, so a stable sort on rows puts the entries in CSR order
         entry = np.argsort(held.astype(np.uint16) if dim < 1 << 16 else held, kind="stable")
         rows = np.repeat(np.arange(dim, dtype=np.int32), np.bincount(held, minlength=dim))
-        origin = origin[entry]
+        origin, row_slot, signs = origin[entry], row_slot[entry], signs[entry]
+        del held, entry  # sorted: from here on the peak stays below the loop's
         cols = origin // np.int32(len(slots))
-        col_slot = col_slot.ravel().astype(np.int32)[origin]
-        return rows, cols, row_slot[entry], col_slot, signs[entry]
+        flat = row_slot * np.int32(L**r) + col_slot.ravel().astype(np.int32)[origin]
+        del origin, row_slot
+        new = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])  # where the next run starts
+        starts = np.flatnonzero(np.concatenate(([True], new)))
+        indptr = np.searchsorted(rows[starts], np.arange(dim + 1)).astype(np.int32)
+        return flat, signs, starts, cols[starts], indptr
 
     @cached_property
-    def _csr_patterns(self) -> dict:
-        """Per table name, and per (table name, cap), the structure ``_lift``
-        sums into (filled on first use)."""
+    def _kept_patterns(self) -> dict:
+        """Per (r, cap), the kept-run subset of the r-body table (filled on first use)."""
         return {}
 
-    def csr_pattern(self, table: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(starts, indices, indptr)`` of the lift table ``table``, computed once.
+    def lift_pattern(self, r: int, cap: int | None = None) -> tuple[np.ndarray, ...]:
+        """The r-body table, or the runs of it a kernel truncated to ``cap``
+        modes >= N can reach (computed once per (r, cap)), in the table's form.
 
-        The table is in CSR order, so each distinct (row, col) is one run of
-        entries: ``starts`` holds where each run begins, ``indices`` its
-        column and ``indptr`` the row pointer over runs.
+        An entry is kept when the 2r base-L digits of its ``flat`` (row slot,
+        then column slot) hold at most ``cap`` modes >= N; a truncated kernel
+        is zero on every other entry.  A run with a kept entry is kept whole,
+        so each matrix element sums the same terms in the same order as the
+        full lift, bit for bit; a run without one sums to zero, which the
+        full lift drops too.
         """
-        pattern = self._csr_patterns.get(table)
+        table = getattr(self, ("one_body_table", "two_body_table", "three_body_table")[r - 1])
+        if cap is None:
+            return table
+        pattern = self._kept_patterns.get((r, cap))
         if pattern is None:
-            rows, cols = getattr(self, table)[:2]
-            new = np.ones(len(rows), dtype=bool)
-            new[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
-            starts = np.flatnonzero(new)
-            indptr = np.searchsorted(rows[starts], np.arange(self.dim + 1)).astype(np.int32)
-            pattern = self._csr_patterns[table] = (starts, cols[starts], indptr)
-        return pattern
-
-    def kept_pattern(self, table: str, r: int, cap: int) -> tuple[np.ndarray, ...]:
-        """``(flat, signs, starts, indices, indptr)`` of the runs of ``table`` that
-        a kernel truncated to ``cap`` modes >= N can reach, computed once per cap.
-
-        An entry is kept when the base-L digits of its row and column slots
-        hold at most ``cap`` modes >= N between them; a truncated kernel is
-        zero on every other entry.  A run with a kept entry is kept whole, so
-        each matrix element sums the same terms in the same order as the full
-        lift, bit for bit; a run without one sums to zero, which the full lift
-        drops too.  ``flat`` is the int32 kernel index row_slot * L^r +
-        col_slot, and the rest is ``csr_pattern`` restricted to the kept runs.
-        """
-        key = (table, cap)
-        pattern = self._csr_patterns.get(key)
-        if pattern is None:
-            _, _, row_slot, col_slot, signs = getattr(self, table)
-            starts, indices, indptr = self.csr_pattern(table)
+            flat, signs, starts, indices, indptr = table
             L, N = self.n_modes, self.n_particles
-            complement = np.zeros(len(signs), dtype=np.int8)
-            for slot in (row_slot, col_slot):
-                for k in range(r):
-                    complement += slot // L**k % L >= N
-            kept_runs = np.logical_or.reduceat(complement <= cap, starts)
-            lengths = np.diff(starts, append=len(signs))
-            keep = np.repeat(kept_runs, lengths)
-            kept_lengths = lengths[kept_runs]
-            runs_before = np.concatenate(([0], np.cumsum(kept_runs, dtype=np.int32)))
-            pattern = self._csr_patterns[key] = (
-                row_slot[keep] * np.int32(L**r) + col_slot[keep],
-                signs[keep],
-                np.cumsum(kept_lengths) - kept_lengths,
-                indices[kept_runs],
-                runs_before[indptr],
-            )
+            complement = np.zeros(len(flat), dtype=np.int8)
+            for k in range(2 * r):
+                complement += flat // L**k % L >= N
+            kept = np.logical_or.reduceat(complement <= cap, starts)
+            lengths = np.diff(starts, append=len(flat))
+            keep = np.repeat(kept, lengths)
+            kept_before = np.concatenate(([0], np.cumsum(kept))).astype(np.int32)
+            pattern = self._kept_patterns[r, cap] = (
+                flat[keep], signs[keep], np.cumsum(lengths[kept]) - lengths[kept],
+                indices[kept], kept_before[indptr])
         return pattern
 
 
-def _lift(basis: ConfigBasis, W: np.ndarray, r: int, table: str,
-          cap: int | None = None) -> sp.csr_matrix:
-    """sum over r-subsets of particles of an exchange-symmetric W, gathered
-    through ``basis.<table>``, one term per table entry.
+def _lift(basis: ConfigBasis, W: np.ndarray, r: int, cap: int | None = None) -> sp.csr_matrix:
+    """sum over r-subsets of particles of an exchange-symmetric W, one term per
+    entry of ``basis.lift_pattern(r, cap)``.
 
-    The table is in CSR order and ``ConfigBasis.csr_pattern`` holds its
-    structure, so a lift is one gather, one sum over each run of entries
-    that share a matrix element, and one pass that drops the elements that
-    sum to zero; nothing is sorted.  A ``cap`` declares W an adapted-basis
-    kernel truncated to at most ``cap`` modes >= N over its slots, as
-    ``auxiliary.kept_interaction`` builds it: the lift then gathers only the
-    runs of ``ConfigBasis.kept_pattern`` (6,000 of 290,400 three-body entries
-    at L = 12, N = 3), bit for bit the full lift.  ``None`` gathers every entry.
+    The pattern is in CSR order, so a lift is one gather, one sum over each
+    run of entries that share a matrix element, and one pass that drops the
+    elements that sum to zero; nothing is sorted.  A ``cap`` declares W an
+    adapted-basis kernel truncated to at most ``cap`` modes >= N over its
+    slots, as ``auxiliary.kept_interaction`` builds it: the lift then gathers
+    only the runs such a kernel can reach (6,000 of 290,400 three-body
+    entries at L = 12, N = 3), bit for bit the full lift.  ``None`` gathers
+    every entry.
     """
     n = basis.n_modes**r
     if W.shape != (n, n):
         raise GridMismatchError(f"{r}-body operator shape {W.shape} != ({n}, {n})")
-    if cap is None:
-        _, _, row_slot, col_slot, signs = getattr(basis, table)
-        # int32 flat slots: L^(2r) < 2^31, the size of W itself (32 GiB at 2^31)
-        flat = row_slot * n + col_slot
-        starts, indices, indptr = basis.csr_pattern(table)
-    else:
-        flat, signs, starts, indices, indptr = basis.kept_pattern(table, r, cap)
+    flat, signs, starts, indices, indptr = basis.lift_pattern(r, cap)
     data = np.add.reduceat(signs * W.ravel().take(flat), starts)
     nz = data != 0
     kept_before = np.concatenate(([0], np.cumsum(nz)))
@@ -326,18 +305,18 @@ def _lift(basis: ConfigBasis, W: np.ndarray, r: int, table: str,
 
 def lift_one_body(basis: ConfigBasis, A: np.ndarray) -> sp.csr_matrix:
     """sum_i A_i on the configuration basis (A acts on mode space)."""
-    return _lift(basis, A, 1, "one_body_table")
+    return _lift(basis, A, 1)
 
 
 def lift_two_body(basis: ConfigBasis, W: np.ndarray, cap: int | None = None) -> sp.csr_matrix:
     """sum_{i<j} W_ij for a pair-space operator W (exchange-symmetric); ``cap`` as in ``_lift``."""
-    return _lift(basis, W, 2, "two_body_table", cap)
+    return _lift(basis, W, 2, cap)
 
 
 def lift_three_body(basis: ConfigBasis, W: np.ndarray, cap: int | None = None) -> sp.csr_matrix:
     """sum_{i<j<k} W_ijk for a triple-space operator W (exchange-symmetric);
     ``cap`` as in ``_lift``."""
-    return _lift(basis, W, 3, "three_body_table", cap)
+    return _lift(basis, W, 3, cap)
 
 
 # ---------------------------------------------------------------------------
@@ -522,9 +501,9 @@ def _trajectory(
 def propagate_dense(
     state: ManyBodyState, hamiltonian: ManyBodyOperator, t_final: float
 ) -> ManyBodyState:
-    """Dense-matrix-exponential oracle for small bases (dim <= 400)."""
-    if state.basis.dim > 400:
-        raise ConfigError("dense propagation oracle is limited to dim <= 400")
+    """Dense-matrix-exponential oracle for small bases (dim <= ``MAX_DENSE_DIM``)."""
+    if state.basis.dim > MAX_DENSE_DIM:
+        raise ConfigError(f"dense propagation oracle is limited to dim <= {MAX_DENSE_DIM}")
     span = t_final - state.time
     U = expm(-1j * span * hamiltonian.epsilon * hamiltonian.matrix.toarray())
     return ManyBodyState(state.basis, U @ state.amplitudes, t_final)

@@ -324,6 +324,8 @@ def test_config_error_exit_codes(tmp_path):
         ("lemmas", "lemmas.sizes="),
         ("lemmas", "lemmas.sizes=,"),
         ("lemmas", "lemmas.sizes=5x12"),
+        ("compare", "scaling.n=2,2"),  # one compare_N2.csv per N
+        ("aux", "counting.gammas=0.5,0.5001"),  # both would be column alpha_m_g0p5
     ],
 )
 def test_bad_values_exit_2_without_traceback(tmp_path, command, override):
@@ -331,7 +333,7 @@ def test_bad_values_exit_2_without_traceback(tmp_path, command, override):
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("config error:")
-    assert not (tmp_path / "lemma_report.json").exists()
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("command", ["hartree", "exact", "aux"])

@@ -150,7 +150,9 @@ def _parity(masks: np.ndarray) -> np.ndarray:
 
 
 def reference_table(basis: ConfigBasis, r: int) -> tuple[np.ndarray, ...]:
-    """``ConfigBasis._table(r)`` by bit operations on configuration bitmasks.
+    """``decoded(basis._table(r), basis.n_modes, r)`` by bit operations on
+    configuration bitmasks: int32 ``(rows, cols, row_slot, col_slot)`` and int8
+    ``signs`` per entry.
 
     Builds an int64 occupation bitmask per configuration (L <= 62), then
     annihilates and creates on the masks, with signs from bit parities below
@@ -190,6 +192,20 @@ def reference_table(basis: ConfigBasis, r: int) -> tuple[np.ndarray, ...]:
     return (*(a.astype(np.int32)[entry] for a in index), signs.astype(np.int8)[entry])
 
 
+def decoded(table, L: int, r: int) -> tuple[np.ndarray, ...]:
+    """``(rows, cols, row_slot, col_slot, signs)`` per entry of a lift table.
+
+    The slots are the base-L^r digits of ``flat``; each run of entries lies
+    in the row whose ``indptr`` range holds it and in its run's column.
+    """
+    flat, signs, starts, indices, indptr = table
+    row_slot, col_slot = np.divmod(flat, np.int32(L**r))
+    lengths = np.diff(starts, append=len(flat))
+    run_rows = np.repeat(np.arange(len(indptr) - 1, dtype=np.int32), np.diff(indptr))
+    rows, cols = np.repeat(run_rows, lengths), np.repeat(indices, lengths)
+    return rows, cols, row_slot, col_slot, signs
+
+
 @pytest.mark.parametrize(
     "L,N,rs",
     [
@@ -205,12 +221,21 @@ def reference_table(basis: ConfigBasis, r: int) -> tuple[np.ndarray, ...]:
     ],
 )
 def test_table_matches_mask_search_reference(L, N, rs):
-    """The composed tables equal the bitmask builder's, element and dtype."""
+    """The composed tables decode to the bitmask builder's entries, element and
+    dtype, and hold one run per distinct (row, column), each run's first entry
+    at ``starts``."""
     for r in rs:
-        got = ConfigBasis(n_modes=L, n_particles=N)._table(r)
+        table = ConfigBasis(n_modes=L, n_particles=N)._table(r)
+        flat, signs, starts, indices, indptr = table
+        assert flat.dtype == indices.dtype == indptr.dtype == np.int32
+        assert len(indptr) == math.comb(L, N) + 1 and indptr[0] == 0
+        assert indptr[-1] == len(starts) == len(indices)
         want = reference_table(ConfigBasis(n_modes=L, n_particles=N), r)
-        assert len(got) == len(want) == 5
-        for g, w in zip(got, want):
+        rows, cols = want[:2]
+        new = np.ones(len(rows), dtype=bool)
+        new[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+        np.testing.assert_array_equal(starts, np.flatnonzero(new))
+        for g, w in zip(decoded(table, L, r), want):
             assert g.dtype == w.dtype, (r, g.dtype, w.dtype)
             np.testing.assert_array_equal(g, w)
 
@@ -259,9 +284,11 @@ def test_table_lengths_and_created_mode_order(L, N):
     """dim * N!/(N-r)! * C(L-N+r, r) entries: ordered annihilated, increasing created modes."""
     basis = ConfigBasis(n_modes=L, n_particles=N)
     tables = {1: basis.one_body_table, 2: basis.two_body_table, 3: basis.three_body_table}
-    for r, (rows, cols, row_slot, col_slot, signs) in tables.items():
+    for r, table in tables.items():
+        assert basis.lift_pattern(r) is table
+        rows, cols, row_slot, col_slot, signs = decoded(table, L, r)
         expected = basis.dim * math.perm(N, r) * math.comb(L - N + r, r)
-        assert len(rows) == expected, r
+        assert len(table[0]) == len(rows) == expected, r
         assert all(a.dtype == np.int32 for a in (rows, cols, row_slot, col_slot))
         assert signs.dtype == np.int8
         created = np.stack(np.unravel_index(row_slot, (L,) * r))
@@ -302,9 +329,8 @@ def test_cached_pattern_lift_matches_coo_lift(r, L, N):
     Two kernels in turn, so a lift that altered the cached pattern would show.
     """
     basis = ConfigBasis(n_modes=L, n_particles=N)
-    table = ("one_body_table", "two_body_table", "three_body_table")[r - 1]
     lift = (lift_one_body, lift_two_body, lift_three_body)[r - 1]
-    rows, cols, row_slot, col_slot, signs = getattr(basis, table)
+    rows, cols, row_slot, col_slot, signs = decoded(basis.lift_pattern(r), L, r)
     rng = np.random.default_rng(10 * r + L)
     for _ in range(2):
         W = rng.standard_normal((L**r, L**r)) + 1j * rng.standard_normal((L**r, L**r))
@@ -326,7 +352,6 @@ def test_kept_lift_equals_the_full_lift_bit_for_bit(r, L, N):
     """A kernel zeroed outside exc(row) + exc(col) <= 2 (exc = modes >= N of a
     slot tuple) lifts the same through the kept runs as through every entry."""
     basis = ConfigBasis(n_modes=L, n_particles=N)
-    table = ("two_body_table", "three_body_table")[r - 2]
     lift = (lift_two_body, lift_three_body)[r - 2]
     exc = (np.indices((L,) * r) >= N).sum(axis=0).ravel()
     kept = exc[:, None] + exc[None, :] <= 2
@@ -337,9 +362,36 @@ def test_kept_lift_equals_the_full_lift_bit_for_bit(r, L, N):
         full, capped = lift(basis, W), lift(basis, W, 2)
         for name in ("data", "indices", "indptr"):
             np.testing.assert_array_equal(getattr(capped, name), getattr(full, name))
-    flat, signs, starts, indices, indptr = basis.kept_pattern(table, r, 2)
-    assert basis.kept_pattern(table, r, 2)[0] is flat  # computed once per cap
-    assert r > N or len(flat) < len(getattr(basis, table)[0])
+    pattern = basis.lift_pattern(r, 2)
+    assert basis.lift_pattern(r, 2) is pattern  # computed once per cap
+    # the kept pattern is the whole runs of the full table that hold a kept entry
+    full = basis.lift_pattern(r)
+    entries = decoded(full, L, r)
+    exc = sum((np.stack(np.unravel_index(slot, (L,) * r)) >= N).sum(axis=0)
+              for slot in entries[2:4])
+    run = np.repeat(np.arange(len(full[2])), np.diff(full[2], append=len(full[0])))
+    keep = np.isin(run, run[exc <= 2])
+    assert r > N or keep.sum() < len(keep)
+    for got, want in zip(decoded(pattern, L, r), entries):
+        np.testing.assert_array_equal(got, want[keep])
+
+
+@pytest.mark.parametrize("r", [2, 3])
+@pytest.mark.parametrize("L,N", [(6, 2), (8, 3)])
+def test_cap_of_every_slot_keeps_every_run(r, L, N):
+    """A cap of 2r complement modes excludes no entry: the capped pattern is
+    the whole table and lifts any kernel bit for bit like the uncapped lift."""
+    basis = ConfigBasis(n_modes=L, n_particles=N)
+    lift = (lift_two_body, lift_three_body)[r - 2]
+    for got, want in zip(basis.lift_pattern(r, 2 * r), basis.lift_pattern(r)):
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+    rng = np.random.default_rng(10 * r + L)
+    W = rng.standard_normal((L**r, L**r)) + 1j * rng.standard_normal((L**r, L**r))
+    W = exchange_symmetric(W, L, r)
+    full, capped = lift(basis, W), lift(basis, W, 2 * r)
+    for name in ("data", "indices", "indptr"):
+        np.testing.assert_array_equal(getattr(capped, name), getattr(full, name))
 
 
 # ---------------------------------------------------------------------------
