@@ -109,8 +109,8 @@ MAX_BASIS_DIM = 6000
 # run on 12 sites takes 17-18 s at 132 MB since the generator lifts only its
 # kept table entries (37 s at 131 MB before, the same 2-vCPU host, alternating)
 MAX_AUX_SITES = {2: 24, 3: 12, 4: 10}
-# entries L**N of one lemma-suite slot tensor: a 4x12 trial takes about 0.03 s
-# (one BLAS thread), while the literal sector sums cost about N * 2**N * L**(N+1)
+# entries L**N of one lemma-suite slot tensor: a 4x12 trial takes about 0.02 s
+# (one BLAS thread), while the literal sector walk costs about 2**(N+1) * L**(N+1)
 # per trial and an 8x12 tensor alone would need 6.9 GB
 MAX_LEMMA_SLOT_ENTRIES = 12**4
 

@@ -278,6 +278,22 @@ def test_lemmas_violation_exits_4_with_report_and_sidecar(tmp_path, monkeypatch)
     assert json.loads((tmp_path / "lemma_report.json").read_text())["seed"] == 5
 
 
+def test_lemmas_non_finite_check_exits_3_without_report(tmp_path, monkeypatch):
+    """A NaN compares False both ways, so a NaN mask table would pass every
+    check it feeds; the suite stops with exit 3 and writes no report."""
+    from mflab import counting
+
+    monkeypatch.setattr(counting.AdaptedSlots, "mask_table",
+                        lambda self, T: np.full((self.n_particles + 1,) * 2, np.nan))
+    err = io.StringIO()
+    with redirect_stderr(err), redirect_stdout(io.StringIO()):
+        code = run_cli("lemmas", tmp_path, "lemmas.trials=4", seed=1)
+    assert code == 3
+    assert err.getvalue().startswith("numerical failure:")
+    assert "Traceback" not in err.getvalue()
+    assert not (tmp_path / "lemma_report.json").exists()
+
+
 def test_lemmas_writes_clean_report(tmp_path):
     assert run_cli("lemmas", tmp_path, "lemmas.trials=5", seed=11) == 0
     report = json.loads((tmp_path / "lemma_report.json").read_text())

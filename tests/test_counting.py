@@ -162,6 +162,69 @@ def test_embed_matches_permutation_loop_and_round_trips(N, L):
                                rtol=0, atol=1e-15)
 
 
+def subset_sums(space, T, slots):
+    """P^(k) T over ``slots`` for k = 0..|slots|: each k-subset's p/q chain built
+    on its own, summed in ``combinations`` order."""
+    sums = []
+    for k in range(len(slots) + 1):
+        out = np.zeros_like(T)
+        for S in combinations(slots, k):
+            term = T
+            for slot in slots:
+                term = space.apply_one(term, space.q if slot in S else space.p, slot)
+            out += term
+        sums.append(out)
+    return sums
+
+
+@pytest.mark.parametrize(
+    "N, L, slots",
+    [(2, 6, None), (3, 8, None), (4, 8, None), (3, 12, None),
+     (1, 1, None), (3, 3, None), (1, 5, None), (4, 8, (3, 1))],
+)
+def test_sector_walk_equals_subset_sums(N, L, slots, monkeypatch):
+    """The one-walk sectors are bit for bit the subset-by-subset sums, they sum
+    to T, an out-of-range count gives zeros, and the walk over n slots makes
+    2^(n+1) - 2 slot applications.  (1, 1) and (3, 3) have q = 0."""
+    rng = np.random.default_rng(61 + 10 * N + L)
+    space = SlotSpace(_random_projections(L, N, rng), N)
+    T = space.embed(random_state(ConfigBasis(n_modes=L, n_particles=N), rng))
+    walked_slots = tuple(range(N)) if slots is None else slots
+    expected = subset_sums(space, T, walked_slots)
+
+    calls = []
+    apply_one = SlotSpace.apply_one
+
+    def counted(self, *args):
+        calls.append(args[-1])
+        return apply_one(self, *args)
+
+    monkeypatch.setattr(SlotSpace, "apply_one", counted)
+    parts = space.sector(T, None, slots)
+    assert len(calls) == 2 ** (len(walked_slots) + 1) - 2
+    assert len(parts) == len(walked_slots) + 1
+    for k, part in enumerate(parts):
+        assert np.array_equal(part, expected[k])
+        assert np.array_equal(space.sector(T, k, slots), expected[k])
+    assert np.max(np.abs(sum(parts) - T)) < 1e-12
+    for k in (-1, len(walked_slots) + 1):
+        out = space.sector(T, k, slots)
+        assert out.shape == T.shape and not out.any()
+
+
+@pytest.mark.parametrize("N, L", [(1, 5), (2, 6), (3, 8), (4, 8)])
+def test_apply_one_matches_the_slot_contraction(N, L):
+    """apply_one on every slot, the last one (a single product) included, is
+    the one-slot tensor contraction."""
+    rng = np.random.default_rng(67 + 10 * N + L)
+    space = SlotSpace(_random_projections(L, N, rng), N)
+    T = rng.standard_normal((L,) * N) + 1j * rng.standard_normal((L,) * N)
+    M = rng.standard_normal((L, L)) + 1j * rng.standard_normal((L, L))
+    for slot in range(N):
+        full = _apply_on_slots(T, M, (slot,))
+        assert np.max(np.abs(space.apply_one(T, M, slot) - full)) <= 1e-13 * np.max(np.abs(full))
+
+
 @pytest.mark.parametrize("N, L", [(1, 4), (3, 3), (2, 6), (3, 8), (4, 8), (3, 12)])
 def test_adapted_slots_match_literal_slot_space(N, L):
     rng = np.random.default_rng(43 + 10 * N + L)
