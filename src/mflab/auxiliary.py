@@ -579,10 +579,8 @@ def run_auxiliary(
         proj = build_projections(psi_t)
         masses = sector_masses(aux_state, proj)
         N = basis.n_particles
-        a_n = float(np.dot(weight_number(N).values(), masses))
-        a_m = tuple(
-            float(np.dot(weight_threshold(N, g).values(), masses)) for g in gammas
-        )
+        a_n = float(np.dot(weight_number(N), masses))
+        a_m = tuple(float(np.dot(weight_threshold(N, g), masses)) for g in gammas)
         gen_t = build_aux_generator(base, psi_t, t, basis, proj, kinetic, triple)
         e_g = direct_energy(psi_t, potential)
         beta = energy_excess(aux_state, gen_t, e_g)

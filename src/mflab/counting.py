@@ -6,36 +6,38 @@ many particles sit outside Ran p.  The sector projector P^(k) is, literally,
 
     P^(k) = sum over k-subsets S of {1..N} of  prod_{i in S} q_i prod_{i not in S} p_i,
 
-and a weight function f: {0..N} -> R lifts to the operator
-f_hat = sum_k f(k) P^(k).  Three implementations are kept deliberately:
+and a weight f: {0..N} -> R, one read-only array f(0..N), lifts to the
+operator f_hat = sum_k f(k) P^(k); P^(k) is the weight of the 0/1 indicator
+of k.  Both production routes work in an orbital-adapted mode basis U (its
+first n columns span Ran p), where the sector index is the count of
+complement modes:
 
-* a production route on the configuration basis: rotate to an orbital-adapted
-  mode basis (first n columns span Ran p), where the sector index is just the
-  count of occupied complement modes and every weight operator is diagonal.
-  The rotation ``Projections.rotation`` holds the N x N minors of the basis
-  matrix for every pair of configurations: the N-th compound matrix of
-  U^dagger, built level by level over lexicographic r-subsets by Laplace
-  expansion along the first row (``_compound``), whose subsets and the
-  ranks of their (r-1)-subsets are read off the r-particle ``ConfigBasis``
-  (its ``configs`` and ``annihilation_table``);
-  ``np.linalg.det`` of each minor is its test oracle;
-* the same adapted basis on the N-fold tensor space (:class:`AdaptedSlots`):
-  a slot tensor is rotated once, slot by slot, after which every sector,
-  weight and q-product is an elementwise mask on complement counts, and the
-  norm of any weighted q-product is read from one small table of masses
-  (``AdaptedSlots.mask_table``); the lemma suite runs here.  The masked
-  tensors ``AdaptedSlots.product_q`` and ``AdaptedSlots.norm_sq`` are the
-  table's test oracle.  The suite's sandwich checks apply a local operator
-  only to count blocks, the rows of one complement count over its slots
-  (``_block_product``); the masked ``AdaptedSlots.sector`` and
-  ``AdaptedSlots.weight`` around the full slot contraction
-  ``_apply_on_slots`` are that route's test oracle;
-* a literal route (:class:`SlotSpace`) on the full N-fold tensor space, the
-  oracle for both: products of slot projectors and subset sums exactly as
-  written above, every sector's chains taken in one walk over the slots that
-  applies each shared chain prefix once.
+* the configuration-basis route: every weight operator is diagonal on the
+  adapted configurations (``apply_weight``, ``sector_masses``).  The rotation
+  ``Projections.rotation`` holds the N x N minors of the basis matrix for
+  every pair of configurations: the N-th compound matrix of U^dagger, built
+  level by level over lexicographic r-subsets by Laplace expansion along the
+  first row (``_compound``), whose subsets and the ranks of their
+  (r-1)-subsets are read off the r-particle ``ConfigBasis`` (its ``configs``
+  and ``annihilation_table``); ``np.linalg.det`` of each minor is its test
+  oracle;
+* the slot-tensor route, where the lemma suite runs: a slot tensor is
+  rotated once, slot by slot (``_rotate``), after which every sector, weight
+  and q-product is an elementwise mask on complement counts
+  (``_slot_counts``), the norm of any weighted q-product is read from one
+  small table of masses (``_mask_table``), and a local operator acts only on
+  count blocks, the rows of one complement count over its slots
+  (``_count_blocks``, ``_block_product``).
 
-Shifted weights are f_d(k) = f(k+d) when 0 <= k+d <= N and 0 otherwise.
+The literal :class:`SlotSpace` on the full N-fold tensor space is the oracle
+in both bases: products of slot projectors and subset sums exactly as
+written above, every sector's chains taken in one walk over the slots that
+applies each shared chain prefix once.  Over the site basis it checks the
+configuration route; built on the adapted projections p = diag(1_n, 0), its
+walk gives exactly the masks of the slot-tensor route.
+
+Shifted weights ``shifted(f, d)`` are f_d(k) = f(k+d) when 0 <= k+d <= N and 0
+otherwise.
 ``lemma_suite`` exercises the comparison lemmas on random antisymmetric
 states and reports defects; the shifted-complement bound is asserted only
 for shifts d <= N^gamma, where it provably holds — outside that range it is
@@ -73,62 +75,38 @@ def gamma_suffix(gamma: float) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WeightFunction:
-    """A weight f on occupancy sectors 0..N (table of N+1 values)."""
-
-    table: tuple[float, ...]
-
-    @property
-    def n_particles(self) -> int:
-        return len(self.table) - 1
-
-    def values(self) -> np.ndarray:
-        """The table as one read-only array, built at the first call."""
-        return self._values
-
-    @cached_property
-    def _values(self) -> np.ndarray:
-        values = np.array(self.table)
-        values.flags.writeable = False
-        return values
-
-    def shifted(self, d: int) -> "WeightFunction":
-        """f_d(k) = f(k+d) restricted to 0 <= k+d <= N, else 0."""
-        N = self.n_particles
-        table = tuple(
-            self.table[k + d] if 0 <= k + d <= N else 0.0 for k in range(N + 1)
-        )
-        return WeightFunction(table)
+def _weight(values) -> np.ndarray:
+    """A weight f on occupancy sectors 0..N: one read-only array of N+1 floats."""
+    f = np.array(values, dtype=np.float64)
+    f.flags.writeable = False
+    return f
 
 
-def weight_number(N: int) -> WeightFunction:
-    return WeightFunction(tuple(k / N for k in range(N + 1)))
+def shifted(f: np.ndarray, d: int) -> np.ndarray:
+    """f_d(k) = f(k+d) restricted to 0 <= k+d <= N, else 0."""
+    N = len(f) - 1
+    return _weight([f[k + d] if 0 <= k + d <= N else 0.0 for k in range(N + 1)])
 
 
-def weight_sqrt(N: int) -> WeightFunction:
-    return WeightFunction(tuple(math.sqrt(k / N) for k in range(N + 1)))
+def weight_number(N: int) -> np.ndarray:
+    return _weight([k / N for k in range(N + 1)])
 
 
-def weight_inverse_sqrt(N: int) -> WeightFunction:
+def weight_sqrt(N: int) -> np.ndarray:
+    return _weight([math.sqrt(k / N) for k in range(N + 1)])
+
+
+def weight_inverse_sqrt(N: int) -> np.ndarray:
     """Inverse of the sqrt weight on the complement of sector zero."""
-    table = (0.0,) + tuple(math.sqrt(N / k) for k in range(1, N + 1))
-    return WeightFunction(table)
+    return _weight([0.0] + [math.sqrt(N / k) for k in range(1, N + 1)])
 
 
-def weight_threshold(N: int, gamma: float) -> WeightFunction:
-    table = tuple(min(1.0, k / N**gamma) for k in range(N + 1))
-    return WeightFunction(table)
+def weight_threshold(N: int, gamma: float) -> np.ndarray:
+    return _weight([min(1.0, k / N**gamma) for k in range(N + 1)])
 
 
-def weight_complement(N: int, gamma: float) -> WeightFunction:
-    table = tuple(1.0 - min(1.0, k / N**gamma) for k in range(N + 1))
-    return WeightFunction(table)
-
-
-def weight_power(base: WeightFunction, power: int) -> WeightFunction:
-    table = tuple(v**power for v in base.table)
-    return WeightFunction(table)
+def weight_complement(N: int, gamma: float) -> np.ndarray:
+    return _weight([1.0 - min(1.0, k / N**gamma) for k in range(N + 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -267,35 +245,31 @@ def sector_masses(state: ManyBodyState, projections: Projections) -> np.ndarray:
     """|P^(k) psi|^2 for k = 0..N (sums to |psi|^2)."""
     Rot, exc = projections.rotation(state.basis)
     d = Rot @ state.amplitudes
-    masses = np.zeros(state.basis.n_particles + 1)
-    np.add.at(masses, exc, np.abs(d) ** 2)
-    return masses
+    return np.bincount(exc, weights=np.abs(d) ** 2, minlength=state.basis.n_particles + 1)
 
 
 def sector_project(state: ManyBodyState, k: int, projections: Projections) -> ManyBodyState:
-    Rot, exc = projections.rotation(state.basis)
-    d = Rot @ state.amplitudes
-    d = np.where(exc == k, d, 0.0)
-    return ManyBodyState(state.basis, Rot.conj().T @ d, state.time)
+    """P^(k) psi: ``apply_weight`` of the 0/1 indicator of sector k."""
+    return apply_weight(state, np.arange(state.basis.n_particles + 1) == k, projections)
 
 
 def apply_weight(
-    state: ManyBodyState, weight: WeightFunction, projections: Projections
+    state: ManyBodyState, weight: np.ndarray, projections: Projections
 ) -> ManyBodyState:
-    if weight.n_particles != state.basis.n_particles:
+    """f_hat psi for a weight f(0..N): diagonal in the adapted configurations."""
+    if len(weight) != state.basis.n_particles + 1:
         raise ConfigError(
-            f"weight is for N={weight.n_particles}, state has N={state.basis.n_particles}"
+            f"weight is for N={len(weight) - 1}, state has N={state.basis.n_particles}"
         )
     Rot, exc = projections.rotation(state.basis)
     d = Rot @ state.amplitudes
-    d = weight.values()[exc] * d
+    d = weight[exc] * d
     return ManyBodyState(state.basis, Rot.conj().T @ d, state.time)
 
 
-def alpha(weight: WeightFunction, state: ManyBodyState, projections: Projections) -> float:
+def alpha(weight: np.ndarray, state: ManyBodyState, projections: Projections) -> float:
     """<psi, f_hat psi> = sum_k f(k) |P^(k) psi|^2."""
-    masses = sector_masses(state, projections)
-    return float(np.dot(weight.values(), masses))
+    return float(np.dot(weight, sector_masses(state, projections)))
 
 
 def alpha_number_onebody(state: ManyBodyState, projections: Projections) -> float:
@@ -313,19 +287,6 @@ def alpha_number_onebody(state: ManyBodyState, projections: Projections) -> floa
 # ---------------------------------------------------------------------------
 # tensor-space laboratory: literal oracle and adapted-basis masks
 # ---------------------------------------------------------------------------
-
-
-def _apply_on_slots(T: np.ndarray, mat: np.ndarray, slots: tuple[int, ...]) -> np.ndarray:
-    """Apply a |slots|-particle operator (flat C-order matrix) to the slots of T.
-
-    Axes past the N slots are a batch: a stack of tensors on a trailing axis
-    is carried through in one contraction.
-    """
-    L = T.shape[0]
-    r = len(slots)
-    tens = mat.reshape((L,) * (2 * r))
-    out = np.tensordot(tens, T, axes=(list(range(r, 2 * r)), list(slots)))
-    return np.moveaxis(out, list(range(r)), list(slots))
 
 
 @lru_cache(maxsize=None)
@@ -397,6 +358,32 @@ def _apply_one(T: np.ndarray, M: np.ndarray, slot: int) -> np.ndarray:
     return np.matmul(M, T.reshape(L**slot, L, -1)).reshape(T.shape)
 
 
+def _rotate(T: np.ndarray, U: np.ndarray) -> np.ndarray:
+    """A site-basis slot tensor in the adapted mode basis U: U^dagger on every slot in turn."""
+    M = U.conj().T
+    for slot in range(T.ndim):
+        T = _apply_one(T, M, slot)
+    return T
+
+
+def _mask_table(R: np.ndarray, n_occupied: int) -> np.ndarray:
+    """M[n0, k] = sum of |R|^2 over the entries of the adapted slot tensor R
+    whose first n0 slots are all outside Ran p and whose complement count over
+    all slots is k (n0, k = 0..N).
+
+    Every mask norm is read from it:
+    |f_hat prod_{i<=n0} q_i psi|^2 = sum_k f(k)^2 M[n0, k].
+    """
+    N, L = R.ndim, R.shape[0]
+    total = np.broadcast_to(_slot_counts(L, n_occupied, N, tuple(range(N))), R.shape)
+    mass = R.real**2 + R.imag**2
+    table = np.empty((N + 1, N + 1))
+    for n0 in range(N + 1):
+        kept = np.broadcast_to(_slot_counts(L, n_occupied, N, tuple(range(n0))) == n0, R.shape)
+        table[n0] = np.bincount(total[kept], weights=mass[kept], minlength=N + 1)
+    return table
+
+
 @lru_cache(maxsize=None)
 def _permutation_signs(N: int) -> tuple[np.ndarray, np.ndarray]:
     """Every permutation of N slots, (N!, N) in ``permutations`` order, and its sign (read-only)."""
@@ -411,9 +398,10 @@ class SlotSpace:
     """Distinguishable N-slot tensor space over the mode basis.
 
     Implements the counting operators literally — slot-wise p/q products,
-    subset sums, weights as sector sums — as the oracle for the production
-    route and for :class:`AdaptedSlots`, and embeds configuration amplitudes
-    as honest antisymmetric tensors (with permutation signs).
+    subset sums, weights as sector sums — as the oracle for both production
+    routes (on the adapted projections p = diag(1_n, 0) for the slot-tensor
+    masks), and embeds configuration amplitudes as honest antisymmetric
+    tensors (with permutation signs).
     """
 
     def __init__(self, projections: Projections, n_particles: int):
@@ -448,8 +436,11 @@ class SlotSpace:
         return _apply_one(T, M, slot)
 
     def apply_on_slots(self, T: np.ndarray, mat: np.ndarray, slots: tuple[int, ...]) -> np.ndarray:
-        """Apply a |slots|-particle operator (flat C-order matrix) to the slots."""
-        return _apply_on_slots(T, mat, slots)
+        """Apply a |slots|-particle operator (flat C-order matrix) to the slots of T."""
+        r = len(slots)
+        tens = mat.reshape((T.shape[0],) * (2 * r))
+        out = np.tensordot(tens, T, axes=(list(range(r, 2 * r)), list(slots)))
+        return np.moveaxis(out, list(range(r)), list(slots))
 
     def product_q(self, T: np.ndarray, n0: int) -> np.ndarray:
         out = T
@@ -487,77 +478,15 @@ class SlotSpace:
             stack.append((self.apply_one(term, self.q, slot), depth + 1, count + 1))
         return parts if k is None else parts[k]
 
-    def weight(self, T: np.ndarray, weight: WeightFunction) -> np.ndarray:
+    def weight(self, T: np.ndarray, weight: np.ndarray) -> np.ndarray:
         out = np.zeros_like(T)
-        for f_k, part in zip(weight.table, self.sector(T)):
+        for f_k, part in zip(weight, self.sector(T)):
             if f_k != 0.0:
                 out += f_k * part
         return out
 
     def inner(self, A: np.ndarray, B: np.ndarray) -> complex:
         return complex(np.vdot(A, B))
-
-    def norm_sq(self, T: np.ndarray) -> float:
-        return float(np.vdot(T, T).real)
-
-
-class AdaptedSlots:
-    """The N-slot tensor space in the orbital-adapted mode basis U.
-
-    ``rotate`` applies U^dagger to every slot once.  There p is diag(1_n, 0)
-    on each slot, so a sector over a slot subset is T times the 0/1 mask
-    "complement indices among the slots == k", a q-product is the sector with
-    every listed slot outside Ran p, and a weight is T times its table at the
-    complement count over all slots.  The count tables are kept per shape
-    and slot subset, read-only and shared by every instance
-    (``_slot_counts``).  A local operator A applied to a rotated tensor with
-    ``_apply_on_slots`` acts in the site basis as U^(x r) A (U^dagger)^(x r),
-    still on its own slots alone.  Method names follow :class:`SlotSpace`,
-    the literal oracle.
-    """
-
-    def __init__(self, projections: Projections, n_particles: int):
-        self.U = projections.basis_matrix
-        self.n_modes = projections.n_modes
-        self.n_occupied = projections.n_occupied
-        self.n_particles = n_particles
-
-    def rotate(self, T: np.ndarray) -> np.ndarray:
-        """Site-basis slot tensor -> adapted basis: U^dagger on every slot in turn."""
-        M = self.U.conj().T
-        for slot in range(self.n_particles):
-            T = _apply_one(T, M, slot)
-        return T
-
-    def count(self, slots: tuple[int, ...]) -> np.ndarray:
-        """Complement indices among ``slots``, broadcastable against a slot tensor."""
-        return _slot_counts(self.n_modes, self.n_occupied, self.n_particles, tuple(slots))
-
-    def mask_table(self, T: np.ndarray) -> np.ndarray:
-        """M[n0, k] = sum of |T|^2 over the entries whose first n0 slots are all
-        outside Ran p and whose complement count over all slots is k (n0, k = 0..N).
-
-        Every mask norm is read from it:
-        |f_hat prod_{i<=n0} q_i T|^2 = sum_k f(k)^2 M[n0, k].
-        """
-        N = self.n_particles
-        total = np.broadcast_to(self.count(tuple(range(N))), T.shape)
-        mass = T.real**2 + T.imag**2
-        table = np.empty((N + 1, N + 1))
-        for n0 in range(N + 1):
-            kept = np.broadcast_to(self.count(tuple(range(n0))) == n0, T.shape)
-            table[n0] = np.bincount(total[kept], weights=mass[kept], minlength=N + 1)
-        return table
-
-    def product_q(self, T: np.ndarray, n0: int) -> np.ndarray:
-        return self.sector(T, n0, tuple(range(n0)))
-
-    def sector(self, T: np.ndarray, k: int, slots: tuple[int, ...] | None = None) -> np.ndarray:
-        slots = tuple(range(self.n_particles)) if slots is None else tuple(slots)
-        return T * (self.count(slots) == k)
-
-    def weight(self, T: np.ndarray, weight: WeightFunction) -> np.ndarray:
-        return T * weight.values()[self.count(tuple(range(self.n_particles)))]
 
     def norm_sq(self, T: np.ndarray) -> float:
         return float(np.vdot(T, T).real)
@@ -623,24 +552,20 @@ def _gaussian_operator(rng: np.random.Generator, n: int, operators: dict) -> np.
     return operators[n]
 
 
-def _threshold_differences(
-    m_w: WeightFunction, d: int
-) -> tuple[WeightFunction, WeightFunction, WeightFunction]:
+def _threshold_differences(m: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """m - m_{-d}, D = sqrt(m - m_{-d}) and E = sqrt(m_{+d} - m) for a threshold weight m."""
-    m_minus = m_w.shifted(-d)
-    m_plus = m_w.shifted(+d)
-    diff = tuple(x - y for x, y in zip(m_w.table, m_minus.table))
-    D_w = WeightFunction(tuple(math.sqrt(max(x, 0.0)) for x in diff))
-    E_w = WeightFunction(
-        tuple(math.sqrt(max(x - y, 0.0)) for x, y in zip(m_plus.table, m_w.table))
-    )
-    return WeightFunction(diff), D_w, E_w
+    diff = _weight(m - shifted(m, -d))
+    D = _weight(np.sqrt(np.maximum(diff, 0.0)))
+    E = _weight(np.sqrt(np.maximum(shifted(m, d) - m, 0.0)))
+    return diff, D, E
 
 
 def _size_weights(N: int, gammas: tuple[float, ...]) -> tuple:
     """The lemma suite's weight tables for N particles, which depend on N and gamma only.
 
-    Returns ``(n_w, linv_sq, per_gamma)``: the number weight, the squared
+    Returns ``(n_pow, linv_sq, per_gamma)``: ``n_pow[j]`` the number weight
+    to the power j <= min(4, N), each (k/N)**j a Python float power (numpy's
+    array power differs from it in the last bit at N = 5, 6), the squared
     inverse-sqrt weight and, per gamma, ``(m_w, shifted_sq, differences)``
     with m_w the threshold weight, ``shifted_sq[s]`` the squared complement
     weight shifted by s for |s| <= min(3, N) and ``differences[d]`` the
@@ -653,13 +578,14 @@ def _size_weights(N: int, gammas: tuple[float, ...]) -> tuple:
     for gamma in gammas:
         m_w = weight_threshold(N, gamma)
         w_w = weight_complement(N, gamma)
-        shifted_sq = {s: w_w.shifted(s).values() ** 2 for s in range(-span, span + 1)}
+        shifted_sq = {s: shifted(w_w, s) ** 2 for s in range(-span, span + 1)}
         differences = {}
         for d in range(1, span + 1):
             diff_w, D_w, E_w = _threshold_differences(m_w, d)
-            differences[d] = (diff_w, D_w, E_w, D_w.values() ** 2, E_w.values() ** 2)
+            differences[d] = (diff_w, D_w, E_w, D_w**2, E_w**2)
         per_gamma.append((m_w, shifted_sq, differences))
-    return weight_number(N), weight_inverse_sqrt(N).values() ** 2, per_gamma
+    n_pow = [_weight([(k / N) ** j for k in range(N + 1)]) for j in range(min(4, N) + 1)]
+    return n_pow, weight_inverse_sqrt(N) ** 2, per_gamma
 
 
 def lemma_suite(
@@ -685,11 +611,11 @@ def lemma_suite(
     slot applications; they feed the sector masses,
     ``sector_completeness`` and ``mass_route_agreement`` (against the
     determinant route of ``sector_masses``).  Every other check runs on the
-    tensor R rotated once into the adapted basis (:class:`AdaptedSlots`).
+    tensor R rotated once into the adapted basis (``_rotate``).
     The q-conversion, sqrt-conversion, shifted-complement and ``diff_*``
-    norms all read the trial's mask table M[n0, k], the mass of R with its
-    first n0 slots outside Ran p and complement count k: a weighted
-    q-product norm is sum_k f(k)^2 M[n0, k].  The two sandwich identities
+    norms all read the trial's mask table M[n0, k] (``_mask_table``), the
+    mass of R with its first n0 slots outside Ran p and complement count k:
+    a weighted q-product norm is sum_k f(k)^2 M[n0, k].  The two sandwich identities
     apply the local operator A_C, on count blocks only.  C is the first |C|
     slots, so viewed as an (L^|C|, rest) matrix each row of R is one slot-C
     multi-index, and the sector P^(b) over C is the rows whose complement
@@ -746,8 +672,8 @@ def lemma_suite(
         comps = space.sector(T)
         masses = np.array([space.norm_sq(c) for c in comps])
 
-        def alpha_of(weight: WeightFunction) -> float:
-            return float(np.dot(weight.values(), masses))
+        def alpha_of(weight: np.ndarray) -> float:
+            return float(np.dot(weight, masses))
 
         # algebra sanity: completeness and agreement with the production route
         completeness = float(np.max(np.abs(sum(comps) - T)))
@@ -765,11 +691,11 @@ def lemma_suite(
 
         if N not in weights:
             weights[N] = _size_weights(N, gammas)
-        n_w, linv_sq, per_gamma = weights[N]
+        n_pow, linv_sq, per_gamma = weights[N]
+        n_w = n_pow[1]
         norm_T = space.norm_sq(T)
-        view = AdaptedSlots(proj, N)
-        R = view.rotate(T)
-        table = view.mask_table(R)
+        R = _rotate(T, proj.basis_matrix)
+        table = _mask_table(R, N)
 
         def mask_norm(squared: np.ndarray, n0: int) -> float:
             """|f_hat prod_{i<=n0} q_i psi|^2 from the squared table of f and the mask table."""
@@ -778,13 +704,13 @@ def lemma_suite(
         # q-conversion: n0 such that n0 + 1 <= N
         for n0 in range(0, min(3, N - 1) + 1):
             lhs = float(table[n0 + 1].sum())
-            rhs = 2.0 * alpha_of(weight_power(n_w, n0 + 1))
+            rhs = 2.0 * alpha_of(n_pow[n0 + 1])
             _record(asserted, "q_conversion", lhs, rhs, {**ctx_base, "n0": n0})
 
         # sqrt-conversion: 1 <= n0 < N
         for n0 in range(1, min(3, N - 1) + 1):
             lhs = mask_norm(linv_sq, n0)
-            rhs = 2.0 * (norm_T if n0 == 1 else alpha_of(weight_power(n_w, n0 - 1)))
+            rhs = 2.0 * (norm_T if n0 == 1 else alpha_of(n_pow[n0 - 1]))
             _record(asserted, "sqrt_conversion", lhs, rhs, {**ctx_base, "n0": n0})
 
         # one random local operator per operator size for the sandwich
@@ -811,12 +737,12 @@ def lemma_suite(
         groups: dict[tuple[int, int], dict] = {
             (b_sh, a_sh): {
                 "sector": sectors[b_sh],
-                "shift": n_w.shifted(a_sh - b_sh).values()[blocks[b_sh][1]] * sectors[b_sh],
+                "shift": shifted(n_w, a_sh - b_sh)[blocks[b_sh][1]] * sectors[b_sh],
             }
         }
         for j, (d, E_w, a) in enumerate(lower):
             group = groups.setdefault((a, a + d), {"sector": sectors[a]})
-            group[f"E{j}"] = E_w.values()[blocks[a][1]] * sectors[a]
+            group[f"E{j}"] = E_w[blocks[a][1]] * sectors[a]
         applied = {
             (b, a): _block_product(A_C, blocks[a][0], blocks[b][0], slabs)
             for (b, a), slabs in groups.items()
@@ -827,7 +753,7 @@ def lemma_suite(
         # both sides zero off the count-a rows
         out = applied[(b_sh, a_sh)]
         sandwich_sh = out["sector"]
-        lhs_vec = n_w.values()[blocks[a_sh][1]] * sandwich_sh
+        lhs_vec = n_w[blocks[a_sh][1]] * sandwich_sh
         defect = float(np.max(np.abs(lhs_vec - out["shift"]), initial=0.0))
         scale = max(float(np.max(np.abs(sandwich_sh), initial=0.0)), 1e-6)
         _record(
@@ -877,8 +803,8 @@ def lemma_suite(
                     out = applied[(a, a + d)]
                     total = blocks[a + d][1]
                     sandwich = out["sector"]
-                    lhs_vec = diff_w.values()[total] * sandwich
-                    rhs_vec = D_w.values()[total] * out[f"E{j}"]
+                    lhs_vec = diff_w[total] * sandwich
+                    rhs_vec = D_w[total] * out[f"E{j}"]
                     defect = float(np.max(np.abs(lhs_vec - rhs_vec), initial=0.0))
                     scale = max(float(np.max(np.abs(sandwich), initial=0.0)), 1e-6)
                     _record(

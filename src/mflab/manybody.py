@@ -210,36 +210,44 @@ class ConfigBasis:
         for k, basis in enumerate(bases):
             held = basis.annihilation_table[0][held, pos[:, k]] // L
         signs = np.tile(1 - 2 * (pos.sum(axis=1) & 1).astype(np.int8), dim)
-        weights = L ** np.arange(r - 1, -1, -1, dtype=np.int64)
+        weights = L ** np.arange(r - 1, -1, -1, dtype=np.int32)
         col_slot = (self.annihilation_table[0] % L)[:, slots] @ weights
         held = held.ravel()
         origin = row_slot = bound = None  # origin: the (column, slot tuple) of each entry
-        modes = np.arange(L)
+        modes = np.arange(L, dtype=np.int32)
         for k in reversed(range(r)):  # a^dag_{dr} acts first, into basis N - k
             index, created = bases[k].creation_table
-            free = index[held] >= 0
+            free = (index >= 0)[held]
             if bound is not None:
                 free &= modes < bound[:, None]  # d_k < d_{k+1}: created modes increase
-            entry, d = np.nonzero(free)
-            signs = signs[entry] * created[held[entry], d]
-            held = index[held[entry], d]
+            # the (entry, d) pairs of np.nonzero(free), made as int32, not intp
+            entry = np.repeat(np.arange(len(held), dtype=np.int32), free.sum(axis=1))
+            d = np.broadcast_to(modes, free.shape)[free]
+            del free
+            held = held[entry]
+            signs = signs[entry] * created[held, d]
+            held = index[held, d]
             origin = entry if origin is None else origin[entry]
             row_slot = d * weights[k] if row_slot is None else row_slot[entry] + d * weights[k]
             bound = d
-        row_slot = row_slot.astype(np.int32)
-        origin = origin.astype(np.int32)
-        del free, entry, d, bound  # release the loop's arrays before sorting
+        del entry, d, bound  # release the loop's arrays before sorting
         # cols never decrease, so a stable sort on rows puts the entries in CSR order
         entry = np.argsort(held.astype(np.uint16) if dim < 1 << 16 else held, kind="stable")
-        rows = np.repeat(np.arange(dim, dtype=np.int32), np.bincount(held, minlength=dim))
-        origin, row_slot, signs = origin[entry], row_slot[entry], signs[entry]
-        del held, entry  # sorted: from here on the peak stays below the loop's
+        # one array sorted at a time, each unsorted one released before the next
+        rows = held[entry]
+        del held
+        origin = origin[entry]
+        row_slot = row_slot[entry]
+        signs = signs[entry]
+        del entry  # sorted: from here on the peak stays below the loop's
         cols = origin // np.int32(len(slots))
-        flat = row_slot * np.int32(L**r) + col_slot.ravel().astype(np.int32)[origin]
-        del origin, row_slot
+        flat = row_slot * np.int32(L**r)
+        del row_slot
+        flat += col_slot.ravel().astype(np.int32)[origin]
+        del origin
         new = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])  # where the next run starts
         starts = np.flatnonzero(np.concatenate(([True], new)))
-        indptr = np.searchsorted(rows[starts], np.arange(dim + 1)).astype(np.int32)
+        indptr = np.searchsorted(rows[starts], np.arange(dim + 1, dtype=np.int32)).astype(np.int32)
         return flat, signs, starts, cols[starts], indptr
 
     @cached_property

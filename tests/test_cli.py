@@ -283,8 +283,8 @@ def test_lemmas_non_finite_check_exits_3_without_report(tmp_path, monkeypatch):
     check it feeds; the suite stops with exit 3 and writes no report."""
     from mflab import counting
 
-    monkeypatch.setattr(counting.AdaptedSlots, "mask_table",
-                        lambda self, T: np.full((self.n_particles + 1,) * 2, np.nan))
+    monkeypatch.setattr(counting, "_mask_table",
+                        lambda R, n_occupied: np.full((R.ndim + 1,) * 2, np.nan))
     err = io.StringIO()
     with redirect_stderr(err), redirect_stdout(io.StringIO()):
         code = run_cli("lemmas", tmp_path, "lemmas.trials=4", seed=1)

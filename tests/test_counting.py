@@ -10,9 +10,8 @@ from scipy.linalg import qr
 
 from mflab import counting
 from mflab.counting import (
-    AdaptedSlots,
+    Projections,
     SlotSpace,
-    WeightFunction,
     alpha,
     alpha_number_onebody,
     apply_weight,
@@ -20,17 +19,19 @@ from mflab.counting import (
     lemma_suite,
     sector_masses,
     sector_project,
+    shifted,
     weight_complement,
     weight_inverse_sqrt,
     weight_number,
-    weight_power,
     weight_sqrt,
     weight_threshold,
-    _apply_on_slots,
     _block_product,
     _count_blocks,
     _gaussian_operator,
+    _mask_table,
     _random_projections,
+    _rotate,
+    _slot_counts,
     _threshold_differences,
 )
 from mflab.errors import ConfigError, ContractViolation, GridMismatchError
@@ -54,34 +55,42 @@ def random_orbital_set(grid, N, rng, epsilon=0.5):
     return OrbitalSet(grid, values, 0.0, ScalingParams(N=N, epsilon=epsilon))
 
 
+def adapted_space(L, N):
+    """The literal SlotSpace on the adapted projections p = diag(1_N, 0), the
+    first N modes spanning Ran p: its sectors, q-products and weights of an
+    adapted slot tensor are exactly the masks on complement counts."""
+    p = np.diag((np.arange(L) < N).astype(float))
+    return SlotSpace(Projections(p=p, q=np.eye(L) - p, columns=np.eye(L), n_occupied=N), N)
+
+
 def test_weight_tables():
     N = 4
     n = weight_number(N)
     ell = weight_sqrt(N)
-    assert n.table == (0.0, 0.25, 0.5, 0.75, 1.0)
-    np.testing.assert_allclose([v**2 for v in ell.table], n.table, atol=1e-15)
+    assert n.tolist() == [0.0, 0.25, 0.5, 0.75, 1.0]
+    np.testing.assert_allclose(ell**2, n, atol=1e-15)
     m = weight_threshold(N, 0.5)
-    np.testing.assert_allclose(m.table, [min(1.0, k / 2.0) for k in range(5)])
+    np.testing.assert_allclose(m, [min(1.0, k / 2.0) for k in range(5)])
     w = weight_complement(N, 0.5)
-    np.testing.assert_allclose([a + b for a, b in zip(m.table, w.table)], np.ones(5))
+    np.testing.assert_allclose(m + w, np.ones(5))
     linv = weight_inverse_sqrt(N)
-    prod = [a * b for a, b in zip(ell.table, linv.table)]
-    np.testing.assert_allclose(prod, [0.0, 1.0, 1.0, 1.0, 1.0], atol=1e-15)
+    np.testing.assert_allclose(ell * linv, [0.0, 1.0, 1.0, 1.0, 1.0], atol=1e-15)
     # shifts: f_d(k) = f(k+d) inside 0..N, zero outside
-    sh = n.shifted(2)
-    assert sh.table == (0.5, 0.75, 1.0, 0.0, 0.0)
-    sh = n.shifted(-1)
-    assert sh.table == (0.0, 0.0, 0.25, 0.5, 0.75)
+    assert shifted(n, 2).tolist() == [0.5, 0.75, 1.0, 0.0, 0.0]
+    assert shifted(n, -1).tolist() == [0.0, 0.0, 0.25, 0.5, 0.75]
 
 
 def test_weight_values_are_one_read_only_array():
-    w = weight_threshold(4, 0.5)
-    values = w.values()
-    assert values is w.values()
-    assert np.array_equal(values, np.array(w.table))
-    with pytest.raises(ValueError):
-        values[0] = 1.0
-    assert w == weight_threshold(4, 0.5) and hash(w) == hash(weight_threshold(4, 0.5))
+    """Every weight, shifted ones included, is one read-only float array
+    f(0..N); a shift by N + 1 either way leaves only zeros."""
+    N = 4
+    past = [shifted(weight_sqrt(N), d) for d in (N + 1, -(N + 1))]
+    for w in (weight_number(N), weight_sqrt(N), weight_inverse_sqrt(N), weight_threshold(N, 0.5),
+              weight_complement(N, 0.5), shifted(weight_number(N), 1), *past):
+        assert w.dtype == np.float64 and w.shape == (N + 1,)
+        with pytest.raises(ValueError):
+            w[0] = 1.0
+    assert not np.any(past)
 
 
 def test_slater_sits_in_sector_zero():
@@ -95,7 +104,7 @@ def test_slater_sits_in_sector_zero():
     np.testing.assert_allclose(masses[0], 1.0, atol=1e-12)
     np.testing.assert_allclose(masses[1:], 0.0, atol=1e-12)
     for w in (weight_number(3), weight_sqrt(3), weight_threshold(3, 0.5)):
-        assert abs(alpha(w, psi, proj) - w.table[0]) < 1e-13
+        assert abs(alpha(w, psi, proj) - w[0]) < 1e-13
 
 
 def test_masses_sum_to_one_and_projector_idempotent():
@@ -221,61 +230,74 @@ def test_apply_one_matches_the_slot_contraction(N, L):
     T = rng.standard_normal((L,) * N) + 1j * rng.standard_normal((L,) * N)
     M = rng.standard_normal((L, L)) + 1j * rng.standard_normal((L, L))
     for slot in range(N):
-        full = _apply_on_slots(T, M, (slot,))
+        full = space.apply_on_slots(T, M, (slot,))
         assert np.max(np.abs(space.apply_one(T, M, slot) - full)) <= 1e-13 * np.max(np.abs(full))
 
 
 @pytest.mark.parametrize("N, L", [(1, 4), (3, 3), (2, 6), (3, 8), (4, 8), (3, 12)])
 def test_adapted_slots_match_literal_slot_space(N, L):
+    """R = (U^dagger)^(x N) T keeps the norm; over the adapted projections the
+    literal sectors, q-products and weights of R are exactly the masks on the
+    complement counts, and rotated back by U they are the site-basis ones."""
     rng = np.random.default_rng(43 + 10 * N + L)
     basis = ConfigBasis(n_modes=L, n_particles=N)
     proj = _random_projections(L, N, rng)  # (3, 3): q = 0, no complement modes
     space = SlotSpace(proj, N)
-    view = AdaptedSlots(proj, N)
+    adapted = adapted_space(L, N)
     T = space.embed(random_state(basis, rng))
-    R = view.rotate(T)
-    assert abs(view.norm_sq(R) - space.norm_sq(T)) < 1e-12
+    R = _rotate(T, proj.basis_matrix)
+    assert abs(adapted.norm_sq(R) - space.norm_sq(T)) < 1e-12
 
-    def close(adapted, literal):
+    def count(slots):
+        return _slot_counts(L, N, N, tuple(slots))
+
+    def close(masked, mask, literal):
+        assert np.array_equal(masked, R * mask)
         # back to the site basis through the literal route: U on every slot
         for slot in range(N):
-            adapted = space.apply_one(adapted, proj.basis_matrix, slot)
-        assert np.max(np.abs(adapted - literal)) < 1e-12
+            masked = space.apply_one(masked, proj.basis_matrix, slot)
+        assert np.max(np.abs(masked - literal)) < 1e-12
 
-    close(R, T)
+    close(R, 1.0, T)
     for k in range(-1, N + 2):
-        close(view.sector(R, k), space.sector(T, k))
+        close(adapted.sector(R, k), count(range(N)) == k, space.sector(T, k))
     for n0 in range(N + 1):
-        close(view.product_q(R, n0), space.product_q(T, n0))
-    for w in (weight_number(N), weight_inverse_sqrt(N), weight_threshold(N, 0.5).shifted(-1)):
-        close(view.weight(R, w), space.weight(T, w))
+        close(adapted.product_q(R, n0), count(range(n0)) == n0, space.product_q(T, n0))
+    for w in (weight_number(N), weight_inverse_sqrt(N), shifted(weight_threshold(N, 0.5), -1)):
+        close(adapted.weight(R, w), w[count(range(N))], space.weight(T, w))
     for r in range(1, min(3, N) + 1):
         slot_sets = list(combinations(range(N), r))
         slots = slot_sets[int(rng.integers(len(slot_sets)))]
         for k in range(-1, r + 2):
-            close(view.sector(R, k, slots), space.sector(T, k, slots))
+            close(adapted.sector(R, k, slots), count(slots) == k, space.sector(T, k, slots))
         A = rng.standard_normal((L**r, L**r)) + 1j * rng.standard_normal((L**r, L**r))
         # (U^dagger)^(x r) A U^(x r) on the adapted slots is A on the site-basis slots
         Ur = reduce(np.kron, [proj.basis_matrix] * r)
-        close(_apply_on_slots(R, Ur.conj().T @ A @ Ur, slots), space.apply_on_slots(T, A, slots))
+        rotated = adapted.apply_on_slots(R, Ur.conj().T @ A @ Ur, slots)
+        for slot in range(N):
+            rotated = space.apply_one(rotated, proj.basis_matrix, slot)
+        literal = space.apply_on_slots(T, A, slots)
+        assert np.max(np.abs(rotated - literal)) < 1e-12
 
 
 def test_count_tables_are_shared_read_only_arrays():
-    """Every instance of one shape reads the same read-only count tables, and
-    the count blocks over the first r slots partition the rows by count, each
-    with one total-count row shared by all of its rows."""
-    rng = np.random.default_rng(7)
+    """Each count table is built once per shape and slot subset and shared,
+    read-only; it is the literal sector index over the adapted projections;
+    and the count blocks over the first r slots partition the rows by count,
+    each with one total-count row shared by all of its rows."""
     N, L = 3, 8
-    first = AdaptedSlots(_random_projections(L, N, rng), N)
-    second = AdaptedSlots(_random_projections(L, N, rng), N)
+    ones = np.ones((L,) * N)
+    adapted = adapted_space(L, N)
     for slots in ((0,), (1, 2), (0, 1, 2)):
-        table = first.count(slots)
-        assert second.count(slots) is table
+        table = _slot_counts(L, N, N, slots)
+        assert _slot_counts(L, N, N, slots) is table
         assert not table.flags.writeable
         with pytest.raises(ValueError):
             table[...] = 0
-    total = first.count((0, 1, 2)).reshape(L**2, -1)
-    over_C = first.count((0, 1)).reshape(-1)
+        for k, part in enumerate(adapted.sector(ones, None, slots)):
+            assert np.array_equal(part, np.broadcast_to(table == k, ones.shape))
+    total = _slot_counts(L, N, N, (0, 1, 2)).reshape(L**2, -1)
+    over_C = _slot_counts(L, N, N, (0, 1)).reshape(-1)
     blocks = _count_blocks(L, N, 2)
     assert _count_blocks(L, N, 2) is blocks
     assert np.array_equal(np.sort(np.concatenate([rows for rows, _ in blocks])), np.arange(L**2))
@@ -291,14 +313,15 @@ def test_count_tables_are_shared_read_only_arrays():
 )
 def test_block_products_match_the_full_slot_contraction(N, L):
     """A_C[rows_a, rows_b] on the count-b rows of R is P^(a) A_C P^(b) R on the
-    count-a rows, and zero elsewhere, for every (b, a); a weight read at the
-    gathered count table is the masked weight on those rows.  (1, 1) and
+    count-a rows, and zero elsewhere, for every (b, a), with the literal
+    sectors and weights over the adapted projections; a weight read at the
+    gathered count table is the literal weight on those rows.  (1, 1) and
     (3, 3) have no complement rows, and N = 1 acts on a single slot."""
     rng = np.random.default_rng(53 + 10 * N + L)
     proj = _random_projections(L, N, rng)
-    view = AdaptedSlots(proj, N)
+    adapted = adapted_space(L, N)
     state = random_state(ConfigBasis(n_modes=L, n_particles=N), rng)
-    R = view.rotate(SlotSpace(proj, N).embed(state))
+    R = _rotate(SlotSpace(proj, N).embed(state), proj.basis_matrix)
     r = min(3, N) if L**3 <= 1024 else min(2, N)
     C = tuple(range(r))
     A = rng.standard_normal((L**r, L**r)) + 1j * rng.standard_normal((L**r, L**r))
@@ -306,17 +329,18 @@ def test_block_products_match_the_full_slot_contraction(N, L):
     R_rows = R.reshape(L**r, -1)
     _, _, E_w = _threshold_differences(weight_threshold(N, 0.5), 1)
     for w in (weight_number(N), E_w):
-        weighted = view.weight(R, w).reshape(L**r, -1)
+        weighted = adapted.weight(R, w).reshape(L**r, -1)
         for rows, total in blocks:
-            assert np.array_equal(w.values()[total] * R_rows[rows], weighted[rows])
-    inputs = {"sector": lambda b: view.sector(R, b, C),
-              "weighted": lambda b: view.sector(view.weight(R, E_w), b, C)}
+            assert np.array_equal(w[total] * R_rows[rows], weighted[rows])
+    inputs = {"sector": adapted.sector(R, None, C),
+              "weighted": adapted.sector(adapted.weight(R, E_w), None, C)}
     for b, (rows_b, total_b) in enumerate(blocks):
-        slabs = {"sector": R_rows[rows_b], "weighted": E_w.values()[total_b] * R_rows[rows_b]}
+        slabs = {"sector": R_rows[rows_b], "weighted": E_w[total_b] * R_rows[rows_b]}
         for a, (rows_a, _) in enumerate(blocks):
             out = _block_product(A, rows_a, rows_b, slabs)
-            for key, full_input in inputs.items():
-                full = view.sector(_apply_on_slots(full_input(b), A, C), a, C).reshape(L**r, -1)
+            for key, full_inputs in inputs.items():
+                applied = adapted.apply_on_slots(full_inputs[b], A, C)
+                full = adapted.sector(applied, a, C).reshape(L**r, -1)
                 scale = np.max(np.abs(full), initial=0.0)
                 assert out[key].shape == (len(rows_a), R_rows.shape[1])
                 assert np.max(np.abs(out[key] - full[rows_a]), initial=0.0) <= 1e-12 * scale
@@ -325,29 +349,30 @@ def test_block_products_match_the_full_slot_contraction(N, L):
 
 @pytest.mark.parametrize("N, L", [(1, 4), (2, 6), (4, 8), (4, 12)])
 def test_mask_table_matches_masked_and_literal_norms(N, L):
-    """sum_k f(k)^2 M[n0, k] = |f_hat prod_{i<=n0} q_i psi|^2 on both tensor routes."""
+    """sum_k f(k)^2 M[n0, k] = |f_hat prod_{i<=n0} q_i psi|^2 over the adapted
+    and the site-basis projections."""
     rng = np.random.default_rng(47 + 10 * N + L)
     proj = _random_projections(L, N, rng)
     space = SlotSpace(proj, N)
-    view = AdaptedSlots(proj, N)
+    adapted = adapted_space(L, N)
     T = space.embed(random_state(ConfigBasis(n_modes=L, n_particles=N), rng))
-    R = view.rotate(T)
-    table = view.mask_table(R)
+    R = _rotate(T, proj.basis_matrix)
+    table = _mask_table(R, N)
     assert table.shape == (N + 1, N + 1)
     _, D_w, E_w = _threshold_differences(weight_threshold(N, 0.5), 1)
     weights = [
-        WeightFunction((1.0,) * (N + 1)),
+        np.ones(N + 1),
         weight_number(N),
         weight_inverse_sqrt(N),
-        weight_complement(N, 0.5).shifted(-1),
+        shifted(weight_complement(N, 0.5), -1),
         D_w,
         E_w,
     ]
     for w in weights:
         literal = space.weight(T, w)
         for n0 in range(N + 1):
-            from_table = float(np.dot(w.values() ** 2, table[n0]))
-            masked = view.norm_sq(view.weight(view.product_q(R, n0), w))
+            from_table = float(np.dot(w**2, table[n0]))
+            masked = adapted.norm_sq(adapted.weight(adapted.product_q(R, n0), w))
             direct = space.norm_sq(space.product_q(literal, n0))
             assert from_table == pytest.approx(masked, rel=1e-13), (w, n0)
             assert from_table == pytest.approx(direct, rel=1e-13), (w, n0)
@@ -468,12 +493,11 @@ def test_weight_operator_algebra():
     assert abs(lhs - rhs) < 1e-13
     # f_hat g_hat = (fg)_hat
     seq = apply_weight(apply_weight(psi, g, proj), f, proj)
-    fg = WeightFunction(tuple(a * b for a, b in zip(f.table, g.table)))
-    joint = apply_weight(psi, fg, proj)
+    joint = apply_weight(psi, f * g, proj)
     np.testing.assert_allclose(seq.amplitudes, joint.amplitudes, atol=1e-13)
     # powers
     twice = apply_weight(apply_weight(psi, g, proj), g, proj)
-    power = apply_weight(psi, weight_power(g, 2), proj)
+    power = apply_weight(psi, g**2, proj)
     np.testing.assert_allclose(twice.amplitudes, power.amplitudes, atol=1e-13)
 
 
