@@ -203,8 +203,10 @@ def _krylov_segment(
 
 def _assemble(basis: list[np.ndarray], y: np.ndarray, norm_v: float) -> np.ndarray:
     out = np.zeros_like(basis[0], dtype=np.result_type(y, *basis))
+    term = np.empty_like(out)  # one buffer for every coeff * b
     for coeff, b in zip(y, basis):
-        out += coeff * b
+        np.multiply(coeff, b, out=term)
+        out += term
     return norm_v * out
 
 

@@ -91,10 +91,11 @@ class OrbitalSet:
 
 
 def density(values: np.ndarray) -> np.ndarray:
-    """sum_k |phi_k|^2 of the orbitals stacked on axis 0 of ``values``, one orbital at a time."""
-    rho = np.zeros(values.shape[1:])
-    for phi in values:
-        rho += np.abs(phi) ** 2
+    """sum_k |phi_k|^2 of the orbitals stacked on axis 0 of ``values``, added in order."""
+    squares = np.abs(values) ** 2
+    rho = squares[0]  # 0 + x is x for x >= 0, so starting from the first keeps every bit
+    for square in squares[1:]:
+        rho += square
     return rho
 
 

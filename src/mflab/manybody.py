@@ -10,7 +10,8 @@ The rescaled generator is
 with K the grid's kinetic matrix in its kinetic mode.  ``lift_one_body``/
 ``lift_two_body``/``lift_three_body`` raise r-body mode-space operators
 (r = 1, 2, 3) to the configuration basis through precomputed tables, so
-lifting a new operator is one vectorised gather.
+lifting a new operator is a vectorised gather, taken a fixed block of runs
+at a time.
 One r-body builder (``ConfigBasis._table``) makes every table from the
 annihilation map of each basis N, N-1, ..., N-r+1 and its inverse, the
 creation map (``ConfigBasis.annihilation_table``/``creation_table``): the
@@ -23,7 +24,11 @@ slowest), then increasing created modes d1 < ... < dr (dr slowest), and
 stored sorted by (row, column), the generation order kept among entries of
 one matrix element, so that a lift sums each element's run of entries
 without sorting (CSR order; each table carries its run starts, run
-columns and row pointer over runs).  Every r-body operator
+columns and row pointer over runs).  Every index is int32 (``_table``
+refuses a basis whose counts would not fit), so a table keeps 5 bytes per
+entry (kernel index and int8 sign), 8 per run (start and column) and 4 per
+row, and a lift's temporaries are bounded by one block of runs
+(``_lift``), not by the table.  Every r-body operator
 a lift receives is exchange symmetric, W[(d_s), (c_s)] = W[(d), (c)] for
 each simultaneous slot permutation s, so the r! orderings of the created
 modes give equal terms: the increasing one with every ordering of the
@@ -79,8 +84,10 @@ from .grid import dense_kinetic, difference_matrix
 from .hartree import density
 from .model import InteractionPotential, ScalingParams, resolve_scaling, step_count
 
+_INT32_LIMIT = 2**31  # every table count and index stays below it, so int32 holds it
 DT_MIN = 1e-10  # smallest step a time-dependent generator may be integrated with
 MAX_DENSE_DIM = 400  # largest basis the dense-expm oracle (``propagate_dense``) takes
+_LIFT_BLOCK = 1 << 13  # runs a lift gathers and sums at a time
 
 
 @dataclass(frozen=True)
@@ -142,14 +149,21 @@ class ConfigBasis:
 
         Returns ``(flat, signs, dim_less)``: for configuration J and its
         k-th occupied mode a, a_a |J> = signs[k] |J minus a>, float
-        signs[k] = (-1)^k, and flat[J, k] = (rank of J minus a among the
-        (N-1)-particle configurations) * L + a.  N = 1 maps onto one vacuum
-        row.  A lexicographic n-subset c_0 < ... < c_(n-1) of L modes has
-        rank C(L, n) - 1 - sum_i C(L-1-c_i, n-i), so the ranks of every
-        J minus a are read from a small binomial table; ``creation_table``
-        and every lift table are composed from these maps.
+        signs[k] = (-1)^k, and the int32 flat[J, k] = (rank of J minus a
+        among the (N-1)-particle configurations) * L + a, the index of
+        (J minus a, a) in a (dim_less, L) array; a basis with dim_less * L
+        past 2^31 is refused before anything is built.  N = 1 maps onto one
+        vacuum row.  A lexicographic n-subset c_0 < ... < c_(n-1) of L
+        modes has rank C(L, n) - 1 - sum_i C(L-1-c_i, n-i), so the ranks of
+        every J minus a are read from a small binomial table;
+        ``creation_table`` and every lift table are composed from these maps.
         """
         L, N = self.n_modes, self.n_particles
+        dim_less = math.comb(L, N - 1)
+        if dim_less * L > _INT32_LIMIT:
+            raise ConfigError(
+                f"annihilation table of L={L}, N={N}: flat index {dim_less * L} past int32"
+            )
         modes = self.configs
         signs = 1.0 - 2.0 * (np.arange(N) & 1)
         # C(x, m) for x < L, m <= N; ranks read only x - m <= L - N (the rest may overflow)
@@ -158,10 +172,9 @@ class ConfigBasis:
         # J minus its k-th mode keeps the modes before k at their place, the later ones move up one
         before = binom[L - 1 - modes, N - 1 - np.arange(N)]
         after = binom[L - 1 - modes, N - np.arange(N)]
-        dim_less = math.comb(L, N - 1)
         rows = (dim_less - 1 - (np.cumsum(before, axis=1) - before)
                 - (after.sum(axis=1, keepdims=True) - np.cumsum(after, axis=1)))
-        return rows * L + modes, signs, dim_less
+        return (rows * L + modes).astype(np.int32), signs, dim_less
 
     @cached_property
     def creation_table(self) -> tuple[np.ndarray, np.ndarray]:
@@ -187,26 +200,34 @@ class ConfigBasis:
         N!/(N-r)! * C(L-N+r, r) entries, none when r > N): the int32 kernel
         index ``flat`` = row_slot * L^r + col_slot, row_slot = (d1, ..., dr)
         with d1 < ... < dr and col_slot = (c1, ..., cr) flattened C-order, and
-        the int8 element ``signs``.  Each distinct (row, column) is one run of
-        entries: ``starts`` holds where each run begins, int32 ``indices`` its
-        column and int32 ``indptr`` the row pointer over runs.  Composed from
-        the maps of the bases N, ..., N-r+1: the annihilations walk down
-        through their ``annihilation_table``s, the creations back up through
-        their ``creation_table``s, so each pass is a gather (int32 holds every
-        index: L^(2r) < 2^31, because ``_lift`` reads an (L^r, L^r) operator
-        and three-body tables stop at L = 12).
+        the int8 element ``signs``, 5 bytes per entry.  Each distinct (row,
+        column) is one run of entries: int32 ``starts`` holds where each run
+        begins and int32 ``indices`` its column, 8 bytes per run, and int32
+        ``indptr`` is the row pointer over runs.  The empty table has the same
+        dtypes.  Int32 holds every index: the entry count and the kernel size
+        L^(2r) are computed from (L, N, r) first, and a basis where either
+        passes 2^31 is refused before anything is built.  Composed from the
+        maps of the bases N, ..., N-r+1: the annihilations walk down through
+        their ``annihilation_table``s, the creations back up through their
+        ``creation_table``s, so each pass is a gather.
         """
         L, N, dim = self.n_modes, self.n_particles, self.dim
         if r > N:  # no slot tuples
             no = np.zeros(0, dtype=np.int32)
-            return no, no.astype(np.int8), no.astype(np.intp), no, np.zeros(dim + 1, dtype=np.int32)
+            return no, no.astype(np.int8), no, no, np.zeros(dim + 1, dtype=np.int32)
+        count = dim * math.perm(N, r) * math.comb(L - N + r, r)
+        if count > _INT32_LIMIT or L ** (2 * r) > _INT32_LIMIT:
+            raise ConfigError(
+                f"{r}-body table of L={L}, N={N}: {count} entries of {L ** (2 * r)} "
+                "kernel elements, past int32"
+            )
         slots = np.array(list(permutations(range(N), r)), dtype=np.int64)
         bases = [self]
         for _ in range(r - 1):
             bases.append(bases[-1]._smaller)
         # a_{c1} acts first: c_k is the pos[k]-th mode a_{c1}..a_{c(k-1)} leave, sign (-1)^pos[k]
         pos = slots - ((slots[:, None, :] < slots[:, :, None]) & np.tri(r, k=-1, dtype=bool)).sum(2)
-        held = np.arange(dim)[:, None]  # per (column, slot tuple), after each annihilation
+        held = np.arange(dim, dtype=np.int32)[:, None]  # per (column, slot tuple), as annihilated
         for k, basis in enumerate(bases):
             held = basis.annihilation_table[0][held, pos[:, k]] // L
         signs = np.tile(1 - 2 * (pos.sum(axis=1) & 1).astype(np.int8), dim)
@@ -243,10 +264,10 @@ class ConfigBasis:
         cols = origin // np.int32(len(slots))
         flat = row_slot * np.int32(L**r)
         del row_slot
-        flat += col_slot.ravel().astype(np.int32)[origin]
+        flat += col_slot.ravel()[origin]
         del origin
         new = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])  # where the next run starts
-        starts = np.flatnonzero(np.concatenate(([True], new)))
+        starts = np.flatnonzero(np.concatenate(([True], new))).astype(np.int32)
         indptr = np.searchsorted(rows[starts], np.arange(dim + 1, dtype=np.int32)).astype(np.int32)
         return flat, signs, starts, cols[starts], indptr
 
@@ -280,9 +301,9 @@ class ConfigBasis:
             lengths = np.diff(starts, append=len(flat))
             keep = np.repeat(kept, lengths)
             kept_before = np.concatenate(([0], np.cumsum(kept))).astype(np.int32)
+            kept_starts = (np.cumsum(lengths[kept]) - lengths[kept]).astype(np.int32)
             pattern = self._kept_patterns[r, cap] = (
-                flat[keep], signs[keep], np.cumsum(lengths[kept]) - lengths[kept],
-                indices[kept], kept_before[indptr])
+                flat[keep], signs[keep], kept_starts, indices[kept], kept_before[indptr])
         return pattern
 
 
@@ -290,25 +311,45 @@ def _lift(basis: ConfigBasis, W: np.ndarray, r: int, cap: int | None = None) -> 
     """sum over r-subsets of particles of an exchange-symmetric W, one term per
     entry of ``basis.lift_pattern(r, cap)``.
 
-    The pattern is in CSR order, so a lift is one gather, one sum over each
-    run of entries that share a matrix element, and one pass that drops the
-    elements that sum to zero; nothing is sorted.  A ``cap`` declares W an
-    adapted-basis kernel truncated to at most ``cap`` modes >= N over its
-    slots, as ``auxiliary.kept_interaction`` builds it: the lift then gathers
-    only the runs such a kernel can reach (6,000 of 290,400 three-body
-    entries at L = 12, N = 3), bit for bit the full lift.  ``None`` gathers
-    every entry.
+    The pattern is in CSR order, so a lift gathers and signs its entries,
+    sums each run of entries that share a matrix element, and drops the
+    elements that sum to zero; nothing is sorted.  It does so ``_LIFT_BLOCK``
+    runs at a time and joins the blocks' elements, so besides its result it
+    holds one block's temporaries, however long the table; the int32
+    ``indptr`` counts the elements kept before each row's first run.  A
+    ``cap`` declares W an adapted-basis kernel truncated to at most ``cap``
+    modes >= N over its slots, as ``auxiliary.kept_interaction`` builds it:
+    the lift then gathers only the runs such a kernel can reach (6,000 of
+    290,400 three-body entries at L = 12, N = 3), bit for bit the full lift.
+    ``None`` gathers every entry.
     """
     n = basis.n_modes**r
     if W.shape != (n, n):
         raise GridMismatchError(f"{r}-body operator shape {W.shape} != ({n}, {n})")
     flat, signs, starts, indices, indptr = basis.lift_pattern(r, cap)
-    data = np.add.reduceat(signs * W.ravel().take(flat), starts)
-    nz = data != 0
-    kept_before = np.concatenate(([0], np.cumsum(nz)))
-    return sp.csr_matrix(
-        (data[nz], indices[nz], kept_before[indptr]), shape=(basis.dim, basis.dim)
-    )
+    values = W.ravel()
+    n_runs = len(starts)
+    data = [np.zeros(0, dtype=np.result_type(signs, values))]
+    cols = [indices[:0]]
+    row_ptr = np.empty_like(indptr)
+    kept = row = 0
+    for lo in range(0, n_runs, _LIFT_BLOCK):
+        hi = min(lo + _LIFT_BLOCK, n_runs)
+        first, end = starts[lo], starts[hi] if hi < n_runs else len(flat)
+        sums = np.add.reduceat(signs[first:end] * values.take(flat[first:end]),
+                               starts[lo:hi] - first)
+        nz = sums != 0
+        before = np.cumsum(nz) - nz  # elements of the block kept before each run
+        next_row = np.searchsorted(indptr, hi)  # the rows whose first run is in the block
+        row_ptr[row:next_row] = kept + before[indptr[row:next_row] - lo]
+        row = next_row
+        data.append(sums[nz])
+        cols.append(indices[lo:hi][nz])
+        kept += len(cols[-1])
+    row_ptr[row:] = kept
+    data = np.concatenate(data)  # one list of blocks joined and released at a time
+    cols = np.concatenate(cols)
+    return sp.csr_matrix((data, cols, row_ptr), shape=(basis.dim, basis.dim))
 
 
 def lift_one_body(basis: ConfigBasis, A: np.ndarray) -> sp.csr_matrix:
@@ -422,14 +463,13 @@ def build_hamiltonian(
         raise GridMismatchError("basis mode count does not match the grid")
     scaling = resolve_scaling(scaling, grid)
     K = dense_kinetic(grid)
-    H = lift_one_body(basis, K) + sp.diags(
-        pairwise_potential_vector(basis, potential).astype(np.complex128)
-    )
-    H = H.tocsr()
+    H = lift_one_body(basis, K)
+    # the real pair diagonal adds no defect, so the one-body lift is checked alone
     asym = abs(H - H.conjugate().transpose())
     if asym.nnz and asym.max() > 1e-10:
         raise ContractViolation(f"lifted Hamiltonian not hermitian: defect {asym.max()}")
-    return ManyBodyOperator(basis=basis, matrix=H, epsilon=float(scaling.epsilon))
+    H = H + sp.diags(pairwise_potential_vector(basis, potential).astype(np.complex128))
+    return ManyBodyOperator(basis=basis, matrix=H.tocsr(), epsilon=float(scaling.epsilon))
 
 
 def propagate(

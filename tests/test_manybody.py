@@ -9,18 +9,21 @@ annihilation and creation maps.
 """
 
 import math
+import tracemalloc
 from itertools import combinations, permutations
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from mflab import manybody
 from mflab.errors import ConfigError, ContractViolation, GridMismatchError
-from mflab.grid import Grid
+from mflab.grid import Grid, dense_kinetic
 from mflab.hartree import density
 from mflab.manybody import (
     ConfigBasis,
     ManyBodyState,
+    _lift,
     annihilated,
     build_hamiltonian,
     exact_traces,
@@ -227,7 +230,8 @@ def test_table_matches_mask_search_reference(L, N, rs):
     for r in rs:
         table = ConfigBasis(n_modes=L, n_particles=N)._table(r)
         flat, signs, starts, indices, indptr = table
-        assert flat.dtype == indices.dtype == indptr.dtype == np.int32
+        assert flat.dtype == starts.dtype == indices.dtype == indptr.dtype == np.int32
+        assert signs.dtype == np.int8
         assert len(indptr) == math.comb(L, N) + 1 and indptr[0] == 0
         assert indptr[-1] == len(starts) == len(indices)
         want = reference_table(ConfigBasis(n_modes=L, n_particles=N), r)
@@ -258,7 +262,7 @@ def test_annihilation_ranks_match_a_dict_lookup(L, N):
     rank = {c: i for i, c in enumerate(combinations(range(L), N - 1))}
     want = [[rank[c[:k] + c[k + 1:]] * L + c[k] for k in range(N)]
             for c in combinations(range(L), N)]
-    assert flat.dtype == np.int64 and dim_less == len(rank)
+    assert flat.dtype == np.int32 and dim_less == len(rank)
     np.testing.assert_array_equal(flat, want)
 
 
@@ -364,6 +368,7 @@ def test_kept_lift_equals_the_full_lift_bit_for_bit(r, L, N):
             np.testing.assert_array_equal(getattr(capped, name), getattr(full, name))
     pattern = basis.lift_pattern(r, 2)
     assert basis.lift_pattern(r, 2) is pattern  # computed once per cap
+    assert [a.dtype for a in pattern] == [np.int32, np.int8, np.int32, np.int32, np.int32]
     # the kept pattern is the whole runs of the full table that hold a kept entry
     full = basis.lift_pattern(r)
     entries = decoded(full, L, r)
@@ -392,6 +397,98 @@ def test_cap_of_every_slot_keeps_every_run(r, L, N):
     full, capped = lift(basis, W), lift(basis, W, 2 * r)
     for name in ("data", "indices", "indptr"):
         np.testing.assert_array_equal(getattr(capped, name), getattr(full, name))
+
+
+def one_shot_lift(basis, W, r, cap=None):
+    """``_lift`` in one pass over the whole pattern: one gather, one run sum and
+    one zero drop, each as long as the pattern."""
+    flat, signs, starts, indices, indptr = basis.lift_pattern(r, cap)
+    data = np.add.reduceat(signs * W.ravel().take(flat), starts)
+    nz = data != 0
+    kept_before = np.concatenate(([0], np.cumsum(nz)))
+    return sp.csr_matrix(
+        (data[nz], indices[nz], kept_before[indptr]), shape=(basis.dim, basis.dim)
+    )
+
+
+@pytest.mark.parametrize("block", [1, 11, 10**9])
+@pytest.mark.parametrize(
+    "r,L,N,cap",
+    [
+        (1, 7, 3, None),
+        (1, 7, 3, 1),
+        (2, 7, 3, None),
+        (2, 7, 3, 2),
+        (3, 7, 3, None),
+        (3, 7, 3, 2),
+        (3, 6, 2, None),  # r > N: the empty table
+        (3, 6, 2, 2),
+    ],
+)
+def test_blocked_lift_matches_the_one_shot_oracle(monkeypatch, block, r, L, N, cap):
+    """One run per block, 11 runs (a non-divisor of every run count here) and
+    one block for the whole pattern give the one-shot CSR arrays, bit for bit
+    and dtype for dtype, for a real and a complex kernel with zeros."""
+    monkeypatch.setattr(manybody, "_LIFT_BLOCK", block)
+    basis = ConfigBasis(n_modes=L, n_particles=N)
+    n_runs = len(basis.lift_pattern(r, cap)[2])
+    assert n_runs == 0 if r > N else n_runs % 11 and n_runs > 11
+    rng = np.random.default_rng(100 * r + L)
+    real = rng.standard_normal((L**r, L**r)) * (rng.random((L**r, L**r)) < 0.5)
+    for W in (real, real + 1j * rng.standard_normal(real.shape) * (real != 0)):
+        got, want = _lift(basis, W, r, cap), one_shot_lift(basis, W, r, cap)
+        assert r > N or got.nnz < n_runs  # some runs sum to zero and are dropped
+        for name in ("data", "indices", "indptr"):
+            g, w = getattr(got, name), getattr(want, name)
+            assert g.dtype == w.dtype, (name, g.dtype, w.dtype)
+            assert g.tobytes() == w.tobytes(), name
+
+
+def test_table_sizes_past_int32_are_refused_before_any_build():
+    """Entry counts and flat indices are checked from (L, N, r) alone: the
+    4096-mode pair basis would need 6.9e10 one-body entries, the annihilation
+    map of its triples 3.4e10 flat indices, and a 216-mode two-body kernel
+    216^4 > 2^31 elements; none of them builds its configurations."""
+    cases = [
+        (ConfigBasis(4096, 2), "one_body_table"),
+        (ConfigBasis(4096, 3), "annihilation_table"),
+        (ConfigBasis(216, 2), "two_body_table"),
+    ]
+    for basis, name in cases:
+        with pytest.raises(ConfigError, match="int32"):
+            getattr(basis, name)
+        assert "configs" not in basis.__dict__
+
+
+def test_lift_and_hamiltonian_peaks_are_bounded_by_the_table():
+    """tracemalloc at L = 20, N = 4: the one-body lift of the lattice K peaks
+    at most 1 MB above what the table build keeps (so no temporary as long as
+    the table's 329,460 entries), and ``build_hamiltonian`` on a new basis
+    peaks no higher than that basis's table build, give or take 64 kB for
+    the kernel and the Python objects it holds."""
+    grid = Grid(dim=1, sites_per_dim=20, box_length=20.0, kinetic_mode="lattice")
+    pot = build_potential(grid, "gaussian", amplitude=1.5, width=3.2)
+    K = dense_kinetic(grid)
+    tracemalloc.start()
+    try:
+        basis = ConfigBasis(n_modes=20, n_particles=4)
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        basis.one_body_table
+        kept, build_peak = (m - base for m in tracemalloc.get_traced_memory())
+        tracemalloc.reset_peak()
+        H = lift_one_body(basis, K)
+        lift_peak = tracemalloc.get_traced_memory()[1] - base
+        del H, basis
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        build_hamiltonian(ConfigBasis(n_modes=20, n_particles=4), pot, ScalingParams(N=4))
+        hamiltonian_peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert kept > 4e6
+    assert lift_peak - kept <= 1e6, (lift_peak, kept)
+    assert hamiltonian_peak <= build_peak + 2**16, (hamiltonian_peak, build_peak)
 
 
 # ---------------------------------------------------------------------------
