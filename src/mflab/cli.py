@@ -25,9 +25,12 @@ alone.  With a fixed seed, reruns are byte-identical: floats are serialized
 via ``repr`` (shortest roundtrip), JSON keys are sorted, and no timestamps
 are recorded.
 
-``load_config`` checks the whole configuration, and the command's budgets
-for every particle number, and builds the objects the commands start from,
-so every configuration error is raised before a command writes anything.
+``SCHEMA`` declares each key once: its default string, a parser that checks
+the value's type and finiteness, and what a malformed value should have
+been.  ``load_config`` parses every key for every command, checks ranges,
+cross-key constraints and the command's budgets for every particle number,
+and builds the objects the commands start from (their constructors check
+the rest), so every configuration error is raised before any output.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure
 (non-finite values / stagnation), 4 contract or bound violation.
@@ -83,23 +86,63 @@ from .model import (
 # configuration
 # ---------------------------------------------------------------------------
 
-DEFAULTS: dict[str, dict[str, str]] = {
-    "grid": {"dim": "1", "sites": "16", "box": "8.0", "kinetic_mode": "lattice"},
-    "potential": {
-        "kind": "gaussian",
-        "amplitude": "1.0",
-        "width": "3.0",
-        "amplitudes": "",
-        "offset": "0.0",
-    },
-    "family": {"kind": "localized", "width": "1.2"},
-    "scaling": {"n": "2", "epsilon_rule": "standard", "epsilon": ""},
-    "time": {"t_final": "1.0", "dt": "0.001", "snapshot_every": ""},
-    "observables": {"boxes": "8", "bump": "true"},
-    "counting": {"gammas": ", ".join(map(repr, DEFAULT_GAMMAS))},
-    "lemmas": {"trials": str(LEMMA_TRIALS),
-               "sizes": ", ".join(f"{N}x{L}" for N, L in LEMMA_SIZES)},
-    "run": {"seed": "0", "out": "runs"},
+
+def _number(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(text)
+    return value
+
+
+def _boolean(text: str) -> bool:
+    word = text.strip().lower()
+    if word not in ("true", "yes", "on", "1", "false", "no", "off", "0"):
+        raise ValueError(text)
+    return word in ("true", "yes", "on", "1")
+
+
+def _size(text: str) -> tuple[int, int]:
+    n_part, sep, l_modes = text.partition("x")
+    if not sep:
+        raise ValueError(text)
+    return int(n_part), int(l_modes)
+
+
+def _list(cast):
+    """Parser of a comma-separated list of ``cast`` values; blank items are dropped."""
+    return lambda text: tuple(cast(p.strip()) for p in text.split(",") if p.strip())
+
+
+def _optional(cast):
+    """Parser that reads a blank value as None."""
+    return lambda text: cast(text) if text.strip() else None
+
+
+_INTEGER = (int, "an integer")
+_NUMBER = (_number, "a finite number")
+_NAME = (str.strip, "a name")
+
+# section -> key -> (default, parser, what a malformed value should have been).
+# Every parser raises ValueError on a malformed value.
+SCHEMA: dict[str, dict[str, tuple]] = {
+    "grid": {"dim": ("1", *_INTEGER), "sites": ("16", *_INTEGER),
+             "box": ("8.0", *_NUMBER), "kinetic_mode": ("lattice", *_NAME)},
+    "potential": {"kind": ("gaussian", *_NAME), "amplitude": ("1.0", *_NUMBER),
+                  "width": ("3.0", *_NUMBER),
+                  "amplitudes": ("", _list(_number), "finite numbers"),
+                  "offset": ("0.0", *_NUMBER)},
+    "family": {"kind": ("localized", *_NAME), "width": ("1.2", *_NUMBER)},
+    "scaling": {"n": ("2", _list(int), "integers"), "epsilon_rule": ("standard", *_NAME),
+                "epsilon": ("", _optional(_number), "a finite number")},
+    "time": {"t_final": ("1.0", *_NUMBER), "dt": ("0.001", *_NUMBER),
+             "snapshot_every": ("", _optional(int), "an integer")},
+    "observables": {"boxes": ("8", *_INTEGER), "bump": ("true", _boolean, "a boolean")},
+    "counting": {"gammas": (", ".join(map(repr, DEFAULT_GAMMAS)), _list(_number),
+                            "finite numbers")},
+    "lemmas": {"trials": (str(LEMMA_TRIALS), *_INTEGER),
+               "sizes": (", ".join(f"{N}x{L}" for N, L in LEMMA_SIZES), _list(_size),
+                         "NxL pairs like 3x8")},
+    "run": {"seed": ("0", *_INTEGER), "out": ("runs", Path, "a path")},
 }
 
 MAX_TOTAL_SITES = 4096
@@ -115,45 +158,8 @@ MAX_AUX_SITES = {2: 24, 3: 12, 4: 10}
 MAX_LEMMA_SLOT_ENTRIES = 12**4
 
 
-def _fail(section: str, key: str, value: str, want: str) -> ConfigError:
-    return ConfigError(f"[{section}] {key} = {value!r}: expected {want}")
-
-
-def _get_int(raw: dict, section: str, key: str) -> int:
-    value = raw[section][key]
-    try:
-        return int(value)
-    except ValueError:
-        raise _fail(section, key, value, "an integer") from None
-
-
-def _get_float(raw: dict, section: str, key: str) -> float:
-    value = raw[section][key]
-    try:
-        out = float(value)
-    except ValueError:
-        raise _fail(section, key, value, "a number") from None
-    if not math.isfinite(out):
-        raise _fail(section, key, value, "a finite number")
-    return out
-
-
-def _get_bool(raw: dict, section: str, key: str) -> bool:
-    value = raw[section][key].strip().lower()
-    if value in ("true", "yes", "on", "1"):
-        return True
-    if value in ("false", "no", "off", "0"):
-        return False
-    raise _fail(section, key, raw[section][key], "a boolean")
-
-
-def _get_list(raw: dict, section: str, key: str, cast, want: str) -> tuple:
-    value = raw[section][key]
-    parts = [p.strip() for p in value.split(",") if p.strip()]
-    try:
-        return tuple(cast(p) for p in parts)
-    except ValueError:
-        raise _fail(section, key, value, want) from None
+def _fail(raw: dict, section: str, key: str, want: str) -> ConfigError:
+    return ConfigError(f"[{section}] {key} = {raw[section][key]!r}: expected {want}")
 
 
 @dataclass(frozen=True)
@@ -193,7 +199,8 @@ def _read_config_file(path: Path) -> dict[str, dict[str, str]]:
 
 def _resolve_raw(args: argparse.Namespace) -> dict[str, dict[str, str]]:
     """Layer defaults <- config file <- --override flags <- --seed/--out."""
-    raw = {section: dict(items) for section, items in DEFAULTS.items()}
+    raw = {section: {key: spec[0] for key, spec in keys.items()}
+           for section, keys in SCHEMA.items()}
 
     if args.config is not None:
         for section, items in _read_config_file(Path(args.config)).items():
@@ -222,81 +229,52 @@ def _resolve_raw(args: argparse.Namespace) -> dict[str, dict[str, str]]:
 
 
 def load_config(args: argparse.Namespace) -> RunConfig:
-    """Check the whole configuration, and the budgets of ``args.command`` for
-    every N, and build the objects the commands start from."""
+    """Parse every key of ``SCHEMA``, check the whole configuration and the
+    budgets of ``args.command`` for every N, and build the objects the
+    commands start from."""
     raw = _resolve_raw(args)
+    conf: dict[str, dict] = {section: {} for section in SCHEMA}
+    for section, keys in SCHEMA.items():
+        for key, (_, parse, want) in keys.items():
+            try:
+                conf[section][key] = parse(raw[section][key])
+            except ValueError:
+                raise _fail(raw, section, key, want) from None
 
-    grid = Grid(
-        dim=_get_int(raw, "grid", "dim"),
-        sites_per_dim=_get_int(raw, "grid", "sites"),
-        box_length=_get_float(raw, "grid", "box"),
-        kinetic_mode=raw["grid"]["kinetic_mode"].strip(),
-    )
+    grid = Grid(dim=conf["grid"]["dim"], sites_per_dim=conf["grid"]["sites"],
+                box_length=conf["grid"]["box"], kinetic_mode=conf["grid"]["kinetic_mode"])
     if grid.total_sites > MAX_TOTAL_SITES:
         raise ConfigError(
             f"grid has {grid.total_sites} sites, over the {MAX_TOTAL_SITES}-site budget"
         )
 
-    kind = raw["potential"]["kind"].strip()
-    if kind == "gaussian":
-        params = {
-            "amplitude": _get_float(raw, "potential", "amplitude"),
-            "width": _get_float(raw, "potential", "width"),
-        }
-    elif kind == "cosine_sum":
-        params = {
-            "amplitudes": _get_list(raw, "potential", "amplitudes", float, "numbers"),
-            "offset": _get_float(raw, "potential", "offset"),
-        }
-    else:
-        raise _fail("potential", "kind", kind, "'gaussian' or 'cosine_sum'")
-
-    family = InitialFamily(
-        kind=raw["family"]["kind"].strip(), width=_get_float(raw, "family", "width")
-    )
-
-    n_values = _get_list(raw, "scaling", "n", int, "integers")
+    n_values = conf["scaling"]["n"]
     if not n_values or any(n < 1 for n in n_values) or len(set(n_values)) < len(n_values):
-        raise _fail("scaling", "n", raw["scaling"]["n"], "distinct positive integers")
-    epsilon = _get_float(raw, "scaling", "epsilon") if raw["scaling"]["epsilon"].strip() else None
+        raise _fail(raw, "scaling", "n", "distinct positive integers")
 
-    snapshot_every = None
-    if raw["time"]["snapshot_every"].strip():
-        snapshot_every = _get_int(raw, "time", "snapshot_every")
-        if snapshot_every < 1:
-            raise _fail("time", "snapshot_every", raw["time"]["snapshot_every"],
-                        "a positive integer")
+    snapshot_every = conf["time"]["snapshot_every"]
+    if snapshot_every is not None and snapshot_every < 1:
+        raise _fail(raw, "time", "snapshot_every", "a positive integer")
 
-    gammas = _get_list(raw, "counting", "gammas", float, "numbers")
+    gammas = conf["counting"]["gammas"]
     if not gammas or any(not 0 < g <= 1 for g in gammas):
-        raise _fail("counting", "gammas", raw["counting"]["gammas"], "exponents in (0, 1]")
+        raise _fail(raw, "counting", "gammas", "exponents in (0, 1]")
     if len({gamma_suffix(g) for g in gammas}) < len(gammas):  # one CSV column per exponent
-        raise _fail("counting", "gammas", raw["counting"]["gammas"],
-                    "exponents distinct to three significant digits")
+        raise _fail(raw, "counting", "gammas", "exponents distinct to three significant digits")
 
-    def _pair(token: str) -> tuple[int, int]:
-        n_str, sep, l_str = token.partition("x")
-        if not sep:
-            raise ValueError(token)
-        return (int(n_str), int(l_str))
-
-    lemma_sizes = _get_list(raw, "lemmas", "sizes", _pair, "NxL pairs like 3x8")
+    lemma_sizes = conf["lemmas"]["sizes"]
     if not lemma_sizes or any(
         not 1 <= n_part <= l_modes <= 12 or l_modes**n_part > MAX_LEMMA_SLOT_ENTRIES
         for n_part, l_modes in lemma_sizes
     ):
-        raise _fail("lemmas", "sizes", raw["lemmas"]["sizes"],
+        raise _fail(raw, "lemmas", "sizes",
                     f"NxL pairs with 1 <= N <= L <= 12 and L**N <= {MAX_LEMMA_SLOT_ENTRIES}")
+    if conf["lemmas"]["trials"] < 1:
+        raise _fail(raw, "lemmas", "trials", "a positive integer")
+    if not 0 <= conf["run"]["seed"] < 2**64:
+        raise _fail(raw, "run", "seed", "an unsigned 64-bit integer")
 
-    lemma_trials = _get_int(raw, "lemmas", "trials")
-    if lemma_trials < 1:
-        raise _fail("lemmas", "trials", raw["lemmas"]["trials"], "a positive integer")
-
-    seed = _get_int(raw, "run", "seed")
-    if not 0 <= seed < 2**64:
-        raise _fail("run", "seed", raw["run"]["seed"], "an unsigned 64-bit integer")
-
-    t_final, dt = _get_float(raw, "time", "t_final"), _get_float(raw, "time", "dt")
+    t_final, dt = conf["time"]["t_final"], conf["time"]["dt"]
     _, recorded = step_schedule(t_final, dt, snapshot_every)
     if args.command == "hartree":  # the continuity column needs an interior snapshot
         require_continuity_snapshots(len(recorded))
@@ -316,15 +294,16 @@ def load_config(args: argparse.Namespace) -> RunConfig:
                 raise ConfigError(f"auxiliary co-evolution with N = {N} needs at most "
                                   f"{MAX_AUX_SITES[N]} modes, got {grid.total_sites}")
 
-    rule = raw["scaling"]["epsilon_rule"].strip()
+    family, scaling = InitialFamily(**conf["family"]), conf["scaling"]
     names, observables = observable_dictionary(
-        grid, _get_int(raw, "observables", "boxes"), _get_bool(raw, "observables", "bump")
+        grid, conf["observables"]["boxes"], conf["observables"]["bump"]
     )
     return RunConfig(
         grid=grid,
-        potential=build_potential(grid, kind, **params),
+        potential=build_potential(grid, **conf["potential"]),
         orbitals=tuple(
-            make_orbitals(family, N, grid, ScalingParams(N=N, epsilon=epsilon, epsilon_rule=rule))
+            make_orbitals(family, N, grid, ScalingParams(
+                N=N, epsilon=scaling["epsilon"], epsilon_rule=scaling["epsilon_rule"]))
             for N in n_values
         ),
         observable_names=names,
@@ -333,10 +312,10 @@ def load_config(args: argparse.Namespace) -> RunConfig:
         dt=dt,
         snapshot_every=snapshot_every,
         gammas=gammas,
-        lemma_trials=lemma_trials,
+        lemma_trials=conf["lemmas"]["trials"],
         lemma_sizes=lemma_sizes,
-        seed=seed,
-        out_dir=Path(raw["run"]["out"]),
+        seed=conf["run"]["seed"],
+        out_dir=conf["run"]["out"],
         raw=raw,
     )
 
@@ -414,6 +393,7 @@ def write_sidecar(cfg: RunConfig, command: str) -> None:
 
 
 def cmd_hartree(cfg: RunConfig) -> None:
+    """Self-consistent and gauged orbital runs: diagnostics, snapshots, continuity."""
     for initial in cfg.orbitals:
         N = initial.N
         traj = run_hartree(initial, cfg.potential, cfg.t_final, cfg.dt, cfg.snapshot_every)
@@ -440,18 +420,25 @@ def cmd_hartree(cfg: RunConfig) -> None:
     write_sidecar(cfg, "hartree")
 
 
-def cmd_exact(cfg: RunConfig) -> None:
+def _exact_states(cfg: RunConfig, orbitals: OrbitalSet):
+    """The basis, Hamiltonian and Slater start of ``orbitals``, and the lazy
+    iterator of exact states at the schedule's snapshot times."""
+    basis = ConfigBasis(cfg.grid.total_sites, orbitals.N)
+    hamiltonian = build_hamiltonian(basis, cfg.potential, orbitals.scaling)
+    initial = slater_state(orbitals, basis)
     _, recorded = step_schedule(cfg.t_final, cfg.dt, cfg.snapshot_every)
     times = [step * cfg.dt for step in sorted(recorded)]
+    return basis, hamiltonian, initial, propagate(initial, hamiltonian, times)
+
+
+def cmd_exact(cfg: RunConfig) -> None:
+    """Configuration-space propagation: density spectra, observable traces, oracle."""
     for orbitals in cfg.orbitals:
         N = orbitals.N
-        basis = ConfigBasis(cfg.grid.total_sites, N)
-        hamiltonian = build_hamiltonian(basis, cfg.potential, orbitals.scaling)
-        initial = slater_state(orbitals, basis)
-
+        basis, hamiltonian, initial, states = _exact_states(cfg, orbitals)
         spectra_rows = []
         trace_rows = []
-        for state in propagate(initial, hamiltonian, times):
+        for state in states:
             t, norm = state.time, state.norm
             spectrum = np.linalg.eigvalsh(rdm1(state))[::-1]
             spectra_rows.append([t, norm] + list(spectrum))
@@ -479,18 +466,12 @@ def cmd_exact(cfg: RunConfig) -> None:
 
 
 def cmd_compare(cfg: RunConfig) -> None:
+    """Exact state vs orbital flow per snapshot, plus a cross-N summary."""
     summary: dict = {}
     for orbitals in cfg.orbitals:
         N, scaling = orbitals.N, orbitals.scaling
-        basis = ConfigBasis(cfg.grid.total_sites, N)
-        hamiltonian = build_hamiltonian(basis, cfg.potential, scaling)
+        *_, states = _exact_states(cfg, orbitals)
         traj = run_hartree(orbitals, cfg.potential, cfg.t_final, cfg.dt, cfg.snapshot_every)
-        states = propagate(
-            slater_state(traj.snapshots[0], basis),
-            hamiltonian,
-            [snap.time for snap in traj.snapshots],
-        )
-
         rows = []
         for snap, state in zip(traj.snapshots, states):
             alpha_n = alpha_number_onebody(state, build_projections(snap))
@@ -527,6 +508,7 @@ def cmd_compare(cfg: RunConfig) -> None:
 
 
 def cmd_aux(cfg: RunConfig) -> None:
+    """Truncated auxiliary co-evolution: per-snapshot error-functional CSV."""
     from .auxiliary import run_auxiliary, write_records_csv
 
     for initial in cfg.orbitals:
@@ -539,6 +521,7 @@ def cmd_aux(cfg: RunConfig) -> None:
 
 
 def cmd_lemmas(cfg: RunConfig) -> None:
+    """Randomized weight-algebra and conversion-bound suite; exit 4 on a violation."""
     path = cfg.out_dir / "lemma_report.json"
     report = lemma_suite(
         seed=cfg.seed,

@@ -10,6 +10,7 @@ this sign (see the gauge module tests).
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import product
@@ -126,7 +127,9 @@ def _reflect(vals: np.ndarray) -> np.ndarray:
     return vals
 
 
-def build_potential(grid: Grid, kind: str, **params) -> InteractionPotential:
+def build_potential(grid: Grid, kind: str, *, amplitude: float = 1.0, width: float = 1.0,
+                    amplitudes: Sequence[float] = (), offset: float = 0.0
+                    ) -> InteractionPotential:
     """Construct an even periodic pair potential.
 
     kinds:
@@ -134,11 +137,12 @@ def build_potential(grid: Grid, kind: str, **params) -> InteractionPotential:
                     requires width >= 3*spacing so the profile is resolved.
       "cosine_sum": offset + sum_axes sum_j amplitudes[j-1]*cos(2*pi*j*x_a/L);
                     band-limited, harmonics must stay below the Nyquist mode.
+    Each kind ignores the other's parameters.  A ``v`` or force that is not
+    finite (an overflowing amplitude, say) raises NumericalFailure.
     """
     disp = grid.displacement_mesh()
     if kind == "gaussian":
-        amplitude = float(params.get("amplitude", 1.0))
-        width = float(params.get("width", 1.0))
+        amplitude, width = float(amplitude), float(width)
         if width < 3.0 * grid.spacing:
             raise ConfigError(
                 f"gaussian width {width} under-resolved: need >= 3*spacing = {3*grid.spacing}"
@@ -154,11 +158,10 @@ def build_potential(grid: Grid, kind: str, **params) -> InteractionPotential:
             for a in range(grid.dim):
                 fvals[a] += bump * (-shifted[a] / width_sq)
     elif kind == "cosine_sum":
-        amplitudes = [float(a) for a in params.get("amplitudes", [])]
-        offset = float(params.get("offset", 0.0))
+        amplitudes = [float(a) for a in amplitudes]
         if len(amplitudes) >= grid.sites_per_dim // 2:
             raise ConfigError("cosine_sum harmonics reach the Nyquist mode")
-        vvals = np.full(grid.shape, offset)
+        vvals = np.full(grid.shape, float(offset))
         fvals = [np.zeros(grid.shape) for _ in range(grid.dim)]
         for a in range(grid.dim):
             for j, amp in enumerate(amplitudes, start=1):
@@ -173,11 +176,12 @@ def build_potential(grid: Grid, kind: str, **params) -> InteractionPotential:
     # seam, and downstream algebra (antisymmetric difference matrices,
     # exchange-symmetric pair kernels) needs the sampled force exactly odd.
     force = np.stack([0.5 * (f - _reflect(f)) for f in fvals])
-    pot = InteractionPotential(grid=grid, v=vvals, force=force, kind=kind)
+    if not (np.all(np.isfinite(vvals)) and np.all(np.isfinite(force))):
+        raise NumericalFailure(f"{kind} potential or its force is not finite")
     defect = float(np.max(np.abs(vvals - _reflect(vvals))))
-    if defect > 1e-12 * max(1.0, float(np.max(np.abs(vvals)))):
+    if not defect <= 1e-12 * max(1.0, float(np.max(np.abs(vvals)))):
         raise ContractViolation(f"potential is not even: defect {defect}")
-    return pot
+    return InteractionPotential(grid=grid, v=vvals, force=force, kind=kind)
 
 
 # ---------------------------------------------------------------------------

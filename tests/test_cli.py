@@ -6,6 +6,7 @@ for a vanishing potential, unit norm, gauge-route consistency), byte-level
 determinism, and the exit-code contract.
 """
 
+import argparse
 import csv
 import io
 import json
@@ -22,7 +23,15 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import mflab
-from mflab.cli import MAX_AUX_SITES, MAX_BASIS_DIM, main, observable_dictionary
+from mflab.cli import (
+    COMMANDS,
+    MAX_AUX_SITES,
+    MAX_BASIS_DIM,
+    SCHEMA,
+    build_parser,
+    main,
+    observable_dictionary,
+)
 from mflab.errors import ConfigError
 from mflab.grid import Grid
 
@@ -256,6 +265,30 @@ def test_lemmas_refuses_a_bad_key_it_does_not_read_before_writing(tmp_path):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize(
+    "section, key",
+    [(section, key) for section, keys in SCHEMA.items() for key in keys
+     if (section, key) != ("run", "out")],  # any string is a path
+)
+def test_every_key_is_checked_for_every_command(tmp_path, section, key):
+    """lemmas reads the fewest keys, yet a malformed value of any key stops it
+    with exit 2 before it writes anything: ``nan`` for a number, else ``abc``."""
+    value = "nan" if "number" in SCHEMA[section][key][2] else "abc"
+    err = io.StringIO()
+    with redirect_stderr(err), redirect_stdout(io.StringIO()):
+        code = run_cli("lemmas", tmp_path, "lemmas.trials=2", f"{section}.{key}={value}")
+    assert code == 2, err.getvalue()
+    assert err.getvalue().startswith("config error:")
+    assert not list(tmp_path.iterdir())
+
+
+def test_every_command_has_help():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    helps = {action.dest: action.help for action in sub._choices_actions}
+    assert sorted(helps) == sorted(COMMANDS)
+    assert all(helps.values()), helps
+
+
 def test_lemmas_violation_exits_4_with_report_and_sidecar(tmp_path, monkeypatch):
     """A bound violation is found by running the suite, so its report and the
     sidecar are written before the exit 4.  The violation is planted as in
@@ -386,8 +419,12 @@ ORBITAL_VALUES = {
     "grid.dim": st.sampled_from(["1", "2"]),
     "grid.box": _numbers(1.0, 10.0),
     "grid.kinetic_mode": st.sampled_from(["spectral", "lattice"]),
+    "potential.kind": st.sampled_from(["gaussian", "cosine_sum"]),
     "potential.amplitude": _numbers(-3.0, 3.0),
     "potential.width": _numbers(0.2, 4.0),
+    "potential.amplitudes": st.lists(st.floats(-2.0, 2.0), max_size=2).map(
+        lambda amplitudes: ", ".join(map(repr, amplitudes))),
+    "potential.offset": _numbers(-2.0, 2.0),
     "family.width": _numbers(0.2, 3.0),
     "scaling.epsilon": _numbers(0.01, 2.0),
     "time.t_final": st.sampled_from(["0.004", "0.01", "0.02"]),

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import mflab.model as model
-from mflab.errors import ConfigError, NumericalFailure
+from mflab.errors import ConfigError, ContractViolation, NumericalFailure
 from mflab.grid import Grid, dense_gradient, dense_kinetic, gradient, norm_l2
 from mflab.hartree import density, diagnostics, orthonormality_defect
 from mflab.model import (
@@ -50,6 +50,37 @@ def test_potential_guards():
         build_potential(grid, "cosine_sum", amplitudes=[1.0] * 8)
     with pytest.raises(ConfigError):
         build_potential(grid, "lennard_jones")
+    with pytest.raises(TypeError):  # each parameter is named, so a typo is no default
+        build_potential(grid, "gaussian", widht=2.0, amplitud=5)
+
+
+@pytest.mark.parametrize(
+    "kind, params",
+    [
+        ("cosine_sum", dict(amplitudes=[np.nan])),
+        ("cosine_sum", dict(offset=np.inf)),
+        ("gaussian", dict(amplitude=1e308, width=1e3)),  # three images of 1e308 overflow
+    ],
+)
+def test_potential_that_is_not_finite_is_a_numerical_failure(kind, params):
+    grid = Grid(dim=1, sites_per_dim=32, box_length=8.0, kinetic_mode="lattice")
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericalFailure):
+        build_potential(grid, kind, **params)
+
+
+def test_potential_evenness_check_refuses_a_nan_defect(monkeypatch):
+    """NaN compares False with the tolerance, so the check is ``not defect <= tol``.
+    The NaN reaches it through the reflection of v, the call after the force's."""
+    grid = Grid(dim=1, sites_per_dim=32, box_length=8.0, kinetic_mode="lattice")
+    reflect, calls = model._reflect, []
+
+    def nan_for_v(vals):
+        calls.append(None)
+        return reflect(vals) if len(calls) <= grid.dim else np.full_like(vals, np.nan)
+
+    monkeypatch.setattr(model, "_reflect", nan_for_v)
+    with pytest.raises(ContractViolation, match="not even"):
+        build_potential(grid, "gaussian", width=2.0)
 
 
 def test_epsilon_rules():
