@@ -216,7 +216,7 @@ def expm_multiply_hermitian(matvec: MatVec, v: np.ndarray, scale: complex) -> np
     The one-time case of ``expm_multiply_hermitian_times``: the state at
     time 1 of ``scale``.
     """
-    return next(_served(matvec, v, scale, [1.0], math.inf, 0))
+    return next(_served(matvec, v, scale, [1.0]))
 
 
 def expm_multiply_hermitian_times(
@@ -232,7 +232,7 @@ def expm_multiply_hermitian_times(
     shorter reach; more than ``MAX_HALVINGS`` halvings raise
     ``NumericalFailure``.
     """
-    yield from _served(matvec, v, scale, [float(t) for t in times], math.inf, 0)
+    yield from _served(matvec, v, scale, [float(t) for t in times])
 
 
 def _halved(base: float, target: float, halvings: int) -> float:
@@ -245,11 +245,11 @@ def _halved(base: float, target: float, halvings: int) -> float:
 
 
 def _served(
-    matvec: MatVec, v: np.ndarray, scale: complex, times: list[float], reach: float,
-    halvings: int,
+    matvec: MatVec, v: np.ndarray, scale: complex, times: list[float]
 ) -> Iterator[np.ndarray]:
-    """``expm_multiply_hermitian_times`` from v at time 0, after ``halvings``
-    halvings have cut the longest step a space may aim for to ``reach``."""
+    """``expm_multiply_hermitian_times`` from v at time 0."""
+    reach = math.inf  # the longest step a space may aim for, cut by each halving
+    halvings = 0
     base = 0.0  # the time of v
     i = 0  # the first pending time
     while i < len(times):

@@ -513,7 +513,6 @@ class AuxRecord:
 @dataclass(frozen=True)
 class AuxiliaryRun:
     records: tuple[AuxRecord, ...]
-    gammas: tuple[float, ...]
     aux_snapshots: tuple[ManyBodyState, ...]
     exact_snapshots: tuple[ManyBodyState, ...]
 
@@ -613,7 +612,6 @@ def run_auxiliary(
 
     return AuxiliaryRun(
         records=tuple(records),
-        gammas=tuple(gammas),
         aux_snapshots=tuple(aux_snaps),
         exact_snapshots=tuple(exact_snaps),
     )

@@ -190,8 +190,8 @@ def _read_config_file(path: Path) -> dict[str, dict[str, str]]:
     try:
         with open(path, encoding="utf-8") as fh:
             parser.read_file(fh)
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}") from None
+    except (OSError, UnicodeDecodeError) as exc:  # missing, a directory, not UTF-8
+        raise ConfigError(f"unreadable config file {path}: {exc}") from None
     except configparser.Error as exc:
         raise ConfigError(f"malformed config file {path}: {exc}") from None
     return {s: dict(parser.items(s)) for s in parser.sections()}
@@ -581,7 +581,10 @@ def _run(args) -> tuple[int, str]:
     """Exit code and outcome line of one command."""
     try:
         cfg = load_config(args)
-        cfg.out_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            cfg.out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot make output directory {cfg.out_dir}: {exc}") from None
         COMMANDS[args.command](cfg)
     except ConfigError as exc:
         return 2, f"config error: {exc}"

@@ -45,12 +45,13 @@ column a is a_a psi, through ``ConfigBasis.annihilation_table`` (dim * N
 entries against the one-body table's dim * N * (L - N + 1)), and
 <a^dag_b a_a> = (Phi^H Phi)[b, a].
 
-``propagate`` evolves a state under a fixed operator eps H through a whole
-sequence of times at once.  Since eps H does not depend on time, one Krylov
-space serves every snapshot time it has converged for, read from one
-tridiagonal matrix; a space keeps growing for the next pending time only
-while that lowers the work per served time (the stop rule of ``_lanczos``),
-and the next space starts from the last state it served.
+``propagate`` evolves a state under a fixed operator eps H, to one time or
+through a whole sequence of times at once; a time-dependent generator steps
+in its own loop (``auxiliary.run_auxiliary``).  Since eps H does not depend
+on time, one Krylov space serves every snapshot time it has converged for,
+read from one tridiagonal matrix; a space keeps growing for the next pending
+time only while that lowers the work per served time (the stop rule of
+``_lanczos``), and the next space starts from the last state it served.
 
 Conventions:
 * |I> = a^dag_{i1} ... a^dag_{iN} |0> with i1 < ... < iN (flattened C-order
@@ -82,10 +83,9 @@ from ._lanczos import expm_multiply_hermitian, expm_multiply_hermitian_times
 from .errors import ConfigError, ContractViolation, GridMismatchError, NumericalFailure
 from .grid import dense_kinetic, difference_matrix
 from .hartree import density
-from .model import InteractionPotential, ScalingParams, resolve_scaling, step_count
+from .model import InteractionPotential, ScalingParams, resolve_scaling
 
 _INT32_LIMIT = 2**31  # every table count and index stays below it, so int32 holds it
-DT_MIN = 1e-10  # smallest step a time-dependent generator may be integrated with
 MAX_DENSE_DIM = 400  # largest basis the dense-expm oracle (``propagate_dense``) takes
 _LIFT_BLOCK = 1 << 13  # runs a lift gathers and sums at a time
 
@@ -474,29 +474,17 @@ def build_hamiltonian(
 
 def propagate(
     state: ManyBodyState,
-    hamiltonian,
+    hamiltonian: ManyBodyOperator,
     t_final: float | Sequence[float],
-    dt: float | None = None,
 ) -> ManyBodyState | Iterator[ManyBodyState]:
-    """Evolve i d/dt Psi = eps H Psi to t_final, or through a sequence of times.
+    """Evolve i d/dt Psi = eps H Psi under the fixed operator H to t_final.
 
-    ``hamiltonian`` is either a fixed ManyBodyOperator or a callable t ->
-    ManyBodyOperator, integrated to the single time ``t_final`` with
-    midpoint-frozen exponential steps of size ``dt``; a ``dt`` below
-    ``DT_MIN`` is a hard failure.  Each exponential that stagnates halves its
-    Krylov step inside ``_lanczos`` (the one halving rule, ``MAX_HALVINGS``).
-
-    With a fixed operator ``t_final`` may also be a non-decreasing sequence
-    of times, none before the state's: the result is then an iterator of
-    ManyBodyStates, one per time, each computed when it is taken.  eps H
-    does not depend on time, so one Krylov space serves every pending time
-    it has converged for: it keeps growing for the next pending time only
-    while that lowers the work per served time, which grows as the square
-    of the space's size, and the next space starts from the last state it
-    served (``_lanczos.expm_multiply_hermitian_times``).  The iterator
-    holds one Krylov space at a time, never the whole trajectory.  A single
-    time is the one-element case and returns its state; a time equal to
-    the state's returns its amplitudes unchanged.
+    A single time is one Krylov exponential (``expm_multiply_hermitian``),
+    and a time equal to the state's returns the state.  A non-decreasing
+    sequence of times, none before the state's, gives an iterator of
+    ManyBodyStates, each computed when it is taken: one Krylov space serves
+    every time it has converged for, and only one is held at a time
+    (``_lanczos.expm_multiply_hermitian_times``).
     """
     single = np.ndim(t_final) == 0
     times = [t_final] if single else list(t_final)
@@ -504,33 +492,16 @@ def propagate(
         raise ConfigError("t_final lies before the state's time")
     if any(later < earlier for earlier, later in zip(times, times[1:])):
         raise ConfigError("propagation times must not decrease")
-
-    if callable(hamiltonian):
-        if not single:
-            raise ConfigError("a sequence of times needs a fixed ManyBodyOperator")
-        span = t_final - state.time
-        if span == 0:
-            return state
-        if dt is None or dt <= 0:
-            raise ConfigError("time-dependent generators need a positive dt")
-        if dt < DT_MIN:
-            raise NumericalFailure(f"step size {dt} below DT_MIN {DT_MIN}")
-        n_steps = step_count(span, dt)
-        amps = state.amplitudes
-        for step in range(n_steps):
-            op = hamiltonian(state.time + (step + 0.5) * dt)
-            if op.basis != state.basis:
-                raise GridMismatchError("operator and state use different bases")
-            amps = expm_multiply_hermitian(op.matvec, amps, -1j * dt * op.epsilon)
-        if not np.all(np.isfinite(amps)):
-            raise NumericalFailure("non-finite amplitudes during propagation")
-        return ManyBodyState(state.basis, amps, t_final)
-
     op = hamiltonian
     if op.basis != state.basis:
         raise GridMismatchError("operator and state use different bases")
-    trajectory = _trajectory(state, op, times)
-    return next(trajectory) if single else trajectory
+    if not single:
+        return _trajectory(state, op, times)
+    span = t_final - state.time
+    if span == 0:
+        return state
+    amps = expm_multiply_hermitian(op.matvec, state.amplitudes, -1j * op.epsilon * span)
+    return _finite_state(state.basis, amps, t_final)
 
 
 def _trajectory(
@@ -541,9 +512,13 @@ def _trajectory(
         op.matvec, state.amplitudes, -1j * op.epsilon, spans
     )
     for t, amps in zip(times, amplitudes):
-        if not np.all(np.isfinite(amps)):
-            raise NumericalFailure("non-finite amplitudes during propagation")
-        yield ManyBodyState(state.basis, amps, t)
+        yield _finite_state(state.basis, amps, t)
+
+
+def _finite_state(basis: ConfigBasis, amps: np.ndarray, t: float) -> ManyBodyState:
+    if not np.all(np.isfinite(amps)):
+        raise NumericalFailure("non-finite amplitudes during propagation")
+    return ManyBodyState(basis, amps, t)
 
 
 def propagate_dense(

@@ -108,7 +108,6 @@ class InteractionPotential:
     grid: Grid
     v: np.ndarray = field(repr=False)
     force: np.ndarray = field(repr=False)
-    kind: str
     _pair_diagonals: dict = field(default_factory=dict, repr=False)
 
     @cached_property
@@ -181,7 +180,7 @@ def build_potential(grid: Grid, kind: str, *, amplitude: float = 1.0, width: flo
     defect = float(np.max(np.abs(vvals - _reflect(vvals))))
     if not defect <= 1e-12 * max(1.0, float(np.max(np.abs(vvals)))):
         raise ContractViolation(f"potential is not even: defect {defect}")
-    return InteractionPotential(grid=grid, v=vvals, force=force, kind=kind)
+    return InteractionPotential(grid=grid, v=vvals, force=force)
 
 
 # ---------------------------------------------------------------------------

@@ -433,9 +433,9 @@ def test_csv_layout_and_roundtrip(tmp_path):
         "beta", "Eg", "bad_kinetic", "norm_diff_aux_gauged",
     ]
     grid, pot, orbitals = make_system(N=2)
-    run = run_auxiliary(orbitals, pot, t_final=0.1, dt=0.05)
+    run = run_auxiliary(orbitals, pot, t_final=0.1, dt=0.05, gammas=gammas)
     path = tmp_path / "aux.csv"
-    write_records_csv(run.records, run.gammas, path)
+    write_records_csv(run.records, gammas, path)
     lines = path.read_text().strip().split("\n")
     assert lines[0].split(",") == header
     for line, rec in zip(lines[1:], run.records):

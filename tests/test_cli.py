@@ -353,6 +353,28 @@ def test_config_file_layering(tmp_path):
     assert run_cli("hartree", out, config=tmp_path / "missing.ini") == 2
 
 
+@pytest.mark.parametrize("path", ["out_is_a_file", "config_is_a_directory", "config_not_utf8"])
+def test_unusable_paths_exit_2_without_output(tmp_path, path):
+    """An --out that is a file, or a --config that is a directory or not
+    UTF-8, is a config error: exit 2 and nothing written."""
+    out, config = tmp_path / "out", None
+    if path == "out_is_a_file":
+        out.write_text("")
+    elif path == "config_is_a_directory":
+        config = tmp_path / "conf"
+        config.mkdir()
+    else:
+        config = tmp_path / "conf.ini"
+        config.write_bytes(b"[lemmas]\ntrials = \xff\n")
+    before = sorted(tmp_path.rglob("*"))
+    err = io.StringIO()
+    with redirect_stderr(err), redirect_stdout(io.StringIO()):
+        code = run_cli("lemmas", out, "lemmas.trials=2", config=config)
+    assert code == 2
+    assert err.getvalue().startswith("config error:")
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 def test_config_error_exit_codes(tmp_path):
     assert run_cli("hartree", tmp_path, "potential.width=abc") == 2
     assert run_cli("hartree", tmp_path, "nosuch.key=1") == 2

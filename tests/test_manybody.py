@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from mflab import manybody
+from mflab import _lanczos, manybody
 from mflab.errors import ConfigError, ContractViolation, GridMismatchError
 from mflab.grid import Grid, dense_kinetic
 from mflab.hartree import density
@@ -543,20 +543,6 @@ def test_krylov_matches_dense_exponential():
     assert np.linalg.norm(a.amplitudes - b.amplitudes) < 1e-11
 
 
-def test_time_dependent_midpoint_propagation():
-    grid, pot, basis = small_system(N=2)
-    H = build_hamiltonian(basis, pot, ScalingParams(N=2))
-
-    def gen(t):
-        return H  # constant in time: midpoint stepping must agree with one shot
-
-    rng = np.random.default_rng(9)
-    state = random_state(basis, rng)
-    a = propagate(state, gen, t_final=0.5, dt=0.05)
-    b = propagate(state, H, t_final=0.5)
-    assert np.linalg.norm(a.amplitudes - b.amplitudes) < 1e-11
-
-
 def test_slater_state_norm_and_rdm():
     grid, pot, basis = small_system(N=3)
     orbs = make_orbitals(InitialFamily("localized", width=1.2), 3, grid)
@@ -721,7 +707,7 @@ def test_basis_mismatch_rejected():
     twin = ConfigBasis(n_modes=basis.n_modes, n_particles=basis.n_modes - 2)
     assert twin.dim == basis.dim
     with pytest.raises(GridMismatchError):
-        propagate(random_state(twin, rng), lambda t: H, t_final=0.1, dt=0.05)
+        propagate(random_state(twin, rng), H, t_final=0.1)
 
 
 def _oracle_systems():
@@ -751,17 +737,35 @@ def test_time_sequence_matches_dense_at_every_snapshot():
     assert bases >= 20
 
 
-def test_time_sequence_matches_sequential_single_time_calls():
+def _many_short_gaps():
     grid, pot, basis = small_system(N=3)
-    H = build_hamiltonian(basis, pot, ScalingParams(N=3))
     state = random_state(basis, np.random.default_rng(21), time=0.25)
     times = state.time + 0.01 * np.arange(0, 301, 3)
-    single = state
-    served = list(propagate(state, H, times))
-    assert [s.time for s in served] == list(times)
-    for got in served:
-        single = propagate(single, H, got.time)
-        assert np.linalg.norm(got.amplitudes - single.amplitudes) < 1e-12
+    return state, build_hamiltonian(basis, pot, ScalingParams(N=3)), times, 1e-12, 0
+
+
+def _one_long_step():
+    """20 sites, N = 3: the exponential to t = 7.3 halves its Krylov step twice."""
+    grid = Grid(1, 20, 8.0, "lattice")
+    pot = build_potential(grid, "gaussian", amplitude=1.0, width=3.0)
+    state = random_state(ConfigBasis(20, 3), np.random.default_rng(60), time=0.1)
+    return state, build_hamiltonian(state.basis, pot, ScalingParams(N=3)), [7.3], 1e-13, 2
+
+
+def test_time_sequence_matches_sequential_single_time_calls(monkeypatch):
+    halvings = []
+    halved = _lanczos._halved
+    monkeypatch.setattr(_lanczos, "_halved", lambda *args: halvings.append(args) or halved(*args))
+    for system in (_many_short_gaps, _one_long_step):
+        state, H, times, tol, min_halvings = system()
+        served = list(propagate(state, H, times))
+        assert [s.time for s in served] == list(times)
+        halvings.clear()  # count the single-time calls' halvings only
+        single = state
+        for got in served:
+            single = propagate(single, H, got.time)
+            assert np.linalg.norm(got.amplitudes - single.amplitudes) < tol
+        assert len(halvings) >= min_halvings
 
 
 def test_time_sequence_at_the_state_time_returns_its_amplitudes():
@@ -785,8 +789,6 @@ def test_time_sequence_rejects_bad_requests():
         propagate(state, H, [0.2, 0.5, 0.3])
     with pytest.raises(ConfigError):
         propagate(state, H, [0.05, 0.2])
-    with pytest.raises(ConfigError):
-        propagate(state, lambda t: H, [0.2, 0.3], dt=0.05)
     other = ConfigBasis(n_modes=basis.n_modes, n_particles=3)
     with pytest.raises(GridMismatchError):
         propagate(random_state(other, rng), H, [0.1, 0.2])
