@@ -10,8 +10,14 @@ kinetic moments show where it sits relative to the mean-field scaling.
 import numpy as np
 
 from mflab.grid import Grid
-from mflab.hartree import hartree_energy, run_hartree
-from mflab.model import InitialFamily, assumption_diagnostics, build_potential, make_orbitals
+from mflab.hartree import HartreeDiagnostics, hartree_energy, run_hartree
+from mflab.model import (
+    AssumptionReport,
+    InitialFamily,
+    assumption_diagnostics,
+    build_potential,
+    make_orbitals,
+)
 
 grid = Grid(dim=1, sites_per_dim=64, box_length=10.0, kinetic_mode="spectral")
 potential = build_potential(grid, "gaussian", amplitude=2.0, width=1.0)
@@ -21,7 +27,7 @@ print(f"grid: {grid.sites_per_dim} sites, box {grid.box_length}, "
       f"spacing {grid.spacing:.3f}")
 print(f"N = {initial.N}, coupling scale epsilon = {initial.scaling.epsilon:.6f}")
 print(f"initial energy: {hartree_energy(initial, potential):.12f}")
-report = assumption_diagnostics(initial)
+report: AssumptionReport = assumption_diagnostics(initial)
 print(f"scaled kinetic moments: grad {report.kin_grad_scaled:.4f}, "
       f"Laplacian {report.kin_lap_scaled:.4f}; |grad rho|_1 = {report.grad_rho_l1:.4f}, "
       f"D = {report.d_value:.3f}")
@@ -30,6 +36,7 @@ print()
 trajectory = run_hartree(initial, potential, t_final=1.0, dt=1e-3)
 
 print(f"{'t':>6} {'energy':>18} {'orthonormality':>16} {'d(t)':>8}")
+diag: HartreeDiagnostics
 for diag in trajectory.diagnostics[:: max(1, len(trajectory.diagnostics) // 10)]:
     print(f"{diag.time:6.2f} {diag.energy:18.12f} "
           f"{diag.orthonormality_defect:16.2e} {diag.d_value:8.3f}")

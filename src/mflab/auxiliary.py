@@ -530,6 +530,7 @@ def csv_header(gammas: tuple[float, ...]) -> list[str]:
 
 def write_records_csv(records, gammas: tuple[float, ...], path) -> None:
     lines = [",".join(csv_header(gammas))]
+    rec: AuxRecord
     for rec in records:
         row = [rec.time, rec.alpha_n, *rec.alpha_m, rec.beta, rec.e_gauge,
                rec.bad_kinetic, rec.norm_diff_aux_gauged]

@@ -314,34 +314,45 @@ def _count_blocks(L: int, N: int, r: int) -> tuple:
     The first N of the L modes span Ran p, as in the lemma suite.  Viewed as
     an (L**r, L**(N-r)) matrix, each row of a slot tensor is one multi-index
     of slots 0..r-1, so the sector P^(k) over those slots keeps the rows
-    whose complement count over them is k.  Entry k is ``(rows, total)``:
-    those rows, and the complement count over all N slots on each of them,
-    the (L**(N-r),) vector a weight is read at.  On a row of count k over
-    the first r slots that total is k plus the count over the other slots,
-    the same for every such row, so a weighted input multiplies its rows by
-    one broadcast row.  Both are read-only and derived from ``_slot_counts``.
+    whose complement count over them is k.  Entry k is ``(rows, span,
+    total)``: those rows, in increasing order; the slice of the same length
+    that count k takes in the count order, the rows of count 0, then of
+    count 1, and so on; and the complement count over all N slots on each
+    row, the (L**(N-r),) vector a weight is read at.  On a row of count k
+    over the first r slots that total is k plus the count over the other
+    slots, the same for every such row, so a weighted input multiplies its
+    rows by one broadcast row.  The arrays are read-only and derived from
+    ``_slot_counts``.
+
+    An operator G on the L**r multi-indices, given in the count order, acts
+    on the slots in their own order as Pi^T G Pi, where Pi is the
+    permutation that takes the multi-indices into the count order (the rows
+    of every block, one block after the other).  Its block from count b to
+    count a is the view G[span_a, span_b] (``_block_product``); Pi depends
+    on (L, N, r) alone.
     """
     over_C = _slot_counts(L, N, N, tuple(range(r))).reshape(-1)
     others = _slot_counts(L, N, N, tuple(range(r, N))).reshape(-1)
+    order = np.argsort(over_C, kind="stable")
+    bounds = np.searchsorted(over_C[order], np.arange(r + 2))
     blocks = []
     for k in range(r + 1):
-        rows = np.flatnonzero(over_C == k)
+        rows = order[bounds[k]:bounds[k + 1]]
         total = k + others
         rows.flags.writeable = total.flags.writeable = False
-        blocks.append((rows, total))
+        blocks.append((rows, slice(int(bounds[k]), int(bounds[k + 1])), total))
     return tuple(blocks)
 
 
-def _block_product(A: np.ndarray, rows_out: np.ndarray, rows_in: np.ndarray, slabs: dict) -> dict:
-    """A[rows_out, rows_in] times each (len(rows_in), rest) slab, in one matmul.
+def _block_product(A: np.ndarray, span_out: slice, span_in: slice, slabs: dict) -> dict:
+    """The view A[span_out, span_in] times each (span_in length, rest) slab, in one matmul.
 
-    The block is gathered on every call: keeping each gathered block of the
-    suite's shared A_C raised the peak RSS of a default ``mflab lemmas`` run
-    from 70.1 to 77.9 MB (2-vCPU Xeon VM, one BLAS thread).  Returns the
-    products, each (len(rows_out), rest), under the keys of ``slabs``.
+    A is in the count order of ``_count_blocks``, so each block is a
+    contiguous view and nothing is gathered.  Returns the products, each
+    (span_out length, rest), under the keys of ``slabs``.
     """
     stacked = np.concatenate(list(slabs.values()), axis=1)
-    out = A[np.ix_(rows_out, rows_in)] @ stacked
+    out = A[span_out, span_in] @ stacked
     rest = stacked.shape[1] // len(slabs)
     return {key: out[:, j * rest:(j + 1) * rest] for j, key in enumerate(slabs)}
 
@@ -515,19 +526,100 @@ class LemmaReport:
             json.dump(asdict(self), fh, indent=2)
 
 
-def _record(table: dict, name: str, lhs: float, rhs: float, context: dict) -> None:
-    """Count one check of ``lhs <= rhs``; a NaN or infinite side is a NumericalFailure
-    (a NaN compares False both ways, so it would pass unseen)."""
-    if not (math.isfinite(lhs) and math.isfinite(rhs)):
+@dataclass(frozen=True, eq=False)
+class _CheckPlan:
+    """Every check of one lemma-suite trial of N particles, one row each, in loop order.
+
+    Row i checks lhs <= rhs under ``checks[check_of[i]]``, a (name,
+    whether asserted) pair, and ``contexts[i]`` holds its gamma, d and n0,
+    those it has.  The pairs are in the order of their first rows; only the
+    shifted complement is both asserted and reported.
+
+    The rows ``masked`` read the trial's mask table M: row ``masked[j]``
+    has lhs = squared[j] . M[n0[j]] and rhs = coef[j] * bases[base[j]],
+    where bases = (|psi|^2, then <psi, f_hat psi> for each row f of
+    ``alphas``).  A row with gate[i] >= 0 is checked only when
+    bases[gate[i]] > 1e-14.  The trial fills in the other rows: ``direct``
+    holds sector completeness, projector orthogonality, mass route
+    agreement and the shift identity, and ``factorised[g, d - 1]`` the
+    difference factorisation of gamma number g and shift d.
+    """
+
+    contexts: tuple
+    checks: tuple
+    check_of: np.ndarray
+    masked: np.ndarray
+    squared: np.ndarray
+    n0: np.ndarray
+    coef: np.ndarray
+    base: np.ndarray
+    alphas: np.ndarray
+    gate: np.ndarray
+    direct: np.ndarray
+    factorised: np.ndarray
+
+
+def _row_dots(W: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """W[i] . X[i] for every row i (X[i] = X when X is one vector), in one stacked matmul.
+
+    numpy takes each (1, n) @ (n, 1) product with the dot of ``np.dot``, so
+    every entry has np.dot's bits; ``np.einsum`` sums in another order and
+    differs from it in the last bit.
+    """
+    return np.matmul(W[:, None, :], X[..., None])[:, 0, 0]
+
+
+def _record(
+    asserted: dict,
+    reported: dict,
+    plan: _CheckPlan,
+    lhs: np.ndarray,
+    rhs: np.ndarray,
+    active: np.ndarray,
+    context: dict,
+    extra: dict,
+) -> None:
+    """Count the active rows of one trial's checks of lhs <= rhs, arrays over ``plan``'s rows.
+
+    A NaN or infinite side of an active row is a NumericalFailure (a NaN
+    compares False both ways, so it would pass unseen).  A check's entry is
+    made in its table at its first active row, and keeps the number of
+    checks, the largest ratio lhs / rhs and, per violating row, lhs, rhs
+    and the row's context: the trial's ``context``, the plan's and
+    ``extra.get(row)``.  That dict is built only for a violating row.
+    """
+
+    def row_context(row: int) -> dict:
+        return {**context, **plan.contexts[row], **extra.get(row, {})}
+
+    broken = np.flatnonzero(active & ~(np.isfinite(lhs) & np.isfinite(rhs)))
+    if broken.size:
+        row = broken[0]
         raise NumericalFailure(
-            f"lemma check {name} has a non-finite side (lhs {lhs}, rhs {rhs}) at {context}"
+            f"lemma check {plan.checks[plan.check_of[row]][0]} has a non-finite side"
+            f" (lhs {float(lhs[row])}, rhs {float(rhs[row])}) at {row_context(row)}"
         )
-    rec = table.setdefault(name, {"trials": 0, "max_ratio": 0.0, "violations": []})
-    rec["trials"] += 1
-    ratio = lhs / rhs if rhs > 0 else (0.0 if lhs <= 1e-15 else np.inf)
-    rec["max_ratio"] = max(rec["max_ratio"], ratio)
-    if lhs > rhs * (1 + 1e-9) + 1e-12:
-        rec["violations"].append({"lhs": lhs, "rhs": rhs, **context})
+    ratio = np.where(lhs <= 1e-15, 0.0, np.inf)
+    np.divide(lhs, rhs, out=ratio, where=rhs > 0)
+    violated = lhs > rhs * (1 + 1e-9) + 1e-12
+    rows = np.flatnonzero(active)
+    label = plan.check_of[rows]
+    counts = np.bincount(label, minlength=len(plan.checks)).tolist()
+    largest = np.full(len(plan.checks), -np.inf)
+    np.maximum.at(largest, label, ratio[rows])
+    largest = largest.tolist()
+    present, first = np.unique(label, return_index=True)
+    records = {}
+    for c in present[np.argsort(first)].tolist():
+        name, in_asserted = plan.checks[c]
+        table = asserted if in_asserted else reported
+        rec = records[c] = table.setdefault(name, {"trials": 0, "max_ratio": 0.0, "violations": []})
+        rec["trials"] += counts[c]
+        rec["max_ratio"] = max(rec["max_ratio"], largest[c])
+    for row in rows[violated[rows]]:
+        records[int(plan.check_of[row])]["violations"].append(
+            {"lhs": float(lhs[row]), "rhs": float(rhs[row]), **row_context(row)}
+        )
 
 
 def _random_projections(L: int, N: int, rng: np.random.Generator) -> Projections:
@@ -541,12 +633,17 @@ def _random_projections(L: int, N: int, rng: np.random.Generator) -> Projections
 def _gaussian_operator(rng: np.random.Generator, n: int, operators: dict) -> np.ndarray:
     """The n x n complex Gaussian operator, drawn once per n and then shared.
 
-    The first call for n draws ``rng.standard_normal((n, n)) + 1j *
-    rng.standard_normal((n, n))`` (real part first) and keeps it, read-only,
-    in ``operators``; later calls for n return that array and draw nothing.
+    The first call for n draws the real part and then the imaginary part,
+    each ``rng.standard_normal((n, n))``, through one real buffer into one
+    complex array, and keeps it, read-only, in ``operators``: the array and
+    the generator state of ``re + 1j * im`` without its temporaries.  Later
+    calls for n return that array and draw nothing.
     """
     if n not in operators:
-        A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        A = np.empty((n, n), dtype=np.complex128)
+        part = np.empty((n, n))
+        A.real = rng.standard_normal(out=part)
+        A.imag = rng.standard_normal(out=part)
         A.flags.writeable = False
         operators[n] = A
     return operators[n]
@@ -561,31 +658,92 @@ def _threshold_differences(m: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarra
 
 
 def _size_weights(N: int, gammas: tuple[float, ...]) -> tuple:
-    """The lemma suite's weight tables for N particles, which depend on N and gamma only.
+    """The lemma suite's check plan and weights for N particles, which depend on N and gamma only.
 
-    Returns ``(n_pow, linv_sq, per_gamma)``: ``n_pow[j]`` the number weight
-    to the power j <= min(4, N), each (k/N)**j a Python float power (numpy's
-    array power differs from it in the last bit at N = 5, 6), the squared
-    inverse-sqrt weight and, per gamma, ``(m_w, shifted_sq, differences)``
-    with m_w the threshold weight, ``shifted_sq[s]`` the squared complement
-    weight shifted by s for |s| <= min(3, N) and ``differences[d]`` the
-    three weights of ``_threshold_differences(m_w, d)`` followed by the
-    squares of D and E, for 1 <= d <= min(3, N).  A mask norm reads only
-    the squared tables, so each weight is squared here, once per N.
+    Returns ``(plan, n_w, differences)``: the ``_CheckPlan`` of a trial, the
+    number weight n_w and, per gamma, ``differences[d]`` the three weights
+    of ``_threshold_differences(m_w, d)`` of the threshold weight m_w, for
+    1 <= d <= min(3, N).  A mask norm reads only squared weights, so each
+    weight is squared here, once per N.  The number weight's powers
+    (k/N)**j are Python float powers (numpy's array power differs from them
+    in the last bit at N = 5, 6), and each bound's coefficient is the same
+    Python expression as in the check it belongs to.
     """
     span = min(3, N)
-    per_gamma = []
-    for gamma in gammas:
-        m_w = weight_threshold(N, gamma)
-        w_w = weight_complement(N, gamma)
-        shifted_sq = {s: shifted(w_w, s) ** 2 for s in range(-span, span + 1)}
-        differences = {}
-        for d in range(1, span + 1):
-            diff_w, D_w, E_w = _threshold_differences(m_w, d)
-            differences[d] = (diff_w, D_w, E_w, D_w**2, E_w**2)
-        per_gamma.append((m_w, shifted_sq, differences))
     n_pow = [_weight([(k / N) ** j for k in range(N + 1)]) for j in range(min(4, N) + 1)]
-    return n_pow, weight_inverse_sqrt(N) ** 2, per_gamma
+    m_ws = [weight_threshold(N, gamma) for gamma in gammas]
+    # bases[0] is |psi|^2, bases[1 + j] alpha of n_pow[j], bases[m_base + g] alpha of m_ws[g]
+    m_base = 1 + len(n_pow)
+    checks: dict = {}  # (name, asserted) -> its index, in the order of its first row
+    check_of, contexts, gates = [], [], []
+    masked, terms = [], []  # the mask rows and their (squared, n0, coef, base)
+
+    def check(name, context=None, term=None, gate=-1, asserted=True) -> int:
+        row = len(check_of)
+        check_of.append(checks.setdefault((name, asserted), len(checks)))
+        contexts.append(context or {})
+        gates.append(gate)
+        if term is not None:
+            masked.append(row)
+            terms.append(term)
+        return row
+
+    direct = [check(name) for name in
+              ("sector_completeness", "projector_orthogonality", "mass_route_agreement")]
+    # q-conversion |prod_{i<=n0+1} q_i psi|^2 <= 2 alpha(n^(n0+1)) for n0 + 1 <= N
+    for n0 in range(0, min(3, N - 1) + 1):
+        check("q_conversion", {"n0": n0}, (np.ones(N + 1), n0 + 1, 2.0, 1 + n0 + 1))
+    # sqrt-conversion for 1 <= n0 < N; its bound at n0 = 1 is 2 |psi|^2
+    linv_sq = weight_inverse_sqrt(N) ** 2
+    for n0 in range(1, min(3, N - 1) + 1):
+        check("sqrt_conversion", {"n0": n0}, (linv_sq, n0, 2.0, 0 if n0 == 1 else n0))
+    direct.append(check("shift_identity"))
+    factorised = np.empty((len(gammas), span), dtype=np.intp)
+    differences = []
+    for g, gamma in enumerate(gammas):
+        m = m_base + g
+        w_w = weight_complement(N, gamma)
+        for d in range(0, span + 1):
+            for sign in (+1, -1):
+                if d == 0 and sign == -1:
+                    continue
+                squared = shifted(w_w, sign * d) ** 2
+                for n0 in range(1, span + 1):
+                    check("shifted_complement", {"gamma": gamma, "d": sign * d, "n0": n0},
+                          (squared, n0, 2.0 * N ** (n0 * (gamma - 1.0)), m),
+                          asserted=d <= N**gamma + 1e-9)
+        by_shift = {}
+        for d in range(1, span + 1):
+            by_shift[d] = _threshold_differences(m_ws[g], d)
+            D_sq, E_sq = by_shift[d][1] ** 2, by_shift[d][2] ** 2
+            ctx = {"gamma": gamma, "d": d}
+            check("diff_D_plain", ctx, (D_sq, 0, d * N**-gamma, 0))
+            check("diff_E_plain", ctx, (E_sq, 0, d * N**-gamma, 0))
+            check("diff_D_q1", ctx, (D_sq, 1, d * (d + 1) * N**-1.0, m), gate=m)
+            check("diff_E_q1", ctx, (E_sq, 1, d * N**-1.0, m), gate=m)
+            if N >= 2:
+                check("diff_D_q1q2", ctx, (D_sq, 2, d * (d + 1) ** 2 * N ** (gamma - 2.0), m),
+                      gate=m)
+                check("diff_E_q1q2", ctx, (E_sq, 2, d * N ** (gamma - 2.0), m), gate=m)
+            factorised[g, d - 1] = check("difference_factorisation", ctx)
+        differences.append(by_shift)
+
+    squared, n0, coef, base = zip(*terms)
+    plan = _CheckPlan(
+        contexts=tuple(contexts),
+        checks=tuple(checks),
+        check_of=np.array(check_of),
+        masked=np.array(masked),
+        squared=np.array(squared),
+        n0=np.array(n0),
+        coef=np.array(coef),
+        base=np.array(base),
+        alphas=np.array([*n_pow, *m_ws]),
+        gate=np.array(gates),
+        direct=np.array(direct),
+        factorised=factorised,
+    )
+    return plan, n_pow[1], differences
 
 
 def lemma_suite(
@@ -612,34 +770,47 @@ def lemma_suite(
     ``sector_completeness`` and ``mass_route_agreement`` (against the
     determinant route of ``sector_masses``).  Every other check runs on the
     tensor R rotated once into the adapted basis (``_rotate``).
-    The q-conversion, sqrt-conversion, shifted-complement and ``diff_*``
-    norms all read the trial's mask table M[n0, k] (``_mask_table``), the
-    mass of R with its first n0 slots outside Ran p and complement count k:
-    a weighted q-product norm is sum_k f(k)^2 M[n0, k].  The two sandwich identities
-    apply the local operator A_C, on count blocks only.  C is the first |C|
-    slots, so viewed as an (L^|C|, rest) matrix each row of R is one slot-C
-    multi-index, and the sector P^(b) over C is the rows whose complement
-    count over C is b (``_count_blocks``).  Every input fed to A_C (the
-    sector P^(b) R, the shift identity's shifted-weight input, each
-    factorisation's E-weighted input) is built on those rows alone, times a
-    weight read at their total complement count, one broadcast row per
-    count b.  The inputs are
-    grouped by (b, a), and each group is one matmul of the gathered block
-    A_C[a, b] against its stacked inputs (``_block_product``), which yields
-    exactly the count-a rows the check reads.  Both sides of an identity,
-    each still from its own input, and its scale are compared on those rows:
-    outside them both sides are zero.
+
+    A trial's checks are the rows of one plan per N (``_CheckPlan``, built
+    by ``_size_weights``), in the order of the loops over n0, gamma, d and
+    the shift sign.  The q-conversion, sqrt-conversion, shifted-complement
+    and ``diff_*`` rows all read the trial's mask table M[n0, k]
+    (``_mask_table``), the mass of R with its first n0 slots outside Ran p
+    and complement count k: a weighted q-product norm is
+    sum_k f(k)^2 M[n0, k].  They are scored at once, every lhs in one
+    stacked product of the squared weights with their rows of M, every
+    alpha in one more against the sector masses (``_row_dots``, the bits
+    of ``np.dot``), and one ``_record`` call takes the whole trial, ratios
+    and violations as array operations.
+
+    The two sandwich identities apply the local operator A_C, on count
+    blocks only.  C is the first |C| slots, so viewed as an (L^|C|, rest)
+    matrix each row of R is one slot-C multi-index, and the sector P^(b)
+    over C is the rows whose complement count over C is b
+    (``_count_blocks``).  Every input fed to A_C (the sector P^(b) R, the
+    shift identity's shifted-weight input, each factorisation's E-weighted
+    input) is built on those rows alone, times a weight read at their total
+    complement count, one broadcast row per count b.  The inputs are
+    grouped by (b, a), and each group is one matmul of the view
+    A_C[span_a, span_b] against its stacked inputs (``_block_product``),
+    which yields exactly the count-a rows the check reads.  Both sides of
+    an identity, each still from its own input, and its scale are compared
+    on those rows: outside them both sides are zero.
 
     A_C is one dense complex Gaussian operator per operator size L^|C|,
     drawn at the first trial of that size and shared, read-only, by the
-    later ones.  Applied on adapted slots it is, in the site basis, the
-    operator U^(x|C|) A_C (U^dagger)^(x|C|) of the trial's U:
+    later ones, and read in the count order of ``_count_blocks``.  On the
+    slot-C multi-indices in their own order a trial applies Pi^T A_C Pi,
+    with Pi the permutation into that order, fixed by (L, N, |C|); on
+    adapted slots it is, in the site basis, U^(x|C|) Pi^T A_C Pi
+    (U^dagger)^(x|C|) of the trial's U:
     * both sandwich identities hold for any operator that acts on the
       slots C alone, so this one satisfies them as A_C itself would;
-    * conjugating by a fixed unitary maps the complex Gaussian law to
-      itself, and A_C is drawn independently of every trial's projections
-      and state, so the operator each trial sees is again a complex
-      Gaussian independent of that trial;
+    * permuting the indices by a fixed Pi and conjugating by a fixed
+      unitary each map the complex Gaussian law to itself, and A_C is
+      drawn independently of every trial's projections and state, so the
+      operator each trial sees is again a complex Gaussian independent of
+      that trial;
     * both checks are linear in the operator: a coding error leaves a
       defect D(A) with D linear, and a nonzero D vanishes only on a proper
       subspace, a null set of the Gaussian.
@@ -648,10 +819,8 @@ def lemma_suite(
 
     A_C (at first use), the shift sectors and the factorisation sectors are
     drawn first, in the order the checks read them, and checks are recorded
-    in a fixed order, so a seed fixes the report byte for byte.  The weight
-    tables depend only on N and gamma and are built once per N
-    (``_size_weights``).  A check with a NaN or infinite side raises
-    ``NumericalFailure`` (``_record``).
+    in plan order, so a seed fixes the report byte for byte.  A check with
+    a NaN or infinite side raises ``NumericalFailure`` (``_record``).
     """
     rng = np.random.default_rng(seed)
     asserted: dict = {}
@@ -666,154 +835,87 @@ def lemma_suite(
         space = SlotSpace(proj, N)
         state = random_state(basis, rng)
         T = space.embed(state)
-        ctx_base = {"trial": trial, "N": N, "L": L, "seed": seed}
 
         # literal sector components of T: the masses every alpha is read from
         comps = space.sector(T)
         masses = np.array([space.norm_sq(c) for c in comps])
-
-        def alpha_of(weight: np.ndarray) -> float:
-            return float(np.dot(weight, masses))
-
         # algebra sanity: completeness and agreement with the production route
         completeness = float(np.max(np.abs(sum(comps) - T)))
-        _record(asserted, "sector_completeness", completeness, 1e-12, ctx_base)
         cross = float(np.max(np.abs(space.p @ space.q)))
-        _record(asserted, "projector_orthogonality", cross, 1e-12, ctx_base)
-        prod_masses = sector_masses(state, proj)
-        _record(
-            asserted,
-            "mass_route_agreement",
-            float(np.max(np.abs(prod_masses - masses))),
-            1e-12,
-            ctx_base,
-        )
+        mass_gap = float(np.max(np.abs(sector_masses(state, proj) - masses)))
 
         if N not in weights:
             weights[N] = _size_weights(N, gammas)
-        n_pow, linv_sq, per_gamma = weights[N]
-        n_w = n_pow[1]
-        norm_T = space.norm_sq(T)
+        plan, n_w, differences = weights[N]
+        bases = np.concatenate(([space.norm_sq(T)], _row_dots(plan.alphas, masses)))
         R = _rotate(T, proj.basis_matrix)
         table = _mask_table(R, N)
-
-        def mask_norm(squared: np.ndarray, n0: int) -> float:
-            """|f_hat prod_{i<=n0} q_i psi|^2 from the squared table of f and the mask table."""
-            return float(np.dot(squared, table[n0]))
-
-        # q-conversion: n0 such that n0 + 1 <= N
-        for n0 in range(0, min(3, N - 1) + 1):
-            lhs = float(table[n0 + 1].sum())
-            rhs = 2.0 * alpha_of(n_pow[n0 + 1])
-            _record(asserted, "q_conversion", lhs, rhs, {**ctx_base, "n0": n0})
-
-        # sqrt-conversion: 1 <= n0 < N
-        for n0 in range(1, min(3, N - 1) + 1):
-            lhs = mask_norm(linv_sq, n0)
-            rhs = 2.0 * (norm_T if n0 == 1 else alpha_of(n_pow[n0 - 1]))
-            _record(asserted, "sqrt_conversion", lhs, rhs, {**ctx_base, "n0": n0})
+        lhs = np.zeros(len(plan.check_of))
+        rhs = np.zeros(len(plan.check_of))
+        lhs[plan.masked] = _row_dots(plan.squared, table[plan.n0])
+        rhs[plan.masked] = plan.coef * bases[plan.base]
+        active = (plan.gate < 0) | (bases[plan.gate] > 1e-14)
 
         # one random local operator per operator size for the sandwich
         # identities; keep the acting slot set small when the mode count is large.
         size_C = min(3, N) if L**3 <= 1024 else min(2, N)
         A_C = _gaussian_operator(rng, L**size_C, operators)
         # shift identity sectors, then the factorisation's lower sector a per
-        # (gamma, d <= size_C) in the order the loops below read them
+        # (gamma, d <= size_C) in the order the plan's rows read them
         a_sh = int(rng.integers(0, size_C + 1))
         b_sh = int(rng.integers(0, size_C + 1))
         lower = [
-            (d, differences[d][2], int(rng.integers(0, size_C - d + 1)))
-            for _, _, differences in per_gamma
+            (g, d, int(rng.integers(0, size_C - d + 1)))
+            for g in range(len(gammas))
             for d in range(1, size_C + 1)
         ]
 
         # every sandwich input of the trial, on its own count-b rows of R viewed
         # as an (L^|C|, rest) matrix and grouped by (b, a) so that each block
-        # A_C[a, b] acts once: the sector P^(b) R, the shift identity's
-        # shifted-weight input and each factorisation's E-weighted input
+        # A_C[span_a, span_b] acts once: the sector P^(b) R, the shift
+        # identity's shifted-weight input and each factorisation's E-weighted input
         blocks = _count_blocks(L, N, size_C)
         R_rows = R.reshape(L**size_C, -1)
         sectors = {b: R_rows[blocks[b][0]] for b in {b_sh, *(a for _, _, a in lower)}}
         groups: dict[tuple[int, int], dict] = {
             (b_sh, a_sh): {
                 "sector": sectors[b_sh],
-                "shift": shifted(n_w, a_sh - b_sh)[blocks[b_sh][1]] * sectors[b_sh],
+                "shift": shifted(n_w, a_sh - b_sh)[blocks[b_sh][2]] * sectors[b_sh],
             }
         }
-        for j, (d, E_w, a) in enumerate(lower):
+        for j, (g, d, a) in enumerate(lower):
             group = groups.setdefault((a, a + d), {"sector": sectors[a]})
-            group[f"E{j}"] = E_w[blocks[a][1]] * sectors[a]
+            group[f"E{j}"] = differences[g][d][2][blocks[a][2]] * sectors[a]
         applied = {
-            (b, a): _block_product(A_C, blocks[a][0], blocks[b][0], slabs)
+            (b, a): _block_product(A_C, blocks[a][1], blocks[b][1], slabs)
             for (b, a), slabs in groups.items()
         }
-        factorised = iter(enumerate(a for _, _, a in lower))
 
         # shift identity: f_hat (P^(a) A_C P^(b)) = (P^(a) A_C P^(b)) f_hat_{a-b},
         # both sides zero off the count-a rows
         out = applied[(b_sh, a_sh)]
-        sandwich_sh = out["sector"]
-        lhs_vec = n_w[blocks[a_sh][1]] * sandwich_sh
-        defect = float(np.max(np.abs(lhs_vec - out["shift"]), initial=0.0))
-        scale = max(float(np.max(np.abs(sandwich_sh), initial=0.0)), 1e-6)
-        _record(
-            asserted,
-            "shift_identity",
-            defect,
-            1e-11 * scale,
-            {**ctx_base, "a": a_sh, "b": b_sh},
-        )
+        defect = float(np.max(np.abs(n_w[blocks[a_sh][2]] * out["sector"] - out["shift"]),
+                              initial=0.0))
+        scale = max(float(np.max(np.abs(out["sector"]), initial=0.0)), 1e-6)
+        lhs[plan.direct] = completeness, cross, mass_gap, defect
+        rhs[plan.direct] = 1e-12, 1e-12, 1e-12, 1e-11 * scale
+        extra = {int(plan.direct[-1]): {"a": a_sh, "b": b_sh}}
 
-        for gamma, (m_w, shifted_sq, differences) in zip(gammas, per_gamma):
-            alpha_m = alpha_of(m_w)
+        # factorisation of the threshold difference through the sandwiched operator
+        for j, (g, d, a) in enumerate(lower):
+            diff_w, D_w, _ = differences[g][d]
+            out = applied[(a, a + d)]
+            total = blocks[a + d][2]
+            sandwich = out["sector"]
+            defect = float(np.max(np.abs(diff_w[total] * sandwich - D_w[total] * out[f"E{j}"]),
+                                  initial=0.0))
+            scale = max(float(np.max(np.abs(sandwich), initial=0.0)), 1e-6)
+            row = int(plan.factorised[g, d - 1])
+            lhs[row], rhs[row], extra[row] = defect, 1e-11 * scale, {"a": a}
+        active[plan.factorised[:, size_C:]] = False
 
-            # shifted-complement bound
-            for d in range(0, min(3, N) + 1):
-                for sign in (+1, -1):
-                    if d == 0 and sign == -1:
-                        continue
-                    for n0 in range(1, min(3, N) + 1):
-                        lhs = mask_norm(shifted_sq[sign * d], n0)
-                        rhs = 2.0 * N ** (n0 * (gamma - 1.0)) * alpha_m
-                        ctx = {**ctx_base, "gamma": gamma, "d": sign * d, "n0": n0}
-                        target = asserted if d <= N**gamma + 1e-9 else reported
-                        _record(target, "shifted_complement", lhs, rhs, ctx)
-
-            # threshold-difference operators and factorisation
-            for d in range(1, min(3, N) + 1):
-                diff_w, D_w, _, D_sq, E_sq = differences[d]
-                ctx = {**ctx_base, "gamma": gamma, "d": d}
-
-                _record(asserted, "diff_D_plain", mask_norm(D_sq, 0), d * N**-gamma * norm_T, ctx)
-                _record(asserted, "diff_E_plain", mask_norm(E_sq, 0), d * N**-gamma * norm_T, ctx)
-                if alpha_m > 1e-14:
-                    _record(asserted, "diff_D_q1", mask_norm(D_sq, 1),
-                            d * (d + 1) * N**-1.0 * alpha_m, ctx)
-                    _record(asserted, "diff_E_q1", mask_norm(E_sq, 1),
-                            d * N**-1.0 * alpha_m, ctx)
-                    if N >= 2:
-                        _record(asserted, "diff_D_q1q2", mask_norm(D_sq, 2),
-                                d * (d + 1) ** 2 * N ** (gamma - 2.0) * alpha_m, ctx)
-                        _record(asserted, "diff_E_q1q2", mask_norm(E_sq, 2),
-                                d * N ** (gamma - 2.0) * alpha_m, ctx)
-
-                # factorisation through a sandwiched local operator
-                if d <= size_C:
-                    j, a = next(factorised)
-                    out = applied[(a, a + d)]
-                    total = blocks[a + d][1]
-                    sandwich = out["sector"]
-                    lhs_vec = diff_w[total] * sandwich
-                    rhs_vec = D_w[total] * out[f"E{j}"]
-                    defect = float(np.max(np.abs(lhs_vec - rhs_vec), initial=0.0))
-                    scale = max(float(np.max(np.abs(sandwich), initial=0.0)), 1e-6)
-                    _record(
-                        asserted,
-                        "difference_factorisation",
-                        defect,
-                        1e-11 * scale,
-                        {**ctx, "a": a},
-                    )
+        _record(asserted, reported, plan, lhs, rhs, active,
+                {"trial": trial, "N": N, "L": L, "seed": seed}, extra)
 
     return LemmaReport(
         seed=seed,

@@ -177,6 +177,17 @@ class ConfigBasis:
         return (rows * L + modes).astype(np.int32), signs, dim_less
 
     @cached_property
+    def _annihilation_scatter(self) -> np.ndarray:
+        """``annihilation_table``'s flat index, raveled, as a read-only intp array.
+
+        ``annihilated`` scatters through it on every call; numpy would cast
+        the int32 index to intp on each of them.
+        """
+        index = self.annihilation_table[0].ravel().astype(np.intp)
+        index.flags.writeable = False
+        return index
+
+    @cached_property
     def creation_table(self) -> tuple[np.ndarray, np.ndarray]:
         """The inverse of ``annihilation_table``: a^dag_d |K> = signs[K, d] |index[K, d]>.
 
@@ -492,15 +503,16 @@ def propagate(
         raise ConfigError("t_final lies before the state's time")
     if any(later < earlier for earlier, later in zip(times, times[1:])):
         raise ConfigError("propagation times must not decrease")
-    op = hamiltonian
-    if op.basis != state.basis:
+    if hamiltonian.basis != state.basis:
         raise GridMismatchError("operator and state use different bases")
     if not single:
-        return _trajectory(state, op, times)
+        return _trajectory(state, hamiltonian, times)
     span = t_final - state.time
     if span == 0:
         return state
-    amps = expm_multiply_hermitian(op.matvec, state.amplitudes, -1j * op.epsilon * span)
+    amps = expm_multiply_hermitian(
+        hamiltonian.matvec, state.amplitudes, -1j * hamiltonian.epsilon * span
+    )
     return _finite_state(state.basis, amps, t_final)
 
 
@@ -552,10 +564,10 @@ def gauge_manybody(
 def annihilated(state: ManyBodyState) -> np.ndarray:
     """Phi[K, a] = <K| a_a |psi>: column a is a_a psi on the (N-1)-particle basis."""
     basis = state.basis
-    flat, signs, dim_less = basis.annihilation_table
+    _, signs, dim_less = basis.annihilation_table
     Phi = np.zeros((dim_less, basis.n_modes), dtype=np.complex128)
     # J minus a fixes (J, a), so no two entries collide
-    Phi.ravel()[flat.ravel()] = (state.amplitudes[:, None] * signs).ravel()
+    Phi.ravel()[basis._annihilation_scatter] = (state.amplitudes[:, None] * signs).ravel()
     return Phi
 
 

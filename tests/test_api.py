@@ -13,7 +13,10 @@ public signature takes a ``mode``.  Every name a file of ``src/``, ``tests/``
 or ``demos/`` imports is loaded in that file; the package ``__init__.py``
 files import to re-export and are exempt.  Every field of a dataclass of
 ``src/mflab`` is read as an attribute in ``src/``, ``demos/`` or the
-acceptance suite, unless the class hands itself whole to ``asdict``.
+acceptance suite, unless the class hands itself whole to ``asdict``; a
+field name that two or more dataclasses declare is read only through
+``self`` in its class or a name annotated with its class in the same
+function or module body.
 Every name the package exports in ``__all__`` resolves on it, so ``from
 mflab import *`` works.  ``cli.load_config`` resolves the whole run
 configuration, so no ``cmd_*`` function of ``cli`` raises ``ConfigError`` or
@@ -22,6 +25,7 @@ builds a potential, initial orbitals or the observable dictionary.
 
 import ast
 import re
+from collections import Counter
 from pathlib import Path
 
 import mflab
@@ -154,24 +158,118 @@ def _serialised_whole(cls: ast.ClassDef) -> bool:
     )
 
 
+def _annotated_classes(annotation) -> set[str]:
+    """The classes an annotation names itself: ``C``, ``"C"``, ``module.C`` or a ``|`` union."""
+    if isinstance(annotation, ast.Name):
+        return {annotation.id}
+    if isinstance(annotation, ast.Attribute):
+        return {annotation.attr}
+    if isinstance(annotation, ast.Constant) and isinstance(annotation.value, str):
+        return _annotated_classes(ast.parse(annotation.value, mode="eval").body)
+    if isinstance(annotation, ast.BinOp) and isinstance(annotation.op, ast.BitOr):
+        return _annotated_classes(annotation.left) | _annotated_classes(annotation.right)
+    return set()
+
+
+def _own_nodes(scope: ast.AST):
+    """The nodes of a function or class body, without those of the functions and classes in it."""
+    stack = list(ast.iter_child_nodes(scope))
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def _annotated_names(scope: ast.AST) -> dict[str, set[str]]:
+    """Name -> the classes it is annotated with, over a function's parameters
+    and the annotated assignments of a function or module body."""
+    args = getattr(scope, "args", None)
+    params = [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg] \
+        if args else []
+    annotated = {a.arg: _annotated_classes(a.annotation) for a in params
+                 if a is not None and a.annotation is not None}
+    annotated.update((item.target.id, _annotated_classes(item.annotation))
+                     for item in _own_nodes(scope)
+                     if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name))
+    return annotated
+
+
+def _attribute_reads(tree: ast.Module) -> set[tuple[str, str | None]]:
+    """(attribute, None) for every attribute read, and (attribute, class) when the
+    receiver is ``self`` in a method of that class or a name that the same
+    function (or the module body) annotates with that class."""
+    reads: set[tuple[str, str | None]] = set()
+
+    def visit(scope: ast.AST, cls: str | None) -> None:
+        annotated = _annotated_names(scope)
+        for node in _own_nodes(scope):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)):
+                visit(node, node.name if isinstance(node, ast.ClassDef) else cls)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                reads.add((node.attr, None))
+                receiver = getattr(node.value, "id", None)
+                owners = {cls} if receiver == "self" and cls else annotated.get(receiver, set())
+                reads.update((node.attr, owner) for owner in owners)
+
+    visit(tree, None)
+    return reads
+
+
+def _unread_fields(modules: dict[str, ast.Module], readers: list[ast.Module]) -> list[str]:
+    """Fields of the dataclasses in ``modules`` that no attribute read in ``readers`` reaches.
+
+    A field name only one dataclass declares is read by any attribute read of
+    that name.  A name two or more dataclasses declare is read for one of
+    them only through ``self`` in that class or a name annotated with it.
+    """
+    classes = [(stem, cls) for stem, tree in modules.items() for cls in tree.body
+               if isinstance(cls, ast.ClassDef) and _is_dataclass(cls)]
+    declared = Counter(item.target.id for _, cls in classes for item in cls.body
+                       if isinstance(item, ast.AnnAssign))
+    reads = set().union(*map(_attribute_reads, readers))
+    unread = []
+    for stem, cls in classes:
+        if _serialised_whole(cls):
+            continue
+        for item in cls.body:
+            if isinstance(item, ast.AnnAssign):
+                owner = cls.name if declared[item.target.id] > 1 else None
+                if (item.target.id, owner) not in reads:
+                    unread.append(f"{stem}.{cls.name}.{item.target.id}")
+    return unread
+
+
 def test_every_dataclass_field_is_read():
     files = [*_modules(), *(ROOT / "demos").glob("*.py"), ROOT / "tests" / "test_acceptance.py"]
-    read = {
-        node.attr
-        for path in files
-        for node in ast.walk(_parse(path))
-        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
-    }
-    unread = []
-    for path in _modules():
-        for cls in _parse(path).body:
-            if not (isinstance(cls, ast.ClassDef) and _is_dataclass(cls)) \
-                    or _serialised_whole(cls):
-                continue
-            for item in cls.body:
-                if isinstance(item, ast.AnnAssign) and item.target.id not in read:
-                    unread.append(f"{path.stem}.{cls.name}.{item.target.id}")
+    modules = {path.stem: _parse(path) for path in _modules()}
+    unread = _unread_fields(modules, [_parse(path) for path in files])
     assert not unread, f"dataclass fields no caller reads: {unread}"
+
+
+def test_a_shared_field_name_is_read_only_through_its_own_class():
+    """Potential.kind is never read: a name-only rule takes Family.kind's read
+    for it, and an unannotated receiver's read for either."""
+    tree = ast.parse(
+        "from dataclasses import dataclass\n"
+        "@dataclass\n"
+        "class Potential:\n"
+        "    kind: str\n"
+        "@dataclass\n"
+        "class Family:\n"
+        "    kind: str\n"
+        "    width: float\n"
+        "    def label(self):\n"
+        "        return self.kind\n"
+        "def spread(family: 'Family | None', other):\n"
+        "    return family.width, other.kind\n"
+    )
+    name_only = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert {"kind", "width"} <= name_only
+    assert _unread_fields({"model": tree}, [tree]) == ["model.Potential.kind"]
+    unlabelled = ast.parse(ast.unparse(tree).replace("return self.kind", "return 0"))
+    assert _unread_fields({"model": unlabelled}, [unlabelled]) == [
+        "model.Potential.kind", "model.Family.kind"]
 
 
 def test_every_exported_name_resolves():

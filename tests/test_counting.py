@@ -30,11 +30,14 @@ from mflab.counting import (
     _gaussian_operator,
     _mask_table,
     _random_projections,
+    _record,
     _rotate,
+    _row_dots,
+    _size_weights,
     _slot_counts,
     _threshold_differences,
 )
-from mflab.errors import ConfigError, ContractViolation, GridMismatchError
+from mflab.errors import ConfigError, ContractViolation, GridMismatchError, NumericalFailure
 from mflab.grid import Grid
 from mflab.hartree import OrbitalSet
 from mflab.manybody import (
@@ -300,23 +303,29 @@ def test_count_tables_are_shared_read_only_arrays():
     over_C = _slot_counts(L, N, N, (0, 1)).reshape(-1)
     blocks = _count_blocks(L, N, 2)
     assert _count_blocks(L, N, 2) is blocks
-    assert np.array_equal(np.sort(np.concatenate([rows for rows, _ in blocks])), np.arange(L**2))
-    for k, (rows, at_rows) in enumerate(blocks):
-        assert np.all(over_C[rows] == k)
+    assert np.array_equal(np.sort(np.concatenate([rows for rows, _, _ in blocks])), np.arange(L**2))
+    stop = 0
+    for k, (rows, span, at_rows) in enumerate(blocks):
+        assert np.array_equal(rows, np.flatnonzero(over_C == k))
+        assert (span.start, span.stop - span.start) == (stop, len(rows))
+        stop = span.stop
         assert at_rows.shape == (L ** (N - 2),)
         assert np.array_equal(np.broadcast_to(at_rows, (len(rows), L ** (N - 2))), total[rows])
         assert not rows.flags.writeable and not at_rows.flags.writeable
+    assert stop == L**2
 
 
 @pytest.mark.parametrize(
     "N, L", [(2, 6), (3, 8), (4, 8), (3, 12), (1, 1), (3, 3), (1, 5), (1, 12), (4, 12)]
 )
 def test_block_products_match_the_full_slot_contraction(N, L):
-    """A_C[rows_a, rows_b] on the count-b rows of R is P^(a) A_C P^(b) R on the
-    count-a rows, and zero elsewhere, for every (b, a), with the literal
-    sectors and weights over the adapted projections; a weight read at the
-    gathered count table is the literal weight on those rows.  (1, 1) and
-    (3, 3) have no complement rows, and N = 1 acts on a single slot."""
+    """The view G[span_a, span_b] on the count-b rows of R is P^(a) A P^(b) R
+    on the count-a rows, and zero elsewhere, for every (b, a), where A =
+    Pi^T G Pi is the operator G in count order taken back to the slots' own
+    order, with the literal sectors and weights over the adapted
+    projections; a weight read at the gathered count table is the literal
+    weight on those rows.  (1, 1) and (3, 3) have no complement rows, and
+    N = 1 acts on a single slot."""
     rng = np.random.default_rng(53 + 10 * N + L)
     proj = _random_projections(L, N, rng)
     adapted = adapted_space(L, N)
@@ -324,20 +333,24 @@ def test_block_products_match_the_full_slot_contraction(N, L):
     R = _rotate(SlotSpace(proj, N).embed(state), proj.basis_matrix)
     r = min(3, N) if L**3 <= 1024 else min(2, N)
     C = tuple(range(r))
-    A = rng.standard_normal((L**r, L**r)) + 1j * rng.standard_normal((L**r, L**r))
+    G = rng.standard_normal((L**r, L**r)) + 1j * rng.standard_normal((L**r, L**r))
     blocks = _count_blocks(L, N, r)
+    # Pi takes multi-index order[i] to position i of the count order
+    order = np.concatenate([rows for rows, _, _ in blocks])
+    A = np.empty_like(G)
+    A[np.ix_(order, order)] = G
     R_rows = R.reshape(L**r, -1)
     _, _, E_w = _threshold_differences(weight_threshold(N, 0.5), 1)
     for w in (weight_number(N), E_w):
         weighted = adapted.weight(R, w).reshape(L**r, -1)
-        for rows, total in blocks:
+        for rows, _, total in blocks:
             assert np.array_equal(w[total] * R_rows[rows], weighted[rows])
     inputs = {"sector": adapted.sector(R, None, C),
               "weighted": adapted.sector(adapted.weight(R, E_w), None, C)}
-    for b, (rows_b, total_b) in enumerate(blocks):
+    for b, (rows_b, span_b, total_b) in enumerate(blocks):
         slabs = {"sector": R_rows[rows_b], "weighted": E_w[total_b] * R_rows[rows_b]}
-        for a, (rows_a, _) in enumerate(blocks):
-            out = _block_product(A, rows_a, rows_b, slabs)
+        for a, (rows_a, span_a, _) in enumerate(blocks):
+            out = _block_product(G, span_a, span_b, slabs)
             for key, full_inputs in inputs.items():
                 applied = adapted.apply_on_slots(full_inputs[b], A, C)
                 full = adapted.sector(applied, a, C).reshape(L**r, -1)
@@ -548,6 +561,103 @@ def test_lemma_suite_clean_and_serializable(tmp_path):
     assert data["seed"] == 7 and data["trials"] == 12
 
 
+def _loop_order_checks(N, gammas):
+    """(name, asserted, context) of each check of a trial, written as the
+    suite's nested loops over n0, gamma, d and the shift sign."""
+    span = min(3, N)
+    rows = [(name, True, {}) for name in
+            ("sector_completeness", "projector_orthogonality", "mass_route_agreement")]
+    rows += [("q_conversion", True, {"n0": n0}) for n0 in range(0, min(3, N - 1) + 1)]
+    rows += [("sqrt_conversion", True, {"n0": n0}) for n0 in range(1, min(3, N - 1) + 1)]
+    rows.append(("shift_identity", True, {}))
+    for gamma in gammas:
+        for d in range(0, span + 1):
+            for sign in (+1, -1) if d else (+1,):
+                for n0 in range(1, span + 1):
+                    rows.append(("shifted_complement", d <= N**gamma + 1e-9,
+                                 {"gamma": gamma, "d": sign * d, "n0": n0}))
+        for d in range(1, span + 1):
+            names = ["diff_D_plain", "diff_E_plain", "diff_D_q1", "diff_E_q1"]
+            names += ["diff_D_q1q2", "diff_E_q1q2"] if N >= 2 else []
+            for name in names + ["difference_factorisation"]:
+                rows.append((name, True, {"gamma": gamma, "d": d}))
+    return rows
+
+
+@pytest.mark.parametrize("N", [1, 2, 4, 5])
+def test_check_plan_rows_follow_the_loop_order_and_keep_np_dot_bits(N):
+    """One row per check in the order of the suite's loops, each recorded
+    under its name and table; the stacked products of the plan give every
+    mask norm and alpha with the bits of one ``np.dot`` per check."""
+    gammas = (1.0 / 6.0, 0.5, 1.0)
+    plan, _, _ = _size_weights(N, gammas)
+    got = [(*plan.checks[c], context) for c, context in zip(plan.check_of, plan.contexts)]
+    assert got == _loop_order_checks(N, gammas)
+    rng = np.random.default_rng(70 + N)
+    table, masses = rng.random((N + 1, N + 1)), rng.random(N + 1)
+    lhs = _row_dots(plan.squared, table[plan.n0])
+    alphas = _row_dots(plan.alphas, masses)
+    for j in range(len(plan.masked)):
+        assert lhs[j] == float(np.dot(plan.squared[j], table[plan.n0[j]]))
+    for j, weight in enumerate(plan.alphas):
+        assert alphas[j] == float(np.dot(weight, masses))
+
+
+def test_record_reports_violating_rows_with_context_and_refuses_non_finite_ones():
+    """A violating row is recorded with lhs, rhs and its full context (the
+    trial's, the plan's and the trial's extra), violations in loop order; an
+    inactive row is not counted, even when non-finite, and a check enters
+    its table at its first active row, as in the suite's loops; a
+    non-finite side of an active row raises NumericalFailure naming the
+    check."""
+    N, gammas = 4, (1.0 / 6.0, 0.5, 1.0)
+    plan, _, _ = _size_weights(N, gammas)
+    checks = _loop_order_checks(N, gammas)
+
+    def row_of(name, **context):
+        return next(i for i, (n, _, c) in enumerate(checks) if n == name and c == context)
+
+    planted = [row_of("shifted_complement", gamma=0.5, d=-1, n0=2),
+               row_of("shifted_complement", gamma=1.0, d=1, n0=1)]
+    shift = row_of("shift_identity")
+    lhs, rhs = np.zeros(len(checks)), np.ones(len(checks))
+    lhs[planted] = 3.0, 2.5
+    lhs[shift] = 4.0
+    active = np.ones(len(checks), dtype=bool)
+    # diff_D_q1 of the first gamma is skipped, so the check enters after the
+    # first factorisation, at the second gamma
+    q1 = [row_of("diff_D_q1", gamma=gammas[0], d=d) for d in (1, 2, 3)]
+    active[q1] = False
+    lhs[q1] = np.nan
+    asserted, reported = {}, {}
+    context = {"trial": 7, "N": N, "L": 8, "seed": 3}
+    _record(asserted, reported, plan, lhs, rhs, active, context, {shift: {"a": 1, "b": 2}})
+    violations = asserted["shifted_complement"]["violations"]
+    assert [list(v.items()) for v in violations] == [
+        [("lhs", 3.0), ("rhs", 1.0), ("trial", 7), ("N", N), ("L", 8), ("seed", 3),
+         ("gamma", 0.5), ("d", -1), ("n0", 2)],
+        [("lhs", 2.5), ("rhs", 1.0), ("trial", 7), ("N", N), ("L", 8), ("seed", 3),
+         ("gamma", 1.0), ("d", 1), ("n0", 1)],
+    ]
+    assert asserted["shifted_complement"]["max_ratio"] == 3.0
+    assert asserted["shift_identity"] == {
+        "trials": 1, "max_ratio": 4.0,
+        "violations": [{"lhs": 4.0, "rhs": 1.0, **context, "a": 1, "b": 2}],
+    }
+    assert asserted["diff_D_q1"]["trials"] == 6
+    entered = list(dict.fromkeys(
+        name for (name, in_asserted, _), on in zip(checks, active) if in_asserted and on))
+    assert entered.index("diff_D_q1") > entered.index("difference_factorisation")
+    assert list(asserted) == entered
+    assert reported["shifted_complement"]["violations"] == []
+    assert sum(rec["trials"] for rec in [*asserted.values(), *reported.values()]) \
+        == len(checks) - len(q1)
+
+    lhs[row_of("diff_E_q1", gamma=1.0, d=2)] = np.inf
+    with pytest.raises(NumericalFailure, match="lemma check diff_E_q1 has a non-finite side"):
+        _record({}, {}, plan, lhs, rhs, active, context, {})
+
+
 def test_lemma_report_structure_is_pinned(tmp_path):
     """Reruns write the same bytes; check names, order and trial counts follow
     from the default sizes (2x6, 3x8, 4x8, 3x12) and gammas (1/6, 1/2, 1).
@@ -594,16 +704,18 @@ def test_lemma_report_structure_is_pinned(tmp_path):
 
 
 def test_gaussian_operator_is_drawn_once_per_size():
-    """One read-only array per n: the two-draw operator of the generator state
-    at its first use; later calls for n return it and draw nothing."""
+    """One read-only array per n: the two-draw operator re + 1j * im of the
+    generator state at its first use, bit for bit, leaving the generator
+    where the two draws leave it; later calls for n return it and draw
+    nothing."""
     fresh, shared = np.random.default_rng(3), np.random.default_rng(3)
     operators: dict = {}
     first: dict = {}
     for n in (36, 512, 36, 512):
         A = _gaussian_operator(shared, n, operators)
         if n not in first:
-            expected = fresh.standard_normal((n, n)) + 1j * fresh.standard_normal((n, n))
-            assert np.array_equal(A, expected)
+            re, im = fresh.standard_normal((n, n)), fresh.standard_normal((n, n))
+            assert A.tobytes() == (re + 1j * im).tobytes()
             first[n] = A
         assert A is first[n]
         assert not A.flags.writeable
