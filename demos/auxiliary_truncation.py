@@ -26,7 +26,7 @@ from mflab.model import InitialFamily, build_potential, make_orbitals
 grid = Grid(dim=1, sites_per_dim=8, box_length=8.0, kinetic_mode="lattice")
 potential = build_potential(grid, "gaussian", amplitude=1.0, width=3.0)
 initial = make_orbitals(InitialFamily("localized", width=1.2), 2, grid)
-eps = initial.scaling.epsilon
+eps = initial.epsilon
 
 base = base_interactions(potential)
 t_probe = 0.6

@@ -28,7 +28,7 @@ finals = {}
 for N in (2, 3, 4):
     initial = make_orbitals(family, N, grid)
     basis = ConfigBasis(grid.total_sites, N)
-    hamiltonian = build_hamiltonian(basis, potential, initial.scaling)
+    hamiltonian = build_hamiltonian(basis, potential, initial.epsilon)
     trajectory = run_hartree(initial, potential, t_final=1.0, dt=1e-3)
 
     # eps H is fixed, so one call serves every snapshot time from shared Krylov spaces
@@ -41,7 +41,7 @@ for N in (2, 3, 4):
     final_snap = trajectory.snapshots[-1]
     exact, hart = observe(observables, state, final_snap)
     finals[N] = max(abs(exact - hart))
-    print(f"{N:3d} {initial.scaling.epsilon:8.4f} {finals[N]:18.6e} {worst_alpha:13.2e}")
+    print(f"{N:3d} {initial.epsilon:8.4f} {finals[N]:18.6e} {worst_alpha:13.2e}")
 
 print()
 print(f"comparison(N=4) / comparison(N=2) = {finals[4] / finals[2]:.3f}  (< 1)")

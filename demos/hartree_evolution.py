@@ -25,7 +25,7 @@ initial = make_orbitals(InitialFamily("localized", width=0.6), 3, grid)
 
 print(f"grid: {grid.sites_per_dim} sites, box {grid.box_length}, "
       f"spacing {grid.spacing:.3f}")
-print(f"N = {initial.N}, coupling scale epsilon = {initial.scaling.epsilon:.6f}")
+print(f"N = {initial.N}, coupling scale epsilon = {initial.epsilon:.6f}")
 print(f"initial energy: {hartree_energy(initial, potential):.12f}")
 report: AssumptionReport = assumption_diagnostics(initial)
 print(f"scaled kinetic moments: grad {report.kin_grad_scaled:.4f}, "

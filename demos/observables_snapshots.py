@@ -33,7 +33,7 @@ potential = build_potential(grid, "gaussian", amplitude=1.0, width=3.0)
 N = 3
 initial = make_orbitals(InitialFamily("localized", width=1.2), N, grid)
 basis = ConfigBasis(grid.total_sites, N)
-hamiltonian = build_hamiltonian(basis, potential, initial.scaling)
+hamiltonian = build_hamiltonian(basis, potential, initial.epsilon)
 
 state = slater_state(initial, basis)
 spectrum0 = np.linalg.eigvalsh(rdm1(state))[::-1]

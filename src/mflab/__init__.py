@@ -3,7 +3,7 @@
 Subpackages are organised bottom-up:
 
 * ``grid``      periodic grids and spectral/lattice operators on grid values
-* ``model``     interaction potentials, scaling, initial orbital families
+* ``model``     interaction potentials, the coupling rule, initial orbital families
 * ``hartree``   the rescaled self-consistent orbital evolution
 * ``gauge``     pair-phase gauge transforms and the gauged orbital flow
 * ``manybody``  exact dynamics on the antisymmetric configuration basis

@@ -425,7 +425,7 @@ def build_aux_generator(
         raise GridMismatchError("orbitals and kernels use different grids")
     if basis.n_modes != grid.total_sites:
         raise GridMismatchError("basis mode count does not match the grid")
-    epsilon = gauged_orbitals.scaling.epsilon
+    epsilon = gauged_orbitals.epsilon
     te = t * epsilon
 
     w2 = te * base.pair_momentum
@@ -451,7 +451,7 @@ def build_aux_generator(
 def direct_energy(gauged_orbitals: OrbitalSet, potential: InteractionPotential) -> float:
     """E_g = tr(p h~ p) = sum_j <psi_j, h~ psi_j> over the orbital family, at its time."""
     grid = gauged_orbitals.grid
-    epsilon = gauged_orbitals.scaling.epsilon
+    epsilon = gauged_orbitals.epsilon
     forces = mean_field_forces(gauged_orbitals, potential)
     vals = np.ascontiguousarray(np.moveaxis(gauged_orbitals.values, 0, -1))
     hval = _generator(forces, epsilon, grid, weights=(0.5, 1.0 / 3.0))(vals)
@@ -474,7 +474,7 @@ def complement_kinetic(
     q = proj.q
     qKq = q @ dense_kinetic(gauged_orbitals.grid) @ q
     val = one_body_expectation(annihilated(aux_state), qKq).real
-    return gauged_orbitals.scaling.epsilon / aux_state.basis.n_particles * val
+    return gauged_orbitals.epsilon / aux_state.basis.n_particles * val
 
 
 def observable_localization_bound(
@@ -557,16 +557,15 @@ def run_auxiliary(
     """
     if initial.time != 0.0:
         raise ConfigError("auxiliary runs start at time zero (gauge phase is trivial there)")
-    grid = initial.grid
-    scaling = initial.scaling
+    grid, eps = initial.grid, initial.epsilon
     n_steps, recorded = step_schedule(t_final, dt, snapshot_every)
 
-    basis = ConfigBasis(n_modes=grid.total_sites, n_particles=scaling.N)
+    basis = ConfigBasis(n_modes=grid.total_sites, n_particles=initial.N)
     base = base_interactions(potential)
-    H_exact = build_hamiltonian(basis, potential, scaling)
+    H_exact = build_hamiltonian(basis, potential, eps)
     kinetic = lift_one_body(basis, dense_kinetic(grid)).toarray()
     L = grid.total_sites
-    triple = np.zeros((L**3, L**3), dtype=np.complex128) if scaling.N >= 3 else None
+    triple = np.zeros((L**3, L**3), dtype=np.complex128) if initial.N >= 3 else None
 
     psi0 = slater_state(initial, basis)
     exact_records = propagate(psi0, H_exact, [step * dt for step in sorted(recorded) if step])
@@ -585,7 +584,7 @@ def run_auxiliary(
         e_g = direct_energy(psi_t, potential)
         beta = energy_excess(aux_state, gen_t, e_g)
         bad = complement_kinetic(aux_state, psi_t, proj)
-        gauged_exact = gauge_manybody(exact_state, t, scaling.epsilon, potential)
+        gauged_exact = gauge_manybody(exact_state, t, eps, potential)
         diff = float(np.linalg.norm(aux_state.amplitudes - gauged_exact.amplitudes))
         records.append(AuxRecord(
             time=t, alpha_n=a_n, alpha_m=a_m, beta=beta, e_gauge=e_g,
@@ -636,19 +635,18 @@ def gauge_frame_residual(
     lattice the two sides differ by discretisation terms that shrink under
     grid refinement; this is a diagnostic, not an identity.
     """
-    grid = initial.grid
-    scaling = initial.scaling
-    basis = ConfigBasis(n_modes=grid.total_sites, n_particles=scaling.N)
+    grid, eps = initial.grid, initial.epsilon
+    basis = ConfigBasis(n_modes=grid.total_sites, n_particles=initial.N)
     base = base_interactions(potential)
-    H = build_hamiltonian(basis, potential, scaling)
+    H = build_hamiltonian(basis, potential, eps)
     psi0 = slater_state(initial, basis)
     times = (t - dt, t, t + dt)
     states = propagate(psi0, H, [max(s, 0.0) for s in times])
     minus, mid, plus = (
-        gauge_manybody(st, s, scaling.epsilon, potential).amplitudes
+        gauge_manybody(st, s, eps, potential).amplitudes
         for st, s in zip(states, times)
     )
-    Hg = full_gauged_hamiltonian(base, basis, t, scaling.epsilon)
-    rhs = scaling.epsilon * (Hg.matrix @ mid)
+    Hg = full_gauged_hamiltonian(base, basis, t, eps)
+    rhs = eps * (Hg.matrix @ mid)
     lhs = 1j * (plus - minus) / (2.0 * dt)
     return float(np.linalg.norm(lhs - rhs) / max(np.linalg.norm(rhs), 1e-30))

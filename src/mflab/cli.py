@@ -76,8 +76,8 @@ from .manybody import (
 from .model import (
     InitialFamily,
     InteractionPotential,
-    ScalingParams,
     build_potential,
+    epsilon_for,
     make_orbitals,
     step_schedule,
 )
@@ -165,9 +165,9 @@ def _fail(raw: dict, section: str, key: str, want: str) -> ConfigError:
 @dataclass(frozen=True)
 class RunConfig:
     """The resolved configuration: ``orbitals`` holds the initial orbitals of each
-    N of ``scaling.n`` in order, each carrying its resolved ``ScalingParams``."""
+    N of ``scaling.n`` in order, each carrying its coupling epsilon, and the
+    grid is ``potential.grid``."""
 
-    grid: Grid
     potential: InteractionPotential
     orbitals: tuple[OrbitalSet, ...]
     observable_names: list[str]
@@ -252,10 +252,6 @@ def load_config(args: argparse.Namespace) -> RunConfig:
     if not n_values or any(n < 1 for n in n_values) or len(set(n_values)) < len(n_values):
         raise _fail(raw, "scaling", "n", "distinct positive integers")
 
-    snapshot_every = conf["time"]["snapshot_every"]
-    if snapshot_every is not None and snapshot_every < 1:
-        raise _fail(raw, "time", "snapshot_every", "a positive integer")
-
     gammas = conf["counting"]["gammas"]
     if not gammas or any(not 0 < g <= 1 for g in gammas):
         raise _fail(raw, "counting", "gammas", "exponents in (0, 1]")
@@ -275,6 +271,7 @@ def load_config(args: argparse.Namespace) -> RunConfig:
         raise _fail(raw, "run", "seed", "an unsigned 64-bit integer")
 
     t_final, dt = conf["time"]["t_final"], conf["time"]["dt"]
+    snapshot_every = conf["time"]["snapshot_every"]
     _, recorded = step_schedule(t_final, dt, snapshot_every)
     if args.command == "hartree":  # the continuity column needs an interior snapshot
         require_continuity_snapshots(len(recorded))
@@ -294,17 +291,17 @@ def load_config(args: argparse.Namespace) -> RunConfig:
                 raise ConfigError(f"auxiliary co-evolution with N = {N} needs at most "
                                   f"{MAX_AUX_SITES[N]} modes, got {grid.total_sites}")
 
-    family, scaling = InitialFamily(**conf["family"]), conf["scaling"]
+    family, explicit = InitialFamily(**conf["family"]), conf["scaling"]["epsilon"]
+    # the rule is applied, and so checked, also where an explicit epsilon wins
+    epsilons = [epsilon_for(N, conf["scaling"]["epsilon_rule"], grid.dim) for N in n_values]
     names, observables = observable_dictionary(
         grid, conf["observables"]["boxes"], conf["observables"]["bump"]
     )
     return RunConfig(
-        grid=grid,
         potential=build_potential(grid, **conf["potential"]),
         orbitals=tuple(
-            make_orbitals(family, N, grid, ScalingParams(
-                N=N, epsilon=scaling["epsilon"], epsilon_rule=scaling["epsilon_rule"]))
-            for N in n_values
+            make_orbitals(family, N, grid, eps if explicit is None else explicit)
+            for N, eps in zip(n_values, epsilons)
         ),
         observable_names=names,
         observables=observables,
@@ -380,7 +377,7 @@ def write_sidecar(cfg: RunConfig, command: str) -> None:
     payload = {
         "command": command,
         "config": cfg.raw,
-        "resolved_epsilon": {str(o.N): o.scaling.epsilon for o in cfg.orbitals},
+        "resolved_epsilon": {str(o.N): o.epsilon for o in cfg.orbitals},
         "observable_dictionary": cfg.observable_names,
         "package": "mflab",
     }
@@ -423,8 +420,8 @@ def cmd_hartree(cfg: RunConfig) -> None:
 def _exact_states(cfg: RunConfig, orbitals: OrbitalSet):
     """The basis, Hamiltonian and Slater start of ``orbitals``, and the lazy
     iterator of exact states at the schedule's snapshot times."""
-    basis = ConfigBasis(cfg.grid.total_sites, orbitals.N)
-    hamiltonian = build_hamiltonian(basis, cfg.potential, orbitals.scaling)
+    basis = ConfigBasis(cfg.potential.grid.total_sites, orbitals.N)
+    hamiltonian = build_hamiltonian(basis, cfg.potential, orbitals.epsilon)
     initial = slater_state(orbitals, basis)
     _, recorded = step_schedule(cfg.t_final, cfg.dt, cfg.snapshot_every)
     times = [step * cfg.dt for step in sorted(recorded)]
@@ -469,7 +466,7 @@ def cmd_compare(cfg: RunConfig) -> None:
     """Exact state vs orbital flow per snapshot, plus a cross-N summary."""
     summary: dict = {}
     for orbitals in cfg.orbitals:
-        N, scaling = orbitals.N, orbitals.scaling
+        N = orbitals.N
         *_, states = _exact_states(cfg, orbitals)
         traj = run_hartree(orbitals, cfg.potential, cfg.t_final, cfg.dt, cfg.snapshot_every)
         rows = []
@@ -479,7 +476,7 @@ def cmd_compare(cfg: RunConfig) -> None:
             comparisons = np.abs(exact - hart)
             gauged_exact, gauged_hart = observe(
                 cfg.observables,
-                gauge_manybody(state, snap.time, scaling.epsilon, cfg.potential),
+                gauge_manybody(state, snap.time, orbitals.epsilon, cfg.potential),
                 gauge_orbitals(snap, cfg.potential),
             )
             gauge_defect = np.max(np.abs(np.abs(gauged_exact - gauged_hart) - comparisons))

@@ -118,20 +118,29 @@ def weight_complement(N: int, gamma: float) -> np.ndarray:
 class Projections:
     """Orbital projector p, complement q, and an adapted unitary mode basis.
 
-    ``basis_matrix`` is unitary with the first ``n_occupied`` columns spanning
-    Ran p; in that mode basis the sector decomposition is by occupation count.
-    ``columns`` is either the whole L x L basis, used as given, or its
-    first ``n_occupied`` columns (the orthonormal orbitals); then the
-    complement columns come from a pivoted QR of q, and the unitarity of the
-    result is checked, at the first use of ``basis_matrix`` or ``rotation``.
-    Readers of p and q alone never pay for the QR.
+    p = A A^H and q = 1 - p of the first ``n_occupied`` columns A of
+    ``columns``, computed on first use.  ``basis_matrix`` is unitary with
+    the first ``n_occupied`` columns spanning Ran p; in that mode basis the
+    sector decomposition is by occupation count.  ``columns`` is either the
+    whole L x L basis, used as given, or its first ``n_occupied`` columns
+    (the orthonormal orbitals); then the complement columns come from a
+    pivoted QR of q, and the unitarity of the result is checked, at the
+    first use of ``basis_matrix`` or ``rotation``.  Readers of p and q alone
+    never pay for the QR.
     """
 
-    p: np.ndarray = field(repr=False)
-    q: np.ndarray = field(repr=False)
     columns: np.ndarray = field(repr=False)
     n_occupied: int
     _rotations: dict = field(default_factory=dict, repr=False)
+
+    @cached_property
+    def p(self) -> np.ndarray:
+        A = self.columns[:, : self.n_occupied]
+        return A @ A.conj().T
+
+    @cached_property
+    def q(self) -> np.ndarray:
+        return np.eye(self.n_modes) - self.p
 
     @cached_property
     def basis_matrix(self) -> np.ndarray:
@@ -149,7 +158,7 @@ class Projections:
 
     @property
     def n_modes(self) -> int:
-        return self.p.shape[0]
+        return self.columns.shape[0]
 
     def rotation(self, basis: ConfigBasis) -> tuple[np.ndarray, np.ndarray]:
         """(Rot, exc): amplitudes in the adapted mode basis and sector index.
@@ -236,9 +245,7 @@ def _compound(M: np.ndarray, N: int) -> np.ndarray:
 def build_projections(orbital_set) -> Projections:
     """Projections onto the span of an orthonormal orbital family."""
     A = orbital_set.orthonormal_columns()
-    N = A.shape[1]
-    p = A @ A.conj().T
-    return Projections(p=p, q=np.eye(len(A)) - p, columns=A, n_occupied=N)
+    return Projections(A, A.shape[1])
 
 
 def sector_masses(state: ManyBodyState, projections: Projections) -> np.ndarray:
@@ -625,9 +632,7 @@ def _record(
 def _random_projections(L: int, N: int, rng: np.random.Generator) -> Projections:
     M = rng.standard_normal((L, L)) + 1j * rng.standard_normal((L, L))
     U, _ = np.linalg.qr(M)
-    A = U[:, :N]
-    p = A @ A.conj().T
-    return Projections(p=p, q=np.eye(L) - p, columns=U, n_occupied=N)
+    return Projections(U, N)
 
 
 def _gaussian_operator(rng: np.random.Generator, n: int, operators: dict) -> np.ndarray:

@@ -69,8 +69,8 @@ def gauge_orbitals(state: OrbitalSet, potential: InteractionPotential) -> Orbita
     u = convolve_periodic(potential.v_spectrum, density(state.values), state.grid).real
     if not np.isfinite(u).all():  # exp(i 0 inf) at t = 0 would make NaN orbitals
         raise NumericalFailure(f"non-finite v * rho at t = {state.time}")
-    phase = np.exp(1j * state.time * state.scaling.epsilon * u)
-    return OrbitalSet(state.grid, phase * state.values, state.time, state.scaling)
+    phase = np.exp(1j * state.time * state.epsilon * u)
+    return OrbitalSet(state.grid, phase * state.values, state.time, state.epsilon)
 
 
 @dataclass(frozen=True)
@@ -257,7 +257,7 @@ def run_gauged(
     grid = initial.grid
     if potential.grid != grid:
         raise GridMismatchError("potential and orbitals use different grids")
-    eps = initial.scaling.epsilon
+    eps = initial.epsilon
     n_steps, recorded = step_schedule(t_final - initial.time, dt, snapshot_every)
     to_last = (*range(1, grid.dim + 1), 0)  # orbital axis last, and back
     to_first = (grid.dim, *range(grid.dim))
@@ -274,7 +274,7 @@ def run_gauged(
             raise NumericalFailure(f"non-finite gauged orbitals at step {step}")
         if step in recorded:
             snaps.append(OrbitalSet(
-                grid, vals.transpose(to_first), initial.time + step * dt, initial.scaling))
+                grid, vals.transpose(to_first), initial.time + step * dt, initial.epsilon))
     return GaugedTrajectory(snapshots=tuple(snaps), dt=dt)
 
 
@@ -299,7 +299,7 @@ def continuity_residual(traj: GaugedTrajectory, potential: InteractionPotential)
     digits.
     """
     require_continuity_snapshots(len(traj.snapshots))
-    eps = traj.snapshots[0].scaling.epsilon
+    eps = traj.snapshots[0].epsilon
     times = traj.times
     u = [
         convolve_periodic(potential.v_spectrum, density(s.values), s.grid).real

@@ -32,7 +32,6 @@ from .errors import ConfigError, ContractViolation, GridMismatchError, Numerical
 from .grid import Grid, apply_multiplier, convolve_periodic, inner, kinetic_multiplier, norm_l1
 from .model import (
     InteractionPotential,
-    ScalingParams,
     d_value,
     derivative_densities,
     step_count,
@@ -42,7 +41,8 @@ from .model import (
 
 @dataclass(frozen=True, eq=False)
 class OrbitalSet:
-    """An ordered family of N one-particle orbitals at a common time.
+    """An ordered family of N one-particle orbitals at a common time, evolving
+    at the coupling ``epsilon`` (0 < epsilon < inf).
 
     The orbitals are one complex array ``values`` of shape (N, *grid.shape),
     orbital k at ``values[k]``; a complex128 array is kept as given, not
@@ -53,7 +53,7 @@ class OrbitalSet:
     grid: Grid
     values: np.ndarray = field(repr=False)
     time: float
-    scaling: ScalingParams
+    epsilon: float
 
     def __post_init__(self) -> None:
         values = np.asarray(self.values, dtype=np.complex128)
@@ -63,10 +63,8 @@ class OrbitalSet:
             )
         if not len(values):
             raise ConfigError("OrbitalSet needs at least one orbital")
-        if self.scaling.N != len(values):
-            raise ConfigError(f"scaling.N = {self.scaling.N} but {len(values)} orbitals supplied")
-        if self.scaling.epsilon is None:
-            raise ConfigError("OrbitalSet requires a resolved (concrete) epsilon")
+        if not 0 < self.epsilon < np.inf:  # a NaN fails too
+            raise ConfigError(f"epsilon must be positive and finite, got {self.epsilon!r}")
         object.__setattr__(self, "values", values)
 
     @property
@@ -135,7 +133,7 @@ def hartree_step(
     """
     n_steps = step_count(time - state.time, dt)
     grid = state.grid
-    eps = state.scaling.epsilon
+    eps = state.epsilon
     half_kin = np.exp(-0.5j * dt * eps * kinetic_multiplier(grid))
     full_kin = half_kin * half_kin if n_steps > 1 else None
 
@@ -151,7 +149,7 @@ def hartree_step(
             raise NumericalFailure(f"non-finite {bad} {where}")
         pot_phase = np.exp(-1j * dt * eps * u)
         vals = apply_multiplier(pot_phase * vals, half_kin if step == n_steps else full_kin)
-    return OrbitalSet(grid, vals, time, state.scaling)
+    return OrbitalSet(grid, vals, time, state.epsilon)
 
 
 @dataclass(frozen=True)

@@ -83,7 +83,7 @@ from ._lanczos import expm_multiply_hermitian, expm_multiply_hermitian_times
 from .errors import ConfigError, ContractViolation, GridMismatchError, NumericalFailure
 from .grid import dense_kinetic, difference_matrix
 from .hartree import density
-from .model import InteractionPotential, ScalingParams, resolve_scaling
+from .model import InteractionPotential
 
 _INT32_LIMIT = 2**31  # every table count and index stays below it, so int32 holds it
 MAX_DENSE_DIM = 400  # largest basis the dense-expm oracle (``propagate_dense``) takes
@@ -467,12 +467,11 @@ def pairwise_potential_vector(basis: ConfigBasis, potential: InteractionPotentia
 def build_hamiltonian(
     basis: ConfigBasis,
     potential: InteractionPotential,
-    scaling: ScalingParams,
+    epsilon: float,
 ) -> ManyBodyOperator:
     grid = potential.grid
     if basis.n_modes != grid.total_sites:
         raise GridMismatchError("basis mode count does not match the grid")
-    scaling = resolve_scaling(scaling, grid)
     K = dense_kinetic(grid)
     H = lift_one_body(basis, K)
     # the real pair diagonal adds no defect, so the one-body lift is checked alone
@@ -480,7 +479,7 @@ def build_hamiltonian(
     if asym.nnz and asym.max() > 1e-10:
         raise ContractViolation(f"lifted Hamiltonian not hermitian: defect {asym.max()}")
     H = H + sp.diags(pairwise_potential_vector(basis, potential).astype(np.complex128))
-    return ManyBodyOperator(basis=basis, matrix=H.tocsr(), epsilon=float(scaling.epsilon))
+    return ManyBodyOperator(basis=basis, matrix=H.tocsr(), epsilon=float(epsilon))
 
 
 def propagate(
@@ -639,17 +638,19 @@ def save_state(state: ManyBodyState, path) -> None:
 
 
 def load_state(path) -> ManyBodyState:
+    """Read a ``save_state`` container; a corrupt one raises ``ConfigError`` naming ``path``."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[: len(_MAGIC)] != _MAGIC:
         raise ConfigError(f"{path} is not a state container (bad magic)")
-    off = len(_MAGIC)
-    L, N, dim, time = struct.unpack_from("<IIQd", blob, off)
-    off += struct.calcsize("<IIQd")
+    off = len(_MAGIC) + struct.calcsize("<IIQd")
+    # a cut header reads zero-padded, and so fails the length check below
+    L, N, dim, time = struct.unpack_from("<IIQd", blob.ljust(off, b"\0"), len(_MAGIC))
+    if len(blob) != off + 16 * dim:
+        raise ConfigError(f"{path} is cut or overlong: {len(blob)} bytes, "
+                          f"not a {off}-byte header and {dim} amplitudes")
     basis = ConfigBasis(n_modes=L, n_particles=N)
     if basis.dim != dim:
-        raise ConfigError("state container dimension mismatch")
-    amps = np.frombuffer(blob[off:], dtype=np.complex128).copy()
-    if amps.shape != (dim,):
-        raise ConfigError("state container payload truncated")
-    return ManyBodyState(basis, amps, time)
+        raise ConfigError(f"{path}: {dim} amplitudes, but the basis of "
+                          f"{N} particles on {L} modes has dimension {basis.dim}")
+    return ManyBodyState(basis, np.frombuffer(blob, np.complex128, offset=off).copy(), time)

@@ -1,4 +1,4 @@
-"""Interaction potentials, scaling parameters, and initial orbital families.
+"""Interaction potentials, the coupling rule, time schedules, and initial orbital families.
 
 Sign convention: the pair force stored on an :class:`InteractionPotential`
 is ``force = +grad v``.  Every gauged generator in this package is written
@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
+from numbers import Integral
 
 import numpy as np
 from scipy.linalg import eigh
@@ -26,43 +27,13 @@ EPSILON_RULES = ("standard", "dimension_adapted")
 MAX_STEPS = 10**6
 
 
-@dataclass(frozen=True)
-class ScalingParams:
-    """Particle number and the coupling scale derived from it.
-
-    ``epsilon`` may be given explicitly; otherwise it is resolved from
-    ``epsilon_rule``: "standard" gives N**(-2/3) regardless of dimension,
-    "dimension_adapted" gives N**(1/dim - 1).
-    """
-
-    N: int
-    epsilon: float | None = None
-    epsilon_rule: str = "standard"
-
-    def __post_init__(self) -> None:
-        if self.N < 1:
-            raise ConfigError(f"N must be >= 1, got {self.N}")
-        if self.epsilon_rule not in EPSILON_RULES:
-            raise ConfigError(
-                f"epsilon_rule must be one of {EPSILON_RULES}, got {self.epsilon_rule!r}"
-            )
-        if self.epsilon is not None and self.epsilon <= 0:
-            raise ConfigError("explicit epsilon must be positive")
-
-
 def epsilon_for(N: int, rule: str = "standard", dim: int = 3) -> float:
+    """N**(-2/3) by rule "standard", in any dimension; N**(1/dim - 1) by "dimension_adapted"."""
     if rule == "standard":
         return float(N) ** (-2.0 / 3.0)
     if rule == "dimension_adapted":
         return float(N) ** (1.0 / dim - 1.0)
-    raise ConfigError(f"unknown epsilon rule {rule!r}")
-
-
-def resolve_scaling(scaling: ScalingParams, grid: Grid) -> ScalingParams:
-    """Return a copy with ``epsilon`` made concrete for this grid."""
-    if scaling.epsilon is not None:
-        return scaling
-    return replace(scaling, epsilon=epsilon_for(scaling.N, scaling.epsilon_rule, grid.dim))
+    raise ConfigError(f"epsilon_rule must be one of {EPSILON_RULES}, got {rule!r}")
 
 
 def step_count(span: float, dt: float) -> int:
@@ -83,8 +54,10 @@ def step_count(span: float, dt: float) -> int:
 def step_schedule(span: float, dt: float, every: int | None = None) -> tuple[int, frozenset[int]]:
     """``step_count(span, dt)`` and the recorded step indices: every ``every`` steps
     (default max(1, floor(span / (100*dt))), about 100 snapshots) and always
-    steps 0 and n_steps."""
+    steps 0 and n_steps.  ``every`` is None or an integer >= 1."""
     n_steps = step_count(span, dt)
+    if every is not None and not (isinstance(every, Integral) and every >= 1):
+        raise ConfigError(f"snapshot_every must be an integer >= 1, got {every!r}")
     every = every or max(1, math.floor(span / (100.0 * dt)))
     return n_steps, frozenset({0, n_steps, *range(every, n_steps, every)})
 
@@ -248,16 +221,13 @@ def _periodic_bump(coord: np.ndarray, centre: float, width: float, box: float) -
     return total
 
 
-def make_orbitals(family: InitialFamily, N: int, grid: Grid,
-                  scaling: ScalingParams | None = None):
-    """Build the initial orthonormal orbitals for the given family."""
+def make_orbitals(family: InitialFamily, N: int, grid: Grid, epsilon: float | None = None):
+    """Build the initial orthonormal orbitals for the given family, at coupling
+    ``epsilon`` (default ``epsilon_for(N)``)."""
     from .hartree import OrbitalSet  # local import keeps module layering acyclic
 
-    if N > grid.total_sites:
+    if not 1 <= N <= grid.total_sites:
         raise ConfigError(f"cannot place {N} orthonormal orbitals on {grid.total_sites} sites")
-    scaling = resolve_scaling(scaling or ScalingParams(N=N), grid)
-    if scaling.N != N:
-        raise ConfigError(f"scaling.N = {scaling.N} does not match N = {N}")
 
     if family.kind == "delocalized":
         xs = grid.coordinate_mesh()
@@ -293,7 +263,7 @@ def make_orbitals(family: InitialFamily, N: int, grid: Grid,
         stack = np.stack(raw, axis=-1)
         values = np.ascontiguousarray(np.moveaxis(stack @ S_inv_half, -1, 0))
 
-    return OrbitalSet(grid, values, 0.0, scaling)
+    return OrbitalSet(grid, values, 0.0, epsilon_for(N) if epsilon is None else epsilon)
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +324,7 @@ def assumption_diagnostics(orbital_set) -> AssumptionReport:
     from .hartree import density  # local import keeps module layering acyclic
 
     grid = orbital_set.grid
-    N = orbital_set.scaling.N
+    N = orbital_set.N
     grad_l1, lap_l1 = (norm_l1(r, grid) for r in derivative_densities(orbital_set))
     grad_mag = np.sqrt(sum(np.abs(g) ** 2 for g in gradient(density(orbital_set.values), grid)))
 

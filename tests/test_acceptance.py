@@ -71,7 +71,7 @@ from mflab.manybody import (
     rdm1,
     slater_state,
 )
-from mflab.model import InitialFamily, ScalingParams, build_potential, make_orbitals
+from mflab.model import InitialFamily, build_potential, epsilon_for, make_orbitals
 
 # ---------------------------------------------------------------------------
 # reporting
@@ -96,7 +96,7 @@ def random_orbital_set(grid, N, rng, epsilon=0.5):
     M = rng.standard_normal((L, N)) + 1j * rng.standard_normal((L, N))
     Q, _ = np.linalg.qr(M)
     values = (Q.T / math.sqrt(grid.cell_volume)).reshape((N,) + grid.shape)
-    return OrbitalSet(grid, values, 0.0, ScalingParams(N=N, epsilon=epsilon))
+    return OrbitalSet(grid, values, 0.0, epsilon)
 
 
 def localized_system(sites=16, N=2, box=8.0):
@@ -264,16 +264,15 @@ def test_05_gauge_invariant_comparison():
 
     grid, pot, initial = localized_system(N=3)
     names, observables = observable_dictionary(grid, boxes=8, include_bump=True)
-    scaling = initial.scaling
     basis = ConfigBasis(grid.total_sites, 3)
-    hamiltonian = build_hamiltonian(basis, pot, scaling)
+    hamiltonian = build_hamiltonian(basis, pot, initial.epsilon)
     traj = run_hartree(initial, pot, t_final=1.0, dt=1e-3)
     state = slater_state(initial, basis)
 
     worst = 0.0
     for snap in traj.snapshots:
         state = propagate(state, hamiltonian, snap.time)
-        gauged_state = gauge_manybody(state, snap.time, scaling.epsilon, pot)
+        gauged_state = gauge_manybody(state, snap.time, initial.epsilon, pot)
         gauged_snap = gauge_orbitals(snap, pot)
         exact, hart = observe(observables, state, snap)
         gauged_exact, gauged_hart = observe(observables, gauged_state, gauged_snap)
@@ -330,7 +329,7 @@ def test_07_conservation_laws():
 
     lat_grid, lat_pot, lat_state = localized_system(N=3)
     basis = ConfigBasis(lat_grid.total_sites, 3)
-    hamiltonian = build_hamiltonian(basis, lat_pot, lat_state.scaling)
+    hamiltonian = build_hamiltonian(basis, lat_pot, lat_state.epsilon)
     psi = slater_state(lat_state, basis)
     h0 = float(np.vdot(psi.amplitudes, hamiltonian.matrix @ psi.amplitudes).real)
     norm_drift = energy_drift = 0.0
@@ -363,7 +362,7 @@ def test_08_krylov_vs_dense_oracle():
             basis = ConfigBasis(sites, N)
             state = slater_state(
                 make_orbitals(InitialFamily("delocalized"), N, grid), basis)
-            hamiltonian = build_hamiltonian(basis, pot, ScalingParams(N=N))
+            hamiltonian = build_hamiltonian(basis, pot, epsilon_for(N))
             krylov = propagate(state, hamiltonian, 0.5)
             dense = propagate_dense(state, hamiltonian, 0.5)
             worst = max(worst, float(
@@ -411,7 +410,7 @@ def test_09_rw_trace_formulas_and_generator_forms():
 def test_10_truncation_reconstruction_and_auxiliary_flow():
     start = time.perf_counter()
     grid, pot, state = localized_system(sites=8, N=2)
-    eps = state.scaling.epsilon
+    eps = state.epsilon
     t_probe = 0.6
 
     base = base_interactions(pot)

@@ -40,7 +40,7 @@ from mflab.manybody import (
     lift_two_body,
     random_state,
 )
-from mflab.model import InitialFamily, ScalingParams, build_potential, make_orbitals
+from mflab.model import InitialFamily, build_potential, make_orbitals
 
 
 def random_orbital_set(grid, N, rng, epsilon=0.5, time=0.0):
@@ -48,7 +48,7 @@ def random_orbital_set(grid, N, rng, epsilon=0.5, time=0.0):
     M = rng.standard_normal((L, N)) + 1j * rng.standard_normal((L, N))
     Q, _ = np.linalg.qr(M)
     values = (Q.T / math.sqrt(grid.cell_volume)).reshape((N,) + grid.shape)
-    return OrbitalSet(grid, values, time, ScalingParams(N=N, epsilon=epsilon))
+    return OrbitalSet(grid, values, time, epsilon)
 
 
 def make_system(n=8, box=8.0, N=2, mode="lattice", amplitude=1.0):
@@ -57,10 +57,7 @@ def make_system(n=8, box=8.0, N=2, mode="lattice", amplitude=1.0):
         grid, "gaussian", amplitude=amplitude, width=max(1.0, 3 * grid.spacing)
     )
     orbitals = make_orbitals(
-        InitialFamily(kind="localized", width=max(1.2, 1.2 * grid.spacing)),
-        N,
-        grid,
-        ScalingParams(N=N),
+        InitialFamily(kind="localized", width=max(1.2, 1.2 * grid.spacing)), N, grid
     )
     return grid, pot, orbitals
 
@@ -196,7 +193,7 @@ def test_aux_generator_matches_lifted_truncation_oracle(L, N, t, mode):
     psi = gauge_orbitals(moved, pot)
     base = base_interactions(pot)
     basis = ConfigBasis(n_modes=L, n_particles=N)
-    te = t * psi.scaling.epsilon
+    te = t * psi.epsilon
     proj = build_projections(psi)
 
     w2 = te * base.pair_momentum + te**2 * np.diag(base.pair_diag)
@@ -314,7 +311,7 @@ def test_direct_energy_matches_dense_h_tilde(t, mode):
     # complex orbitals: real ones carry no current, so tr(p R) would vanish
     orbitals = random_orbital_set(grid, 3, np.random.default_rng(4), time=t)
     R, W = mean_field_rw(orbitals, pot)
-    te = t * orbitals.scaling.epsilon
+    te = t * orbitals.epsilon
     h_tilde = dense_kinetic(grid) + 0.5 * te * R + te**2 / 3.0 * W
     A = math.sqrt(grid.cell_volume) * orbitals.value_matrix()
     expected = float(np.trace(A.conj().T @ h_tilde @ A).real)
@@ -389,9 +386,7 @@ def test_run_auxiliary_free_case_matches_exact():
     # and the truncated dynamics must ride the exact one to solver tolerance.
     grid = Grid(dim=1, sites_per_dim=8, box_length=8.0, kinetic_mode="lattice")
     pot = build_potential(grid, "cosine_sum", amplitudes=(0.0,), offset=0.7)
-    orbitals = make_orbitals(
-        InitialFamily(kind="localized", width=1.2), 2, grid, ScalingParams(N=2)
-    )
+    orbitals = make_orbitals(InitialFamily(kind="localized", width=1.2), 2, grid)
     run = run_auxiliary(orbitals, pot, t_final=0.3, dt=0.05)
     for rec in run.records:
         assert rec.norm_diff_aux_gauged < 1e-9, rec
@@ -403,7 +398,7 @@ def test_gauge_frame_residual_shrinks_under_refinement():
     for n in (8, 16):
         grid = Grid(dim=1, sites_per_dim=n, box_length=8.0, kinetic_mode="lattice")
         pot = build_potential(grid, "gaussian", amplitude=1.0, width=3.0)
-        orbitals = make_orbitals(InitialFamily(kind="delocalized"), 2, grid, ScalingParams(N=2))
+        orbitals = make_orbitals(InitialFamily(kind="delocalized"), 2, grid)
         resids.append(gauge_frame_residual(orbitals, pot, t=0.4, dt=1e-4))
     assert resids[0] < 0.2, resids
     assert resids[1] < 0.6 * resids[0], resids

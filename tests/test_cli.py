@@ -265,6 +265,39 @@ def test_lemmas_refuses_a_bad_key_it_does_not_read_before_writing(tmp_path):
     assert not list(tmp_path.iterdir())
 
 
+def test_an_explicit_epsilon_does_not_excuse_an_unknown_rule(tmp_path):
+    proc = run_cli_process("lemmas", tmp_path, "scaling.epsilon=0.5",
+                           "scaling.epsilon_rule=bogus")
+    assert proc.returncode == 2, proc.stderr
+    assert "epsilon_rule must be one of" in proc.stderr
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "overrides, want",
+    [
+        (("scaling.epsilon_rule=standard",), lambda N: N ** (-2.0 / 3.0)),
+        (("scaling.epsilon_rule=dimension_adapted",), lambda N: 1.0),
+        (("scaling.epsilon_rule=standard", *GRID_3D), lambda N: N ** (-2.0 / 3.0)),
+        (("scaling.epsilon_rule=dimension_adapted", *GRID_3D),
+         lambda N: pytest.approx(N ** (-2.0 / 3.0), rel=1e-15)),
+        (("scaling.epsilon_rule=standard", "scaling.epsilon=0.37"), lambda N: 0.37),
+        (("scaling.epsilon_rule=dimension_adapted", "scaling.epsilon=0.37"), lambda N: 0.37),
+    ],
+    ids=["standard", "adapted-1d", "standard-3d", "adapted-3d", "explicit-standard",
+         "explicit-adapted"],
+)
+def test_sidecar_records_the_epsilon_each_n_ran_at(tmp_path, overrides, want):
+    """standard gives N^(-2/3) in any dimension, dimension_adapted N^(1/dim - 1),
+    and an explicit epsilon wins over either rule."""
+    with redirect_stdout(io.StringIO()):
+        code = run_cli("lemmas", tmp_path, "scaling.n=2,3", "lemmas.trials=1",
+                       "lemmas.sizes=1x2", *overrides)
+    assert code == 0
+    sidecar = json.loads((tmp_path / "run_config.json").read_text())
+    assert sidecar["resolved_epsilon"] == {"2": want(2.0), "3": want(3.0)}
+
+
 @pytest.mark.parametrize(
     "section, key",
     [(section, key) for section, keys in SCHEMA.items() for key in keys
@@ -397,6 +430,7 @@ def test_config_error_exit_codes(tmp_path):
         ("lemmas", "lemmas.sizes=5x12"),
         ("compare", "scaling.n=2,2"),  # one compare_N2.csv per N
         ("aux", "counting.gammas=0.5,0.5001"),  # both would be column alpha_m_g0p5
+        ("hartree", "time.snapshot_every=0"),
     ],
 )
 def test_bad_values_exit_2_without_traceback(tmp_path, command, override):

@@ -47,7 +47,6 @@ from mflab.manybody import (
     random_state,
     slater_state,
 )
-from mflab.model import ScalingParams
 
 
 def random_orbital_set(grid, N, rng, epsilon=0.5):
@@ -55,15 +54,14 @@ def random_orbital_set(grid, N, rng, epsilon=0.5):
     M = rng.standard_normal((L, N)) + 1j * rng.standard_normal((L, N))
     Q, _ = np.linalg.qr(M)
     values = (Q.T / math.sqrt(grid.cell_volume)).reshape((N,) + grid.shape)
-    return OrbitalSet(grid, values, 0.0, ScalingParams(N=N, epsilon=epsilon))
+    return OrbitalSet(grid, values, 0.0, epsilon)
 
 
 def adapted_space(L, N):
     """The literal SlotSpace on the adapted projections p = diag(1_N, 0), the
     first N modes spanning Ran p: its sectors, q-products and weights of an
     adapted slot tensor are exactly the masks on complement counts."""
-    p = np.diag((np.arange(L) < N).astype(float))
-    return SlotSpace(Projections(p=p, q=np.eye(L) - p, columns=np.eye(L), n_occupied=N), N)
+    return SlotSpace(Projections(np.eye(L), N), N)
 
 
 def test_weight_tables():
@@ -443,7 +441,7 @@ def test_adapted_basis_is_built_at_first_use():
     U = proj.basis_matrix
     assert U.tobytes() == np.hstack([A, Qfull[:, :5]]).tobytes()
     assert proj.basis_matrix is U
-    skewed = counting.Projections(p=proj.p, q=proj.q, columns=2 * A, n_occupied=3)
+    skewed = counting.Projections(2 * A, 3)
     with pytest.raises(ContractViolation, match="unitary"):
         skewed.basis_matrix
     given = _random_projections(8, 3, rng)
@@ -518,7 +516,7 @@ def test_guards():
     rng = np.random.default_rng(31)
     grid = Grid(dim=1, sites_per_dim=6, box_length=6.0)
     good = random_orbital_set(grid, 2, rng)
-    bad = OrbitalSet(grid, good.values[[0, 0]], 0.0, ScalingParams(N=2, epsilon=0.5))
+    bad = OrbitalSet(grid, good.values[[0, 0]], 0.0, 0.5)
     with pytest.raises(ContractViolation):
         build_projections(bad)
     proj = build_projections(good)

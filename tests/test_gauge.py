@@ -25,7 +25,7 @@ from mflab.grid import (
     norm_l2,
 )
 from mflab.hartree import OrbitalSet, run_hartree
-from mflab.model import InitialFamily, ScalingParams, build_potential, make_orbitals
+from mflab.model import InitialFamily, build_potential, make_orbitals
 
 
 def random_orbital_set(grid, N, rng, time=0.0, epsilon=0.5):
@@ -34,7 +34,7 @@ def random_orbital_set(grid, N, rng, time=0.0, epsilon=0.5):
     )
     Q, _ = np.linalg.qr(cols)
     values = (Q.T / np.sqrt(grid.cell_volume)).reshape((N,) + grid.shape)
-    return OrbitalSet(grid, values, time, ScalingParams(N=N, epsilon=epsilon))
+    return OrbitalSet(grid, values, time, epsilon)
 
 
 def setup(n=32, box=8.0, N=2, mode="spectral"):
@@ -232,10 +232,10 @@ def test_run_gauged_matches_public_route_bit_for_bit(mode, dim, N):
     state = make_orbitals(InitialFamily("localized", width=0.8), N, grid)
     dt, n_steps = 0.01, 4
     traj = run_gauged(state, pot, n_steps * dt, dt, snapshot_every=1)
-    eps = state.scaling.epsilon
+    eps = state.epsilon
 
     def at(vals, t):
-        return OrbitalSet(grid, np.ascontiguousarray(np.moveaxis(vals, -1, 0)), t, state.scaling)
+        return OrbitalSet(grid, np.ascontiguousarray(np.moveaxis(vals, -1, 0)), t, state.epsilon)
 
     vals = np.stack(list(state.values), axis=-1)
     for step in range(1, n_steps + 1):
@@ -259,7 +259,7 @@ def test_array_generator_matches_the_forces_route_bit_for_bit(dim, mode, weights
     grid = Grid(dim=dim, sites_per_dim=8, box_length=6.0, kinetic_mode=mode)
     pot = build_potential(grid, "gaussian", amplitude=1.5, width=2.5)
     state = random_orbital_set(grid, 3, np.random.default_rng(dim), time=0.4)
-    eps = state.scaling.epsilon
+    eps = state.epsilon
     vals = np.stack(list(state.values), axis=-1)
     got = _forces(vals.transpose(dim, *range(dim)), pot, state.time)
     want = mean_field_forces(state, pot)  # from a contiguous stack

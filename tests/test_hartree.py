@@ -34,7 +34,6 @@ from mflab.hartree import (
 from mflab.manybody import ConfigBasis, slater_state
 from mflab.model import (
     InitialFamily,
-    ScalingParams,
     build_potential,
     d_value,
     derivative_densities,
@@ -54,7 +53,7 @@ def test_free_evolution_of_plane_waves_is_exact():
     grid = Grid(dim=1, sites_per_dim=16, box_length=5.0)
     pot = build_potential(grid, "cosine_sum", amplitudes=[], offset=0.0)
     state = make_orbitals(InitialFamily("delocalized"), 3, grid)
-    eps = state.scaling.epsilon
+    eps = state.epsilon
     traj = run_hartree(state, pot, t_final=0.5, dt=0.01)
     final = traj.snapshots[-1]
     k = grid.axis_wavenumbers()
@@ -69,7 +68,7 @@ def test_constant_potential_adds_global_phase():
     free = build_potential(grid, "cosine_sum", amplitudes=[], offset=0.0)
     const = build_potential(grid, "cosine_sum", amplitudes=[], offset=c)
     state = make_orbitals(InitialFamily("delocalized"), 2, grid)
-    eps = state.scaling.epsilon
+    eps = state.epsilon
     t_final = 0.3
     a = run_hartree(state, free, t_final, 0.01).snapshots[-1]
     b = run_hartree(state, const, t_final, 0.01).snapshots[-1]
@@ -83,7 +82,7 @@ def test_step_beyond_phase_resolution_fails():
     grid = Grid(dim=1, sites_per_dim=16, box_length=5.0)
     state = make_orbitals(InitialFamily("delocalized"), 2, grid)
     dt = 0.01
-    at_pi = np.pi / (dt * state.scaling.epsilon * state.N)
+    at_pi = np.pi / (dt * state.epsilon * state.N)
     below = build_potential(grid, "cosine_sum", amplitudes=[], offset=0.99 * at_pi)
     above = build_potential(grid, "cosine_sum", amplitudes=[], offset=-1.01 * at_pi)
     assert hartree_step(state, below, dt, dt).time == dt
@@ -172,8 +171,7 @@ def test_hartree_step_bit_identical_to_per_orbital_loop(dim, mode, N):
     grid = Grid(dim=dim, sites_per_dim=16 if dim == 1 else 12, box_length=6.0,
                 kinetic_mode=mode)
     pot = build_potential(grid, "gaussian", amplitude=1.5, width=1.6)
-    state = make_orbitals(InitialFamily("localized", width=0.6), N, grid,
-                          ScalingParams(N=N, epsilon=0.3))
+    state = make_orbitals(InitialFamily("localized", width=0.6), N, grid, 0.3)
     dt = 0.01
 
     half_kin = np.exp(-0.5j * dt * 0.3 * kinetic_multiplier(grid))
@@ -196,7 +194,7 @@ def test_non_finite_orbital_fails_at_the_first_step():
     _, pot, state = localized_setup(n=16)
     vals = state.values.copy()
     vals[1, 3] = np.nan
-    bad = OrbitalSet(state.grid, vals, state.time, state.scaling)
+    bad = OrbitalSet(state.grid, vals, state.time, state.epsilon)
     with pytest.raises(NumericalFailure, match="non-finite orbital values at step 1"):
         run_hartree(bad, pot, t_final=0.05, dt=0.01)
 
@@ -207,7 +205,7 @@ def test_a_nan_family_fails_the_orthonormality_check_of_every_user():
     state = make_orbitals(InitialFamily("localized", width=1.2), 2, grid)
     vals = state.values.copy()
     vals[0, 2] = np.nan
-    bad = OrbitalSet(grid, vals, 0.0, state.scaling)
+    bad = OrbitalSet(grid, vals, 0.0, state.epsilon)
     users = (OrbitalSet.orthonormal_columns, build_projections,
              lambda s: slater_state(s, ConfigBasis(8, 2)))
     for use in users:
@@ -242,8 +240,7 @@ def stepping_setup(dim, mode, N):
     grid = Grid(dim=dim, sites_per_dim=16 if dim == 1 else 12, box_length=6.0,
                 kinetic_mode=mode)
     pot = build_potential(grid, "gaussian", amplitude=1.5, width=1.6)
-    state = make_orbitals(InitialFamily("localized", width=0.6), N, grid,
-                          ScalingParams(N=N, epsilon=0.3))
+    state = make_orbitals(InitialFamily("localized", width=0.6), N, grid, 0.3)
     return grid, pot, state
 
 
@@ -377,16 +374,13 @@ def test_orbital_set_keeps_its_stack_and_rejects_bad_ones(dim):
     grid = Grid(dim=dim, sites_per_dim=16 if dim == 1 else 8, box_length=6.0)
     state = make_orbitals(InitialFamily("localized", width=0.8), 3, grid)
     stack = state.values.copy()
-    built = OrbitalSet(grid, stack, state.time, state.scaling)
+    built = OrbitalSet(grid, stack, state.time, state.epsilon)
     assert built.values is stack  # kept as given, not copied
     assert built.N == 3 and built.grid == grid
-    cases = [
-        (stack[:0], state.scaling, "at least one orbital"),
-        (stack, ScalingParams(N=2, epsilon=0.5), "scaling.N = 2 but 3"),
-        (stack, ScalingParams(N=3), "resolved"),
-    ]
-    for values, scaling, message in cases:
-        with pytest.raises(ConfigError, match=message):
-            OrbitalSet(grid, values, 0.0, scaling)
+    with pytest.raises(ConfigError, match="at least one orbital"):
+        OrbitalSet(grid, stack[:0], 0.0, state.epsilon)
+    for epsilon in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ConfigError, match="epsilon must be positive and finite"):
+            OrbitalSet(grid, stack, 0.0, epsilon)
     with pytest.raises(GridMismatchError):
-        OrbitalSet(Grid(dim=dim, sites_per_dim=4, box_length=6.0), stack, 0.0, state.scaling)
+        OrbitalSet(Grid(dim=dim, sites_per_dim=4, box_length=6.0), stack, 0.0, state.epsilon)

@@ -43,7 +43,7 @@ from mflab.manybody import (
     save_state,
     slater_state,
 )
-from mflab.model import InitialFamily, ScalingParams, build_potential, make_orbitals
+from mflab.model import InitialFamily, build_potential, epsilon_for, make_orbitals
 
 
 # ---------------------------------------------------------------------------
@@ -482,7 +482,7 @@ def test_lift_and_hamiltonian_peaks_are_bounded_by_the_table():
         del H, basis
         base = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        build_hamiltonian(ConfigBasis(n_modes=20, n_particles=4), pot, ScalingParams(N=4))
+        build_hamiltonian(ConfigBasis(n_modes=20, n_particles=4), pot, epsilon_for(4))
         hamiltonian_peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -521,7 +521,7 @@ def test_pairwise_vector_matches_direct_sum():
 
 def test_hamiltonian_hermitian_and_norm_preserving():
     grid, pot, basis = small_system()
-    H = build_hamiltonian(basis, pot, ScalingParams(N=2))
+    H = build_hamiltonian(basis, pot, epsilon_for(2))
     dense = H.matrix.toarray()
     assert np.max(np.abs(dense - dense.conj().T)) < 1e-11
     rng = np.random.default_rng(0)
@@ -535,7 +535,7 @@ def test_hamiltonian_hermitian_and_norm_preserving():
 
 def test_krylov_matches_dense_exponential():
     grid, pot, basis = small_system(N=3)
-    H = build_hamiltonian(basis, pot, ScalingParams(N=3))
+    H = build_hamiltonian(basis, pot, epsilon_for(3))
     rng = np.random.default_rng(4)
     state = random_state(basis, rng)
     a = propagate(state, H, t_final=0.9)
@@ -633,7 +633,7 @@ def test_occupation_density_matches_orbital_density():
 def test_slater_rejects_nonorthonormal():
     grid, pot, basis = small_system(N=2)
     orbs = make_orbitals(InitialFamily("localized", width=1.0), 2, grid)
-    skewed = type(orbs)(grid, orbs.values[[0, 0]], 0.0, orbs.scaling)  # repeated orbital
+    skewed = type(orbs)(grid, orbs.values[[0, 0]], 0.0, orbs.epsilon)  # repeated orbital
     with pytest.raises(ContractViolation):
         slater_state(skewed, basis)
 
@@ -699,7 +699,7 @@ def test_observe_rejects_complex_observable():
 def test_basis_mismatch_rejected():
     grid, pot, basis = small_system(N=2)
     other = ConfigBasis(n_modes=basis.n_modes, n_particles=3)
-    H = build_hamiltonian(basis, pot, ScalingParams(N=2))
+    H = build_hamiltonian(basis, pot, epsilon_for(2))
     rng = np.random.default_rng(1)
     with pytest.raises(GridMismatchError):
         propagate(random_state(other, rng), H, t_final=0.1)
@@ -720,7 +720,7 @@ def _oracle_systems():
                 continue
             basis = ConfigBasis(sites, N)
             state = slater_state(make_orbitals(InitialFamily("delocalized"), N, grid), basis)
-            yield state, build_hamiltonian(basis, pot, ScalingParams(N=N))
+            yield state, build_hamiltonian(basis, pot, epsilon_for(N))
 
 
 def test_time_sequence_matches_dense_at_every_snapshot():
@@ -741,7 +741,7 @@ def _many_short_gaps():
     grid, pot, basis = small_system(N=3)
     state = random_state(basis, np.random.default_rng(21), time=0.25)
     times = state.time + 0.01 * np.arange(0, 301, 3)
-    return state, build_hamiltonian(basis, pot, ScalingParams(N=3)), times, 1e-12, 0
+    return state, build_hamiltonian(basis, pot, epsilon_for(3)), times, 1e-12, 0
 
 
 def _one_long_step():
@@ -749,7 +749,7 @@ def _one_long_step():
     grid = Grid(1, 20, 8.0, "lattice")
     pot = build_potential(grid, "gaussian", amplitude=1.0, width=3.0)
     state = random_state(ConfigBasis(20, 3), np.random.default_rng(60), time=0.1)
-    return state, build_hamiltonian(state.basis, pot, ScalingParams(N=3)), [7.3], 1e-13, 2
+    return state, build_hamiltonian(state.basis, pot, epsilon_for(3)), [7.3], 1e-13, 2
 
 
 def test_time_sequence_matches_sequential_single_time_calls(monkeypatch):
@@ -770,7 +770,7 @@ def test_time_sequence_matches_sequential_single_time_calls(monkeypatch):
 
 def test_time_sequence_at_the_state_time_returns_its_amplitudes():
     grid, pot, basis = small_system(N=2)
-    H = build_hamiltonian(basis, pot, ScalingParams(N=2))
+    H = build_hamiltonian(basis, pot, epsilon_for(2))
     state = random_state(basis, np.random.default_rng(22), time=0.4)
     first, again, later = propagate(state, H, [0.4, 0.4, 0.9])
     assert first.amplitudes.tobytes() == state.amplitudes.tobytes()
@@ -782,7 +782,7 @@ def test_time_sequence_at_the_state_time_returns_its_amplitudes():
 
 def test_time_sequence_rejects_bad_requests():
     grid, pot, basis = small_system(N=2)
-    H = build_hamiltonian(basis, pot, ScalingParams(N=2))
+    H = build_hamiltonian(basis, pot, epsilon_for(2))
     rng = np.random.default_rng(23)
     state = random_state(basis, rng, time=0.1)
     with pytest.raises(ConfigError):
@@ -810,3 +810,13 @@ def test_serialization_round_trips(tmp_path):
         bad = tmp_path / "bad.mbs"
         bad.write_bytes(b"NOTASTATE" + b"\0" * 32)
         load_state(bad)
+
+
+@pytest.mark.parametrize("cut", [12, -3, -16], ids=["in-header", "3-bytes", "16-bytes"])
+def test_a_cut_state_container_is_a_config_error_naming_it(tmp_path, cut):
+    basis = ConfigBasis(n_modes=6, n_particles=2)
+    binary = tmp_path / "state.mbs"
+    save_state(random_state(basis, np.random.default_rng(3)), binary)
+    binary.write_bytes(binary.read_bytes()[:cut])
+    with pytest.raises(ConfigError, match="state.mbs is cut"):
+        load_state(binary)

@@ -1,4 +1,4 @@
-"""Potentials, scaling rules, and initial orbital families."""
+"""Potentials, the coupling rule, time schedules, and initial orbital families."""
 
 import numpy as np
 import pytest
@@ -9,12 +9,10 @@ from mflab.grid import Grid, dense_gradient, dense_kinetic, gradient, norm_l2
 from mflab.hartree import density, diagnostics, orthonormality_defect
 from mflab.model import (
     InitialFamily,
-    ScalingParams,
     assumption_diagnostics,
     build_potential,
     epsilon_for,
     make_orbitals,
-    resolve_scaling,
     step_schedule,
 )
 
@@ -89,14 +87,14 @@ def test_epsilon_rules():
     assert abs(epsilon_for(8, "dimension_adapted", dim=1) - 1.0) < 1e-15
     assert abs(epsilon_for(8, "dimension_adapted", dim=3) - 8 ** (-2 / 3)) < 1e-15
     grid = Grid(dim=2, sites_per_dim=8, box_length=1.0)
-    s = resolve_scaling(ScalingParams(N=4, epsilon_rule="dimension_adapted"), grid)
-    assert abs(s.epsilon - 4 ** (-0.5)) < 1e-15
-    s2 = resolve_scaling(ScalingParams(N=4, epsilon=0.3), grid)
-    assert s2.epsilon == 0.3
+    assert abs(epsilon_for(4, "dimension_adapted", grid.dim) - 4 ** (-0.5)) < 1e-15
+    family = InitialFamily("delocalized")
+    assert make_orbitals(family, 4, grid).epsilon == epsilon_for(4)
+    assert make_orbitals(family, 4, grid, 0.3).epsilon == 0.3
     with pytest.raises(ConfigError):
-        ScalingParams(N=0)
-    with pytest.raises(ConfigError):
-        ScalingParams(N=2, epsilon_rule="cubic")
+        make_orbitals(family, 0, grid)
+    with pytest.raises(ConfigError, match="epsilon_rule must be one of"):
+        epsilon_for(2, "cubic")
 
 
 def test_delocalized_orbitals_are_lowest_plane_waves():
@@ -227,6 +225,14 @@ def test_orbital_count_guard():
     grid = Grid(dim=1, sites_per_dim=4, box_length=4.0)
     with pytest.raises(ConfigError):
         make_orbitals(InitialFamily("delocalized"), 5, grid)
+
+
+def test_step_schedule_takes_a_positive_integer_cadence():
+    assert step_schedule(1.0, 0.1, 3) == (10, frozenset({0, 3, 6, 9, 10}))
+    assert step_schedule(1.0, 0.1) == (10, frozenset(range(11)))
+    for every in (0, -3, 2.5):
+        with pytest.raises(ConfigError, match="snapshot_every"):
+            step_schedule(1.0, 0.1, every)
 
 
 def test_step_budget_rejects_unrunnable_schedules():
