@@ -1,15 +1,11 @@
-"""Reduced densities, observable traces, and state snapshots.
+"""Reduced densities and observable traces.
 
 The one-particle reduced density gamma of an N-fermion state has unit trace
 and spectrum inside [0, 1/N]; for a Slater state it is exactly p/N with at
 most N nonzero eigenvalues.  Diagonal observables from the standard dictionary
 (box indicators + smooth bump) are traced against gamma without ever building
-the full one-body reduction.  States round-trip through a small binary
-container for exact restarts.
+the full one-body reduction.
 """
-
-import tempfile
-from pathlib import Path
 
 import numpy as np
 
@@ -19,11 +15,9 @@ from mflab.hartree import run_hartree
 from mflab.manybody import (
     ConfigBasis,
     build_hamiltonian,
-    load_state,
     observe,
     propagate,
     rdm1,
-    save_state,
     slater_state,
 )
 from mflab.model import InitialFamily, build_potential, make_orbitals
@@ -51,12 +45,3 @@ names, observables = observable_dictionary(grid, boxes=4, include_bump=True)
 exact, hart = observe(observables, state, final_orbitals)
 for name, e, h in zip(names, exact, hart):
     print(f"{name:>12} {e:13.6f} {h:14.6f} {abs(e - h):12.2e}")
-
-with tempfile.TemporaryDirectory() as tmp:
-    path = Path(tmp) / "state.mbs"
-    save_state(state, path)
-    restored = load_state(path)
-    roundtrip = np.max(np.abs(restored.amplitudes - state.amplitudes))
-print()
-print(f"binary snapshot round-trip error: {roundtrip:.1e} "
-      "(small header + raw complex amplitudes)")

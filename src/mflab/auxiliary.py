@@ -516,10 +516,6 @@ class AuxiliaryRun:
     aux_snapshots: tuple[ManyBodyState, ...]
     exact_snapshots: tuple[ManyBodyState, ...]
 
-    @property
-    def times(self) -> np.ndarray:
-        return np.array([rec.time for rec in self.records])
-
 
 def csv_header(gammas: tuple[float, ...]) -> list[str]:
     cols = ["t", "alpha_n"]

@@ -60,7 +60,7 @@ from .counting import (
 from .errors import ConfigError, ContractViolation, NumericalFailure
 from .gauge import continuity_residual, gauge_orbitals, require_continuity_snapshots, run_gauged
 from .grid import Grid
-from .hartree import OrbitalSet, run_hartree
+from .hartree import HartreeTrajectory, OrbitalSet, run_hartree
 from .manybody import (
     MAX_DENSE_DIM,
     ConfigBasis,
@@ -393,7 +393,8 @@ def cmd_hartree(cfg: RunConfig) -> None:
     """Self-consistent and gauged orbital runs: diagnostics, snapshots, continuity."""
     for initial in cfg.orbitals:
         N = initial.N
-        traj = run_hartree(initial, cfg.potential, cfg.t_final, cfg.dt, cfg.snapshot_every)
+        traj: HartreeTrajectory = run_hartree(
+            initial, cfg.potential, cfg.t_final, cfg.dt, cfg.snapshot_every)
         _write_csv(
             cfg.out_dir / f"hartree_N{N}_diagnostics.csv",
             ["t", "energy", "orthonormality_defect", "d_value"],

@@ -503,9 +503,6 @@ class SlotSpace:
                 out += f_k * part
         return out
 
-    def inner(self, A: np.ndarray, B: np.ndarray) -> complex:
-        return complex(np.vdot(A, B))
-
     def norm_sq(self, T: np.ndarray) -> float:
         return float(np.vdot(T, T).real)
 

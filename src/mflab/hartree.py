@@ -185,10 +185,6 @@ class HartreeTrajectory:
     snapshots: tuple[OrbitalSet, ...]
     diagnostics: tuple[HartreeDiagnostics, ...]
 
-    @property
-    def times(self) -> np.ndarray:
-        return np.array([s.time for s in self.snapshots])
-
 
 def run_hartree(
     initial: OrbitalSet,

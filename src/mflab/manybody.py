@@ -69,7 +69,6 @@ Conventions:
 from __future__ import annotations
 
 import math
-import struct
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property
@@ -615,42 +614,3 @@ def observe(M: np.ndarray, state: ManyBodyState, orbital_set) -> tuple[np.ndarra
     hart = orbital_set.grid.cell_volume * (M.reshape(len(M), -1) @ rho) / orbital_set.N
     return exact, hart
 
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-_MAGIC = b"MFLBMBS1"
-
-
-def save_state(state: ManyBodyState, path) -> None:
-    """Binary container: magic, L, N, dim, time, raw complex amplitudes."""
-    header = _MAGIC + struct.pack(
-        "<IIQd",
-        state.basis.n_modes,
-        state.basis.n_particles,
-        state.basis.dim,
-        state.time,
-    )
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(np.ascontiguousarray(state.amplitudes, dtype=np.complex128).tobytes())
-
-
-def load_state(path) -> ManyBodyState:
-    """Read a ``save_state`` container; a corrupt one raises ``ConfigError`` naming ``path``."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[: len(_MAGIC)] != _MAGIC:
-        raise ConfigError(f"{path} is not a state container (bad magic)")
-    off = len(_MAGIC) + struct.calcsize("<IIQd")
-    # a cut header reads zero-padded, and so fails the length check below
-    L, N, dim, time = struct.unpack_from("<IIQd", blob.ljust(off, b"\0"), len(_MAGIC))
-    if len(blob) != off + 16 * dim:
-        raise ConfigError(f"{path} is cut or overlong: {len(blob)} bytes, "
-                          f"not a {off}-byte header and {dim} amplitudes")
-    basis = ConfigBasis(n_modes=L, n_particles=N)
-    if basis.dim != dim:
-        raise ConfigError(f"{path}: {dim} amplitudes, but the basis of "
-                          f"{N} particles on {L} modes has dimension {basis.dim}")
-    return ManyBodyState(basis, np.frombuffer(blob, np.complex128, offset=off).copy(), time)

@@ -7,20 +7,25 @@ its module's docstring: a sentence of the docstring names it (or its class)
 in double backticks or as :class:`Name` and says "oracle".  A top-level
 class or function is referenced only by a name load, a ``from ... import``
 or a string; a method also by an attribute read, so ``np.zeros`` does not
-count as a use of a top-level ``zeros``.
+count as a use of a top-level ``zeros``.  A method or field name that two or
+more classes declare is used for one of them only through ``self`` in that
+class or a name annotated with that class in the same function or module
+body.
 ``Grid.kinetic_mode`` is the only switch for the kinetic operator, so no
 public signature takes a ``mode``.  Every name a file of ``src/``, ``tests/``
 or ``demos/`` imports is loaded in that file; the package ``__init__.py``
 files import to re-export and are exempt.  Every field of a dataclass of
 ``src/mflab`` is read as an attribute in ``src/``, ``demos/`` or the
-acceptance suite, unless the class hands itself whole to ``asdict``; a
-field name that two or more dataclasses declare is read only through
-``self`` in its class or a name annotated with its class in the same
-function or module body.
+acceptance suite, unless the class hands itself whole to ``asdict``; the
+shared-name rule above applies to its reads.
 Every name the package exports in ``__all__`` resolves on it, so ``from
 mflab import *`` works.  ``cli.load_config`` resolves the whole run
 configuration, so no ``cmd_*`` function of ``cli`` raises ``ConfigError`` or
-builds a potential, initial orbitals or the observable dictionary.
+builds a potential, initial orbitals or the observable dictionary.  The
+only outside file the package reads is the configuration, in
+``cli._read_config_file``: every other ``open`` passes a write mode, and no
+module calls ``np.load``, ``np.fromfile``, ``read_text`` or ``read_bytes`` or
+imports ``struct`` or ``pickle``.
 """
 
 import ast
@@ -51,12 +56,12 @@ def _public_defs(tree: ast.Module):
                     yield f"{node.name}.{item.name}", item
 
 
-def _references(paths) -> tuple[set[str], set[str]]:
-    """(names loaded, imported by name or held as strings; attributes read) in the files."""
+def _references(trees) -> tuple[set[str], set[str]]:
+    """(names loaded, imported by name or held as strings; attributes read) in the modules."""
     names: set[str] = set()
     attrs: set[str] = set()
-    for path in paths:
-        for node in ast.walk(_parse(path)):
+    for tree in trees:
+        for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 names.add(node.id)
             elif isinstance(node, ast.ImportFrom):
@@ -84,23 +89,85 @@ def _modules():
     return modules
 
 
-def test_every_public_function_has_a_user_or_is_a_named_oracle():
-    names, attrs = _references(
-        [*_modules(), *(ROOT / "demos").glob("*.py"), ROOT / "tests" / "test_acceptance.py"]
-    )
+def _members(cls: ast.ClassDef) -> set[str]:
+    """The field and method names a class body declares."""
+    return {item.target.id if isinstance(item, ast.AnnAssign) else item.name
+            for item in cls.body if isinstance(item, (ast.AnnAssign, ast.FunctionDef))}
+
+
+def _declared(modules: dict[str, ast.Module]) -> Counter:
+    """How many classes of ``modules`` declare each name, as a field or a method."""
+    return Counter(name for tree in modules.values() for cls in tree.body
+                   if isinstance(cls, ast.ClassDef) for name in _members(cls))
+
+
+def _orphans(modules: dict[str, ast.Module], readers: list[ast.Module]) -> list[str]:
+    """Public classes, functions and methods of ``modules`` that no reference in
+    ``readers`` reaches and no oracle sentence of their module names.
+
+    A method whose name only one class declares is used by any attribute read
+    of that name.  A name two or more classes declare, as a method or a
+    field, is used for one of them only through ``self`` in that class or a
+    name annotated with it.
+    """
+    names, attrs = _references(readers)
+    reads = set().union(*map(_attribute_reads, readers))
+    declared = _declared(modules)
     orphans = []
-    for path in _modules():
-        tree = _parse(path)
+    for stem, tree in modules.items():
         oracles = _oracles(tree)
         for qualname, _ in _public_defs(tree):
             owner, _, name = qualname.rpartition(".")
-            used = names | attrs if owner else names
-            if name not in used and not oracles & {name, qualname, owner}:
-                orphans.append(f"{path.stem}.{qualname}")
+            if not owner:
+                used = name in names
+            elif declared[name] > 1:
+                used = (name, owner) in reads
+            else:
+                used = name in names | attrs
+            if not used and not oracles & {name, qualname, owner}:
+                orphans.append(f"{stem}.{qualname}")
+    return orphans
+
+
+def test_every_public_function_has_a_user_or_is_a_named_oracle():
+    files = [*_modules(), *(ROOT / "demos").glob("*.py"), ROOT / "tests" / "test_acceptance.py"]
+    modules = {path.stem: _parse(path) for path in _modules()}
+    orphans = _orphans(modules, [_parse(path) for path in files])
     assert not orphans, (
         "public classes or functions with no user in src/, demos/ or the acceptance suite, "
         f"and not named as an oracle in their module docstring: {orphans}"
     )
+
+
+def test_a_shared_method_name_is_used_only_through_its_own_class():
+    """Run.times is never called: a name-only rule takes Trajectory.times's
+    read for it, and Basis.dim shares its name with the field Grid.dim, so an
+    unannotated receiver's read uses neither."""
+    tree = ast.parse(
+        "__all__ = ['Grid', 'Basis', 'Run', 'Trajectory', 'span']\n"
+        "class Grid:\n"
+        "    dim: int\n"
+        "class Basis:\n"
+        "    @property\n"
+        "    def dim(self):\n"
+        "        return 1\n"
+        "class Run:\n"
+        "    @property\n"
+        "    def times(self):\n"
+        "        return ()\n"
+        "class Trajectory:\n"
+        "    @property\n"
+        "    def times(self):\n"
+        "        return ()\n"
+        "def span(traj: 'Trajectory | None', basis: Basis, other):\n"
+        "    return traj.times, basis.dim, other.times\n"
+    )
+    name_only = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert {"times", "dim"} <= name_only
+    assert _orphans({"model": tree}, [tree]) == ["model.Run.times"]
+    unlabelled = ast.parse(ast.unparse(tree).replace("basis: Basis", "basis"))
+    assert _orphans({"model": unlabelled}, [unlabelled]) == [
+        "model.Basis.dim", "model.Run.times"]
 
 
 def test_no_public_signature_takes_a_mode():
@@ -219,14 +286,14 @@ def _attribute_reads(tree: ast.Module) -> set[tuple[str, str | None]]:
 def _unread_fields(modules: dict[str, ast.Module], readers: list[ast.Module]) -> list[str]:
     """Fields of the dataclasses in ``modules`` that no attribute read in ``readers`` reaches.
 
-    A field name only one dataclass declares is read by any attribute read of
-    that name.  A name two or more dataclasses declare is read for one of
-    them only through ``self`` in that class or a name annotated with it.
+    A field name only one class declares is read by any attribute read of
+    that name.  A name two or more classes declare, as a field or a method,
+    is read for one of them only through ``self`` in that class or a name
+    annotated with it.
     """
     classes = [(stem, cls) for stem, tree in modules.items() for cls in tree.body
                if isinstance(cls, ast.ClassDef) and _is_dataclass(cls)]
-    declared = Counter(item.target.id for _, cls in classes for item in cls.body
-                       if isinstance(item, ast.AnnAssign))
+    declared = _declared(modules)
     reads = set().union(*map(_attribute_reads, readers))
     unread = []
     for stem, cls in classes:
@@ -296,3 +363,57 @@ def test_cli_commands_only_compute_and_write():
                 if name in builders:
                     offenders.append(f"{node.name} calls {name}")
     assert not offenders, f"load_config resolves the configuration, not the commands: {offenders}"
+
+
+def _outside_reads(tree: ast.Module) -> list[str]:
+    """Where a module reads a file: each ``open`` without a write mode, each
+    ``read_text``/``read_bytes``/``np.load``/``np.fromfile`` call, and each
+    ``struct`` or ``pickle`` import, as "scope: what"."""
+    found = []
+    scopes = [tree, *(n for n in ast.walk(tree)
+                      if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)))]
+    for scope in scopes:
+        where = getattr(scope, "name", "<module>")
+        for node in _own_nodes(scope):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                imported = [getattr(node, "module", None)] + [a.name for a in node.names]
+                found += [f"{where}: {m}" for m in imported if m in ("struct", "pickle")]
+            elif isinstance(node, ast.Call):
+                func = node.func
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                if name == "open":  # open(path, mode) or path.open(mode)
+                    at = 1 if isinstance(func, ast.Name) else 0
+                    modes = [*node.args[at:at + 1],
+                             *(k.value for k in node.keywords if k.arg == "mode")]
+                    mode = getattr(modes[0], "value", None) if modes else "r"
+                    if not (isinstance(mode, str) and mode.strip("bt") in ("w", "a", "x")):
+                        found.append(f"{where}: open")
+                elif name in ("read_text", "read_bytes") or (
+                        name in ("load", "fromfile")
+                        and getattr(getattr(func, "value", None), "id", None) in ("np", "numpy")):
+                    found.append(f"{where}: {name}")
+    return found
+
+
+def test_the_package_reads_only_its_configuration_file():
+    reads = [f"{path.stem}.{read}" for path in _modules() for read in _outside_reads(_parse(path))]
+    assert reads == ["cli._read_config_file: open"], (
+        f"the configuration is the one outside file the package reads: {reads}")
+
+
+def test_outside_reads_are_found_in_every_form():
+    tree = ast.parse(
+        "import json, struct\n"
+        "from pickle import loads\n"
+        "def save(path, blob):\n"
+        "    with open(path, 'wb') as fh, open(path, mode='a') as log, path.open('x'):\n"
+        "        fh.write(blob)\n"
+        "    return load(path)\n"
+        "class Store:\n"
+        "    def load(self, path):\n"
+        "        with open(path, 'rb') as fh, path.open() as again:\n"
+        "            return np.load(path), np.fromfile(fh), path.read_bytes(), again\n"
+    )
+    assert sorted(_outside_reads(tree)) == [
+        "<module>: pickle", "<module>: struct",
+        "load: fromfile", "load: load", "load: open", "load: open", "load: read_bytes"]

@@ -358,7 +358,7 @@ def test_run_auxiliary_structure_and_start_values():
     assert abs(np.linalg.norm(final.amplitudes) - 1.0) < 1e-8
     assert run.records[-1].alpha_n > 1e-8
     assert run.records[-1].alpha_n < 0.5
-    times = run.times
+    times = [r.time for r in run.records]
     assert times[0] == 0.0 and abs(times[-1] - 0.2) < 1e-12
     assert np.all(np.diff(times) > 0)
 
@@ -378,7 +378,7 @@ def test_run_auxiliary_orbital_times_are_step_counts_times_dt(monkeypatch):
     monkeypatch.setattr(auxiliary, "hartree_step", recorded)
     run = run_auxiliary(orbitals, pot, t_final=0.2, dt=dt, snapshot_every=5)
     assert times == [t for k in range(1, 11) for t in ((k - 0.5) * dt, k * dt)]
-    assert run.times.tolist() == [0.0, 5 * dt, 10 * dt]
+    assert [r.time for r in run.records] == [0.0, 5 * dt, 10 * dt]
 
 
 def test_run_auxiliary_free_case_matches_exact():

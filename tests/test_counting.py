@@ -483,7 +483,7 @@ def test_falling_factorial_identity():
     T = space.embed(psi)
     masses = sector_masses(psi, proj)
     for j in range(1, N + 1):
-        lhs = space.inner(T, space.product_q(T, j)).real
+        lhs = np.vdot(T, space.product_q(T, j)).real
         falling = np.array(
             [math.prod(range(k, k - j, -1)) / math.prod(range(N, N - j, -1)) for k in range(N + 1)]
         )

@@ -31,7 +31,6 @@ from mflab.manybody import (
     lift_one_body,
     lift_three_body,
     lift_two_body,
-    load_state,
     observe,
     occupation_density,
     one_body_expectation,
@@ -40,7 +39,6 @@ from mflab.manybody import (
     propagate_dense,
     random_state,
     rdm1,
-    save_state,
     slater_state,
 )
 from mflab.model import InitialFamily, build_potential, epsilon_for, make_orbitals
@@ -792,31 +790,3 @@ def test_time_sequence_rejects_bad_requests():
     other = ConfigBasis(n_modes=basis.n_modes, n_particles=3)
     with pytest.raises(GridMismatchError):
         propagate(random_state(other, rng), H, [0.1, 0.2])
-
-
-def test_serialization_round_trips(tmp_path):
-    grid, pot, basis = small_system(N=3)
-    rng = np.random.default_rng(12)
-    state = ManyBodyState(basis, random_state(basis, rng).amplitudes, time=0.37)
-
-    binary = tmp_path / "state.mbs"
-    save_state(state, binary)
-    back = load_state(binary)
-    assert back.basis == state.basis
-    assert back.time == state.time
-    np.testing.assert_array_equal(back.amplitudes, state.amplitudes)
-
-    with pytest.raises(ConfigError):
-        bad = tmp_path / "bad.mbs"
-        bad.write_bytes(b"NOTASTATE" + b"\0" * 32)
-        load_state(bad)
-
-
-@pytest.mark.parametrize("cut", [12, -3, -16], ids=["in-header", "3-bytes", "16-bytes"])
-def test_a_cut_state_container_is_a_config_error_naming_it(tmp_path, cut):
-    basis = ConfigBasis(n_modes=6, n_particles=2)
-    binary = tmp_path / "state.mbs"
-    save_state(random_state(basis, np.random.default_rng(3)), binary)
-    binary.write_bytes(binary.read_bytes()[:cut])
-    with pytest.raises(ConfigError, match="state.mbs is cut"):
-        load_state(binary)
