@@ -14,21 +14,23 @@ lifting a new operator is a vectorised gather, taken a fixed block of runs
 at a time.
 One r-body builder (``ConfigBasis._table``) makes every table from the
 annihilation map of each basis N, N-1, ..., N-r+1 and its inverse, the
-creation map (``ConfigBasis.annihilation_table``/``creation_table``): the
-r annihilations walk down through the first, the r creations back up
-through the second, so every row is a gather and nothing is searched.
-Each entry is a nonzero matrix element of a^dag_{d1}...a^dag_{dr}
+creation map (``ConfigBasis.annihilation_table``/``creation_table``): a
+row's r created modes walk down through the first, the r annihilated modes
+back up through the second, so every entry is a gather and nothing is
+searched.  Each entry is a nonzero matrix element of a^dag_{d1}...a^dag_{dr}
 a_{cr}...a_{c1} (a_{c1} acts first, a^dag_{d1} last).  Entries are
 generated over columns, then ordered tuples of distinct occupied modes (c1
 slowest), then increasing created modes d1 < ... < dr (dr slowest), and
 stored sorted by (row, column), the generation order kept among entries of
 one matrix element, so that a lift sums each element's run of entries
 without sorting (CSR order; each table carries its run starts, run
-columns and row pointer over runs).  Every index is int32 (``_table``
-refuses a basis whose counts would not fit), so a table keeps 5 bytes per
-entry (kernel index and int8 sign), 8 per run (start and column) and 4 per
-row, and a lift's temporaries are bounded by one block of runs
-(``_lift``), not by the table.  Every r-body operator
+columns and row pointer over runs).  Every row holds C(N, r) * P(L-N+r, r)
+entries in sum_{j<=r} C(N, j) * C(L-N, j) runs, so the build writes a
+block of rows at a time into arrays of known length.  Every index is int32
+(``_table`` refuses a basis whose counts would not fit), so a table keeps 5
+bytes per entry (kernel index and int8 sign), 8 per run (start and column)
+and 4 per row, and the temporaries of a build (``_table``) and of a lift
+(``_lift``) are bounded by one block, not by the table.  Every r-body operator
 a lift receives is exchange symmetric, W[(d_s), (c_s)] = W[(d), (c)] for
 each simultaneous slot permutation s, so the r! orderings of the created
 modes give equal terms: the increasing one with every ordering of the
@@ -87,6 +89,7 @@ from .model import InteractionPotential
 _INT32_LIMIT = 2**31  # every table count and index stays below it, so int32 holds it
 MAX_DENSE_DIM = 400  # largest basis the dense-expm oracle (``propagate_dense``) takes
 _LIFT_BLOCK = 1 << 13  # runs a lift gathers and sums at a time
+_TABLE_BLOCK = 1 << 13  # entries a table build makes at a time (one row at least)
 
 
 @dataclass(frozen=True)
@@ -206,80 +209,93 @@ class ConfigBasis:
         """``(flat, signs, starts, indices, indptr)`` of a^dag_{d1}...a^dag_{dr}
         a_{cr}...a_{c1} on the basis, what a lift reads.
 
-        Per entry, in the CSR entry order of the module docstring (dim *
-        N!/(N-r)! * C(L-N+r, r) entries, none when r > N): the int32 kernel
-        index ``flat`` = row_slot * L^r + col_slot, row_slot = (d1, ..., dr)
-        with d1 < ... < dr and col_slot = (c1, ..., cr) flattened C-order, and
-        the int8 element ``signs``, 5 bytes per entry.  Each distinct (row,
-        column) is one run of entries: int32 ``starts`` holds where each run
-        begins and int32 ``indices`` its column, 8 bytes per run, and int32
-        ``indptr`` is the row pointer over runs.  The empty table has the same
-        dtypes.  Int32 holds every index: the entry count and the kernel size
-        L^(2r) are computed from (L, N, r) first, and a basis where either
-        passes 2^31 is refused before anything is built.  Composed from the
-        maps of the bases N, ..., N-r+1: the annihilations walk down through
-        their ``annihilation_table``s, the creations back up through their
-        ``creation_table``s, so each pass is a gather.
+        Per entry, in the CSR entry order of the module docstring (m =
+        C(N, r) * P(L-N+r, r) entries in every row, none when r > N): the
+        int32 kernel index ``flat`` = row_slot * L^r + col_slot, row_slot =
+        (d1, ..., dr) with d1 < ... < dr and col_slot = (c1, ..., cr)
+        flattened C-order, and the int8 element ``signs``, 5 bytes per entry.
+        Each distinct (row, column) is one run of entries: int32 ``starts``
+        holds where each run begins and int32 ``indices`` its column, 8 bytes
+        per run, and int32 ``indptr`` is the row pointer over runs, R *
+        arange(dim + 1) for the R = sum_{j<=r} C(N, j) * C(L-N, j) runs of
+        every row.  The empty table has the same dtypes.  Int32 holds every
+        index: the entry count and the kernel size L^(2r) are computed from
+        (L, N, r) first, and a basis where either passes 2^31 is refused
+        before anything is built.
+
+        Built ``_TABLE_BLOCK`` entries (whole rows, one at least) at a time
+        into the preallocated arrays, so a build's temporaries are bounded
+        by one block: each row I gives up an r-subset D through the
+        ``annihilation_table``s of the bases N, ..., N-r+1, and its K = I
+        minus D takes an ordered tuple C of its empty modes back up through
+        their ``creation_table``s into the column J.  A row's m entries are
+        then sorted by their generation rank, which is below the entry count
+        and so fits one int64 sort key above the entry's 2 * flat + sign bit.
         """
         L, N, dim = self.n_modes, self.n_particles, self.dim
         if r > N:  # no slot tuples
             no = np.zeros(0, dtype=np.int32)
             return no, no.astype(np.int8), no, no, np.zeros(dim + 1, dtype=np.int32)
-        count = dim * math.perm(N, r) * math.comb(L - N + r, r)
-        if count > _INT32_LIMIT or L ** (2 * r) > _INT32_LIMIT:
+        free = L - N + r  # modes a row minus its r created modes leaves empty
+        entries = math.comb(N, r) * math.perm(free, r)  # in every row
+        runs = sum(math.comb(N, j) * math.comb(L - N, j) for j in range(r + 1))  # in every row
+        if dim * entries > _INT32_LIMIT or L ** (2 * r) > _INT32_LIMIT:
             raise ConfigError(
-                f"{r}-body table of L={L}, N={N}: {count} entries of {L ** (2 * r)} "
+                f"{r}-body table of L={L}, N={N}: {dim * entries} entries of {L ** (2 * r)} "
                 "kernel elements, past int32"
             )
-        slots = np.array(list(permutations(range(N), r)), dtype=np.int64)
         bases = [self]
         for _ in range(r - 1):
             bases.append(bases[-1]._smaller)
-        # a_{c1} acts first: c_k is the pos[k]-th mode a_{c1}..a_{c(k-1)} leave, sign (-1)^pos[k]
-        pos = slots - ((slots[:, None, :] < slots[:, :, None]) & np.tri(r, k=-1, dtype=bool)).sum(2)
-        held = np.arange(dim, dtype=np.int32)[:, None]  # per (column, slot tuple), as annihilated
-        for k, basis in enumerate(bases):
-            held = basis.annihilation_table[0][held, pos[:, k]] // L
-        signs = np.tile(1 - 2 * (pos.sum(axis=1) & 1).astype(np.int8), dim)
-        weights = L ** np.arange(r - 1, -1, -1, dtype=np.int32)
-        col_slot = (self.annihilation_table[0] % L)[:, slots] @ weights
-        held = held.ravel()
-        origin = row_slot = bound = None  # origin: the (column, slot tuple) of each entry
-        modes = np.arange(L, dtype=np.int32)
-        for k in reversed(range(r)):  # a^dag_{dr} acts first, into basis N - k
-            index, created = bases[k].creation_table
-            free = (index >= 0)[held]
-            if bound is not None:
-                free &= modes < bound[:, None]  # d_k < d_{k+1}: created modes increase
-            # the (entry, d) pairs of np.nonzero(free), made as int32, not intp
-            entry = np.repeat(np.arange(len(held), dtype=np.int32), free.sum(axis=1))
-            d = np.broadcast_to(modes, free.shape)[free]
-            del free
-            held = held[entry]
-            signs = signs[entry] * created[held, d]
-            held = index[held, d]
-            origin = entry if origin is None else origin[entry]
-            row_slot = d * weights[k] if row_slot is None else row_slot[entry] + d * weights[k]
-            bound = d
-        del entry, d, bound  # release the loop's arrays before sorting
-        # cols never decrease, so a stable sort on rows puts the entries in CSR order
-        entry = np.argsort(held.astype(np.uint16) if dim < 1 << 16 else held, kind="stable")
-        # one array sorted at a time, each unsorted one released before the next
-        rows = held[entry]
-        del held
-        origin = origin[entry]
-        row_slot = row_slot[entry]
-        signs = signs[entry]
-        del entry  # sorted: from here on the peak stays below the loop's
-        cols = origin // np.int32(len(slots))
-        flat = row_slot * np.int32(L**r)
-        del row_slot
-        flat += col_slot.ravel()[origin]
-        del origin
-        new = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])  # where the next run starts
-        starts = np.flatnonzero(np.concatenate(([True], new))).astype(np.int32)
-        indptr = np.searchsorted(rows[starts], np.arange(dim + 1, dtype=np.int32)).astype(np.int32)
-        return flat, signs, starts, cols[starts], indptr
+        subsets = np.array(list(combinations(range(N), r)))  # positions of d1 < ... < dr in I
+        below = subsets - np.arange(r)  # d_k's position in I once d_1 .. d_(k-1) have left
+        tuples = np.array(list(permutations(range(free), r)))  # (c1, ..., cr) among K's empty modes
+        # An entry sorts as one int64 key: above bit 32 its generation rank (J * P(N, r) + rank
+        # of C's positions in J) * C(free, r) + rank of D, below it 2 * flat + (sign < 0).  With
+        # e_k c_k's index among K's empty modes, c_k sits at c_k - e_k + #{j != k: e_j < e_k} in
+        # J, and the positions rank as permutations(range(N), r) lists them; with f_k d_k's
+        # index there, D ranks as sum_{k=1..r} C(f_k, k), d_r slowest.
+        d_ranks = math.comb(free, r)
+        place = np.array([math.perm(N - 1 - k, r - 1 - k) * d_ranks for k in range(r)])
+        later_below = (tuples[:, None, :] < tuples[:, :, None]) & ~np.tri(r, dtype=bool)
+        tuple_key = ((later_below.sum(axis=2) - tuples) @ place) << 32
+        binom = np.array([[math.comb(x, k + 1) for k in range(r)] for x in range(L)])
+        slot = L ** np.arange(r - 1, -1, -1)
+        per_column = math.perm(N, r) * d_ranks
+        index = bases[-1].creation_table[0]  # -1 where K already holds the mode
+        modes = np.arange(L, dtype=np.min_scalar_type(L))
+        empty = np.broadcast_to(modes, index.shape)[index >= 0].reshape(len(index), free)  # per K
+        flat, signs = np.empty(dim * entries, np.int32), np.empty(dim * entries, np.int8)
+        starts, indices = np.empty(dim * runs, np.int32), np.empty(dim * runs, np.int32)
+        block = max(1, _TABLE_BLOCK // entries)  # rows
+        for lo in range(0, dim, block):
+            n = min(block, dim - lo)
+            d = self.configs[lo:lo + n, subsets]  # (row, D, k)
+            held = np.arange(lo, lo + n)[:, None]
+            for k, basis in enumerate(bases):  # <K| a_{dr}..a_{d1} |I>: a_{d1} acts first
+                held = basis.annihilation_table[0][held, below[:, k]] // L
+            key = ((binom[d - below, np.arange(r)].sum(axis=2) << 32) + (d @ slot) * (2 * L**r)
+                   + (below.sum(axis=1) & 1))[..., None] + tuple_key  # D's part, then C's
+            c = empty[held][:, :, tuples]  # (row, D, C, k)
+            held = held[..., None]
+            for k in reversed(range(r)):  # <J| a^dag_{c1}..a^dag_{cr} |K>: a^dag_{cr} acts first
+                index, created = bases[k].creation_table
+                at = held * L + c[..., k]
+                key ^= created.ravel().take(at) < 0
+                held = index.ravel().take(at)
+                key += c[..., k] * ((place[k] << 32) + 2 * slot[k])
+            key += held * np.int64(per_column << 32)
+            key = key.reshape(n, entries)
+            key.sort(axis=1)  # each row's entries in generation order
+            cols = (key >> 32) // per_column
+            flat[lo * entries:(lo + n) * entries] = (key >> 1 & 0x7FFFFFFF).ravel()
+            signs[lo * entries:(lo + n) * entries] = (1 - 2 * (key & 1)).ravel()
+            new = np.ones(cols.shape, dtype=bool)
+            new[:, 1:] = cols[:, 1:] != cols[:, :-1]  # where each of the row's runs starts
+            first = np.flatnonzero(new)
+            starts[lo * runs:(lo + n) * runs] = first + lo * entries
+            indices[lo * runs:(lo + n) * runs] = cols.ravel()[first]
+        return flat, signs, starts, indices, runs * np.arange(dim + 1, dtype=np.int32)
 
     @cached_property
     def _kept_patterns(self) -> dict:

@@ -207,20 +207,20 @@ def decoded(table, L: int, r: int) -> tuple[np.ndarray, ...]:
     return rows, cols, row_slot, col_slot, signs
 
 
-@pytest.mark.parametrize(
-    "L,N,rs",
-    [
-        (5, 1, (1, 2, 3)),  # N = 1; r > N is empty
-        (4, 2, (1, 2, 3)),
-        (6, 6, (1, 2, 3)),  # N = L
-        (3, 3, (3,)),  # r = N = L
-        (8, 2, (1, 2)),
-        (8, 3, (1, 2, 3)),
-        (12, 3, (1, 2, 3)),
-        (12, 4, (1, 2, 3)),
-        (20, 4, (1,)),
-    ],
-)
+TABLE_CASES = [
+    (5, 1, (1, 2, 3)),  # N = 1; r > N is empty
+    (4, 2, (1, 2, 3)),
+    (6, 6, (1, 2, 3)),  # N = L
+    (3, 3, (3,)),  # r = N = L
+    (8, 2, (1, 2)),
+    (8, 3, (1, 2, 3)),
+    (12, 3, (1, 2, 3)),
+    (12, 4, (1, 2, 3)),
+    (20, 4, (1,)),
+]
+
+
+@pytest.mark.parametrize("L,N,rs", TABLE_CASES)
 def test_table_matches_mask_search_reference(L, N, rs):
     """The composed tables decode to the bitmask builder's entries, element and
     dtype, and hold one run per distinct (row, column), each run's first entry
@@ -240,6 +240,39 @@ def test_table_matches_mask_search_reference(L, N, rs):
         for g, w in zip(decoded(table, L, r), want):
             assert g.dtype == w.dtype, (r, g.dtype, w.dtype)
             np.testing.assert_array_equal(g, w)
+
+
+@pytest.mark.parametrize("L,N,rs", TABLE_CASES)
+def test_every_row_holds_the_closed_form_entries_and_runs(L, N, rs):
+    """Every row of an r-body table holds C(N, r) * P(L-N+r, r) entries (its
+    r-subsets of created modes times the ordered r-tuples of modes they and
+    the empty ones offer) in sum_{j<=r} C(N, j) * C(L-N, j) runs (the columns
+    that differ from it in j <= r modes), so ``indptr`` is runs * arange(dim + 1);
+    r > N gives the empty table."""
+    basis = ConfigBasis(n_modes=L, n_particles=N)
+    for r in rs:
+        flat, signs, starts, indices, indptr = basis._table(r)
+        if r > N:
+            assert len(flat) == len(signs) == len(starts) == len(indices) == 0
+            np.testing.assert_array_equal(indptr, np.zeros(basis.dim + 1))
+            continue
+        entries = math.comb(N, r) * math.perm(L - N + r, r)
+        runs = sum(math.comb(N, j) * math.comb(L - N, j) for j in range(r + 1))
+        np.testing.assert_array_equal(indptr, runs * np.arange(basis.dim + 1))
+        row_entries = np.diff(np.append(starts, len(flat))[indptr])
+        np.testing.assert_array_equal(row_entries, np.full(basis.dim, entries))
+
+
+@pytest.mark.parametrize("block", [1, 400, 10**9])
+def test_table_bytes_do_not_depend_on_the_block(monkeypatch, block):
+    """Blocks of one row, of 400 entries (22, 3 and 1 of the 56 rows of
+    L = 8, N = 3 for r = 1, 2, 3, the first two leaving a short last block)
+    and of the whole table build the same arrays, byte for byte."""
+    want = {r: ConfigBasis(n_modes=8, n_particles=3)._table(r) for r in (1, 2, 3)}
+    monkeypatch.setattr(manybody, "_TABLE_BLOCK", block)
+    for r, table in want.items():
+        for g, w in zip(ConfigBasis(n_modes=8, n_particles=3)._table(r), table):
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), (r, block)
 
 
 @pytest.mark.parametrize("L,N", [(5, 1), (6, 6), (20, 6), (64, 2), (64, 3)])
@@ -458,12 +491,36 @@ def test_table_sizes_past_int32_are_refused_before_any_build():
         assert "configs" not in basis.__dict__
 
 
+@pytest.mark.parametrize(
+    "L,N,name", [(20, 4, "one_body_table"), (20, 5, "one_body_table"), (12, 4, "three_body_table")]
+)
+def test_table_build_peaks_one_block_above_what_it_keeps(L, N, name):
+    """tracemalloc: a table built on a new basis, its configurations and maps
+    included, peaks at most 1 MiB above what it keeps, one block of rows'
+    temporaries (329,460 one-body entries at L = 20, N = 4, 1,240,320 at N = 5
+    and 1,960,200 three-body entries at L = 12, N = 4), so no temporary grows
+    with the table."""
+    tracemalloc.start()
+    try:
+        basis = ConfigBasis(n_modes=L, n_particles=N)
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        getattr(basis, name)
+        kept, build_peak = (m - base for m in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    assert kept > 4e6
+    assert build_peak - kept <= 2**20, (build_peak, kept)
+
+
 def test_lift_and_hamiltonian_peaks_are_bounded_by_the_table():
     """tracemalloc at L = 20, N = 4: the one-body lift of the lattice K peaks
     at most 1 MB above what the table build keeps (so no temporary as long as
     the table's 329,460 entries), and ``build_hamiltonian`` on a new basis
-    peaks no higher than that basis's table build, give or take 64 kB for
-    the kernel and the Python objects it holds."""
+    peaks no higher than that basis's table build or lift, give or take what
+    it holds besides: 64 kB for the kernel and Python objects, the occupancy
+    array of the pair diagonal and two copies of the sparse matrix it
+    returns, none of them as long as the table."""
     grid = Grid(dim=1, sites_per_dim=20, box_length=20.0, kinetic_mode="lattice")
     pot = build_potential(grid, "gaussian", amplitude=1.5, width=3.2)
     K = dense_kinetic(grid)
@@ -480,13 +537,16 @@ def test_lift_and_hamiltonian_peaks_are_bounded_by_the_table():
         del H, basis
         base = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        build_hamiltonian(ConfigBasis(n_modes=20, n_particles=4), pot, epsilon_for(4))
+        basis = ConfigBasis(n_modes=20, n_particles=4)
+        H = build_hamiltonian(basis, pot, epsilon_for(4)).matrix
         hamiltonian_peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
+    held = basis.occupancy.nbytes + 2 * (H.data.nbytes + H.indices.nbytes + H.indptr.nbytes)
     assert kept > 4e6
     assert lift_peak - kept <= 1e6, (lift_peak, kept)
-    assert hamiltonian_peak <= build_peak + 2**16, (hamiltonian_peak, build_peak)
+    assert hamiltonian_peak <= max(build_peak, lift_peak) + held + 2**16, (
+        hamiltonian_peak, build_peak, lift_peak, held)
 
 
 # ---------------------------------------------------------------------------
