@@ -11,7 +11,9 @@ with K the grid's kinetic matrix in its kinetic mode.  ``lift_one_body``/
 ``lift_two_body``/``lift_three_body`` raise r-body mode-space operators
 (r = 1, 2, 3) to the configuration basis through precomputed tables, so
 lifting a new operator is a vectorised gather, taken a fixed block of runs
-at a time.
+at a time.  The one-body table is dropped once its lift exists (a basis
+lifts one kinetic matrix); the two- and three-body tables stay cached, since
+the auxiliary generator lifts new kernels through them at every step.
 One r-body builder (``ConfigBasis._table``) makes every table from the
 annihilation map of each basis N, N-1, ..., N-r+1 and its inverse, the
 creation map (``ConfigBasis.annihilation_table``/``creation_table``): a
@@ -78,7 +80,6 @@ from itertools import chain, combinations, permutations
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import expm
 
 from ._lanczos import expm_multiply_hermitian, expm_multiply_hermitian_times
 from .errors import ConfigError, ContractViolation, GridMismatchError, NumericalFailure
@@ -87,7 +88,8 @@ from .hartree import density
 from .model import InteractionPotential
 
 _INT32_LIMIT = 2**31  # every table count and index stays below it, so int32 holds it
-MAX_DENSE_DIM = 400  # largest basis the dense-expm oracle (``propagate_dense``) takes
+_TABLE_BYTES = 2**32  # largest lift table built (N=7 on 20 sites needs 0.1 GB)
+MAX_DENSE_DIM = 400  # largest basis the dense oracle (``propagate_dense``) takes
 _LIFT_BLOCK = 1 << 13  # runs a lift gathers and sums at a time
 _TABLE_BLOCK = 1 << 13  # entries a table build makes at a time (one row at least)
 
@@ -124,7 +126,7 @@ class ConfigBasis:
         np.put_along_axis(occupancy, self.configs, 1.0, axis=1)
         return occupancy
 
-    # ---- lift tables (built once, reused for every lifted operator) ----
+    # ---- lift tables (one-body: built for its lift and dropped; two-, three-body: cached) ----
 
     @cached_property
     def one_body_table(self) -> tuple[np.ndarray, ...]:
@@ -220,8 +222,8 @@ class ConfigBasis:
         arange(dim + 1) for the R = sum_{j<=r} C(N, j) * C(L-N, j) runs of
         every row.  The empty table has the same dtypes.  Int32 holds every
         index: the entry count and the kernel size L^(2r) are computed from
-        (L, N, r) first, and a basis where either passes 2^31 is refused
-        before anything is built.
+        (L, N, r) first; a basis where either passes 2^31, or whose table
+        passes ``_TABLE_BYTES``, is refused before anything is built.
 
         Built ``_TABLE_BLOCK`` entries (whole rows, one at least) at a time
         into the preallocated arrays, so a build's temporaries are bounded
@@ -244,6 +246,9 @@ class ConfigBasis:
                 f"{r}-body table of L={L}, N={N}: {dim * entries} entries of {L ** (2 * r)} "
                 "kernel elements, past int32"
             )
+        size = 5 * dim * entries + 8 * dim * runs + 4 * (dim + 1)
+        if size > _TABLE_BYTES:
+            raise ConfigError(f"{r}-body table of L={L}, N={N}: {size} bytes past the byte budget")
         bases = [self]
         for _ in range(r - 1):
             bases.append(bases[-1]._smaller)
@@ -379,8 +384,11 @@ def _lift(basis: ConfigBasis, W: np.ndarray, r: int, cap: int | None = None) -> 
 
 
 def lift_one_body(basis: ConfigBasis, A: np.ndarray) -> sp.csr_matrix:
-    """sum_i A_i on the configuration basis (A acts on mode space)."""
-    return _lift(basis, A, 1)
+    """sum_i A_i on the configuration basis (A acts on mode space); the basis's
+    one-body table is dropped after it, since no second one-body lift reads it."""
+    lifted = _lift(basis, A, 1)
+    vars(basis).pop("one_body_table", None)  # a frozen dataclass refuses ``del``
+    return lifted
 
 
 def lift_two_body(basis: ConfigBasis, W: np.ndarray, cap: int | None = None) -> sp.csr_matrix:
@@ -489,12 +497,16 @@ def build_hamiltonian(
         raise GridMismatchError("basis mode count does not match the grid")
     K = dense_kinetic(grid)
     H = lift_one_body(basis, K)
-    # the real pair diagonal adds no defect, so the one-body lift is checked alone
-    asym = abs(H - H.conjugate().transpose())
-    if asym.nnz and asym.max() > 1e-10:
-        raise ContractViolation(f"lifted Hamiltonian not hermitian: defect {asym.max()}")
-    H = H + sp.diags(pairwise_potential_vector(basis, potential).astype(np.complex128))
-    return ManyBodyOperator(basis=basis, matrix=H.tocsr(), epsilon=float(epsilon))
+    # the real pair diagonal adds no defect, so the one-body lift is checked alone; H stores
+    # no zeros, so a hermitian H shares the pattern of T = H^T, which is one copy of H
+    T = H.transpose().tocsr()
+    same = np.array_equal(H.indptr, T.indptr) and np.array_equal(H.indices, T.indices)
+    defect = np.abs(H.data - T.data.conj()).max(initial=0.0) if same else np.inf
+    if defect > 1e-10:
+        raise ContractViolation(f"lifted Hamiltonian not hermitian: defect {defect}")
+    del T
+    H = H + sp.diags(pairwise_potential_vector(basis, potential))
+    return ManyBodyOperator(basis, H.astype(np.complex128, copy=False), float(epsilon))
 
 
 def propagate(
@@ -550,12 +562,15 @@ def _finite_state(basis: ConfigBasis, amps: np.ndarray, t: float) -> ManyBodySta
 def propagate_dense(
     state: ManyBodyState, hamiltonian: ManyBodyOperator, t_final: float
 ) -> ManyBodyState:
-    """Dense-matrix-exponential oracle for small bases (dim <= ``MAX_DENSE_DIM``)."""
+    """Dense oracle for small bases (dim <= ``MAX_DENSE_DIM``), independent of Krylov:
+    psi(t) = Q exp(-i eps t Lambda) Q^H psi from one ``np.linalg.eigh`` of H, which holds
+    H and Q where a Pade ``expm`` of the whole matrix holds several dense products at once."""
     if state.basis.dim > MAX_DENSE_DIM:
         raise ConfigError(f"dense propagation oracle is limited to dim <= {MAX_DENSE_DIM}")
     span = t_final - state.time
-    U = expm(-1j * span * hamiltonian.epsilon * hamiltonian.matrix.toarray())
-    return ManyBodyState(state.basis, U @ state.amplitudes, t_final)
+    lam, Q = np.linalg.eigh(hamiltonian.matrix.toarray())
+    phases = np.exp(-1j * span * hamiltonian.epsilon * lam)
+    return ManyBodyState(state.basis, Q @ (phases * (Q.conj().T @ state.amplitudes)), t_final)
 
 
 def gauge_manybody(

@@ -15,6 +15,7 @@ from itertools import combinations, permutations
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.linalg import expm
 
 from mflab import _lanczos, manybody
 from mflab.errors import ConfigError, ContractViolation, GridMismatchError
@@ -491,6 +492,23 @@ def test_table_sizes_past_int32_are_refused_before_any_build():
         assert "configs" not in basis.__dict__
 
 
+def test_a_table_past_the_byte_budget_is_refused_before_any_build():
+    """``ConfigBasis(256, 3)``'s one-body table has 2,105,802,240 entries,
+    under the int32 cap, but would take about 27 GB at 5 bytes per entry and
+    8 per run: it is refused from (L, N) alone, before its configurations are
+    built or anything is allocated."""
+    basis = ConfigBasis(256, 3)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match="byte budget"):
+            basis.one_body_table
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "configs" not in vars(basis)
+    assert peak < 2**16, peak
+
+
 @pytest.mark.parametrize(
     "L,N,name", [(20, 4, "one_body_table"), (20, 5, "one_body_table"), (12, 4, "three_body_table")]
 )
@@ -549,6 +567,25 @@ def test_lift_and_hamiltonian_peaks_are_bounded_by_the_table():
         hamiltonian_peak, build_peak, lift_peak, held)
 
 
+def test_build_hamiltonian_keeps_no_one_body_table():
+    """tracemalloc at L = 20, N = 4: what ``build_hamiltonian`` leaves alive on
+    a new basis is H (0.73 MB), the pair diagonal's occupancy (0.74 MB), the
+    configurations and the maps, at most 2.5 MB; keeping the one-body table
+    (329,460 entries) would add 4.3 MB."""
+    grid = Grid(dim=1, sites_per_dim=20, box_length=20.0, kinetic_mode="lattice")
+    pot = build_potential(grid, "gaussian", amplitude=1.5, width=3.2)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        basis = ConfigBasis(n_modes=20, n_particles=4)
+        hamiltonian = build_hamiltonian(basis, pot, epsilon_for(4))
+        kept = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert hamiltonian.matrix.nnz > 0
+    assert kept <= 2.5e6, kept
+
+
 # ---------------------------------------------------------------------------
 # Hamiltonian, Slater embedding, reduced density matrix
 # ---------------------------------------------------------------------------
@@ -589,6 +626,57 @@ def test_hamiltonian_hermitian_and_norm_preserving():
     e0 = np.vdot(state.amplitudes, H.matrix @ state.amplitudes).real
     e1 = np.vdot(out.amplitudes, H.matrix @ out.amplitudes).real
     assert abs(e1 - e0) < 1e-11
+
+
+@pytest.mark.parametrize("mode", ["lattice", "spectral"])
+def test_one_body_table_is_dropped_after_its_lift(mode):
+    """``build_hamiltonian`` and a bare ``lift_one_body`` leave no one-body
+    table on the basis, and give bit for bit what the lift through a table
+    held on a second, equal basis gives (a real and a complex kinetic K)."""
+    grid, pot, basis = small_system(N=3, mode=mode)
+    K = dense_kinetic(grid)
+    held = ConfigBasis(n_modes=basis.n_modes, n_particles=basis.n_particles)
+    table = held.one_body_table
+    H = build_hamiltonian(basis, pot, epsilon_for(3)).matrix
+    assert "one_body_table" not in vars(basis)
+    vsum = pairwise_potential_vector(held, pot)
+    want = (_lift(held, K, 1) + sp.diags(vsum.astype(np.complex128))).tocsr()
+    lifted, want_lifted = lift_one_body(basis, K), _lift(held, K, 1)
+    assert "one_body_table" not in vars(basis)
+    assert held.one_body_table is table
+    for got, ref in ((H, want), (lifted, want_lifted)):
+        for name in ("data", "indices", "indptr"):
+            g, w = getattr(got, name), getattr(ref, name)
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), name
+
+
+@pytest.mark.parametrize("sign", [-1, 0], ids=["negated", "zeroed"])
+def test_a_lift_with_one_flipped_sign_is_not_hermitian(sign):
+    """One off-diagonal entry of a held one-body table negated (H and H^H
+    then differ on a shared element) or zeroed (its element drops out, so
+    H's pattern is not its transpose's): ``build_hamiltonian`` raises."""
+    grid, pot, basis = small_system(N=3)
+    K = dense_kinetic(grid)
+    L = basis.n_modes
+    flat, signs = basis.one_body_table[:2]
+    i = np.flatnonzero((flat // L != flat % L) & (K.ravel()[flat] != 0))[0]
+    signs[i] *= sign
+    with pytest.raises(ContractViolation, match="not hermitian"):
+        build_hamiltonian(basis, pot, epsilon_for(3))
+
+
+@pytest.mark.parametrize("n", [8, 12])
+@pytest.mark.parametrize("N", [2, 3])
+def test_dense_oracle_matches_the_matrix_exponential(n, N):
+    """``propagate_dense``'s eigendecomposition against scipy's Pade ``expm``
+    of -i eps t H applied to the state."""
+    grid, pot, basis = small_system(n=n, box=float(n), N=N)
+    H = build_hamiltonian(basis, pot, epsilon_for(N))
+    state = random_state(basis, np.random.default_rng(n + N), time=0.3)
+    got = propagate_dense(state, H, t_final=1.2)
+    want = expm(-1j * 0.9 * H.epsilon * H.matrix.toarray()) @ state.amplitudes
+    assert got.time == 1.2
+    assert np.linalg.norm(got.amplitudes - want) <= 1e-12
 
 
 def test_krylov_matches_dense_exponential():
